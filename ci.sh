@@ -21,6 +21,11 @@ run cargo build --release
 run cargo test --workspace -q
 # Benches are excluded from `cargo test`; make sure they still compile.
 run cargo bench -p capsacc-bench --no-run
+# The end-to-end benchmark (perfbench/) is a workspace of its own, so
+# the workspace build, test and clippy runs above never compile it:
+# build and test it here, so a change to a crate's public API cannot
+# break the benchmark while CI stays green.
+run cargo test --release -q --manifest-path perfbench/Cargo.toml
 # Batched-serving smoke run: validates run_batch bit-exactness at the
 # tiny scale and refreshes BENCH_batch.json so the perf trajectory of
 # the batch path is recorded with every CI run.

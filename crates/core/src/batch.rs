@@ -56,6 +56,7 @@ use capsacc_telemetry::{CycleKind, SpanDetail};
 use crate::activation::ActivationKind;
 use crate::config::AcceleratorConfig;
 use crate::engine::{to_chw, Accelerator, LayerRun};
+use crate::operand::{DataView, WeightView};
 use crate::timing::RoutingStep;
 use crate::traffic::{MemoryKind, TrafficReport};
 
@@ -323,21 +324,22 @@ impl Accelerator {
         // Biases ride along with the layer's off-chip weight stream.
         self.traffic.read(MemoryKind::Dram, u64_from(g1.out_ch));
         self.memory.stage_bias(u64_from(g1.out_ch));
-        let inputs_ref = &inputs_q;
-        let w1 = &qparams.conv1_w;
         // im2col addressing is affine: `input_index(mi, ki) =
-        // patch_origin(mi) + tap_offset(ki)`. Precomputing both halves
-        // once per layer keeps the staged panel identical while the
-        // data closure becomes two table lookups and an add instead of
-        // a six-op div/mod decomposition per element.
-        let (g1_origins, g1_taps) = (g1.patch_origins(), g1.tap_offsets());
-        let g1_patch_len = g1.patch_len();
+        // patch_origin(mi) + tap_offset(ki)`, so the data view is the
+        // two tables over each image; the `[out_ch][patch]` weights
+        // are unit-stride along K.
+        let input_src: Vec<&[i8]> = inputs_q.iter().map(Tensor::data).collect();
         let (conv1_mns, conv1_sats) = self.matmul_batch_inner(
-            batch,
-            &|img, mi, ki| inputs_ref[img].data()[g1_origins[mi] + g1_taps[ki]],
-            &|ki, oc| w1.data()[oc * g1_patch_len + ki],
-            g1.patches(),
-            g1.patch_len(),
+            DataView {
+                src: &input_src,
+                rows: &g1.patch_origins(),
+                cols: &g1.tap_offsets(),
+            },
+            WeightView {
+                src: qparams.conv1_w.data(),
+                ks: 1,
+                ns: g1.patch_len(),
+            },
             g1.out_ch,
             Some(&qparams.conv1_b),
             ncfg.mac_shift(),
@@ -360,6 +362,11 @@ impl Accelerator {
             memory_stall_cycles: self.memory_stall_cycles - m0,
         });
         self.rec.end(SpanDetail::Layers);
+        // The functional backend's staging buffers are sized by the
+        // layer's own matmuls: release them at each layer boundary so
+        // the next layer's tensors can take the pages (PrimaryCaps'
+        // panels would otherwise stay resident through ClassCaps).
+        self.staging = Default::default();
         // ------------------------------------------- PrimaryCaps + squash
         let gp = net.primary_caps_geometry();
         self.rec.begin(SpanDetail::Layers, "PrimaryCaps");
@@ -368,16 +375,18 @@ impl Accelerator {
         let m0 = self.memory_stall_cycles;
         self.traffic.read(MemoryKind::Dram, u64_from(gp.out_ch));
         self.memory.stage_bias(u64_from(gp.out_ch));
-        let conv1_ref = &conv1_outs;
-        let wp = &qparams.pc_w;
-        let (gp_origins, gp_taps) = (gp.patch_origins(), gp.tap_offsets());
-        let gp_patch_len = gp.patch_len();
+        let conv1_src: Vec<&[i8]> = conv1_outs.iter().map(Tensor::data).collect();
         let (pc_mns, pc_sats) = self.matmul_batch_inner(
-            batch,
-            &|img, mi, ki| conv1_ref[img].data()[gp_origins[mi] + gp_taps[ki]],
-            &|ki, oc| wp.data()[oc * gp_patch_len + ki],
-            gp.patches(),
-            gp.patch_len(),
+            DataView {
+                src: &conv1_src,
+                rows: &gp.patch_origins(),
+                cols: &gp.tap_offsets(),
+            },
+            WeightView {
+                src: qparams.pc_w.data(),
+                ks: 1,
+                ns: gp.patch_len(),
+            },
             gp.out_ch,
             Some(&qparams.pc_b),
             ncfg.mac_shift(),
@@ -402,6 +411,7 @@ impl Accelerator {
             memory_stall_cycles: self.memory_stall_cycles - m0,
         });
         self.rec.end(SpanDetail::Layers);
+        self.staging = Default::default();
         // ------------------------------------------------ ClassCaps: Load
         self.rec.begin(SpanDetail::Layers, "ClassCaps");
         let (in_caps, classes, out_dim, in_dim) = (
@@ -436,21 +446,27 @@ impl Accelerator {
         self.rec.begin(SpanDetail::Phases, "fc");
         self.rec.suppress(CycleKind::Activation);
         let c0 = self.array.cycles();
-        let wc = &qparams.w_class;
-        let caps_ref = &capsules;
         let mut u_hats: Vec<Tensor<i8>> = (0..batch)
             .map(|_| Tensor::zeros(&[in_caps, classes, out_dim]))
             .collect();
+        let caps_src: Vec<&[i8]> = capsules.iter().map(Tensor::data).collect();
+        let dims: Vec<usize> = (0..in_dim).collect();
+        let block = classes * out_dim * in_dim;
         for cap in 0..in_caps {
             let (fc, fc_sats) = self.matmul_batch_inner(
-                batch,
-                &|img, _mi, d| caps_ref[img].data()[cap * in_dim + d],
-                // `col = class * out_dim + e`, and the `[cap][class][e][d]`
-                // layout flattens to `(cap * classes * out_dim + col) * in_dim
-                // + d` — no per-element div/mod decomposition needed.
-                &|d, col| wc.data()[(cap * classes * out_dim + col) * in_dim + d],
-                1,
-                in_dim,
+                // One data row per image: input capsule `cap`'s vector.
+                DataView {
+                    src: &caps_src,
+                    rows: &[cap * in_dim],
+                    cols: &dims,
+                },
+                // Capsule `cap`'s `W_ij` block, `[class][e][d]`: output
+                // column `class·out_dim + e`, unit-stride along `d`.
+                WeightView {
+                    src: &qparams.w_class.data()[cap * block..],
+                    ks: 1,
+                    ns: in_dim,
+                },
                 classes * out_dim,
                 None,
                 ncfg.mac_shift(),
@@ -519,6 +535,7 @@ impl Accelerator {
         });
         self.rec.end(SpanDetail::Layers); // ClassCaps
         self.rec.end(SpanDetail::Layers); // inference
+        self.staging = Default::default();
 
         Ok(BatchRun {
             traces,

@@ -39,6 +39,7 @@ use crate::accumulator::AccumulatorUnit;
 use crate::activation::{ActivationKind, ActivationUnit};
 use crate::config::{AcceleratorConfig, EngineBackend, TraceLevel};
 use crate::kernel;
+use crate::operand::{DataView, WeightView};
 use crate::systolic::SystolicArray;
 use crate::timing::RoutingStep;
 use crate::traffic::{MemoryKind, TrafficReport};
@@ -128,6 +129,11 @@ pub struct Accelerator {
     // instrumentation call below is an inert early-return (the
     // byte-invisibility invariant pinned by telemetry_equivalence.rs).
     pub(crate) rec: Recorder,
+    // The functional backend's host buffers (data panel, staged
+    // K-tiles, accumulator lanes), reused by every matmul of a layer
+    // and dropped at layer boundaries. Host memory only: nothing
+    // simulated reads or depends on it.
+    pub(crate) staging: kernel::Staging,
 }
 
 /// Reshapes a `[patches, out_ch]` matmul result into the `[out_ch, oh,
@@ -170,6 +176,7 @@ impl Accelerator {
             fault_flips: 0,
             fault_masked: 0,
             rec: Recorder::disabled(),
+            staging: kernel::Staging::default(),
             cfg,
         }
     }
@@ -295,9 +302,11 @@ impl Accelerator {
     /// against them, per-column accumulator FIFOs fold K-tiles, and the
     /// activation units reduce the finished 25-bit sums to 8 bits.
     ///
-    /// `data(m, k)` and `weight(k, n)` supply operands on demand (the
-    /// Data Buffer's address-generation view); `bias`, when present, is
-    /// indexed by `n` and staged at the product fraction width.
+    /// `data(m, k)` and `weight(k, n)` supply the operands; each is
+    /// called once per element, up front, to fill the dense buffers the
+    /// engine then reads (see [`Accelerator::matmul_batch`]). `bias`,
+    /// when present, is indexed by `n` and staged at the product
+    /// fraction width.
     ///
     /// # Panics
     ///
@@ -336,7 +345,10 @@ impl Accelerator {
     /// and all `batch` images' data rows stream back-to-back against it,
     /// so the Weight Buffer traffic and the per-tile load cycles are paid
     /// once per batch instead of once per image. `data(img, m, k)`
-    /// supplies image `img`'s operands.
+    /// supplies image `img`'s operands. Both closures are called once
+    /// per element, up front, to copy the operands into dense row-major
+    /// buffers; the matmul itself runs the same view-based path as the
+    /// network layers.
     ///
     /// Returns one `[m, n]` output tensor per image plus the per-image
     /// accumulator-saturation counts (attribution is exact because each
@@ -367,10 +379,40 @@ impl Accelerator {
         shift: u32,
         kind: ActivationKind,
     ) -> (Vec<Tensor<i8>>, Vec<u64>) {
-        self.matmul_batch_inner(batch, data, weight, m, k, n, bias, shift, kind, false)
+        // Copy the closures' operands once into dense row-major buffers
+        // and run the one view-based path both backends share.
+        let plane = m * k;
+        let dense: Vec<i8> = (0..batch * plane)
+            .map(|i| data(i / plane, i % plane / k, i % k))
+            .collect();
+        let w: Vec<i8> = (0..k * n).map(|i| weight(i / n, i % n)).collect();
+        let src: Vec<&[i8]> = (0..batch)
+            .map(|img| &dense[img * plane..(img + 1) * plane])
+            .collect();
+        let rows: Vec<usize> = (0..m).map(|mi| mi * k).collect();
+        let cols: Vec<usize> = (0..k).collect();
+        self.matmul_batch_inner(
+            DataView {
+                src: &src,
+                rows: &rows,
+                cols: &cols,
+            },
+            WeightView {
+                src: &w,
+                ks: n,
+                ns: 1,
+            },
+            n,
+            bias,
+            shift,
+            kind,
+            false,
+        )
     }
 
-    /// The shared tiled-matmul implementation. `weights_offchip` marks
+    /// The shared tiled-matmul implementation, reading both operands
+    /// through borrowed views ([`DataView`] supplies the batch size,
+    /// `M` and `K`; `n` is the output width). `weights_offchip` marks
     /// the weight operand as DRAM-resident (the network's parameter
     /// layers): its tiles then stream through the memory hierarchy's
     /// double-buffered prefetcher and are charged to the off-chip
@@ -385,17 +427,15 @@ impl Accelerator {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn matmul_batch_inner(
         &mut self,
-        batch: usize,
-        data: &dyn Fn(usize, usize, usize) -> i8,
-        weight: &dyn Fn(usize, usize) -> i8,
-        m: usize,
-        k: usize,
+        data: DataView<'_>,
+        weight: WeightView<'_>,
         n: usize,
         bias: Option<&[i32]>,
         shift: u32,
         kind: ActivationKind,
         weights_offchip: bool,
     ) -> (Vec<Tensor<i8>>, Vec<u64>) {
+        let (batch, m, k) = (data.batch(), data.m(), data.k());
         assert!(batch > 0, "batch must be non-empty");
         if let Some(b) = bias {
             assert!(b.len() >= n, "bias shorter than output width");
@@ -444,11 +484,8 @@ impl Accelerator {
 
         if self.cfg.backend == EngineBackend::Functional {
             self.matmul_batch_functional(
-                batch,
                 data,
                 weight,
-                m,
-                k,
                 n,
                 bias,
                 shift,
@@ -475,7 +512,7 @@ impl Accelerator {
                 // Weight tile rows (zero-padded to the array width by the
                 // array itself), loaded once for the whole batch.
                 let tile: Vec<Vec<i8>> = (0..kt)
-                    .map(|kr| (0..nt).map(|nc| weight(k0 + kr, n0 + nc)).collect())
+                    .map(|kr| (0..nt).map(|nc| weight.at(k0 + kr, n0 + nc)).collect())
                     .collect();
                 let tile_refs: Vec<&[i8]> = tile.iter().map(|r| r.as_slice()).collect();
                 self.rec
@@ -494,7 +531,7 @@ impl Accelerator {
                 let rows_data: Vec<Vec<i8>> = (0..batch * m)
                     .map(|ri| {
                         let (img, mi) = (ri / m.max(1), ri % m.max(1));
-                        (0..kt).map(|ki| data(img, mi, k0 + ki)).collect()
+                        (0..kt).map(|ki| data.at(img, mi, k0 + ki)).collect()
                     })
                     .collect();
                 self.traffic
@@ -518,9 +555,10 @@ impl Accelerator {
             }
 
             // Drain through the activation units, image by image.
-            for (img, image_accs) in accs.iter_mut().enumerate() {
+            for (img, (image_accs, out)) in accs.iter_mut().zip(outs.iter_mut()).enumerate() {
                 self.rec
                     .begin_arg(SpanDetail::Tiles, "drain", "img", u64_from(img));
+                let out = out.data_mut();
                 for (c, acc) in image_accs.iter_mut().enumerate() {
                     let events = acc.saturation_events();
                     saturations[img] += events;
@@ -528,7 +566,7 @@ impl Accelerator {
                     let b = bias.map_or(0i64, |b| i64::from(b[n0 + c]));
                     for (mi, raw) in acc.drain().into_iter().enumerate() {
                         let raw = self.apply_acc_fault(raw);
-                        outs[img][[mi, n0 + c]] = self.activation.reduce(raw + b, shift, kind);
+                        out[mi * n + n0 + c] = self.activation.reduce(raw + b, shift, kind);
                     }
                 }
                 let drain_cycles = ActivationUnit::reduce_cycles(u64_from(m));
@@ -583,20 +621,20 @@ impl Accelerator {
     ///   on them — are equal, not merely equivalent. The accounting
     ///   loop runs serially before the row sweep: counter totals are
     ///   the only observable, and they are pure sums.
-    /// - **Data staging.** Operands are staged once per matmul into a
-    ///   flat row-major panel (the ticked path re-invokes the operand
-    ///   closures per N-tile revisit); traffic is charged per tile
-    ///   from the same formulas either way. Weight tiles are staged
-    ///   per N-tile (plus a pair-interleaved `i16` copy when the
-    ///   AVX2 kernels will consume them).
+    /// - **Data staging.** Both operands are staged straight from their
+    ///   views into buffers the accelerator keeps across matmuls: the
+    ///   data panel is gathered once per matmul as a flat row-major
+    ///   `batch·M × K` matrix (the ticked path re-reads the view per
+    ///   N-tile revisit), and each N-tile's K-tiles are packed directly
+    ///   into the layout their kernel reads (`kernel::TileBuf`).
+    ///   Traffic is charged per tile from the same formulas either
+    ///   way, and the drain writes outputs in the ticked path's
+    ///   (n_tile, image, column, row) order, so fault draws line up.
     #[allow(clippy::too_many_arguments)]
     fn matmul_batch_functional(
         &mut self,
-        batch: usize,
-        data: &dyn Fn(usize, usize, usize) -> i8,
-        weight: &dyn Fn(usize, usize) -> i8,
-        m: usize,
-        k: usize,
+        data: DataView<'_>,
+        weight: WeightView<'_>,
         n: usize,
         bias: Option<&[i32]>,
         shift: u32,
@@ -605,24 +643,22 @@ impl Accelerator {
         saturations: &mut [u64],
     ) {
         let (rows, cols) = (self.cfg.rows, self.cfg.cols);
-        let total_rows = batch * m;
+        let (m, k) = (data.m(), data.k());
+        let total_rows = data.batch() * m;
         let opts = self.cfg.functional;
         let simd_ok = kernel::simd_enabled(opts);
-        // Host wall-clock annotation: read host clocks only when
-        // explicitly requested, and only into span args — never into
-        // any simulated quantity.
-        let host = self.rec.host_timing();
+        // Host wall-clock annotation: the stopwatch reads the host
+        // clock only when host timing was requested, and only into
+        // span args — never into any simulated quantity.
         let (mut stage_ns, mut sweep_ns) = (0u64, 0u64);
         let mut tile_seq = 0u64;
+        // Borrow the reusable buffers for the whole matmul (the
+        // accounting below needs `self` mutably alongside them).
+        let mut st = std::mem::take(&mut self.staging);
 
         // Stage the whole data panel once, row-major: tile slices below
-        // are plain subslices, and the operand closure runs once per
-        // element instead of once per N-tile visit.
-        let mut panel: Vec<i8> = Vec::with_capacity(total_rows * k);
-        for ri in 0..total_rows {
-            let (img, mi) = (ri / m.max(1), ri % m.max(1));
-            panel.extend((0..k).map(|ki| data(img, mi, ki)));
-        }
+        // are plain subslices.
+        st.gather(&data);
         // A zero data element contributes +0 to an in-range psum, so
         // the fixed-width kernels may skip it: pick per matmul between
         // the dense kernels and the zero-skipping ones. Both are exact
@@ -633,44 +669,28 @@ impl Accelerator {
         // granularity and trade away the 4-row weight-reuse block, so
         // they need mostly-zero pairs (~3/4 zeros; post-ReLU MNIST
         // panels at ~50% zeros stay on the dense blocked kernel).
-        let zeros = panel.iter().filter(|&&d| d == 0).count();
+        let zeros = st.panel.iter().filter(|&&d| d == 0).count();
         let sparse_data = if simd_ok {
-            zeros * 4 >= panel.len().max(1) * 3
+            zeros * 4 >= st.panel.len().max(1) * 3
         } else {
-            zeros * 4 >= panel.len().max(1)
+            zeros * 4 >= st.panel.len().max(1)
         };
-        // Sign-extended copy for the SIMD kernels: adjacent element
-        // pairs become single `i32` broadcast operands. Values are
-        // identical — widening is exact — so which panel a kernel
-        // reads can never change results.
-        let panel_wide: Vec<i16> = if simd_ok {
-            panel.iter().map(|&d| d as i16).collect()
-        } else {
-            Vec::new()
-        };
-
-        let mut acc_flat: Vec<i64> = Vec::new(); // per-(ri, c) K-tile accumulators
-        let mut row_events: Vec<u64> = Vec::new(); // per-row clip events
+        let tallest = rows.min(k);
 
         for n0 in (0..n).step_by(cols) {
             let nt = cols.min(n - n0);
-            acc_flat.clear();
-            acc_flat.resize(total_rows * nt, 0);
-            row_events.clear();
-            row_events.resize(total_rows, 0);
+            st.acc.clear();
+            st.acc.resize(total_rows * nt, 0);
+            st.events.clear();
+            st.events.resize(total_rows, 0);
 
             // Accounting and weight staging, K-tile by K-tile in the
             // ticked serial order. Traffic reads and array-cycle
             // charges are pure counter additions, so hoisting them out
             // of the (possibly parallel) row sweep preserves every
-            // observable total. Column-outer fill: the parameter
-            // layers store weights `[out_ch][patch]`-major, so walking
-            // `kr` innermost reads each channel's taps contiguously
-            // instead of striding the whole weight tensor per element
-            // (the tile itself is ≤ R·C bytes — write order is free).
-            // lint:allow(determinism, host-gated wall-clock probe: runs only when host_timing is requested and never feeds simulated results)
-            let t0 = host.then(std::time::Instant::now);
-            let mut tiles: Vec<kernel::KTile> = Vec::with_capacity(k.div_ceil(rows.max(1)));
+            // observable total.
+            let watch = self.rec.host_stopwatch();
+            st.tiles.begin(nt);
             for k0 in (0..k).step_by(rows) {
                 let kt = rows.min(k - k0);
                 self.traffic
@@ -694,64 +714,46 @@ impl Accelerator {
                 self.rec.advance(CycleKind::Array, stream_edges);
                 self.rec.end(SpanDetail::Tiles);
                 self.rec.end(SpanDetail::Tiles); // tile
-                let mut w = vec![0i8; kt * nt];
-                for nc in 0..nt {
-                    for kr in 0..kt {
-                        w[kr * nt + nc] = weight(k0 + kr, n0 + nc);
-                    }
-                }
-                tiles.push(kernel::KTile::stage(
-                    k0,
-                    kt,
-                    nt,
-                    w,
-                    sparse_data,
-                    opts,
-                    simd_ok,
-                ));
+                let kernel = kernel::select_kernel(kt, nt, tallest, sparse_data, opts, simd_ok);
+                st.tiles.stage(&weight, k0, kt, n0, kernel);
             }
-            if let Some(t) = t0 {
-                // lint:allow(cast-audit, truncating u128 nanoseconds to u64 saturates after ~584 years of host wall-clock)
-                stage_ns += t.elapsed().as_nanos() as u64;
-            }
-            // lint:allow(determinism, host-gated wall-clock probe: runs only when host_timing is requested and never feeds simulated results)
-            let t0 = host.then(std::time::Instant::now);
+            stage_ns += watch.elapsed_ns();
+            st.widen_panel_for_tiles();
 
             // The row sweep: serial, or partitioned into contiguous
             // row chunks across scoped OS threads (the `pool.rs`
             // pattern). Rows are independent and each row's whole fold
             // chain runs on one thread in tile order, so any partition
             // is byte-identical to the serial sweep.
+            let watch = self.rec.host_stopwatch();
             let threads = kernel::effective_threads(opts.threads, total_rows, k, nt);
+            let (tiles, panel, wide) = (&st.tiles, st.panel.as_slice(), st.panel_wide.as_slice());
             if threads <= 1 {
                 kernel::process_rows(
                     k,
-                    nt,
-                    &tiles,
-                    &panel,
-                    &panel_wide,
+                    tiles,
+                    panel,
+                    wide,
                     0,
                     total_rows,
-                    &mut acc_flat,
-                    &mut row_events,
+                    &mut st.acc,
+                    &mut st.events,
                 );
             } else {
                 let rows_per = total_rows.div_ceil(threads);
-                let (tiles_ref, panel_ref) = (&tiles, panel.as_slice());
-                let wide_ref = panel_wide.as_slice();
                 std::thread::scope(|scope| {
-                    let handles: Vec<_> = acc_flat
+                    let handles: Vec<_> = st
+                        .acc
                         .chunks_mut(rows_per * nt)
-                        .zip(row_events.chunks_mut(rows_per))
+                        .zip(st.events.chunks_mut(rows_per))
                         .enumerate()
                         .map(|(ci, (acc_chunk, ev_chunk))| {
                             scope.spawn(move || {
                                 kernel::process_rows(
                                     k,
-                                    nt,
-                                    tiles_ref,
-                                    panel_ref,
-                                    wide_ref,
+                                    tiles,
+                                    panel,
+                                    wide,
                                     ci * rows_per,
                                     ev_chunk.len(),
                                     acc_chunk,
@@ -765,10 +767,7 @@ impl Accelerator {
                     }
                 });
             }
-            if let Some(t) = t0 {
-                // lint:allow(cast-audit, truncating u128 nanoseconds to u64 saturates after ~584 years of host wall-clock)
-                sweep_ns += t.elapsed().as_nanos() as u64;
-            }
+            sweep_ns += watch.elapsed_ns();
 
             // Drain through the activation units, image by image —
             // the same sequence (and activation-cycle charge) as the
@@ -777,17 +776,18 @@ impl Accelerator {
             // is written (in particular, no bias-only outputs), but
             // the per-image drain charge is still paid.
             let drained_rows = if k == 0 { 0 } else { m };
-            for img in 0..batch {
+            for (img, out) in outs.iter_mut().enumerate() {
                 self.rec
                     .begin_arg(SpanDetail::Tiles, "drain", "img", u64_from(img));
-                let events: u64 = row_events[img * m..img * m + m].iter().sum();
+                let events: u64 = st.events[img * m..img * m + m].iter().sum();
                 saturations[img] += events;
                 self.accumulator_saturations += events;
+                let out = out.data_mut();
                 for c in 0..nt {
                     let b = bias.map_or(0i64, |b| i64::from(b[n0 + c]));
                     for mi in 0..drained_rows {
-                        let raw = self.apply_acc_fault(acc_flat[(img * m + mi) * nt + c]);
-                        outs[img][[mi, n0 + c]] = self.activation.reduce(raw + b, shift, kind);
+                        let raw = self.apply_acc_fault(st.acc[(img * m + mi) * nt + c]);
+                        out[mi * n + n0 + c] = self.activation.reduce(raw + b, shift, kind);
                     }
                 }
                 let drain_cycles = ActivationUnit::reduce_cycles(u64_from(m));
@@ -796,9 +796,10 @@ impl Accelerator {
                 self.rec.end(SpanDetail::Tiles);
             }
         }
+        self.staging = st;
         // At `Layers` detail no matmul span is open, so the host
         // annotations would pile up on the layer span — skip them.
-        if host && self.rec.detail() >= SpanDetail::Phases {
+        if self.rec.host_timing() && self.rec.detail() >= SpanDetail::Phases {
             self.rec.annotate("host_stage_ns", stage_ns);
             self.rec.annotate("host_sweep_ns", sweep_ns);
         }
@@ -864,6 +865,13 @@ impl Accelerator {
         let tracing = self.cfg.trace_level == TraceLevel::Full;
         let mut iterations = Vec::with_capacity(if tracing { net.routing_iterations } else { 0 });
         let coupling_bytes = u64_from(in_caps * classes);
+        // Operand tables of the per-class Sum and Update matmuls (see
+        // the views below): `û` is `[in_caps][classes][out_dim]`, the
+        // couplings `[in_caps][classes]`.
+        let caps_stride: Vec<usize> = (0..in_caps).map(|i| i * classes).collect();
+        let u_rows: Vec<usize> = (0..in_caps).map(|i| i * classes * out_dim).collect();
+        let dims: Vec<usize> = (0..out_dim).collect();
+        let u_data = u_hat.data();
 
         for r in 0..net.routing_iterations {
             // Softmax (or the direct initialization on iteration 1).
@@ -922,20 +930,29 @@ impl Accelerator {
             }
             self.traffic.read(MemoryKind::RoutingBuffer, coupling_bytes);
             let mut s_t: Tensor<i8> = Tensor::zeros(&[classes, out_dim]);
-            let u_ref = &u_hat;
-            let c_ref = &couplings;
+            let c_data = couplings.data();
             for j in 0..classes {
-                let s_row = self.matmul(
-                    &|_mi, i| c_ref.data()[i * classes + j],
-                    &|i, e| u_ref.data()[(i * classes + j) * out_dim + e],
-                    1,
-                    in_caps,
+                // s_j = Σ_i c_ij · û_j|i: one data row (the couplings'
+                // column j) against the `in_caps × out_dim` slice of û
+                // for class j.
+                let (s_row, _) = self.matmul_batch_inner(
+                    DataView {
+                        src: &[&c_data[j..]],
+                        rows: &[0],
+                        cols: &caps_stride,
+                    },
+                    WeightView {
+                        src: &u_data[j * out_dim..],
+                        ks: classes * out_dim,
+                        ns: 1,
+                    },
                     out_dim,
                     None,
                     ncfg.coupling_mac_shift(),
                     ActivationKind::Identity,
+                    false,
                 );
-                s_t.data_mut()[j * out_dim..(j + 1) * out_dim].copy_from_slice(s_row.data());
+                s_t.data_mut()[j * out_dim..(j + 1) * out_dim].copy_from_slice(s_row[0].data());
             }
             macs += u64_from(classes * out_dim * in_caps);
             self.rec.unsuppress(CycleKind::Activation);
@@ -973,21 +990,30 @@ impl Accelerator {
                 }
                 self.traffic
                     .read(MemoryKind::RoutingBuffer, u64_from(classes * out_dim));
-                let v_ref = &class_caps;
+                let v_data = class_caps.data();
                 for j in 0..classes {
-                    let deltas = self.matmul(
-                        &|i, e| u_ref.data()[(i * classes + j) * out_dim + e],
-                        &|e, _| v_ref.data()[j * out_dim + e],
-                        in_caps,
-                        out_dim,
+                    // b_ij += û_j|i · v_j: the class-j rows of û against
+                    // v_j broadcast as a one-column weight.
+                    let (deltas, _) = self.matmul_batch_inner(
+                        DataView {
+                            src: &[&u_data[j * out_dim..]],
+                            rows: &u_rows,
+                            cols: &dims,
+                        },
+                        WeightView {
+                            src: &v_data[j * out_dim..],
+                            ks: 1,
+                            ns: 0,
+                        },
                         1,
                         None,
                         ncfg.update_shift(),
                         ActivationKind::Identity,
+                        false,
                     );
-                    for i in 0..in_caps {
+                    for (i, &d) in deltas[0].data().iter().enumerate() {
                         let cur = logits.data()[i * classes + j];
-                        logits.data_mut()[i * classes + j] = cur.saturating_add(deltas.data()[i]);
+                        logits.data_mut()[i * classes + j] = cur.saturating_add(d);
                     }
                 }
                 macs += u64_from(classes * in_caps * out_dim);

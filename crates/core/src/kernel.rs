@@ -30,9 +30,15 @@
 //! Threading (driven by the engine) partitions *rows*; each row's
 //! entire fold chain runs on one thread in tile order, so the per-element
 //! saturating-fold order is byte-identical to the serial path.
+//!
+//! Staging lives here too: [`TileBuf`] packs each N-tile's K-tiles
+//! straight from the engine's weight view into the one layout their
+//! kernel reads, and [`Staging`] holds every host buffer a matmul
+//! needs, so the accelerator reuses them from matmul to matmul.
 
 use crate::accumulator::AccumulatorUnit;
 use crate::config::{FunctionalOptions, KernelSelect, SimdMode};
+use crate::operand::{DataView, WeightView};
 use crate::pe::Pe;
 
 /// Tallest tile whose in-tile fold provably cannot clip:
@@ -46,6 +52,9 @@ pub(crate) const LANES: usize = 16;
 /// Data rows folded together by the dense scalar kernel (reuses each
 /// staged weight row across the block).
 const ROW_BLOCK: usize = 4;
+
+/// Taps per column widened at a time when packing interleaved weights.
+const TAP_BLOCK: usize = 16;
 
 /// Below this many multiply-accumulates per N-tile, `threads: 0` (auto)
 /// stays serial: spawn cost would dominate (the FC and routing layers
@@ -63,8 +72,10 @@ pub(crate) enum RowKernel {
     DenseScalar,
     /// Fixed 16-lane scalar, skipping zero data elements.
     SkipScalar,
-    /// Dynamic-width scalar (arrays with `cols ≠ 16`); always
-    /// zero-skips.
+    /// Dynamic-width scalar: N-tiles narrower than 16 lanes (every
+    /// N-tile of an array with `cols < 16`, the tail N-tile otherwise),
+    /// and the short tiles of an N-tile that also holds a tall one.
+    /// Always zero-skips.
     DynScalar,
     /// Literal per-step [`Pe::mac_step`] saturating chain — the only
     /// correct evaluation once a tile is tall enough to clip in-tile.
@@ -98,84 +109,224 @@ impl RowKernel {
 /// kernel use aligned loads that never split cache lines.
 #[repr(align(32))]
 #[derive(Copy, Clone, Default)]
-pub(crate) struct WVec(pub [i16; 16]);
+pub(crate) struct WVec(
+    // Read only by the SIMD kernels, through raw vector loads.
+    #[allow(dead_code)] pub [i16; 16],
+);
 
-/// One staged weight K-tile of the current N-tile, with its chosen
-/// kernel and (for SIMD kernels) the pair-interleaved `i16` copy
-/// `pmaddwd` consumes.
+/// The row kernel for a K-tile of height `kt` in an N-tile of width
+/// `nt` whose tallest K-tile is `tallest` rows. `sparse_data` is the
+/// matmul-wide panel heuristic (`KernelSelect::Auto` honors it; forcing
+/// overrides it — bit-identical either way, a speed choice only).
+///
+/// Every K-tile of one N-tile lands in the same family: an N-tile with
+/// any tile tall enough to clip in-tile runs all its tiles on the
+/// general path, so fixed-width tiles never share a row sweep with
+/// [`RowKernel::MacSerial`].
+pub(crate) fn select_kernel(
+    kt: usize,
+    nt: usize,
+    tallest: usize,
+    sparse_data: bool,
+    opts: FunctionalOptions,
+    simd_ok: bool,
+) -> RowKernel {
+    if kt > EXACT_FOLD_MAX_KT {
+        return RowKernel::MacSerial;
+    }
+    if nt != LANES || tallest > EXACT_FOLD_MAX_KT {
+        return RowKernel::DynScalar;
+    }
+    let skip = match opts.kernel {
+        KernelSelect::Auto => sparse_data,
+        KernelSelect::ForceDense => false,
+        KernelSelect::ForceZeroSkip => true,
+    };
+    match (skip, simd_ok) {
+        (false, false) => RowKernel::DenseScalar,
+        (false, true) => RowKernel::DenseSimd,
+        (true, false) => RowKernel::SkipScalar,
+        (true, true) => RowKernel::SkipSimd,
+    }
+}
+
+/// One staged weight K-tile of the current N-tile: where it sits in K,
+/// the kernel that evaluates it, and where its packed weights live in
+/// the owning [`TileBuf`].
+#[derive(Copy, Clone, Debug)]
 pub(crate) struct KTile {
     /// First K index covered by the tile.
     pub k0: usize,
     /// Tile height (`≤ cfg.rows`).
     pub kt: usize,
-    /// Row-major `kt × nt` weights, exactly as the ticked array loads
-    /// them.
-    pub w: Vec<i8>,
-    /// Pair-interleaved widened weights for `pmaddwd`, two aligned
-    /// vectors per row pair `p`: vector `2p + h` holds columns
-    /// `8h .. 8h + 8` as lanes `[w[2p][c], w[2p+1][c]]` (zero-padded
-    /// when `kt` is odd). Empty for non-SIMD kernels.
-    pub w_inter: Vec<WVec>,
     /// Row kernel evaluating this tile.
     pub kernel: RowKernel,
+    /// Start of the packed weights: an index into [`TileBuf::inter`]
+    /// for SIMD kernels, into [`TileBuf::w`] for every other kernel.
+    off: usize,
 }
 
-impl KTile {
-    /// Stages one K-tile: picks the kernel for `(kt, nt)` under the
-    /// host options and builds the interleaved copy if the SIMD path
-    /// will consume it. `sparse_data` is the matmul-wide panel
-    /// heuristic (`KernelSelect::Auto` honors it; forcing overrides
-    /// it — bit-identical either way, a speed choice only).
+/// The current N-tile's staged K-tiles, packed straight from a
+/// [`WeightView`] into the one layout their kernel reads:
+///
+/// - SIMD kernels get pair-interleaved widened weights for `pmaddwd`,
+///   two aligned vectors per row pair `p`: vector `2p + h` holds
+///   columns `8h .. 8h + 8` as lanes `[w[2p][c], w[2p+1][c]]`
+///   (zero partner when `kt` is odd).
+/// - Scalar kernels get the row-major `kt × nt` `i8` tile, exactly as
+///   the ticked array loads it.
+///
+/// The accelerator keeps one buffer and reuses it for every N-tile of
+/// every matmul in a layer, so staging allocates nothing per K-tile
+/// once the buffers have grown to the layer's largest N-tile.
+#[derive(Default)]
+pub(crate) struct TileBuf {
+    nt: usize,
+    tiles: Vec<KTile>,
+    w: Vec<i8>,
+    inter: Vec<WVec>,
+}
+
+impl TileBuf {
+    /// Empties the buffer for an N-tile of width `nt`.
+    pub(crate) fn begin(&mut self, nt: usize) {
+        self.nt = nt;
+        self.tiles.clear();
+        self.w.clear();
+        self.inter.clear();
+    }
+
+    /// Width of the current N-tile.
+    pub(crate) fn nt(&self) -> usize {
+        self.nt
+    }
+
+    /// The staged K-tiles, in K order.
+    pub(crate) fn tiles(&self) -> &[KTile] {
+        &self.tiles
+    }
+
+    /// A scalar-kernel tile's row-major `kt × nt` weights.
+    fn w(&self, t: &KTile) -> &[i8] {
+        &self.w[t.off..t.off + t.kt * self.nt]
+    }
+
+    /// A SIMD-kernel tile's pair-interleaved weights.
+    fn inter(&self, t: &KTile) -> &[WVec] {
+        &self.inter[t.off..t.off + t.kt.div_ceil(2) * 2]
+    }
+
+    /// Stages K-tile `k0 .. k0 + kt` of the N-tile starting at column
+    /// `n0`, reading the weights straight from `weight` into the layout
+    /// `kernel` consumes.
     pub(crate) fn stage(
+        &mut self,
+        weight: &WeightView<'_>,
         k0: usize,
         kt: usize,
-        nt: usize,
-        w: Vec<i8>,
-        sparse_data: bool,
-        opts: FunctionalOptions,
-        simd_ok: bool,
-    ) -> Self {
-        debug_assert_eq!(w.len(), kt * nt);
-        let kernel = if kt > EXACT_FOLD_MAX_KT {
-            RowKernel::MacSerial
-        } else if nt != LANES {
-            RowKernel::DynScalar
-        } else {
-            let skip = match opts.kernel {
-                KernelSelect::Auto => sparse_data,
-                KernelSelect::ForceDense => false,
-                KernelSelect::ForceZeroSkip => true,
-            };
-            match (skip, simd_ok) {
-                (false, false) => RowKernel::DenseScalar,
-                (false, true) => RowKernel::DenseSimd,
-                (true, false) => RowKernel::SkipScalar,
-                (true, true) => RowKernel::SkipSimd,
-            }
-        };
-        let w_inter = if kernel.is_simd() {
-            let pairs = kt.div_ceil(2);
-            let mut inter = vec![WVec::default(); pairs * 2];
-            for p in 0..pairs {
-                for c in 0..LANES {
-                    let lane = &mut inter[p * 2 + c / 8].0;
-                    lane[2 * (c % 8)] = w[2 * p * LANES + c] as i16;
-                    if 2 * p + 1 < kt {
-                        lane[2 * (c % 8) + 1] = w[(2 * p + 1) * LANES + c] as i16;
+        n0: usize,
+        kernel: RowKernel,
+    ) {
+        let nt = self.nt;
+        let off = if kernel.is_simd() {
+            debug_assert_eq!(nt, LANES);
+            let off = self.inter.len();
+            // Widen TAP_BLOCK taps of every column into a zero-padded
+            // `[column][tap]` block; reading it tap-pair-major is the
+            // interleaved layout, and the padding is the odd tail's
+            // zero partner.
+            for t0 in (0..kt).step_by(TAP_BLOCK) {
+                let len = TAP_BLOCK.min(kt - t0);
+                let mut block = [[0i16; TAP_BLOCK]; LANES];
+                for (c, taps) in block.iter_mut().enumerate() {
+                    if weight.ks == 1 {
+                        // Unit stride along K (the `[out_ch][patch]`
+                        // layouts): the column's taps are one run.
+                        let run = &weight.src[(n0 + c) * weight.ns + k0 + t0..][..len];
+                        for (t, &w) in taps.iter_mut().zip(run) {
+                            *t = i16::from(w);
+                        }
+                    } else {
+                        for (r, t) in taps[..len].iter_mut().enumerate() {
+                            *t = i16::from(weight.at(k0 + t0 + r, n0 + c));
+                        }
+                    }
+                }
+                for p in 0..len.div_ceil(2) {
+                    for half in [0, LANES / 2] {
+                        self.inter.push(WVec(std::array::from_fn(|i| {
+                            block[half + i / 2][2 * p + i % 2]
+                        })));
                     }
                 }
             }
-            inter
+            off
         } else {
-            Vec::new()
+            let off = self.w.len();
+            self.w.resize(off + kt * nt, 0);
+            for (kr, row) in self.w[off..].chunks_exact_mut(nt).enumerate() {
+                for (c, v) in row.iter_mut().enumerate() {
+                    *v = weight.at(k0 + kr, n0 + c);
+                }
+            }
+            off
         };
-        KTile {
+        self.tiles.push(KTile {
             k0,
             kt,
-            w,
-            w_inter,
             kernel,
+            off,
+        });
+    }
+}
+
+/// The functional backend's reusable host buffers: the data panel (and
+/// its widened copy), the current N-tile's staged weights, and its
+/// accumulator and clip-event lanes. The accelerator owns one, lends it
+/// to every matmul, and drops it at each layer boundary of a batch run.
+#[derive(Default)]
+pub(crate) struct Staging {
+    /// Row-major `batch·M × K` data panel.
+    pub panel: Vec<i8>,
+    /// Sign-extended copy of `panel` for the SIMD kernels (empty until
+    /// an N-tile staged on them needs it).
+    pub panel_wide: Vec<i16>,
+    /// The current N-tile's staged K-tiles.
+    pub tiles: TileBuf,
+    /// Per-(row, column) K-tile accumulators of the current N-tile.
+    pub acc: Vec<i64>,
+    /// Per-row clip-event counts of the current N-tile.
+    pub events: Vec<u64>,
+}
+
+impl Staging {
+    /// Gathers a matmul's data panel from `data` and drops the previous
+    /// matmul's widened copy.
+    pub(crate) fn gather(&mut self, data: &DataView<'_>) {
+        data.gather(&mut self.panel);
+        self.panel_wide.clear();
+    }
+
+    /// Builds the sign-extended panel the first time a staged N-tile
+    /// runs on the SIMD kernels: adjacent element pairs become single
+    /// `i32` broadcast operands. Widening is exact, so which panel a
+    /// kernel reads can never change results.
+    pub(crate) fn widen_panel_for_tiles(&mut self) {
+        let simd = self.tiles.tiles.first().is_some_and(|t| t.kernel.is_simd());
+        if simd && self.panel_wide.len() != self.panel.len() {
+            self.panel_wide.clear();
+            self.panel_wide
+                .extend(self.panel.iter().map(|&d| i16::from(d)));
         }
+    }
+}
+
+impl std::fmt::Debug for Staging {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Staging")
+            .field("panel_capacity", &self.panel.capacity())
+            .field("tiles", &self.tiles.tiles.len())
+            .finish_non_exhaustive()
     }
 }
 
@@ -248,8 +399,7 @@ fn fold_scalar(acc: &mut i64, psum: i64, events: &mut u64) {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn process_rows(
     k: usize,
-    nt: usize,
-    tiles: &[KTile],
+    tiles: &TileBuf,
     panel: &[i8],
     panel_wide: &[i16],
     ri0: usize,
@@ -257,25 +407,31 @@ pub(crate) fn process_rows(
     acc: &mut [i64],
     row_events: &mut [u64],
 ) {
+    let nt = tiles.nt();
     debug_assert_eq!(acc.len(), nrows * nt);
     debug_assert_eq!(row_events.len(), nrows);
     let _ = panel_wide; // consumed only by the x86_64 SIMD dispatch
-    let all_fixed = nt == LANES && tiles.iter().all(|t| t.kernel.is_fixed());
+
+    // `select_kernel` puts every tile of an N-tile in one family.
+    let first = tiles.tiles().first().map(|t| t.kernel);
     #[cfg(target_arch = "x86_64")]
-    if all_fixed
-        && tiles.iter().any(|t| t.kernel.is_simd())
-        && avx2::sweep_rows(k, tiles, panel_wide, ri0, nrows, acc, row_events)
-    {
+    if first.is_some_and(RowKernel::is_simd) {
+        debug_assert_eq!(
+            panel_wide.len(),
+            panel.len(),
+            "SIMD tiles need the widened panel (`Staging::widen_panel_for_tiles`)"
+        );
+        avx2::sweep_rows(k, tiles, panel_wide, ri0, nrows, acc, row_events);
         return;
     }
-    if all_fixed {
+    if first.is_some_and(RowKernel::is_fixed) {
         rows_fixed_scalar(k, tiles, panel, ri0, nrows, acc, row_events);
         return;
     }
     let mut scratch = vec![0i32; nt];
     for r in 0..nrows {
         let row = &panel[(ri0 + r) * k..(ri0 + r) * k + k];
-        row_events[r] = row_general(nt, tiles, row, &mut acc[r * nt..(r + 1) * nt], &mut scratch);
+        row_events[r] = row_general(tiles, row, &mut acc[r * nt..(r + 1) * nt], &mut scratch);
     }
 }
 
@@ -286,21 +442,21 @@ pub(crate) fn process_rows(
 /// the in-tile dot product is exact.
 fn rows_fixed_scalar(
     k: usize,
-    tiles: &[KTile],
+    tiles: &TileBuf,
     panel: &[i8],
     ri0: usize,
     nrows: usize,
     acc: &mut [i64],
     row_events: &mut [u64],
 ) {
-    let all_dense = tiles.iter().all(|t| !t.kernel.skips_zeros());
+    let all_dense = tiles.tiles().iter().all(|t| !t.kernel.skips_zeros());
     let mut r = 0;
     while all_dense && r + ROW_BLOCK <= nrows {
         let mut accs = [[0i64; LANES]; ROW_BLOCK];
         let mut evs = [0u64; ROW_BLOCK];
-        for t in tiles {
+        for t in tiles.tiles() {
             let mut lanes = [[0i32; LANES]; ROW_BLOCK];
-            for (row_idx, wrow) in t.w.chunks_exact(LANES).enumerate() {
+            for (row_idx, wrow) in tiles.w(t).chunks_exact(LANES).enumerate() {
                 for (j, lane) in lanes.iter_mut().enumerate() {
                     let d = panel[(ri0 + r + j) * k + t.k0 + row_idx] as i32;
                     for (p, &w) in lane.iter_mut().zip(wrow) {
@@ -324,10 +480,10 @@ fn rows_fixed_scalar(
         let row = &panel[(ri0 + r) * k..(ri0 + r) * k + k];
         let mut accs = [0i64; LANES];
         let mut ev = 0u64;
-        for t in tiles {
+        for t in tiles.tiles() {
             let drow = &row[t.k0..t.k0 + t.kt];
             let mut lane = [0i32; LANES];
-            for (&d, wrow) in drow.iter().zip(t.w.chunks_exact(LANES)) {
+            for (&d, wrow) in drow.iter().zip(tiles.w(t).chunks_exact(LANES)) {
                 if d != 0 {
                     for (p, &w) in lane.iter_mut().zip(wrow) {
                         *p += d as i32 * w as i32;
@@ -345,27 +501,21 @@ fn rows_fixed_scalar(
 }
 
 /// General one-row path: dynamic widths ([`RowKernel::DynScalar`]) and
-/// tall tiles ([`RowKernel::MacSerial`]), plus any fixed-width tile
-/// that shares an N-tile with them (evaluated by the exact skip loop —
-/// bit-identical to its fixed kernel). Accumulators live in the `acc`
-/// slice; `scratch` holds one tile's psums.
-fn row_general(
-    nt: usize,
-    tiles: &[KTile],
-    row: &[i8],
-    acc: &mut [i64],
-    scratch: &mut [i32],
-) -> u64 {
+/// tall tiles ([`RowKernel::MacSerial`]). Accumulators live in the
+/// `acc` slice; `scratch` holds one tile's psums.
+fn row_general(tiles: &TileBuf, row: &[i8], acc: &mut [i64], scratch: &mut [i32]) -> u64 {
+    let nt = tiles.nt();
     let mut ev = 0u64;
-    for t in tiles {
+    for t in tiles.tiles() {
         let drow = &row[t.k0..t.k0 + t.kt];
+        let w = tiles.w(t);
         if t.kernel == RowKernel::MacSerial {
             // Tall tile: the in-tile fold may clip, so run the literal
             // ticked chain — `Pe::mac_step` per element, north→south.
             for (c, a) in acc.iter_mut().enumerate() {
                 let mut psum = 0i64;
                 for (r, &d) in drow.iter().enumerate() {
-                    let w = t.w[r * nt + c];
+                    let w = w[r * nt + c];
                     if d != 0 && w != 0 {
                         psum = Pe::mac_step(psum, d, w);
                     }
@@ -375,7 +525,7 @@ fn row_general(
         } else {
             let psums = &mut scratch[..nt];
             psums.fill(0);
-            for (&d, wrow) in drow.iter().zip(t.w.chunks_exact(nt)) {
+            for (&d, wrow) in drow.iter().zip(w.chunks_exact(nt)) {
                 if d != 0 {
                     for (p, &w) in psums.iter_mut().zip(wrow) {
                         *p += d as i32 * w as i32;
@@ -400,7 +550,7 @@ fn row_general(
 // lint:allow(unsafe-containment, the crate-level deny is re-allowed only here: runtime-feature-gated SIMD intrinsics with SAFETY-commented call sites)
 #[allow(unsafe_code)]
 mod avx2 {
-    use super::{KTile, WVec, LANES};
+    use super::{KTile, TileBuf, WVec, LANES};
     use std::arch::x86_64::{
         __m256i, _mm256_add_epi32, _mm256_cmpeq_epi32, _mm256_load_si256, _mm256_loadu_si256,
         _mm256_madd_epi16, _mm256_max_epi32, _mm256_min_epi32, _mm256_set1_epi32,
@@ -420,10 +570,9 @@ mod avx2 {
     const SIMD_ROW_BLOCK: usize = 4;
 
     /// Safe entry point: sweeps rows `ri0 .. ri0 + nrows` through the
-    /// AVX2 kernels, returning `false` without touching anything if
-    /// the host lacks `avx2` or the widened panel is absent (the
-    /// caller then takes the scalar path — selection normally prevents
-    /// this, but the fallback keeps the dispatch total).
+    /// AVX2 kernels. SIMD tiles exist only once `avx2` was detected
+    /// (`select_kernel` runs them under `simd_enabled`); the assert
+    /// below keeps the intrinsics sound if that rule is ever broken.
     ///
     /// `panel_wide` is the sign-extended `i16` copy of the data panel:
     /// each adjacent element pair is then one little-endian `i32`, so
@@ -439,19 +588,17 @@ mod avx2 {
     #[allow(clippy::too_many_arguments)]
     pub(super) fn sweep_rows(
         k: usize,
-        tiles: &[KTile],
+        tiles: &TileBuf,
         panel_wide: &[i16],
         ri0: usize,
         nrows: usize,
         acc: &mut [i64],
         row_events: &mut [u64],
-    ) -> bool {
-        if panel_wide.is_empty() && k > 0 {
-            return false;
-        }
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return false;
-        }
+    ) {
+        assert!(
+            std::arch::is_x86_feature_detected!("avx2"),
+            "SIMD tiles staged on a host without avx2"
+        );
         let mut acc32 = vec![0i32; nrows * LANES];
         let mut ev32 = vec![0i32; nrows * LANES];
         // All-dense matmuls on an AVX-512 + VNNI host take the zmm
@@ -460,14 +607,15 @@ mod avx2 {
         // a 4-row block's accumulators, psums and event counts resident
         // across every K-tile — the per-tile fold never touches memory.
         // Same fold per element in the same tile order: bit-identical.
-        if tiles.iter().all(|t| !t.kernel.skips_zeros()) && avx512_available() {
+        if tiles.tiles().iter().all(|t| !t.kernel.skips_zeros()) && avx512_available() {
             // SAFETY: the `avx512*`/`avx512vnni` features were
             // runtime-detected just above.
             unsafe { sweep_dense_512(k, tiles, panel_wide, ri0, nrows, &mut acc32, &mut ev32) };
         } else {
-            for t in tiles {
+            for t in tiles.tiles() {
+                let inter = tiles.inter(t);
                 // SAFETY: `avx2` was runtime-detected just above.
-                unsafe { tile_sweep(t, panel_wide, k, ri0, nrows, &mut acc32, &mut ev32) };
+                unsafe { tile_sweep(t, inter, panel_wide, k, ri0, nrows, &mut acc32, &mut ev32) };
             }
         }
         for r in 0..nrows {
@@ -480,7 +628,6 @@ mod avx2 {
                 .map(|&e| u64::try_from(e).expect("clip-event lane count is non-negative"))
                 .sum();
         }
-        true
     }
 
     /// Streams every row's slice of one K-tile against the resident
@@ -515,7 +662,7 @@ mod avx2 {
     #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
     unsafe fn sweep_dense_512(
         k: usize,
-        tiles: &[KTile],
+        tiles: &TileBuf,
         panel_wide: &[i16],
         ri0: usize,
         nrows: usize,
@@ -530,11 +677,11 @@ mod avx2 {
         while r + SIMD_ROW_BLOCK <= nrows {
             let mut acc = [zero; SIMD_ROW_BLOCK];
             let mut ev = [zero; SIMD_ROW_BLOCK];
-            for t in tiles {
+            for t in tiles.tiles() {
                 let base = (ri0 + r) * k + t.k0;
                 let blk = &panel_wide[base..base + (SIMD_ROW_BLOCK - 1) * k + t.kt];
                 let wide = blk.as_ptr();
-                let inter: *const i16 = t.w_inter.as_ptr().cast();
+                let inter: *const i16 = tiles.inter(t).as_ptr().cast();
                 let mut psum = [zero; SIMD_ROW_BLOCK];
                 let full = t.kt / 2;
                 for p in 0..full {
@@ -572,11 +719,11 @@ mod avx2 {
         while r < nrows {
             let mut acc = zero;
             let mut ev = zero;
-            for t in tiles {
+            for t in tiles.tiles() {
                 let base = (ri0 + r) * k + t.k0;
                 let drow = &panel_wide[base..base + t.kt];
                 let wide = drow.as_ptr();
-                let inter: *const i16 = t.w_inter.as_ptr().cast();
+                let inter: *const i16 = tiles.inter(t).as_ptr().cast();
                 let mut psum = zero;
                 let full = t.kt / 2;
                 for p in 0..full {
@@ -605,8 +752,10 @@ mod avx2 {
     ///
     /// Caller must have runtime-verified `avx2`.
     #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
     unsafe fn tile_sweep(
         t: &KTile,
+        inter: &[WVec],
         panel_wide: &[i16],
         k: usize,
         ri0: usize,
@@ -630,7 +779,7 @@ mod avx2 {
             while r + SIMD_ROW_BLOCK <= nrows {
                 let base = (ri0 + r) * k + t.k0;
                 let blk = &panel_wide[base..base + (SIMD_ROW_BLOCK - 1) * k + t.kt];
-                let psums = tile_psums_block(t, blk.as_ptr(), k);
+                let psums = tile_psums_block(t, inter, blk.as_ptr(), k);
                 for (j, &(psum0, psum1)) in psums.iter().enumerate() {
                     fold_row(acc32, ev32, r + j, psum0, psum1, vmax, vmin, ones);
                 }
@@ -641,9 +790,9 @@ mod avx2 {
             let base = (ri0 + r) * k + t.k0;
             let drow = &panel_wide[base..base + t.kt];
             let (psum0, psum1) = if skip {
-                tile_psums::<true>(t, drow)
+                tile_psums::<true>(t, inter, drow)
             } else {
-                tile_psums::<false>(t, drow)
+                tile_psums::<false>(t, inter, drow)
             };
             fold_row(acc32, ev32, r, psum0, psum1, vmax, vmin, ones);
             r += 1;
@@ -737,13 +886,14 @@ mod avx2 {
     #[inline]
     unsafe fn tile_psums_block(
         t: &KTile,
+        inter: &[WVec],
         wide: *const i16,
         stride: usize,
     ) -> [(__m256i, __m256i); SIMD_ROW_BLOCK] {
         let zero = _mm256_setzero_si256();
         let mut accs = [(zero, zero); SIMD_ROW_BLOCK];
         let full = t.kt / 2;
-        let inter = t.w_inter.as_ptr();
+        let inter = inter.as_ptr();
         for p in 0..full {
             let w0 = _mm256_load_si256(inter.add(2 * p).cast());
             let w1 = _mm256_load_si256(inter.add(2 * p + 1).cast());
@@ -784,11 +934,15 @@ mod avx2 {
     /// row's full widened tile slice (`t.kt` elements).
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn tile_psums<const SKIP: bool>(t: &KTile, drow: &[i16]) -> (__m256i, __m256i) {
+    unsafe fn tile_psums<const SKIP: bool>(
+        t: &KTile,
+        inter: &[WVec],
+        drow: &[i16],
+    ) -> (__m256i, __m256i) {
         let zero = _mm256_setzero_si256();
         let mut chains = [(zero, zero); 4];
         let full = t.kt / 2;
-        let inter = t.w_inter.as_ptr();
+        let inter = inter.as_ptr();
         let wide = drow.as_ptr();
         let mut p = 0;
         while p + 4 <= full {
@@ -857,50 +1011,70 @@ mod tests {
     }
 
     /// Pair-interleaved staging reads back as `[w[2p][c], w[2p+1][c]]`
-    /// with a zeroed partner on the odd tail.
+    /// with a zeroed partner on the odd tail, and the scalar tile reads
+    /// back row-major — from a unit-stride (`[column][k]`) view and a
+    /// strided (`[k][column]`) view of the same matrix alike.
     #[test]
     fn interleaved_weights_pair_rows_per_column() {
-        let (kt, nt) = (5, LANES);
-        let w: Vec<i8> = (0..kt * nt).map(|i| (i as i8).wrapping_mul(3)).collect();
-        let t = KTile::stage(
-            0,
-            kt,
-            nt,
-            w.clone(),
-            false,
-            FunctionalOptions {
-                simd: SimdMode::Auto,
-                ..FunctionalOptions::default()
+        let (k, kt, k0) = (9, 5, 3);
+        let w = |kr: usize, c: usize| ((kr * LANES + c) as i8).wrapping_mul(3);
+        let by_col: Vec<i8> = (0..LANES * k).map(|i| w(i % k, i / k)).collect();
+        let by_row: Vec<i8> = (0..k * LANES).map(|i| w(i / LANES, i % LANES)).collect();
+        let views = [
+            WeightView {
+                src: &by_col,
+                ks: 1,
+                ns: k,
             },
-            true,
-        );
-        assert!(t.kernel.is_simd());
-        assert_eq!(t.w_inter.len(), 3 * 2);
+            WeightView {
+                src: &by_row,
+                ks: LANES,
+                ns: 1,
+            },
+        ];
         assert_eq!(std::mem::align_of::<WVec>(), 32);
-        for p in 0..3 {
-            for c in 0..LANES {
-                let lane = &t.w_inter[p * 2 + c / 8].0;
-                assert_eq!(lane[2 * (c % 8)], w[2 * p * LANES + c] as i16);
-                let partner = if 2 * p + 1 < kt {
-                    w[(2 * p + 1) * LANES + c] as i16
-                } else {
-                    0
-                };
-                assert_eq!(lane[2 * (c % 8) + 1], partner);
+        for view in &views {
+            let mut buf = TileBuf::default();
+            buf.begin(LANES);
+            // Stage a leading tile first so the checked one sits at a
+            // non-zero offset in each buffer.
+            buf.stage(view, 0, k0, 0, RowKernel::DenseSimd);
+            buf.stage(view, k0, kt, 0, RowKernel::DenseSimd);
+            buf.stage(view, 0, k0, 0, RowKernel::DenseScalar);
+            buf.stage(view, k0, kt, 0, RowKernel::DynScalar);
+            let [_, simd, _, scalar] = buf.tiles() else {
+                panic!("four staged tiles")
+            };
+            let inter = buf.inter(simd);
+            assert_eq!(inter.len(), 3 * 2);
+            for p in 0..3 {
+                for c in 0..LANES {
+                    let lane = &inter[p * 2 + c / 8].0;
+                    assert_eq!(lane[2 * (c % 8)], i16::from(w(k0 + 2 * p, c)));
+                    let partner = if 2 * p + 1 < kt {
+                        i16::from(w(k0 + 2 * p + 1, c))
+                    } else {
+                        0
+                    };
+                    assert_eq!(lane[2 * (c % 8) + 1], partner);
+                }
             }
+            let want: Vec<i8> = (0..kt * LANES)
+                .map(|i| w(k0 + i / LANES, i % LANES))
+                .collect();
+            assert_eq!(buf.w(scalar), want.as_slice());
         }
     }
 
-    /// The AVX2 row kernel agrees element-for-element (values *and*
-    /// clip events) with the general scalar path, including folds that
-    /// clip at tile boundaries.
+    /// The AVX2 and AVX-512 row kernels agree element-for-element
+    /// (values *and* clip events) with the general scalar path,
+    /// including folds that clip at tile boundaries.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_row_matches_scalar_row() {
         if !simd_available() {
             return; // scalar-only host: the fallback is the only path
         }
-        let opts_simd = FunctionalOptions::default();
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
             state = state
@@ -910,48 +1084,58 @@ mod tests {
         };
         // Adversarial shape: tall-ish tiles of ±127 blocks so K-tile
         // folds clip, plus a random tile and an odd-height tail tile.
-        let k = 1023 + 1023 + 777 + 5;
+        let heights = [1023usize, 1023, 777, 5];
+        let k: usize = heights.iter().sum();
         let row: Vec<i8> = (0..k)
             .map(|i| if i < 2046 { 127 } else { next() })
             .collect();
-        let mut tiles = Vec::new();
-        let mut k0 = 0;
-        for kt in [1023usize, 1023, 777, 5] {
-            let w: Vec<i8> = (0..kt * LANES)
-                .map(|i| {
-                    if k0 < 2046 {
-                        127
-                    } else {
-                        next().wrapping_sub(i as i8)
-                    }
-                })
-                .collect();
-            tiles.push(KTile::stage(k0, kt, LANES, w, k0 % 2 == 0, opts_simd, true));
-            k0 += kt;
-        }
-        assert!(tiles.iter().all(|t| t.kernel.is_simd()));
-
-        let wide: Vec<i16> = row.iter().map(|&d| d as i16).collect();
-        let mut acc_simd = vec![0i64; LANES];
-        let mut ev_rows = [0u64; 1];
-        assert!(avx2::sweep_rows(
-            k,
-            &tiles,
-            &wide,
-            0,
-            1,
-            &mut acc_simd,
-            &mut ev_rows
-        ));
-        let ev_simd = ev_rows[0];
-
+        let w: Vec<i8> = (0..k * LANES)
+            .map(|i| {
+                if i < 2046 * LANES {
+                    127
+                } else {
+                    next().wrapping_sub(i as i8)
+                }
+            })
+            .collect();
+        let view = WeightView {
+            src: &w,
+            ks: LANES,
+            ns: 1,
+        };
+        let stage = |kernel_at: &dyn Fn(usize) -> RowKernel| {
+            let mut buf = TileBuf::default();
+            buf.begin(LANES);
+            let mut k0 = 0;
+            for kt in heights {
+                buf.stage(&view, k0, kt, 0, kernel_at(k0));
+                k0 += kt;
+            }
+            buf
+        };
+        let reference = stage(&|_| RowKernel::DynScalar);
         let mut acc_ref = vec![0i64; LANES];
         let mut scratch = vec![0i32; LANES];
-        let ev_ref = row_general(LANES, &tiles, &row, &mut acc_ref, &mut scratch);
+        let ev_ref = row_general(&reference, &row, &mut acc_ref, &mut scratch);
+        assert!(ev_ref > 0, "adversarial row must actually clip");
 
-        assert_eq!(acc_simd, acc_ref);
-        assert_eq!(ev_simd, ev_ref);
-        assert!(ev_simd > 0, "adversarial row must actually clip");
+        let wide: Vec<i16> = row.iter().map(|&d| d as i16).collect();
+        // Mixed skip/dense tiles take the AVX2 tile sweep; all-dense
+        // tiles take the AVX-512 sweep where the host has it.
+        let mixed = |k0: usize| {
+            if k0.is_multiple_of(2) {
+                RowKernel::SkipSimd
+            } else {
+                RowKernel::DenseSimd
+            }
+        };
+        for tiles in [stage(&mixed), stage(&|_| RowKernel::DenseSimd)] {
+            let mut acc_simd = vec![0i64; LANES];
+            let mut ev_rows = [0u64; 1];
+            avx2::sweep_rows(k, &tiles, &wide, 0, 1, &mut acc_simd, &mut ev_rows);
+            assert_eq!(acc_simd, acc_ref);
+            assert_eq!(ev_rows[0], ev_ref);
+        }
     }
 
     /// Explicit thread requests always split (min'd with the row

@@ -65,6 +65,7 @@ pub mod control;
 pub mod engine;
 mod kernel;
 pub mod mapping;
+mod operand;
 mod pe;
 mod systolic;
 pub mod timing;

@@ -22,7 +22,10 @@
 //! byte-invisible to every simulated result, and recording **on**
 //! never perturbs outputs, cycles or traffic. The recorder is plain
 //! owned data (no interior mutability, no host clocks of its own), so
-//! enabling it only ever *observes* the simulation.
+//! enabling it only ever *observes* the simulation. Host wall-clock
+//! annotations go through [`HostStopwatch`], the one host clock reader
+//! of the simulated-path crates, which stays inert unless host timing
+//! was requested.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,9 +33,11 @@
 mod export;
 mod metrics;
 mod recorder;
+mod stopwatch;
 
 pub use export::{chrome_trace_json, metrics_csv, metrics_json, validate_json};
 pub use metrics::{percentile, HistogramSummary, MetricsRegistry};
 pub use recorder::{
     validate_span_tree, CycleKind, Recorder, Span, SpanDetail, TelemetryConfig, TRACK_ENGINE,
 };
+pub use stopwatch::HostStopwatch;

@@ -1,6 +1,7 @@
 //! The span recorder: a virtual-time clock plus a stack of open spans.
 
 use crate::metrics::MetricsRegistry;
+use crate::stopwatch::HostStopwatch;
 
 /// The track (Chrome-trace `tid`) the engine's stack-built span tree
 /// lives on. Other subsystems record explicit-interval spans on their
@@ -31,7 +32,7 @@ pub struct TelemetryConfig {
     /// Span-tree depth for the engine track.
     pub detail: SpanDetail,
     /// When true, the functional backend annotates matmul spans with
-    /// host nanoseconds spent staging `KTile`s and sweeping rows.
+    /// host nanoseconds spent staging weight K-tiles and sweeping rows.
     /// Host times never enter the virtual clock; they ride along as
     /// span args only.
     pub host_timing: bool,
@@ -180,6 +181,13 @@ impl Recorder {
     /// returns true.
     pub fn host_timing(&self) -> bool {
         self.enabled && self.cfg.host_timing
+    }
+
+    /// A host wall-clock stopwatch started now — running only when
+    /// [`Recorder::host_timing`] is on, inert (never reading the clock)
+    /// otherwise.
+    pub fn host_stopwatch(&self) -> HostStopwatch {
+        HostStopwatch::start(self.host_timing())
     }
 
     /// The configured span detail.
