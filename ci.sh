@@ -12,6 +12,10 @@ run() {
 
 run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets -- -D warnings
+# perfbench/ is a workspace of its own, so the two runs above never see
+# it: format-check and lint it by its manifest.
+run cargo fmt --manifest-path perfbench/Cargo.toml -- --check
+run cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 # Static-analysis gate: the workspace's own linter (determinism,
 # cast-audit, safety-comment, unsafe-containment, doc-drift,
 # fault-seed) must find zero unwaived violations and refreshes LINT_report.json, which is

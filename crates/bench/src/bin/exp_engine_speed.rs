@@ -150,7 +150,6 @@ fn main() {
     scalar_cfg.functional = FunctionalOptions {
         threads: 1,
         simd: SimdMode::Scalar,
-        ..FunctionalOptions::default()
     };
     let qparams = CapsNetParams::generate(&net, 0).quantize(ticked_cfg.numeric);
     let image = mnist_image(&net);

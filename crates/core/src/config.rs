@@ -73,36 +73,15 @@ pub enum EngineBackend {
 /// `tests/backend_equivalence.rs` with the lane-width axis).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub enum SimdMode {
-    /// Use the explicit-SIMD kernel when the host supports it (AVX2 on
-    /// x86-64, detected at runtime), falling back to the scalar kernel
-    /// otherwise. The default.
+    /// Run full 16-lane N-tiles on the explicit-SIMD sweep when the
+    /// host supports it (AVX-512/VNNI or AVX2 on x86-64, detected at
+    /// runtime), falling back to the scalar fold otherwise. The default.
     #[default]
     Auto,
-    /// Always take the scalar kernel — the portable reference the SIMD
+    /// Always take the scalar fold — the portable reference the SIMD
     /// path is differentially tested against, and the in-run baseline
     /// `exp_engine_speed` measures its speedup bound from.
     Scalar,
-}
-
-/// Which fixed-width inner kernel the `Functional` backend uses for
-/// full-width (`nt == 16`) no-clip tiles.
-///
-/// Both kernels are exact — a zero operand contributes `+0` to an
-/// in-range partial sum, so skipping it cannot change the fold — which
-/// makes this a speed choice only. `Auto` picks by measuring the staged
-/// data panel's zero fraction (≥ 25% zeros favors skipping; post-ReLU
-/// operands at MNIST scale are ~50% zeros); the `Force*` variants pin
-/// one kernel for differential testing
-/// (`tests/backend_equivalence.rs::kernel_selection_is_bit_equal`).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
-pub enum KernelSelect {
-    /// Choose per matmul from the staged panel's zero fraction.
-    #[default]
-    Auto,
-    /// Always take the dense (row-blocked, no zero test) kernel.
-    ForceDense,
-    /// Always take the zero-skipping kernel.
-    ForceZeroSkip,
 }
 
 /// Host-execution knobs of the [`EngineBackend::Functional`] backend.
@@ -123,8 +102,6 @@ pub struct FunctionalOptions {
     pub threads: usize,
     /// SIMD lane-width policy of the inner fold.
     pub simd: SimdMode,
-    /// Fixed-width kernel selection policy.
-    pub kernel: KernelSelect,
 }
 
 /// How much of the functional trace the engine materializes.
@@ -380,12 +357,10 @@ mod tests {
         assert_eq!(c.functional, FunctionalOptions::default());
         assert_eq!(c.functional.threads, 0);
         assert_eq!(c.functional.simd, SimdMode::Auto);
-        assert_eq!(c.functional.kernel, KernelSelect::Auto);
         let mut forced = c;
         forced.functional = FunctionalOptions {
             threads: 7,
             simd: SimdMode::Scalar,
-            kernel: KernelSelect::ForceZeroSkip,
         };
         forced.validate().expect("host knobs are always valid");
     }

@@ -593,12 +593,13 @@ impl Accelerator {
     ///   order. Every running prefix is bounded by `kt · 128²`, so for
     ///   `kt ≤ 1023` no step can reach the ±2^24 clip and the
     ///   saturating fold *is* the exact dot product — order-free, so
-    ///   scalar, row-blocked, zero-skipping, and `pmaddwd` evaluations
-    ///   are all bit-identical. Taller tiles (arrays over 1023 rows)
-    ///   take the literal per-step `mac_step` fold
-    ///   (`kernel::RowKernel::MacSerial`). Zero operands contribute +0
-    ///   to an in-range psum, so skipping all-zero data rows cannot
-    ///   change either fold.
+    ///   the one kernel each tile shape gets (the row-blocked SIMD
+    ///   sweep on full 16-lane N-tiles, the general scalar fold
+    ///   elsewhere) is bit-identical to any other evaluation order.
+    ///   Taller tiles (arrays over 1023 rows) take the literal per-step
+    ///   `mac_step` fold (`kernel::RowKernel::MacSerial`). Zero
+    ///   operands contribute +0 to an in-range psum, so the scalar
+    ///   kernels' skipping of zero data cannot change either fold.
     /// - **K-tile accumulation.** [`AccumulatorUnit`] saturates each
     ///   fold (`sat(acc + tile_psum)`) and counts an event when the
     ///   clamp engages; the flat per-(image, row, column) accumulators
@@ -659,22 +660,6 @@ impl Accelerator {
         // Stage the whole data panel once, row-major: tile slices below
         // are plain subslices.
         st.gather(&data);
-        // A zero data element contributes +0 to an in-range psum, so
-        // the fixed-width kernels may skip it: pick per matmul between
-        // the dense kernels and the zero-skipping ones. Both are exact
-        // — this is a speed choice only, overridable through
-        // `FunctionalOptions::kernel`. The break-even point differs by
-        // path: the scalar kernels profit from skipping once ~1/4 of
-        // operands are zero, while the SIMD kernels skip at data-*pair*
-        // granularity and trade away the 4-row weight-reuse block, so
-        // they need mostly-zero pairs (~3/4 zeros; post-ReLU MNIST
-        // panels at ~50% zeros stay on the dense blocked kernel).
-        let zeros = st.panel.iter().filter(|&&d| d == 0).count();
-        let sparse_data = if simd_ok {
-            zeros * 4 >= st.panel.len().max(1) * 3
-        } else {
-            zeros * 4 >= st.panel.len().max(1)
-        };
         let tallest = rows.min(k);
 
         for n0 in (0..n).step_by(cols) {
@@ -714,7 +699,7 @@ impl Accelerator {
                 self.rec.advance(CycleKind::Array, stream_edges);
                 self.rec.end(SpanDetail::Tiles);
                 self.rec.end(SpanDetail::Tiles); // tile
-                let kernel = kernel::select_kernel(kt, nt, tallest, sparse_data, opts, simd_ok);
+                let kernel = kernel::select_kernel(kt, nt, tallest, simd_ok);
                 st.tiles.stage(&weight, k0, kt, n0, kernel);
             }
             stage_ns += watch.elapsed_ns();

@@ -1,6 +1,9 @@
 //! Host compute kernels of the `Functional` backend: the row-level
 //! inner loops `engine::Accelerator::matmul_batch_functional` dispatches
-//! to, in scalar and explicit-SIMD (AVX2) form.
+//! to, one per tile shape — an explicit-SIMD sweep (AVX-512/VNNI where
+//! the host has it, AVX2 otherwise) on full 16-lane N-tiles, a general
+//! scalar fold on every other tile, and the literal MAC chain on tiles
+//! tall enough to clip in-tile.
 //!
 //! This module is pure host-speed machinery. Every kernel evaluates the
 //! **same** function — the ticked array's saturating fold per output
@@ -11,8 +14,8 @@
 //!
 //! - For tiles of `kt ≤ EXACT_FOLD_MAX_KT` rows the in-tile fold
 //!   provably never clips, so it equals the exact `i32` dot product and
-//!   is order-free — dense, zero-skipping, scalar, and vector
-//!   evaluations are all bit-identical.
+//!   is order-free — the scalar fold (which skips zero data) and the
+//!   dense vector sweeps are bit-identical.
 //! - K-tile folding saturates per tile boundary. Starting from `acc =
 //!   0`, the first fold's raw value is `0 + psum = psum`, which is what
 //!   `AccumulatorUnit::push_new` stores (its clamp provably never
@@ -37,7 +40,7 @@
 //! needs, so the accelerator reuses them from matmul to matmul.
 
 use crate::accumulator::AccumulatorUnit;
-use crate::config::{FunctionalOptions, KernelSelect, SimdMode};
+use crate::config::{FunctionalOptions, SimdMode};
 use crate::operand::{DataView, WeightView};
 use crate::pe::Pe;
 
@@ -45,13 +48,9 @@ use crate::pe::Pe;
 /// `kt · 128² ≤ 2^24 − 1`.
 pub(crate) const EXACT_FOLD_MAX_KT: usize = ((1 << 24) - 1) / (128 * 128);
 
-/// Lane count of the fixed-width kernels — the paper's column count, so
-/// the 16×16 design point takes the register path.
+/// Lane count of the SIMD sweep — the paper's column count, so the
+/// 16×16 design point takes the register path.
 pub(crate) const LANES: usize = 16;
-
-/// Data rows folded together by the dense scalar kernel (reuses each
-/// staged weight row across the block).
-const ROW_BLOCK: usize = 4;
 
 /// Taps per column widened at a time when packing interleaved weights.
 const TAP_BLOCK: usize = 16;
@@ -64,44 +63,16 @@ const AUTO_MIN_MACS: u128 = 1 << 23;
 /// The row-level kernel chosen for one staged K-tile.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub(crate) enum RowKernel {
-    /// AVX2 `pmaddwd` over pair-interleaved weights, every element.
-    DenseSimd,
-    /// AVX2 `pmaddwd`, skipping data pairs that are both zero.
-    SkipSimd,
-    /// Fixed 16-lane scalar, register-blocked over [`ROW_BLOCK`] rows.
-    DenseScalar,
-    /// Fixed 16-lane scalar, skipping zero data elements.
-    SkipScalar,
-    /// Dynamic-width scalar: N-tiles narrower than 16 lanes (every
-    /// N-tile of an array with `cols < 16`, the tail N-tile otherwise),
-    /// and the short tiles of an N-tile that also holds a tall one.
-    /// Always zero-skips.
-    DynScalar,
+    /// Dense 16-lane sweep over pair-interleaved weights: AVX-512/VNNI
+    /// `vpdpwssd` where the host has it, AVX2 `pmaddwd` otherwise.
+    Simd,
+    /// Scalar fold of any width, skipping zero data elements: N-tiles
+    /// narrower than 16 lanes, every tile when SIMD is off, and the
+    /// short tiles of an N-tile that also holds a tall one.
+    General,
     /// Literal per-step [`Pe::mac_step`] saturating chain — the only
     /// correct evaluation once a tile is tall enough to clip in-tile.
     MacSerial,
-}
-
-impl RowKernel {
-    /// Fixed 16-lane kernels that keep the row's accumulators in
-    /// registers across every K-tile.
-    fn is_fixed(self) -> bool {
-        !matches!(self, RowKernel::DynScalar | RowKernel::MacSerial)
-    }
-
-    /// Kernels evaluated with AVX2 intrinsics.
-    fn is_simd(self) -> bool {
-        matches!(self, RowKernel::DenseSimd | RowKernel::SkipSimd)
-    }
-
-    /// Kernels that skip zero data elements (a speed choice only:
-    /// `saturate(x + 0) = x`, so skipping is exact).
-    fn skips_zeros(self) -> bool {
-        matches!(
-            self,
-            RowKernel::SkipSimd | RowKernel::SkipScalar | RowKernel::DynScalar
-        )
-    }
 }
 
 /// One 32-byte-aligned vector register's worth of interleaved weights
@@ -115,38 +86,21 @@ pub(crate) struct WVec(
 );
 
 /// The row kernel for a K-tile of height `kt` in an N-tile of width
-/// `nt` whose tallest K-tile is `tallest` rows. `sparse_data` is the
-/// matmul-wide panel heuristic (`KernelSelect::Auto` honors it; forcing
-/// overrides it — bit-identical either way, a speed choice only).
+/// `nt` whose tallest K-tile is `tallest` rows, on a host where the
+/// SIMD sweep may run iff `simd_ok` — a function of tile shape and host
+/// alone (bit-identical either way, a speed choice only).
 ///
 /// Every K-tile of one N-tile lands in the same family: an N-tile with
 /// any tile tall enough to clip in-tile runs all its tiles on the
-/// general path, so fixed-width tiles never share a row sweep with
+/// general path, so SIMD tiles never share a row sweep with
 /// [`RowKernel::MacSerial`].
-pub(crate) fn select_kernel(
-    kt: usize,
-    nt: usize,
-    tallest: usize,
-    sparse_data: bool,
-    opts: FunctionalOptions,
-    simd_ok: bool,
-) -> RowKernel {
+pub(crate) fn select_kernel(kt: usize, nt: usize, tallest: usize, simd_ok: bool) -> RowKernel {
     if kt > EXACT_FOLD_MAX_KT {
-        return RowKernel::MacSerial;
-    }
-    if nt != LANES || tallest > EXACT_FOLD_MAX_KT {
-        return RowKernel::DynScalar;
-    }
-    let skip = match opts.kernel {
-        KernelSelect::Auto => sparse_data,
-        KernelSelect::ForceDense => false,
-        KernelSelect::ForceZeroSkip => true,
-    };
-    match (skip, simd_ok) {
-        (false, false) => RowKernel::DenseScalar,
-        (false, true) => RowKernel::DenseSimd,
-        (true, false) => RowKernel::SkipScalar,
-        (true, true) => RowKernel::SkipSimd,
+        RowKernel::MacSerial
+    } else if simd_ok && nt == LANES && tallest <= EXACT_FOLD_MAX_KT {
+        RowKernel::Simd
+    } else {
+        RowKernel::General
     }
 }
 
@@ -162,14 +116,14 @@ pub(crate) struct KTile {
     /// Row kernel evaluating this tile.
     pub kernel: RowKernel,
     /// Start of the packed weights: an index into [`TileBuf::inter`]
-    /// for SIMD kernels, into [`TileBuf::w`] for every other kernel.
+    /// for the SIMD sweep, into [`TileBuf::w`] for the scalar kernels.
     off: usize,
 }
 
 /// The current N-tile's staged K-tiles, packed straight from a
 /// [`WeightView`] into the one layout their kernel reads:
 ///
-/// - SIMD kernels get pair-interleaved widened weights for `pmaddwd`,
+/// - The SIMD sweep gets pair-interleaved widened weights for `pmaddwd`,
 ///   two aligned vectors per row pair `p`: vector `2p + h` holds
 ///   columns `8h .. 8h + 8` as lanes `[w[2p][c], w[2p+1][c]]`
 ///   (zero partner when `kt` is odd).
@@ -206,12 +160,20 @@ impl TileBuf {
         &self.tiles
     }
 
-    /// A scalar-kernel tile's row-major `kt × nt` weights.
+    /// Whether the current N-tile runs on the SIMD sweep
+    /// (`select_kernel` puts every tile of an N-tile in one family).
+    fn is_simd(&self) -> bool {
+        self.tiles
+            .first()
+            .is_some_and(|t| t.kernel == RowKernel::Simd)
+    }
+
+    /// A scalar tile's row-major `kt × nt` weights.
     fn w(&self, t: &KTile) -> &[i8] {
         &self.w[t.off..t.off + t.kt * self.nt]
     }
 
-    /// A SIMD-kernel tile's pair-interleaved weights.
+    /// A SIMD tile's pair-interleaved weights.
     fn inter(&self, t: &KTile) -> &[WVec] {
         &self.inter[t.off..t.off + t.kt.div_ceil(2) * 2]
     }
@@ -228,7 +190,7 @@ impl TileBuf {
         kernel: RowKernel,
     ) {
         let nt = self.nt;
-        let off = if kernel.is_simd() {
+        let off = if kernel == RowKernel::Simd {
             debug_assert_eq!(nt, LANES);
             let off = self.inter.len();
             // Widen TAP_BLOCK taps of every column into a zero-padded
@@ -288,8 +250,8 @@ impl TileBuf {
 pub(crate) struct Staging {
     /// Row-major `batch·M × K` data panel.
     pub panel: Vec<i8>,
-    /// Sign-extended copy of `panel` for the SIMD kernels (empty until
-    /// an N-tile staged on them needs it).
+    /// Sign-extended copy of `panel` for the SIMD sweep (empty until
+    /// an N-tile staged on it needs it).
     pub panel_wide: Vec<i16>,
     /// The current N-tile's staged K-tiles.
     pub tiles: TileBuf,
@@ -308,12 +270,11 @@ impl Staging {
     }
 
     /// Builds the sign-extended panel the first time a staged N-tile
-    /// runs on the SIMD kernels: adjacent element pairs become single
+    /// runs on the SIMD sweep: adjacent element pairs become single
     /// `i32` broadcast operands. Widening is exact, so which panel a
     /// kernel reads can never change results.
     pub(crate) fn widen_panel_for_tiles(&mut self) {
-        let simd = self.tiles.tiles.first().is_some_and(|t| t.kernel.is_simd());
-        if simd && self.panel_wide.len() != self.panel.len() {
+        if self.tiles.is_simd() && self.panel_wide.len() != self.panel.len() {
             self.panel_wide.clear();
             self.panel_wide
                 .extend(self.panel.iter().map(|&d| i16::from(d)));
@@ -330,14 +291,14 @@ impl std::fmt::Debug for Staging {
     }
 }
 
-/// Whether the AVX2 kernels may be selected under `opts`: `SimdMode::
+/// Whether the SIMD sweep may be selected under `opts`: `SimdMode::
 /// Auto` plus a runtime `avx2` detection (scalar fallback everywhere
 /// else — non-x86_64 targets, feature-less hosts, `SimdMode::Scalar`).
 pub(crate) fn simd_enabled(opts: FunctionalOptions) -> bool {
     opts.simd == SimdMode::Auto && simd_available()
 }
 
-/// Runtime check for the vector ISA the SIMD kernels target.
+/// Runtime check for the baseline vector ISA of the SIMD sweep.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn simd_available() -> bool {
     std::arch::is_x86_feature_detected!("avx2")
@@ -376,7 +337,7 @@ pub(crate) fn effective_threads(requested: usize, total_rows: usize, k: usize, n
     }
 }
 
-/// The saturating K-tile fold step shared by every scalar kernel:
+/// The saturating K-tile fold step shared by the scalar kernels:
 /// `raw = acc + psum`, clamp to 25 bits, count a clip event. With
 /// `acc` starting at 0 the first tile's raw value is the tile psum
 /// itself — `push_new` semantics.
@@ -412,20 +373,14 @@ pub(crate) fn process_rows(
     debug_assert_eq!(row_events.len(), nrows);
     let _ = panel_wide; // consumed only by the x86_64 SIMD dispatch
 
-    // `select_kernel` puts every tile of an N-tile in one family.
-    let first = tiles.tiles().first().map(|t| t.kernel);
     #[cfg(target_arch = "x86_64")]
-    if first.is_some_and(RowKernel::is_simd) {
+    if tiles.is_simd() {
         debug_assert_eq!(
             panel_wide.len(),
             panel.len(),
             "SIMD tiles need the widened panel (`Staging::widen_panel_for_tiles`)"
         );
         avx2::sweep_rows(k, tiles, panel_wide, ri0, nrows, acc, row_events);
-        return;
-    }
-    if first.is_some_and(RowKernel::is_fixed) {
-        rows_fixed_scalar(k, tiles, panel, ri0, nrows, acc, row_events);
         return;
     }
     let mut scratch = vec![0i32; nt];
@@ -435,73 +390,9 @@ pub(crate) fn process_rows(
     }
 }
 
-/// Fixed 16-lane scalar sweep. When every tile is dense, rows go
-/// through in blocks of [`ROW_BLOCK`] so each staged weight row is
-/// reused across the block; remainder rows (and all rows of skipping
-/// tiles) take the single-row kernel — bit-identical either way, since
-/// the in-tile dot product is exact.
-fn rows_fixed_scalar(
-    k: usize,
-    tiles: &TileBuf,
-    panel: &[i8],
-    ri0: usize,
-    nrows: usize,
-    acc: &mut [i64],
-    row_events: &mut [u64],
-) {
-    let all_dense = tiles.tiles().iter().all(|t| !t.kernel.skips_zeros());
-    let mut r = 0;
-    while all_dense && r + ROW_BLOCK <= nrows {
-        let mut accs = [[0i64; LANES]; ROW_BLOCK];
-        let mut evs = [0u64; ROW_BLOCK];
-        for t in tiles.tiles() {
-            let mut lanes = [[0i32; LANES]; ROW_BLOCK];
-            for (row_idx, wrow) in tiles.w(t).chunks_exact(LANES).enumerate() {
-                for (j, lane) in lanes.iter_mut().enumerate() {
-                    let d = panel[(ri0 + r + j) * k + t.k0 + row_idx] as i32;
-                    for (p, &w) in lane.iter_mut().zip(wrow) {
-                        *p += d * w as i32;
-                    }
-                }
-            }
-            for (j, lane) in lanes.iter().enumerate() {
-                for (c, &p) in lane.iter().enumerate() {
-                    fold_scalar(&mut accs[j][c], i64::from(p), &mut evs[j]);
-                }
-            }
-        }
-        for j in 0..ROW_BLOCK {
-            acc[(r + j) * LANES..(r + j + 1) * LANES].copy_from_slice(&accs[j]);
-            row_events[r + j] = evs[j];
-        }
-        r += ROW_BLOCK;
-    }
-    while r < nrows {
-        let row = &panel[(ri0 + r) * k..(ri0 + r) * k + k];
-        let mut accs = [0i64; LANES];
-        let mut ev = 0u64;
-        for t in tiles.tiles() {
-            let drow = &row[t.k0..t.k0 + t.kt];
-            let mut lane = [0i32; LANES];
-            for (&d, wrow) in drow.iter().zip(tiles.w(t).chunks_exact(LANES)) {
-                if d != 0 {
-                    for (p, &w) in lane.iter_mut().zip(wrow) {
-                        *p += d as i32 * w as i32;
-                    }
-                }
-            }
-            for (c, &p) in lane.iter().enumerate() {
-                fold_scalar(&mut accs[c], i64::from(p), &mut ev);
-            }
-        }
-        acc[r * LANES..(r + 1) * LANES].copy_from_slice(&accs);
-        row_events[r] = ev;
-        r += 1;
-    }
-}
-
-/// General one-row path: dynamic widths ([`RowKernel::DynScalar`]) and
-/// tall tiles ([`RowKernel::MacSerial`]). Accumulators live in the
+/// General one-row path: every scalar tile ([`RowKernel::General`],
+/// skipping zero data — `saturate(x + 0) = x`, so skipping is exact)
+/// and tall tiles ([`RowKernel::MacSerial`]). Accumulators live in the
 /// `acc` slice; `scratch` holds one tile's psums.
 fn row_general(tiles: &TileBuf, row: &[i8], acc: &mut [i64], scratch: &mut [i32]) -> u64 {
     let nt = tiles.nt();
@@ -540,10 +431,12 @@ fn row_general(tiles: &TileBuf, row: &[i8], acc: &mut [i64], scratch: &mut [i32]
     ev
 }
 
-/// The AVX2 kernels: `pmaddwd` over pair-interleaved `i16` weights
-/// against a broadcast data pair, 16 output columns in two `__m256i`
-/// registers, with the K-tile saturating fold done in 32-bit lanes
-/// (clamp to ±2^24 via min/max — exact by the `i32` bound above).
+/// The SIMD sweep: `vpdpwssd`/`pmaddwd` over pair-interleaved `i16`
+/// weights against a broadcast data pair, 16 output columns per row,
+/// with the K-tile saturating fold done in 32-bit lanes (clamp to
+/// ±2^24 via min/max — exact by the `i32` bound above). It has two
+/// bodies: the AVX-512/VNNI sweep where the host has it, and the AVX2
+/// tile sweep, the only SIMD path of an AVX2-only host.
 /// The only module in the crate allowed to use `unsafe`, and only for
 /// the feature-gated intrinsics.
 #[cfg(target_arch = "x86_64")]
@@ -563,30 +456,71 @@ mod avx2 {
     const SAT_MAX: i32 = (1 << 24) - 1;
     const SAT_MIN: i32 = -(1 << 24);
 
-    /// Data rows the dense kernel folds per weight-vector load. Four
-    /// rows use 8 accumulator registers + 2 weight registers and cut
-    /// weight-load traffic 4×, turning the sweep from load-port-bound
-    /// into `pmaddwd`-throughput-bound.
+    /// Data rows the sweeps fold per weight-vector load. Four rows use
+    /// 8 accumulator registers + 2 weight registers and cut weight-load
+    /// traffic 4×, turning the AVX2 sweep from load-port-bound into
+    /// `pmaddwd`-throughput-bound.
     const SIMD_ROW_BLOCK: usize = 4;
 
-    /// Safe entry point: sweeps rows `ri0 .. ri0 + nrows` through the
-    /// AVX2 kernels. SIMD tiles exist only once `avx2` was detected
-    /// (`select_kernel` runs them under `simd_enabled`); the assert
-    /// below keeps the intrinsics sound if that rule is ever broken.
+    /// Sweeps rows `ri0 .. ri0 + nrows` through the widest body the
+    /// host supports. SIMD tiles exist only once `avx2` was detected
+    /// (`select_kernel` runs them under `simd_enabled`); each body
+    /// asserts its own features, which keeps the intrinsics sound if
+    /// that rule is ever broken.
     ///
     /// `panel_wide` is the sign-extended `i16` copy of the data panel:
     /// each adjacent element pair is then one little-endian `i32`, so
     /// the kernel broadcasts a data pair with a single memory-operand
     /// `vpbroadcastd` instead of a scalar widen/shift/or chain.
-    ///
-    /// The sweep is K-tile–outer so one staged tile (≤ 8 KiB
+    pub(super) fn sweep_rows(
+        k: usize,
+        tiles: &TileBuf,
+        panel_wide: &[i16],
+        ri0: usize,
+        nrows: usize,
+        acc: &mut [i64],
+        row_events: &mut [u64],
+    ) {
+        if avx512_available() {
+            sweep_rows_avx512(k, tiles, panel_wide, ri0, nrows, acc, row_events);
+        } else {
+            sweep_rows_avx2(k, tiles, panel_wide, ri0, nrows, acc, row_events);
+        }
+    }
+
+    /// The AVX-512/VNNI body: one zmm register holds a full 16-column
+    /// row, `vpdpwssd` fuses multiply and accumulate, and the
+    /// 32-register file keeps a 4-row block's accumulators, psums and
+    /// event counts resident across every K-tile — the per-tile fold
+    /// never touches memory. Same fold per element in the same tile
+    /// order as the AVX2 body: bit-identical.
+    pub(super) fn sweep_rows_avx512(
+        k: usize,
+        tiles: &TileBuf,
+        panel_wide: &[i16],
+        ri0: usize,
+        nrows: usize,
+        acc: &mut [i64],
+        row_events: &mut [u64],
+    ) {
+        assert!(
+            avx512_available(),
+            "AVX-512 sweep on a host without avx512f/bw/vnni"
+        );
+        in_lanes(nrows, acc, row_events, |acc32, ev32| {
+            // SAFETY: the `avx512*`/`avx512vnni` features were
+            // runtime-detected just above.
+            unsafe { sweep_dense_512(k, tiles, panel_wide, ri0, nrows, acc32, ev32) }
+        });
+    }
+
+    /// The AVX2 body, K-tile–outer so one staged tile (≤ 8 KiB
     /// interleaved) stays cache-resident while every row streams
     /// against it; per-(row, column) accumulators and clip-event
     /// counts live in `i32` lane buffers and are folded in place at
     /// each tile — the fold order per element is still tile-ascending,
     /// identical to the serial chain.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn sweep_rows(
+    pub(super) fn sweep_rows_avx2(
         k: usize,
         tiles: &TileBuf,
         panel_wide: &[i16],
@@ -597,27 +531,28 @@ mod avx2 {
     ) {
         assert!(
             std::arch::is_x86_feature_detected!("avx2"),
-            "SIMD tiles staged on a host without avx2"
+            "AVX2 sweep on a host without avx2"
         );
+        in_lanes(nrows, acc, row_events, |acc32, ev32| {
+            for t in tiles.tiles() {
+                // SAFETY: `avx2` was runtime-detected just above.
+                unsafe { tile_sweep(t, tiles.inter(t), panel_wide, k, ri0, nrows, acc32, ev32) };
+            }
+        });
+    }
+
+    /// Runs `sweep` over zeroed `i32` accumulator and clip-event lanes
+    /// for `nrows` rows, then widens each row's final lanes into `acc`
+    /// and sums its clip events into `row_events`.
+    fn in_lanes(
+        nrows: usize,
+        acc: &mut [i64],
+        row_events: &mut [u64],
+        sweep: impl FnOnce(&mut [i32], &mut [i32]),
+    ) {
         let mut acc32 = vec![0i32; nrows * LANES];
         let mut ev32 = vec![0i32; nrows * LANES];
-        // All-dense matmuls on an AVX-512 + VNNI host take the zmm
-        // sweep: one register holds a full 16-column row, `vpdpwssd`
-        // fuses multiply and accumulate, and the 32-register file keeps
-        // a 4-row block's accumulators, psums and event counts resident
-        // across every K-tile — the per-tile fold never touches memory.
-        // Same fold per element in the same tile order: bit-identical.
-        if tiles.tiles().iter().all(|t| !t.kernel.skips_zeros()) && avx512_available() {
-            // SAFETY: the `avx512*`/`avx512vnni` features were
-            // runtime-detected just above.
-            unsafe { sweep_dense_512(k, tiles, panel_wide, ri0, nrows, &mut acc32, &mut ev32) };
-        } else {
-            for t in tiles.tiles() {
-                let inter = tiles.inter(t);
-                // SAFETY: `avx2` was runtime-detected just above.
-                unsafe { tile_sweep(t, inter, panel_wide, k, ri0, nrows, &mut acc32, &mut ev32) };
-            }
-        }
+        sweep(&mut acc32, &mut ev32);
         for r in 0..nrows {
             let lanes = &acc32[r * LANES..(r + 1) * LANES];
             for (a, &v) in acc[r * LANES..(r + 1) * LANES].iter_mut().zip(lanes) {
@@ -630,16 +565,10 @@ mod avx2 {
         }
     }
 
-    /// Streams every row's slice of one K-tile against the resident
-    /// interleaved weights and folds the finished psums into the
-    /// `i32` accumulator/event lane buffers (saturating fold in 32-bit
-    /// lanes: raw = acc + psum is in range by the ±2^25 bound; clamp;
-    /// `cmpeq + 1` is the per-lane clip indicator).
-    ///
-    /// Runtime check for the zmm dense-sweep profile: foundation ops
+    /// Runtime check for the zmm sweep profile: foundation ops
     /// (`avx512f`), zmm `i16` lanes (`avx512bw`), and the fused
     /// multiply-accumulate `vpdpwssd` (`avx512vnni`).
-    fn avx512_available() -> bool {
+    pub(super) fn avx512_available() -> bool {
         std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("avx512bw")
             && std::arch::is_x86_feature_detected!("avx512vnni")
@@ -748,6 +677,16 @@ mod avx2 {
         }
     }
 
+    /// Streams every row's slice of one K-tile against the resident
+    /// interleaved weights and folds the finished psums into the
+    /// `i32` accumulator/event lane buffers. Rows go through in blocks
+    /// of [`SIMD_ROW_BLOCK`]: each 32-byte weight vector is loaded once
+    /// per block instead of once per row, which is what the single-row
+    /// loop is throughput-bound on (3 loads per pair-step against a
+    /// 2-load/cycle port limit). Remainder rows take the single-row
+    /// kernel; chain assignment differs but the in-tile `i32` dot
+    /// product is order-free, so the psums are bit-identical.
+    ///
     /// # Safety
     ///
     /// Caller must have runtime-verified `avx2`.
@@ -766,34 +705,19 @@ mod avx2 {
         let vmax = _mm256_set1_epi32(SAT_MAX);
         let vmin = _mm256_set1_epi32(SAT_MIN);
         let ones = _mm256_set1_epi32(1);
-        let skip = t.kernel.skips_zeros();
         let mut r = 0;
-        // Dense rows go through in blocks of [`SIMD_ROW_BLOCK`]: each
-        // 32-byte weight vector is loaded once per block instead of
-        // once per row, which is what the single-row loop is
-        // throughput-bound on (3 loads per pair-step against a
-        // 2-load/cycle port limit). Chain assignment differs from the
-        // single-row kernel but the in-tile `i32` dot product is
-        // order-free, so the psums are bit-identical.
-        if !skip {
-            while r + SIMD_ROW_BLOCK <= nrows {
-                let base = (ri0 + r) * k + t.k0;
-                let blk = &panel_wide[base..base + (SIMD_ROW_BLOCK - 1) * k + t.kt];
-                let psums = tile_psums_block(t, inter, blk.as_ptr(), k);
-                for (j, &(psum0, psum1)) in psums.iter().enumerate() {
-                    fold_row(acc32, ev32, r + j, psum0, psum1, vmax, vmin, ones);
-                }
-                r += SIMD_ROW_BLOCK;
+        while r + SIMD_ROW_BLOCK <= nrows {
+            let base = (ri0 + r) * k + t.k0;
+            let blk = &panel_wide[base..base + (SIMD_ROW_BLOCK - 1) * k + t.kt];
+            let psums = tile_psums_block(t, inter, blk.as_ptr(), k);
+            for (j, &(psum0, psum1)) in psums.iter().enumerate() {
+                fold_row(acc32, ev32, r + j, psum0, psum1, vmax, vmin, ones);
             }
+            r += SIMD_ROW_BLOCK;
         }
         while r < nrows {
             let base = (ri0 + r) * k + t.k0;
-            let drow = &panel_wide[base..base + t.kt];
-            let (psum0, psum1) = if skip {
-                tile_psums::<true>(t, inter, drow)
-            } else {
-                tile_psums::<false>(t, inter, drow)
-            };
+            let (psum0, psum1) = tile_psums(t, inter, &panel_wide[base..base + t.kt]);
             fold_row(acc32, ev32, r, psum0, psum1, vmax, vmin, ones);
             r += 1;
         }
@@ -924,9 +848,7 @@ mod avx2 {
     /// loop is throughput-bound instead of serialized on the
     /// `pmaddwd → paddd` latency (the `i32` dot product is order-free,
     /// so chain assignment is exact). The `i32` accumulation cannot
-    /// overflow: ≤ 512 pairs × 2·2^14 < 2^31. `SKIP` elides pairs
-    /// whose two data elements are both zero — one `i32` compare on
-    /// the widened pair (exact: such pairs contribute +0).
+    /// overflow: ≤ 512 pairs × 2·2^14 < 2^31.
     ///
     /// # Safety
     ///
@@ -934,11 +856,7 @@ mod avx2 {
     /// row's full widened tile slice (`t.kt` elements).
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn tile_psums<const SKIP: bool>(
-        t: &KTile,
-        inter: &[WVec],
-        drow: &[i16],
-    ) -> (__m256i, __m256i) {
+    unsafe fn tile_psums(t: &KTile, inter: &[WVec], drow: &[i16]) -> (__m256i, __m256i) {
         let zero = _mm256_setzero_si256();
         let mut chains = [(zero, zero); 4];
         let full = t.kt / 2;
@@ -947,28 +865,19 @@ mod avx2 {
         let mut p = 0;
         while p + 4 <= full {
             for (j, chain) in chains.iter_mut().enumerate() {
-                let dd = data_pair(wide, p + j);
-                if !(SKIP && dd == 0) {
-                    pair_step(inter, p + j, dd, chain);
-                }
+                pair_step(inter, p + j, data_pair(wide, p + j), chain);
             }
             p += 4;
         }
         while p < full {
-            let dd = data_pair(wide, p);
-            if !(SKIP && dd == 0) {
-                pair_step(inter, p, dd, &mut chains[0]);
-            }
+            pair_step(inter, p, data_pair(wide, p), &mut chains[0]);
             p += 1;
         }
         if t.kt % 2 == 1 {
             // Odd tail row: its pair partner's weights are staged as
             // zero, so only `d0` matters — and only `d0` is read (the
             // partner slot may be past the row).
-            let d0 = drow[t.kt - 1];
-            if !(SKIP && d0 == 0) {
-                pair_step(inter, full, d0 as u16 as i32, &mut chains[1]);
-            }
+            pair_step(inter, full, drow[t.kt - 1] as u16 as i32, &mut chains[1]);
         }
         let p0 = _mm256_add_epi32(
             _mm256_add_epi32(chains[0].0, chains[1].0),
@@ -1038,10 +947,10 @@ mod tests {
             buf.begin(LANES);
             // Stage a leading tile first so the checked one sits at a
             // non-zero offset in each buffer.
-            buf.stage(view, 0, k0, 0, RowKernel::DenseSimd);
-            buf.stage(view, k0, kt, 0, RowKernel::DenseSimd);
-            buf.stage(view, 0, k0, 0, RowKernel::DenseScalar);
-            buf.stage(view, k0, kt, 0, RowKernel::DynScalar);
+            buf.stage(view, 0, k0, 0, RowKernel::Simd);
+            buf.stage(view, k0, kt, 0, RowKernel::Simd);
+            buf.stage(view, 0, k0, 0, RowKernel::General);
+            buf.stage(view, k0, kt, 0, RowKernel::General);
             let [_, simd, _, scalar] = buf.tiles() else {
                 panic!("four staged tiles")
             };
@@ -1066,8 +975,10 @@ mod tests {
         }
     }
 
-    /// The AVX2 and AVX-512 row kernels agree element-for-element
-    /// (values *and* clip events) with the general scalar path,
+    /// Every SIMD body the host supports — the AVX2 tile sweep and the
+    /// AVX-512 sweep — agrees element-for-element (values *and* clip
+    /// events) with the general scalar path, on five distinct rows so
+    /// both the 4-row blocks and the remainder-row kernels run,
     /// including folds that clip at tile boundaries.
     #[cfg(target_arch = "x86_64")]
     #[test]
@@ -1086,8 +997,20 @@ mod tests {
         // folds clip, plus a random tile and an odd-height tail tile.
         let heights = [1023usize, 1023, 777, 5];
         let k: usize = heights.iter().sum();
-        let row: Vec<i8> = (0..k)
-            .map(|i| if i < 2046 { 127 } else { next() })
+        // Rows 0–3 open with the ±127 blocks (clipping up on even rows,
+        // down on odd ones); row 2's random part is zero-heavy; row 4
+        // is random throughout.
+        let rows = 5;
+        let panel: Vec<i8> = (0..rows * k)
+            .map(|i| {
+                let (r, c, d) = (i / k, i % k, next());
+                match r {
+                    0 | 2 if c < 2046 => 127,
+                    1 | 3 if c < 2046 => -127,
+                    2 if d % 2 == 0 => 0,
+                    _ => d,
+                }
+            })
             .collect();
         let w: Vec<i8> = (0..k * LANES)
             .map(|i| {
@@ -1103,38 +1026,42 @@ mod tests {
             ks: LANES,
             ns: 1,
         };
-        let stage = |kernel_at: &dyn Fn(usize) -> RowKernel| {
+        let stage = |kernel: RowKernel| {
             let mut buf = TileBuf::default();
             buf.begin(LANES);
             let mut k0 = 0;
             for kt in heights {
-                buf.stage(&view, k0, kt, 0, kernel_at(k0));
+                buf.stage(&view, k0, kt, 0, kernel);
                 k0 += kt;
             }
             buf
         };
-        let reference = stage(&|_| RowKernel::DynScalar);
-        let mut acc_ref = vec![0i64; LANES];
+        let reference = stage(RowKernel::General);
+        let mut acc_ref = vec![0i64; rows * LANES];
         let mut scratch = vec![0i32; LANES];
-        let ev_ref = row_general(&reference, &row, &mut acc_ref, &mut scratch);
-        assert!(ev_ref > 0, "adversarial row must actually clip");
+        let ev_ref: Vec<u64> = panel
+            .chunks_exact(k)
+            .zip(acc_ref.chunks_exact_mut(LANES))
+            .map(|(row, acc)| row_general(&reference, row, acc, &mut scratch))
+            .collect();
+        assert!(
+            ev_ref[..4].iter().all(|&e| e > 0),
+            "adversarial rows must actually clip"
+        );
 
-        let wide: Vec<i16> = row.iter().map(|&d| d as i16).collect();
-        // Mixed skip/dense tiles take the AVX2 tile sweep; all-dense
-        // tiles take the AVX-512 sweep where the host has it.
-        let mixed = |k0: usize| {
-            if k0.is_multiple_of(2) {
-                RowKernel::SkipSimd
-            } else {
-                RowKernel::DenseSimd
-            }
-        };
-        for tiles in [stage(&mixed), stage(&|_| RowKernel::DenseSimd)] {
-            let mut acc_simd = vec![0i64; LANES];
-            let mut ev_rows = [0u64; 1];
-            avx2::sweep_rows(k, &tiles, &wide, 0, 1, &mut acc_simd, &mut ev_rows);
-            assert_eq!(acc_simd, acc_ref);
-            assert_eq!(ev_rows[0], ev_ref);
+        let tiles = stage(RowKernel::Simd);
+        let wide: Vec<i16> = panel.iter().map(|&d| i16::from(d)).collect();
+        type Body = fn(usize, &TileBuf, &[i16], usize, usize, &mut [i64], &mut [u64]);
+        let bodies: [(&str, bool, Body); 2] = [
+            ("avx2", true, avx2::sweep_rows_avx2),
+            ("avx512", avx2::avx512_available(), avx2::sweep_rows_avx512),
+        ];
+        for (name, _, sweep) in bodies.iter().filter(|b| b.1) {
+            let mut acc_simd = vec![0i64; rows * LANES];
+            let mut ev_simd = vec![0u64; rows];
+            sweep(k, &tiles, &wide, 0, rows, &mut acc_simd, &mut ev_simd);
+            assert_eq!(acc_simd, acc_ref, "{name} accumulators");
+            assert_eq!(ev_simd, ev_ref, "{name} clip events");
         }
     }
 

@@ -82,8 +82,7 @@ pub use capsacc_telemetry::{
     validate_span_tree, CycleKind, Recorder, SpanDetail, TelemetryConfig, TRACK_ENGINE,
 };
 pub use config::{
-    AcceleratorConfig, DataflowOptions, EngineBackend, FunctionalOptions, KernelSelect, SimdMode,
-    TraceLevel,
+    AcceleratorConfig, DataflowOptions, EngineBackend, FunctionalOptions, SimdMode, TraceLevel,
 };
 pub use control::{ControlOp, ControlUnit, DataSource, Program, WeightSource};
 pub use engine::{Accelerator, InferenceRun, LayerRun};

@@ -10,16 +10,14 @@
 //!
 //! The functional backend's host-execution knobs are additional axes
 //! of the same invariant: every thread count (1/2/4/7, including the
-//! ragged-chunk case), every SIMD mode (explicit-vector vs scalar) and
-//! every forced kernel (dense vs zero-skip, overriding the zero-
-//! fraction heuristic) must be byte-invisible — same outputs, same
-//! saturation attribution, same cycles and traffic, same golden trace
-//! digests.
+//! ragged-chunk case) and every SIMD mode (explicit-vector vs scalar)
+//! must be byte-invisible — same outputs, same saturation attribution,
+//! same cycles and traffic, same golden trace digests.
 
 use capsacc::capsnet::{CapsNetConfig, CapsNetParams};
 use capsacc::core::{
     Accelerator, AcceleratorConfig, ActivationKind, BatchScheduler, EngineBackend,
-    FunctionalOptions, KernelSelect, MemoryConfig, SimdMode, TraceLevel,
+    FunctionalOptions, MemoryConfig, SimdMode, TraceLevel,
 };
 use proptest::prelude::*;
 
@@ -283,7 +281,7 @@ proptest! {
         for threads in THREAD_AXIS {
             for simd in SIMD_AXIS {
                 let mut v = cfg;
-                v.functional = FunctionalOptions { threads, simd, ..FunctionalOptions::default() };
+                v.functional = FunctionalOptions { threads, simd };
                 assert_matmul_backends_agree(
                     v,
                     batch,
@@ -320,21 +318,20 @@ proptest! {
         for threads in THREAD_AXIS {
             for simd in SIMD_AXIS {
                 let mut v = cfg;
-                v.functional = FunctionalOptions { threads, simd, ..FunctionalOptions::default() };
+                v.functional = FunctionalOptions { threads, simd };
                 let sats = assert_matmul_backends_agree(v, 2, &data, &weight, 2, k, 3, 18);
                 prop_assert!(sats > 0, "adversarial workload failed to saturate");
             }
         }
     }
 
-    /// Forcing either fixed-width kernel onto the *same* tile must be
-    /// invisible: the zero-skip kernel and the dense kernel (scalar and
-    /// SIMD alike) are bit-equal to the ticked reference even on panels
-    /// the auto heuristic would route to the other kernel. The
-    /// generator mixes zero-heavy and dense panels so both forcings run
-    /// against both panel kinds.
+    /// Zero-heavy data panels are invisible across the host axes: the
+    /// zero-skipping scalar fold and the dense SIMD sweep are bit-equal
+    /// to the ticked reference on every panel. The generator mixes
+    /// zero-heavy and dense panels so every SIMD mode runs against
+    /// both panel kinds.
     #[test]
-    fn forced_kernels_are_bit_equal(
+    fn zero_heavy_panels_are_bit_equal(
         m in 1usize..6,
         k in 1usize..40,
         n in 1usize..8,
@@ -357,18 +354,16 @@ proptest! {
             })
             .collect();
         let w: Vec<i8> = (0..k * n).map(|_| next()).collect();
-        for kernel in [KernelSelect::Auto, KernelSelect::ForceDense, KernelSelect::ForceZeroSkip] {
-            for simd in SIMD_AXIS {
-                let mut v = cfg;
-                v.functional = FunctionalOptions { kernel, simd, ..FunctionalOptions::default() };
-                assert_matmul_backends_agree(
-                    v,
-                    2,
-                    &|img, mi, ki| d[(img * m + mi) * k + ki],
-                    &|ki, ni| w[ki * n + ni],
-                    m, k, n, 6,
-                );
-            }
+        for simd in SIMD_AXIS {
+            let mut v = cfg;
+            v.functional = FunctionalOptions { simd, ..FunctionalOptions::default() };
+            assert_matmul_backends_agree(
+                v,
+                2,
+                &|img, mi, ki| d[(img * m + mi) * k + ki],
+                &|ki, ni| w[ki * n + ni],
+                m, k, n, 6,
+            );
         }
     }
 
@@ -392,7 +387,7 @@ proptest! {
         let want_digests: Vec<_> = want.traces.iter().map(trace_digests).collect();
         for threads in THREAD_AXIS {
             for simd in SIMD_AXIS {
-                let opts = FunctionalOptions { threads, simd, ..FunctionalOptions::default() };
+                let opts = FunctionalOptions { threads, simd };
                 let got = BatchScheduler::new(functional_with(cfg, opts))
                     .run(&net, &qparams, &images)
                     .expect("valid batch");

@@ -1,18 +1,19 @@
-//! Differential tests for the functional backend's fixed 16-lane
-//! kernels at the paper's 16×16 design point.
+//! Differential tests for the functional backend's 16-lane SIMD sweep
+//! at the paper's 16×16 design point.
 //!
 //! The small arrays of `backend_equivalence.rs` never produce a 16-wide
-//! N-tile, so every tile there takes the dynamic-width scalar kernel.
-//! Here N-tiles are 16 columns wide, which routes tiles through the
-//! dense and zero-skipping kernels (scalar, AVX2, and the AVX-512 VNNI
-//! sweep where the host has it) and through both weight-packing paths
-//! (unit stride along K, and strided). Every observable must equal the
+//! N-tile, so every tile there takes the general scalar fold. Here
+//! N-tiles are 16 columns wide, which routes tiles through the SIMD
+//! sweep (the AVX-512 VNNI body where the host has it, the AVX2 body
+//! otherwise; the unit tests in `kernel.rs` run both) or, with SIMD
+//! off, the scalar fold, and through both weight-packing paths (unit
+//! stride along K, and strided). Every observable must equal the
 //! ticked backend's.
 
 use capsacc::capsnet::{CapsNetConfig, CapsNetParams};
 use capsacc::core::{
     Accelerator, AcceleratorConfig, ActivationKind, BatchScheduler, EngineBackend,
-    FunctionalOptions, KernelSelect, SimdMode,
+    FunctionalOptions, SimdMode,
 };
 
 mod common;
@@ -105,26 +106,13 @@ fn sixteen_lane_matmuls_equal_ticked() {
             n,
             *shift,
         );
-        for kernel in [
-            KernelSelect::Auto,
-            KernelSelect::ForceDense,
-            KernelSelect::ForceZeroSkip,
-        ] {
-            for simd in [SimdMode::Auto, SimdMode::Scalar] {
-                for threads in [1, 2] {
-                    let mut cfg = AcceleratorConfig::paper();
-                    cfg.backend = EngineBackend::Functional;
-                    cfg.functional = FunctionalOptions {
-                        threads,
-                        simd,
-                        kernel,
-                    };
-                    let got = run_matmul(cfg, batch, data, weight, m, k, n, *shift);
-                    assert_eq!(
-                        got, ticked,
-                        "shift {shift}, {kernel:?}, {simd:?}, {threads} threads"
-                    );
-                }
+        for simd in [SimdMode::Auto, SimdMode::Scalar] {
+            for threads in [1, 2] {
+                let mut cfg = AcceleratorConfig::paper();
+                cfg.backend = EngineBackend::Functional;
+                cfg.functional = FunctionalOptions { threads, simd };
+                let got = run_matmul(cfg, batch, data, weight, m, k, n, *shift);
+                assert_eq!(got, ticked, "shift {shift}, {simd:?}, {threads} threads");
             }
         }
     }
