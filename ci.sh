@@ -23,6 +23,11 @@ run cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnin
 run cargo run --release -q -p capsacc-lint -- --deny --json LINT_report.json
 run cargo build --release
 run cargo test --workspace -q
+# Run every example end to end (README advertises all five;
+# cycle_accurate_validation and mnist_full_system assert bit-exactness).
+for example in quickstart cycle_accurate_validation mnist_full_system design_space synthetic_digits; do
+    run cargo run --release -q --example "$example"
+done
 # Benches are excluded from `cargo test`; make sure they still compile.
 run cargo bench -p capsacc-bench --no-run
 # The end-to-end benchmark (perfbench/) is a workspace of its own, so

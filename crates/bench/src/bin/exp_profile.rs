@@ -47,9 +47,9 @@ use capsacc_core::{
     MemoryConfig, SpanDetail, TelemetryConfig, TRACK_ENGINE,
 };
 use capsacc_serve::{
-    run_runtime, run_runtime_with_sink, service_cycles_table, workload_trace, ArrivalRegime,
+    run_runtime, run_runtime_resilient, service_cycles_table, workload_trace, ArrivalRegime,
     AutoscalerConfig, BatcherConfig, ClassConfig, ResilienceConfig, RuntimeConfig,
-    RuntimeTelemetry, WorkloadConfig,
+    RuntimeTelemetry, ServiceModel, WorkloadConfig,
 };
 use capsacc_telemetry::{chrome_trace_json, metrics_csv, metrics_json, validate_json, Recorder};
 use capsacc_tensor::{u64_from, Tensor};
@@ -231,7 +231,8 @@ fn profile_serve() -> (Recorder, usize) {
     let baseline = run_runtime(&rt, &requests, &service, warmup);
     // One gauge sample per full batch's worth of virtual time.
     let mut sink = RuntimeTelemetry::new(&requests, table[16]);
-    let observed = run_runtime_with_sink(&rt, &requests, &service, warmup, &mut sink);
+    let model = ServiceModel::flat(service, warmup);
+    let observed = run_runtime_resilient(&rt, &requests, &model, &mut sink);
     assert_eq!(
         baseline, observed,
         "the telemetry sink perturbed the runtime outcome"

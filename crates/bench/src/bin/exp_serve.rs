@@ -8,8 +8,9 @@
 //!
 //! Two sweeps, each run on both service tables:
 //!
-//! 1. **saturating** — the PR-4 offline pipeline under saturating
-//!    load: throughput/latency/utilization across workers × batcher
+//! 1. **saturating** — the runtime under the offline preset
+//!    (`RuntimeConfig::offline`) and saturating load:
+//!    throughput/latency/utilization across workers × batcher
 //!    policies;
 //! 2. **overload-and-recovery** — the online runtime against a flash
 //!    crowd (Spike regime): admission queue bounds × autoscaling, with
@@ -26,8 +27,9 @@
 //! 1. **worker scaling** — under saturating load, 4 workers deliver at
 //!    least 3× the aggregate throughput of 1 worker at fixed
 //!    `max_batch`;
-//! 2. **offline anchor** — the online runtime with overload features
-//!    disabled reproduces the offline sweep's outcome bit-exactly;
+//! 2. **offline anchor** — the runtime under the offline preset
+//!    reproduces the reference pipeline (`form_batches` +
+//!    `dispatch_batches`) bit-exactly;
 //! 3. **overload behavior** — the flash crowd forces a positive shed
 //!    rate on the bounded queue, and the served fraction of post-spike
 //!    arrivals recovers to ≥ 95% of the pre-spike level;
@@ -47,10 +49,10 @@ use capsacc_bench::{json_row, print_table, BenchJson};
 use capsacc_capsnet::{CapsNetConfig, CapsNetParams};
 use capsacc_core::{Accelerator, AcceleratorConfig, EngineBackend, TraceLevel};
 use capsacc_serve::{
-    arrival_trace, engine_service_cycles_table, run_runtime, service_cycles_table, simulate_serve,
-    simulate_serve_with_table, workload_trace, ArrivalRegime, AutoscalerConfig, BatcherConfig,
-    ClassConfig, Request, ResilienceConfig, RuntimeConfig, RuntimeOutcome, ScalingEvent,
-    ServeConfig, SimOutcome, TraceConfig, WorkloadConfig,
+    arrival_trace, dispatch_batches, engine_service_cycles_table, form_batches, run_runtime,
+    serve_with_engine, service_cycles_table, workload_trace, ArrivalRegime, AutoscalerConfig,
+    BatcherConfig, ClassConfig, Request, ResilienceConfig, RuntimeConfig, RuntimeOutcome,
+    ScalingEvent, TraceConfig, WorkloadConfig,
 };
 use capsacc_tensor::{u64_from, Tensor};
 
@@ -102,22 +104,23 @@ fn sweep(cfg: &AcceleratorConfig, net: &CapsNetConfig) -> Vec<Row> {
 }
 
 /// The saturating sweep against an arbitrary `service(n)` table —
-/// closed-form or engine-measured; the pipeline does not care where
+/// closed-form or engine-measured; the runtime does not care where
 /// the cycle numbers came from.
 fn sweep_with(table: &[u64], clock_hz: f64) -> Vec<Row> {
+    let requests: Vec<Request> = arrival_trace(&trace())
+        .into_iter()
+        .map(Request::best_effort)
+        .collect();
     let mut rows = Vec::new();
     for &max_batch in &[4usize, 16, 32] {
         for &max_wait_cycles in &[10_000u64, 1_000_000] {
             for &workers in &[1usize, 2, 4, 8] {
-                let serve = ServeConfig {
-                    workers,
-                    batcher: BatcherConfig {
-                        max_batch,
-                        max_wait_cycles,
-                    },
-                    trace: trace(),
+                let batcher = BatcherConfig {
+                    max_batch,
+                    max_wait_cycles,
                 };
-                let out: SimOutcome = simulate_serve_with_table(&serve, table);
+                let rt = RuntimeConfig::offline(workers, batcher);
+                let out = run_runtime(&rt, &requests, &|n| table[n], 0).sim;
                 let [p50, p95, p99] = out.latency_percentiles();
                 let mean_utilization =
                     (0..workers).map(|w| out.utilization(w)).sum::<f64>() / workers as f64;
@@ -369,23 +372,26 @@ fn engine_validation() {
             ((i[1] * (s + 2) + i[2] * 7 + s) % 11) as f32 / 11.0
         })
     };
-    let serve = ServeConfig {
-        workers: 3,
-        batcher: BatcherConfig {
+    let rt = RuntimeConfig::offline(
+        3,
+        BatcherConfig {
             max_batch: 4,
             max_wait_cycles: 20_000,
         },
-        trace: TraceConfig {
-            seed: 5,
-            requests: 12,
-            mean_gap_cycles: 2_500.0,
-            mean_burst: 2.0,
-        },
-    };
-    let (outcome, traces) = capsacc_serve::serve_with_engine(&cfg, &net, &qparams, &serve, &image)
-        .expect("valid serve");
+    );
+    let requests: Vec<Request> = arrival_trace(&TraceConfig {
+        seed: 5,
+        requests: 12,
+        mean_gap_cycles: 2_500.0,
+        mean_burst: 2.0,
+    })
+    .into_iter()
+    .map(Request::best_effort)
+    .collect();
+    let (outcome, traces) =
+        serve_with_engine(&cfg, &net, &qparams, &rt, &requests, &image).expect("valid serve");
     assert_eq!(traces.len(), 12);
-    for (r, trace) in traces.iter().enumerate() {
+    for (trace, &r) in traces.iter().zip(&outcome.served) {
         let mut acc = Accelerator::new(cfg);
         let single = acc.run_inference(&net, &qparams, &image(r));
         assert_eq!(
@@ -396,7 +402,7 @@ fn engine_validation() {
     println!(
         "Engine validation: 12 requests, {} batches over 3 OS-thread workers — \
          every trace bit-exact vs the sequential engine",
-        outcome.batches.len()
+        outcome.sim.batches.len()
     );
 }
 
@@ -511,8 +517,8 @@ fn main() {
         service_cycles_table(&cfg, &net, 1)[1],
     );
 
-    // Invariant 2: offline anchor — the online runtime with overload
-    // features disabled reproduces the offline pipeline bit-exactly on
+    // Invariant 2: offline anchor — the runtime under the offline
+    // preset reproduces the reference pipeline bit-exactly on
     // the saturating trace, at the paper design point.
     let batcher = BatcherConfig {
         max_batch: 16,
@@ -521,25 +527,11 @@ fn main() {
     let table16 = service_cycles_table(&cfg, &net, batcher.max_batch);
     let arrivals = arrival_trace(&trace());
     let anchor_requests: Vec<Request> = arrivals.iter().map(|&a| Request::best_effort(a)).collect();
-    let anchored = RuntimeConfig {
-        workers: 4,
-        batcher,
-        queue_capacity: None,
-        deadline_aware: false,
-        autoscaler: None,
-        record_events: false,
-        resilience: ResilienceConfig::none(),
-    };
+    let anchored = RuntimeConfig::offline(4, batcher);
     let online = run_runtime(&anchored, &anchor_requests, &|n| table16[n], 0);
-    let offline = simulate_serve(
-        &cfg,
-        &net,
-        &ServeConfig {
-            workers: 4,
-            batcher,
-            trace: trace(),
-        },
-    );
+    let offline = dispatch_batches(&arrivals, &form_batches(&arrivals, &batcher), 4, &|n| {
+        table16[n]
+    });
     assert_eq!(
         online.sim, offline,
         "online runtime diverged from the offline pipeline under anchor settings"

@@ -61,7 +61,6 @@ mod accumulator;
 mod activation;
 pub mod batch;
 mod config;
-pub mod control;
 pub mod engine;
 mod kernel;
 pub mod mapping;
@@ -84,7 +83,6 @@ pub use capsacc_telemetry::{
 pub use config::{
     AcceleratorConfig, DataflowOptions, EngineBackend, FunctionalOptions, SimdMode, TraceLevel,
 };
-pub use control::{ControlOp, ControlUnit, DataSource, Program, WeightSource};
 pub use engine::{Accelerator, InferenceRun, LayerRun};
 pub use pe::{Pe, PeControl, PeInput, PeOutput, WeightSelect};
 pub use systolic::SystolicArray;

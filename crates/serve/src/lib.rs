@@ -7,54 +7,58 @@
 //! nondeterminism — so every run is byte-for-byte reproducible, even
 //! though real OS threads do the engine work.
 //!
-//! The pipeline, each stage a pure function of the previous one:
+//! All serving goes through one event-driven runtime,
+//! [`run_runtime_resilient`]: a sorted [`Request`] trace, a
+//! [`RuntimeConfig`] (micro-batcher, workers, admission queue bound,
+//! SLO-aware early closes, autoscaler, [`ResilienceConfig`] faults and
+//! recovery), a [`ServiceModel`] that prices a batch of `n` at each
+//! degradation level, and an [`EventSink`] observer. Three presets
+//! wrap it:
 //!
-//! 1. [`arrival_trace`] — a seeded synthetic request stream
-//!    ([`TraceConfig`]: rate + burstiness), arrival cycles only;
-//! 2. [`form_batches`] — the dynamic micro-batcher ([`BatcherConfig`]):
-//!    a batch closes on `max_batch` or on a `max_wait_cycles` deadline,
-//!    whichever comes first;
-//! 3. [`dispatch_batches`] — virtual-time dispatch onto N workers
-//!    (earliest-free, lowest-id ties), with `service(n)` supplied by
-//!    the engine's cycle model — batch cycle counts are
-//!    data-independent, so one number per batch size is exact;
-//! 4. [`ShardPool`] — N long-lived [`capsacc_core::BatchScheduler`]
-//!    replicas on OS threads, weights resident across batches, for the
-//!    runs that need real traces (bit-exact against sequential runs).
+//! - [`run_runtime`] — a flat `service(n)` table and warmup
+//!   ([`ServiceModel::flat`]), no observer;
+//! - [`simulate_runtime_resilient`] — closed-form service tables per
+//!   degradation level ([`degraded_service_tables`]) and respawn
+//!   warmups staged through the memory-fault path, at an accelerator
+//!   design point;
+//! - [`serve_with_engine`] — measured engine cycles
+//!   ([`engine_service_cycles_table`]), with the runtime's dispatch
+//!   decisions executed on a [`ShardPool`] of engine replicas on OS
+//!   threads, so every served request also gets its functional trace.
 //!
 //! Latency is reported per request (queue wait + batch position +
 //! batch cycles → [`RequestStat`]) and aggregated into p50/p95/p99 and
-//! throughput by [`SimOutcome`].
+//! throughput by [`SimOutcome`]; refusals are typed [`Rejection`]s.
 //!
-//! Stages 2–3 are the *offline* pipeline: batch formation sees the
-//! whole trace at once. [`run_runtime`] is its **online**
-//! generalization — an event-driven loop ([`RuntimeConfig`]) that adds
-//! admission control and load shedding (typed [`Rejection`]s),
-//! SLO-aware early batch closing, priority classes, and an autoscaler
-//! with explicit weight-fill warmup ([`worker_warmup_cycles`]) — and
-//! with all of those disabled it reproduces the offline pipeline's
-//! outcome bit-exactly (the equivalence anchor in
-//! `tests/serve_equivalence.rs`). Multi-class overload traffic comes
-//! from [`workload_trace`].
+//! The offline pipeline — [`arrival_trace`] → [`form_batches`] →
+//! [`dispatch_batches`] — sees the whole trace at once. It is kept as
+//! the runtime's reference: under [`RuntimeConfig::offline`] the
+//! runtime reproduces it bit-exactly, which the anchor tests in
+//! `tests/serve_equivalence.rs` check over random traces. Multi-class
+//! overload traffic comes from [`workload_trace`].
 //!
 //! # Example
 //!
 //! ```
 //! use capsacc_capsnet::CapsNetConfig;
 //! use capsacc_core::AcceleratorConfig;
-//! use capsacc_serve::{simulate_serve, BatcherConfig, ServeConfig, TraceConfig};
-//!
-//! let cfg = ServeConfig {
-//!     workers: 4,
-//!     batcher: BatcherConfig { max_batch: 16, max_wait_cycles: 100_000 },
-//!     trace: TraceConfig { seed: 7, requests: 64, mean_gap_cycles: 2_000.0, mean_burst: 4.0 },
+//! use capsacc_serve::{
+//!     arrival_trace, simulate_runtime_resilient, BatcherConfig, Request, RuntimeConfig,
+//!     TraceConfig,
 //! };
-//! let out = simulate_serve(&AcceleratorConfig::paper(), &CapsNetConfig::mnist(), &cfg);
-//! assert_eq!(out.requests.len(), 64);
-//! let [p50, p95, p99] = out.latency_percentiles();
+//!
+//! let trace = TraceConfig { seed: 7, requests: 64, mean_gap_cycles: 2_000.0, mean_burst: 4.0 };
+//! let requests: Vec<Request> =
+//!     arrival_trace(&trace).into_iter().map(Request::best_effort).collect();
+//! let batcher = BatcherConfig { max_batch: 16, max_wait_cycles: 100_000 };
+//! let rt = RuntimeConfig::offline(4, batcher);
+//! let (cfg, net) = (AcceleratorConfig::paper(), CapsNetConfig::mnist());
+//! let out = simulate_runtime_resilient(&cfg, &net, &rt, &requests);
+//! assert_eq!(out.served.len(), 64);
+//! let [p50, p95, p99] = out.sim.latency_percentiles();
 //! assert!(p50 <= p95 && p95 <= p99);
 //! // Byte-identical on rerun: the whole pipeline is virtual-time.
-//! assert_eq!(out, simulate_serve(&AcceleratorConfig::paper(), &CapsNetConfig::mnist(), &cfg));
+//! assert_eq!(out, simulate_runtime_resilient(&cfg, &net, &rt, &requests));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -70,10 +74,9 @@ mod trace;
 pub use batcher::{form_batches, BatcherConfig, ConfigError, MicroBatch};
 pub use pool::{PoolError, ShardPool};
 pub use runtime::{
-    run_runtime, run_runtime_resilient, run_runtime_with_sink, AutoscalerConfig, ClassStats,
-    CloseCause, DegradeConfig, EventSink, FaultStats, HedgeConfig, LoggedEvent, NullSink,
-    Rejection, RejectionRecord, ResilienceConfig, RetryConfig, RuntimeConfig, RuntimeOutcome,
-    ScalingEvent, ServiceModel,
+    run_runtime, run_runtime_resilient, AutoscalerConfig, ClassStats, CloseCause, DegradeConfig,
+    EventSink, FaultStats, HedgeConfig, LoggedEvent, NullSink, Rejection, RejectionRecord,
+    ResilienceConfig, RetryConfig, RuntimeConfig, RuntimeOutcome, ScalingEvent, ServiceModel,
 };
 pub use sim::{dispatch_batches, percentile, BatchStat, RequestStat, SimOutcome};
 pub use telemetry::RuntimeTelemetry;
@@ -86,32 +89,6 @@ use capsacc_capsnet::{CapsNetConfig, QuantTrace, QuantizedParams};
 use capsacc_core::{timing, AcceleratorConfig, BatchScheduler};
 use capsacc_memory::MemorySubsystem;
 use capsacc_tensor::{u64_from, Tensor};
-
-/// Full configuration of one simulated serve.
-#[derive(Copy, Clone, PartialEq, Debug)]
-pub struct ServeConfig {
-    /// Number of shard-pool workers (engine replicas).
-    pub workers: usize,
-    /// Micro-batching policy.
-    pub batcher: BatcherConfig,
-    /// Synthetic arrival trace.
-    pub trace: TraceConfig,
-}
-
-impl ServeConfig {
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.workers == 0 {
-            return Err("at least one worker required".into());
-        }
-        self.batcher.validate().map_err(|e| e.to_string())?;
-        self.trace.validate()
-    }
-}
 
 /// Precomputes the closed-form cycle model for every batch size up to
 /// `max_batch`, including memory-hierarchy stalls under `cfg.memory` —
@@ -152,78 +129,17 @@ pub fn engine_service_cycles_table(
     qparams: &QuantizedParams,
     max_batch: usize,
 ) -> Vec<u64> {
-    let mut table = vec![0u64; max_batch + 1];
-    for (n, slot) in table.iter_mut().enumerate().skip(1) {
-        *slot = measure_batch_cycles(cfg, net, qparams, n);
-    }
-    table
-}
-
-/// Runs one scratch batch of `n` deterministic dummy images through a
-/// fresh scheduler and returns its measured cycle cost.
-fn measure_batch_cycles(
-    cfg: &AcceleratorConfig,
-    net: &CapsNetConfig,
-    qparams: &QuantizedParams,
-    n: usize,
-) -> u64 {
     let dummy = Tensor::from_fn(&[1, net.input_side, net.input_side], |i| {
         ((i[1] * 3 + i[2]) % 11) as f32 / 11.0
     });
-    let mut sched = BatchScheduler::new(*cfg);
-    let images = vec![dummy; n];
-    sched
-        .run(net, qparams, &images)
-        .expect("dummy batch is valid")
-        .total_cycles()
-}
-
-/// Runs the whole serving pipeline — trace → micro-batcher → worker
-/// dispatch — against the closed-form cycle model (usable at MNIST
-/// scale, where ticking the engine per request would be prohibitive).
-///
-/// Deterministic in `serve.trace.seed`: reruns are byte-identical.
-///
-/// # Panics
-///
-/// Panics if `serve` fails [`ServeConfig::validate`] or `cfg` fails
-/// [`AcceleratorConfig::validate`].
-pub fn simulate_serve(
-    cfg: &AcceleratorConfig,
-    net: &CapsNetConfig,
-    serve: &ServeConfig,
-) -> SimOutcome {
-    cfg.validate().expect("invalid accelerator configuration");
-    let table = service_cycles_table(cfg, net, serve.batcher.max_batch);
-    simulate_serve_with_table(serve, &table)
-}
-
-/// [`simulate_serve`] with an explicit `service(n)` cycle table —
-/// entry `n` is the cycle cost of a batch of `n` images, so the table
-/// must have at least `serve.batcher.max_batch + 1` entries.
-///
-/// This is how the sweep experiments serve from the *real engine*: at
-/// MNIST scale an [`engine_service_cycles_table`] built with the
-/// functional backend supplies measured [`capsacc_core::BatchRun`]
-/// cycles where the closed-form [`service_cycles_table`] was previously
-/// the only practical option — same dispatcher, same determinism,
-/// engine-backed numbers.
-///
-/// # Panics
-///
-/// Panics if `serve` fails [`ServeConfig::validate`] or the table is
-/// shorter than `max_batch + 1`.
-pub fn simulate_serve_with_table(serve: &ServeConfig, table: &[u64]) -> SimOutcome {
-    serve.validate().expect("invalid serve configuration");
-    assert!(
-        table.len() > serve.batcher.max_batch,
-        "service table has {} entries; need max_batch + 1 = {}",
-        table.len(),
-        serve.batcher.max_batch + 1
-    );
-    let arrivals = arrival_trace(&serve.trace);
-    let batches = form_batches(&arrivals, &serve.batcher);
-    dispatch_batches(&arrivals, &batches, serve.workers, &|n| table[n])
+    let mut table = vec![0u64; max_batch + 1];
+    for (n, slot) in table.iter_mut().enumerate().skip(1) {
+        *slot = BatchScheduler::new(*cfg)
+            .run(net, qparams, &vec![dummy.clone(); n])
+            .expect("dummy batch is valid")
+            .total_cycles();
+    }
+    table
 }
 
 /// Cycles an autoscaled worker spin-up spends filling its weight
@@ -234,74 +150,6 @@ pub fn simulate_serve_with_table(serve: &ServeConfig, table: &[u64]) -> SimOutco
 /// as the rest of the cycle model treats weights as resident.
 pub fn worker_warmup_cycles(cfg: &AcceleratorConfig, net: &CapsNetConfig) -> u64 {
     MemorySubsystem::new(cfg.memory).stage_weights(u64_from(net.total_parameters()))
-}
-
-/// Runs the **online** serving runtime — admission control, SLO-aware
-/// batching, priority classes, autoscaling — over a request trace,
-/// with service times from the closed-form cycle model
-/// ([`service_cycles_table`]) and autoscaler warmup from
-/// [`worker_warmup_cycles`].
-///
-/// Deterministic: reruns are byte-identical, event log included.
-///
-/// # Panics
-///
-/// Panics if `rt` fails [`RuntimeConfig::validate`], `cfg` fails
-/// [`AcceleratorConfig::validate`], or `requests` is unsorted.
-pub fn simulate_runtime(
-    cfg: &AcceleratorConfig,
-    net: &CapsNetConfig,
-    rt: &RuntimeConfig,
-    requests: &[Request],
-) -> RuntimeOutcome {
-    cfg.validate().expect("invalid accelerator configuration");
-    let table = service_cycles_table(cfg, net, rt.batcher.max_batch);
-    let warmup = worker_warmup_cycles(cfg, net);
-    simulate_runtime_with_table(rt, requests, &table, warmup)
-}
-
-/// [`simulate_runtime`] with an explicit `service(n)` cycle table and
-/// warmup cost — the engine-backed counterpart, same contract as
-/// [`simulate_serve_with_table`]: entry `n` is a batch-of-`n`'s cycle
-/// cost, table length must cover `rt.batcher.max_batch`.
-///
-/// # Panics
-///
-/// Panics if `rt` fails [`RuntimeConfig::validate`], `requests` is
-/// unsorted, or the table is shorter than `max_batch + 1`.
-pub fn simulate_runtime_with_table(
-    rt: &RuntimeConfig,
-    requests: &[Request],
-    table: &[u64],
-    warmup_cycles: u64,
-) -> RuntimeOutcome {
-    rt.validate().expect("invalid runtime configuration");
-    assert!(
-        table.len() > rt.batcher.max_batch,
-        "service table has {} entries; need max_batch + 1 = {}",
-        table.len(),
-        rt.batcher.max_batch + 1
-    );
-    run_runtime(rt, requests, &|n| table[n], warmup_cycles)
-}
-
-/// [`worker_warmup_cycles`] under a seeded [`capsacc_faults::FaultPlan`]:
-/// the respawned replica's bulk weight fill runs burst by burst through
-/// [`MemorySubsystem::stage_weights_faulted`], so DRAM transfer errors
-/// and SPM parity failures during the fill are re-charged honestly.
-/// Each respawn draws in its own burst-sequence window
-/// (`respawn_seq << 32`), so successive respawns see independent —
-/// but still seed-deterministic — fault schedules. With no memory
-/// faults in the plan this equals [`worker_warmup_cycles`] exactly.
-pub fn worker_warmup_cycles_faulted(
-    cfg: &AcceleratorConfig,
-    net: &CapsNetConfig,
-    plan: &capsacc_faults::FaultPlan,
-    respawn_seq: u64,
-) -> u64 {
-    MemorySubsystem::new(cfg.memory)
-        .stage_weights_faulted(u64_from(net.total_parameters()), plan, respawn_seq << 32)
-        .cycles
 }
 
 /// Per-degradation-level service tables: level `l` sheds routing
@@ -324,19 +172,25 @@ pub fn degraded_service_tables(
         .collect()
 }
 
-/// [`simulate_runtime`] with fault injection and recovery armed from
-/// [`RuntimeConfig::resilience`]: service times come from
-/// [`degraded_service_tables`] (graceful degradation sheds routing
-/// iterations per level), and crash-replacement warmups are staged
-/// through [`worker_warmup_cycles_faulted`] so memory-layer faults
-/// surface as honestly charged, longer spin-ups.
+/// The runtime at an accelerator design point, with fault injection
+/// and recovery armed from [`RuntimeConfig::resilience`]: service
+/// times come from [`degraded_service_tables`] (graceful degradation
+/// sheds routing iterations per level), autoscaled spin-ups pay
+/// [`worker_warmup_cycles`], and crash-replacement warmups are staged
+/// burst by burst through
+/// [`MemorySubsystem::stage_weights_faulted`], so memory-layer faults
+/// surface as honestly charged, longer spin-ups. Each respawn draws in
+/// its own burst-sequence window (`respawn_seq << 32`); with no memory
+/// faults in the plan it costs exactly [`worker_warmup_cycles`].
 ///
 /// With [`ResilienceConfig::none`] this is byte-identical to
-/// [`simulate_runtime`] — same events, same digest, same outcome.
+/// [`run_runtime`] over [`service_cycles_table`] and
+/// [`worker_warmup_cycles`] — same events, same digest, same outcome.
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`simulate_runtime`].
+/// Panics if `cfg` fails [`AcceleratorConfig::validate`], or under
+/// [`run_runtime_resilient`]'s conditions.
 pub fn simulate_runtime_resilient(
     cfg: &AcceleratorConfig,
     net: &CapsNetConfig,
@@ -349,37 +203,42 @@ pub fn simulate_runtime_resilient(
     let plan = rt.resilience.faults;
     let mem_cfg = cfg.memory;
     let param_bytes = u64_from(net.total_parameters());
-    let service = |level: u32, n: usize| {
-        let l = usize::try_from(level.min(max_level)).expect("degradation level fits usize");
-        tables[l][n]
-    };
-    let respawn = |seq: u64| {
-        MemorySubsystem::new(mem_cfg)
-            .stage_weights_faulted(param_bytes, &plan, seq << 32)
-            .cycles
-    };
     let model = ServiceModel {
-        service: &service,
-        respawn_warmup: &respawn,
+        service: Box::new(move |level, n| {
+            let l = usize::try_from(level.min(max_level)).expect("degradation level fits usize");
+            tables[l][n]
+        }),
+        respawn_warmup: Box::new(move |seq| {
+            MemorySubsystem::new(mem_cfg)
+                .stage_weights_faulted(param_bytes, &plan, seq << 32)
+                .cycles
+        }),
+        warmup_cycles: worker_warmup_cycles(cfg, net),
     };
-    let warmup = worker_warmup_cycles(cfg, net);
-    run_runtime_resilient(rt, requests, &model, warmup, &mut NullSink)
+    run_runtime_resilient(rt, requests, &model, &mut NullSink)
 }
 
-/// Runs the serving pipeline with the batches *actually executed* by a
-/// [`ShardPool`] of engine replicas on OS threads, and returns the
-/// virtual-time outcome plus every request's functional trace in
-/// request order.
+/// Serves `requests` through the runtime on the **engine's own**
+/// `BatchRun` cycle costs ([`engine_service_cycles_table`], autoscaled
+/// spin-ups charged [`worker_warmup_cycles`]), then executes the
+/// runtime's dispatch decisions on a [`ShardPool`] of engine replicas
+/// on OS threads — one replica per worker that was ever active, each
+/// running its batches in dispatch order.
 ///
-/// The dispatcher charges the **engine's own** `BatchRun` cycle costs
-/// ([`engine_service_cycles_table`]) as service times, and every batch
-/// the pool serves is asserted to cost exactly its table entry — the
-/// simulated latencies *are* engine latencies, not estimates.
+/// Every batch the pool serves is asserted to cost exactly its table
+/// entry, so the simulated latencies *are* engine latencies, not
+/// estimates. Every configuration [`RuntimeConfig::validate`] accepts
+/// is served, bounded queues, deadlines and autoscaling included. The
+/// service model is level-blind ([`ServiceModel::flat`]), so batches
+/// the degradation controller marks run, and are charged, at full
+/// quality.
 ///
-/// `image_for(r)` supplies request `r`'s input. Each returned
-/// [`QuantTrace`] is bit-exact against a fresh-accelerator sequential
-/// run of the same image — the serving generalization of the
-/// batch-equivalence invariant, pinned by `tests/serve_equivalence.rs`.
+/// Returns the runtime's outcome and one [`QuantTrace`] per
+/// [`RuntimeOutcome::served`] entry, in the same order. `image_for(r)`
+/// supplies request `r`'s input. Each trace is bit-exact against a
+/// fresh-accelerator sequential run of the same image — the serving
+/// generalization of the batch-equivalence invariant, pinned by
+/// `tests/serve_equivalence.rs`.
 ///
 /// # Errors
 ///
@@ -388,7 +247,7 @@ pub fn simulate_runtime_resilient(
 ///
 /// # Panics
 ///
-/// Panics if `serve` fails [`ServeConfig::validate`] or a served
+/// Panics under [`run_runtime_resilient`]'s conditions, or if a served
 /// batch's measured cycles diverge from the service table (which would
 /// mean batch cycles are not data-independent — a broken engine
 /// invariant).
@@ -396,45 +255,38 @@ pub fn serve_with_engine(
     cfg: &AcceleratorConfig,
     net: &CapsNetConfig,
     qparams: &QuantizedParams,
-    serve: &ServeConfig,
+    rt: &RuntimeConfig,
+    requests: &[Request],
     image_for: &dyn Fn(usize) -> Tensor<f32>,
-) -> Result<(SimOutcome, Vec<QuantTrace>), PoolError> {
-    serve.validate().expect("invalid serve configuration");
-    let arrivals = arrival_trace(&serve.trace);
-    let batches = form_batches(&arrivals, &serve.batcher);
-    // Measure only the batch sizes this trace actually formed (a
-    // saturating trace mostly produces `max_batch` plus a ragged tail):
-    // the full 1..=max_batch table would cost O(max_batch²) warm-up
-    // images for nothing.
-    let mut sizes: Vec<usize> = batches.iter().map(|b| b.len).collect();
-    sizes.sort_unstable();
-    sizes.dedup();
-    let mut table = vec![0u64; serve.batcher.max_batch + 1];
-    for n in sizes {
-        table[n] = measure_batch_cycles(cfg, net, qparams, n);
-    }
-    let outcome = dispatch_batches(&arrivals, &batches, serve.workers, &|n| table[n]);
+) -> Result<(RuntimeOutcome, Vec<QuantTrace>), PoolError> {
+    // The runtime checks `service(n) > 0` for every batch size before
+    // it starts, so it needs the whole table.
+    let table = engine_service_cycles_table(cfg, net, qparams, rt.batcher.max_batch);
+    let outcome = run_runtime(rt, requests, &|n| table[n], worker_warmup_cycles(cfg, net));
 
-    // Materialize each worker's batch list and run the pool.
-    let assignments = outcome.assignments();
+    // Each batch's request ids in slot order, then each worker's batch
+    // list as images.
+    let mut members: Vec<Vec<usize>> = outcome.sim.batches.iter().map(|b| vec![0; b.len]).collect();
+    for (stat, &request) in outcome.sim.requests.iter().zip(&outcome.served) {
+        members[stat.batch][stat.slot] = request;
+    }
+    let assignments = outcome.sim.assignments();
     let work: Vec<Vec<Vec<Tensor<f32>>>> = assignments
         .iter()
         .map(|batch_ids| {
             batch_ids
                 .iter()
-                .map(|&b| batches[b].requests().map(image_for).collect())
+                .map(|&b| members[b].iter().map(|&r| image_for(r)).collect())
                 .collect()
         })
         .collect();
-    let pool = ShardPool::new(*cfg, serve.workers);
-    let runs = pool.run_assignments(net, qparams, &work)?;
+    let runs = ShardPool::new(*cfg, assignments.len()).run_assignments(net, qparams, &work)?;
 
-    // Reassemble per-request traces into request order, checking that
-    // every measured batch cost matches what the dispatcher charged.
-    let mut traces: Vec<Option<QuantTrace>> = vec![None; arrivals.len()];
-    for (worker, batch_ids) in assignments.iter().enumerate() {
-        for (pos, &b) in batch_ids.iter().enumerate() {
-            let run = &runs[worker][pos];
+    // Check every measured batch cost against what the runtime charged,
+    // then hand each served request the trace of its batch slot.
+    let mut batch_runs = vec![None; outcome.sim.batches.len()];
+    for (worker, (worker_runs, batch_ids)) in runs.iter().zip(&assignments).enumerate() {
+        for (run, &b) in worker_runs.iter().zip(batch_ids) {
             assert_eq!(
                 run.total_cycles(),
                 table[run.batch],
@@ -442,14 +294,17 @@ pub fn serve_with_engine(
                  (batch of {} on worker {worker})",
                 run.batch
             );
-            for (slot, req) in batches[b].requests().enumerate() {
-                traces[req] = Some(run.traces[slot].clone());
-            }
+            batch_runs[b] = Some(run);
         }
     }
-    let traces = traces
-        .into_iter()
-        .map(|t| t.expect("every request served exactly once"))
+    let traces = outcome
+        .sim
+        .requests
+        .iter()
+        .map(|stat| {
+            let run = batch_runs[stat.batch].expect("every batch ran");
+            run.traces[stat.slot].clone()
+        })
         .collect();
     Ok((outcome, traces))
 }
@@ -460,28 +315,21 @@ mod tests {
     use capsacc_capsnet::CapsNetParams;
 
     #[test]
-    fn serve_config_validation_composes() {
-        let ok = ServeConfig {
-            workers: 2,
-            batcher: BatcherConfig {
-                max_batch: 4,
-                max_wait_cycles: 100,
-            },
-            trace: TraceConfig {
-                seed: 1,
-                requests: 8,
-                mean_gap_cycles: 10.0,
-                mean_burst: 1.0,
-            },
+    fn offline_preset_validation_composes() {
+        let batcher = BatcherConfig {
+            max_batch: 4,
+            max_wait_cycles: 100,
         };
-        assert!(ok.validate().is_ok());
-        assert!(ServeConfig { workers: 0, ..ok }.validate().is_err());
-        let mut bad = ok;
-        bad.batcher.max_batch = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = ok;
-        bad.trace.requests = 0;
-        assert!(bad.validate().is_err());
+        assert_eq!(RuntimeConfig::offline(2, batcher).validate(), Ok(()));
+        assert_eq!(
+            RuntimeConfig::offline(0, batcher).validate(),
+            Err(ConfigError::ZeroWorkers)
+        );
+        let empty = BatcherConfig {
+            max_batch: 0,
+            ..batcher
+        };
+        assert!(RuntimeConfig::offline(2, empty).validate().is_err());
     }
 
     #[test]
@@ -500,39 +348,47 @@ mod tests {
     #[test]
     fn engine_backed_serve_reproduces_its_own_dispatch() {
         // The pool-backed path charges the engine's measured batch
-        // costs: its outcome must equal a bare dispatch over the same
-        // trace with the engine service table, and be rerun-identical.
+        // costs: its outcome must equal a bare runtime run over the
+        // engine service table — and, under the offline preset, the
+        // offline dispatch — and be rerun-identical.
         let net = CapsNetConfig::tiny();
         let cfg = AcceleratorConfig::test_4x4();
         let qparams = CapsNetParams::generate(&net, 1).quantize(cfg.numeric);
-        let serve = ServeConfig {
-            workers: 2,
-            batcher: BatcherConfig {
+        let rt = RuntimeConfig::offline(
+            2,
+            BatcherConfig {
                 max_batch: 3,
                 max_wait_cycles: 50_000,
             },
-            trace: TraceConfig {
-                seed: 11,
-                requests: 10,
-                mean_gap_cycles: 3_000.0,
-                mean_burst: 2.0,
-            },
-        };
+        );
+        let arrivals = arrival_trace(&TraceConfig {
+            seed: 11,
+            requests: 10,
+            mean_gap_cycles: 3_000.0,
+            mean_burst: 2.0,
+        });
+        let requests: Vec<Request> = arrivals.iter().map(|&a| Request::best_effort(a)).collect();
         let image = |s: usize| {
             Tensor::from_fn(&[1, net.input_side, net.input_side], move |i| {
                 ((i[1] * (s + 2) + i[2] * 7 + s) % 11) as f32 / 11.0
             })
         };
         let (outcome, traces) =
-            serve_with_engine(&cfg, &net, &qparams, &serve, &image).expect("valid serve");
+            serve_with_engine(&cfg, &net, &qparams, &rt, &requests, &image).expect("valid serve");
         assert_eq!(traces.len(), 10);
-        let arrivals = arrival_trace(&serve.trace);
-        let batches = form_batches(&arrivals, &serve.batcher);
-        let table = engine_service_cycles_table(&cfg, &net, &qparams, serve.batcher.max_batch);
-        let bare = dispatch_batches(&arrivals, &batches, serve.workers, &|n| table[n]);
+        let table = engine_service_cycles_table(&cfg, &net, &qparams, rt.batcher.max_batch);
+        let bare = run_runtime(
+            &rt,
+            &requests,
+            &|n| table[n],
+            worker_warmup_cycles(&cfg, &net),
+        );
         assert_eq!(outcome, bare);
+        let batches = form_batches(&arrivals, &rt.batcher);
+        let offline = dispatch_batches(&arrivals, &batches, rt.workers, &|n| table[n]);
+        assert_eq!(outcome.sim, offline);
         let (again, traces_again) =
-            serve_with_engine(&cfg, &net, &qparams, &serve, &image).expect("valid serve");
+            serve_with_engine(&cfg, &net, &qparams, &rt, &requests, &image).expect("valid serve");
         assert_eq!(outcome, again);
         assert_eq!(traces, traces_again);
     }

@@ -38,9 +38,10 @@
 //! charging every spin-up an explicit weight-fill warmup in cycles —
 //! initial workers are weight-resident and pay nothing.
 //!
-//! With shedding, deadlines, priorities and autoscaling all disabled,
-//! this runtime reproduces the offline pipeline's [`SimOutcome`]
-//! bit-exactly (pinned by `tests/serve_equivalence.rs`).
+//! Under [`RuntimeConfig::offline`] — shedding, deadlines, priorities
+//! and autoscaling all disabled — this runtime reproduces the offline
+//! pipeline's [`SimOutcome`] bit-exactly (pinned by
+//! `tests/serve_equivalence.rs`).
 //!
 //! # Fault tolerance
 //!
@@ -463,17 +464,33 @@ pub struct FaultStats {
     pub wasted_cycles: u64,
 }
 
-/// The level-aware service and respawn model consumed by
+/// The level-aware service and warmup model consumed by
 /// [`run_runtime_resilient`].
 pub struct ServiceModel<'a> {
     /// `service(level, n)` = cycles to serve a batch of `n` at global
     /// degradation `level` (level 0 = full quality; must be positive
     /// and defined for every level up to the configured maximum).
-    pub service: &'a dyn Fn(u32, usize) -> u64,
+    pub service: Box<dyn Fn(u32, usize) -> u64 + 'a>,
     /// Warmup charged to the `k`-th crash-replacement worker (weights
     /// re-staged through the memory subsystem, possibly under memory
-    /// faults). Autoscaler spin-ups keep the flat `warmup_cycles`.
-    pub respawn_warmup: &'a dyn Fn(u64) -> u64,
+    /// faults).
+    pub respawn_warmup: Box<dyn Fn(u64) -> u64 + 'a>,
+    /// Warmup charged to every autoscaled spin-up; initial workers are
+    /// weight-resident and pay nothing.
+    pub warmup_cycles: u64,
+}
+
+impl<'a> ServiceModel<'a> {
+    /// A level-blind model: every degradation level is served in
+    /// `service(n)` cycles, and every spin-up — autoscaled or crash
+    /// replacement — is charged the same `warmup_cycles`.
+    pub fn flat(service: impl Fn(usize) -> u64 + 'a, warmup_cycles: u64) -> Self {
+        ServiceModel {
+            service: Box::new(move |_, n| service(n)),
+            respawn_warmup: Box::new(move |_| warmup_cycles),
+            warmup_cycles,
+        }
+    }
 }
 
 /// Full configuration of the online runtime.
@@ -500,6 +517,23 @@ pub struct RuntimeConfig {
 }
 
 impl RuntimeConfig {
+    /// The offline pipeline's semantics: unbounded queue, no deadlines,
+    /// no autoscaler, no event log and [`ResilienceConfig::none`].
+    /// Under it the runtime reproduces
+    /// [`crate::form_batches`] + [`crate::dispatch_batches`] bit-exactly
+    /// (pinned by `tests/serve_equivalence.rs`).
+    pub fn offline(workers: usize, batcher: BatcherConfig) -> Self {
+        RuntimeConfig {
+            workers,
+            batcher,
+            queue_capacity: None,
+            deadline_aware: false,
+            autoscaler: None,
+            record_events: false,
+            resilience: ResilienceConfig::none(),
+        }
+    }
+
     /// Validates the configuration.
     ///
     /// # Errors
@@ -972,7 +1006,6 @@ struct Runtime<'a> {
     cfg: &'a RuntimeConfig,
     requests: &'a [Request],
     model: &'a ServiceModel<'a>,
-    warmup: u64,
 
     heap: BinaryHeap<Reverse<Ev>>,
     workers: Vec<Worker>,
@@ -1693,7 +1726,7 @@ impl<'a> Runtime<'a> {
         if queued > a.scale_up_queue_per_worker.saturating_mul(active) && active < a.max_workers {
             let worker = self.workers.len();
             let ready_at = now
-                .checked_add(self.warmup)
+                .checked_add(self.model.warmup_cycles)
                 .expect("warmup overflows u64: virtual time out of range");
             self.workers.push(Worker {
                 free_at: ready_at,
@@ -1765,67 +1798,45 @@ impl<'a> Runtime<'a> {
 /// Runs the online runtime over a sorted request trace with `service(n)`
 /// cycles per batch of `n`, charging `warmup_cycles` to every
 /// autoscaled spin-up (initial workers are weight-resident and pay
-/// nothing).
+/// nothing): [`run_runtime_resilient`] over [`ServiceModel::flat`],
+/// with no observer.
 ///
 /// Deterministic: reruns are byte-identical, including the event log
 /// and its digest.
 ///
 /// # Panics
 ///
-/// Panics if the configuration fails [`RuntimeConfig::validate`], the
-/// trace is unsorted or exceeds [`VIRTUAL_TIME_HORIZON`], the warmup
-/// exceeds the horizon, or `service` returns zero cycles for a
-/// non-empty batch.
+/// Panics under [`run_runtime_resilient`]'s conditions.
 pub fn run_runtime(
     cfg: &RuntimeConfig,
     requests: &[Request],
     service: &dyn Fn(usize) -> u64,
     warmup_cycles: u64,
 ) -> RuntimeOutcome {
-    run_runtime_with_sink(cfg, requests, service, warmup_cycles, &mut NullSink)
+    let model = ServiceModel::flat(service, warmup_cycles);
+    run_runtime_resilient(cfg, requests, &model, &mut NullSink)
 }
 
-/// [`run_runtime`] with a streaming [`EventSink`] observing every
-/// logged event as it happens.
+/// The one general way into serving: runs the online runtime over a
+/// sorted request trace. Service and warmup times come from `model`,
+/// [`RuntimeConfig::resilience`] arms fault injection and recovery,
+/// and `sink` observes every logged event as it happens.
 ///
 /// The sink is purely an observer: for any sink, the returned
 /// [`RuntimeOutcome`] — including [`RuntimeOutcome::event_digest`] —
-/// is byte-identical to a [`run_runtime`] call with the same inputs
+/// is byte-identical to a [`NullSink`] run with the same inputs
 /// (pinned by `tests/telemetry_equivalence.rs`).
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`run_runtime`].
-pub fn run_runtime_with_sink(
-    cfg: &RuntimeConfig,
-    requests: &[Request],
-    service: &dyn Fn(usize) -> u64,
-    warmup_cycles: u64,
-    sink: &mut dyn EventSink,
-) -> RuntimeOutcome {
-    let model = ServiceModel {
-        service: &|_, n| service(n),
-        respawn_warmup: &|_| warmup_cycles,
-    };
-    run_runtime_resilient(cfg, requests, &model, warmup_cycles, sink)
-}
-
-/// The fault-tolerant generalization: a level-aware [`ServiceModel`]
-/// replaces the flat service table, and
-/// [`RuntimeConfig::resilience`] arms fault injection and recovery.
-/// With [`ResilienceConfig::none`] and a level-ignoring model this is
-/// byte-identical to [`run_runtime`] — same events, same digest, same
-/// outcome.
-///
-/// # Panics
-///
-/// Panics under [`run_runtime`]'s conditions, or if the model returns
-/// zero service cycles for any configured degradation level.
+/// Panics if the configuration fails [`RuntimeConfig::validate`], the
+/// trace is unsorted or exceeds [`VIRTUAL_TIME_HORIZON`], the model's
+/// warmup exceeds the horizon, or the model returns zero service
+/// cycles for a non-empty batch at any configured degradation level.
 pub fn run_runtime_resilient(
     cfg: &RuntimeConfig,
     requests: &[Request],
     model: &ServiceModel,
-    warmup_cycles: u64,
     sink: &mut dyn EventSink,
 ) -> RuntimeOutcome {
     cfg.validate().expect("invalid runtime configuration");
@@ -1839,7 +1850,7 @@ pub fn run_runtime_resilient(
         "request coordinates must fit under the virtual-time horizon"
     );
     assert!(
-        warmup_cycles <= VIRTUAL_TIME_HORIZON,
+        model.warmup_cycles <= VIRTUAL_TIME_HORIZON,
         "warmup exceeds the virtual-time horizon"
     );
     let max_level = cfg.resilience.degrade.map_or(0, |d| d.max_level);
@@ -1857,7 +1868,6 @@ pub fn run_runtime_resilient(
         cfg,
         requests,
         model,
-        warmup: warmup_cycles,
         heap: BinaryHeap::new(),
         workers: (0..cfg.workers)
             .map(|_| Worker {
@@ -2008,7 +2018,7 @@ pub fn run_runtime_resilient(
         close_causes,
         scaling: rt.scaling,
         class_stats: rt.class_stats,
-        warmup_cycles,
+        warmup_cycles: model.warmup_cycles,
         total_requests: requests.len(),
         event_digest: rt.digest,
         events: rt.events,
@@ -2027,18 +2037,13 @@ mod tests {
     }
 
     fn anchor_cfg(workers: usize, max_batch: usize, max_wait: u64) -> RuntimeConfig {
-        RuntimeConfig {
+        RuntimeConfig::offline(
             workers,
-            batcher: BatcherConfig {
+            BatcherConfig {
                 max_batch,
                 max_wait_cycles: max_wait,
             },
-            queue_capacity: None,
-            deadline_aware: false,
-            autoscaler: None,
-            record_events: false,
-            resilience: ResilienceConfig::none(),
-        }
+        )
     }
 
     #[test]

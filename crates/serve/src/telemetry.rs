@@ -3,7 +3,7 @@
 //! metrics on a [`capsacc_telemetry::Recorder`].
 //!
 //! [`RuntimeTelemetry`] is an [`EventSink`] handed to
-//! [`crate::run_runtime_with_sink`]. It is a pure observer — the
+//! [`crate::run_runtime_resilient`]. It is a pure observer — the
 //! runtime's outcome and event digest are byte-identical with or
 //! without it (pinned by `tests/telemetry_equivalence.rs`) — that
 //! builds, entirely from the event stream plus the request trace it
@@ -505,7 +505,9 @@ impl EventSink for RuntimeTelemetry {
 mod tests {
     use super::*;
     use crate::batcher::BatcherConfig;
-    use crate::runtime::{run_runtime, run_runtime_with_sink, ResilienceConfig, RuntimeConfig};
+    use crate::runtime::{
+        run_runtime, run_runtime_resilient, ResilienceConfig, RuntimeConfig, ServiceModel,
+    };
 
     fn flat_service(n: usize) -> u64 {
         100 + 10 * n as u64
@@ -544,7 +546,12 @@ mod tests {
         let cfg = cfg();
         let plain = run_runtime(&cfg, &requests, &flat_service, 0);
         let mut sink = RuntimeTelemetry::new(&requests, 500);
-        let observed = run_runtime_with_sink(&cfg, &requests, &flat_service, 0, &mut sink);
+        let observed = run_runtime_resilient(
+            &cfg,
+            &requests,
+            &ServiceModel::flat(flat_service, 0),
+            &mut sink,
+        );
         assert_eq!(plain, observed);
         assert_eq!(plain.event_digest, observed.event_digest);
     }
@@ -554,7 +561,12 @@ mod tests {
         let requests = trace(30);
         let cfg = cfg();
         let mut sink = RuntimeTelemetry::new(&requests, 500);
-        let out = run_runtime_with_sink(&cfg, &requests, &flat_service, 0, &mut sink);
+        let out = run_runtime_resilient(
+            &cfg,
+            &requests,
+            &ServiceModel::flat(flat_service, 0),
+            &mut sink,
+        );
         let rec = sink.finish();
         let mut served: Vec<u64> = rec
             .spans()
@@ -588,7 +600,12 @@ mod tests {
         let requests = trace(40);
         let cfg = cfg();
         let mut sink = RuntimeTelemetry::new(&requests, 400);
-        let out = run_runtime_with_sink(&cfg, &requests, &flat_service, 0, &mut sink);
+        let out = run_runtime_resilient(
+            &cfg,
+            &requests,
+            &ServiceModel::flat(flat_service, 0),
+            &mut sink,
+        );
         let rec = sink.finish();
         let depth = rec.metrics().gauge("serve.queue_depth");
         assert!(!depth.is_empty());
@@ -636,7 +653,12 @@ mod tests {
             resilience: ResilienceConfig::none(),
         };
         let mut sink = RuntimeTelemetry::new(&requests, 100);
-        run_runtime_with_sink(&cfg, &requests, &flat_service, 0, &mut sink);
+        run_runtime_resilient(
+            &cfg,
+            &requests,
+            &ServiceModel::flat(flat_service, 0),
+            &mut sink,
+        );
         let rec = sink.finish();
         assert_eq!(rec.metrics().counter("serve.rejected.shed_priority"), 1);
         let served: Vec<u64> = rec

@@ -9,7 +9,10 @@ use capsacc::gpu::GpuModel;
 use capsacc::memory::{MemoryConfig, MemoryMode, MemorySubsystem, PrefetchPipeline, SpmKind};
 use capsacc::mnist::{SyntheticMnist, WeightGen};
 use capsacc::power::PowerModel;
-use capsacc::serve::{simulate_serve, BatcherConfig, ServeConfig, ShardPool, TraceConfig};
+use capsacc::serve::{
+    arrival_trace, simulate_runtime_resilient, BatcherConfig, Request, RuntimeConfig, ShardPool,
+    TraceConfig,
+};
 use capsacc::tensor::{ConvGeometry, Tensor};
 
 #[test]
@@ -75,26 +78,30 @@ fn reexport_paths_resolve_and_interoperate() {
     );
 
     // serve ← core + capsnet + tensor
-    let serve_cfg = ServeConfig {
-        workers: 2,
-        batcher: BatcherConfig {
+    let rt = RuntimeConfig::offline(
+        2,
+        BatcherConfig {
             max_batch: 8,
             max_wait_cycles: 50_000,
         },
-        trace: TraceConfig {
-            seed: 3,
-            requests: 32,
-            mean_gap_cycles: 5_000.0,
-            mean_burst: 2.0,
-        },
-    };
-    let outcome = simulate_serve(
+    );
+    let requests: Vec<Request> = arrival_trace(&TraceConfig {
+        seed: 3,
+        requests: 32,
+        mean_gap_cycles: 5_000.0,
+        mean_burst: 2.0,
+    })
+    .into_iter()
+    .map(Request::best_effort)
+    .collect();
+    let outcome = simulate_runtime_resilient(
         &AcceleratorConfig::paper(),
         &CapsNetConfig::mnist(),
-        &serve_cfg,
+        &rt,
+        &requests,
     );
-    assert_eq!(outcome.requests.len(), 32);
-    let [p50, p95, p99] = outcome.latency_percentiles();
+    assert_eq!(outcome.served.len(), 32);
+    let [p50, p95, p99] = outcome.sim.latency_percentiles();
     assert!(p50 <= p95 && p95 <= p99);
     assert_eq!(ShardPool::new(acc_cfg, 2).workers(), 2);
 

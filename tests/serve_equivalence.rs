@@ -10,8 +10,8 @@ use capsacc::capsnet::{CapsNetConfig, CapsNetParams};
 use capsacc::core::{timing, Accelerator, AcceleratorConfig, BatchScheduler, EngineBackend};
 use capsacc::serve::{
     arrival_trace, dispatch_batches, engine_service_cycles_table, form_batches, run_runtime,
-    serve_with_engine, service_cycles_table, simulate_runtime, simulate_serve, BatcherConfig,
-    Request, ResilienceConfig, RuntimeConfig, ServeConfig, ShardPool, TraceConfig,
+    serve_with_engine, service_cycles_table, simulate_runtime_resilient, AutoscalerConfig,
+    BatcherConfig, Request, RuntimeConfig, RuntimeOutcome, ScalingEvent, ShardPool, TraceConfig,
 };
 use capsacc::tensor::Tensor;
 use proptest::prelude::*;
@@ -19,20 +19,30 @@ use proptest::prelude::*;
 mod common;
 use common::image_for;
 
-fn tiny_serve(seed: u64, requests: usize, workers: usize, max_batch: usize) -> ServeConfig {
-    ServeConfig {
+/// A bursty best-effort trace of `requests` arrivals. At the tiny
+/// scale a batch takes 5.7k-16k cycles, so a 2,000-cycle gap keeps a
+/// few workers busy and a 600-cycle gap overloads them.
+fn tiny_requests(seed: u64, requests: usize, mean_gap_cycles: f64) -> Vec<Request> {
+    arrival_trace(&TraceConfig {
+        seed,
+        requests,
+        mean_gap_cycles,
+        mean_burst: 3.0,
+    })
+    .into_iter()
+    .map(Request::best_effort)
+    .collect()
+}
+
+/// The offline preset at the tiny scale's batching policy.
+fn tiny_runtime(workers: usize, max_batch: usize) -> RuntimeConfig {
+    RuntimeConfig::offline(
         workers,
-        batcher: BatcherConfig {
+        BatcherConfig {
             max_batch,
             max_wait_cycles: 10_000,
         },
-        trace: TraceConfig {
-            seed,
-            requests,
-            mean_gap_cycles: 2_000.0,
-            mean_burst: 3.0,
-        },
-    }
+    )
 }
 
 #[test]
@@ -43,13 +53,20 @@ fn shard_pool_traces_are_bit_exact_vs_sequential_runs() {
     let net = CapsNetConfig::tiny();
     let cfg = AcceleratorConfig::test_4x4();
     let qparams = CapsNetParams::generate(&net, 0).quantize(cfg.numeric);
-    let serve = tiny_serve(42, 17, 4, 3);
     let image = |r: usize| image_for(&net, r);
-    let (outcome, traces) =
-        serve_with_engine(&cfg, &net, &qparams, &serve, &image).expect("valid serve");
+    let (outcome, traces) = serve_with_engine(
+        &cfg,
+        &net,
+        &qparams,
+        &tiny_runtime(4, 3),
+        &tiny_requests(42, 17, 2_000.0),
+        &image,
+    )
+    .expect("valid serve");
     assert_eq!(traces.len(), 17);
     // Real fan-out happened: several workers actually served batches.
     let active = outcome
+        .sim
         .worker_busy_cycles
         .iter()
         .filter(|&&c| c > 0)
@@ -139,11 +156,14 @@ fn engine_service_cycles_table_holds_at_mnist_scale() {
             run.batch
         );
     }
-    // The dispatcher charges those same cycles end to end.
-    let serve = tiny_serve(3, 6, 2, 2);
-    let arrivals = arrival_trace(&serve.trace);
-    let batches = form_batches(&arrivals, &serve.batcher);
-    let out = dispatch_batches(&arrivals, &batches, serve.workers, &|n| table[n]);
+    // The runtime charges those same cycles end to end.
+    let out = run_runtime(
+        &tiny_runtime(2, 2),
+        &tiny_requests(3, 6, 2_000.0),
+        &|n| table[n],
+        0,
+    )
+    .sim;
     for r in &out.requests {
         assert_eq!(r.service_cycles(), table[out.batches[r.batch].len]);
     }
@@ -154,18 +174,18 @@ fn serving_outcome_is_deterministic_across_reruns() {
     let net = CapsNetConfig::tiny();
     let cfg = AcceleratorConfig::test_4x4();
     let qparams = CapsNetParams::generate(&net, 1).quantize(cfg.numeric);
-    let serve = tiny_serve(7, 11, 3, 4);
+    let (rt, requests) = (tiny_runtime(3, 4), tiny_requests(7, 11, 2_000.0));
     let image = |r: usize| image_for(&net, r);
     let (out1, traces1) =
-        serve_with_engine(&cfg, &net, &qparams, &serve, &image).expect("valid serve");
+        serve_with_engine(&cfg, &net, &qparams, &rt, &requests, &image).expect("valid serve");
     let (out2, traces2) =
-        serve_with_engine(&cfg, &net, &qparams, &serve, &image).expect("valid serve");
+        serve_with_engine(&cfg, &net, &qparams, &rt, &requests, &image).expect("valid serve");
     assert_eq!(out1, out2, "virtual-time outcome must be rerun-identical");
     assert_eq!(traces1, traces2, "traces must be rerun-identical");
     // The closed-form-only simulation is deterministic too.
     assert_eq!(
-        simulate_serve(&cfg, &net, &serve),
-        simulate_serve(&cfg, &net, &serve)
+        simulate_runtime_resilient(&cfg, &net, &rt, &requests),
+        simulate_runtime_resilient(&cfg, &net, &rt, &requests)
     );
 }
 
@@ -175,21 +195,24 @@ fn worker_scaling_reaches_three_x_at_mnist_scale() {
     // saturating trace shape: 4 workers ≥ 3× the throughput of 1.
     let cfg = AcceleratorConfig::paper();
     let net = CapsNetConfig::mnist();
+    let requests: Vec<Request> = arrival_trace(&TraceConfig {
+        seed: 7,
+        requests: 256,
+        mean_gap_cycles: 2_000.0,
+        mean_burst: 4.0,
+    })
+    .into_iter()
+    .map(Request::best_effort)
+    .collect();
     let at = |workers: usize| {
-        let serve = ServeConfig {
-            workers,
-            batcher: BatcherConfig {
-                max_batch: 16,
-                max_wait_cycles: 10_000,
-            },
-            trace: TraceConfig {
-                seed: 7,
-                requests: 256,
-                mean_gap_cycles: 2_000.0,
-                mean_burst: 4.0,
-            },
+        let batcher = BatcherConfig {
+            max_batch: 16,
+            max_wait_cycles: 10_000,
         };
-        simulate_serve(&cfg, &net, &serve).throughput_per_cycle()
+        let rt = RuntimeConfig::offline(workers, batcher);
+        simulate_runtime_resilient(&cfg, &net, &rt, &requests)
+            .sim
+            .throughput_per_cycle()
     };
     let (t1, t4) = (at(1), at(4));
     assert!(
@@ -198,46 +221,79 @@ fn worker_scaling_reaches_three_x_at_mnist_scale() {
     );
 }
 
+/// Serves `requests` through the engine-backed runtime at the tiny
+/// scale and checks the pool's side of the contract: one replica per
+/// worker the runtime ever had, and one trace per served request,
+/// bit-identical to a fresh sequential run of the same image.
+fn serve_checked(rt: &RuntimeConfig, requests: &[Request], seed: u64) -> RuntimeOutcome {
+    let net = CapsNetConfig::tiny();
+    let cfg = AcceleratorConfig::test_4x4();
+    let qparams = CapsNetParams::generate(&net, seed).quantize(cfg.numeric);
+    let image = |r: usize| image_for(&net, r + seed as usize);
+    let (outcome, traces) =
+        serve_with_engine(&cfg, &net, &qparams, rt, requests, &image).expect("valid serve");
+    assert_eq!(
+        outcome.served.len() + outcome.rejections.len(),
+        requests.len()
+    );
+    assert_eq!(traces.len(), outcome.served.len());
+    let spawned = outcome
+        .scaling
+        .iter()
+        .filter(|s| matches!(s, ScalingEvent::Up { .. }))
+        .count();
+    assert_eq!(outcome.sim.worker_busy_cycles.len(), rt.workers + spawned);
+    for (trace, &r) in traces.iter().zip(&outcome.served) {
+        let single = Accelerator::new(cfg).run_inference(&net, &qparams, &image(r));
+        assert_eq!(&single.trace, trace, "request {r} diverged");
+    }
+    outcome
+}
+
+/// Grows a tiny pool whenever more than one request per worker waits.
+fn eager_autoscaler() -> AutoscalerConfig {
+    AutoscalerConfig {
+        min_workers: 1,
+        max_workers: 3,
+        scale_up_queue_per_worker: 1,
+        scale_down_idle_cycles: 20_000,
+        eval_period_cycles: 2_000,
+    }
+}
+
+#[test]
+fn engine_backed_serve_sheds_and_autoscales() {
+    // One worker behind a 4-deep queue, flooded: the queue sheds, the
+    // autoscaler grows the pool to three replicas, and the pool still
+    // executes exactly the runtime's decisions.
+    let mut rt = tiny_runtime(1, 3);
+    rt.queue_capacity = Some(4);
+    rt.autoscaler = Some(eager_autoscaler());
+    let out = serve_checked(&rt, &tiny_requests(5, 14, 600.0), 5);
+    assert!(out.shed_count() > 0, "the bounded queue never shed");
+    assert_eq!(out.sim.worker_busy_cycles.len(), 3);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random serving configurations: the pool-backed serve always
-    /// produces per-request traces bit-identical to sequential runs,
-    /// and its virtual-time outcome equals the closed-form simulation.
+    /// Random serving configurations, bounded queues and autoscaling
+    /// included: the shard pool executes the runtime's dispatch
+    /// decisions and every served request's trace stays bit-exact.
     #[test]
     fn random_serves_stay_bit_exact(
         seed in 0u64..500,
         requests in 1usize..12,
         workers in 1usize..4,
         max_batch in 1usize..4,
+        bounded in any::<bool>(),
+        capacity in 2usize..6,
+        autoscale in any::<bool>(),
     ) {
-        let net = CapsNetConfig::tiny();
-        let cfg = AcceleratorConfig::test_4x4();
-        let qparams = CapsNetParams::generate(&net, seed).quantize(cfg.numeric);
-        let serve = tiny_serve(seed, requests, workers, max_batch);
-        let image = |r: usize| image_for(&net, r + seed as usize);
-        let (outcome, traces) =
-            serve_with_engine(&cfg, &net, &qparams, &serve, &image).expect("valid serve");
-        prop_assert_eq!(outcome.requests.len(), requests);
-        for (r, trace) in traces.iter().enumerate() {
-            let mut acc = Accelerator::new(cfg);
-            let single = acc.run_inference(&net, &qparams, &image_for(&net, r + seed as usize));
-            prop_assert_eq!(&single.trace, trace, "request {} diverged", r);
-        }
-    }
-}
-
-/// The online runtime restricted to the offline pipeline's semantics:
-/// unbounded queue, no deadlines, one priority class, autoscaling off.
-fn anchored_runtime(batcher: BatcherConfig, workers: usize) -> RuntimeConfig {
-    RuntimeConfig {
-        workers,
-        batcher,
-        queue_capacity: None,
-        deadline_aware: false,
-        autoscaler: None,
-        record_events: false,
-        resilience: ResilienceConfig::none(),
+        let mut rt = tiny_runtime(workers, max_batch);
+        rt.queue_capacity = bounded.then_some(capacity);
+        rt.autoscaler = autoscale.then(eager_autoscaler);
+        serve_checked(&rt, &tiny_requests(seed, requests, 600.0), seed);
     }
 }
 
@@ -269,22 +325,26 @@ fn online_runtime_reproduces_offline_pipeline_exactly() {
             workers,
             &service,
         );
-        let online = run_runtime(&anchored_runtime(batcher, workers), &requests, &service, 0);
+        let online = run_runtime(
+            &RuntimeConfig::offline(workers, batcher),
+            &requests,
+            &service,
+            0,
+        );
         assert_eq!(online.sim, offline, "anchor broken at {workers} workers");
         assert_eq!(online.served.len(), requests.len());
         assert!(online.rejections.is_empty());
         assert!(online.scaling.is_empty());
     }
-    // And through the closed-form glue at the accelerator design point.
+    // And the closed-form preset at the accelerator design point.
     let cfg = AcceleratorConfig::paper();
     let net = CapsNetConfig::mnist();
-    let serve = ServeConfig {
-        workers: 2,
-        batcher,
-        trace,
-    };
-    let offline = simulate_serve(&cfg, &net, &serve);
-    let online = simulate_runtime(&cfg, &net, &anchored_runtime(batcher, 2), &requests);
+    let table = service_cycles_table(&cfg, &net, batcher.max_batch);
+    let offline = dispatch_batches(&arrivals, &form_batches(&arrivals, &batcher), 2, &|n| {
+        table[n]
+    });
+    let online =
+        simulate_runtime_resilient(&cfg, &net, &RuntimeConfig::offline(2, batcher), &requests);
     assert_eq!(online.sim, offline);
 }
 
@@ -314,7 +374,7 @@ proptest! {
             workers,
             &service,
         );
-        let online = run_runtime(&anchored_runtime(batcher, workers), &requests, &service, 0);
+        let online = run_runtime(&RuntimeConfig::offline(workers, batcher), &requests, &service, 0);
         prop_assert_eq!(&online.sim, &offline);
         prop_assert!(online.rejections.is_empty());
     }

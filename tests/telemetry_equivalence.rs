@@ -14,7 +14,7 @@
 //! - Host knobs: the span tree is a function of the *simulated*
 //!   machine only — thread counts and backends change nothing about
 //!   the recorded spans.
-//! - Serve: `run_runtime_with_sink` with a [`RuntimeTelemetry`]
+//! - Serve: `run_runtime_resilient` with a [`RuntimeTelemetry`]
 //!   observer produces a `RuntimeOutcome` (including the FNV event
 //!   digest) identical to `run_runtime`'s, across workload regimes and
 //!   runtime configurations, with and without `record_events`.
@@ -25,9 +25,9 @@ use capsacc::core::{
     FunctionalOptions, MemoryConfig, SpanDetail, TelemetryConfig, TraceLevel, TRACK_ENGINE,
 };
 use capsacc::serve::{
-    run_runtime, run_runtime_with_sink, service_cycles_table, worker_warmup_cycles, workload_trace,
+    run_runtime, run_runtime_resilient, service_cycles_table, worker_warmup_cycles, workload_trace,
     ArrivalRegime, AutoscalerConfig, BatcherConfig, ClassConfig, NullSink, ResilienceConfig,
-    RuntimeConfig, RuntimeTelemetry, WorkloadConfig,
+    RuntimeConfig, RuntimeTelemetry, ServiceModel, WorkloadConfig,
 };
 use capsacc::tensor::Tensor;
 use proptest::prelude::*;
@@ -221,12 +221,12 @@ proptest! {
         rt.record_events = record_events;
 
         let want = run_runtime(&rt, &requests, &service, warmup);
-        let with_null =
-            run_runtime_with_sink(&rt, &requests, &service, warmup, &mut NullSink);
+        let model = ServiceModel::flat(service, warmup);
+        let with_null = run_runtime_resilient(&rt, &requests, &model, &mut NullSink);
         prop_assert_eq!(&with_null, &want, "NullSink must be run_runtime");
 
         let mut sink = RuntimeTelemetry::new(&requests, 4 * table[8]);
-        let got = run_runtime_with_sink(&rt, &requests, &service, warmup, &mut sink);
+        let got = run_runtime_resilient(&rt, &requests, &model, &mut sink);
         prop_assert_eq!(&got, &want, "telemetry sink perturbed the outcome");
         prop_assert_eq!(got.event_digest, want.event_digest);
 
