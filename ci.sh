@@ -35,6 +35,20 @@ run cargo bench -p capsacc-bench --no-run
 # build and test it here, so a change to a crate's public API cannot
 # break the benchmark while CI stays green.
 run cargo test --release -q --manifest-path perfbench/Cargo.toml
+# Benchmark smoke runs: each workload once, briefly. perfbench checks
+# its own outputs (infer_q8 bit-exactness of the paper-scale SIMD path,
+# pool-b4 serving every request, serve-faults conservation) but always
+# exits 0, so the step reads the verdict from the last stdout line.
+for workload in mnist-b16 mnist-b1 pool-b4 serve-faults; do
+    echo
+    echo "==> perfbench --workload $workload --seconds 1 --trace 0"
+    verdict=$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace 0 | tail -n 1)
+    if ! grep -Eq '^\{"correct": true, "attempted": [0-9]+, "failed": 0,' <<<"$verdict"; then
+        echo "perfbench $workload failed its output checks: ${verdict:0:200}" >&2
+        exit 1
+    fi
+done
 # Batched-serving smoke run: validates run_batch bit-exactness at the
 # tiny scale and refreshes BENCH_batch.json so the perf trajectory of
 # the batch path is recorded with every CI run.

@@ -66,13 +66,26 @@ impl ActivationUnit {
     /// [`ActivationKind::Softmax`] — those operate on whole vectors via
     /// [`squash`](Self::squash) and [`softmax`](Self::softmax).
     pub fn reduce(&self, acc_raw: i64, shift: u32, kind: ActivationKind) -> i8 {
-        let v = requantize(acc_raw, shift);
-        match kind {
-            ActivationKind::Relu => v.max(0),
-            ActivationKind::Identity => v,
-            ActivationKind::Squash | ActivationKind::Softmax => {
-                panic!("vector activations use squash()/softmax()")
-            }
+        Self::reducer(shift, kind)(acc_raw)
+    }
+
+    /// [`reduce`](Self::reduce) with `shift` and `kind` fixed — a drain
+    /// resolves them once per tile instead of once per element.
+    ///
+    /// # Panics
+    ///
+    /// The returned function panics on the vector kinds, like `reduce`:
+    /// when it reduces an element, so a drain with no elements (`K ==
+    /// 0`) does not.
+    pub(crate) fn reducer(shift: u32, kind: ActivationKind) -> impl Fn(i64) -> i8 {
+        let floor = match kind {
+            ActivationKind::Relu => Some(0),
+            ActivationKind::Identity => Some(i8::MIN),
+            ActivationKind::Squash | ActivationKind::Softmax => None,
+        };
+        move |acc_raw| {
+            let floor = floor.expect("vector activations use squash()/softmax()");
+            requantize(acc_raw, shift).max(floor)
         }
     }
 

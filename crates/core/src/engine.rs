@@ -116,11 +116,12 @@ pub struct Accelerator {
     pub(crate) activation_cycles: u64,
     pub(crate) memory_stall_cycles: u64,
     pub(crate) accumulator_saturations: u64,
-    // Seeded transient-fault injection at the accumulator drain. The
-    // drain op counter advances in the (n_tile, image, column, row)
-    // order both backends share, so a given plan hits the identical
-    // ops ticked or functional; with no engine faults in the plan the
-    // counter never advances and the hook is an inert early-return.
+    // Seeded transient-fault injection at the accumulator drain. Drain
+    // ops are numbered in (n_tile, image, column, row) order: the
+    // ticked drain walks that order, the functional drain computes
+    // each element's number, so a given plan hits the identical ops
+    // on both backends. With no engine faults in the plan the counter
+    // never advances and no draw is taken.
     pub(crate) fault_plan: FaultPlan,
     pub(crate) fault_op_seq: u64,
     pub(crate) fault_flips: u64,
@@ -137,11 +138,17 @@ pub struct Accelerator {
 }
 
 /// Reshapes a `[patches, out_ch]` matmul result into the `[out_ch, oh,
-/// ow]` layout the next layer consumes.
+/// ow]` layout the next layer consumes: a plain transpose.
 pub(crate) fn to_chw(mn: &Tensor<i8>, g: &capsacc_tensor::ConvGeometry) -> Tensor<i8> {
-    Tensor::from_fn(&[g.out_ch, g.out_h(), g.out_w()], |i| {
-        mn[[i[1] * g.out_w() + i[2], i[0]]]
-    })
+    let patches = g.out_h() * g.out_w();
+    let mut chw = Tensor::zeros(&[g.out_ch, g.out_h(), g.out_w()]);
+    let out = chw.data_mut();
+    for (p, row) in mn.data().chunks_exact(g.out_ch).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            out[c * patches + p] = v;
+        }
+    }
+    chw
 }
 
 /// Everything the routing-by-agreement phase produces for one image —
@@ -215,15 +222,12 @@ impl Accelerator {
         self.fault_masked
     }
 
-    /// Applies the armed fault plan to one drained accumulator word,
-    /// advancing the shared op counter. Inert when the plan carries no
-    /// engine faults.
-    fn apply_acc_fault(&mut self, raw: i64) -> i64 {
-        if !self.fault_plan.has_engine_faults() {
-            return raw;
-        }
-        let seq = self.fault_op_seq;
-        self.fault_op_seq += 1;
+    /// Applies the armed fault plan's draw for drain op `seq` to one
+    /// drained accumulator word. `FaultPlan::acc_bitflip` is a
+    /// stateless function of the sequence number, so callers may visit
+    /// ops in any order; they advance `fault_op_seq` themselves, and
+    /// only when the plan carries engine faults.
+    fn acc_fault(&mut self, seq: u64, raw: i64) -> i64 {
         let Some(bit) = self.fault_plan.acc_bitflip(seq) else {
             return raw;
         };
@@ -554,7 +558,9 @@ impl Accelerator {
                 }
             }
 
-            // Drain through the activation units, image by image.
+            // Drain through the activation units, image by image,
+            // numbering fault draws in walk order.
+            let faults = self.fault_plan.has_engine_faults();
             for (img, (image_accs, out)) in accs.iter_mut().zip(outs.iter_mut()).enumerate() {
                 self.rec
                     .begin_arg(SpanDetail::Tiles, "drain", "img", u64_from(img));
@@ -565,7 +571,13 @@ impl Accelerator {
                     self.accumulator_saturations += events;
                     let b = bias.map_or(0i64, |b| i64::from(b[n0 + c]));
                     for (mi, raw) in acc.drain().into_iter().enumerate() {
-                        let raw = self.apply_acc_fault(raw);
+                        let raw = if faults {
+                            let seq = self.fault_op_seq;
+                            self.fault_op_seq += 1;
+                            self.acc_fault(seq, raw)
+                        } else {
+                            raw
+                        };
                         out[mi * n + n0 + c] = self.activation.reduce(raw + b, shift, kind);
                     }
                 }
@@ -598,8 +610,9 @@ impl Accelerator {
     ///   elsewhere) is bit-identical to any other evaluation order.
     ///   Taller tiles (arrays over 1023 rows) take the literal per-step
     ///   `mac_step` fold (`kernel::RowKernel::MacSerial`). Zero
-    ///   operands contribute +0 to an in-range psum, so the scalar
-    ///   kernels' skipping of zero data cannot change either fold.
+    ///   operands contribute +0 to an in-range psum, so the zero-data
+    ///   skip of the scalar fold on multi-column tiles (one-column
+    ///   tiles fold densely) cannot change either fold.
     /// - **K-tile accumulation.** [`AccumulatorUnit`] saturates each
     ///   fold (`sat(acc + tile_psum)`) and counts an event when the
     ///   clamp engages; the flat per-(image, row, column) accumulators
@@ -629,8 +642,19 @@ impl Accelerator {
     ///   N-tile revisit), and each N-tile's K-tiles are packed directly
     ///   into the layout their kernel reads (`kernel::TileBuf`).
     ///   Traffic is charged per tile from the same formulas either
-    ///   way, and the drain writes outputs in the ticked path's
-    ///   (n_tile, image, column, row) order, so fault draws line up.
+    ///   way.
+    /// - **Drain and fault draws.** The drain writes each (image, row)'s
+    ///   `nt` outputs as one contiguous run, not in the ticked walk's
+    ///   (image, column, row) order. Fault draws still line up: the
+    ///   ticked walk gives the element at (image, column, row) of an
+    ///   N-tile drain op `base + (image·nt + column)·rows + row`, with
+    ///   `base` the op counter at the N-tile's start and `rows` the
+    ///   drained row count (`M`, or 0 when `K == 0`). The functional
+    ///   drain computes that number per element and then advances the
+    ///   counter by `batch·nt·rows`; `FaultPlan::acc_bitflip` is a
+    ///   stateless function of the number, so the draws are the ticked
+    ///   path's. Each element's reduction is unchanged, so output
+    ///   order cannot change any output.
     #[allow(clippy::too_many_arguments)]
     fn matmul_batch_functional(
         &mut self,
@@ -723,6 +747,7 @@ impl Accelerator {
                     total_rows,
                     &mut st.acc,
                     &mut st.events,
+                    &mut st.lanes,
                 );
             } else {
                 let rows_per = total_rows.div_ceil(threads);
@@ -743,6 +768,7 @@ impl Accelerator {
                                     ev_chunk.len(),
                                     acc_chunk,
                                     ev_chunk,
+                                    &mut kernel::Lanes::default(),
                                 );
                             })
                         })
@@ -754,31 +780,48 @@ impl Accelerator {
             }
             sweep_ns += watch.elapsed_ns();
 
-            // Drain through the activation units, image by image —
-            // the same sequence (and activation-cycle charge) as the
-            // ticked drain above. With `k == 0` no K-tile ever ran, so
-            // like the ticked path's empty accumulator FIFOs nothing
-            // is written (in particular, no bias-only outputs), but
-            // the per-image drain charge is still paid.
+            // Drain through the activation units: per image, the ticked
+            // drain's span and activation-cycle charge; within it, each
+            // row's `nt` outputs as one contiguous run, every fault draw
+            // numbered as the ticked walk numbers it (see the exactness
+            // notes above). With `k == 0` no K-tile ever ran, so like
+            // the ticked path's empty accumulator FIFOs nothing is
+            // written (in particular, no bias-only outputs), but the
+            // per-image drain charge is still paid.
             let drained_rows = if k == 0 { 0 } else { m };
+            let faults = self.fault_plan.has_engine_faults();
+            let base = self.fault_op_seq;
+            st.bias.clear();
+            st.bias
+                .extend((n0..n0 + nt).map(|c| bias.map_or(0, |b| i64::from(b[c]))));
+            let reduce = ActivationUnit::reducer(shift, kind);
             for (img, out) in outs.iter_mut().enumerate() {
                 self.rec
                     .begin_arg(SpanDetail::Tiles, "drain", "img", u64_from(img));
                 let events: u64 = st.events[img * m..img * m + m].iter().sum();
                 saturations[img] += events;
                 self.accumulator_saturations += events;
-                let out = out.data_mut();
-                for c in 0..nt {
-                    let b = bias.map_or(0i64, |b| i64::from(b[n0 + c]));
-                    for mi in 0..drained_rows {
-                        let raw = self.apply_acc_fault(st.acc[(img * m + mi) * nt + c]);
-                        out[mi * n + n0 + c] = self.activation.reduce(raw + b, shift, kind);
+                let accs = st.acc[img * m * nt..][..drained_rows * nt].chunks_exact(nt);
+                let rows = out.data_mut().chunks_exact_mut(n).zip(accs);
+                for (mi, (row_out, row_acc)) in rows.enumerate() {
+                    let elems = row_out[n0..n0 + nt].iter_mut().zip(row_acc).zip(&st.bias);
+                    for (c, ((o, &raw), &b)) in elems.enumerate() {
+                        let raw = if faults {
+                            let seq = base + u64_from((img * nt + c) * drained_rows + mi);
+                            self.acc_fault(seq, raw)
+                        } else {
+                            raw
+                        };
+                        *o = reduce(raw + b);
                     }
                 }
                 let drain_cycles = ActivationUnit::reduce_cycles(u64_from(m));
                 self.activation_cycles += drain_cycles;
                 self.rec.advance(CycleKind::Activation, drain_cycles);
                 self.rec.end(SpanDetail::Tiles);
+            }
+            if faults {
+                self.fault_op_seq += u64_from(outs.len() * nt * drained_rows);
             }
         }
         self.staging = st;
@@ -1383,28 +1426,28 @@ mod tests {
     fn degenerate_zero_k_matmul_matches_ticked() {
         // k == 0 means no K-tile ever runs: the ticked path's FIFOs
         // drain empty, so outputs stay zero even with a bias. The
-        // functional drain must mirror that, not write bias-only rows.
+        // functional drain must mirror that, not write bias-only rows,
+        // and, with no element to reduce, must not reject the vector
+        // kinds either.
         let bias = vec![1024i32; 4];
-        let run = |backend| {
+        let run = |backend, kind| {
             let mut cfg = AcceleratorConfig::test_4x4();
             cfg.backend = backend;
             let mut acc = Accelerator::new(cfg);
-            let out = acc.matmul(
-                &|_, _| 7,
-                &|_, _| 7,
-                3,
-                0,
-                4,
-                Some(&bias),
-                6,
-                ActivationKind::Identity,
-            );
+            let out = acc.matmul(&|_, _| 7, &|_, _| 7, 3, 0, 4, Some(&bias), 6, kind);
             (out, acc.array_cycles(), acc.activation_cycles())
         };
-        let ticked = run(crate::EngineBackend::Ticked);
-        let functional = run(crate::EngineBackend::Functional);
-        assert_eq!(functional, ticked);
-        assert!(ticked.0.data().iter().all(|&v| v == 0));
+        for kind in [
+            ActivationKind::Identity,
+            ActivationKind::Relu,
+            ActivationKind::Squash,
+            ActivationKind::Softmax,
+        ] {
+            let ticked = run(crate::EngineBackend::Ticked, kind);
+            let functional = run(crate::EngineBackend::Functional, kind);
+            assert_eq!(functional, ticked, "{kind:?}");
+            assert!(ticked.0.data().iter().all(|&v| v == 0), "{kind:?}");
+        }
     }
 
     #[test]

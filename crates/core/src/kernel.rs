@@ -14,8 +14,9 @@
 //!
 //! - For tiles of `kt ≤ EXACT_FOLD_MAX_KT` rows the in-tile fold
 //!   provably never clips, so it equals the exact `i32` dot product and
-//!   is order-free — the scalar fold (which skips zero data) and the
-//!   dense vector sweeps are bit-identical.
+//!   is order-free — the scalar fold (a dense dot product on one-column
+//!   tiles, skipping zero data on wider ones) and the dense vector
+//!   sweeps are bit-identical.
 //! - K-tile folding saturates per tile boundary. Starting from `acc =
 //!   0`, the first fold's raw value is `0 + psum = psum`, which is what
 //!   `AccumulatorUnit::push_new` stores (its clamp provably never
@@ -37,7 +38,12 @@
 //! Staging lives here too: [`TileBuf`] packs each N-tile's K-tiles
 //! straight from the engine's weight view into the one layout their
 //! kernel reads, and [`Staging`] holds every host buffer a matmul
-//! needs, so the accelerator reuses them from matmul to matmul.
+//! needs — the sweep's scratch lanes included — so the accelerator
+//! reuses them from matmul to matmul and a serial sweep allocates
+//! nothing.
+
+use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 use crate::accumulator::AccumulatorUnit;
 use crate::config::{FunctionalOptions, SimdMode};
@@ -66,9 +72,10 @@ pub(crate) enum RowKernel {
     /// Dense 16-lane sweep over pair-interleaved weights: AVX-512/VNNI
     /// `vpdpwssd` where the host has it, AVX2 `pmaddwd` otherwise.
     Simd,
-    /// Scalar fold of any width, skipping zero data elements: N-tiles
-    /// narrower than 16 lanes, every tile when SIMD is off, and the
-    /// short tiles of an N-tile that also holds a tall one.
+    /// Scalar fold of any width: N-tiles narrower than 16 lanes, every
+    /// tile when SIMD is off, and the short tiles of an N-tile that
+    /// also holds a tall one. One-column tiles fold as a dense dot
+    /// product; wider tiles skip zero data elements.
     General,
     /// Literal per-step [`Pe::mac_step`] saturating chain — the only
     /// correct evaluation once a tile is tall enough to clip in-tile.
@@ -242,10 +249,22 @@ impl TileBuf {
     }
 }
 
+/// Scratch of one row sweep: the SIMD sweep's `i32` accumulator and
+/// clip-event lanes, and the scalar fold's per-tile psums. [`Staging`]
+/// keeps the serial sweep's set; each parallel row worker grows its
+/// own.
+#[derive(Default)]
+pub(crate) struct Lanes {
+    acc32: Vec<i32>,
+    ev32: Vec<i32>,
+    psums: Vec<i32>,
+}
+
 /// The functional backend's reusable host buffers: the data panel (and
-/// its widened copy), the current N-tile's staged weights, and its
-/// accumulator and clip-event lanes. The accelerator owns one, lends it
-/// to every matmul, and drops it at each layer boundary of a batch run.
+/// its widened copy), the current N-tile's staged weights, its
+/// accumulator and clip-event lanes, its bias row, and the serial
+/// sweep's scratch. The accelerator owns one, lends it to every matmul,
+/// and drops it at each layer boundary of a batch run.
 #[derive(Default)]
 pub(crate) struct Staging {
     /// Row-major `batch·M × K` data panel.
@@ -259,6 +278,11 @@ pub(crate) struct Staging {
     pub acc: Vec<i64>,
     /// Per-row clip-event counts of the current N-tile.
     pub events: Vec<u64>,
+    /// The current N-tile's bias per column (zeros without a bias),
+    /// read by the drain.
+    pub bias: Vec<i64>,
+    /// Scratch of the serial row sweep.
+    pub lanes: Lanes,
 }
 
 impl Staging {
@@ -326,15 +350,23 @@ pub(crate) fn effective_threads(requested: usize, total_rows: usize, k: usize, n
             if macs < AUTO_MIN_MACS {
                 1
             } else {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-                    .min(total_rows)
+                host_threads().min(total_rows)
             }
         }
         1 => 1,
         t => t.min(total_rows),
     }
+}
+
+/// The host's available parallelism, queried once per process: on
+/// Linux every query re-reads the cgroup quota files.
+fn host_threads() -> usize {
+    static HOST_THREADS: OnceLock<usize> = OnceLock::new();
+    *HOST_THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// The saturating K-tile fold step shared by the scalar kernels:
@@ -351,7 +383,8 @@ fn fold_scalar(acc: &mut i64, psum: i64, events: &mut u64) {
 /// Processes rows `ri0 .. ri0 + nrows` (global panel indices) of one
 /// N-tile through every staged K-tile in tile order, writing final
 /// 25-bit accumulator values to `acc` (`nrows × nt`, pre-zeroed) and
-/// per-row clip-event counts to `row_events` (`nrows`).
+/// per-row clip-event counts to `row_events` (`nrows`). `lanes` is the
+/// sweep's scratch, grown on first use and reused after.
 ///
 /// This is the unit the engine partitions across threads: rows are
 /// independent, each row's fold chain runs here in full, so the
@@ -367,6 +400,7 @@ pub(crate) fn process_rows(
     nrows: usize,
     acc: &mut [i64],
     row_events: &mut [u64],
+    lanes: &mut Lanes,
 ) {
     let nt = tiles.nt();
     debug_assert_eq!(acc.len(), nrows * nt);
@@ -380,20 +414,24 @@ pub(crate) fn process_rows(
             panel.len(),
             "SIMD tiles need the widened panel (`Staging::widen_panel_for_tiles`)"
         );
-        avx2::sweep_rows(k, tiles, panel_wide, ri0, nrows, acc, row_events);
+        avx2::sweep_rows(k, tiles, panel_wide, ri0, nrows, acc, row_events, lanes);
         return;
     }
-    let mut scratch = vec![0i32; nt];
+    lanes.psums.resize(nt, 0);
     for r in 0..nrows {
         let row = &panel[(ri0 + r) * k..(ri0 + r) * k + k];
-        row_events[r] = row_general(tiles, row, &mut acc[r * nt..(r + 1) * nt], &mut scratch);
+        row_events[r] = row_general(tiles, row, &mut acc[r * nt..(r + 1) * nt], &mut lanes.psums);
     }
 }
 
-/// General one-row path: every scalar tile ([`RowKernel::General`],
-/// skipping zero data — `saturate(x + 0) = x`, so skipping is exact)
+/// General one-row path: every scalar tile ([`RowKernel::General`])
 /// and tall tiles ([`RowKernel::MacSerial`]). Accumulators live in the
 /// `acc` slice; `scratch` holds one tile's psums.
+///
+/// A one-column tile is a dense contiguous dot product. Wider scalar
+/// tiles skip zero data (`saturate(x + 0) = x`, so skipping is exact):
+/// PrimaryCaps reads sparse ReLU output, so there the skip pays for its
+/// data-dependent branch; on a single column it never does.
 fn row_general(tiles: &TileBuf, row: &[i8], acc: &mut [i64], scratch: &mut [i32]) -> u64 {
     let nt = tiles.nt();
     let mut ev = 0u64;
@@ -413,6 +451,13 @@ fn row_general(tiles: &TileBuf, row: &[i8], acc: &mut [i64], scratch: &mut [i32]
                 }
                 fold_scalar(a, psum, &mut ev);
             }
+        } else if nt == 1 {
+            let psum: i32 = drow
+                .iter()
+                .zip(w)
+                .map(|(&d, &w)| i32::from(d) * i32::from(w))
+                .sum();
+            fold_scalar(&mut acc[0], i64::from(psum), &mut ev);
         } else {
             let psums = &mut scratch[..nt];
             psums.fill(0);
@@ -443,7 +488,7 @@ fn row_general(tiles: &TileBuf, row: &[i8], acc: &mut [i64], scratch: &mut [i32]
 // lint:allow(unsafe-containment, the crate-level deny is re-allowed only here: runtime-feature-gated SIMD intrinsics with SAFETY-commented call sites)
 #[allow(unsafe_code)]
 mod avx2 {
-    use super::{KTile, TileBuf, WVec, LANES};
+    use super::{KTile, Lanes, TileBuf, WVec, LANES};
     use std::arch::x86_64::{
         __m256i, _mm256_add_epi32, _mm256_cmpeq_epi32, _mm256_load_si256, _mm256_loadu_si256,
         _mm256_madd_epi16, _mm256_max_epi32, _mm256_min_epi32, _mm256_set1_epi32,
@@ -472,6 +517,7 @@ mod avx2 {
     /// each adjacent element pair is then one little-endian `i32`, so
     /// the kernel broadcasts a data pair with a single memory-operand
     /// `vpbroadcastd` instead of a scalar widen/shift/or chain.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn sweep_rows(
         k: usize,
         tiles: &TileBuf,
@@ -480,11 +526,12 @@ mod avx2 {
         nrows: usize,
         acc: &mut [i64],
         row_events: &mut [u64],
+        lanes: &mut Lanes,
     ) {
         if avx512_available() {
-            sweep_rows_avx512(k, tiles, panel_wide, ri0, nrows, acc, row_events);
+            sweep_rows_avx512(k, tiles, panel_wide, ri0, nrows, acc, row_events, lanes);
         } else {
-            sweep_rows_avx2(k, tiles, panel_wide, ri0, nrows, acc, row_events);
+            sweep_rows_avx2(k, tiles, panel_wide, ri0, nrows, acc, row_events, lanes);
         }
     }
 
@@ -494,6 +541,7 @@ mod avx2 {
     /// event counts resident across every K-tile — the per-tile fold
     /// never touches memory. Same fold per element in the same tile
     /// order as the AVX2 body: bit-identical.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn sweep_rows_avx512(
         k: usize,
         tiles: &TileBuf,
@@ -502,12 +550,13 @@ mod avx2 {
         nrows: usize,
         acc: &mut [i64],
         row_events: &mut [u64],
+        lanes: &mut Lanes,
     ) {
         assert!(
             avx512_available(),
             "AVX-512 sweep on a host without avx512f/bw/vnni"
         );
-        in_lanes(nrows, acc, row_events, |acc32, ev32| {
+        in_lanes(nrows, acc, row_events, lanes, |acc32, ev32| {
             // SAFETY: the `avx512*`/`avx512vnni` features were
             // runtime-detected just above.
             unsafe { sweep_dense_512(k, tiles, panel_wide, ri0, nrows, acc32, ev32) }
@@ -520,6 +569,7 @@ mod avx2 {
     /// counts live in `i32` lane buffers and are folded in place at
     /// each tile — the fold order per element is still tile-ascending,
     /// identical to the serial chain.
+    #[allow(clippy::too_many_arguments)]
     pub(super) fn sweep_rows_avx2(
         k: usize,
         tiles: &TileBuf,
@@ -528,12 +578,13 @@ mod avx2 {
         nrows: usize,
         acc: &mut [i64],
         row_events: &mut [u64],
+        lanes: &mut Lanes,
     ) {
         assert!(
             std::arch::is_x86_feature_detected!("avx2"),
             "AVX2 sweep on a host without avx2"
         );
-        in_lanes(nrows, acc, row_events, |acc32, ev32| {
+        in_lanes(nrows, acc, row_events, lanes, |acc32, ev32| {
             for t in tiles.tiles() {
                 // SAFETY: `avx2` was runtime-detected just above.
                 unsafe { tile_sweep(t, tiles.inter(t), panel_wide, k, ri0, nrows, acc32, ev32) };
@@ -542,20 +593,24 @@ mod avx2 {
     }
 
     /// Runs `sweep` over zeroed `i32` accumulator and clip-event lanes
-    /// for `nrows` rows, then widens each row's final lanes into `acc`
-    /// and sums its clip events into `row_events`.
+    /// for `nrows` rows (held in `lanes`), then widens each row's final
+    /// lanes into `acc` and sums its clip events into `row_events`.
     fn in_lanes(
         nrows: usize,
         acc: &mut [i64],
         row_events: &mut [u64],
+        lanes: &mut Lanes,
         sweep: impl FnOnce(&mut [i32], &mut [i32]),
     ) {
-        let mut acc32 = vec![0i32; nrows * LANES];
-        let mut ev32 = vec![0i32; nrows * LANES];
-        sweep(&mut acc32, &mut ev32);
+        let Lanes { acc32, ev32, .. } = lanes;
+        for buf in [&mut *acc32, &mut *ev32] {
+            buf.clear();
+            buf.resize(nrows * LANES, 0);
+        }
+        sweep(acc32, ev32);
         for r in 0..nrows {
-            let lanes = &acc32[r * LANES..(r + 1) * LANES];
-            for (a, &v) in acc[r * LANES..(r + 1) * LANES].iter_mut().zip(lanes) {
+            let row = &acc32[r * LANES..(r + 1) * LANES];
+            for (a, &v) in acc[r * LANES..(r + 1) * LANES].iter_mut().zip(row) {
                 *a = i64::from(v);
             }
             row_events[r] = ev32[r * LANES..(r + 1) * LANES]
@@ -1051,7 +1106,7 @@ mod tests {
 
         let tiles = stage(RowKernel::Simd);
         let wide: Vec<i16> = panel.iter().map(|&d| i16::from(d)).collect();
-        type Body = fn(usize, &TileBuf, &[i16], usize, usize, &mut [i64], &mut [u64]);
+        type Body = fn(usize, &TileBuf, &[i16], usize, usize, &mut [i64], &mut [u64], &mut Lanes);
         let bodies: [(&str, bool, Body); 2] = [
             ("avx2", true, avx2::sweep_rows_avx2),
             ("avx512", avx2::avx512_available(), avx2::sweep_rows_avx512),
@@ -1059,7 +1114,16 @@ mod tests {
         for (name, _, sweep) in bodies.iter().filter(|b| b.1) {
             let mut acc_simd = vec![0i64; rows * LANES];
             let mut ev_simd = vec![0u64; rows];
-            sweep(k, &tiles, &wide, 0, rows, &mut acc_simd, &mut ev_simd);
+            sweep(
+                k,
+                &tiles,
+                &wide,
+                0,
+                rows,
+                &mut acc_simd,
+                &mut ev_simd,
+                &mut Lanes::default(),
+            );
             assert_eq!(acc_simd, acc_ref, "{name} accumulators");
             assert_eq!(ev_simd, ev_ref, "{name} clip events");
         }

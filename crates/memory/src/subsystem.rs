@@ -190,6 +190,13 @@ pub struct StageOutcome {
     pub spm_restages: u64,
 }
 
+/// Distinct matmul geometries whose replay outcome
+/// [`MemorySubsystem::matmul`] remembers. A network issues three per
+/// batch size (Conv1, PrimaryCaps, the ClassCaps FC) plus two shared
+/// ones (routing's Sum and Update run per image, at batch 1), so a
+/// serving worker that sees a few batch sizes keeps every one of them.
+const REPLAY_MEMO: usize = 16;
+
 /// The three scratchpads, the DRAM channel and the prefetcher, driven
 /// through the same tile schedule by both the cycle-accurate engine and
 /// the closed-form timing model — which is what makes the two agree
@@ -199,6 +206,9 @@ pub struct MemorySubsystem {
     cfg: MemoryConfig,
     pipeline: PrefetchPipeline,
     report: MemReport,
+    /// The last replayed geometries with the stall and counter delta
+    /// each replay produced, oldest first.
+    replays: Vec<(MatmulGeometry, u64, MemReport)>,
 }
 
 impl MemorySubsystem {
@@ -212,6 +222,7 @@ impl MemorySubsystem {
         Self {
             pipeline: PrefetchPipeline::new(cfg.prefetch_buffers),
             report: MemReport::default(),
+            replays: Vec::new(),
             cfg,
         }
     }
@@ -235,7 +246,32 @@ impl MemorySubsystem {
     /// The prefetcher timeline restarts per matmul: the first tile of
     /// every stream pays its DRAM fill cold, subsequent fills overlap
     /// the previous tiles' compute.
+    ///
+    /// So a replay's stall and counter delta are a function of the
+    /// geometry (and the configuration) alone: nothing else touches the
+    /// prefetcher, and every counter is a plain sum. The subsystem
+    /// therefore replays each geometry once and remembers the outcome
+    /// of the last 16 distinct geometries it replayed (`REPLAY_MEMO`,
+    /// oldest evicted first); a repeat charges the remembered delta
+    /// with [`MemReport::merge`], which leaves the stall and every
+    /// counter exactly where a fresh replay would (the ClassCaps FC
+    /// issues ~1.2k identical calls per batch).
     pub fn matmul(&mut self, g: &MatmulGeometry) -> u64 {
+        if let Some((_, stall, delta)) = self.replays.iter().find(|(seen, ..)| seen == g) {
+            self.report.merge(delta);
+            return *stall;
+        }
+        let before = self.report;
+        let stall = self.replay(g);
+        if self.replays.len() == REPLAY_MEMO {
+            self.replays.remove(0);
+        }
+        self.replays.push((*g, stall, self.report.since(&before)));
+        stall
+    }
+
+    /// Walks one matmul's whole tile schedule through the hierarchy.
+    fn replay(&mut self, g: &MatmulGeometry) -> u64 {
         self.pipeline.begin_stream();
         let kk = g.k.div_ceil(g.rows.max(1));
         let mut stalls = 0u64;
@@ -745,6 +781,66 @@ mod tests {
             r.stall_cycles,
             r.bank_stall_cycles + r.prefetch_stall_cycles
         );
+    }
+
+    #[test]
+    fn remembered_replays_equal_fresh_replays() {
+        // Interleaved repeats, off-chip and on-chip operands, two batch
+        // sizes: a memo hit must charge exactly what a fresh subsystem
+        // replaying that one call charges, call by call, and the
+        // recorded counters and histograms must not see the memo.
+        use capsacc_telemetry::{SpanDetail, TelemetryConfig};
+        let a = MatmulGeometry {
+            rows: 16,
+            cols: 16,
+            ..geometry(3, 70, 40, 1, true)
+        };
+        let b = MatmulGeometry { batch: 4, ..a };
+        let c = geometry(1, 40, 16, 2, false);
+        let calls = [a, a, b, a, c, c, b];
+        let telemetry = TelemetryConfig {
+            detail: SpanDetail::Phases,
+            host_timing: false,
+        };
+        for cfg in [MemoryConfig::paper(), MemoryConfig::ideal()] {
+            let mut mem = MemorySubsystem::new(cfg);
+            let mut recorded = MemorySubsystem::new(cfg);
+            let mut rec = Recorder::new(telemetry);
+            let mut fresh_rec = Recorder::new(telemetry);
+            let mut fresh_total = MemReport::default();
+            for g in &calls {
+                let mut fresh = MemorySubsystem::new(cfg);
+                let want = fresh.matmul(g);
+                assert_eq!(mem.matmul(g), want, "{g:?}");
+                assert_eq!(recorded.matmul_recorded(g, &mut rec), want);
+                MemorySubsystem::new(cfg).matmul_recorded(g, &mut fresh_rec);
+                fresh_total.merge(&fresh.report());
+            }
+            assert_eq!(mem.report(), fresh_total);
+            assert_eq!(recorded.report(), fresh_total);
+            assert_eq!(rec.metrics(), fresh_rec.metrics());
+            if !cfg.is_ideal() {
+                assert!(fresh_total.stall_cycles > 0, "paper memory must stall");
+            }
+        }
+    }
+
+    #[test]
+    fn replay_memo_stays_exact_past_its_capacity() {
+        // More distinct geometries than the memo holds, then a revisit
+        // of evicted and kept ones: the memo stays bounded, and every
+        // call charges exactly what a fresh replay does.
+        let cfg = MemoryConfig::paper();
+        let mut mem = MemorySubsystem::new(cfg);
+        let mut want = MemReport::default();
+        for n in (1..=REPLAY_MEMO + 2).chain([1, 2, REPLAY_MEMO + 2]) {
+            let g = geometry(2, 9, n, 1, true);
+            let mut fresh = MemorySubsystem::new(cfg);
+            assert_eq!(mem.matmul(&g), fresh.matmul(&g), "n = {n}");
+            want.merge(&fresh.report());
+            assert!(mem.replays.len() <= REPLAY_MEMO);
+        }
+        assert_eq!(mem.report(), want);
     }
 
     proptest! {
