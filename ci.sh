@@ -28,8 +28,6 @@ run cargo test --workspace -q
 for example in quickstart cycle_accurate_validation mnist_full_system design_space synthetic_digits; do
     run cargo run --release -q --example "$example"
 done
-# Benches are excluded from `cargo test`; make sure they still compile.
-run cargo bench -p capsacc-bench --no-run
 # The end-to-end benchmark (perfbench/) is a workspace of its own, so
 # the workspace build, test and clippy runs above never compile it:
 # build and test it here, so a change to a crate's public API cannot
@@ -88,9 +86,9 @@ run cargo run --release -q -p capsacc-bench --bin exp_faults
 # the functional backend clears the 10x wall-clock bound over ticked
 # and the parallel+SIMD batch path clears 5x over the PR 5 functional
 # baseline (98.20 ms/image) — both asserted on median host times;
-# refreshes BENCH_engine.json (reps/min/median per row — the
-# wall-clock perf trajectory; its host-time fields vary run to run by
-# design).
+# refreshes BENCH_engine.json, which keeps only the deterministic
+# fields (configuration, reps, simulated cycles and ms per row) and is
+# diffed below.
 run cargo run --release -q -p capsacc-bench --bin exp_engine_speed
 # Telemetry smoke run: asserts recording is invisible (instrumented
 # BatchRun/RuntimeOutcome + event digest == recording-off runs), span
@@ -100,9 +98,8 @@ run cargo run --release -q -p capsacc-bench --bin exp_engine_speed
 # set exactly once; writes the gitignored PROFILE_* artifacts only.
 run cargo run --release -q -p capsacc-bench --bin exp_profile
 # The deterministic BENCH files must regenerate byte-identically (and
-# exp_profile must not have touched them). BENCH_engine.json is
-# excluded: its host-time fields vary run to run by design.
-run git diff --exit-code -- BENCH_batch.json BENCH_mem.json BENCH_serve.json BENCH_faults.json LINT_report.json
+# exp_profile must not have touched them).
+run git diff --exit-code -- BENCH_batch.json BENCH_mem.json BENCH_serve.json BENCH_faults.json BENCH_engine.json LINT_report.json
 RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps
 
 echo

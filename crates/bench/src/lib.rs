@@ -1,10 +1,7 @@
 //! # capsacc-bench — the experiment harness
 //!
 //! One binary per table/figure of the paper's evaluation (run with
-//! `cargo run -p capsacc-bench --bin exp_<id>`), plus Criterion
-//! microbenchmarks of the library itself (`cargo bench`). See
-//! EXPERIMENTS.md at the workspace root for the paper-vs-measured
-//! record.
+//! `cargo run -p capsacc-bench --bin exp_<id>`).
 //!
 //! This library holds the shared harness utilities: fixed-width table
 //! printing, time formatting, the speedup labelling used by the

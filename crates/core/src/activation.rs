@@ -2,7 +2,6 @@
 //! Softmax, with the cycle costs stated in Sec. IV-C.
 
 use capsacc_capsnet::QuantPipeline;
-use capsacc_fixed::requantize;
 
 /// Which function the activation unit's output multiplexer selects.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -72,6 +71,13 @@ impl ActivationUnit {
     /// [`reduce`](Self::reduce) with `shift` and `kind` fixed — a drain
     /// resolves them once per tile instead of once per element.
     ///
+    /// The reduction is one clamp of the rounded shift,
+    /// `(raw + ((1 << shift) >> 1)) >> shift`, to `[floor, 127]` with
+    /// `floor` 0 for ReLU and −128 for Identity — equal to
+    /// `requantize(raw, shift).max(floor)` (pinned by
+    /// `reducer_equals_requantize_then_floor`), and free of
+    /// data-dependent branches.
+    ///
     /// # Panics
     ///
     /// The returned function panics on the vector kinds, like `reduce`:
@@ -80,12 +86,15 @@ impl ActivationUnit {
     pub(crate) fn reducer(shift: u32, kind: ActivationKind) -> impl Fn(i64) -> i8 {
         let floor = match kind {
             ActivationKind::Relu => Some(0),
-            ActivationKind::Identity => Some(i8::MIN),
+            ActivationKind::Identity => Some(i64::from(i8::MIN)),
             ActivationKind::Squash | ActivationKind::Softmax => None,
         };
+        let half = (1i64 << shift) >> 1;
         move |acc_raw| {
             let floor = floor.expect("vector activations use squash()/softmax()");
-            requantize(acc_raw, shift).max(floor)
+            let rounded = (acc_raw + half) >> shift;
+            // In `[floor, 127] ⊂ i8` after the clamp.
+            rounded.max(floor).min(i64::from(i8::MAX)) as i8
         }
     }
 
@@ -137,7 +146,7 @@ impl ActivationUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use capsacc_fixed::NumericConfig;
+    use capsacc_fixed::{requantize, NumericConfig};
 
     fn unit() -> ActivationUnit {
         ActivationUnit::new(QuantPipeline::new(NumericConfig::default()))
@@ -171,6 +180,40 @@ mod tests {
         let u = unit();
         let l = [0i8, 16, -16, 32];
         assert_eq!(u.softmax(&l), u.pipeline().softmax(&l));
+    }
+
+    /// The branch-free drain reduction equals requantization followed
+    /// by the activation floor, for every shift the numeric formats
+    /// use, on the accumulator's ±2^24 range ends, on rounding ties and
+    /// on both sides of the 127/−128 saturation edges.
+    #[test]
+    fn reducer_equals_requantize_then_floor() {
+        for shift in 0..=24u32 {
+            let unit = 1i64 << shift;
+            let half = unit >> 1;
+            let mut raws = vec![0, 1, -1, 1 << 24, -(1 << 24), (1 << 24) - 1];
+            for code in [-129i64, -128, -127, -1, 0, 1, 126, 127, 128] {
+                let at = code * unit;
+                // The code itself, its rounding ties and their
+                // neighbours.
+                raws.extend([at - 1, at, at + 1, at + half - 1, at + half, at - half]);
+            }
+            for kind in [ActivationKind::Relu, ActivationKind::Identity] {
+                let floor = if kind == ActivationKind::Relu {
+                    0
+                } else {
+                    i8::MIN
+                };
+                let reduce = ActivationUnit::reducer(shift, kind);
+                for &raw in &raws {
+                    assert_eq!(
+                        reduce(raw),
+                        requantize(raw, shift).max(floor),
+                        "shift {shift}, raw {raw}, {kind:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

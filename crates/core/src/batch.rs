@@ -440,49 +440,49 @@ impl Accelerator {
         // all images' capsule vectors stream against it — the batch
         // generalization of the paper's weight reuse, and the biggest
         // ClassCaps win (the FC weights are read once per *batch*).
+        // The capsules' matmuls share one geometry, so they run as one
+        // group: capsule `cap` reads its vector `cap·in_dim` into each
+        // image's capsules and its `[class][e][d]` block `cap·block`
+        // into `w_class` (output column `class·out_dim + e`, unit
+        // stride along `d`), and writes row `cap` of each image's û.
         // Like routing's Sum/Update steps, FC counts array cycles only
         // (+ memory stalls via the layer delta): mask the matmuls'
         // activation-drain charges so the span equals the step.
         self.rec.begin(SpanDetail::Phases, "fc");
         self.rec.suppress(CycleKind::Activation);
         let c0 = self.array.cycles();
-        let mut u_hats: Vec<Tensor<i8>> = (0..batch)
-            .map(|_| Tensor::zeros(&[in_caps, classes, out_dim]))
-            .collect();
         let caps_src: Vec<&[i8]> = capsules.iter().map(Tensor::data).collect();
         let dims: Vec<usize> = (0..in_dim).collect();
-        let block = classes * out_dim * in_dim;
-        for cap in 0..in_caps {
-            let (fc, fc_sats) = self.matmul_batch_inner(
-                // One data row per image: input capsule `cap`'s vector.
-                DataView {
-                    src: &caps_src,
-                    rows: &[cap * in_dim],
-                    cols: &dims,
-                },
-                // Capsule `cap`'s `W_ij` block, `[class][e][d]`: output
-                // column `class·out_dim + e`, unit-stride along `d`.
-                WeightView {
-                    src: &qparams.w_class.data()[cap * block..],
-                    ks: 1,
-                    ns: in_dim,
-                },
-                classes * out_dim,
-                None,
-                ncfg.mac_shift(),
-                ActivationKind::Identity,
-                true,
-            );
-            for (img, row) in fc.iter().enumerate() {
-                u_hats[img].data_mut()[cap * classes * out_dim..(cap + 1) * classes * out_dim]
-                    .copy_from_slice(row.data());
-            }
-            for (s, sat) in stats.iter_mut().zip(&fc_sats) {
-                s.saturations += sat;
-            }
-        }
-        for s in stats.iter_mut() {
+        let (fc, fc_sats) = self.matmul_group(
+            DataView {
+                src: &caps_src,
+                rows: &[0],
+                cols: &dims,
+            },
+            in_dim,
+            WeightView {
+                src: qparams.w_class.data(),
+                ks: 1,
+                ns: in_dim,
+            },
+            classes * out_dim * in_dim,
+            in_caps,
+            classes * out_dim,
+            None,
+            ncfg.mac_shift(),
+            ActivationKind::Identity,
+            true,
+        );
+        let u_hats: Vec<Tensor<i8>> = fc
+            .into_iter()
+            .map(|u| {
+                u.reshape(&[in_caps, classes, out_dim])
+                    .expect("one FC output row per input capsule")
+            })
+            .collect();
+        for (s, sat) in stats.iter_mut().zip(&fc_sats) {
             s.macs += u64_from(in_caps * classes * out_dim * in_dim);
+            s.saturations += sat;
         }
         self.rec.unsuppress(CycleKind::Activation);
         self.rec.end(SpanDetail::Phases);

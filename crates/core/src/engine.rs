@@ -21,10 +21,11 @@
 //! the per-column saturating fold the PE datapath performs
 //! ([`Pe::mac_step`](crate::Pe::mac_step) in fixed north→south order —
 //! in parallel across data rows and with explicit SIMD when the host
-//! supports it, see [`crate::FunctionalOptions`]) and charges the exact
-//! per-tile cycle counts the ticked schedule executes — bit-identical
-//! results and accounting at wall-clock speed (differentially pinned by
-//! `tests/backend_equivalence.rs`).
+//! supports it, see [`crate::FunctionalOptions`]) and charges each
+//! matmul the exact cycles, traffic and stalls the ticked schedule
+//! executes, priced once per matmul geometry (`MatmulCharge`) —
+//! bit-identical results and accounting at wall-clock speed
+//! (differentially pinned by `tests/backend_equivalence.rs`).
 
 use capsacc_capsnet::{
     primary_capsules, CapsNetConfig, QuantPipeline, QuantTrace, QuantizedParams,
@@ -135,6 +136,31 @@ pub struct Accelerator {
     // and dropped at layer boundaries. Host memory only: nothing
     // simulated reads or depends on it.
     pub(crate) staging: kernel::Staging,
+}
+
+/// Everything one matmul charges to the simulated machine. Cycles,
+/// traffic and stalls never depend on operand values, so this is a
+/// pure function of the [`MatmulGeometry`] and the configuration:
+/// [`Accelerator::charge`] derives it in one place and the functional
+/// backend applies it once per matmul. Each field is the
+/// ticked schedule's total over the matmul's tiles (pinned by
+/// `charge_equals_ticked_matmul_deltas`).
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub(crate) struct MatmulCharge {
+    /// The geometry charged.
+    pub geometry: MatmulGeometry,
+    /// `R + 1` weight-load edges plus `batch·M + R + C` stream edges
+    /// per tile.
+    pub array_cycles: u64,
+    /// One `reduce_cycles(M)` drain per image per N-tile.
+    pub activation_cycles: u64,
+    /// Weight Buffer (`kt·nt` per tile), Data Buffer (`batch·M·kt` per
+    /// tile) and, for off-chip weights, DRAM (every weight once) reads.
+    pub traffic: TrafficReport,
+    /// Memory-hierarchy stall cycles.
+    pub stall: u64,
+    /// The memory hierarchy's counter delta.
+    pub mem: MemReport,
 }
 
 /// Reshapes a `[patches, out_ch]` matmul result into the `[out_ch, oh,
@@ -414,25 +440,63 @@ impl Accelerator {
         )
     }
 
-    /// The shared tiled-matmul implementation, reading both operands
-    /// through borrowed views ([`DataView`] supplies the batch size,
-    /// `M` and `K`; `n` is the output width). `weights_offchip` marks
-    /// the weight operand as DRAM-resident (the network's parameter
-    /// layers): its tiles then stream through the memory hierarchy's
-    /// double-buffered prefetcher and are charged to the off-chip
-    /// counters. On-chip operands (routing's `û`/`v_j`, and every weight
-    /// through the public [`Accelerator::matmul_batch`]) touch only the
-    /// scratchpads.
-    ///
-    /// The memory hierarchy never changes functional results and never
-    /// touches the ticked array: its stalls accumulate separately in
-    /// `memory_stall_cycles`, and are identically zero under
-    /// `IdealMemory`.
+    /// One tiled matmul through borrowed operand views: the one-group
+    /// form of [`Accelerator::matmul_group`], whose output per image is
+    /// then the plain `[M, n]` result.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn matmul_batch_inner(
         &mut self,
         data: DataView<'_>,
         weight: WeightView<'_>,
+        n: usize,
+        bias: Option<&[i32]>,
+        shift: u32,
+        kind: ActivationKind,
+        weights_offchip: bool,
+    ) -> (Vec<Tensor<i8>>, Vec<u64>) {
+        self.matmul_group(data, 0, weight, 0, 1, n, bias, shift, kind, weights_offchip)
+    }
+
+    /// The shared tiled-matmul implementation: `groups` matmuls of one
+    /// geometry, executed back to back, reading both operands through
+    /// borrowed views ([`DataView`] supplies the batch size, `M` and
+    /// `K`; `n` is the output width). Group `g` reads its data
+    /// `g·data_step` elements further into each image's source than
+    /// `data` does, and its weights `g·weight_step` further into
+    /// `weight`'s source. Image `img`'s output is one `[groups·M, n]`
+    /// tensor whose rows `g·M ..` are group `g`'s outputs; the
+    /// per-image saturation counts sum over the groups.
+    ///
+    /// `weights_offchip` marks the weight operand as DRAM-resident (the
+    /// network's parameter layers): its tiles then stream through the
+    /// memory hierarchy's double-buffered prefetcher and are charged to
+    /// the off-chip counters. On-chip operands (routing's `û`/`v_j`,
+    /// and every weight through the public
+    /// [`Accelerator::matmul_batch`]) touch only the scratchpads. The
+    /// memory hierarchy never changes functional results and never
+    /// touches the ticked array: its stalls accumulate separately in
+    /// `memory_stall_cycles`, and are identically zero under
+    /// `IdealMemory`.
+    ///
+    /// Every simulated effect — cycles, traffic, memory stalls, spans,
+    /// fault draws — is that of `groups` consecutive single matmuls.
+    /// The ticked backend runs exactly that; the functional backend
+    /// applies the geometry's [`MatmulCharge`] `groups` times at once
+    /// and evaluates the groups in one host pass
+    /// ([`Accelerator::matmul_group_functional`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the batch is empty or a bias slice shorter than `n` is
+    /// supplied.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn matmul_group(
+        &mut self,
+        data: DataView<'_>,
+        data_step: usize,
+        weight: WeightView<'_>,
+        weight_step: usize,
+        groups: usize,
         n: usize,
         bias: Option<&[i32]>,
         shift: u32,
@@ -450,11 +514,6 @@ impl Accelerator {
             "a {rows}x{cols} weight tile exceeds the {} B Weight Buffer",
             self.cfg.weight_buffer_bytes
         );
-        self.rec.begin(SpanDetail::Phases, "matmul");
-        // The whole matmul's tile schedule through the memory hierarchy
-        // — the same deterministic replay the closed-form model uses
-        // (`timing::matmul_mem_stalls`), so engine and model agree
-        // exactly by construction.
         let geometry = MatmulGeometry {
             m,
             k,
@@ -467,38 +526,169 @@ impl Accelerator {
             // are the serial schedule regardless of the dataflow flag.
             schedule: TileSchedule::Serial,
         };
-        // The recorded variant is the same replay plus stall-window
-        // metrics; stalls are charged as one lump at matmul start
-        // (exactly where the engine accounts them).
-        let stall = if self.rec.is_enabled() {
-            self.memory.matmul_recorded(&geometry, &mut self.rec)
+        let mut outs: Vec<Tensor<i8>> = (0..batch)
+            .map(|_| Tensor::zeros(&[groups * m, n]))
+            .collect();
+        let mut saturations = vec![0u64; batch];
+        if self.cfg.backend == EngineBackend::Functional {
+            let charge = self.charge(&geometry);
+            self.apply_charge(&charge, u64_from(groups));
+            self.matmul_group_functional(
+                data,
+                data_step,
+                weight,
+                weight_step,
+                groups,
+                bias,
+                shift,
+                kind,
+                &charge,
+                &mut outs,
+                &mut saturations,
+            );
         } else {
-            self.memory.matmul(&geometry)
+            for g in 0..groups {
+                let src: Vec<&[i8]> = data.src.iter().map(|s| &s[g * data_step..]).collect();
+                self.matmul_ticked(
+                    DataView { src: &src, ..data },
+                    WeightView {
+                        src: &weight.src[g * weight_step..],
+                        ..weight
+                    },
+                    bias,
+                    shift,
+                    kind,
+                    &geometry,
+                    g * m,
+                    &mut outs,
+                    &mut saturations,
+                );
+            }
+        }
+        (outs, saturations)
+    }
+
+    /// What one matmul of geometry `g` charges to the simulated
+    /// machine ([`MatmulCharge`]), derived here and nowhere else. The
+    /// memory part is the subsystem's [`MemorySubsystem::price`], which
+    /// remembers its replays; the rest is a few integer operations.
+    pub(crate) fn charge(&mut self, g: &MatmulGeometry) -> MatmulCharge {
+        let (n_tiles, k_tiles) = (g.n.div_ceil(g.cols), g.k.div_ceil(g.rows));
+        let streamed = g.batch * g.m;
+        // Per tile: `kt·nt` weights into the array and `batch·M·kt`
+        // data bytes streamed; summed over the tile grid.
+        let mut traffic = TrafficReport::default();
+        traffic.read(MemoryKind::WeightBuffer, u64_from(g.k * g.n));
+        traffic.read(MemoryKind::DataBuffer, u64_from(n_tiles * streamed * g.k));
+        if g.weights_offchip {
+            // Each weight crosses the off-chip channel once per batch.
+            traffic.read(MemoryKind::Dram, u64_from(g.k * g.n));
+        }
+        let (stall, mem) = self.memory.price(g);
+        MatmulCharge {
+            geometry: *g,
+            array_cycles: u64_from(n_tiles * k_tiles)
+                * (self.array.load_edges() + self.array.stream_edges(streamed)),
+            activation_cycles: u64_from(n_tiles * g.batch)
+                * ActivationUnit::reduce_cycles(u64_from(g.m)),
+            traffic,
+            stall,
+            mem,
+        }
+    }
+
+    /// Applies `times` matmuls' worth of `c` to the simulated counters.
+    /// Every counter is a plain sum, so this equals `times` separate
+    /// applications.
+    fn apply_charge(&mut self, c: &MatmulCharge, times: u64) {
+        self.array.advance_cycles(c.array_cycles * times);
+        self.activation_cycles += c.activation_cycles * times;
+        self.traffic.merge(&c.traffic.scaled(times));
+        self.memory_stall_cycles += c.stall * times;
+        self.memory.charge(&c.mem.scaled(times));
+    }
+
+    /// Records one matmul of `c`'s geometry the way the ticked
+    /// schedule records it: the memory counters, the stall span, every
+    /// tile's load and stream spans and every N-tile's per-image drain
+    /// spans, from the edge counts `c` sums — so both backends produce
+    /// identical span trees. Nothing is walked with recording off.
+    fn record_charge(&mut self, c: &MatmulCharge) {
+        if !self.rec.is_enabled() {
+            return;
+        }
+        MemorySubsystem::record_matmul(&c.mem, &mut self.rec);
+        let g = &c.geometry;
+        self.rec.begin(SpanDetail::Tiles, "mem-stall");
+        self.rec.advance(CycleKind::MemStall, c.stall);
+        self.rec.end(SpanDetail::Tiles);
+        let (load, stream) = (
+            self.array.load_edges(),
+            self.array.stream_edges(g.batch * g.m),
+        );
+        let drain = ActivationUnit::reduce_cycles(u64_from(g.m));
+        let mut tile_seq = 0u64;
+        for _ in 0..g.n.div_ceil(g.cols) {
+            for _ in 0..g.k.div_ceil(g.rows) {
+                self.rec
+                    .begin_arg(SpanDetail::Tiles, "tile", "seq", tile_seq);
+                tile_seq += 1;
+                self.rec.begin(SpanDetail::Tiles, "load");
+                self.rec.advance(CycleKind::Array, load);
+                self.rec.end(SpanDetail::Tiles);
+                self.rec.begin(SpanDetail::Tiles, "stream");
+                self.rec.advance(CycleKind::Array, stream);
+                self.rec.end(SpanDetail::Tiles);
+                self.rec.end(SpanDetail::Tiles); // tile
+            }
+            for img in 0..g.batch {
+                self.rec
+                    .begin_arg(SpanDetail::Tiles, "drain", "img", u64_from(img));
+                self.rec.advance(CycleKind::Activation, drain);
+                self.rec.end(SpanDetail::Tiles);
+            }
+        }
+    }
+
+    /// The `Ticked` backend's matmul: every weight tile is loaded into
+    /// the array's resident registers and every data row streams
+    /// through the PEs, edge by edge. Image `img`'s outputs land in
+    /// rows `row0 ..` of `outs[img]`.
+    #[allow(clippy::too_many_arguments)]
+    fn matmul_ticked(
+        &mut self,
+        data: DataView<'_>,
+        weight: WeightView<'_>,
+        bias: Option<&[i32]>,
+        shift: u32,
+        kind: ActivationKind,
+        geometry: &MatmulGeometry,
+        row0: usize,
+        outs: &mut [Tensor<i8>],
+        saturations: &mut [u64],
+    ) {
+        let (batch, m, k, n) = (data.batch(), data.m(), data.k(), geometry.n);
+        let (rows, cols) = (self.cfg.rows, self.cfg.cols);
+        self.rec.begin(SpanDetail::Phases, "matmul");
+        // The whole matmul's tile schedule through the memory hierarchy
+        // — the same deterministic replay the closed-form model uses
+        // (`timing::matmul_mem_stalls`), so engine and model agree
+        // exactly by construction. The recorded variant is the same
+        // replay plus stall-window metrics; stalls are charged as one
+        // lump at matmul start (exactly where the engine accounts
+        // them).
+        let stall = if self.rec.is_enabled() {
+            self.memory.matmul_recorded(geometry, &mut self.rec)
+        } else {
+            self.memory.matmul(geometry)
         };
         self.memory_stall_cycles += stall;
         self.rec.begin(SpanDetail::Tiles, "mem-stall");
         self.rec.advance(CycleKind::MemStall, stall);
         self.rec.end(SpanDetail::Tiles);
-        if weights_offchip {
+        if geometry.weights_offchip {
             // Each weight crosses the off-chip channel once per batch.
             self.traffic.read(MemoryKind::Dram, u64_from(k * n));
-        }
-        let mut outs: Vec<Tensor<i8>> = (0..batch).map(|_| Tensor::zeros(&[m, n])).collect();
-        let mut saturations = vec![0u64; batch];
-
-        if self.cfg.backend == EngineBackend::Functional {
-            self.matmul_batch_functional(
-                data,
-                weight,
-                n,
-                bias,
-                shift,
-                kind,
-                &mut outs,
-                &mut saturations,
-            );
-            self.rec.end(SpanDetail::Phases);
-            return (outs, saturations);
         }
 
         let mut tile_seq = 0u64;
@@ -564,7 +754,7 @@ impl Accelerator {
             for (img, (image_accs, out)) in accs.iter_mut().zip(outs.iter_mut()).enumerate() {
                 self.rec
                     .begin_arg(SpanDetail::Tiles, "drain", "img", u64_from(img));
-                let out = out.data_mut();
+                let out = &mut out.data_mut()[row0 * n..];
                 for (c, acc) in image_accs.iter_mut().enumerate() {
                     let events = acc.saturation_events();
                     saturations[img] += events;
@@ -588,14 +778,14 @@ impl Accelerator {
             }
         }
         self.rec.end(SpanDetail::Phases);
-        (outs, saturations)
     }
 
-    /// The `Functional` backend's tile evaluator: bit-identical to the
-    /// ticked schedule above, at wall-clock speed — data-parallel
-    /// across panel rows and explicitly SIMD inside them (the
-    /// `kernel` module; host knobs in
-    /// [`crate::FunctionalOptions`]).
+    /// The `Functional` backend's evaluation of a matmul group: one
+    /// host pass, bit-identical to the ticked schedule above at
+    /// wall-clock speed — data-parallel across panel rows and
+    /// explicitly SIMD inside them (the `kernel` module; host knobs in
+    /// [`crate::FunctionalOptions`]). The caller has already applied
+    /// the groups' [`MatmulCharge`]s.
     ///
     /// Exactness argument, piece by piece:
     ///
@@ -627,210 +817,203 @@ impl Accelerator {
     ///   outputs, cycles, traffic, and clip attribution — is
     ///   byte-identical for any thread count. Clip events are counted
     ///   per row and summed per image in image order (a commutative
-    ///   sum either way).
-    /// - **Cycle charge.** Per tile, exactly the edges the ticked
-    ///   serial schedule executes: `R + 1` per weight load and
-    ///   `batch·M + R + C` per stream (`SystolicArray::load_weights` /
-    ///   `stream`), so `array_cycles()` deltas — and everything built
-    ///   on them — are equal, not merely equivalent. The accounting
-    ///   loop runs serially before the row sweep: counter totals are
-    ///   the only observable, and they are pure sums.
+    ///   sum either way), group by group into each image's count, as
+    ///   consecutive single matmuls would attribute them.
+    /// - **The charge.** Cycles, traffic and memory stalls never depend
+    ///   on operand values, so a matmul's [`MatmulCharge`] — per tile
+    ///   exactly the edges the ticked serial schedule executes, `R + 1`
+    ///   per weight load and `batch·M + R + C` per stream
+    ///   (`SystolicArray::load_edges` / `stream_edges`), plus the
+    ///   per-tile buffer reads, the per-image drains and the memory
+    ///   replay — is derived in one place and applied once per
+    ///   matmul: `array_cycles()` deltas, and everything built on
+    ///   them, are equal, not merely equivalent. Counter totals are the
+    ///   only observable, and they are pure sums. With recording on,
+    ///   each matmul's span sequence is replayed from the charge
+    ///   (`record_charge`).
     /// - **Data staging.** Both operands are staged straight from their
-    ///   views into buffers the accelerator keeps across matmuls: the
-    ///   data panel is gathered once per matmul as a flat row-major
+    ///   views into buffers the accelerator keeps across matmuls: each
+    ///   group's data panel is gathered once as a flat row-major
     ///   `batch·M × K` matrix (the ticked path re-reads the view per
     ///   N-tile revisit), and each N-tile's K-tiles are packed directly
     ///   into the layout their kernel reads (`kernel::TileBuf`).
-    ///   Traffic is charged per tile from the same formulas either
-    ///   way.
     /// - **Drain and fault draws.** The drain writes each (image, row)'s
     ///   `nt` outputs as one contiguous run, not in the ticked walk's
     ///   (image, column, row) order. Fault draws still line up: the
     ///   ticked walk gives the element at (image, column, row) of an
     ///   N-tile drain op `base + (image·nt + column)·rows + row`, with
-    ///   `base` the op counter at the N-tile's start and `rows` the
-    ///   drained row count (`M`, or 0 when `K == 0`). The functional
-    ///   drain computes that number per element and then advances the
-    ///   counter by `batch·nt·rows`; `FaultPlan::acc_bitflip` is a
-    ///   stateless function of the number, so the draws are the ticked
-    ///   path's. Each element's reduction is unchanged, so output
-    ///   order cannot change any output.
+    ///   `rows` the drained row count (`M`, or 0 when `K == 0`) and
+    ///   `base` the op counter at the N-tile's start: for group `g`
+    ///   and the N-tile at column `n0`, the counter at the call's start
+    ///   plus `(g·N + n0)·batch·rows`, the draws of every earlier
+    ///   group and N-tile. The functional drain computes that number
+    ///   per element and advances the counter by `groups·batch·N·rows`
+    ///   at the end; `FaultPlan::acc_bitflip` is a stateless function
+    ///   of the number, so the draws are the ticked path's. Each
+    ///   element's reduction is unchanged, so output order cannot
+    ///   change any output.
     #[allow(clippy::too_many_arguments)]
-    fn matmul_batch_functional(
+    fn matmul_group_functional(
         &mut self,
         data: DataView<'_>,
+        data_step: usize,
         weight: WeightView<'_>,
-        n: usize,
+        weight_step: usize,
+        groups: usize,
         bias: Option<&[i32]>,
         shift: u32,
         kind: ActivationKind,
+        charge: &MatmulCharge,
         outs: &mut [Tensor<i8>],
         saturations: &mut [u64],
     ) {
         let (rows, cols) = (self.cfg.rows, self.cfg.cols);
-        let (m, k) = (data.m(), data.k());
+        let (m, k, n) = (data.m(), data.k(), charge.geometry.n);
         let total_rows = data.batch() * m;
         let opts = self.cfg.functional;
         let simd_ok = kernel::simd_enabled(opts);
-        // Host wall-clock annotation: the stopwatch reads the host
-        // clock only when host timing was requested, and only into
-        // span args — never into any simulated quantity.
-        let (mut stage_ns, mut sweep_ns) = (0u64, 0u64);
-        let mut tile_seq = 0u64;
-        // Borrow the reusable buffers for the whole matmul (the
-        // accounting below needs `self` mutably alongside them).
-        let mut st = std::mem::take(&mut self.staging);
-
-        // Stage the whole data panel once, row-major: tile slices below
-        // are plain subslices.
-        st.gather(&data);
         let tallest = rows.min(k);
-
-        for n0 in (0..n).step_by(cols) {
-            let nt = cols.min(n - n0);
-            st.acc.clear();
-            st.acc.resize(total_rows * nt, 0);
-            st.events.clear();
-            st.events.resize(total_rows, 0);
-
-            // Accounting and weight staging, K-tile by K-tile in the
-            // ticked serial order. Traffic reads and array-cycle
-            // charges are pure counter additions, so hoisting them out
-            // of the (possibly parallel) row sweep preserves every
-            // observable total.
+        // With `k == 0` no K-tile ever ran, so like the ticked path's
+        // empty accumulator FIFOs nothing is written (in particular,
+        // no bias-only outputs), but each drain is still charged.
+        let drained_rows = if k == 0 { 0 } else { m };
+        let faults = self.fault_plan.has_engine_faults();
+        let draws_per_matmul = u64_from(outs.len() * n * drained_rows);
+        let reduce = ActivationUnit::reducer(shift, kind);
+        // Borrow the reusable buffers for the whole group (fault draws
+        // below need `self` mutably alongside them).
+        let mut st = std::mem::take(&mut self.staging);
+        st.bias.clear();
+        st.bias
+            .extend((0..n).map(|c| bias.map_or(0, |b| i64::from(b[c]))));
+        for g in 0..groups {
+            self.rec.begin(SpanDetail::Phases, "matmul");
+            // Host wall-clock annotation: the stopwatches read the host
+            // clock only when host timing was requested, and only into
+            // span args — never into any simulated quantity. Staging
+            // time covers the matmul's accounting (recording its
+            // charge) and its weight packing.
             let watch = self.rec.host_stopwatch();
-            st.tiles.begin(nt);
-            for k0 in (0..k).step_by(rows) {
-                let kt = rows.min(k - k0);
-                self.traffic
-                    .read(MemoryKind::WeightBuffer, u64_from(kt * nt));
-                self.traffic
-                    .read(MemoryKind::DataBuffer, u64_from(total_rows * kt));
-                let load_edges = self.array.load_edges();
-                let stream_edges = self.array.stream_edges(total_rows);
-                self.array.advance_cycles(load_edges + stream_edges);
-                // The same tile → {load, stream} span sequence the
-                // ticked schedule records, from the same edge counts —
-                // backends produce identical span trees by
-                // construction.
-                self.rec
-                    .begin_arg(SpanDetail::Tiles, "tile", "seq", tile_seq);
-                tile_seq += 1;
-                self.rec.begin(SpanDetail::Tiles, "load");
-                self.rec.advance(CycleKind::Array, load_edges);
-                self.rec.end(SpanDetail::Tiles);
-                self.rec.begin(SpanDetail::Tiles, "stream");
-                self.rec.advance(CycleKind::Array, stream_edges);
-                self.rec.end(SpanDetail::Tiles);
-                self.rec.end(SpanDetail::Tiles); // tile
-                let kernel = kernel::select_kernel(kt, nt, tallest, simd_ok);
-                st.tiles.stage(&weight, k0, kt, n0, kernel);
-            }
-            stage_ns += watch.elapsed_ns();
-            st.widen_panel_for_tiles();
+            self.record_charge(charge);
+            let (mut stage_ns, mut sweep_ns) = (watch.elapsed_ns(), 0u64);
+            let weight = WeightView {
+                src: &weight.src[g * weight_step..],
+                ..weight
+            };
+            // Gather this matmul's whole data panel once, row-major:
+            // tile slices below are plain subslices.
+            st.gather(&data, g * data_step);
+            let group_base = self.fault_op_seq + u64_from(g) * draws_per_matmul;
 
-            // The row sweep: serial, or partitioned into contiguous
-            // row chunks across scoped OS threads (the `pool.rs`
-            // pattern). Rows are independent and each row's whole fold
-            // chain runs on one thread in tile order, so any partition
-            // is byte-identical to the serial sweep.
-            let watch = self.rec.host_stopwatch();
-            let threads = kernel::effective_threads(opts.threads, total_rows, k, nt);
-            let (tiles, panel, wide) = (&st.tiles, st.panel.as_slice(), st.panel_wide.as_slice());
-            if threads <= 1 {
-                kernel::process_rows(
-                    k,
-                    tiles,
-                    panel,
-                    wide,
-                    0,
-                    total_rows,
-                    &mut st.acc,
-                    &mut st.events,
-                    &mut st.lanes,
-                );
-            } else {
-                let rows_per = total_rows.div_ceil(threads);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = st
-                        .acc
-                        .chunks_mut(rows_per * nt)
-                        .zip(st.events.chunks_mut(rows_per))
-                        .enumerate()
-                        .map(|(ci, (acc_chunk, ev_chunk))| {
-                            scope.spawn(move || {
-                                kernel::process_rows(
-                                    k,
-                                    tiles,
-                                    panel,
-                                    wide,
-                                    ci * rows_per,
-                                    ev_chunk.len(),
-                                    acc_chunk,
-                                    ev_chunk,
-                                    &mut kernel::Lanes::default(),
-                                );
+            for n0 in (0..n).step_by(cols) {
+                let nt = cols.min(n - n0);
+                st.acc.clear();
+                st.acc.resize(total_rows * nt, 0);
+                st.events.clear();
+                st.events.resize(total_rows, 0);
+
+                let watch = self.rec.host_stopwatch();
+                st.tiles.begin(nt);
+                for k0 in (0..k).step_by(rows) {
+                    let kt = rows.min(k - k0);
+                    let kernel = kernel::select_kernel(kt, nt, tallest, simd_ok);
+                    st.tiles.stage(&weight, k0, kt, n0, kernel);
+                }
+                stage_ns += watch.elapsed_ns();
+                st.widen_panel_for_tiles();
+
+                // The row sweep: serial, or partitioned into contiguous
+                // row chunks across scoped OS threads (the `pool.rs`
+                // pattern). Rows are independent and each row's whole
+                // fold chain runs on one thread in tile order, so any
+                // partition is byte-identical to the serial sweep.
+                let watch = self.rec.host_stopwatch();
+                let threads = kernel::effective_threads(opts.threads, total_rows, k, nt);
+                let (tiles, panel, wide) =
+                    (&st.tiles, st.panel.as_slice(), st.panel_wide.as_slice());
+                if threads <= 1 {
+                    kernel::process_rows(
+                        k,
+                        tiles,
+                        panel,
+                        wide,
+                        0,
+                        total_rows,
+                        &mut st.acc,
+                        &mut st.events,
+                        &mut st.lanes,
+                    );
+                } else {
+                    let rows_per = total_rows.div_ceil(threads);
+                    std::thread::scope(|scope| {
+                        let handles: Vec<_> = st
+                            .acc
+                            .chunks_mut(rows_per * nt)
+                            .zip(st.events.chunks_mut(rows_per))
+                            .enumerate()
+                            .map(|(ci, (acc_chunk, ev_chunk))| {
+                                scope.spawn(move || {
+                                    kernel::process_rows(
+                                        k,
+                                        tiles,
+                                        panel,
+                                        wide,
+                                        ci * rows_per,
+                                        ev_chunk.len(),
+                                        acc_chunk,
+                                        ev_chunk,
+                                        &mut kernel::Lanes::default(),
+                                    );
+                                })
                             })
-                        })
-                        .collect();
-                    for h in handles {
-                        h.join().expect("functional row worker panicked");
-                    }
-                });
-            }
-            sweep_ns += watch.elapsed_ns();
+                            .collect();
+                        for h in handles {
+                            h.join().expect("functional row worker panicked");
+                        }
+                    });
+                }
+                sweep_ns += watch.elapsed_ns();
 
-            // Drain through the activation units: per image, the ticked
-            // drain's span and activation-cycle charge; within it, each
-            // row's `nt` outputs as one contiguous run, every fault draw
-            // numbered as the ticked walk numbers it (see the exactness
-            // notes above). With `k == 0` no K-tile ever ran, so like
-            // the ticked path's empty accumulator FIFOs nothing is
-            // written (in particular, no bias-only outputs), but the
-            // per-image drain charge is still paid.
-            let drained_rows = if k == 0 { 0 } else { m };
-            let faults = self.fault_plan.has_engine_faults();
-            let base = self.fault_op_seq;
-            st.bias.clear();
-            st.bias
-                .extend((n0..n0 + nt).map(|c| bias.map_or(0, |b| i64::from(b[c]))));
-            let reduce = ActivationUnit::reducer(shift, kind);
-            for (img, out) in outs.iter_mut().enumerate() {
-                self.rec
-                    .begin_arg(SpanDetail::Tiles, "drain", "img", u64_from(img));
-                let events: u64 = st.events[img * m..img * m + m].iter().sum();
-                saturations[img] += events;
-                self.accumulator_saturations += events;
-                let accs = st.acc[img * m * nt..][..drained_rows * nt].chunks_exact(nt);
-                let rows = out.data_mut().chunks_exact_mut(n).zip(accs);
-                for (mi, (row_out, row_acc)) in rows.enumerate() {
-                    let elems = row_out[n0..n0 + nt].iter_mut().zip(row_acc).zip(&st.bias);
-                    for (c, ((o, &raw), &b)) in elems.enumerate() {
-                        let raw = if faults {
-                            let seq = base + u64_from((img * nt + c) * drained_rows + mi);
-                            self.acc_fault(seq, raw)
-                        } else {
-                            raw
-                        };
-                        *o = reduce(raw + b);
+                // Drain through the activation units: each row's `nt`
+                // outputs as one contiguous run into the group's rows,
+                // every fault draw numbered as the ticked walk numbers
+                // it (see the exactness notes above).
+                let base = group_base + u64_from(outs.len() * n0 * drained_rows);
+                for (img, out) in outs.iter_mut().enumerate() {
+                    let events: u64 = st.events[img * m..img * m + m].iter().sum();
+                    saturations[img] += events;
+                    self.accumulator_saturations += events;
+                    let accs = st.acc[img * m * nt..][..drained_rows * nt].chunks_exact(nt);
+                    let rows = out.data_mut()[g * m * n..].chunks_exact_mut(n).zip(accs);
+                    for (mi, (row_out, row_acc)) in rows.enumerate() {
+                        let elems = row_out[n0..n0 + nt]
+                            .iter_mut()
+                            .zip(row_acc)
+                            .zip(&st.bias[n0..n0 + nt]);
+                        for (c, ((o, &raw), &b)) in elems.enumerate() {
+                            let raw = if faults {
+                                let seq = base + u64_from((img * nt + c) * drained_rows + mi);
+                                self.acc_fault(seq, raw)
+                            } else {
+                                raw
+                            };
+                            *o = reduce(raw + b);
+                        }
                     }
                 }
-                let drain_cycles = ActivationUnit::reduce_cycles(u64_from(m));
-                self.activation_cycles += drain_cycles;
-                self.rec.advance(CycleKind::Activation, drain_cycles);
-                self.rec.end(SpanDetail::Tiles);
             }
-            if faults {
-                self.fault_op_seq += u64_from(outs.len() * nt * drained_rows);
+            // At `Layers` detail no matmul span is open, so the host
+            // annotations would pile up on the layer span — skip them.
+            if self.rec.host_timing() && self.rec.detail() >= SpanDetail::Phases {
+                self.rec.annotate("host_stage_ns", stage_ns);
+                self.rec.annotate("host_sweep_ns", sweep_ns);
             }
+            self.rec.end(SpanDetail::Phases);
+        }
+        if faults {
+            self.fault_op_seq += u64_from(groups) * draws_per_matmul;
         }
         self.staging = st;
-        // At `Layers` detail no matmul span is open, so the host
-        // annotations would pile up on the layer span — skip them.
-        if self.rec.host_timing() && self.rec.detail() >= SpanDetail::Phases {
-            self.rec.annotate("host_stage_ns", stage_ns);
-            self.rec.annotate("host_sweep_ns", sweep_ns);
-        }
     }
 
     /// Squashes every primary capsule of one image through the
@@ -1138,6 +1321,7 @@ mod tests {
     use crate::config::AcceleratorConfig;
     use crate::timing::{batch_matmul_cycles, matmul_cycles, MatmulShape};
     use capsacc_capsnet::{infer_q8_traced, CapsNetParams};
+    use capsacc_memory::MemoryConfig;
     use capsacc_tensor::qops;
     use proptest::prelude::*;
 
@@ -1419,6 +1603,103 @@ mod tests {
                 "({m},{k},{n})"
             );
             assert_eq!(out_fun, out_ref, "({m},{k},{n})");
+        }
+    }
+
+    /// The derived charge of every layer geometry equals what a ticked
+    /// matmul of that geometry moves: array and activation cycles,
+    /// every traffic counter, the memory stall and the `MemReport`.
+    /// The geometries are Conv1, PrimaryCaps, the FC and routing's Sum
+    /// and Update of two networks: the 16-lane-aligned mini CapsNet of
+    /// `tests/lane_kernels.rs` on the paper array, and
+    /// `CapsNetConfig::tiny()` on the 4×4 test array, where the FC
+    /// spans two K-tiles. Each runs at batch 1 and 3, under the paper
+    /// memory hierarchy and under ideal memory.
+    #[test]
+    fn charge_equals_ticked_matmul_deltas() {
+        let aligned = CapsNetConfig {
+            input_side: 12,
+            conv1_channels: 16,
+            conv1_kernel: 3,
+            conv1_stride: 1,
+            pc_channels: 2,
+            pc_caps_dim: 8,
+            pc_kernel: 3,
+            pc_stride: 2,
+            num_classes: 2,
+            class_caps_dim: 16,
+            routing_iterations: 3,
+        };
+        let nets = [
+            (aligned, AcceleratorConfig::paper()),
+            (CapsNetConfig::tiny(), AcceleratorConfig::test_4x4()),
+        ];
+        for (net, base) in nets {
+            let (g1, gp) = (net.conv1_geometry(), net.primary_caps_geometry());
+            let (in_caps, out_dim) = (net.num_primary_caps(), net.class_caps_dim);
+            // (m, k, n, weights off chip)
+            let shapes = [
+                (g1.out_h() * g1.out_w(), g1.patch_len(), g1.out_ch, true),
+                (gp.out_h() * gp.out_w(), gp.patch_len(), gp.out_ch, true),
+                (1, net.pc_caps_dim, net.num_classes * out_dim, true),
+                (1, in_caps, out_dim, false),
+                (in_caps, out_dim, 1, false),
+            ];
+            for memory in [MemoryConfig::paper(), MemoryConfig::ideal()] {
+                let cfg = AcceleratorConfig { memory, ..base };
+                for (m, k, n, offchip) in shapes {
+                    for batch in [1, 3] {
+                        let data: Vec<i8> = (0..batch * m * k).map(|i| (i % 7) as i8 - 3).collect();
+                        let w: Vec<i8> = (0..k * n).map(|i| (i % 5) as i8 - 2).collect();
+                        let src: Vec<&[i8]> = data.chunks(m * k).collect();
+                        let rows: Vec<usize> = (0..m).map(|mi| mi * k).collect();
+                        let cols: Vec<usize> = (0..k).collect();
+                        let mut ticked = Accelerator::new(cfg);
+                        ticked.matmul_batch_inner(
+                            DataView {
+                                src: &src,
+                                rows: &rows,
+                                cols: &cols,
+                            },
+                            WeightView {
+                                src: &w,
+                                ks: n,
+                                ns: 1,
+                            },
+                            n,
+                            None,
+                            6,
+                            ActivationKind::Identity,
+                            offchip,
+                        );
+                        let geometry = MatmulGeometry {
+                            m,
+                            k,
+                            n,
+                            batch,
+                            rows: cfg.rows,
+                            cols: cfg.cols,
+                            weights_offchip: offchip,
+                            schedule: TileSchedule::Serial,
+                        };
+                        let want = MatmulCharge {
+                            geometry,
+                            array_cycles: ticked.array_cycles(),
+                            activation_cycles: ticked.activation_cycles(),
+                            traffic: *ticked.traffic(),
+                            stall: ticked.memory_stall_cycles(),
+                            mem: ticked.memory_report(),
+                        };
+                        // Pricing charges nothing.
+                        let mut fresh = Accelerator::new(cfg);
+                        let derived = fresh.charge(&geometry);
+                        let at = format!("({m},{k},{n}) batch {batch}, {:?}", memory.mode);
+                        assert_eq!(derived, want, "{at}");
+                        assert_eq!(fresh.array_cycles(), 0, "{at}");
+                        assert_eq!(fresh.memory_report(), MemReport::default(), "{at}");
+                    }
+                }
+            }
         }
     }
 

@@ -1,5 +1,5 @@
 //! Host compute kernels of the `Functional` backend: the row-level
-//! inner loops `engine::Accelerator::matmul_batch_functional` dispatches
+//! inner loops `engine::Accelerator::matmul_group_functional` dispatches
 //! to, one per tile shape — an explicit-SIMD sweep (AVX-512/VNNI where
 //! the host has it, AVX2 otherwise) on full 16-lane N-tiles, a general
 //! scalar fold on every other tile, and the literal MAC chain on tiles
@@ -10,7 +10,7 @@
 //! element — so kernel choice, SIMD width, and row partitioning can
 //! never change simulated results (outputs, saturation events, cycles,
 //! traffic). The exactness argument lives on
-//! `matmul_batch_functional`; the pieces the kernels rely on:
+//! `matmul_group_functional`; the pieces the kernels rely on:
 //!
 //! - For tiles of `kt ≤ EXACT_FOLD_MAX_KT` rows the in-tile fold
 //!   provably never clips, so it equals the exact `i32` dot product and
@@ -261,10 +261,10 @@ pub(crate) struct Lanes {
 }
 
 /// The functional backend's reusable host buffers: the data panel (and
-/// its widened copy), the current N-tile's staged weights, its
-/// accumulator and clip-event lanes, its bias row, and the serial
-/// sweep's scratch. The accelerator owns one, lends it to every matmul,
-/// and drops it at each layer boundary of a batch run.
+/// its widened copy), the current N-tile's staged weights and its
+/// accumulator and clip-event lanes, the matmul's bias row, and the
+/// serial sweep's scratch. The accelerator owns one, lends it to every
+/// matmul call, and drops it at each layer boundary of a batch run.
 #[derive(Default)]
 pub(crate) struct Staging {
     /// Row-major `batch·M × K` data panel.
@@ -278,18 +278,18 @@ pub(crate) struct Staging {
     pub acc: Vec<i64>,
     /// Per-row clip-event counts of the current N-tile.
     pub events: Vec<u64>,
-    /// The current N-tile's bias per column (zeros without a bias),
-    /// read by the drain.
+    /// The current matmul's bias per output column (zeros without a
+    /// bias), read by the drain.
     pub bias: Vec<i64>,
     /// Scratch of the serial row sweep.
     pub lanes: Lanes,
 }
 
 impl Staging {
-    /// Gathers a matmul's data panel from `data` and drops the previous
-    /// matmul's widened copy.
-    pub(crate) fn gather(&mut self, data: &DataView<'_>) {
-        data.gather(&mut self.panel);
+    /// Gathers a matmul's data panel from `data`, `off` elements into
+    /// each source, and drops the previous panel's widened copy.
+    pub(crate) fn gather(&mut self, data: &DataView<'_>, off: usize) {
+        data.gather(off, &mut self.panel);
         self.panel_wide.clear();
     }
 

@@ -55,13 +55,14 @@ impl DataView<'_> {
     }
 
     /// Gathers the whole batch into `panel` as a row-major
-    /// `batch·M × K` matrix, image-major (row `img·M + m`).
-    pub fn gather(&self, panel: &mut Vec<i8>) {
+    /// `batch·M × K` matrix, image-major (row `img·M + m`), reading
+    /// every source `off` elements further in.
+    pub fn gather(&self, off: usize, panel: &mut Vec<i8>) {
         panel.clear();
         panel.reserve(self.batch() * self.m() * self.k());
         for src in self.src {
             for &base in self.rows {
-                let row = &src[base..];
+                let row = &src[off + base..];
                 panel.extend(self.cols.iter().map(|&c| row[c]));
             }
         }
@@ -107,8 +108,10 @@ mod tests {
         assert_eq!(data.at(0, 1, 2), 9);
         assert_eq!(data.at(1, 0, 1), 23);
         let mut panel = vec![7; 3];
-        data.gather(&mut panel);
+        data.gather(0, &mut panel);
         assert_eq!(panel, [1, 3, 5, 5, 7, 9, 21, 23, 25, 25, 27, 29]);
+        data.gather(2, &mut panel);
+        assert_eq!(panel, [3, 5, 7, 7, 9, 11, 23, 25, 27, 27, 29, 31]);
 
         let w = WeightView {
             src: &a,

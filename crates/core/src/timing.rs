@@ -1087,10 +1087,9 @@ fn replay_inference_memory(
         if count == 0 {
             return 0;
         }
-        let before = mem.report();
-        let one = mem.matmul(g);
-        mem.charge(&mem.report().since(&before).scaled(count - 1));
-        one * count
+        let (stall, d) = mem.price(g);
+        mem.charge(&d.scaled(count));
+        stall * count
     };
 
     let conv1 = mem.stage_input(checked_product(

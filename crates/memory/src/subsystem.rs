@@ -257,17 +257,31 @@ impl MemorySubsystem {
     /// counter exactly where a fresh replay would (the ClassCaps FC
     /// issues ~1.2k identical calls per batch).
     pub fn matmul(&mut self, g: &MatmulGeometry) -> u64 {
+        let (stall, delta) = self.price(g);
+        self.report.merge(&delta);
+        stall
+    }
+
+    /// What [`MemorySubsystem::matmul`] would charge for `g` — its stall
+    /// and counter delta — without charging it: the remembered outcome
+    /// when `g` is among the last `REPLAY_MEMO` geometries, otherwise a
+    /// fresh replay whose counters are rolled back (and remembered).
+    /// Charging `k` identical matmuls is then one
+    /// [`MemorySubsystem::charge`] of the delta [`MemReport::scaled`]
+    /// by `k`, plus `k` times the stall.
+    pub fn price(&mut self, g: &MatmulGeometry) -> (u64, MemReport) {
         if let Some((_, stall, delta)) = self.replays.iter().find(|(seen, ..)| seen == g) {
-            self.report.merge(delta);
-            return *stall;
+            return (*stall, *delta);
         }
         let before = self.report;
         let stall = self.replay(g);
+        let delta = self.report.since(&before);
+        self.report = before;
         if self.replays.len() == REPLAY_MEMO {
             self.replays.remove(0);
         }
-        self.replays.push((*g, stall, self.report.since(&before)));
-        stall
+        self.replays.push((*g, stall, delta));
+        (stall, delta)
     }
 
     /// Walks one matmul's whole tile schedule through the hierarchy.
@@ -502,9 +516,16 @@ impl MemorySubsystem {
     /// per-matmul stall histogram. The simulated result is identical
     /// to the unrecorded call — the recorder only observes.
     pub fn matmul_recorded(&mut self, g: &MatmulGeometry, rec: &mut Recorder) -> u64 {
-        let before = self.report;
-        let stall = self.matmul(g);
-        let d = self.report.since(&before);
+        let (stall, delta) = self.price(g);
+        self.report.merge(&delta);
+        Self::record_matmul(&delta, rec);
+        stall
+    }
+
+    /// Records one matmul's counter delta (as [`MemorySubsystem::price`]
+    /// returns it) the way [`MemorySubsystem::matmul_recorded`] does:
+    /// the call and stall counters and the per-matmul histograms.
+    pub fn record_matmul(d: &MemReport, rec: &mut Recorder) {
         rec.counter_add("mem.matmul_calls", 1);
         rec.counter_add("mem.stall_cycles", d.stall_cycles);
         rec.counter_add("mem.bank_stall_cycles", d.bank_stall_cycles);
@@ -512,7 +533,6 @@ impl MemorySubsystem {
         rec.counter_add("mem.hidden_fill_cycles", d.hidden_fill_cycles);
         rec.hist_record("mem.matmul_stall_cycles", d.stall_cycles);
         rec.hist_record("mem.matmul_hidden_fill_cycles", d.hidden_fill_cycles);
-        stall
     }
 
     /// [`MemorySubsystem::stage_input`] with the exposed staging
