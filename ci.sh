@@ -47,6 +47,14 @@ for workload in mnist-b16 mnist-b1 pool-b4 serve-faults; do
         exit 1
     fi
 done
+# Every paper-figure binary end to end. Each computes closed forms or
+# runs tiny networks only (milliseconds apiece), and several assert
+# their own checks, so a caller edit cannot break a figure unnoticed;
+# the other six run below, each with its own note.
+for bin in exp_energy exp_fig03 exp_fig08 exp_fig09 exp_fig16 exp_fig17 exp_fig18 \
+    exp_mapping exp_routing_opt exp_table1 exp_table2 exp_table3; do
+    run cargo run --release -q -p capsacc-bench --bin "$bin"
+done
 # Batched-serving smoke run: validates run_batch bit-exactness at the
 # tiny scale and refreshes BENCH_batch.json so the perf trajectory of
 # the batch path is recorded with every CI run.

@@ -15,9 +15,10 @@ fn main() {
     let cfg = AcceleratorConfig::paper();
     let model = EnergyModel::cmos_32nm();
 
-    let t = timing::full_inference(&cfg, &net);
-    let traffic = timing::traffic_estimate(&cfg, &net);
-    let report = model.inference_energy(&cfg, total_macs(&net), &traffic, t.total_time_us(&cfg));
+    let t = timing::full_inference_batch(&cfg, &net, 1);
+    let traffic = timing::batch_traffic_estimate(&cfg, &net, 1);
+    let report =
+        model.inference_energy(&cfg, total_macs(&net), &traffic, t.time_per_image_us(&cfg));
 
     let rows: Vec<Vec<String>> = report
         .components
@@ -58,13 +59,13 @@ fn main() {
             Some(1) => c.dataflow.weight_reuse = false,
             _ => {}
         }
-        let t = timing::full_inference(&c, &net);
-        let traffic = timing::traffic_estimate(&c, &net);
-        let e = model.inference_energy(&c, total_macs(&net), &traffic, t.total_time_us(&c));
+        let t = timing::full_inference_batch(&c, &net, 1);
+        let traffic = timing::batch_traffic_estimate(&c, &net, 1);
+        let e = model.inference_energy(&c, total_macs(&net), &traffic, t.time_per_image_us(&c));
         rows.push(vec![
             name.to_owned(),
             format!("{:.1} µJ", e.total_uj()),
-            format!("{:.2} ms", t.total_time_us(&c) / 1000.0),
+            format!("{:.2} ms", t.time_per_image_us(&c) / 1000.0),
         ]);
     }
     print_table(

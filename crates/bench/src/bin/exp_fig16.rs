@@ -11,7 +11,7 @@ use capsacc_gpu_model::GpuModel;
 fn main() {
     let acc_cfg = AcceleratorConfig::paper();
     let net = CapsNetConfig::mnist();
-    let acc = timing::full_inference(&acc_cfg, &net);
+    let acc = timing::full_inference_batch(&acc_cfg, &net, 1);
     let gpu = GpuModel::gtx1070().layer_times_us(&net);
 
     let paper = ["6x faster", "46% slower", "12x faster", "6x faster"];

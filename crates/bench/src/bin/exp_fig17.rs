@@ -25,7 +25,7 @@ fn paper_annotation(label: &str) -> &'static str {
 fn main() {
     let acc_cfg = AcceleratorConfig::paper();
     let net = CapsNetConfig::mnist();
-    let acc_steps = timing::routing_steps(&net, &acc_cfg);
+    let acc_steps = timing::batch_routing_steps(&net, 1, &acc_cfg);
     let gpu_steps = GpuModel::gtx1070().routing_steps_us(&net);
     assert_eq!(
         acc_steps.len(),
@@ -76,6 +76,6 @@ fn main() {
          squashes the 10 class capsules on parallel per-column activation\n\
          units; the paper's measured squash implies extra serialization it\n\
          does not specify. The qualitative claim — squash goes from GPU\n\
-         bottleneck to negligible — reproduces strongly. See EXPERIMENTS.md."
+         bottleneck to negligible — reproduces strongly."
     );
 }

@@ -10,7 +10,7 @@ use capsacc_core::{timing, Accelerator, AcceleratorConfig, MemoryKind};
 use capsacc_tensor::Tensor;
 
 fn classcaps_cycles(cfg: &AcceleratorConfig, net: &CapsNetConfig) -> u64 {
-    timing::routing_steps(net, cfg)
+    timing::batch_routing_steps(net, 1, cfg)
         .iter()
         .map(|s| s.cycles)
         .sum()
@@ -23,7 +23,7 @@ fn main() {
     // --- Ablation table: one dataflow switch off at a time.
     let mut rows = Vec::new();
     let mut push = |name: &str, cfg: AcceleratorConfig| {
-        let total = timing::full_inference(&cfg, &net).total_cycles();
+        let total = timing::full_inference_batch(&cfg, &net, 1).total_cycles();
         let cc = classcaps_cycles(&cfg, &net);
         rows.push(vec![
             name.to_owned(),
@@ -73,14 +73,13 @@ fn main() {
         &image,
         RoutingVariant::SkipFirstSoftmax,
     );
+    assert!(
+        original.class_caps == optimized.class_caps && original.couplings == optimized.couplings,
+        "skip-first-softmax changed the fixed-point class capsules or couplings"
+    );
     println!(
-        "\nSkip-first-softmax functional equivalence (bit-exact): {}",
-        if original.class_caps == optimized.class_caps && original.couplings == optimized.couplings
-        {
-            "PASS — identical class capsules and couplings"
-        } else {
-            "FAIL"
-        }
+        "\nSkip-first-softmax functional equivalence (bit-exact): \
+         PASS — identical class capsules and couplings"
     );
 
     // --- Data Memory traffic with and without the feedback path, from
@@ -95,6 +94,10 @@ fn main() {
     let run_off = acc_off.run_inference(&tiny, &qparams, &image);
     let dm_on = run_on.traffic.counter(MemoryKind::DataMemory).read_bytes;
     let dm_off = run_off.traffic.counter(MemoryKind::DataMemory).read_bytes;
+    assert!(
+        dm_off >= dm_on,
+        "disabling the feedback path cut Data Memory reads ({dm_on} B -> {dm_off} B)"
+    );
     println!(
         "Routing feedback reuse (cycle-accurate engine, tiny network):\n\
          Data Memory reads with feedback: {dm_on} B, without: {dm_off} B\n\

@@ -26,8 +26,7 @@ fn main() {
     );
     println!(
         "\nNote: the paper prints 102400 for PrimaryCaps outputs; the geometric\n\
-         value is 6·6·32·8 = 9216 (102400 is the Conv1 output count). See\n\
-         EXPERIMENTS.md."
+         value is 6·6·32·8 = 9216 (102400 is the Conv1 output count)."
     );
 
     // Fig. 5: distribution of parameters (coupling coefficients included

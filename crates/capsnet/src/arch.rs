@@ -208,7 +208,7 @@ impl CapsNetConfig {
     /// Note: for PrimaryCaps *outputs* the paper prints 102 400, which is
     /// the Conv1 output count; the geometric value is
     /// `grid² · pc_channels · pc_caps_dim` = 9216. We report the
-    /// geometric value (see EXPERIMENTS.md for the erratum discussion).
+    /// geometric value.
     pub fn table1(&self) -> Vec<LayerAccounting> {
         let g1 = self.conv1_geometry();
         let gp = self.primary_caps_geometry();

@@ -11,9 +11,17 @@
 //! register is ticked); activation-unit costs use the per-operation
 //! formulas of Sec. IV-C; bandwidth ceilings (weight streaming, routing
 //! buffer ports) are the analytical model's domain
-//! ([`crate::timing`]). The engine executes tiles serially — the
-//! pipelined "full throttle" overlap is modelled analytically and
-//! cross-checked against the serial engine with pipelining disabled.
+//! ([`crate::timing`]). The engine executes tiles serially; the
+//! pipelined "full throttle" overlap exists only in that model. With
+//! pipelining disabled, the model's array cycles equal the engine's
+//! (pinned on tiny matmuls by `tests/timing_consistency.rs`, and for
+//! Conv1 and PrimaryCaps at MNIST scale by
+//! `examples/mnist_full_system.rs`), but layer and step totals differ:
+//! the engine drains `M + 1` cycles per N-tile per image where the model
+//! charges ReLU 1 cycle, and the model applies Routing Buffer bandwidth
+//! ceilings to softmax and squash that the engine does not. The
+//! [`crate::timing`] module doc gives the MNIST figures; item 2 of
+//! `ROADMAP.md` (one cycle model) plans how the gaps close.
 //!
 //! Two execution backends produce this identical behavior
 //! ([`crate::EngineBackend`]): `Ticked` drives every PE register through

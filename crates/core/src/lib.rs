@@ -15,8 +15,9 @@
 //!   the quantized reference model in `capsacc-capsnet` (the analogue of
 //!   the paper's gate-level functional validation, Fig. 15).
 //! - [`timing`] — the closed-form analytical cycle model used by the
-//!   benchmark harness at MNIST scale; unit tests assert it agrees with
-//!   the cycle-accurate engine exactly on small workloads.
+//!   benchmark harness at MNIST scale; tests pin its systolic-array
+//!   cycles to the engine's (see the module doc for where the two still
+//!   differ).
 //!
 //! Behind both sits the **memory hierarchy** of `capsacc-memory`:
 //! banked Data/Weight/Accumulator scratchpads, an off-chip DRAM channel
@@ -27,14 +28,14 @@
 //! [`MemoryConfig::ideal`] ("IdealMemory") keeps every pre-hierarchy
 //! cycle count and trace bit-exact.
 //!
-//! Both models come in a single-inference and a **batched** form: the
-//! [`batch`] subsystem ([`BatchScheduler`] /
-//! [`engine::Accelerator::run_batch`] /
-//! [`timing::full_inference_batch`]) reorders a batch of inferences
-//! layer-major so weights loaded into the second weight register stay
-//! resident across all images — the paper's "reuse weights" scenario
-//! generalized across inferences — while every per-image trace stays
-//! bit-identical to a sequential run.
+//! Both models run **batches**: the [`batch`] subsystem
+//! ([`BatchScheduler`] / [`engine::Accelerator::run_batch`]) and the
+//! closed form ([`timing::full_inference_batch`]) order a batch of
+//! inferences layer-major so weights loaded into the second weight
+//! register stay resident across all images — the paper's "reuse
+//! weights" scenario generalized across inferences — while every
+//! per-image trace stays bit-identical to a sequential run. A single
+//! inference is a batch of one.
 //!
 //! # Example
 //!
@@ -44,9 +45,9 @@
 //!
 //! let acc = AcceleratorConfig::paper();
 //! let net = CapsNetConfig::mnist();
-//! let report = timing::full_inference(&acc, &net);
+//! let report = timing::full_inference_batch(&acc, &net, 1);
 //! // The whole inference completes in a few milliseconds at 250 MHz.
-//! let ms = report.total_time_us(&acc) / 1000.0;
+//! let ms = report.time_per_image_us(&acc) / 1000.0;
 //! assert!(ms > 0.1 && ms < 100.0);
 //! ```
 
@@ -87,7 +88,6 @@ pub use engine::{Accelerator, InferenceRun, LayerRun};
 pub use pe::{Pe, PeControl, PeInput, PeOutput, WeightSelect};
 pub use systolic::SystolicArray;
 pub use timing::{
-    BatchInferenceTiming, InferenceTiming, LayerTiming, MemInferenceTiming, RoutingStep,
-    RoutingStepTiming,
+    BatchInferenceTiming, LayerTiming, MemInferenceTiming, RoutingStep, RoutingStepTiming,
 };
 pub use traffic::{MemoryKind, TrafficCounter, TrafficReport};

@@ -1,11 +1,23 @@
 //! Closed-form cycle model of the CapsAcc dataflow.
 //!
-//! Every formula here mirrors the control sequences the cycle-accurate
-//! [`crate::engine`] executes; with tile pipelining disabled the two
-//! agree *exactly* (asserted by the engine's tests). With pipelining
-//! enabled (the paper's "full throttle" design point) the model hides
-//! weight reloads behind data streaming, which the serial engine does
-//! not simulate — the formulas document the difference.
+//! Every entry point prices a batch: `batch` images run through the
+//! layer-major schedule that keeps each weight tile resident across the
+//! batch, and a single inference is a batch of one.
+//!
+//! With tile pipelining disabled, the model's systolic-array (compute)
+//! cycles are the cycles the [`crate::engine`] executes. That is pinned
+//! on tiny matmuls by `tests/timing_consistency.rs`, and for Conv1 and
+//! PrimaryCaps at MNIST scale by `examples/mnist_full_system.rs`. Layer
+//! and step totals do not agree. The engine drains `M + 1` cycles per
+//! N-tile per image, so its MNIST Conv1 takes 43,104 + 16 × 401 = 49,520
+//! cycles, while the model charges ReLU as 1 cycle and gives 43,105.
+//! The model's softmax and squash steps also apply Routing Buffer
+//! bandwidth ceilings that the engine does not: 5,760 against 1,440
+//! cycles for each softmax after the first, and 40 against 18 for each
+//! squash. With pipelining enabled (the paper's "full throttle" design
+//! point) the model hides weight reloads behind data streaming, which
+//! neither engine backend executes. Item 2 of `ROADMAP.md` (one cycle
+//! model) plans how these gaps close.
 //!
 //! Cycle anatomy of one weight-stationary tile on an `R × C` array
 //! (see [`SystolicArray`](crate::SystolicArray)):
@@ -18,6 +30,16 @@
 //! cycle; the layer time is the max of compute and that stream (this is
 //! what makes PrimaryCaps — 5.3 MB of weights for only 36 output pixels —
 //! the one layer where the GPU keeps an edge, Fig. 16).
+//!
+//! # Example
+//!
+//! ```
+//! use capsacc_core::{timing, AcceleratorConfig};
+//! use capsacc_capsnet::CapsNetConfig;
+//! let t = timing::full_inference_batch(&AcceleratorConfig::paper(), &CapsNetConfig::mnist(), 1);
+//! // PrimaryCaps (5.3 MB of weights for 36 output pixels) dominates.
+//! assert!(t.primary_caps.cycles > t.conv1.cycles);
+//! ```
 
 use capsacc_capsnet::CapsNetConfig;
 use capsacc_memory::{MatmulGeometry, MemReport, MemorySubsystem, TileSchedule};
@@ -114,17 +136,6 @@ pub fn matmul_cycles(shape: MatmulShape, cfg: &AcceleratorConfig) -> u64 {
     }
 }
 
-/// Weight bytes a matmul reads from the weight store (each weight once
-/// per N-tile visit with reuse; once per data row without).
-pub fn matmul_weight_bytes(shape: MatmulShape, cfg: &AcceleratorConfig) -> u64 {
-    let per_visit = checked_product("matmul weight footprint", &[shape.k, shape.n]);
-    if cfg.dataflow.weight_reuse {
-        per_visit
-    } else {
-        checked_product("matmul weight reloads", &[per_visit, shape.m.max(1)])
-    }
-}
-
 /// Cycles to execute the same matmul for `batch` data operands sharing
 /// one weight operand, with the tiles held resident across the batch
 /// (the engine's [`crate::Accelerator::matmul_batch`] schedule).
@@ -151,15 +162,17 @@ pub fn batch_matmul_cycles(shape: MatmulShape, batch: u64, cfg: &AcceleratorConf
     )
 }
 
-/// Weight bytes a batched matmul reads from the weight store: once per
-/// *batch* with reuse, once per data row of every image without.
-pub fn batch_matmul_weight_bytes(shape: MatmulShape, batch: u64, cfg: &AcceleratorConfig) -> u64 {
+/// Weight bytes a batched matmul reads from the weight store: each
+/// weight once per *batch* with reuse, once per data row of every image
+/// without.
+fn batch_matmul_weight_bytes(shape: MatmulShape, batch: u64, cfg: &AcceleratorConfig) -> u64 {
+    let per_visit = checked_product("matmul weight footprint", &[shape.k, shape.n]);
     if cfg.dataflow.weight_reuse {
-        matmul_weight_bytes(shape, cfg)
+        per_visit
     } else {
         checked_product(
             "batched weight reloads",
-            &[batch, matmul_weight_bytes(shape, cfg)],
+            &[batch, per_visit, shape.m.max(1)],
         )
     }
 }
@@ -210,47 +223,61 @@ impl LayerTiming {
     }
 }
 
-/// Timing of a convolutional layer (Conv1 / PrimaryCaps conv phase) via
-/// the Fig. 13/14 mapping: im2col rows stream against weight-stationary
-/// filter tiles.
-pub fn conv_layer(
-    name: &'static str,
-    g: &ConvGeometry,
-    relu: bool,
-    cfg: &AcceleratorConfig,
-) -> LayerTiming {
-    let shape = MatmulShape {
+/// A convolution as the Fig. 13/14 mapping runs it: one im2col data row
+/// per output pixel against weight-stationary filter tiles.
+fn conv_shape(g: &ConvGeometry) -> MatmulShape {
+    MatmulShape {
         m: u64_from(g.patches()),
         k: u64_from(g.patch_len()),
         n: u64_from(g.out_ch),
-    };
-    let compute = matmul_cycles(shape, cfg);
-    let weight_bytes = matmul_weight_bytes(shape, cfg) + u64_from(g.out_ch); // + biases
-    let act = if relu {
-        // ReLU is pipelined behind the output stream: latency only.
-        ActivationUnit::reduce_cycles(0)
-    } else {
-        0
-    };
-    LayerTiming::new(name, compute, weight_bytes, act, g.macs(), cfg)
+    }
 }
 
-/// Timing of the PrimaryCaps layer: its convolution plus the per-capsule
-/// squash through the activation units.
-pub fn primary_caps_layer(net: &CapsNetConfig, cfg: &AcceleratorConfig) -> LayerTiming {
-    let g = net.primary_caps_geometry();
-    let conv = conv_layer("PrimaryCaps", &g, false, cfg);
-    let caps = u64_from(net.num_primary_caps());
-    let au = u64_from(cfg.activation_units);
-    let squash = ceil_div(caps, au) * ActivationUnit::squash_cycles(u64_from(net.pc_caps_dim));
-    LayerTiming::new(
-        "PrimaryCaps",
-        conv.compute_cycles,
-        conv.weight_bytes,
-        squash,
-        conv.macs,
-        cfg,
-    )
+/// Weight and bias bytes a convolution reads from the weight store for a
+/// batch; without reuse the biases also reload for every image.
+fn conv_weight_bytes(g: &ConvGeometry, batch: u64, cfg: &AcceleratorConfig) -> u64 {
+    let biases = if cfg.dataflow.weight_reuse {
+        u64_from(g.out_ch)
+    } else {
+        checked_product("bias reloads", &[batch, u64_from(g.out_ch)])
+    };
+    batch_matmul_weight_bytes(conv_shape(g), batch, cfg) + biases
+}
+
+/// Timing of a convolutional layer executed for a whole batch with the
+/// filter tiles held resident across images (layer-major schedule);
+/// `activation` is the layer's activation-unit cycles for the batch.
+fn conv_layer_batch(
+    name: &'static str,
+    g: &ConvGeometry,
+    activation: u64,
+    batch: u64,
+    cfg: &AcceleratorConfig,
+) -> LayerTiming {
+    let compute = batch_matmul_cycles(conv_shape(g), batch, cfg);
+    let weight_bytes = conv_weight_bytes(g, batch, cfg);
+    let macs = checked_product("batched conv MACs", &[batch, g.macs()]);
+    LayerTiming::new(name, compute, weight_bytes, activation, macs, cfg)
+}
+
+/// ClassCaps FC weight bytes read for a batch: each `W_ij` block once per
+/// batch with reuse (it stays resident while every image streams against
+/// it), once per image without.
+fn fc_weight_bytes(net: &CapsNetConfig, batch: u64, cfg: &AcceleratorConfig) -> u64 {
+    let once = checked_product(
+        "ClassCaps FC weights",
+        &[
+            u64_from(net.num_primary_caps()),
+            u64_from(net.num_classes),
+            u64_from(net.class_caps_dim),
+            u64_from(net.pc_caps_dim),
+        ],
+    );
+    if cfg.dataflow.weight_reuse {
+        once
+    } else {
+        checked_product("batched FC weight reloads", &[batch, once])
+    }
 }
 
 /// The steps of the ClassCaps phase, named as on the x-axis of
@@ -304,7 +331,7 @@ impl RoutingStepTiming {
 }
 
 /// Timing of the complete ClassCaps phase (Load + FC + routing
-/// iterations), step by step.
+/// iterations) for a whole batch, step by step.
 ///
 /// Dataflow scenarios per Fig. 12: the first Sum reads `û` from the Data
 /// Buffer (scenario b); Updates and later Sums reuse `û` through the
@@ -313,10 +340,19 @@ impl RoutingStepTiming {
 /// the Data Memory. With `dataflow.skip_first_softmax` the first softmax
 /// is replaced by the direct `c_ij = 1/J` initialization (Sec. V), whose
 /// cost is a single coupling broadcast into the Routing Buffer.
-pub fn routing_steps(net: &CapsNetConfig, cfg: &AcceleratorConfig) -> Vec<RoutingStepTiming> {
+///
+/// Only the FC step amortizes: its `W_ij` blocks stay resident while
+/// every image's capsule vectors stream against them, so the 1.47 MB
+/// weight stream is paid once per batch. Everything else (Load, softmax,
+/// sums, squashes, updates) operates on per-image state and scales
+/// linearly with the batch.
+pub fn batch_routing_steps(
+    net: &CapsNetConfig,
+    batch: u64,
+    cfg: &AcceleratorConfig,
+) -> Vec<RoutingStepTiming> {
     let caps = u64_from(net.num_primary_caps());
     let classes = u64_from(net.num_classes);
-    let in_dim = u64_from(net.pc_caps_dim);
     let out_dim = u64_from(net.class_caps_dim);
     let au = u64_from(cfg.activation_units);
     let u_hat_bytes = checked_product("û working set", &[caps, classes, out_dim]);
@@ -325,41 +361,52 @@ pub fn routing_steps(net: &CapsNetConfig, cfg: &AcceleratorConfig) -> Vec<Routin
     // `caps == 0` those products are 0 and would mask an overflow here.
     let cc_bytes = checked_product("class capsules", &[classes, out_dim]);
     let coupling_rw = checked_product("coupling read+write", &[2, coupling_bytes]);
+    let load = u64_from(cfg.rows) + 1;
+    let drain = u64_from(cfg.rows + cfg.cols);
+    // A step on per-image state: `batch` times its single-image cost.
+    let per_image = |step: RoutingStep, cycles: u64, data_mem_bytes: u64| RoutingStepTiming {
+        step,
+        cycles: checked_product("batched step cycles", &[cycles, batch]),
+        data_mem_bytes: checked_product("batched step bytes", &[data_mem_bytes, batch]),
+    };
     let mut steps = Vec::new();
 
-    // Load: stage the û working set into the Data Buffer once.
-    steps.push(RoutingStepTiming {
-        step: RoutingStep::Load,
-        cycles: ceil_div(u_hat_bytes, cfg.data_mem_bw),
-        data_mem_bytes: u_hat_bytes,
-    });
+    // Load: stage the û working set into the Data Buffer once per image.
+    steps.push(per_image(
+        RoutingStep::Load,
+        ceil_div(u_hat_bytes, cfg.data_mem_bw),
+        u_hat_bytes,
+    ));
 
     // FC: û_{j|i} = W_ij · u_i — one (in_dim × classes·out_dim) matmul
-    // per input capsule with M = 1; tiles pipeline across capsules.
-    let fc_weight_bytes = checked_product("ClassCaps FC weights", &[u_hat_bytes, in_dim]);
-    let fc_shape_tiles = checked_product(
+    // per input capsule with M data rows; tiles pipeline across capsules.
+    // With weight reuse every image streams against the resident W_ij
+    // tiles (M = batch); without it each image is its own M = 1 pass.
+    let fc_tiles = checked_product(
         "ClassCaps FC tiles",
         &[caps, ceil_div(cc_bytes, u64_from(cfg.cols))],
     );
-    let load = u64_from(cfg.rows) + 1;
-    let fc_compute = if tiles_pipeline(cfg) {
-        load + 1
-            + checked_product(
-                "ClassCaps FC pipeline",
-                &[fc_shape_tiles - 1, 1u64.max(load)],
-            )
-            + u64_from(cfg.rows + cfg.cols)
-    } else {
-        checked_product(
-            "ClassCaps FC cycles",
-            &[fc_shape_tiles, load + 1 + u64_from(cfg.rows + cfg.cols)],
-        )
+    // Each pass streams every W_ij once.
+    let fc_stream = ceil_div(fc_weight_bytes(net, 1, cfg), cfg.weight_mem_bw);
+    let fc = |m: u64| {
+        let compute = if tiles_pipeline(cfg) {
+            load + m
+                + checked_product("ClassCaps FC pipeline", &[fc_tiles - 1, m.max(load)])
+                + drain
+        } else {
+            checked_product("ClassCaps FC cycles", &[fc_tiles, load + m + drain])
+        };
+        compute.max(fc_stream)
     };
-    let fc_stream = ceil_div(fc_weight_bytes, cfg.weight_mem_bw);
     steps.push(RoutingStepTiming {
         step: RoutingStep::Fc,
-        cycles: fc_compute.max(fc_stream),
-        data_mem_bytes: u_hat_bytes, // û written back as produced
+        cycles: if cfg.dataflow.weight_reuse {
+            fc(batch)
+        } else {
+            checked_product("batched step cycles", &[fc(1), batch])
+        },
+        // û written back as produced.
+        data_mem_bytes: checked_product("batched û stream", &[batch, u_hat_bytes]),
     });
 
     // Per-iteration steps.
@@ -374,17 +421,12 @@ pub fn routing_steps(net: &CapsNetConfig, cfg: &AcceleratorConfig) -> Vec<Routin
             let traffic = ceil_div(coupling_rw, cfg.routing_buf_bw);
             compute.max(traffic)
         };
-        steps.push(RoutingStepTiming {
-            step: RoutingStep::Softmax(iter),
-            cycles: softmax,
-            data_mem_bytes: 0,
-        });
+        steps.push(per_image(RoutingStep::Softmax(iter), softmax, 0));
 
         // Sum: per class, û tiles (R capsules × out_dim) weight-stationary
         // with the coupling row streamed (M = 1).
         let chunks = ceil_div(caps, u64_from(cfg.rows));
         let ntiles = ceil_div(out_dim, u64_from(cfg.cols));
-        let drain = u64_from(cfg.rows + cfg.cols);
         let per_class = if tiles_pipeline(cfg) {
             let steady = checked_product("routing Sum pipeline", &[chunks - 1, 1u64.max(load)]);
             checked_product("routing Sum tiles", &[ntiles, load + 1 + steady + drain])
@@ -398,20 +440,16 @@ pub fn routing_steps(net: &CapsNetConfig, cfg: &AcceleratorConfig) -> Vec<Routin
             sum_cycles = sum_cycles.max(ceil_div(u_hat_bytes, cfg.data_mem_bw));
             sum_mem = u_hat_bytes;
         }
-        steps.push(RoutingStepTiming {
-            step: RoutingStep::Sum(iter),
-            cycles: sum_cycles,
-            data_mem_bytes: sum_mem,
-        });
+        steps.push(per_image(RoutingStep::Sum(iter), sum_cycles, sum_mem));
 
         // Squash: one class capsule per activation unit.
         let squash_compute = ceil_div(classes, au) * ActivationUnit::squash_cycles(out_dim);
         let squash_traffic = ceil_div(cc_bytes, cfg.routing_buf_bw); // write v_j
-        steps.push(RoutingStepTiming {
-            step: RoutingStep::Squash(iter),
-            cycles: squash_compute.max(squash_traffic),
-            data_mem_bytes: 0,
-        });
+        steps.push(per_image(
+            RoutingStep::Squash(iter),
+            squash_compute.max(squash_traffic),
+            0,
+        ));
 
         // Update (all but the last iteration): per class, v_j is the
         // weight tile (out_dim × 1) and all û rows stream (M = caps).
@@ -426,257 +464,7 @@ pub fn routing_steps(net: &CapsNetConfig, cfg: &AcceleratorConfig) -> Vec<Routin
                 upd_cycles = upd_cycles.max(ceil_div(u_hat_bytes, cfg.data_mem_bw));
                 upd_mem = u_hat_bytes;
             }
-            steps.push(RoutingStepTiming {
-                step: RoutingStep::Update(iter),
-                cycles: upd_cycles,
-                data_mem_bytes: upd_mem,
-            });
-        }
-    }
-    steps
-}
-
-/// Complete inference timing: the three layers of Fig. 16, with the
-/// ClassCaps layer broken into the steps of Fig. 17.
-#[derive(Clone, PartialEq, Debug)]
-pub struct InferenceTiming {
-    /// Conv1 timing.
-    pub conv1: LayerTiming,
-    /// PrimaryCaps timing.
-    pub primary_caps: LayerTiming,
-    /// ClassCaps step-by-step timing.
-    pub class_caps_steps: Vec<RoutingStepTiming>,
-}
-
-impl InferenceTiming {
-    /// Total ClassCaps cycles.
-    pub fn class_caps_cycles(&self) -> u64 {
-        self.class_caps_steps.iter().map(|s| s.cycles).sum()
-    }
-
-    /// Total inference cycles.
-    pub fn total_cycles(&self) -> u64 {
-        self.conv1.cycles + self.primary_caps.cycles + self.class_caps_cycles()
-    }
-
-    /// Total inference time in microseconds.
-    pub fn total_time_us(&self, cfg: &AcceleratorConfig) -> f64 {
-        cfg.cycles_to_us(self.total_cycles())
-    }
-
-    /// Per-layer `(name, cycles)` rows in Fig. 16 order.
-    pub fn layer_rows(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("Conv1", self.conv1.cycles),
-            ("PrimaryCaps", self.primary_caps.cycles),
-            ("ClassCaps", self.class_caps_cycles()),
-        ]
-    }
-}
-
-/// Computes the full-inference timing for a network on an accelerator
-/// configuration.
-///
-/// # Example
-///
-/// ```
-/// use capsacc_core::{timing, AcceleratorConfig};
-/// use capsacc_capsnet::CapsNetConfig;
-/// let t = timing::full_inference(&AcceleratorConfig::paper(), &CapsNetConfig::mnist());
-/// // PrimaryCaps (5.3 MB of weights for 36 output pixels) dominates.
-/// assert!(t.primary_caps.cycles > t.conv1.cycles);
-/// ```
-pub fn full_inference(cfg: &AcceleratorConfig, net: &CapsNetConfig) -> InferenceTiming {
-    InferenceTiming {
-        conv1: conv_layer("Conv1", &net.conv1_geometry(), true, cfg),
-        primary_caps: primary_caps_layer(net, cfg),
-        class_caps_steps: routing_steps(net, cfg),
-    }
-}
-
-/// Checks that the working sets of a network fit the configured buffer
-/// capacities, returning one human-readable warning per violation (empty
-/// means everything fits — true for the paper's design point).
-///
-/// Checked working sets:
-///
-/// - Data Buffer: the `û` prediction set staged for routing (Load step),
-///   and one im2col data stripe per conv layer;
-/// - Routing Buffer: couplings + logits + class capsules;
-/// - Weight Buffer: one weight tile (double-buffered).
-///
-/// # Example
-///
-/// ```
-/// use capsacc_core::{timing, AcceleratorConfig};
-/// use capsacc_capsnet::CapsNetConfig;
-/// let warnings = timing::working_set_check(&AcceleratorConfig::paper(), &CapsNetConfig::mnist());
-/// assert!(warnings.is_empty());
-/// ```
-pub fn working_set_check(cfg: &AcceleratorConfig, net: &CapsNetConfig) -> Vec<String> {
-    let mut warnings = Vec::new();
-    // Footprints are computed in u64 with overflow checks: a working-set
-    // *checker* wrapping silently on an adversarial net would defeat its
-    // own purpose.
-    let caps = u64_from(net.num_primary_caps());
-    let classes = u64_from(net.num_classes);
-    let out_dim = u64_from(net.class_caps_dim);
-
-    let u_hat_bytes = checked_product("û working set", &[caps, classes, out_dim]);
-    if u_hat_bytes > u64_from(cfg.data_buffer_bytes) {
-        warnings.push(format!(
-            "û working set ({u_hat_bytes} B) exceeds the Data Buffer ({} B): \
-             routing reuse degrades to memory re-reads",
-            cfg.data_buffer_bytes
-        ));
-    }
-    for (name, g) in [
-        ("Conv1", net.conv1_geometry()),
-        ("PrimaryCaps", net.primary_caps_geometry()),
-    ] {
-        let stripe = checked_product(
-            "im2col stripe",
-            &[u64_from(g.patches()), u64_from(cfg.rows.min(g.patch_len()))],
-        );
-        if stripe > u64_from(cfg.data_buffer_bytes) {
-            warnings.push(format!(
-                "{name} im2col stripe ({stripe} B) exceeds the Data Buffer ({} B)",
-                cfg.data_buffer_bytes
-            ));
-        }
-    }
-
-    let routing_set = checked_product("routing state", &[2, caps, classes])
-        + checked_product("class capsules", &[classes, out_dim]);
-    if routing_set > u64_from(cfg.routing_buffer_bytes) {
-        warnings.push(format!(
-            "routing state ({routing_set} B of couplings+logits+capsules) exceeds \
-             the Routing Buffer ({} B)",
-            cfg.routing_buffer_bytes
-        ));
-    }
-
-    let tile = 2 * cfg.rows * cfg.cols; // double-buffered weight tile
-    if tile > cfg.weight_buffer_bytes {
-        warnings.push(format!(
-            "double-buffered weight tile ({tile} B) exceeds the Weight Buffer ({} B)",
-            cfg.weight_buffer_bytes
-        ));
-    }
-    warnings
-}
-
-/// Timing of a convolutional layer executed for a whole batch with the
-/// filter tiles held resident across images (layer-major schedule).
-pub fn conv_layer_batch(
-    name: &'static str,
-    g: &ConvGeometry,
-    relu: bool,
-    batch: u64,
-    cfg: &AcceleratorConfig,
-) -> LayerTiming {
-    let shape = MatmulShape {
-        m: u64_from(g.patches()),
-        k: u64_from(g.patch_len()),
-        n: u64_from(g.out_ch),
-    };
-    let compute = batch_matmul_cycles(shape, batch, cfg);
-    let biases = if cfg.dataflow.weight_reuse {
-        u64_from(g.out_ch)
-    } else {
-        checked_product("bias reloads", &[batch, u64_from(g.out_ch)])
-    };
-    let weight_bytes = batch_matmul_weight_bytes(shape, batch, cfg) + biases;
-    let act = if relu {
-        // ReLU is pipelined behind the output stream: latency only.
-        ActivationUnit::reduce_cycles(0)
-    } else {
-        0
-    };
-    let macs = checked_product("batched conv MACs", &[batch, g.macs()]);
-    LayerTiming::new(name, compute, weight_bytes, act, macs, cfg)
-}
-
-/// Batched PrimaryCaps timing: the weight-resident convolution plus the
-/// per-capsule squash, which is per-image work and scales with the
-/// batch.
-pub fn primary_caps_layer_batch(
-    net: &CapsNetConfig,
-    batch: u64,
-    cfg: &AcceleratorConfig,
-) -> LayerTiming {
-    let g = net.primary_caps_geometry();
-    let conv = conv_layer_batch("PrimaryCaps", &g, false, batch, cfg);
-    let caps = u64_from(net.num_primary_caps());
-    let au = u64_from(cfg.activation_units);
-    let squash = checked_product(
-        "batched squash cycles",
-        &[
-            batch,
-            ceil_div(caps, au),
-            ActivationUnit::squash_cycles(u64_from(net.pc_caps_dim)),
-        ],
-    );
-    LayerTiming::new(
-        "PrimaryCaps",
-        conv.compute_cycles,
-        conv.weight_bytes,
-        squash,
-        conv.macs,
-        cfg,
-    )
-}
-
-/// The ClassCaps steps for a whole batch.
-///
-/// Only the FC step amortizes: its `W_ij` blocks stay resident while
-/// every image's capsule vectors stream against them, so the 1.47 MB
-/// weight stream is paid once per batch. Everything else (Load, softmax,
-/// sums, squashes, updates) operates on per-image state and scales
-/// linearly with the batch.
-pub fn batch_routing_steps(
-    net: &CapsNetConfig,
-    batch: u64,
-    cfg: &AcceleratorConfig,
-) -> Vec<RoutingStepTiming> {
-    let mut steps = routing_steps(net, cfg);
-    for s in steps.iter_mut() {
-        if s.step == RoutingStep::Fc && cfg.dataflow.weight_reuse {
-            let caps = u64_from(net.num_primary_caps());
-            let classes = u64_from(net.num_classes);
-            let out_dim = u64_from(net.class_caps_dim);
-            let in_dim = u64_from(net.pc_caps_dim);
-            let fc_weight_bytes =
-                checked_product("ClassCaps FC weights", &[caps, classes, out_dim, in_dim]);
-            let fc_tiles = checked_product(
-                "ClassCaps FC tiles",
-                &[
-                    caps,
-                    ceil_div(
-                        checked_product("class capsules", &[classes, out_dim]),
-                        u64_from(cfg.cols),
-                    ),
-                ],
-            );
-            let load = u64_from(cfg.rows) + 1;
-            // M = batch rows per capsule-tile instead of 1.
-            let fc_compute = if tiles_pipeline(cfg) {
-                load + batch
-                    + checked_product("ClassCaps FC pipeline", &[fc_tiles - 1, batch.max(load)])
-                    + u64_from(cfg.rows + cfg.cols)
-            } else {
-                checked_product(
-                    "ClassCaps FC cycles",
-                    &[fc_tiles, load + batch + u64_from(cfg.rows + cfg.cols)],
-                )
-            };
-            let fc_stream = ceil_div(fc_weight_bytes, cfg.weight_mem_bw);
-            s.cycles = fc_compute.max(fc_stream);
-            s.data_mem_bytes =
-                checked_product("batched û stream", &[batch, caps, classes, out_dim]);
-        } else {
-            s.cycles = checked_product("batched step cycles", &[s.cycles, batch]);
-            s.data_mem_bytes = checked_product("batched step bytes", &[s.data_mem_bytes, batch]);
+            steps.push(per_image(RoutingStep::Update(iter), upd_cycles, upd_mem));
         }
     }
     steps
@@ -685,7 +473,8 @@ pub fn batch_routing_steps(
 /// Closed-form timing of a layer-major batched inference pass — the
 /// analytical counterpart of the engine's
 /// [`crate::Accelerator::run_batch`], with the weight-load terms
-/// amortized over the batch.
+/// amortized over the batch: the three layers of Fig. 16, with the
+/// ClassCaps layer broken into the steps of Fig. 17.
 #[derive(Clone, PartialEq, Debug)]
 pub struct BatchInferenceTiming {
     /// Batch size the totals cover.
@@ -730,9 +519,8 @@ impl BatchInferenceTiming {
 }
 
 /// Computes the batched-inference timing: `batch` images through the
-/// layer-major weight-resident schedule.
-///
-/// With `batch == 1` this reduces exactly to [`full_inference`].
+/// layer-major weight-resident schedule (`batch == 1` is a single
+/// inference).
 ///
 /// # Example
 ///
@@ -756,73 +544,46 @@ pub fn full_inference_batch(
     batch: u64,
 ) -> BatchInferenceTiming {
     assert!(batch > 0, "batch must be non-zero");
-    let fc_once = checked_product(
-        "ClassCaps FC weights",
+    // ReLU is pipelined behind Conv1's output stream: latency only. The
+    // PrimaryCaps squash is per-capsule work and scales with the batch.
+    let relu = ActivationUnit::reduce_cycles(0);
+    let squash = checked_product(
+        "batched squash cycles",
         &[
-            u64_from(net.num_primary_caps()),
-            u64_from(net.num_classes),
-            u64_from(net.class_caps_dim),
-            u64_from(net.pc_caps_dim),
+            batch,
+            ceil_div(
+                u64_from(net.num_primary_caps()),
+                u64_from(cfg.activation_units),
+            ),
+            ActivationUnit::squash_cycles(u64_from(net.pc_caps_dim)),
         ],
     );
-    let fc_weight_bytes = if cfg.dataflow.weight_reuse {
-        fc_once
-    } else {
-        checked_product("batched FC weight reloads", &[batch, fc_once])
-    };
     BatchInferenceTiming {
         batch,
-        conv1: conv_layer_batch("Conv1", &net.conv1_geometry(), true, batch, cfg),
-        primary_caps: primary_caps_layer_batch(net, batch, cfg),
+        conv1: conv_layer_batch("Conv1", &net.conv1_geometry(), relu, batch, cfg),
+        primary_caps: conv_layer_batch(
+            "PrimaryCaps",
+            &net.primary_caps_geometry(),
+            squash,
+            batch,
+            cfg,
+        ),
         class_caps_steps: batch_routing_steps(net, batch, cfg),
-        fc_weight_bytes,
+        fc_weight_bytes: fc_weight_bytes(net, batch, cfg),
     }
 }
 
-/// Steady-state batch throughput in inferences per second, assuming the
-/// three layer phases pipeline across consecutive images (each phase's
-/// resources are distinct: the array time-multiplexes, so the bottleneck
-/// phase sets the rate — a standard layer-pipelining upper bound).
-///
-/// # Example
-///
-/// ```
-/// use capsacc_core::{timing, AcceleratorConfig};
-/// use capsacc_capsnet::CapsNetConfig;
-/// let cfg = AcceleratorConfig::paper();
-/// let single = 1e6 / timing::full_inference(&cfg, &CapsNetConfig::mnist()).total_time_us(&cfg);
-/// let pipelined = timing::batch_throughput(&cfg, &CapsNetConfig::mnist());
-/// assert!(pipelined >= single);
-/// ```
-pub fn batch_throughput(cfg: &AcceleratorConfig, net: &CapsNetConfig) -> f64 {
-    let t = full_inference(cfg, net);
-    let bottleneck = t
-        .conv1
-        .cycles
-        .max(t.primary_caps.cycles)
-        .max(t.class_caps_cycles());
-    1e6 / cfg.cycles_to_us(bottleneck)
-}
-
-/// Analytical estimate of the memory/buffer traffic of one full
-/// inference — the closed-form counterpart of the engine's counters,
+/// Analytical estimate of the memory/buffer traffic of a layer-major
+/// batched pass — the closed-form counterpart of the engine's counters,
 /// usable at MNIST scale where the cycle-accurate engine is slow.
 ///
-/// Accounting: weight reads once per (K, N) tile visit (or per data row
-/// without reuse); data-buffer reads once per tile's data stream; the û
-/// working set staged once (plus re-reads when the feedback path is
+/// Accounting: weight reads once per (K, N) tile visit per *batch* (the
+/// residency amortization; per data row of every image without reuse);
+/// data-buffer reads once per tile's data stream; the û working set
+/// staged once per image (plus re-reads when the feedback path is
 /// disabled); routing-buffer traffic for couplings, logits and class
-/// capsules per iteration.
-pub fn traffic_estimate(cfg: &AcceleratorConfig, net: &CapsNetConfig) -> crate::TrafficReport {
-    batch_traffic_estimate(cfg, net, 1)
-}
-
-/// Analytical traffic estimate of a layer-major batched pass: weight
-/// reads are charged once per *batch* (the residency amortization),
-/// while everything keyed to per-image state — data streams, the û
-/// staging, all routing traffic — scales linearly with the batch.
-///
-/// With `batch == 1` this is exactly [`traffic_estimate`].
+/// capsules per iteration. Everything keyed to per-image state scales
+/// linearly with the batch.
 ///
 /// # Panics
 ///
@@ -839,17 +600,8 @@ pub fn batch_traffic_estimate(
     let product = checked_product;
 
     let conv = |t: &mut TrafficReport, g: &ConvGeometry| {
-        let shape = MatmulShape {
-            m: u64_from(g.patches()),
-            k: u64_from(g.patch_len()),
-            n: u64_from(g.out_ch),
-        };
-        let biases = if cfg.dataflow.weight_reuse {
-            u64_from(g.out_ch)
-        } else {
-            product("bias reloads", &[batch, u64_from(g.out_ch)])
-        };
-        let wbytes = batch_matmul_weight_bytes(shape, batch, cfg) + biases;
+        let shape = conv_shape(g);
+        let wbytes = conv_weight_bytes(g, batch, cfg);
         t.read(MemoryKind::WeightMemory, wbytes);
         t.read(MemoryKind::WeightBuffer, wbytes);
         // Off chip, each weight and bias crosses the DRAM channel once
@@ -895,15 +647,11 @@ pub fn batch_traffic_estimate(
 
     // FC: each W_ij read once per batch (its block stays resident while
     // every image streams); capsule inputs streamed per N-tile per image.
-    let fc_once = product("ClassCaps FC weights", &[u_hat_bytes, in_dim]);
-    let fc_weights = if cfg.dataflow.weight_reuse {
-        fc_once
-    } else {
-        product("batched FC weight reloads", &[batch, fc_once])
-    };
+    let fc_weights = fc_weight_bytes(net, batch, cfg);
     t.read(MemoryKind::WeightMemory, fc_weights);
     t.read(MemoryKind::WeightBuffer, fc_weights);
-    t.read(MemoryKind::Dram, fc_once);
+    // Off chip, each W_ij crosses the DRAM channel once per batch.
+    t.read(MemoryKind::Dram, fc_weight_bytes(net, 1, cfg));
     t.read(
         MemoryKind::DataBuffer,
         product(
@@ -1073,11 +821,6 @@ fn replay_inference_memory(
     let (caps, classes) = (u64_from(net.num_primary_caps()), u64_from(net.num_classes));
     let (in_dim, out_dim) = (u64_from(net.pc_caps_dim), u64_from(net.class_caps_dim));
 
-    let conv_shape = |g: &ConvGeometry| MatmulShape {
-        m: u64_from(g.patches()),
-        k: u64_from(g.patch_len()),
-        n: u64_from(g.out_ch),
-    };
     // Many of run_batch's transactions are identical repeats (one FC
     // matmul per input capsule, one Sum/Update matmul per class per
     // iteration per image). Each repeat restarts the prefetch timeline,
@@ -1173,12 +916,6 @@ pub fn full_inference_batch_mem(
     }
 }
 
-/// Memory-aware single-inference timing: [`full_inference_batch_mem`]
-/// with a batch of one.
-pub fn full_inference_mem(cfg: &AcceleratorConfig, net: &CapsNetConfig) -> MemInferenceTiming {
-    full_inference_batch_mem(cfg, net, 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1224,9 +961,9 @@ mod tests {
         let shape = MatmulShape { m: 3, k: 4, n: 4 };
         // 3 rows × 5-cycle loads + stream 11.
         assert_eq!(matmul_cycles(shape, &c), 3 * 5 + 11);
-        assert_eq!(matmul_weight_bytes(shape, &c), 16 * 3);
+        assert_eq!(batch_matmul_weight_bytes(shape, 1, &c), 16 * 3);
         c.dataflow.weight_reuse = true;
-        assert_eq!(matmul_weight_bytes(shape, &c), 16);
+        assert_eq!(batch_matmul_weight_bytes(shape, 1, &c), 16);
     }
 
     #[test]
@@ -1234,31 +971,26 @@ mod tests {
         // PrimaryCaps moves 5.3 MB of weights for only 36 output pixels:
         // the weight stream (5 308 672 B at 8 B/cycle) runs neck-and-neck
         // with compute — the layer the GPU keeps an edge on (Fig. 16).
-        let t = primary_caps_layer(&CapsNetConfig::mnist(), &cfg());
+        let full = full_inference_batch(&cfg(), &CapsNetConfig::mnist(), 1);
+        let t = &full.primary_caps;
         assert_eq!(t.weight_stream_cycles, 5_308_672_u64.div_ceil(8));
         let ratio = t.compute_cycles as f64 / t.weight_stream_cycles as f64;
         assert!((0.8..1.5).contains(&ratio), "ratio = {ratio}");
         // And it dominates the whole inference.
-        let full = full_inference(&cfg(), &CapsNetConfig::mnist());
         assert!(full.primary_caps.cycles > full.conv1.cycles);
         assert!(full.primary_caps.cycles > full.class_caps_cycles());
     }
 
     #[test]
     fn conv1_is_compute_bound() {
-        let t = conv_layer(
-            "Conv1",
-            &CapsNetConfig::mnist().conv1_geometry(),
-            true,
-            &cfg(),
-        );
+        let t = full_inference_batch(&cfg(), &CapsNetConfig::mnist(), 1).conv1;
         assert!(t.compute_cycles > t.weight_stream_cycles);
         assert_eq!(t.macs, 400 * 81 * 256);
     }
 
     #[test]
     fn routing_steps_sequence_matches_fig17() {
-        let steps = routing_steps(&CapsNetConfig::mnist(), &cfg());
+        let steps = batch_routing_steps(&CapsNetConfig::mnist(), 1, &cfg());
         let names: Vec<String> = steps.iter().map(|s| s.step.to_string()).collect();
         assert_eq!(
             names,
@@ -1271,10 +1003,10 @@ mod tests {
 
     #[test]
     fn skip_first_softmax_saves_cycles() {
-        let with = routing_steps(&CapsNetConfig::mnist(), &cfg());
+        let with = batch_routing_steps(&CapsNetConfig::mnist(), 1, &cfg());
         let mut c = cfg();
         c.dataflow.skip_first_softmax = false;
-        let without = routing_steps(&CapsNetConfig::mnist(), &c);
+        let without = batch_routing_steps(&CapsNetConfig::mnist(), 1, &c);
         let s_with = with
             .iter()
             .find(|s| s.step == RoutingStep::Softmax(1))
@@ -1298,10 +1030,10 @@ mod tests {
 
     #[test]
     fn feedback_reuse_eliminates_data_memory_rereads() {
-        let with = routing_steps(&CapsNetConfig::mnist(), &cfg());
+        let with = batch_routing_steps(&CapsNetConfig::mnist(), 1, &cfg());
         let mut c = cfg();
         c.dataflow.routing_feedback = false;
-        let without = routing_steps(&CapsNetConfig::mnist(), &c);
+        let without = batch_routing_steps(&CapsNetConfig::mnist(), 1, &c);
         let mem = |steps: &[RoutingStepTiming]| -> u64 {
             steps
                 .iter()
@@ -1321,22 +1053,20 @@ mod tests {
         // 1152 · 10 · 16 bytes at 8 B/cycle = 23 040 cycles ≈ 92 µs at
         // 250 MHz — the paper reports the CapsAcc Load as ~9% faster than
         // the GPU's ~100 µs.
-        let steps = routing_steps(&CapsNetConfig::mnist(), &cfg());
+        let steps = batch_routing_steps(&CapsNetConfig::mnist(), 1, &cfg());
         assert_eq!(steps[0].cycles, 23_040);
     }
 
     #[test]
     fn full_inference_totals_are_consistent() {
-        let t = full_inference(&cfg(), &CapsNetConfig::mnist());
+        let t = full_inference_batch(&cfg(), &CapsNetConfig::mnist(), 1);
         assert_eq!(
             t.total_cycles(),
             t.conv1.cycles + t.primary_caps.cycles + t.class_caps_cycles()
         );
-        let rows = t.layer_rows();
-        assert_eq!(rows.len(), 3);
         // Total inference lands in the single-digit-millisecond regime at
         // 250 MHz, like the paper's.
-        let ms = t.total_time_us(&cfg()) / 1000.0;
+        let ms = t.time_per_image_us(&cfg()) / 1000.0;
         assert!((1.0..10.0).contains(&ms), "total = {ms} ms");
     }
 
@@ -1344,7 +1074,7 @@ mod tests {
     fn squash_step_is_negligible() {
         // The headline effect: squashing goes from the GPU bottleneck to
         // a negligible cost on CapsAcc.
-        let steps = routing_steps(&CapsNetConfig::mnist(), &cfg());
+        let steps = batch_routing_steps(&CapsNetConfig::mnist(), 1, &cfg());
         let squash: u64 = steps
             .iter()
             .filter(|s| matches!(s.step, RoutingStep::Squash(_)))
@@ -1355,39 +1085,8 @@ mod tests {
     }
 
     #[test]
-    fn paper_design_point_fits_all_working_sets() {
-        assert!(working_set_check(&cfg(), &CapsNetConfig::mnist()).is_empty());
-    }
-
-    #[test]
-    fn undersized_buffers_are_reported() {
-        let mut c = cfg();
-        c.data_buffer_bytes = 1024;
-        c.routing_buffer_bytes = 64;
-        c.weight_buffer_bytes = 16;
-        let warnings = working_set_check(&c, &CapsNetConfig::mnist());
-        assert!(warnings.len() >= 3, "warnings: {warnings:?}");
-        assert!(warnings.iter().any(|w| w.contains("û working set")));
-        assert!(warnings.iter().any(|w| w.contains("Routing Buffer")));
-        assert!(warnings.iter().any(|w| w.contains("Weight Buffer")));
-    }
-
-    #[test]
-    fn batch_throughput_bounded_by_bottleneck_layer() {
-        let c = cfg();
-        let net = CapsNetConfig::mnist();
-        let t = full_inference(&c, &net);
-        let rate = batch_throughput(&c, &net);
-        // PrimaryCaps dominates: the pipelined rate equals its phase rate.
-        let expect = 1e6 / c.cycles_to_us(t.primary_caps.cycles);
-        assert!((rate - expect).abs() < 1e-9);
-        // And beats the single-image latency rate.
-        assert!(rate > 1e6 / t.total_time_us(&c));
-    }
-
-    #[test]
     fn traffic_estimate_has_paper_scale_footprints() {
-        let t = traffic_estimate(&cfg(), &CapsNetConfig::mnist());
+        let t = batch_traffic_estimate(&cfg(), &CapsNetConfig::mnist(), 1);
         use crate::MemoryKind;
         // All trainable weights read exactly once (full reuse).
         assert_eq!(t.counter(MemoryKind::WeightMemory).read_bytes, 6_804_224);
@@ -1395,7 +1094,7 @@ mod tests {
         let dm = t.counter(MemoryKind::DataMemory).read_bytes;
         let mut no_fb = cfg();
         no_fb.dataflow.routing_feedback = false;
-        let t2 = traffic_estimate(&no_fb, &CapsNetConfig::mnist());
+        let t2 = batch_traffic_estimate(&no_fb, &CapsNetConfig::mnist(), 1);
         let dm2 = t2.counter(MemoryKind::DataMemory).read_bytes;
         assert_eq!(dm2 - dm, 4 * 184_320);
     }
@@ -1404,28 +1103,12 @@ mod tests {
     fn traffic_estimate_no_reuse_multiplies_weight_reads() {
         let mut c = cfg();
         c.dataflow.weight_reuse = false;
-        let with = traffic_estimate(&cfg(), &CapsNetConfig::mnist());
-        let without = traffic_estimate(&c, &CapsNetConfig::mnist());
+        let with = batch_traffic_estimate(&cfg(), &CapsNetConfig::mnist(), 1);
+        let without = batch_traffic_estimate(&c, &CapsNetConfig::mnist(), 1);
         use crate::MemoryKind;
         assert!(
             without.counter(MemoryKind::WeightMemory).read_bytes
                 > 10 * with.counter(MemoryKind::WeightMemory).read_bytes
-        );
-    }
-
-    #[test]
-    fn batch_of_one_reduces_to_single_inference() {
-        let c = cfg();
-        let net = CapsNetConfig::mnist();
-        let single = full_inference(&c, &net);
-        let batched = full_inference_batch(&c, &net, 1);
-        assert_eq!(batched.conv1, single.conv1);
-        assert_eq!(batched.primary_caps, single.primary_caps);
-        assert_eq!(batched.class_caps_steps, single.class_caps_steps);
-        assert_eq!(batched.total_cycles(), single.total_cycles());
-        assert_eq!(
-            batch_traffic_estimate(&c, &net, 1),
-            traffic_estimate(&c, &net)
         );
     }
 
@@ -1455,7 +1138,7 @@ mod tests {
             // Weight bytes are paid once per batch.
             assert_eq!(
                 batch_matmul_weight_bytes(shape, batch, &c),
-                matmul_weight_bytes(shape, &c)
+                batch_matmul_weight_bytes(shape, 1, &c)
             );
         }
         // Without the second weight register there is nothing to hold
@@ -1468,7 +1151,7 @@ mod tests {
         );
         assert_eq!(
             batch_matmul_weight_bytes(shape, 8, &no_reuse),
-            8 * matmul_weight_bytes(shape, &no_reuse)
+            8 * batch_matmul_weight_bytes(shape, 1, &no_reuse)
         );
     }
 
@@ -1480,8 +1163,8 @@ mod tests {
         // per-image cycles strictly fall.
         let c = cfg();
         let net = CapsNetConfig::mnist();
-        let b1 = primary_caps_layer_batch(&net, 1, &c);
-        let b16 = primary_caps_layer_batch(&net, 16, &c);
+        let b1 = full_inference_batch(&c, &net, 1).primary_caps;
+        let b16 = full_inference_batch(&c, &net, 16).primary_caps;
         assert_eq!(b16.weight_stream_cycles, b1.weight_stream_cycles);
         assert_eq!(b16.weight_bytes, b1.weight_bytes);
         assert!(b16.compute_cycles > 10 * b16.weight_stream_cycles);
@@ -1628,27 +1311,7 @@ mod tests {
             class_caps_dim: 1 << 8,
             routing_iterations: 3,
         };
-        let _ = routing_steps(&net, &cfg());
-    }
-
-    #[test]
-    #[should_panic(expected = "overflows u64")]
-    fn working_set_check_rejects_overflowing_nets_loudly() {
-        // The working-set checker itself must not wrap while checking.
-        let net = CapsNetConfig {
-            input_side: 1 << 21,
-            conv1_channels: 1,
-            conv1_kernel: 1,
-            conv1_stride: 1,
-            pc_channels: 1 << 8,
-            pc_caps_dim: 1 << 8,
-            pc_kernel: 1,
-            pc_stride: 1,
-            num_classes: 1 << 10,
-            class_caps_dim: 1 << 8,
-            routing_iterations: 3,
-        };
-        let _ = working_set_check(&cfg(), &net);
+        let _ = batch_routing_steps(&net, 1, &cfg());
     }
 
     #[test]
@@ -1656,9 +1319,9 @@ mod tests {
         // The audit must not perturb any in-range formula: spot-check the
         // paper design point against hand-computed values that predate
         // the checked-cast conversion.
-        let steps = routing_steps(&CapsNetConfig::mnist(), &cfg());
+        let steps = batch_routing_steps(&CapsNetConfig::mnist(), 1, &cfg());
         assert_eq!(steps[0].cycles, 23_040); // Load: 184 320 B at 8 B/cy
-        let t = full_inference(&cfg(), &CapsNetConfig::mnist());
+        let t = full_inference_batch(&cfg(), &CapsNetConfig::mnist(), 1);
         assert_eq!(
             t.total_cycles(),
             t.conv1.cycles + t.primary_caps.cycles + t.class_caps_cycles()
@@ -1667,22 +1330,12 @@ mod tests {
 
     #[test]
     fn bigger_arrays_do_not_slow_compute_bound_layers() {
-        let base = conv_layer(
-            "Conv1",
-            &CapsNetConfig::mnist().conv1_geometry(),
-            true,
-            &cfg(),
-        );
+        let base = full_inference_batch(&cfg(), &CapsNetConfig::mnist(), 1).conv1;
         let mut big = cfg();
         big.rows = 32;
         big.cols = 32;
         big.activation_units = 32;
-        let t = conv_layer(
-            "Conv1",
-            &CapsNetConfig::mnist().conv1_geometry(),
-            true,
-            &big,
-        );
+        let t = full_inference_batch(&big, &CapsNetConfig::mnist(), 1).conv1;
         assert!(t.compute_cycles < base.compute_cycles);
     }
 }

@@ -312,16 +312,20 @@ mod tests {
         // the model is calibrated to agree within ~35%.
         let cfg = AcceleratorConfig::paper();
         let net = CapsNetConfig::mnist();
-        let t = timing::full_inference(&cfg, &net);
-        let traffic = timing::traffic_estimate(&cfg, &net);
+        let t = timing::full_inference_batch(&cfg, &net, 1);
+        let traffic = timing::batch_traffic_estimate(&cfg, &net, 1);
         let macs = net.conv1_geometry().macs()
             + net.primary_caps_geometry().macs()
             + (net.num_primary_caps()
                 * net.num_classes
                 * net.class_caps_dim
                 * (net.pc_caps_dim + 2 * net.routing_iterations - 1)) as u64;
-        let report =
-            EnergyModel::cmos_32nm().inference_energy(&cfg, macs, &traffic, t.total_time_us(&cfg));
+        let report = EnergyModel::cmos_32nm().inference_energy(
+            &cfg,
+            macs,
+            &traffic,
+            t.time_per_image_us(&cfg),
+        );
         let implied = report.average_power_mw();
         assert!(
             (130.0..275.0).contains(&implied),
@@ -334,13 +338,13 @@ mod tests {
     fn breakdown_sums_to_one() {
         let cfg = AcceleratorConfig::paper();
         let net = CapsNetConfig::mnist();
-        let t = timing::full_inference(&cfg, &net);
-        let traffic = timing::traffic_estimate(&cfg, &net);
+        let t = timing::full_inference_batch(&cfg, &net, 1);
+        let traffic = timing::batch_traffic_estimate(&cfg, &net, 1);
         let report = EnergyModel::cmos_32nm().inference_energy(
             &cfg,
             200_000_000,
             &traffic,
-            t.total_time_us(&cfg),
+            t.time_per_image_us(&cfg),
         );
         let sum: f64 = report.breakdown().iter().map(|(_, f)| f).sum();
         assert!((sum - 1.0).abs() < 1e-9);
@@ -421,10 +425,10 @@ mod tests {
         off.dataflow.routing_feedback = false;
         let model = EnergyModel::cmos_32nm();
         let e = |cfg: &AcceleratorConfig| {
-            let t = timing::full_inference(cfg, &net);
-            let traffic = timing::traffic_estimate(cfg, &net);
+            let t = timing::full_inference_batch(cfg, &net, 1);
+            let traffic = timing::batch_traffic_estimate(cfg, &net, 1);
             model
-                .inference_energy(cfg, 200_000_000, &traffic, t.total_time_us(cfg))
+                .inference_energy(cfg, 200_000_000, &traffic, t.time_per_image_us(cfg))
                 .total_uj()
         };
         assert!(e(&off) > e(&on), "feedback reuse should save energy");

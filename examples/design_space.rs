@@ -22,16 +22,16 @@ fn main() {
         cfg.rows = size;
         cfg.cols = size;
         cfg.activation_units = size;
-        let t = timing::full_inference(&cfg, &net);
+        let t = timing::full_inference_batch(&cfg, &net, 1);
         let report = model.estimate(&cfg);
-        let time_s = t.total_time_us(&cfg) / 1e6;
+        let time_s = t.time_per_image_us(&cfg) / 1e6;
         let inf_per_s = 1.0 / time_s;
         let watts = report.total_power_mw() / 1000.0;
         println!(
             "{:<10} {:>12} {:>9.2}ms {:>8.2}mm² {:>8.0}mW {:>12.0} {:>14.0}",
             format!("{size}x{size}"),
             t.total_cycles(),
-            t.total_time_us(&cfg) / 1000.0,
+            t.time_per_image_us(&cfg) / 1000.0,
             report.total_area_mm2(),
             report.total_power_mw(),
             inf_per_s,

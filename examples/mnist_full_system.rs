@@ -63,7 +63,7 @@ fn main() {
     );
 
     // Engine cycles vs the serial analytical model, layer by layer.
-    let analytic = timing::full_inference(&cfg, &net);
+    let analytic = timing::full_inference_batch(&cfg, &net, 1);
     println!("\nLayer cycle counts (engine array cycles vs serial analytical compute):");
     for layer in &run.layers {
         let model = match layer.name {

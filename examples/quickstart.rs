@@ -72,14 +72,14 @@ fn main() {
 
     // ---- 3. The accelerator at the paper's design point.
     let acc = AcceleratorConfig::paper();
-    let t = timing::full_inference(&acc, &mnist_net);
+    let t = timing::full_inference_batch(&acc, &mnist_net, 1);
     let gpu = GpuModel::gtx1070().layer_times_us(&mnist_net);
     println!("\nCapsAcc (16×16 @ 250 MHz) on the MNIST CapsuleNet:");
     println!(
         "  total inference: {:.3} ms  (GPU baseline: {:.3} ms → {:.1}× faster)",
-        t.total_time_us(&acc) / 1000.0,
+        t.time_per_image_us(&acc) / 1000.0,
         gpu.total() / 1000.0,
-        gpu.total() / t.total_time_us(&acc)
+        gpu.total() / t.time_per_image_us(&acc)
     );
 
     let t2 = PowerModel::cmos_32nm().table2(&acc);

@@ -40,7 +40,8 @@ fn reexport_paths_resolve_and_interoperate() {
     // core ← capsnet
     let acc_cfg = AcceleratorConfig::test_4x4();
     let _ = Accelerator::new(acc_cfg);
-    let report = timing::full_inference(&AcceleratorConfig::paper(), &CapsNetConfig::mnist());
+    let report =
+        timing::full_inference_batch(&AcceleratorConfig::paper(), &CapsNetConfig::mnist(), 1);
     assert!(report.total_cycles() > 0);
 
     // core batch subsystem ← capsnet + tensor
@@ -71,7 +72,7 @@ fn reexport_paths_resolve_and_interoperate() {
     assert!(mem_t.report.stall_cycles > 0);
     assert!(mem_t.total_cycles() > mem_t.base.total_cycles());
     assert_eq!(
-        timing::full_inference_mem(&AcceleratorConfig::paper(), &CapsNetConfig::mnist())
+        timing::full_inference_batch_mem(&AcceleratorConfig::paper(), &CapsNetConfig::mnist(), 1)
             .report
             .stall_cycles,
         0

@@ -88,7 +88,7 @@ fn fig9_squash_dominates_gpu_routing() {
 fn fig16_layer_comparison_shapes() {
     let net = CapsNetConfig::mnist();
     let acc_cfg = AcceleratorConfig::paper();
-    let acc = timing::full_inference(&acc_cfg, &net);
+    let acc = timing::full_inference_batch(&acc_cfg, &net, 1);
     let gpu = GpuModel::gtx1070().layer_times_us(&net);
 
     // Conv1: CapsAcc wins big (paper: 6×).
@@ -114,9 +114,8 @@ fn fig16_layer_comparison_shapes() {
     );
 
     // Overall: CapsAcc clearly faster (paper: 6×; our PrimaryCaps
-    // weight-stream bound keeps us nearer 3×, recorded in
-    // EXPERIMENTS.md).
-    let total_ratio = gpu.total() / acc.total_time_us(&acc_cfg);
+    // weight-stream bound keeps us nearer 3×).
+    let total_ratio = gpu.total() / acc.time_per_image_us(&acc_cfg);
     assert!(
         (2.0..10.0).contains(&total_ratio),
         "total ratio {total_ratio}"
@@ -127,7 +126,7 @@ fn fig16_layer_comparison_shapes() {
 fn fig17_step_comparison_shapes() {
     let net = CapsNetConfig::mnist();
     let acc_cfg = AcceleratorConfig::paper();
-    let acc_steps = timing::routing_steps(&net, &acc_cfg);
+    let acc_steps = timing::batch_routing_steps(&net, 1, &acc_cfg);
     let gpu_steps = GpuModel::gtx1070().routing_steps_us(&net);
     let find = |label: &str| -> (f64, f64) {
         let a = acc_steps

@@ -3,7 +3,9 @@
 //! and every dataflow optimization must help (or at least not hurt).
 
 use capsacc::capsnet::CapsNetConfig;
-use capsacc::core::{timing, Accelerator, AcceleratorConfig, ActivationKind};
+use capsacc::core::{
+    timing, Accelerator, AcceleratorConfig, ActivationKind, MemoryKind, RoutingStep,
+};
 
 #[test]
 fn engine_matches_serial_formula_across_shapes() {
@@ -141,7 +143,7 @@ fn batched_engine_and_model_agree_on_amortization_direction() {
 fn every_optimization_reduces_or_preserves_total_cycles() {
     let net = CapsNetConfig::mnist();
     let base = AcceleratorConfig::paper();
-    let total = |cfg: &AcceleratorConfig| timing::full_inference(cfg, &net).total_cycles();
+    let total = |cfg: &AcceleratorConfig| timing::full_inference_batch(cfg, &net, 1).total_cycles();
     let baseline = total(&base);
 
     let mut c = base;
@@ -164,7 +166,7 @@ fn routing_step_sequence_consistent_between_models() {
     // sequence (Fig. 17 x-axis).
     let net = CapsNetConfig::tiny();
     let cfg = AcceleratorConfig::test_4x4();
-    let analytical: Vec<String> = timing::routing_steps(&net, &cfg)
+    let analytical: Vec<String> = timing::batch_routing_steps(&net, 1, &cfg)
         .iter()
         .map(|s| s.step.to_string())
         .collect();
@@ -183,10 +185,10 @@ fn clock_frequency_scales_wall_time_not_cycles() {
     let base = AcceleratorConfig::paper();
     let mut fast = base;
     fast.clock_mhz = 500;
-    let t_base = timing::full_inference(&base, &net);
-    let t_fast = timing::full_inference(&fast, &net);
+    let t_base = timing::full_inference_batch(&base, &net, 1);
+    let t_fast = timing::full_inference_batch(&fast, &net, 1);
     assert_eq!(t_base.total_cycles(), t_fast.total_cycles());
-    let ratio = t_base.total_time_us(&base) / t_fast.total_time_us(&fast);
+    let ratio = t_base.time_per_image_us(&base) / t_fast.time_per_image_us(&fast);
     assert!((ratio - 2.0).abs() < 1e-9);
 }
 
@@ -197,8 +199,8 @@ fn wider_memory_helps_primarycaps_only_up_to_compute() {
     narrow.weight_mem_bw = 4;
     let mut wide = AcceleratorConfig::paper();
     wide.weight_mem_bw = 64;
-    let t_narrow = timing::full_inference(&narrow, &net);
-    let t_wide = timing::full_inference(&wide, &net);
+    let t_narrow = timing::full_inference_batch(&narrow, &net, 1);
+    let t_wide = timing::full_inference_batch(&wide, &net, 1);
     assert!(t_narrow.primary_caps.cycles > t_wide.primary_caps.cycles);
     // Once memory is fast enough, compute is the floor.
     assert_eq!(
@@ -210,10 +212,108 @@ fn wider_memory_helps_primarycaps_only_up_to_compute() {
 #[test]
 fn mnist_inference_in_milliseconds_regime() {
     let cfg = AcceleratorConfig::paper();
-    let t = timing::full_inference(&cfg, &CapsNetConfig::mnist());
-    let ms = t.total_time_us(&cfg) / 1000.0;
+    let t = timing::full_inference_batch(&cfg, &CapsNetConfig::mnist(), 1);
+    let ms = t.time_per_image_us(&cfg) / 1000.0;
     assert!((1.0..10.0).contains(&ms), "{ms} ms");
     // Layer ordering sanity: PrimaryCaps > ClassCaps > Conv1.
     assert!(t.primary_caps.cycles > t.class_caps_cycles());
     assert!(t.class_caps_cycles() > t.conv1.cycles);
+}
+
+#[test]
+fn mnist_closed_form_golden_values() {
+    // The exact MNIST figures of the closed form, so a refactor of the
+    // formulas cannot move a simulated number unnoticed. Layers:
+    // (cycles, compute_cycles, weight_stream_cycles); steps: (cycles,
+    // data_mem_bytes); traffic: (read, write) bytes per memory.
+    use MemoryKind::{DataBuffer, DataMemory, Dram, RoutingBuffer, WeightBuffer, WeightMemory};
+    use RoutingStep::{Fc, Load, Softmax, Squash, Sum, Update};
+    let net = CapsNetConfig::mnist();
+    let paper = AcceleratorConfig::paper();
+    let t = timing::full_inference_batch(&paper, &net, 1);
+    let layer = |l: &timing::LayerTiming| (l.cycles, l.compute_cycles, l.weight_stream_cycles);
+    assert_eq!(layer(&t.conv1), (39_185, 39_184, 2_624));
+    assert_eq!(layer(&t.primary_caps), (748_000, 747_280, 663_584));
+    let steps: Vec<_> = t
+        .class_caps_steps
+        .iter()
+        .map(|s| (s.step, s.cycles, s.data_mem_bytes))
+        .collect();
+    assert_eq!(
+        steps,
+        [
+            (Load, 23_040, 184_320),
+            (Fc, 195_873, 184_320),
+            (Softmax(1), 2_880, 0),
+            (Sum(1), 12_570, 0),
+            (Squash(1), 40, 0),
+            (Update(1), 12_010, 0),
+            (Softmax(2), 5_760, 0),
+            (Sum(2), 12_570, 0),
+            (Squash(2), 40, 0),
+            (Update(2), 12_010, 0),
+            (Softmax(3), 5_760, 0),
+            (Sum(3), 12_570, 0),
+            (Squash(3), 40, 0),
+        ]
+    );
+    let traffic = timing::batch_traffic_estimate(&paper, &net, 1);
+    let bytes: Vec<_> = MemoryKind::ALL
+        .iter()
+        .map(|&kind| {
+            let c = traffic.counter(kind);
+            (kind, c.read_bytes, c.write_bytes)
+        })
+        .collect();
+    assert_eq!(
+        bytes,
+        [
+            (DataMemory, 287_504, 295_936),
+            (WeightMemory, 6_804_224, 0),
+            (DataBuffer, 13_107_456, 184_320),
+            (RoutingBuffer, 34_880, 46_560),
+            (WeightBuffer, 6_804_224, 0),
+            (Dram, 6_805_008, 0),
+        ]
+    );
+
+    // One dataflow switch off at a time: (ClassCaps, total) cycles.
+    let ablation = |f: fn(&mut capsacc::core::DataflowOptions)| {
+        let mut cfg = paper;
+        f(&mut cfg.dataflow);
+        let t = timing::full_inference_batch(&cfg, &net, 1);
+        (t.class_caps_cycles(), t.total_cycles())
+    };
+    assert_eq!(ablation(|_| {}), (295_163, 1_082_348));
+    assert_eq!(
+        ablation(|d| d.skip_first_softmax = false),
+        (298_043, 1_085_228)
+    );
+    assert_eq!(
+        ablation(|d| d.routing_feedback = false),
+        (348_633, 1_135_818)
+    );
+    assert_eq!(
+        ablation(|d| d.pipelined_tiles = false),
+        (745_580, 2_551_965)
+    );
+    assert_eq!(ablation(|d| d.weight_reuse = false), (295_163, 25_220_620));
+
+    // The FC at batch 16: with reuse all 16 images stream against each
+    // resident W_ij tile (M = 16); without it the batch costs 16 times
+    // the batch-1 FC. Both on the pipelined and the serial schedule.
+    let fc16 = |weight_reuse: bool, pipelined_tiles: bool| {
+        let mut cfg = paper;
+        cfg.dataflow.weight_reuse = weight_reuse;
+        cfg.dataflow.pipelined_tiles = pipelined_tiles;
+        timing::batch_routing_steps(&net, 16, &cfg)
+            .iter()
+            .find(|s| s.step == Fc)
+            .map(|s| (s.cycles, s.data_mem_bytes))
+            .expect("FC step")
+    };
+    assert_eq!(fc16(true, true), (195_888, 2_949_120));
+    assert_eq!(fc16(false, true), (16 * 195_873, 2_949_120));
+    assert_eq!(fc16(true, false), (748_800, 2_949_120));
+    assert_eq!(fc16(false, false), (16 * 576_000, 2_949_120));
 }
