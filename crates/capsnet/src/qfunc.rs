@@ -43,21 +43,6 @@ impl QuantPipeline {
         self.cfg
     }
 
-    /// The squash LUT (for components that need direct access).
-    pub fn squash_lut(&self) -> &SquashLut {
-        &self.squash
-    }
-
-    /// The exponential LUT.
-    pub fn exp_lut(&self) -> &ExpLut {
-        &self.exp
-    }
-
-    /// The square LUT.
-    pub fn square_lut(&self) -> &SquareLut {
-        &self.square
-    }
-
     /// The Norm unit: squares each element through the 12-bit LUT,
     /// accumulates, and takes the integer square root — producing the
     /// 8-bit norm code (`norm_frac` fraction bits).

@@ -42,7 +42,8 @@
 //! let run = sched.run(&net, &qparams, &images).expect("valid batch");
 //! assert_eq!(run.traces.len(), 3);
 //! assert!(run.cycles_per_image() > 0.0);
-//! assert_eq!(sched.batches_run(), 1);
+//! // A fresh scheduler's counters hold exactly its first batch.
+//! assert_eq!(sched.accelerator().traffic(), &run.traffic);
 //! ```
 
 use std::fmt;
@@ -169,8 +170,6 @@ impl BatchRun {
 #[derive(Debug)]
 pub struct BatchScheduler {
     acc: Accelerator,
-    batches_run: u64,
-    images_run: u64,
 }
 
 impl BatchScheduler {
@@ -182,8 +181,6 @@ impl BatchScheduler {
     pub fn new(cfg: AcceleratorConfig) -> Self {
         Self {
             acc: Accelerator::new(cfg),
-            batches_run: 0,
-            images_run: 0,
         }
     }
 
@@ -196,24 +193,6 @@ impl BatchScheduler {
     /// [`Accelerator::enable_telemetry`] on a long-lived scheduler.
     pub fn accelerator_mut(&mut self) -> &mut Accelerator {
         &mut self.acc
-    }
-
-    /// Batches served since construction — the uptime view a serving
-    /// replica reports. Failed (rejected) batches do not count.
-    pub fn batches_run(&self) -> u64 {
-        self.batches_run
-    }
-
-    /// Images served since construction, across all batches.
-    pub fn images_run(&self) -> u64 {
-        self.images_run
-    }
-
-    /// Consumes the scheduler, returning the long-lived accelerator with
-    /// all its cumulative counters — for inspecting a serving replica
-    /// after its shard shuts down.
-    pub fn into_accelerator(self) -> Accelerator {
-        self.acc
     }
 
     /// Runs one batch. See [`Accelerator::run_batch`].
@@ -229,10 +208,7 @@ impl BatchScheduler {
         qparams: &QuantizedParams,
         images: &[Tensor<f32>],
     ) -> Result<BatchRun, BatchError> {
-        let run = self.acc.run_batch(net, qparams, images)?;
-        self.batches_run += 1;
-        self.images_run += u64_from(run.batch);
-        Ok(run)
+        self.acc.run_batch(net, qparams, images)
     }
 }
 
@@ -312,11 +288,10 @@ impl Accelerator {
         let c0 = self.array.cycles();
         let a0 = self.activation_cycles;
         let m0 = self.memory_stall_cycles;
-        let stage_stall = if self.rec.is_enabled() {
-            self.memory.stage_input_recorded(input_bytes, &mut self.rec)
-        } else {
-            self.memory.stage_input(input_bytes)
-        };
+        let stage_stall = self.memory.stage_input(input_bytes);
+        self.rec.counter_add("mem.stage_input_calls", 1);
+        self.rec
+            .counter_add("mem.stage_input_stall_cycles", stage_stall);
         self.memory_stall_cycles += stage_stall;
         self.rec.begin(SpanDetail::Phases, "stage-input");
         self.rec.advance(CycleKind::MemStall, stage_stall);
@@ -568,13 +543,13 @@ mod tests {
         let err = sched.run(&net, &qparams, &[]).unwrap_err();
         assert_eq!(err, BatchError::EmptyBatch);
         assert_eq!(err.to_string(), "batch contains no images");
-        // A rejected batch leaves the scheduler serviceable and does not
-        // count towards the uptime counters.
-        assert_eq!(sched.batches_run(), 0);
+        // A rejected batch leaves the scheduler serviceable and moves
+        // none of its accelerator's counters.
+        assert_eq!(sched.accelerator().array_cycles(), 0);
         let image = Tensor::from_fn(&[1, 12, 12], |i| (i[1] + i[2]) as f32 / 24.0);
         let run = sched.run(&net, &qparams, &[image]).expect("valid batch");
         assert_eq!(run.batch, 1);
-        assert_eq!((sched.batches_run(), sched.images_run()), (1, 1));
+        assert_eq!(sched.accelerator().traffic(), &run.traffic);
     }
 
     #[test]
@@ -634,8 +609,8 @@ mod tests {
             assert_eq!(got, want);
         }
         assert_eq!(
-            functional.into_accelerator().array_cycles(),
-            ticked.into_accelerator().array_cycles()
+            functional.accelerator().array_cycles(),
+            ticked.accelerator().array_cycles()
         );
     }
 
@@ -646,14 +621,16 @@ mod tests {
             .map(|s| Tensor::from_fn(&[1, 12, 12], |i| ((i[1] * (s + 2) + i[2]) % 7) as f32 / 7.0))
             .collect();
         let mut sched = BatchScheduler::new(cfg);
-        sched.run(&net, &qparams, &images).expect("batch 1");
-        sched.run(&net, &qparams, &images[..2]).expect("batch 2");
-        assert_eq!(sched.batches_run(), 2);
-        assert_eq!(sched.images_run(), 5);
-        // The consumed accelerator carries the cumulative counters of
-        // both batches (strictly more than one batch's worth).
-        let acc = sched.into_accelerator();
+        let first = sched.run(&net, &qparams, &images).expect("batch 1");
+        let second = sched.run(&net, &qparams, &images[..2]).expect("batch 2");
+        assert_eq!((first.batch, second.batch), (3, 2));
+        // The accelerator carries the cumulative counters of both
+        // batches, while each run reports its own.
+        let acc = sched.accelerator();
         assert!(acc.array_cycles() > 0);
-        assert!(acc.traffic().total_bytes() > 0);
+        assert_eq!(
+            acc.traffic().total_bytes(),
+            first.traffic.total_bytes() + second.traffic.total_bytes()
+        );
     }
 }

@@ -140,7 +140,7 @@ pub struct Accelerator {
     // byte-invisibility invariant pinned by telemetry_equivalence.rs).
     pub(crate) rec: Recorder,
     // The functional backend's host buffers (data panel, staged
-    // K-tiles, accumulator lanes), reused by every matmul of a layer
+    // K-tiles, accumulator set), reused by every matmul of a layer
     // and dropped at layer boundaries. Host memory only: nothing
     // simulated reads or depends on it.
     pub(crate) staging: kernel::Staging,
@@ -292,11 +292,6 @@ impl Accelerator {
     /// The telemetry recorder (a disabled recorder by default).
     pub fn telemetry(&self) -> &Recorder {
         &self.rec
-    }
-
-    /// Mutable access to the telemetry recorder.
-    pub fn telemetry_mut(&mut self) -> &mut Recorder {
-        &mut self.rec
     }
 
     /// Takes the recorder out for export, leaving recording disabled.
@@ -681,15 +676,12 @@ impl Accelerator {
         // The whole matmul's tile schedule through the memory hierarchy
         // — the same deterministic replay the closed-form model uses
         // (`timing::matmul_mem_stalls`), so engine and model agree
-        // exactly by construction. The recorded variant is the same
-        // replay plus stall-window metrics; stalls are charged as one
-        // lump at matmul start (exactly where the engine accounts
-        // them).
-        let stall = if self.rec.is_enabled() {
-            self.memory.matmul_recorded(geometry, &mut self.rec)
-        } else {
-            self.memory.matmul(geometry)
-        };
+        // exactly by construction — priced, charged and recorded as the
+        // functional backend does it; stalls are charged as one lump at
+        // matmul start (exactly where the engine accounts them).
+        let (stall, delta) = self.memory.price(geometry);
+        self.memory.charge(&delta);
+        MemorySubsystem::record_matmul(&delta, &mut self.rec);
         self.memory_stall_cycles += stall;
         self.rec.begin(SpanDetail::Tiles, "mem-stall");
         self.rec.advance(CycleKind::MemStall, stall);
@@ -818,7 +810,11 @@ impl Accelerator {
     ///   with identical event counting (starting from `acc = 0`, the
     ///   first fold's raw value is the tile psum itself — `push_new`
     ///   semantics, whose clamp provably never engages on an in-range
-    ///   psum).
+    ///   psum). Each element keeps one `i32` value and one `i32` clip
+    ///   count: the clamped value stays within ±2^24 and `acc + psum`
+    ///   within ±2^25, so 32 bits hold both the fold and its storage
+    ///   exactly, and the value widens to `i64` only at the drain's
+    ///   fault draw and bias add.
     /// - **Row partitioning.** Threads split the panel into contiguous
     ///   row chunks; every row's whole fold chain runs on one thread
     ///   in tile order, so the per-element fold order — and therefore
@@ -842,9 +838,13 @@ impl Accelerator {
     /// - **Data staging.** Both operands are staged straight from their
     ///   views into buffers the accelerator keeps across matmuls: each
     ///   group's data panel is gathered once as a flat row-major
-    ///   `batch·M × K` matrix (the ticked path re-reads the view per
-    ///   N-tile revisit), and each N-tile's K-tiles are packed directly
-    ///   into the layout their kernel reads (`kernel::TileBuf`).
+    ///   `batch·M × K` matrix of sign-extended `i16` (the ticked path
+    ///   re-reads the view per N-tile revisit), the one copy the SIMD
+    ///   sweep and the scalar folds all read — sign extension is exact,
+    ///   and the tall-tile fold narrows each element back to the `i8`
+    ///   it was with a checked conversion — and each N-tile's K-tiles
+    ///   are packed directly into the layout their kernel reads
+    ///   (`kernel::TileBuf`).
     /// - **Drain and fault draws.** The drain writes each (image, row)'s
     ///   `nt` outputs as one contiguous run, not in the ticked walk's
     ///   (image, column, row) order. Fault draws still line up: the
@@ -908,17 +908,17 @@ impl Accelerator {
                 src: &weight.src[g * weight_step..],
                 ..weight
             };
-            // Gather this matmul's whole data panel once, row-major:
-            // tile slices below are plain subslices.
-            st.gather(&data, g * data_step);
+            // Gather this matmul's whole data panel once, row-major and
+            // sign-extended: tile slices below are plain subslices.
+            data.gather(g * data_step, &mut st.panel);
             let group_base = self.fault_op_seq + u64_from(g) * draws_per_matmul;
 
             for n0 in (0..n).step_by(cols) {
                 let nt = cols.min(n - n0);
-                st.acc.clear();
-                st.acc.resize(total_rows * nt, 0);
-                st.events.clear();
-                st.events.resize(total_rows, 0);
+                for buf in [&mut st.acc, &mut st.events] {
+                    buf.clear();
+                    buf.resize(total_rows * nt, 0);
+                }
 
                 let watch = self.rec.host_stopwatch();
                 st.tiles.begin(nt);
@@ -928,7 +928,6 @@ impl Accelerator {
                     st.tiles.stage(&weight, k0, kt, n0, kernel);
                 }
                 stage_ns += watch.elapsed_ns();
-                st.widen_panel_for_tiles();
 
                 // The row sweep: serial, or partitioned into contiguous
                 // row chunks across scoped OS threads (the `pool.rs`
@@ -937,19 +936,17 @@ impl Accelerator {
                 // partition is byte-identical to the serial sweep.
                 let watch = self.rec.host_stopwatch();
                 let threads = kernel::effective_threads(opts.threads, total_rows, k, nt);
-                let (tiles, panel, wide) =
-                    (&st.tiles, st.panel.as_slice(), st.panel_wide.as_slice());
+                let (tiles, panel) = (&st.tiles, st.panel.as_slice());
                 if threads <= 1 {
                     kernel::process_rows(
                         k,
                         tiles,
                         panel,
-                        wide,
                         0,
                         total_rows,
                         &mut st.acc,
                         &mut st.events,
-                        &mut st.lanes,
+                        &mut st.psums,
                     );
                 } else {
                     let rows_per = total_rows.div_ceil(threads);
@@ -957,7 +954,7 @@ impl Accelerator {
                         let handles: Vec<_> = st
                             .acc
                             .chunks_mut(rows_per * nt)
-                            .zip(st.events.chunks_mut(rows_per))
+                            .zip(st.events.chunks_mut(rows_per * nt))
                             .enumerate()
                             .map(|(ci, (acc_chunk, ev_chunk))| {
                                 scope.spawn(move || {
@@ -965,12 +962,11 @@ impl Accelerator {
                                         k,
                                         tiles,
                                         panel,
-                                        wide,
                                         ci * rows_per,
-                                        ev_chunk.len(),
+                                        acc_chunk.len() / nt,
                                         acc_chunk,
                                         ev_chunk,
-                                        &mut kernel::Lanes::default(),
+                                        &mut Vec::new(),
                                     );
                                 })
                             })
@@ -988,10 +984,12 @@ impl Accelerator {
                 // it (see the exactness notes above).
                 let base = group_base + u64_from(outs.len() * n0 * drained_rows);
                 for (img, out) in outs.iter_mut().enumerate() {
-                    let events: u64 = st.events[img * m..img * m + m].iter().sum();
+                    let image = img * m * nt..(img + 1) * m * nt;
+                    let clips: i64 = st.events[image.clone()].iter().map(|&e| i64::from(e)).sum();
+                    let events = u64::try_from(clips).expect("clip counts are non-negative");
                     saturations[img] += events;
                     self.accumulator_saturations += events;
-                    let accs = st.acc[img * m * nt..][..drained_rows * nt].chunks_exact(nt);
+                    let accs = st.acc[image][..drained_rows * nt].chunks_exact(nt);
                     let rows = out.data_mut()[g * m * n..].chunks_exact_mut(n).zip(accs);
                     for (mi, (row_out, row_acc)) in rows.enumerate() {
                         let elems = row_out[n0..n0 + nt]
@@ -999,6 +997,7 @@ impl Accelerator {
                             .zip(row_acc)
                             .zip(&st.bias[n0..n0 + nt]);
                         for (c, ((o, &raw), &b)) in elems.enumerate() {
+                            let raw = i64::from(raw);
                             let raw = if faults {
                                 let seq = base + u64_from((img * nt + c) * drained_rows + mi);
                                 self.acc_fault(seq, raw)

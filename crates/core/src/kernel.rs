@@ -24,9 +24,11 @@
 //!   suffices, with no first-tile special case.
 //! - The fold fits `i32`: `|acc| ≤ 2^24` after the clamp and
 //!   `|psum| < 2^24` by the tile-height bound, so `acc + psum` is
-//!   within `±2^25 < i32::MAX` and the SIMD path can clamp in 32-bit
-//!   lanes. A unit test below pins this against
-//!   [`AccumulatorUnit::fold_step`].
+//!   within `±2^25 < i32::MAX`. Every kernel therefore keeps an output
+//!   element's K-tile state in one `i32` value and one `i32` clip count
+//!   (at most one clip per K-tile) and clamps in 32 bits; the engine
+//!   widens to `i64` only at the drain. A unit test below pins the
+//!   32-bit clamp against [`AccumulatorUnit::fold_step`].
 //! - Tiles taller than the bound take [`RowKernel::MacSerial`]: the
 //!   literal per-step [`Pe::mac_step`] chain, `Pe` staying the single
 //!   shared MAC definition.
@@ -38,7 +40,8 @@
 //! Staging lives here too: [`TileBuf`] packs each N-tile's K-tiles
 //! straight from the engine's weight view into the one layout their
 //! kernel reads, and [`Staging`] holds every host buffer a matmul
-//! needs — the sweep's scratch lanes included — so the accelerator
+//! needs — one `i16` data panel that every kernel reads and one `i32`
+//! accumulator set that every kernel folds into — so the accelerator
 //! reuses them from matmul to matmul and a serial sweep allocates
 //! nothing.
 
@@ -47,7 +50,7 @@ use std::sync::OnceLock;
 
 use crate::accumulator::AccumulatorUnit;
 use crate::config::{FunctionalOptions, SimdMode};
-use crate::operand::{DataView, WeightView};
+use crate::operand::WeightView;
 use crate::pe::Pe;
 
 /// Tallest tile whose in-tile fold provably cannot clip:
@@ -249,61 +252,29 @@ impl TileBuf {
     }
 }
 
-/// Scratch of one row sweep: the SIMD sweep's `i32` accumulator and
-/// clip-event lanes, and the scalar fold's per-tile psums. [`Staging`]
-/// keeps the serial sweep's set; each parallel row worker grows its
-/// own.
-#[derive(Default)]
-pub(crate) struct Lanes {
-    acc32: Vec<i32>,
-    ev32: Vec<i32>,
-    psums: Vec<i32>,
-}
-
-/// The functional backend's reusable host buffers: the data panel (and
-/// its widened copy), the current N-tile's staged weights and its
-/// accumulator and clip-event lanes, the matmul's bias row, and the
-/// serial sweep's scratch. The accelerator owns one, lends it to every
-/// matmul call, and drops it at each layer boundary of a batch run.
+/// The functional backend's reusable host buffers: the data panel,
+/// the current N-tile's staged weights and accumulator set, the
+/// matmul's bias row, and the serial sweep's scalar scratch. The
+/// accelerator owns one, lends it to every matmul call, and drops it at
+/// each layer boundary of a batch run.
 #[derive(Default)]
 pub(crate) struct Staging {
-    /// Row-major `batch·M × K` data panel.
-    pub panel: Vec<i8>,
-    /// Sign-extended copy of `panel` for the SIMD sweep (empty until
-    /// an N-tile staged on it needs it).
-    pub panel_wide: Vec<i16>,
+    /// Row-major `batch·M × K` data panel, sign-extended as it is
+    /// gathered: the SIMD sweep reads each adjacent pair as one `i32`
+    /// broadcast operand, and the scalar folds read the same rows.
+    pub panel: Vec<i16>,
     /// The current N-tile's staged K-tiles.
     pub tiles: TileBuf,
-    /// Per-(row, column) K-tile accumulators of the current N-tile.
-    pub acc: Vec<i64>,
-    /// Per-row clip-event counts of the current N-tile.
-    pub events: Vec<u64>,
+    /// Per-(row, column) K-tile accumulator values of the current
+    /// N-tile.
+    pub acc: Vec<i32>,
+    /// Per-(row, column) clip counts of the current N-tile.
+    pub events: Vec<i32>,
     /// The current matmul's bias per output column (zeros without a
     /// bias), read by the drain.
     pub bias: Vec<i64>,
-    /// Scratch of the serial row sweep.
-    pub lanes: Lanes,
-}
-
-impl Staging {
-    /// Gathers a matmul's data panel from `data`, `off` elements into
-    /// each source, and drops the previous panel's widened copy.
-    pub(crate) fn gather(&mut self, data: &DataView<'_>, off: usize) {
-        data.gather(off, &mut self.panel);
-        self.panel_wide.clear();
-    }
-
-    /// Builds the sign-extended panel the first time a staged N-tile
-    /// runs on the SIMD sweep: adjacent element pairs become single
-    /// `i32` broadcast operands. Widening is exact, so which panel a
-    /// kernel reads can never change results.
-    pub(crate) fn widen_panel_for_tiles(&mut self) {
-        if self.tiles.is_simd() && self.panel_wide.len() != self.panel.len() {
-            self.panel_wide.clear();
-            self.panel_wide
-                .extend(self.panel.iter().map(|&d| i16::from(d)));
-        }
-    }
+    /// Per-tile psums of the serial sweep's scalar fold.
+    pub psums: Vec<i32>,
 }
 
 impl std::fmt::Debug for Staging {
@@ -370,21 +341,22 @@ fn host_threads() -> usize {
 }
 
 /// The saturating K-tile fold step shared by the scalar kernels:
-/// `raw = acc + psum`, clamp to 25 bits, count a clip event. With
-/// `acc` starting at 0 the first tile's raw value is the tile psum
-/// itself — `push_new` semantics.
+/// `raw = acc + psum`, clamp to 25 bits, count a clip. With `acc`
+/// starting at 0 the first tile's raw value is the tile psum itself —
+/// `push_new` semantics. The clamped value fits `i32` by the bound in
+/// the module doc.
 #[inline]
-fn fold_scalar(acc: &mut i64, psum: i64, events: &mut u64) {
-    let (sat, clipped) = AccumulatorUnit::fold_step(*acc + psum);
-    *events += u64::from(clipped);
-    *acc = sat;
+fn fold_scalar(acc: &mut i32, clips: &mut i32, psum: i64) {
+    let (sat, clipped) = AccumulatorUnit::fold_step(i64::from(*acc) + psum);
+    *clips += i32::from(clipped);
+    *acc = i32::try_from(sat).expect("a 25-bit accumulator fits i32");
 }
 
-/// Processes rows `ri0 .. ri0 + nrows` (global panel indices) of one
-/// N-tile through every staged K-tile in tile order, writing final
-/// 25-bit accumulator values to `acc` (`nrows × nt`, pre-zeroed) and
-/// per-row clip-event counts to `row_events` (`nrows`). `lanes` is the
-/// sweep's scratch, grown on first use and reused after.
+/// Folds rows `ri0 .. ri0 + nrows` (global panel indices) of one
+/// N-tile through every staged K-tile in tile order. `acc` and
+/// `events` hold the rows' `nrows × nt` accumulator values and clip
+/// counts: zeroed by the caller, final on return. `psums` is the
+/// scalar fold's scratch, grown on first use and reused after.
 ///
 /// This is the unit the engine partitions across threads: rows are
 /// independent, each row's fold chain runs here in full, so the
@@ -394,62 +366,60 @@ fn fold_scalar(acc: &mut i64, psum: i64, events: &mut u64) {
 pub(crate) fn process_rows(
     k: usize,
     tiles: &TileBuf,
-    panel: &[i8],
-    panel_wide: &[i16],
+    panel: &[i16],
     ri0: usize,
     nrows: usize,
-    acc: &mut [i64],
-    row_events: &mut [u64],
-    lanes: &mut Lanes,
+    acc: &mut [i32],
+    events: &mut [i32],
+    psums: &mut Vec<i32>,
 ) {
-    let nt = tiles.nt();
-    debug_assert_eq!(acc.len(), nrows * nt);
-    debug_assert_eq!(row_events.len(), nrows);
-    let _ = panel_wide; // consumed only by the x86_64 SIMD dispatch
-
     #[cfg(target_arch = "x86_64")]
     if tiles.is_simd() {
-        debug_assert_eq!(
-            panel_wide.len(),
-            panel.len(),
-            "SIMD tiles need the widened panel (`Staging::widen_panel_for_tiles`)"
-        );
-        avx2::sweep_rows(k, tiles, panel_wide, ri0, nrows, acc, row_events, lanes);
+        avx2::sweep_rows(k, tiles, panel, ri0, nrows, acc, events);
         return;
     }
-    lanes.psums.resize(nt, 0);
-    for r in 0..nrows {
+    let nt = tiles.nt();
+    debug_assert_eq!(acc.len(), nrows * nt);
+    psums.resize(nt, 0);
+    let outs = acc.chunks_exact_mut(nt).zip(events.chunks_exact_mut(nt));
+    for (r, (acc, clips)) in outs.enumerate() {
         let row = &panel[(ri0 + r) * k..(ri0 + r) * k + k];
-        row_events[r] = row_general(tiles, row, &mut acc[r * nt..(r + 1) * nt], &mut lanes.psums);
+        row_general(tiles, row, acc, clips, psums);
     }
 }
 
 /// General one-row path: every scalar tile ([`RowKernel::General`])
-/// and tall tiles ([`RowKernel::MacSerial`]). Accumulators live in the
-/// `acc` slice; `scratch` holds one tile's psums.
+/// and tall tiles ([`RowKernel::MacSerial`]), folding into the row's
+/// `acc` values and `clips` counts; `scratch` holds one tile's psums.
 ///
 /// A one-column tile is a dense contiguous dot product. Wider scalar
 /// tiles skip zero data (`saturate(x + 0) = x`, so skipping is exact):
 /// PrimaryCaps reads sparse ReLU output, so there the skip pays for its
 /// data-dependent branch; on a single column it never does.
-fn row_general(tiles: &TileBuf, row: &[i8], acc: &mut [i64], scratch: &mut [i32]) -> u64 {
+fn row_general(
+    tiles: &TileBuf,
+    row: &[i16],
+    acc: &mut [i32],
+    clips: &mut [i32],
+    scratch: &mut [i32],
+) {
     let nt = tiles.nt();
-    let mut ev = 0u64;
     for t in tiles.tiles() {
         let drow = &row[t.k0..t.k0 + t.kt];
         let w = tiles.w(t);
         if t.kernel == RowKernel::MacSerial {
             // Tall tile: the in-tile fold may clip, so run the literal
             // ticked chain — `Pe::mac_step` per element, north→south.
-            for (c, a) in acc.iter_mut().enumerate() {
+            for (c, (a, e)) in acc.iter_mut().zip(clips.iter_mut()).enumerate() {
                 let mut psum = 0i64;
                 for (r, &d) in drow.iter().enumerate() {
                     let w = w[r * nt + c];
                     if d != 0 && w != 0 {
+                        let d = i8::try_from(d).expect("the panel holds widened i8 data");
                         psum = Pe::mac_step(psum, d, w);
                     }
                 }
-                fold_scalar(a, psum, &mut ev);
+                fold_scalar(a, e, psum);
             }
         } else if nt == 1 {
             let psum: i32 = drow
@@ -457,23 +427,22 @@ fn row_general(tiles: &TileBuf, row: &[i8], acc: &mut [i64], scratch: &mut [i32]
                 .zip(w)
                 .map(|(&d, &w)| i32::from(d) * i32::from(w))
                 .sum();
-            fold_scalar(&mut acc[0], i64::from(psum), &mut ev);
+            fold_scalar(&mut acc[0], &mut clips[0], i64::from(psum));
         } else {
             let psums = &mut scratch[..nt];
             psums.fill(0);
             for (&d, wrow) in drow.iter().zip(w.chunks_exact(nt)) {
                 if d != 0 {
                     for (p, &w) in psums.iter_mut().zip(wrow) {
-                        *p += d as i32 * w as i32;
+                        *p += i32::from(d) * i32::from(w);
                     }
                 }
             }
-            for (a, &p) in acc.iter_mut().zip(psums.iter()) {
-                fold_scalar(a, i64::from(p), &mut ev);
+            for ((a, e), &p) in acc.iter_mut().zip(clips.iter_mut()).zip(psums.iter()) {
+                fold_scalar(a, e, i64::from(p));
             }
         }
     }
-    ev
 }
 
 /// The SIMD sweep: `vpdpwssd`/`pmaddwd` over pair-interleaved `i16`
@@ -488,7 +457,7 @@ fn row_general(tiles: &TileBuf, row: &[i8], acc: &mut [i64], scratch: &mut [i32]
 // lint:allow(unsafe-containment, the crate-level deny is re-allowed only here: runtime-feature-gated SIMD intrinsics with SAFETY-commented call sites)
 #[allow(unsafe_code)]
 mod avx2 {
-    use super::{KTile, Lanes, TileBuf, WVec, LANES};
+    use super::{KTile, TileBuf, WVec, LANES};
     use std::arch::x86_64::{
         __m256i, _mm256_add_epi32, _mm256_cmpeq_epi32, _mm256_load_si256, _mm256_loadu_si256,
         _mm256_madd_epi16, _mm256_max_epi32, _mm256_min_epi32, _mm256_set1_epi32,
@@ -508,116 +477,72 @@ mod avx2 {
     const SIMD_ROW_BLOCK: usize = 4;
 
     /// Sweeps rows `ri0 .. ri0 + nrows` through the widest body the
-    /// host supports. SIMD tiles exist only once `avx2` was detected
-    /// (`select_kernel` runs them under `simd_enabled`); each body
-    /// asserts its own features, which keeps the intrinsics sound if
-    /// that rule is ever broken.
+    /// host supports, checking for AVX-512 once per call. SIMD tiles
+    /// exist only once `avx2` was detected (`select_kernel` runs them
+    /// under `simd_enabled`); each body asserts its own features, which
+    /// keeps the intrinsics sound if that rule is ever broken.
     ///
-    /// `panel_wide` is the sign-extended `i16` copy of the data panel:
-    /// each adjacent element pair is then one little-endian `i32`, so
-    /// the kernel broadcasts a data pair with a single memory-operand
+    /// `panel` is the sign-extended `i16` data panel: each adjacent
+    /// element pair is one little-endian `i32`, so the kernel
+    /// broadcasts a data pair with a single memory-operand
     /// `vpbroadcastd` instead of a scalar widen/shift/or chain.
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn sweep_rows(
         k: usize,
         tiles: &TileBuf,
-        panel_wide: &[i16],
+        panel: &[i16],
         ri0: usize,
         nrows: usize,
-        acc: &mut [i64],
-        row_events: &mut [u64],
-        lanes: &mut Lanes,
+        acc: &mut [i32],
+        events: &mut [i32],
     ) {
         if avx512_available() {
-            sweep_rows_avx512(k, tiles, panel_wide, ri0, nrows, acc, row_events, lanes);
-        } else {
-            sweep_rows_avx2(k, tiles, panel_wide, ri0, nrows, acc, row_events, lanes);
-        }
-    }
-
-    /// The AVX-512/VNNI body: one zmm register holds a full 16-column
-    /// row, `vpdpwssd` fuses multiply and accumulate, and the
-    /// 32-register file keeps a 4-row block's accumulators, psums and
-    /// event counts resident across every K-tile — the per-tile fold
-    /// never touches memory. Same fold per element in the same tile
-    /// order as the AVX2 body: bit-identical.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn sweep_rows_avx512(
-        k: usize,
-        tiles: &TileBuf,
-        panel_wide: &[i16],
-        ri0: usize,
-        nrows: usize,
-        acc: &mut [i64],
-        row_events: &mut [u64],
-        lanes: &mut Lanes,
-    ) {
-        assert!(
-            avx512_available(),
-            "AVX-512 sweep on a host without avx512f/bw/vnni"
-        );
-        in_lanes(nrows, acc, row_events, lanes, |acc32, ev32| {
+            assert_row_lanes(nrows, acc, events);
             // SAFETY: the `avx512*`/`avx512vnni` features were
-            // runtime-detected just above.
-            unsafe { sweep_dense_512(k, tiles, panel_wide, ri0, nrows, acc32, ev32) }
-        });
+            // runtime-detected just above, and both lane buffers hold
+            // exactly `nrows` rows (asserted just above).
+            unsafe { sweep_dense_512(k, tiles, panel, ri0, nrows, acc, events) }
+        } else {
+            sweep_rows_avx2(k, tiles, panel, ri0, nrows, acc, events);
+        }
     }
 
     /// The AVX2 body, K-tile–outer so one staged tile (≤ 8 KiB
     /// interleaved) stays cache-resident while every row streams
-    /// against it; per-(row, column) accumulators and clip-event
-    /// counts live in `i32` lane buffers and are folded in place at
-    /// each tile — the fold order per element is still tile-ascending,
-    /// identical to the serial chain.
-    #[allow(clippy::too_many_arguments)]
+    /// against it; the caller's zeroed accumulator and clip-count lanes
+    /// are folded in place at each tile — the fold order per element is
+    /// still tile-ascending, identical to the serial chain.
     pub(super) fn sweep_rows_avx2(
         k: usize,
         tiles: &TileBuf,
-        panel_wide: &[i16],
+        panel: &[i16],
         ri0: usize,
         nrows: usize,
-        acc: &mut [i64],
-        row_events: &mut [u64],
-        lanes: &mut Lanes,
+        acc: &mut [i32],
+        events: &mut [i32],
     ) {
         assert!(
             std::arch::is_x86_feature_detected!("avx2"),
             "AVX2 sweep on a host without avx2"
         );
-        in_lanes(nrows, acc, row_events, lanes, |acc32, ev32| {
-            for t in tiles.tiles() {
-                // SAFETY: `avx2` was runtime-detected just above.
-                unsafe { tile_sweep(t, tiles.inter(t), panel_wide, k, ri0, nrows, acc32, ev32) };
-            }
-        });
+        assert_row_lanes(nrows, acc, events);
+        for t in tiles.tiles() {
+            // SAFETY: `avx2` was runtime-detected and both lane buffers
+            // hold exactly `nrows` rows (asserted just above).
+            unsafe { tile_sweep(t, tiles.inter(t), panel, k, ri0, nrows, acc, events) };
+        }
     }
 
-    /// Runs `sweep` over zeroed `i32` accumulator and clip-event lanes
-    /// for `nrows` rows (held in `lanes`), then widens each row's final
-    /// lanes into `acc` and sums its clip events into `row_events`.
-    fn in_lanes(
-        nrows: usize,
-        acc: &mut [i64],
-        row_events: &mut [u64],
-        lanes: &mut Lanes,
-        sweep: impl FnOnce(&mut [i32], &mut [i32]),
-    ) {
-        let Lanes { acc32, ev32, .. } = lanes;
-        for buf in [&mut *acc32, &mut *ev32] {
-            buf.clear();
-            buf.resize(nrows * LANES, 0);
-        }
-        sweep(acc32, ev32);
-        for r in 0..nrows {
-            let row = &acc32[r * LANES..(r + 1) * LANES];
-            for (a, &v) in acc[r * LANES..(r + 1) * LANES].iter_mut().zip(row) {
-                *a = i64::from(v);
-            }
-            row_events[r] = ev32[r * LANES..(r + 1) * LANES]
-                .iter()
-                .map(|&e| u64::try_from(e).expect("clip-event lane count is non-negative"))
-                .sum();
-        }
+    /// The SIMD bodies write each row's [`LANES`] accumulator and
+    /// clip-count lanes through raw pointers, so both buffers must hold
+    /// exactly `nrows` rows of them.
+    fn assert_row_lanes(nrows: usize, acc: &[i32], events: &[i32]) {
+        assert!(
+            acc.len() == nrows * LANES && events.len() == nrows * LANES,
+            "a {nrows}-row SIMD sweep needs {} lanes each, got {} and {}",
+            nrows * LANES,
+            acc.len(),
+            events.len()
+        );
     }
 
     /// Runtime check for the zmm sweep profile: foundation ops
@@ -638,20 +563,21 @@ mod avx2 {
     /// `i32` lanes are exactly the 16 output columns.
     ///
     /// Writes (not accumulates) each row's final lanes into
-    /// `acc32`/`ev32` — this path owns the complete fold.
+    /// `acc_out`/`ev_out` — this path owns the complete fold.
     ///
     /// # Safety
     ///
-    /// Caller must have runtime-verified [`avx512_available`].
+    /// Caller must have runtime-verified [`avx512_available`]; both
+    /// lane buffers must hold `nrows · LANES` elements.
     #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
     unsafe fn sweep_dense_512(
         k: usize,
         tiles: &TileBuf,
-        panel_wide: &[i16],
+        panel: &[i16],
         ri0: usize,
         nrows: usize,
-        acc32: &mut [i32],
-        ev32: &mut [i32],
+        acc_out: &mut [i32],
+        ev_out: &mut [i32],
     ) {
         let vmax = _mm512_set1_epi32(SAT_MAX);
         let vmin = _mm512_set1_epi32(SAT_MIN);
@@ -663,7 +589,7 @@ mod avx2 {
             let mut ev = [zero; SIMD_ROW_BLOCK];
             for t in tiles.tiles() {
                 let base = (ri0 + r) * k + t.k0;
-                let blk = &panel_wide[base..base + (SIMD_ROW_BLOCK - 1) * k + t.kt];
+                let blk = &panel[base..base + (SIMD_ROW_BLOCK - 1) * k + t.kt];
                 let wide = blk.as_ptr();
                 let inter: *const i16 = tiles.inter(t).as_ptr().cast();
                 let mut psum = [zero; SIMD_ROW_BLOCK];
@@ -695,8 +621,8 @@ mod avx2 {
                 }
             }
             for j in 0..SIMD_ROW_BLOCK {
-                _mm512_storeu_si512(acc32.as_mut_ptr().add((r + j) * LANES).cast(), acc[j]);
-                _mm512_storeu_si512(ev32.as_mut_ptr().add((r + j) * LANES).cast(), ev[j]);
+                _mm512_storeu_si512(acc_out.as_mut_ptr().add((r + j) * LANES).cast(), acc[j]);
+                _mm512_storeu_si512(ev_out.as_mut_ptr().add((r + j) * LANES).cast(), ev[j]);
             }
             r += SIMD_ROW_BLOCK;
         }
@@ -705,7 +631,7 @@ mod avx2 {
             let mut ev = zero;
             for t in tiles.tiles() {
                 let base = (ri0 + r) * k + t.k0;
-                let drow = &panel_wide[base..base + t.kt];
+                let drow = &panel[base..base + t.kt];
                 let wide = drow.as_ptr();
                 let inter: *const i16 = tiles.inter(t).as_ptr().cast();
                 let mut psum = zero;
@@ -726,15 +652,15 @@ mod avx2 {
                 ev = _mm512_mask_add_epi32(ev, clipped, ev, ones);
                 acc = sat;
             }
-            _mm512_storeu_si512(acc32.as_mut_ptr().add(r * LANES).cast(), acc);
-            _mm512_storeu_si512(ev32.as_mut_ptr().add(r * LANES).cast(), ev);
+            _mm512_storeu_si512(acc_out.as_mut_ptr().add(r * LANES).cast(), acc);
+            _mm512_storeu_si512(ev_out.as_mut_ptr().add(r * LANES).cast(), ev);
             r += 1;
         }
     }
 
     /// Streams every row's slice of one K-tile against the resident
     /// interleaved weights and folds the finished psums into the
-    /// `i32` accumulator/event lane buffers. Rows go through in blocks
+    /// `i32` accumulator and clip-count lanes. Rows go through in blocks
     /// of [`SIMD_ROW_BLOCK`]: each 32-byte weight vector is loaded once
     /// per block instead of once per row, which is what the single-row
     /// loop is throughput-bound on (3 loads per pair-step against a
@@ -744,18 +670,19 @@ mod avx2 {
     ///
     /// # Safety
     ///
-    /// Caller must have runtime-verified `avx2`.
+    /// Caller must have runtime-verified `avx2`; both lane buffers must
+    /// hold `nrows · LANES` elements.
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
     unsafe fn tile_sweep(
         t: &KTile,
         inter: &[WVec],
-        panel_wide: &[i16],
+        panel: &[i16],
         k: usize,
         ri0: usize,
         nrows: usize,
-        acc32: &mut [i32],
-        ev32: &mut [i32],
+        acc: &mut [i32],
+        events: &mut [i32],
     ) {
         let vmax = _mm256_set1_epi32(SAT_MAX);
         let vmin = _mm256_set1_epi32(SAT_MIN);
@@ -763,24 +690,24 @@ mod avx2 {
         let mut r = 0;
         while r + SIMD_ROW_BLOCK <= nrows {
             let base = (ri0 + r) * k + t.k0;
-            let blk = &panel_wide[base..base + (SIMD_ROW_BLOCK - 1) * k + t.kt];
+            let blk = &panel[base..base + (SIMD_ROW_BLOCK - 1) * k + t.kt];
             let psums = tile_psums_block(t, inter, blk.as_ptr(), k);
             for (j, &(psum0, psum1)) in psums.iter().enumerate() {
-                fold_row(acc32, ev32, r + j, psum0, psum1, vmax, vmin, ones);
+                fold_row(acc, events, r + j, psum0, psum1, vmax, vmin, ones);
             }
             r += SIMD_ROW_BLOCK;
         }
         while r < nrows {
             let base = (ri0 + r) * k + t.k0;
-            let (psum0, psum1) = tile_psums(t, inter, &panel_wide[base..base + t.kt]);
-            fold_row(acc32, ev32, r, psum0, psum1, vmax, vmin, ones);
+            let (psum0, psum1) = tile_psums(t, inter, &panel[base..base + t.kt]);
+            fold_row(acc, events, r, psum0, psum1, vmax, vmin, ones);
             r += 1;
         }
     }
 
     /// Folds one row's finished tile psums into its `i32`
-    /// accumulator/event lanes (saturating fold in 32-bit lanes:
-    /// raw = acc + psum is in range by the ±2^25 bound; clamp;
+    /// accumulator and clip-count lanes (saturating fold in 32-bit
+    /// lanes: raw = acc + psum is in range by the ±2^25 bound; clamp;
     /// `cmpeq + 1` is the per-lane clip indicator).
     ///
     /// # Safety
@@ -791,8 +718,8 @@ mod avx2 {
     #[inline]
     #[allow(clippy::too_many_arguments)]
     unsafe fn fold_row(
-        acc32: &mut [i32],
-        ev32: &mut [i32],
+        acc: &mut [i32],
+        events: &mut [i32],
         r: usize,
         psum0: __m256i,
         psum1: __m256i,
@@ -800,8 +727,8 @@ mod avx2 {
         vmin: __m256i,
         ones: __m256i,
     ) {
-        let accp: *mut i32 = acc32.as_mut_ptr().add(r * LANES);
-        let evp: *mut i32 = ev32.as_mut_ptr().add(r * LANES);
+        let accp: *mut i32 = acc.as_mut_ptr().add(r * LANES);
+        let evp: *mut i32 = events.as_mut_ptr().add(r * LANES);
         let raw0 = _mm256_add_epi32(_mm256_loadu_si256(accp.cast()), psum0);
         let raw1 = _mm256_add_epi32(_mm256_loadu_si256(accp.add(8).cast()), psum1);
         let sat0 = _mm256_max_epi32(_mm256_min_epi32(raw0, vmax), vmin);
@@ -1056,15 +983,15 @@ mod tests {
         // down on odd ones); row 2's random part is zero-heavy; row 4
         // is random throughout.
         let rows = 5;
-        let panel: Vec<i8> = (0..rows * k)
+        let panel: Vec<i16> = (0..rows * k)
             .map(|i| {
                 let (r, c, d) = (i / k, i % k, next());
-                match r {
+                i16::from(match r {
                     0 | 2 if c < 2046 => 127,
                     1 | 3 if c < 2046 => -127,
                     2 if d % 2 == 0 => 0,
                     _ => d,
-                }
+                })
             })
             .collect();
         let w: Vec<i8> = (0..k * LANES)
@@ -1092,38 +1019,33 @@ mod tests {
             buf
         };
         let reference = stage(RowKernel::General);
-        let mut acc_ref = vec![0i64; rows * LANES];
+        let mut acc_ref = vec![0i32; rows * LANES];
+        let mut ev_ref = vec![0i32; rows * LANES];
         let mut scratch = vec![0i32; LANES];
-        let ev_ref: Vec<u64> = panel
-            .chunks_exact(k)
-            .zip(acc_ref.chunks_exact_mut(LANES))
-            .map(|(row, acc)| row_general(&reference, row, acc, &mut scratch))
-            .collect();
+        let outs = acc_ref
+            .chunks_exact_mut(LANES)
+            .zip(ev_ref.chunks_exact_mut(LANES));
+        for (row, (acc, clips)) in panel.chunks_exact(k).zip(outs) {
+            row_general(&reference, row, acc, clips, &mut scratch);
+        }
         assert!(
-            ev_ref[..4].iter().all(|&e| e > 0),
+            ev_ref
+                .chunks_exact(LANES)
+                .take(4)
+                .all(|row| row.iter().sum::<i32>() > 0),
             "adversarial rows must actually clip"
         );
 
         let tiles = stage(RowKernel::Simd);
-        let wide: Vec<i16> = panel.iter().map(|&d| i16::from(d)).collect();
-        type Body = fn(usize, &TileBuf, &[i16], usize, usize, &mut [i64], &mut [u64], &mut Lanes);
+        type Body = fn(usize, &TileBuf, &[i16], usize, usize, &mut [i32], &mut [i32]);
         let bodies: [(&str, bool, Body); 2] = [
             ("avx2", true, avx2::sweep_rows_avx2),
-            ("avx512", avx2::avx512_available(), avx2::sweep_rows_avx512),
+            ("avx512", avx2::avx512_available(), avx2::sweep_rows),
         ];
         for (name, _, sweep) in bodies.iter().filter(|b| b.1) {
-            let mut acc_simd = vec![0i64; rows * LANES];
-            let mut ev_simd = vec![0u64; rows];
-            sweep(
-                k,
-                &tiles,
-                &wide,
-                0,
-                rows,
-                &mut acc_simd,
-                &mut ev_simd,
-                &mut Lanes::default(),
-            );
+            let mut acc_simd = vec![0i32; rows * LANES];
+            let mut ev_simd = vec![0i32; rows * LANES];
+            sweep(k, &tiles, &panel, 0, rows, &mut acc_simd, &mut ev_simd);
             assert_eq!(acc_simd, acc_ref, "{name} accumulators");
             assert_eq!(ev_simd, ev_ref, "{name} clip events");
         }

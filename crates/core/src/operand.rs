@@ -56,14 +56,16 @@ impl DataView<'_> {
 
     /// Gathers the whole batch into `panel` as a row-major
     /// `batch·M × K` matrix, image-major (row `img·M + m`), reading
-    /// every source `off` elements further in.
-    pub fn gather(&self, off: usize, panel: &mut Vec<i8>) {
+    /// every source `off` elements further in. Elements are
+    /// sign-extended on the way (exact), into the one layout every
+    /// functional kernel reads.
+    pub fn gather(&self, off: usize, panel: &mut Vec<i16>) {
         panel.clear();
         panel.reserve(self.batch() * self.m() * self.k());
         for src in self.src {
             for &base in self.rows {
                 let row = &src[off + base..];
-                panel.extend(self.cols.iter().map(|&c| row[c]));
+                panel.extend(self.cols.iter().map(|&c| i16::from(row[c])));
             }
         }
     }

@@ -6,13 +6,19 @@
 //!
 //! - `path/to/file.rs` (optionally `file.rs::item`) must resolve to a
 //!   workspace source file (exact path or unique basename suffix),
-//!   and the named item must appear in that file;
+//!   and the named item must appear in that file as a whole
+//!   identifier;
 //! - `crates/…`, `src/…`, `tests/…`, `vendor/…` paths must exist on
 //!   disk (brace/glob shorthands like `lut/{a,b}.rs` are checked up
 //!   to the expansion point);
 //! - bare `snake_case` identifiers (all `[a-z0-9_]`, at least one
 //!   underscore, length ≥ 4) must appear somewhere in the workspace
-//!   sources or file paths.
+//!   sources or file paths as a whole identifier.
+//!
+//! "As a whole identifier" means the characters either side of the
+//! match are not identifier characters, so a deleted name that
+//! survives only inside a longer one (`routing_steps` inside
+//! `batch_routing_steps`) is still drift.
 //!
 //! Spans containing whitespace are prose and skipped. Waivers use the
 //! same grammar inside HTML comments: `<!-- lint:allow(doc-drift,
@@ -125,7 +131,7 @@ fn check_span(span: &str, root: &Path, inv: &Inventory) -> Option<String> {
             let found = inv
                 .files
                 .iter()
-                .any(|(p, content)| p == resolved && content.contains(item));
+                .any(|(p, content)| p == resolved && contains_ident(content, item));
             if !found {
                 return Some(format!("`{resolved}` does not define `{item}`"));
             }
@@ -147,13 +153,26 @@ fn check_span(span: &str, root: &Path, inv: &Inventory) -> Option<String> {
         && span
             .chars()
             .all(|c| c == '_' || c.is_ascii_lowercase() || c.is_ascii_digit())
-        && !inv.haystack.contains(span)
+        && !contains_ident(&inv.haystack, span)
     {
         return Some(format!(
             "names `{span}`, which appears nowhere in the workspace sources"
         ));
     }
     None
+}
+
+/// Whether `needle` occurs in `hay` with no identifier character
+/// (alphanumeric or `_`) directly before or after it.
+fn contains_ident(hay: &str, needle: &str) -> bool {
+    let is_ident = |c: char| c == '_' || c.is_alphanumeric();
+    hay.match_indices(needle).any(|(at, _)| {
+        !hay[..at].chars().next_back().is_some_and(is_ident)
+            && !hay[at + needle.len()..]
+                .chars()
+                .next()
+                .is_some_and(is_ident)
+    })
 }
 
 /// Resolves a `.rs` reference against the inventory: exact relative
@@ -181,7 +200,7 @@ mod tests {
     use super::*;
 
     fn inv() -> Inventory {
-        let engine = "pub fn run_inference() {}\n".to_string();
+        let engine = "pub fn run_inference() {}\npub fn batch_routing_steps() {}\n".to_string();
         let paths = vec![
             "crates/core/src/engine.rs".to_string(),
             "crates/fixed/src/lut/exp.rs".to_string(),
@@ -239,6 +258,20 @@ mod tests {
         assert_eq!(out.len(), 1);
         // Prose spans (whitespace) and short/non-snake spans are skipped.
         assert_eq!(drift("Run `cargo test -p capsacc-core` and `a_b`.\n"), []);
+    }
+
+    #[test]
+    fn references_match_whole_identifiers_only() {
+        // The sources define `batch_routing_steps` only, so its tail
+        // names nothing, bare or as an item.
+        assert_eq!(drift("See `batch_routing_steps`.\n"), []);
+        let out = drift("See `routing_steps`.\n");
+        assert_eq!(out.len(), 1);
+        assert!(out[0].2.contains("routing_steps"));
+        assert_eq!(drift("See `engine.rs::batch_routing_steps`.\n"), []);
+        let out = drift("See `engine.rs::routing_steps`.\n");
+        assert_eq!(out.len(), 1);
+        assert!(out[0].2.contains("does not define `routing_steps`"));
     }
 
     #[test]

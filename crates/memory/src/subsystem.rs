@@ -510,21 +510,11 @@ impl MemorySubsystem {
         w.busy_cycles += busy;
     }
 
-    /// [`MemorySubsystem::matmul`] with the per-call stall window
-    /// decomposition recorded into a telemetry [`Recorder`]: counters
-    /// for total/bank/prefetch stalls and hidden fill cycles, plus a
-    /// per-matmul stall histogram. The simulated result is identical
-    /// to the unrecorded call — the recorder only observes.
-    pub fn matmul_recorded(&mut self, g: &MatmulGeometry, rec: &mut Recorder) -> u64 {
-        let (stall, delta) = self.price(g);
-        self.report.merge(&delta);
-        Self::record_matmul(&delta, rec);
-        stall
-    }
-
     /// Records one matmul's counter delta (as [`MemorySubsystem::price`]
-    /// returns it) the way [`MemorySubsystem::matmul_recorded`] does:
-    /// the call and stall counters and the per-matmul histograms.
+    /// returns it) into a telemetry [`Recorder`]: the call and stall
+    /// counters (total, bank, prefetch, hidden fill) and the per-matmul
+    /// stall histograms. The recorder only observes, and a disabled one
+    /// ignores the call.
     pub fn record_matmul(d: &MemReport, rec: &mut Recorder) {
         rec.counter_add("mem.matmul_calls", 1);
         rec.counter_add("mem.stall_cycles", d.stall_cycles);
@@ -533,16 +523,6 @@ impl MemorySubsystem {
         rec.counter_add("mem.hidden_fill_cycles", d.hidden_fill_cycles);
         rec.hist_record("mem.matmul_stall_cycles", d.stall_cycles);
         rec.hist_record("mem.matmul_hidden_fill_cycles", d.hidden_fill_cycles);
-    }
-
-    /// [`MemorySubsystem::stage_input`] with the exposed staging
-    /// window recorded into a telemetry [`Recorder`]; simulated result
-    /// identical to the unrecorded call.
-    pub fn stage_input_recorded(&mut self, bytes: u64, rec: &mut Recorder) -> u64 {
-        let cycles = self.stage_input(bytes);
-        rec.counter_add("mem.stage_input_calls", 1);
-        rec.counter_add("mem.stage_input_stall_cycles", cycles);
-        cycles
     }
 
     /// Merges a previously measured [`MemReport`] delta into this
@@ -832,8 +812,11 @@ mod tests {
                 let mut fresh = MemorySubsystem::new(cfg);
                 let want = fresh.matmul(g);
                 assert_eq!(mem.matmul(g), want, "{g:?}");
-                assert_eq!(recorded.matmul_recorded(g, &mut rec), want);
-                MemorySubsystem::new(cfg).matmul_recorded(g, &mut fresh_rec);
+                let (stall, delta) = recorded.price(g);
+                recorded.charge(&delta);
+                MemorySubsystem::record_matmul(&delta, &mut rec);
+                assert_eq!(stall, want);
+                MemorySubsystem::record_matmul(&fresh.report(), &mut fresh_rec);
                 fresh_total.merge(&fresh.report());
             }
             assert_eq!(mem.report(), fresh_total);

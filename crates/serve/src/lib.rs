@@ -72,13 +72,14 @@ pub mod telemetry;
 mod trace;
 
 pub use batcher::{form_batches, BatcherConfig, ConfigError, MicroBatch};
+pub use capsacc_telemetry::percentile;
 pub use pool::{PoolError, ShardPool};
 pub use runtime::{
     run_runtime, run_runtime_resilient, AutoscalerConfig, ClassStats, CloseCause, DegradeConfig,
     EventSink, FaultStats, HedgeConfig, LoggedEvent, NullSink, Rejection, RejectionRecord,
     ResilienceConfig, RetryConfig, RuntimeConfig, RuntimeOutcome, ScalingEvent, ServiceModel,
 };
-pub use sim::{dispatch_batches, percentile, BatchStat, RequestStat, SimOutcome};
+pub use sim::{dispatch_batches, BatchStat, RequestStat, SimOutcome};
 pub use telemetry::RuntimeTelemetry;
 pub use trace::{
     arrival_trace, workload_trace, ArrivalRegime, ClassConfig, Request, TraceConfig,

@@ -80,8 +80,9 @@ use capsacc_faults::{FaultPlan, CRASH_FRACTION_DENOM};
 use capsacc_tensor::u64_from;
 
 use crate::batcher::{BatcherConfig, ConfigError};
-use crate::sim::{percentile, BatchStat, RequestStat, SimOutcome};
+use crate::sim::{BatchStat, RequestStat, SimOutcome};
 use crate::trace::{Request, VIRTUAL_TIME_HORIZON};
+use capsacc_telemetry::percentile;
 
 /// Why the runtime refused a request.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -664,11 +665,6 @@ impl RuntimeOutcome {
                 )
             })
             .count()
-    }
-
-    /// All refused requests.
-    pub fn rejected_count(&self) -> usize {
-        self.rejections.len()
     }
 
     /// Requests refused after their batch's retry budget ran out.

@@ -14,6 +14,8 @@
 //! (the whole batch's [`capsacc_core::BatchRun`]-equivalent cycles; the
 //! layer-major schedule finishes all images of a batch together).
 
+use capsacc_telemetry::percentile;
+
 use crate::batcher::MicroBatch;
 
 /// Per-request accounting of one simulated serve.
@@ -113,37 +115,6 @@ impl SimOutcome {
         self.requests.len() as f64 / self.makespan_cycles as f64
     }
 
-    /// Goodput under a uniform latency budget: served requests whose
-    /// end-to-end latency is within `budget_cycles`, per cycle of
-    /// virtual time. Throughput counts everything served; goodput only
-    /// counts what was served *usefully* — the number an overloaded
-    /// system can tank even while throughput looks healthy.
-    pub fn goodput_within(&self, budget_cycles: u64) -> f64 {
-        if self.makespan_cycles == 0 {
-            return 0.0;
-        }
-        let good = self
-            .requests
-            .iter()
-            .filter(|r| r.latency_cycles() <= budget_cycles)
-            .count();
-        good as f64 / self.makespan_cycles as f64
-    }
-
-    /// Fraction of served requests whose latency is within
-    /// `budget_cycles` (1.0 for an empty outcome — no request missed).
-    pub fn attainment_within(&self, budget_cycles: u64) -> f64 {
-        if self.requests.is_empty() {
-            return 1.0;
-        }
-        let good = self
-            .requests
-            .iter()
-            .filter(|r| r.latency_cycles() <= budget_cycles)
-            .count();
-        good as f64 / self.requests.len() as f64
-    }
-
     /// Mean images per dispatched batch (0.0 for an empty trace — total,
     /// like the engine's per-image views).
     pub fn mean_batch_len(&self) -> f64 {
@@ -175,22 +146,6 @@ impl SimOutcome {
         }
         out
     }
-}
-
-/// Nearest-rank percentile of an ascending slice. Total over the
-/// input: an empty slice reports `0` (the convention every
-/// [`SimOutcome`] aggregate uses for degenerate serves — an all-shed
-/// window has no latencies, and its percentile row must still be
-/// defined). This *is* [`capsacc_telemetry::percentile`] — the serving
-/// aggregates and the telemetry histogram summaries share one
-/// nearest-rank convention, so a latency percentile reported here and
-/// one exported by the metrics pipeline can never disagree.
-///
-/// # Panics
-///
-/// Panics if `pct` is outside `(0, 100]`.
-pub fn percentile(sorted: &[u64], pct: f64) -> u64 {
-    capsacc_telemetry::percentile(sorted, pct)
 }
 
 /// Dispatches closed micro-batches onto `workers` workers.
@@ -282,8 +237,6 @@ mod tests {
         assert_eq!(percentile(&[], 99.0), 0);
         let out = dispatch_batches(&[], &[], 1, &flat_service);
         assert_eq!(out.utilization(7), 0.0, "beyond-pool worker index");
-        assert_eq!(out.goodput_within(100), 0.0);
-        assert_eq!(out.attainment_within(100), 1.0);
         assert!(out.assignments().iter().all(Vec::is_empty));
     }
 
@@ -307,16 +260,6 @@ mod tests {
         assert!(out.utilization(0) > 0.0 && out.utilization(0) <= 1.0);
         assert_eq!(out.utilization(1), 0.0);
         assert!(out.utilization(0).is_finite());
-    }
-
-    #[test]
-    fn percentiles_use_nearest_rank() {
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&v, 50.0), 50);
-        assert_eq!(percentile(&v, 95.0), 95);
-        assert_eq!(percentile(&v, 99.0), 99);
-        assert_eq!(percentile(&v, 100.0), 100);
-        assert_eq!(percentile(&[7], 50.0), 7);
     }
 
     #[test]

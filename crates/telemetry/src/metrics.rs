@@ -2,10 +2,10 @@
 
 use std::collections::BTreeMap;
 
-/// Nearest-rank percentile of an ascending slice — the same convention
-/// `capsacc-serve`'s `sim::percentile` reports (which delegates here),
-/// so bench tables and telemetry dumps agree digit for digit. Returns
-/// 0 on an empty slice.
+/// Nearest-rank percentile of an ascending slice — the one definition:
+/// `capsacc-serve` re-exports it and its latency aggregates call it, so
+/// bench tables and telemetry dumps agree digit for digit. Returns 0 on
+/// an empty slice.
 ///
 /// # Panics
 ///

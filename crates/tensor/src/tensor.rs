@@ -167,12 +167,6 @@ impl<T> Tensor<T> {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its backing storage.
-    #[inline]
-    pub fn into_data(self) -> Vec<T> {
-        self.data
-    }
-
     /// Computes the row-major flat index of a multi-index.
     ///
     /// # Panics
