@@ -101,7 +101,11 @@ fn engine_validation(batches: &[usize]) -> Vec<Vec<String>> {
             let mut exact = true;
             for (img, trace) in images[..b].iter().zip(&run.traces) {
                 let mut acc = Accelerator::new(cfg);
-                exact &= acc.run_inference(&net, &qparams, img).trace == *trace;
+                exact &= acc
+                    .run_batch(&net, &qparams, std::slice::from_ref(img))
+                    .expect("valid image")
+                    .traces[0]
+                    == *trace;
             }
             vec![
                 b.to_string(),

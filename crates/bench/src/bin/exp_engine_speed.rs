@@ -7,8 +7,8 @@
 //! In-binary asserts (run by `ci.sh`):
 //!
 //! - ticked, functional-scalar and functional-SIMD produce
-//!   **identical** `InferenceRun`s (trace, layer cycles, routing steps,
-//!   traffic, memory report) at MNIST scale — the paper-scale extension
+//!   **identical** batch-of-one `BatchRun`s (trace, layer cycles, routing
+//!   steps, traffic, memory report) at MNIST scale — the paper-scale extension
 //!   of the pinned tiny-scale golden digests;
 //! - explicit thread counts 1, 2 and 4 produce byte-identical
 //!   `BatchRun`s at MNIST scale (the parallel-equivalence anchor at
@@ -41,7 +41,7 @@ use capsacc_bench::{json_row, print_table, BenchJson};
 use capsacc_capsnet::{CapsNetConfig, CapsNetParams, QuantizedParams};
 use capsacc_core::{
     Accelerator, AcceleratorConfig, BatchRun, BatchScheduler, EngineBackend, FunctionalOptions,
-    InferenceRun, SimdMode,
+    SimdMode,
 };
 use capsacc_tensor::Tensor;
 
@@ -70,17 +70,19 @@ fn mnist_image(net: &CapsNetConfig) -> Tensor<f32> {
     })
 }
 
-/// Runs one single-image inference, returning the run and its host
-/// time in seconds.
+/// Runs one single-image inference (a batch of one), returning the run
+/// and its host time in seconds.
 fn run_once(
     cfg: AcceleratorConfig,
     net: &CapsNetConfig,
     qparams: &QuantizedParams,
     image: &Tensor<f32>,
-) -> (InferenceRun, f64) {
+) -> (BatchRun, f64) {
     let mut acc = Accelerator::new(cfg);
     let start = Instant::now();
-    let run = acc.run_inference(net, qparams, image);
+    let run = acc
+        .run_batch(net, qparams, std::slice::from_ref(image))
+        .expect("valid image");
     let elapsed = start.elapsed().as_secs_f64();
     (run, elapsed)
 }
@@ -178,7 +180,7 @@ fn main() {
     let (scalar_run, simd_run) = (scalar_run.expect("reps"), simd_run.expect("reps"));
     let (scalar_brun, simd_brun) = (scalar_brun.expect("reps"), simd_brun.expect("reps"));
 
-    // Bit-identity at paper scale: the entire InferenceRun, not just
+    // Bit-identity at paper scale: the entire BatchRun, not just
     // the functional trace — for both functional variants.
     assert_eq!(
         scalar_run, ticked_run,
@@ -274,7 +276,7 @@ fn main() {
         &table,
     );
     println!(
-        "\nAll backends are bit-identical (entire InferenceRun asserted equal,\n\
+        "\nAll backends are bit-identical (entire batch-1 BatchRun asserted equal,\n\
          plus BatchRun equality across threads 1/2/4); the functional backend\n\
          computes each tile's saturating fold directly and charges the exact\n\
          ticked cycle counts. Median speedups: {speedup_ticked:.1}x over ticked\n\

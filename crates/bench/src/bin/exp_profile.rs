@@ -154,7 +154,9 @@ fn assert_tiles_detail_cross_backend() {
             detail: SpanDetail::Tiles,
             host_timing: false,
         });
-        let run = acc.run_inference(&net, &qparams, &image);
+        let run = acc
+            .run_batch(&net, &qparams, std::slice::from_ref(&image))
+            .expect("valid image");
         let rec = acc.take_telemetry();
         let total = validate_span_tree(&rec, TRACK_ENGINE)
             .unwrap_or_else(|e| panic!("{backend:?} tiles span tree invalid: {e}"));

@@ -89,9 +89,13 @@ fn main() {
     let mut off_cfg = on_cfg;
     off_cfg.dataflow.routing_feedback = false;
     let mut acc_on = Accelerator::new(on_cfg);
-    let run_on = acc_on.run_inference(&tiny, &qparams, &image);
+    let run_on = acc_on
+        .run_batch(&tiny, &qparams, std::slice::from_ref(&image))
+        .expect("valid image");
     let mut acc_off = Accelerator::new(off_cfg);
-    let run_off = acc_off.run_inference(&tiny, &qparams, &image);
+    let run_off = acc_off
+        .run_batch(&tiny, &qparams, std::slice::from_ref(&image))
+        .expect("valid image");
     let dm_on = run_on.traffic.counter(MemoryKind::DataMemory).read_bytes;
     let dm_off = run_off.traffic.counter(MemoryKind::DataMemory).read_bytes;
     assert!(

@@ -393,9 +393,11 @@ fn engine_validation() {
     assert_eq!(traces.len(), 12);
     for (trace, &r) in traces.iter().zip(&outcome.served) {
         let mut acc = Accelerator::new(cfg);
-        let single = acc.run_inference(&net, &qparams, &image(r));
+        let single = acc
+            .run_batch(&net, &qparams, std::slice::from_ref(&image(r)))
+            .expect("valid image");
         assert_eq!(
-            &single.trace, trace,
+            &single.traces[0], trace,
             "shard-pool trace diverged from sequential engine for request {r}"
         );
     }

@@ -8,15 +8,17 @@
 //! is loaded into the array once and all `N` images' data rows stream
 //! back-to-back against it, so the whole batch pays for one weight load
 //! — `N×` fewer Weight Buffer bytes and `(N−1)` fewer tile-load stalls
-//! per tile than `N` sequential [`Accelerator::run_inference`] calls.
+//! per tile than `N` batches of one. A single inference is a batch of
+//! one: [`Accelerator::run_batch`] is the engine's only inference entry
+//! point.
 //!
 //! Functionally nothing changes: per-row arithmetic is untouched, each
 //! image keeps its own accumulator FIFOs, and the routing phase (whose
 //! "weights" are the per-image predictions `û`, so it has nothing to
-//! share across images) runs through the exact code path the sequential
-//! engine uses. Every per-image [`QuantTrace`] is therefore **bit-exact**
-//! against a fresh-accelerator sequential run of the same image —
-//! enforced by `tests/batch_equivalence.rs`.
+//! share across images) runs image by image. Every per-image
+//! [`QuantTrace`] is therefore **bit-exact** against a batch of one of
+//! the same image on a fresh accelerator — enforced by
+//! `tests/batch_equivalence.rs`.
 //!
 //! The schedule is backend-agnostic: under
 //! [`crate::EngineBackend::Functional`] the same layer-major pass runs
@@ -106,7 +108,7 @@ impl std::error::Error for BatchError {}
 #[derive(Clone, PartialEq, Debug)]
 pub struct BatchRun {
     /// One full functional trace per image, in input order — each
-    /// bit-exact against a sequential run of that image on a fresh
+    /// bit-exact against a batch of one of that image on a fresh
     /// accelerator (including the per-image `MacStats`).
     pub traces: Vec<QuantTrace>,
     /// Per-layer cycle counts for the whole batch.
@@ -229,11 +231,14 @@ impl Accelerator {
     /// work reordered layer-major: every weight tile of Conv1,
     /// PrimaryCaps and the ClassCaps FC is loaded once and reused by all
     /// images; the routing phase (per-image operands on both array
-    /// ports) runs per image through the sequential code path.
+    /// ports) runs image by image. A single inference is a batch of one.
     ///
-    /// Each returned trace is bit-exact against
-    /// [`Accelerator::run_inference`] of the same image on a fresh
-    /// accelerator, including the per-image saturation counts.
+    /// Each returned trace is bit-exact against a batch of one of the
+    /// same image on a fresh accelerator, including the per-image
+    /// saturation counts, and against
+    /// [`capsacc_capsnet::infer_q8_traced`] with the same parameters,
+    /// pipeline and routing variant (derived from
+    /// `dataflow.skip_first_softmax`).
     ///
     /// # Errors
     ///
@@ -304,17 +309,20 @@ impl Accelerator {
         // two tables over each image; the `[out_ch][patch]` weights
         // are unit-stride along K.
         let input_src: Vec<&[i8]> = inputs_q.iter().map(Tensor::data).collect();
-        let (conv1_mns, conv1_sats) = self.matmul_batch_inner(
+        let (conv1_mns, conv1_sats) = self.matmul_group(
             DataView {
                 src: &input_src,
                 rows: &g1.patch_origins(),
                 cols: &g1.tap_offsets(),
             },
+            0,
             WeightView {
                 src: qparams.conv1_w.data(),
                 ks: 1,
                 ns: g1.patch_len(),
             },
+            0,
+            1,
             g1.out_ch,
             Some(&qparams.conv1_b),
             ncfg.mac_shift(),
@@ -351,17 +359,20 @@ impl Accelerator {
         self.traffic.read(MemoryKind::Dram, u64_from(gp.out_ch));
         self.memory.stage_bias(u64_from(gp.out_ch));
         let conv1_src: Vec<&[i8]> = conv1_outs.iter().map(Tensor::data).collect();
-        let (pc_mns, pc_sats) = self.matmul_batch_inner(
+        let (pc_mns, pc_sats) = self.matmul_group(
             DataView {
                 src: &conv1_src,
                 rows: &gp.patch_origins(),
                 cols: &gp.tap_offsets(),
             },
+            0,
             WeightView {
                 src: qparams.pc_w.data(),
                 ks: 1,
                 ns: gp.patch_len(),
             },
+            0,
+            1,
             gp.out_ch,
             Some(&qparams.pc_b),
             ncfg.mac_shift(),
@@ -464,8 +475,8 @@ impl Accelerator {
         steps.push((RoutingStep::Fc, self.array.cycles() - c0));
         // ------------------------------------------- Routing-by-agreement
         // The routing "weights" are the per-image predictions û — there
-        // is nothing to share across the batch, so each image runs the
-        // exact sequential code path; step cycles aggregate elementwise.
+        // is nothing to share across the batch, so routing runs image by
+        // image; step cycles aggregate elementwise.
         let mut traces = Vec::with_capacity(batch);
         for (img, u_hat) in u_hats.into_iter().enumerate() {
             let sat_before = self.accumulator_saturations;

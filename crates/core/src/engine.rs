@@ -4,7 +4,8 @@
 //! drives it through the paper's dataflow mappings tile by tile, cycle by
 //! cycle. The functional results are **bit-exact** against the quantized
 //! reference model (`capsacc_capsnet::infer_q8_traced`) — the engine even
-//! assembles its results into the same [`QuantTrace`] type so integration
+//! assembles its results into the same
+//! [`QuantTrace`](capsacc_capsnet::QuantTrace) type so integration
 //! tests can `assert_eq!` entire inference traces.
 //!
 //! Cycle accounting: the systolic-array cycles are exact (every PE
@@ -36,8 +37,7 @@
 //! (differentially pinned by `tests/backend_equivalence.rs`).
 
 use capsacc_capsnet::{
-    primary_capsules, CapsNetConfig, QuantPipeline, QuantTrace, QuantizedParams,
-    RoutingIterationTrace, RoutingVariant,
+    primary_capsules, CapsNetConfig, QuantPipeline, RoutingIterationTrace, RoutingVariant,
 };
 use capsacc_faults::FaultPlan;
 use capsacc_memory::{MatmulGeometry, MemReport, MemorySubsystem, TileSchedule};
@@ -74,26 +74,6 @@ impl LayerRun {
     }
 }
 
-/// Result of a full cycle-accurate inference.
-#[derive(Clone, PartialEq, Debug)]
-pub struct InferenceRun {
-    /// The full functional trace, directly comparable (`==`) with the
-    /// reference model's trace.
-    pub trace: QuantTrace,
-    /// Per-layer cycle counts.
-    pub layers: Vec<LayerRun>,
-    /// Per-routing-step cycle counts (Fig. 17 rows).
-    pub steps: Vec<(RoutingStep, u64)>,
-    /// Traffic across all memories and buffers during this run.
-    pub traffic: TrafficReport,
-    /// Memory-hierarchy report for this run (stall decomposition,
-    /// on-chip/off-chip split, per-SPM activity).
-    pub memory: MemReport,
-    /// Accumulator-unit saturation events during this run (zero in
-    /// correct operation).
-    pub accumulator_saturations: u64,
-}
-
 /// The CapsAcc accelerator: systolic array, accumulators, activation
 /// units, buffers and the control sequencing of Sec. V.
 ///
@@ -107,13 +87,14 @@ pub struct InferenceRun {
 /// // A 3×5 by 5×2 quantized matmul, requantized with shift 6.
 /// let a = Tensor::from_fn(&[3, 5], |i| (i[0] * 5 + i[1]) as i8);
 /// let b = Tensor::from_fn(&[5, 2], |i| (i[0] + i[1]) as i8 * 8);
-/// let out = acc.matmul(
-///     &|m, k| a[[m, k]],
+/// let (outs, _) = acc.matmul_batch(
+///     1,
+///     &|_, m, k| a[[m, k]],
 ///     &|k, n| b[[k, n]],
 ///     3, 5, 2, None, 6, ActivationKind::Identity,
 /// );
 /// let (exact, _) = capsacc_tensor::qops::matmul_q8(&a, &b, 6);
-/// assert_eq!(out, exact);
+/// assert_eq!(outs[0], exact);
 /// ```
 #[derive(Debug)]
 pub struct Accelerator {
@@ -330,70 +311,34 @@ impl Accelerator {
         self.memory.report()
     }
 
-    /// Executes a tiled `M × K × N` matmul on the array: weights are
-    /// loaded tile-by-tile into the resident registers, data rows stream
-    /// against them, per-column accumulator FIFOs fold K-tiles, and the
-    /// activation units reduce the finished 25-bit sums to 8 bits.
-    ///
-    /// `data(m, k)` and `weight(k, n)` supply the operands; each is
-    /// called once per element, up front, to fill the dense buffers the
-    /// engine then reads (see [`Accelerator::matmul_batch`]). `bias`,
-    /// when present, is indexed by `n` and staged at the product
-    /// fraction width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a bias slice shorter than `n` is supplied.
-    #[allow(clippy::too_many_arguments)]
-    pub fn matmul(
-        &mut self,
-        data: &dyn Fn(usize, usize) -> i8,
-        weight: &dyn Fn(usize, usize) -> i8,
-        m: usize,
-        k: usize,
-        n: usize,
-        bias: Option<&[i32]>,
-        shift: u32,
-        kind: ActivationKind,
-    ) -> Tensor<i8> {
-        let (mut outs, _) = self.matmul_batch(
-            1,
-            &|_img, mi, ki| data(mi, ki),
-            weight,
-            m,
-            k,
-            n,
-            bias,
-            shift,
-            kind,
-        );
-        outs.pop().expect("batch of one")
-    }
-
-    /// Executes the same tiled matmul for a whole batch of data operands
+    /// Executes a tiled `M × K × N` matmul for a batch of data operands
     /// sharing one weight operand — the paper's "reuse weights" scenario
-    /// (Fig. 12) generalized across inferences.
+    /// (Fig. 12) generalized across inferences; a single matmul is a
+    /// batch of one. Weights are loaded tile by tile into the resident
+    /// registers, data rows stream against them, per-column accumulator
+    /// FIFOs fold K-tiles, and the activation units reduce the finished
+    /// 25-bit sums to 8 bits.
     ///
-    /// Every weight tile is loaded into the resident registers **once**
-    /// and all `batch` images' data rows stream back-to-back against it,
-    /// so the Weight Buffer traffic and the per-tile load cycles are paid
-    /// once per batch instead of once per image. `data(img, m, k)`
-    /// supplies image `img`'s operands. Both closures are called once
-    /// per element, up front, to copy the operands into dense row-major
-    /// buffers; the matmul itself runs the same view-based path as the
-    /// network layers.
+    /// Every weight tile is loaded **once** and all `batch` images' data
+    /// rows stream back-to-back against it, so the Weight Buffer traffic
+    /// and the per-tile load cycles are paid once per batch instead of
+    /// once per image. `data(img, m, k)` supplies image `img`'s operands
+    /// and `weight(k, n)` the shared weights. Both closures are called
+    /// once per element, up front, to copy the operands into dense
+    /// row-major buffers; the matmul itself runs the same view-based
+    /// path as the network layers. `bias`, when present, is indexed by
+    /// `n` and staged at the product fraction width.
     ///
     /// Returns one `[m, n]` output tensor per image plus the per-image
     /// accumulator-saturation counts (attribution is exact because each
     /// image keeps its own accumulator FIFOs, mirroring a sequential
-    /// run). Per-row arithmetic is identical to [`Accelerator::matmul`],
-    /// so outputs are bit-exact against `batch` independent calls.
+    /// run). Per-row arithmetic does not depend on the batch, so outputs
+    /// are bit-exact against `batch` independent batch-of-one calls.
     ///
-    /// Like the single-image engine, this always executes the real
-    /// design point — the second weight register exists, so tiles *are*
-    /// resident. The `DataflowOptions::weight_reuse` ablation is
-    /// modelled analytically only
-    /// ([`crate::timing::batch_matmul_cycles`]).
+    /// This always executes the real design point — the second weight
+    /// register exists, so tiles *are* resident. The
+    /// `DataflowOptions::weight_reuse` ablation is modelled analytically
+    /// only ([`crate::timing::batch_matmul_cycles`]).
     ///
     /// # Panics
     ///
@@ -424,17 +369,20 @@ impl Accelerator {
             .collect();
         let rows: Vec<usize> = (0..m).map(|mi| mi * k).collect();
         let cols: Vec<usize> = (0..k).collect();
-        self.matmul_batch_inner(
+        self.matmul_group(
             DataView {
                 src: &src,
                 rows: &rows,
                 cols: &cols,
             },
+            0,
             WeightView {
                 src: &w,
                 ks: n,
                 ns: 1,
             },
+            0,
+            1,
             n,
             bias,
             shift,
@@ -443,24 +391,7 @@ impl Accelerator {
         )
     }
 
-    /// One tiled matmul through borrowed operand views: the one-group
-    /// form of [`Accelerator::matmul_group`], whose output per image is
-    /// then the plain `[M, n]` result.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn matmul_batch_inner(
-        &mut self,
-        data: DataView<'_>,
-        weight: WeightView<'_>,
-        n: usize,
-        bias: Option<&[i32]>,
-        shift: u32,
-        kind: ActivationKind,
-        weights_offchip: bool,
-    ) -> (Vec<Tensor<i8>>, Vec<u64>) {
-        self.matmul_group(data, 0, weight, 0, 1, n, bias, shift, kind, weights_offchip)
-    }
-
-    /// The shared tiled-matmul implementation: `groups` matmuls of one
+    /// The engine's one tiled-matmul path: `groups` matmuls of one
     /// geometry, executed back to back, reading both operands through
     /// borrowed views ([`DataView`] supplies the batch size, `M` and
     /// `K`; `n` is the output width). Group `g` reads its data
@@ -468,7 +399,10 @@ impl Accelerator {
     /// `data` does, and its weights `g·weight_step` further into
     /// `weight`'s source. Image `img`'s output is one `[groups·M, n]`
     /// tensor whose rows `g·M ..` are group `g`'s outputs; the
-    /// per-image saturation counts sum over the groups.
+    /// per-image saturation counts sum over the groups. Conv1,
+    /// PrimaryCaps and [`Accelerator::matmul_batch`] issue one group
+    /// with zero offsets; the ClassCaps FC groups its input capsules,
+    /// and each routing Sum and Update groups its classes.
     ///
     /// `weights_offchip` marks the weight operand as DRAM-resident (the
     /// network's parameter layers): its tiles then stream through the
@@ -1052,9 +986,11 @@ impl Accelerator {
     }
 
     /// Runs the routing-by-agreement phase for one image's predictions,
-    /// appending the per-step cycle counts to `steps`. Shared verbatim by
-    /// [`Accelerator::run_inference`] and the batched path, which is what
-    /// keeps the two bit-identical.
+    /// appending the per-step cycle counts to `steps`.
+    /// [`Accelerator::run_batch`] calls it once per image of the batch.
+    /// Each Sum and each Update step is one matmul group over the
+    /// classes ([`Accelerator::matmul_group`]), with the simulated
+    /// effects of the per-class matmuls it stands for.
     pub(crate) fn route_class_caps(
         &mut self,
         net: &CapsNetConfig,
@@ -1083,9 +1019,9 @@ impl Accelerator {
         let tracing = self.cfg.trace_level == TraceLevel::Full;
         let mut iterations = Vec::with_capacity(if tracing { net.routing_iterations } else { 0 });
         let coupling_bytes = u64_from(in_caps * classes);
-        // Operand tables of the per-class Sum and Update matmuls (see
-        // the views below): `û` is `[in_caps][classes][out_dim]`, the
-        // couplings `[in_caps][classes]`.
+        // Operand tables of the Sum and Update groups (see the views
+        // below): `û` is `[in_caps][classes][out_dim]`, the couplings
+        // `[in_caps][classes]`.
         let caps_stride: Vec<usize> = (0..in_caps).map(|i| i * classes).collect();
         let u_rows: Vec<usize> = (0..in_caps).map(|i| i * classes * out_dim).collect();
         let dims: Vec<usize> = (0..out_dim).collect();
@@ -1147,31 +1083,32 @@ impl Accelerator {
                 self.traffic.read(MemoryKind::DataBuffer, u_hat_bytes);
             }
             self.traffic.read(MemoryKind::RoutingBuffer, coupling_bytes);
-            let mut s_t: Tensor<i8> = Tensor::zeros(&[classes, out_dim]);
-            let c_data = couplings.data();
-            for j in 0..classes {
-                // s_j = Σ_i c_ij · û_j|i: one data row (the couplings'
-                // column j) against the `in_caps × out_dim` slice of û
-                // for class j.
-                let (s_row, _) = self.matmul_batch_inner(
-                    DataView {
-                        src: &[&c_data[j..]],
-                        rows: &[0],
-                        cols: &caps_stride,
-                    },
-                    WeightView {
-                        src: &u_data[j * out_dim..],
-                        ks: classes * out_dim,
-                        ns: 1,
-                    },
-                    out_dim,
-                    None,
-                    ncfg.coupling_mac_shift(),
-                    ActivationKind::Identity,
-                    false,
-                );
-                s_t.data_mut()[j * out_dim..(j + 1) * out_dim].copy_from_slice(s_row[0].data());
-            }
+            // s_j = Σ_i c_ij · û_j|i, one group member per class j: one
+            // data row (the couplings' column j, offset j) against the
+            // `in_caps × out_dim` slice of û for class j (offset
+            // `j·out_dim`). Row j of the `[classes, out_dim]` output is
+            // s_j.
+            let (mut sums, _) = self.matmul_group(
+                DataView {
+                    src: &[couplings.data()],
+                    rows: &[0],
+                    cols: &caps_stride,
+                },
+                1,
+                WeightView {
+                    src: u_data,
+                    ks: classes * out_dim,
+                    ns: 1,
+                },
+                out_dim,
+                classes,
+                out_dim,
+                None,
+                ncfg.coupling_mac_shift(),
+                ActivationKind::Identity,
+                false,
+            );
+            let s_t = sums.remove(0);
             macs += u64_from(classes * out_dim * in_caps);
             self.rec.unsuppress(CycleKind::Activation);
             self.rec.end(SpanDetail::Phases);
@@ -1208,31 +1145,35 @@ impl Accelerator {
                 }
                 self.traffic
                     .read(MemoryKind::RoutingBuffer, u64_from(classes * out_dim));
-                let v_data = class_caps.data();
-                for j in 0..classes {
-                    // b_ij += û_j|i · v_j: the class-j rows of û against
-                    // v_j broadcast as a one-column weight.
-                    let (deltas, _) = self.matmul_batch_inner(
-                        DataView {
-                            src: &[&u_data[j * out_dim..]],
-                            rows: &u_rows,
-                            cols: &dims,
-                        },
-                        WeightView {
-                            src: &v_data[j * out_dim..],
-                            ks: 1,
-                            ns: 0,
-                        },
-                        1,
-                        None,
-                        ncfg.update_shift(),
-                        ActivationKind::Identity,
-                        false,
-                    );
-                    for (i, &d) in deltas[0].data().iter().enumerate() {
-                        let cur = logits.data()[i * classes + j];
-                        logits.data_mut()[i * classes + j] = cur.saturating_add(d);
-                    }
+                // b_ij += û_j|i · v_j, one group member per class j: the
+                // class-j rows of û (offset `j·out_dim`) against v_j
+                // (offset `j·out_dim`) broadcast as a one-column weight.
+                // Row `j·in_caps + i` of the `[classes·in_caps, 1]`
+                // output is b_ij's delta.
+                let (deltas, _) = self.matmul_group(
+                    DataView {
+                        src: &[u_data],
+                        rows: &u_rows,
+                        cols: &dims,
+                    },
+                    out_dim,
+                    WeightView {
+                        src: class_caps.data(),
+                        ks: 1,
+                        ns: 0,
+                    },
+                    out_dim,
+                    classes,
+                    1,
+                    None,
+                    ncfg.update_shift(),
+                    ActivationKind::Identity,
+                    false,
+                );
+                for (row, &d) in deltas[0].data().iter().enumerate() {
+                    let (j, i) = (row / in_caps, row % in_caps);
+                    let logit = &mut logits.data_mut()[i * classes + j];
+                    *logit = logit.saturating_add(d);
                 }
                 macs += u64_from(classes * in_caps * out_dim);
                 self.traffic.read(MemoryKind::RoutingBuffer, coupling_bytes);
@@ -1285,41 +1226,6 @@ impl Accelerator {
             macs,
         }
     }
-
-    /// Runs a complete CapsuleNet inference cycle-accurately.
-    ///
-    /// The returned [`InferenceRun::trace`] is bit-exact against
-    /// [`capsacc_capsnet::infer_q8_traced`] with the same parameters,
-    /// pipeline and routing variant (derived from
-    /// `dataflow.skip_first_softmax`).
-    ///
-    /// Implemented as [`Accelerator::run_batch`] with a batch of one —
-    /// there is a single layer-orchestration code path, so the
-    /// sequential and batched engines cannot drift apart.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `image` is not `[1, input_side, input_side]` (the
-    /// batched entry point [`Accelerator::run_batch`] reports the same
-    /// condition as a [`crate::BatchError`] instead).
-    pub fn run_inference(
-        &mut self,
-        net: &CapsNetConfig,
-        qparams: &QuantizedParams,
-        image: &Tensor<f32>,
-    ) -> InferenceRun {
-        let mut run = self
-            .run_batch(net, qparams, std::slice::from_ref(image))
-            .unwrap_or_else(|e| panic!("run_inference: {e}"));
-        InferenceRun {
-            trace: run.traces.pop().expect("batch of one"),
-            layers: run.layers,
-            steps: run.steps,
-            traffic: run.traffic,
-            memory: run.memory,
-            accumulator_saturations: run.accumulator_saturations,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1341,8 +1247,9 @@ mod tests {
         let mut acc = test_acc();
         let a = Tensor::from_fn(&[5, 9], |i| ((i[0] * 9 + i[1]) as i8).wrapping_mul(7));
         let b = Tensor::from_fn(&[9, 6], |i| ((i[0] * 6 + i[1]) as i8).wrapping_sub(50));
-        let out = acc.matmul(
-            &|m, k| a[[m, k]],
+        let (outs, _) = acc.matmul_batch(
+            1,
+            &|_, m, k| a[[m, k]],
             &|k, n| b[[k, n]],
             5,
             9,
@@ -1353,7 +1260,7 @@ mod tests {
         );
         let (exact, stats) = qops::matmul_q8(&a, &b, 6);
         assert_eq!(stats.saturations, 0);
-        assert_eq!(out, exact);
+        assert_eq!(outs[0], exact);
     }
 
     #[test]
@@ -1362,8 +1269,9 @@ mod tests {
         let a = Tensor::from_vec(&[1, 2], vec![32i8, 32]).unwrap();
         let b = Tensor::from_vec(&[2, 2], vec![-64i8, 64, -64, 64]).unwrap();
         let bias = vec![1024i32, -4096];
-        let out = acc.matmul(
-            &|m, k| a[[m, k]],
+        let (out, _) = acc.matmul_batch(
+            1,
+            &|_, m, k| a[[m, k]],
             &|k, n| b[[k, n]],
             1,
             2,
@@ -1374,9 +1282,10 @@ mod tests {
         );
         // col 0: 2·(1.0·-1.0) + 0.5 = -1.5 → ReLU → 0.
         // col 1: 2·(1.0·1.0) − 2.0 = 0 → 0.
-        assert_eq!(out.data(), &[0, 0]);
-        let out = acc.matmul(
-            &|m, k| a[[m, k]],
+        assert_eq!(out[0].data(), &[0, 0]);
+        let (out, _) = acc.matmul_batch(
+            1,
+            &|_, m, k| a[[m, k]],
             &|k, n| b[[k, n]],
             1,
             2,
@@ -1385,7 +1294,7 @@ mod tests {
             6,
             ActivationKind::Identity,
         );
-        assert_eq!(out.data(), &[-48, 0]);
+        assert_eq!(out[0].data(), &[-48, 0]);
     }
 
     #[test]
@@ -1395,8 +1304,9 @@ mod tests {
         for (m, k, n) in [(1, 4, 4), (3, 9, 6), (7, 2, 10), (5, 17, 3)] {
             let mut acc = Accelerator::new(cfg);
             let before = acc.array_cycles();
-            acc.matmul(
-                &|_, _| 1,
+            acc.matmul_batch(
+                1,
+                &|_, _, _| 1,
                 &|_, _| 1,
                 m,
                 k,
@@ -1421,8 +1331,9 @@ mod tests {
     #[test]
     fn weight_traffic_counts_each_weight_once() {
         let mut acc = test_acc();
-        acc.matmul(
-            &|_, _| 1,
+        acc.matmul_batch(
+            1,
+            &|_, _, _| 1,
             &|_, _| 1,
             5,
             8,
@@ -1462,20 +1373,25 @@ mod tests {
             RoutingVariant::SkipFirstSoftmax,
         );
         let mut acc = Accelerator::new(cfg);
-        let run = acc.run_inference(&net, &qparams, &image);
+        let run = acc
+            .run_batch(&net, &qparams, std::slice::from_ref(&image))
+            .expect("valid image");
 
         assert_eq!(run.accumulator_saturations, 0);
-        assert_eq!(run.trace.input_q, reference.input_q);
-        assert_eq!(run.trace.conv1_out, reference.conv1_out);
-        assert_eq!(run.trace.pc_out, reference.pc_out);
-        assert_eq!(run.trace.capsules, reference.capsules);
-        assert_eq!(run.trace.u_hat, reference.u_hat);
-        assert_eq!(run.trace.iterations, reference.iterations);
-        assert_eq!(run.trace.output.class_norms, reference.output.class_norms);
-        assert_eq!(run.trace.output.predicted, reference.output.predicted);
-        assert_eq!(run.trace.output.class_caps, reference.output.class_caps);
-        assert_eq!(run.trace.output.couplings, reference.output.couplings);
-        assert_eq!(run.trace.output.stats.macs, reference.output.stats.macs);
+        assert_eq!(run.traces[0].input_q, reference.input_q);
+        assert_eq!(run.traces[0].conv1_out, reference.conv1_out);
+        assert_eq!(run.traces[0].pc_out, reference.pc_out);
+        assert_eq!(run.traces[0].capsules, reference.capsules);
+        assert_eq!(run.traces[0].u_hat, reference.u_hat);
+        assert_eq!(run.traces[0].iterations, reference.iterations);
+        assert_eq!(
+            run.traces[0].output.class_norms,
+            reference.output.class_norms
+        );
+        assert_eq!(run.traces[0].output.predicted, reference.output.predicted);
+        assert_eq!(run.traces[0].output.class_caps, reference.output.class_caps);
+        assert_eq!(run.traces[0].output.couplings, reference.output.couplings);
+        assert_eq!(run.traces[0].output.stats.macs, reference.output.stats.macs);
     }
 
     #[test]
@@ -1490,8 +1406,10 @@ mod tests {
         let reference =
             infer_q8_traced(&net, &qparams, &pipeline, &image, RoutingVariant::Original);
         let mut acc = Accelerator::new(cfg);
-        let run = acc.run_inference(&net, &qparams, &image);
-        assert_eq!(run.trace, reference);
+        let run = acc
+            .run_batch(&net, &qparams, std::slice::from_ref(&image))
+            .expect("valid image");
+        assert_eq!(run.traces[0], reference);
     }
 
     #[test]
@@ -1501,7 +1419,9 @@ mod tests {
         let qparams = CapsNetParams::generate(&net, 13).quantize(cfg.numeric);
         let image = Tensor::from_fn(&[1, 12, 12], |i| (i[1] + i[2]) as f32 / 24.0);
         let mut acc = Accelerator::new(cfg);
-        let run = acc.run_inference(&net, &qparams, &image);
+        let run = acc
+            .run_batch(&net, &qparams, std::slice::from_ref(&image))
+            .expect("valid image");
         let names: Vec<String> = run.steps.iter().map(|(s, _)| s.to_string()).collect();
         assert_eq!(
             names,
@@ -1558,18 +1478,22 @@ mod tests {
     #[test]
     fn functional_backend_is_bit_identical_including_accounting() {
         // Same inference, both backends: not just the functional trace —
-        // the *entire* InferenceRun (layer cycles, step cycles, traffic
+        // the *entire* BatchRun (layer cycles, step cycles, traffic
         // counters, memory report, saturations) must be equal.
         let net = CapsNetConfig::tiny();
         let cfg = AcceleratorConfig::test_4x4();
         let qparams = CapsNetParams::generate(&net, 11).quantize(cfg.numeric);
         let image = Tensor::from_fn(&[1, 12, 12], |i| ((i[1] * 3 + i[2]) % 9) as f32 / 9.0);
         let mut ticked = Accelerator::new(cfg);
-        let want = ticked.run_inference(&net, &qparams, &image);
+        let want = ticked
+            .run_batch(&net, &qparams, std::slice::from_ref(&image))
+            .expect("valid image");
         let mut fast_cfg = cfg;
         fast_cfg.backend = crate::EngineBackend::Functional;
         let mut functional = Accelerator::new(fast_cfg);
-        let got = functional.run_inference(&net, &qparams, &image);
+        let got = functional
+            .run_batch(&net, &qparams, std::slice::from_ref(&image))
+            .expect("valid image");
         assert_eq!(got, want);
         assert_eq!(functional.array_cycles(), ticked.array_cycles());
     }
@@ -1583,8 +1507,9 @@ mod tests {
             let mut cfg = AcceleratorConfig::test_4x4();
             cfg.backend = crate::EngineBackend::Functional;
             let mut acc = Accelerator::new(cfg);
-            let out_fun = acc.matmul(
-                &|mi, ki| ((mi * 5 + ki) % 17) as i8,
+            let (out_fun, _) = acc.matmul_batch(
+                1,
+                &|_, mi, ki| ((mi * 5 + ki) % 17) as i8,
                 &|ki, ni| ((ki * 3 + ni) % 13) as i8,
                 m,
                 k,
@@ -1594,8 +1519,9 @@ mod tests {
                 ActivationKind::Identity,
             );
             let mut reference = Accelerator::new(AcceleratorConfig::test_4x4());
-            let out_ref = reference.matmul(
-                &|mi, ki| ((mi * 5 + ki) % 17) as i8,
+            let (out_ref, _) = reference.matmul_batch(
+                1,
+                &|_, mi, ki| ((mi * 5 + ki) % 17) as i8,
                 &|ki, ni| ((ki * 3 + ni) % 13) as i8,
                 m,
                 k,
@@ -1662,17 +1588,20 @@ mod tests {
                         let rows: Vec<usize> = (0..m).map(|mi| mi * k).collect();
                         let cols: Vec<usize> = (0..k).collect();
                         let mut ticked = Accelerator::new(cfg);
-                        ticked.matmul_batch_inner(
+                        ticked.matmul_group(
                             DataView {
                                 src: &src,
                                 rows: &rows,
                                 cols: &cols,
                             },
+                            0,
                             WeightView {
                                 src: &w,
                                 ks: n,
                                 ns: 1,
                             },
+                            0,
+                            1,
                             n,
                             None,
                             6,
@@ -1722,8 +1651,9 @@ mod tests {
             let mut cfg = AcceleratorConfig::test_4x4();
             cfg.backend = backend;
             let mut acc = Accelerator::new(cfg);
-            let out = acc.matmul(&|_, _| 7, &|_, _| 7, 3, 0, 4, Some(&bias), 6, kind);
-            (out, acc.array_cycles(), acc.activation_cycles())
+            let (mut outs, _) =
+                acc.matmul_batch(1, &|_, _, _| 7, &|_, _| 7, 3, 0, 4, Some(&bias), 6, kind);
+            (outs.remove(0), acc.array_cycles(), acc.activation_cycles())
         };
         for kind in [
             ActivationKind::Identity,
@@ -1747,19 +1677,23 @@ mod tests {
         let qparams = CapsNetParams::generate(&net, 23).quantize(cfg.numeric);
         let image = Tensor::from_fn(&[1, 12, 12], |i| ((i[1] + 2 * i[2]) % 7) as f32 / 7.0);
         let mut traced = Accelerator::new(cfg);
-        let full = traced.run_inference(&net, &qparams, &image);
+        let full = traced
+            .run_batch(&net, &qparams, std::slice::from_ref(&image))
+            .expect("valid image");
         let mut light_cfg = cfg;
         light_cfg.trace_level = crate::TraceLevel::Outputs;
         let mut untraced = Accelerator::new(light_cfg);
-        let light = untraced.run_inference(&net, &qparams, &image);
-        assert_eq!(full.trace.iterations.len(), net.routing_iterations);
-        assert!(light.trace.iterations.is_empty());
-        assert_eq!(light.trace.output, full.trace.output);
-        assert_eq!(light.trace.input_q, full.trace.input_q);
-        assert_eq!(light.trace.conv1_out, full.trace.conv1_out);
-        assert_eq!(light.trace.pc_out, full.trace.pc_out);
-        assert_eq!(light.trace.capsules, full.trace.capsules);
-        assert_eq!(light.trace.u_hat, full.trace.u_hat);
+        let light = untraced
+            .run_batch(&net, &qparams, std::slice::from_ref(&image))
+            .expect("valid image");
+        assert_eq!(full.traces[0].iterations.len(), net.routing_iterations);
+        assert!(light.traces[0].iterations.is_empty());
+        assert_eq!(light.traces[0].output, full.traces[0].output);
+        assert_eq!(light.traces[0].input_q, full.traces[0].input_q);
+        assert_eq!(light.traces[0].conv1_out, full.traces[0].conv1_out);
+        assert_eq!(light.traces[0].pc_out, full.traces[0].pc_out);
+        assert_eq!(light.traces[0].capsules, full.traces[0].capsules);
+        assert_eq!(light.traces[0].u_hat, full.traces[0].u_hat);
         assert_eq!(light.layers, full.layers);
         assert_eq!(light.steps, full.steps);
         assert_eq!(light.traffic, full.traffic);
@@ -1782,8 +1716,10 @@ mod tests {
             let qparams = CapsNetParams::generate(&net, 23).quantize(cfg.numeric);
             let mut acc = Accelerator::new(cfg);
             acc.set_fault_plan(plan);
-            let out = acc.run_inference(&net, &qparams, &image);
-            (out.trace, acc.fault_ops(), acc.fault_flips())
+            let out = acc
+                .run_batch(&net, &qparams, std::slice::from_ref(&image))
+                .expect("valid image");
+            (out.traces, acc.fault_ops(), acc.fault_flips())
         };
         let ticked = run(crate::EngineBackend::Ticked, plan);
         let functional = run(crate::EngineBackend::Functional, plan);
@@ -1815,7 +1751,8 @@ mod tests {
             plan.engine.mask_with_saturation = mask;
             let mut acc = Accelerator::new(cfg);
             acc.set_fault_plan(plan);
-            acc.run_inference(&net, &qparams, &image);
+            acc.run_batch(&net, &qparams, std::slice::from_ref(&image))
+                .expect("valid image");
             (acc.fault_flips(), acc.fault_masked())
         };
         let (flips_raw, masked_raw) = run(false);
@@ -1855,7 +1792,9 @@ mod tests {
                         detail,
                         host_timing: false,
                     });
-                    let run = acc.run_inference(&net, &qparams, &image);
+                    let run = acc
+                        .run_batch(&net, &qparams, std::slice::from_ref(&image))
+                        .expect("valid image");
                     let rec = acc.take_telemetry();
                     let total = validate_span_tree(&rec, TRACK_ENGINE)
                         .unwrap_or_else(|e| panic!("{backend:?}/{detail:?}: {e}"));
@@ -1880,7 +1819,8 @@ mod tests {
                 detail: SpanDetail::Tiles,
                 host_timing: false,
             });
-            acc.run_inference(&net, &qparams, &image);
+            acc.run_batch(&net, &qparams, std::slice::from_ref(&image))
+                .expect("valid image");
             acc.take_telemetry().spans().to_vec()
         };
         let ticked = spans_for(crate::EngineBackend::Ticked);
@@ -1897,15 +1837,19 @@ mod tests {
         let cfg_on = AcceleratorConfig::test_4x4();
         let qparams = CapsNetParams::generate(&net, 14).quantize(cfg_on.numeric);
         let mut acc_on = Accelerator::new(cfg_on);
-        let run_on = acc_on.run_inference(&net, &qparams, &image);
+        let run_on = acc_on
+            .run_batch(&net, &qparams, std::slice::from_ref(&image))
+            .expect("valid image");
 
         let mut cfg_off = AcceleratorConfig::test_4x4();
         cfg_off.dataflow.routing_feedback = false;
         let mut acc_off = Accelerator::new(cfg_off);
-        let run_off = acc_off.run_inference(&net, &qparams, &image);
+        let run_off = acc_off
+            .run_batch(&net, &qparams, std::slice::from_ref(&image))
+            .expect("valid image");
 
         // Same functional result...
-        assert_eq!(run_on.trace, run_off.trace);
+        assert_eq!(run_on.traces[0], run_off.traces[0]);
         // ...but more Data Memory reads without the feedback path.
         let dm_on = run_on.traffic.counter(MemoryKind::DataMemory).read_bytes;
         let dm_off = run_off.traffic.counter(MemoryKind::DataMemory).read_bytes;

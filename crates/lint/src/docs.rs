@@ -13,7 +13,9 @@
 //!   to the expansion point);
 //! - bare `snake_case` identifiers (all `[a-z0-9_]`, at least one
 //!   underscore, length ≥ 4) must appear somewhere in the workspace
-//!   sources or file paths as a whole identifier.
+//!   sources or file paths as a whole identifier. The linter's own
+//!   sources do not count: their docs and test fixtures name drifted
+//!   identifiers on purpose.
 //!
 //! "As a whole identifier" means the characters either side of the
 //! match are not identifier characters, so a deleted name that
@@ -33,8 +35,9 @@ use crate::rules::{apply_waivers, parse_waiver_text, Waiver};
 pub struct Inventory {
     /// Repo-relative `/`-separated paths of every audited source file.
     pub paths: Vec<String>,
-    /// Concatenated contents of those files plus their paths — the
-    /// haystack for bare-identifier references.
+    /// Concatenated contents of those files (the linter's own
+    /// excepted) plus all their paths — the haystack for
+    /// bare-identifier references.
     pub haystack: String,
     /// `(path, contents)` pairs for `file.rs::item` resolution.
     pub files: Vec<(String, String)>,

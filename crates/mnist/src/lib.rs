@@ -1,4 +1,4 @@
-//! # capsacc-mnist — synthetic MNIST-style data and deterministic weights
+//! # capsacc-mnist — synthetic MNIST-style data
 //!
 //! The paper evaluates CapsAcc on MNIST but reports **no accuracy
 //! numbers** — the evaluation is performance/area/power on fixed tensor
@@ -10,8 +10,6 @@
 //! - [`SyntheticMnist`] — a procedural, stroke-based digit rasterizer
 //!   producing 28×28 images with per-sample jitter (translation, scale,
 //!   rotation, stroke width), seeded and fully reproducible.
-//! - [`WeightGen`] — deterministic fan-in-scaled weight generation for
-//!   the pseudo-trained CapsuleNet parameters.
 //!
 //! # Example
 //!
@@ -29,7 +27,5 @@
 #![warn(missing_docs)]
 
 mod digits;
-mod weights;
 
 pub use digits::{Sample, SyntheticMnist, IMAGE_SIDE};
-pub use weights::WeightGen;

@@ -1424,12 +1424,20 @@ impl<'a> Runtime<'a> {
     /// warmup path; its weight re-staging is charged by the respawn
     /// model (memory faults may inflate it).
     fn spawn_replacement(&mut self, now: u64) {
-        let worker = self.workers.len();
         let warmup = (self.model.respawn_warmup)(self.respawn_seq);
         self.respawn_seq += 1;
+        self.spawn_worker(now, warmup);
+    }
+
+    /// Adds a worker at `now` that becomes free after `warmup` cycles:
+    /// schedules its first `WorkerFree`, then logs and records the
+    /// scale-up. Crash replacements and autoscaler scale-ups both
+    /// spawn through here.
+    fn spawn_worker(&mut self, now: u64, warmup: u64) {
+        let worker = self.workers.len();
         let ready_at = now
             .checked_add(warmup)
-            .expect("respawn warmup overflows u64");
+            .expect("worker warmup overflows u64: virtual time out of range");
         self.workers.push(Worker {
             free_at: ready_at,
             busy: 0,
@@ -1720,33 +1728,7 @@ impl<'a> Runtime<'a> {
         let active = self.active_workers();
         let queued = self.occupancy();
         if queued > a.scale_up_queue_per_worker.saturating_mul(active) && active < a.max_workers {
-            let worker = self.workers.len();
-            let ready_at = now
-                .checked_add(self.model.warmup_cycles)
-                .expect("warmup overflows u64: virtual time out of range");
-            self.workers.push(Worker {
-                free_at: ready_at,
-                busy: 0,
-                active: true,
-                current: None,
-                epoch: 0,
-            });
-            self.heap.push(Reverse(Ev {
-                cycle: ready_at,
-                rank: RANK_WORKER_FREE,
-                tiebreak: u64_from(worker),
-                kind: EvKind::WorkerFree { worker, epoch: 0 },
-            }));
-            self.log(LoggedEvent::ScaledUp {
-                cycle: now,
-                worker,
-                ready_at,
-            });
-            self.scaling.push(ScalingEvent::Up {
-                cycle: now,
-                worker,
-                ready_at,
-            });
+            self.spawn_worker(now, self.model.warmup_cycles);
         } else if active > a.min_workers {
             // Retire the highest-id sufficiently idle worker.
             let candidate = self

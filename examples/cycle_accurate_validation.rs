@@ -36,17 +36,19 @@ fn main() {
 
         // Hardware prediction (the "gate-level simulation" side).
         let mut acc = Accelerator::new(cfg);
-        let run = acc.run_inference(&net, &qparams, &image);
+        let run = acc
+            .run_batch(&net, &qparams, std::slice::from_ref(&image))
+            .expect("valid image");
 
         assert_eq!(
-            run.trace, reference,
+            run.traces[0], reference,
             "seed {seed}: simulator diverged from the reference"
         );
         checked += 1;
 
         println!(
             "seed {seed:>3}: bit-exact ✓  predicted class {}",
-            run.trace.output.predicted
+            run.traces[0].output.predicted
         );
         println!(
             "          layer cycles: {}",

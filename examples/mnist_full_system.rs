@@ -52,14 +52,19 @@ fn main() {
     println!("Running the cycle-accurate engine (16×16 array, every PE ticked)…");
     let t0 = Instant::now();
     let mut acc = Accelerator::new(cfg);
-    let run = acc.run_inference(&net, &qparams, &sample.image);
+    let run = acc
+        .run_batch(&net, &qparams, std::slice::from_ref(&sample.image))
+        .expect("valid image");
     println!("  engine done in {:.1?}", t0.elapsed());
 
     // Bit-exactness at full scale.
-    assert_eq!(run.trace, reference, "engine diverged from the reference");
+    assert_eq!(
+        run.traces[0], reference,
+        "engine diverged from the reference"
+    );
     println!(
         "\nBit-exact at MNIST scale ✓ (predicted class {})",
-        run.trace.output.predicted
+        run.traces[0].output.predicted
     );
 
     // Engine cycles vs the serial analytical model, layer by layer.

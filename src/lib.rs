@@ -5,7 +5,7 @@
 //!
 //! - [`fixed`] — fixed-point arithmetic and hardware lookup tables
 //! - [`tensor`] — minimal dense tensors with conv/matmul reference ops
-//! - [`mnist`] — synthetic MNIST-style data and deterministic weights
+//! - [`mnist`] — synthetic MNIST-style data
 //! - [`capsnet`] — reference CapsuleNet with routing-by-agreement
 //! - [`faults`] — deterministic seeded fault-injection plans across
 //!   the serve, memory and engine layers
@@ -42,3 +42,9 @@ pub use capsacc_power as power;
 pub use capsacc_serve as serve;
 pub use capsacc_telemetry as telemetry;
 pub use capsacc_tensor as tensor;
+
+/// The README's Rust examples, compiled and run as doctests by
+/// `cargo test`.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

@@ -159,7 +159,7 @@ proptest! {
     }
 
     /// Full tiny-network inferences across random seeds and both
-    /// routing variants: entire `InferenceRun`s equal.
+    /// routing variants: entire `BatchRun`s equal.
     #[test]
     fn functional_inference_equals_ticked(
         seed in 0u64..1000,
@@ -171,9 +171,13 @@ proptest! {
         let qparams = CapsNetParams::generate(&net, seed).quantize(cfg.numeric);
         let image = image_for(&net, seed as usize);
         let mut ticked = Accelerator::new(cfg);
-        let want = ticked.run_inference(&net, &qparams, &image);
+        let want = ticked
+            .run_batch(&net, &qparams, std::slice::from_ref(&image))
+            .expect("valid image");
         let mut fast = Accelerator::new(functional(cfg));
-        let got = fast.run_inference(&net, &qparams, &image);
+        let got = fast
+            .run_batch(&net, &qparams, std::slice::from_ref(&image))
+            .expect("valid image");
         prop_assert_eq!(got, want, "seed {}", seed);
     }
 }
@@ -409,14 +413,18 @@ fn functional_untraced_serving_config_keeps_outputs() {
     let qparams = CapsNetParams::generate(&net, 31).quantize(cfg.numeric);
     let image = image_for(&net, 31);
     let mut reference = Accelerator::new(cfg);
-    let want = reference.run_inference(&net, &qparams, &image);
+    let want = reference
+        .run_batch(&net, &qparams, std::slice::from_ref(&image))
+        .expect("valid image");
     let mut serving_cfg = functional(cfg);
     serving_cfg.trace_level = TraceLevel::Outputs;
     let mut serving = Accelerator::new(serving_cfg);
-    let got = serving.run_inference(&net, &qparams, &image);
-    assert!(got.trace.iterations.is_empty());
-    assert_eq!(got.trace.output, want.trace.output);
-    assert_eq!(got.trace.u_hat, want.trace.u_hat);
+    let got = serving
+        .run_batch(&net, &qparams, std::slice::from_ref(&image))
+        .expect("valid image");
+    assert!(got.traces[0].iterations.is_empty());
+    assert_eq!(got.traces[0].output, want.traces[0].output);
+    assert_eq!(got.traces[0].u_hat, want.traces[0].u_hat);
     assert_eq!(got.layers, want.layers);
     assert_eq!(got.steps, want.steps);
     assert_eq!(got.traffic, want.traffic);

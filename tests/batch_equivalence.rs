@@ -1,7 +1,7 @@
 //! Differential tests for the batched weight-resident engine: for any
 //! network shape, array geometry and batch size, `run_batch(N)` must
-//! produce traces **bit-identical** to `N` independent `run_inference`
-//! calls on fresh accelerators — including the per-image `MacStats` —
+//! produce traces **bit-identical** to `N` independent batches of one
+//! on fresh accelerators — including the per-image `MacStats` —
 //! while strictly amortizing the weight-side traffic. Saturation edge
 //! cases are exercised explicitly, because a 25-bit clip is exactly the
 //! kind of state the layer-major reordering could mis-attribute.
@@ -35,9 +35,11 @@ fn assert_batch_equivalent(
     let mut sequential_wb = 0u64;
     for (i, image) in images.iter().enumerate() {
         let mut acc = Accelerator::new(cfg);
-        let single = acc.run_inference(net, &qparams, image);
+        let single = acc
+            .run_batch(net, &qparams, std::slice::from_ref(image))
+            .expect("valid image");
         assert_eq!(
-            run.traces[i], single.trace,
+            run.traces[i], single.traces[0],
             "batched trace diverged for image {i} (seed {seed}, batch {batch})"
         );
         sequential_wb += single.traffic.counter(MemoryKind::WeightBuffer).read_bytes;
@@ -109,7 +111,9 @@ fn batch_of_16_amortizes_weights_and_cycles() {
     let mut sched = BatchScheduler::new(cfg);
     let run = sched.run(&net, &qparams, &images).expect("valid batch");
     let mut acc = Accelerator::new(cfg);
-    let single = acc.run_inference(&net, &qparams, &images[0]);
+    let single = acc
+        .run_batch(&net, &qparams, std::slice::from_ref(&images[0]))
+        .expect("valid image");
     let single_cycles: u64 = single.layers.iter().map(|l| l.cycles()).sum();
     assert!(
         run.cycles_per_image() < single_cycles as f64,
@@ -166,29 +170,6 @@ fn both_routing_variants_batch_equivalently() {
     assert_batch_equivalent(&net, cfg, 7, 3);
     cfg.dataflow.skip_first_softmax = false;
     assert_batch_equivalent(&net, cfg, 7, 3);
-}
-
-#[test]
-fn single_image_batch_matches_run_inference_accounting() {
-    // Batch of one: not just the trace — the whole cycle/traffic
-    // accounting must coincide with the sequential entry point.
-    let net = CapsNetConfig::tiny();
-    let cfg = AcceleratorConfig::test_4x4();
-    let qparams = CapsNetParams::generate(&net, 5).quantize(cfg.numeric);
-    let image = image_for(&net, 5);
-
-    let mut sched = BatchScheduler::new(cfg);
-    let run = sched
-        .run(&net, &qparams, std::slice::from_ref(&image))
-        .expect("valid batch");
-    let mut acc = Accelerator::new(cfg);
-    let single = acc.run_inference(&net, &qparams, &image);
-
-    assert_eq!(run.traces[0], single.trace);
-    assert_eq!(run.layers, single.layers);
-    assert_eq!(run.steps, single.steps);
-    assert_eq!(run.traffic, single.traffic);
-    assert_eq!(run.accumulator_saturations, single.accumulator_saturations);
 }
 
 #[test]
@@ -298,9 +279,11 @@ fn saturation_counters_flow_into_batch_traces() {
     let mut seq_total = 0u64;
     for (i, image) in images.iter().enumerate() {
         let mut acc = Accelerator::new(cfg);
-        let single = acc.run_inference(&net, &qparams, image);
+        let single = acc
+            .run_batch(&net, &qparams, std::slice::from_ref(image))
+            .expect("valid image");
         assert_eq!(
-            run.traces[i].output.stats, single.trace.output.stats,
+            run.traces[i].output.stats, single.traces[0].output.stats,
             "per-image MacStats diverged for image {i}"
         );
         seq_total += single.accumulator_saturations;

@@ -27,12 +27,14 @@ fn assert_bit_exact(net: &CapsNetConfig, cfg: AcceleratorConfig, seed: u64) {
     let image = image_for(net, seed as usize);
     let reference = infer_q8_traced(net, &qparams, &pipeline, &image, variant_of(&cfg));
     let mut acc = Accelerator::new(cfg);
-    let run = acc.run_inference(net, &qparams, &image);
+    let run = acc
+        .run_batch(net, &qparams, std::slice::from_ref(&image))
+        .expect("valid image");
     assert_eq!(
         run.accumulator_saturations, 0,
         "saturation voids bit-exactness"
     );
-    assert_eq!(run.trace, reference, "seed {seed}");
+    assert_eq!(run.traces[0], reference, "seed {seed}");
 }
 
 // ----------------------------------------------------------- golden trace
@@ -53,7 +55,10 @@ fn golden_trace() -> capsacc::capsnet::QuantTrace {
     let qparams = CapsNetParams::generate(&net, 0).quantize(cfg.numeric);
     let image = image_for(&net, 0);
     let mut acc = Accelerator::new(cfg);
-    acc.run_inference(&net, &qparams, &image).trace
+    acc.run_batch(&net, &qparams, std::slice::from_ref(&image))
+        .expect("valid image")
+        .traces
+        .remove(0)
 }
 
 #[test]
@@ -95,8 +100,10 @@ fn golden_functional_backend_matches_same_digests() {
     cfg.backend = capsacc::core::EngineBackend::Functional;
     let qparams = CapsNetParams::generate(&net, 0).quantize(cfg.numeric);
     let mut acc = Accelerator::new(cfg);
-    let run = acc.run_inference(&net, &qparams, &image_for(&net, 0));
-    let got = trace_digests(&run.trace);
+    let run = acc
+        .run_batch(&net, &qparams, std::slice::from_ref(&image_for(&net, 0)))
+        .expect("valid image");
+    let got = trace_digests(&run.traces[0]);
     for ((name, want), (_, got_hash)) in GOLDEN_DIGESTS.iter().zip(&got) {
         assert_eq!(
             want, got_hash,
@@ -147,10 +154,13 @@ fn array_size_does_not_change_results() {
         cfg.cols = size;
         cfg.activation_units = size;
         let mut acc = Accelerator::new(cfg);
-        runs.push(acc.run_inference(&net, &qparams, &image));
+        runs.push(
+            acc.run_batch(&net, &qparams, std::slice::from_ref(&image))
+                .expect("valid image"),
+        );
     }
     for pair in runs.windows(2) {
-        assert_eq!(pair[0].trace, pair[1].trace);
+        assert_eq!(pair[0].traces[0], pair[1].traces[0]);
     }
     // But cycle counts differ: bigger arrays finish sooner overall.
     let cycles: Vec<u64> = runs
@@ -187,9 +197,11 @@ fn synthetic_digit_through_simulator() {
         RoutingVariant::SkipFirstSoftmax,
     );
     let mut acc = Accelerator::new(cfg);
-    let run = acc.run_inference(&net, &qparams, &image);
-    assert_eq!(run.trace, reference);
-    assert!(run.trace.output.predicted < net.num_classes);
+    let run = acc
+        .run_batch(&net, &qparams, std::slice::from_ref(&image))
+        .expect("valid image");
+    assert_eq!(run.traces[0], reference);
+    assert!(run.traces[0].output.predicted < net.num_classes);
 }
 
 #[test]
@@ -201,7 +213,11 @@ fn dataflow_ablations_preserve_functionality() {
     let image = image_for(&net, 21);
 
     let mut baseline = Accelerator::new(base);
-    let want = baseline.run_inference(&net, &qparams, &image).trace;
+    let want = baseline
+        .run_batch(&net, &qparams, std::slice::from_ref(&image))
+        .expect("valid image")
+        .traces
+        .remove(0);
 
     for flip in 0..3 {
         let mut cfg = base;
@@ -211,7 +227,11 @@ fn dataflow_ablations_preserve_functionality() {
             _ => cfg.dataflow.routing_feedback = false,
         }
         let mut acc = Accelerator::new(cfg);
-        let got = acc.run_inference(&net, &qparams, &image).trace;
+        let got = acc
+            .run_batch(&net, &qparams, std::slice::from_ref(&image))
+            .expect("valid image")
+            .traces
+            .remove(0);
         assert_eq!(got, want, "ablation {flip} changed functional results");
     }
 }

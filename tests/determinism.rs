@@ -5,7 +5,7 @@
 use capsacc::capsnet::{infer_q8, CapsNetConfig, CapsNetParams, QuantPipeline, RoutingVariant};
 use capsacc::core::{Accelerator, AcceleratorConfig};
 use capsacc::fixed::NumericConfig;
-use capsacc::mnist::{SyntheticMnist, WeightGen};
+use capsacc::mnist::SyntheticMnist;
 use capsacc::tensor::Tensor;
 
 #[test]
@@ -25,9 +25,6 @@ fn dataset_is_a_pure_function_of_seed_and_index() {
 
 #[test]
 fn weight_generation_is_deterministic() {
-    let a = WeightGen::new(5).dense(8, 8);
-    let b = WeightGen::new(5).dense(8, 8);
-    assert_eq!(a, b);
     let params_a = CapsNetParams::generate(&CapsNetConfig::tiny(), 10);
     let params_b = CapsNetParams::generate(&CapsNetConfig::tiny(), 10);
     assert_eq!(params_a, params_b);
@@ -53,9 +50,13 @@ fn engine_runs_are_deterministic_including_cycles_and_traffic() {
     let image = Tensor::from_fn(&[1, 12, 12], |i| (i[1] * 2 + i[2]) as f32 / 36.0);
     let mut acc_a = Accelerator::new(cfg);
     let mut acc_b = Accelerator::new(cfg);
-    let a = acc_a.run_inference(&net, &q, &image);
-    let b = acc_b.run_inference(&net, &q, &image);
-    assert_eq!(a.trace, b.trace);
+    let a = acc_a
+        .run_batch(&net, &q, std::slice::from_ref(&image))
+        .expect("valid image");
+    let b = acc_b
+        .run_batch(&net, &q, std::slice::from_ref(&image))
+        .expect("valid image");
+    assert_eq!(a.traces[0], b.traces[0]);
     assert_eq!(a.layers, b.layers);
     assert_eq!(a.steps, b.steps);
     assert_eq!(a.traffic, b.traffic);

@@ -7,7 +7,7 @@ use capsacc::core::{timing, Accelerator, AcceleratorConfig, BatchRun, BatchSched
 use capsacc::fixed::{requantize, Fx8, NumericConfig};
 use capsacc::gpu::GpuModel;
 use capsacc::memory::{MemoryConfig, MemoryMode, MemorySubsystem, PrefetchPipeline, SpmKind};
-use capsacc::mnist::{SyntheticMnist, WeightGen};
+use capsacc::mnist::SyntheticMnist;
 use capsacc::power::PowerModel;
 use capsacc::serve::{
     arrival_trace, simulate_runtime_resilient, BatcherConfig, Request, RuntimeConfig, ShardPool,
@@ -30,7 +30,6 @@ fn reexport_paths_resolve_and_interoperate() {
 
     // mnist
     assert!(SyntheticMnist::new(1).sample(0).label < 10);
-    assert_eq!(WeightGen::new(1).biases(4).len(), 4);
 
     // capsnet ← fixed (types from one re-export feed another)
     let net = CapsNetConfig::tiny();

@@ -37,8 +37,11 @@ fn golden_digests_hold_under_ideal_and_finite_memory() {
         finite_cfg(AcceleratorConfig::test_4x4()),
     ] {
         let mut acc = Accelerator::new(cfg);
-        let run = acc.run_inference(&net, &qparams, &image);
-        for ((name, want), (got_name, got)) in GOLDEN_DIGESTS.iter().zip(trace_digests(&run.trace))
+        let run = acc
+            .run_batch(&net, &qparams, std::slice::from_ref(&image))
+            .expect("valid image");
+        for ((name, want), (got_name, got)) in
+            GOLDEN_DIGESTS.iter().zip(trace_digests(&run.traces[0]))
         {
             assert_eq!(*name, got_name);
             assert_eq!(
@@ -58,7 +61,9 @@ fn ideal_memory_reproduces_pre_memory_cycle_counts() {
     let cfg = AcceleratorConfig::test_4x4();
     let qparams = CapsNetParams::generate(&net, 3).quantize(cfg.numeric);
     let mut acc = Accelerator::new(cfg);
-    let run = acc.run_inference(&net, &qparams, &image_for(&net, 3));
+    let run = acc
+        .run_batch(&net, &qparams, std::slice::from_ref(&image_for(&net, 3)))
+        .expect("valid image");
     assert_eq!(run.memory.stall_cycles, 0);
     for layer in &run.layers {
         assert_eq!(layer.memory_stall_cycles, 0, "layer {}", layer.name);

@@ -39,12 +39,13 @@ proptest! {
         cfg.cols = cols;
         cfg.activation_units = cols;
         let mut acc = Accelerator::new(cfg);
-        let got = acc.matmul(
-            &|mi, ki| a[[mi, ki]],
+        let (got, _) = acc.matmul_batch(
+            1,
+            &|_, mi, ki| a[[mi, ki]],
             &|ki, ni| b[[ki, ni]],
             m, k, n, None, shift, ActivationKind::Identity,
         );
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(&got[0], &want);
         prop_assert_eq!(
             acc.traffic().counter(capsacc::core::MemoryKind::WeightBuffer).read_bytes,
             engine_expected_weight_bytes(m, k, n, rows, cols)
@@ -61,14 +62,15 @@ proptest! {
         let a = random_tensor(&[m, k], seed);
         let b = random_tensor(&[k, n], seed ^ 0xABCD);
         let mut acc = Accelerator::new(AcceleratorConfig::test_4x4());
-        let got = acc.matmul(
-            &|mi, ki| a[[mi, ki]],
+        let (got, _) = acc.matmul_batch(
+            1,
+            &|_, mi, ki| a[[mi, ki]],
             &|ki, ni| b[[ki, ni]],
             m, k, n, None, 6, ActivationKind::Relu,
         );
         let (ident, stats) = qops::matmul_q8(&a, &b, 6);
         prop_assume!(stats.saturations == 0);
-        for (g, w) in got.data().iter().zip(ident.data()) {
+        for (g, w) in got[0].data().iter().zip(ident.data()) {
             prop_assert_eq!(*g, (*w).max(0));
         }
     }
@@ -82,14 +84,15 @@ proptest! {
         let a = random_tensor(&[1, k], seed);
         let b = random_tensor(&[k, 1], seed ^ 0x1234);
         let mut acc = Accelerator::new(AcceleratorConfig::test_4x4());
-        let with_bias = acc.matmul(
-            &|mi, ki| a[[mi, ki]],
+        let (with_bias, _) = acc.matmul_batch(
+            1,
+            &|_, mi, ki| a[[mi, ki]],
             &|ki, ni| b[[ki, ni]],
             1, k, 1, Some(&[bias]), 6, ActivationKind::Identity,
         );
         let raw: i64 = (0..k).map(|i| a[[0, i]] as i64 * b[[i, 0]] as i64).sum();
         prop_assert_eq!(
-            with_bias.data()[0],
+            with_bias[0].data()[0],
             capsacc::fixed::requantize(raw + bias as i64, 6)
         );
     }

@@ -103,8 +103,10 @@ fn engine_handles_saturating_workloads_gracefully() {
     q.pc_w.data_mut().fill(i8::MIN);
     let image = Tensor::from_fn(&[1, 12, 12], |_| 1.0f32);
     let mut acc = Accelerator::new(cfg);
-    let run = acc.run_inference(&net, &q, &image);
-    assert!(run.trace.output.predicted < net.num_classes);
+    let run = acc
+        .run_batch(&net, &q, std::slice::from_ref(&image))
+        .expect("valid image");
+    assert!(run.traces[0].output.predicted < net.num_classes);
 }
 
 #[test]
@@ -145,8 +147,10 @@ fn one_by_one_array_still_bit_exact() {
         RoutingVariant::SkipFirstSoftmax,
     );
     let mut acc = Accelerator::new(cfg);
-    let run = acc.run_inference(&net, &q, &image);
-    assert_eq!(run.trace, reference);
+    let run = acc
+        .run_batch(&net, &q, std::slice::from_ref(&image))
+        .expect("valid image");
+    assert_eq!(run.traces[0], reference);
 }
 
 #[test]
@@ -170,6 +174,8 @@ fn single_routing_iteration_network() {
     assert_eq!(reference.iterations.len(), 1);
     assert!(reference.iterations[0].logits_after_update.is_none());
     let mut acc = Accelerator::new(cfg);
-    let run = acc.run_inference(&net, &q, &image);
-    assert_eq!(run.trace, reference);
+    let run = acc
+        .run_batch(&net, &q, std::slice::from_ref(&image))
+        .expect("valid image");
+    assert_eq!(run.traces[0], reference);
 }

@@ -74,9 +74,11 @@ fn shard_pool_traces_are_bit_exact_vs_sequential_runs() {
     assert!(active > 1, "expected a multi-worker serve, got {active}");
     for (r, trace) in traces.iter().enumerate() {
         let mut acc = Accelerator::new(cfg);
-        let single = acc.run_inference(&net, &qparams, &image_for(&net, r));
+        let single = acc
+            .run_batch(&net, &qparams, std::slice::from_ref(&image_for(&net, r)))
+            .expect("valid image");
         assert_eq!(
-            &single.trace, trace,
+            &single.traces[0], trace,
             "shard-pool trace diverged from the sequential engine for request {r}"
         );
     }
@@ -244,8 +246,10 @@ fn serve_checked(rt: &RuntimeConfig, requests: &[Request], seed: u64) -> Runtime
         .count();
     assert_eq!(outcome.sim.worker_busy_cycles.len(), rt.workers + spawned);
     for (trace, &r) in traces.iter().zip(&outcome.served) {
-        let single = Accelerator::new(cfg).run_inference(&net, &qparams, &image(r));
-        assert_eq!(&single.trace, trace, "request {r} diverged");
+        let single = Accelerator::new(cfg)
+            .run_batch(&net, &qparams, std::slice::from_ref(&image(r)))
+            .expect("valid image");
+        assert_eq!(&single.traces[0], trace, "request {r} diverged");
     }
     outcome
 }

@@ -112,7 +112,7 @@ proptest! {
             let qparams = CapsNetParams::generate(&net, seed).quantize(cfg.numeric);
             let mut acc = Accelerator::new(cfg);
             acc.enable_telemetry(TelemetryConfig { detail, host_timing: false });
-            acc.run_inference(&net, &qparams, &image);
+            acc.run_batch(&net, &qparams, std::slice::from_ref(&image)).expect("valid image");
             trees.push(acc.take_telemetry().spans().to_vec());
         }
         prop_assert!(!trees[0].is_empty(), "nothing recorded");
@@ -133,8 +133,10 @@ fn golden_digests_hold_with_recording_on() {
         detail: SpanDetail::Tiles,
         host_timing: true,
     });
-    let run = acc.run_inference(&net, &qparams, &image_for(&net, 0));
-    assert_eq!(trace_digests(&run.trace), GOLDEN_DIGESTS);
+    let run = acc
+        .run_batch(&net, &qparams, std::slice::from_ref(&image_for(&net, 0)))
+        .expect("valid image");
+    assert_eq!(trace_digests(&run.traces[0]), GOLDEN_DIGESTS);
     assert!(
         !acc.take_telemetry().spans().is_empty(),
         "recording must actually have been on for this to prove anything"

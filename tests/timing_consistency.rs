@@ -21,8 +21,9 @@ fn engine_matches_serial_formula_across_shapes() {
     ] {
         let mut acc = Accelerator::new(cfg);
         let before = acc.array_cycles();
-        acc.matmul(
-            &|mi, ki| ((mi * 3 + ki) % 50) as i8,
+        acc.matmul_batch(
+            1,
+            &|_, mi, ki| ((mi * 3 + ki) % 50) as i8,
             &|ki, ni| ((ki + ni * 5) % 60) as i8,
             m,
             k,
@@ -174,7 +175,9 @@ fn routing_step_sequence_consistent_between_models() {
     let qparams = capsacc::capsnet::CapsNetParams::generate(&net, 1).quantize(cfg.numeric);
     let image = capsacc::tensor::Tensor::from_fn(&[1, 12, 12], |i| (i[1] + i[2]) as f32 / 24.0);
     let mut acc = Accelerator::new(cfg);
-    let run = acc.run_inference(&net, &qparams, &image);
+    let run = acc
+        .run_batch(&net, &qparams, std::slice::from_ref(&image))
+        .expect("valid image");
     let simulated: Vec<String> = run.steps.iter().map(|(s, _)| s.to_string()).collect();
     assert_eq!(analytical, simulated);
 }
