@@ -47,14 +47,14 @@ for workload in mnist-b16 mnist-b1 pool-b4 serve-faults; do
         exit 1
     fi
 done
-# Every paper-figure binary end to end. Each computes closed forms or
-# runs tiny networks only (milliseconds apiece), and several assert
-# their own checks, so a caller edit cannot break a figure unnoticed;
-# the other six run below, each with its own note.
-for bin in exp_energy exp_fig03 exp_fig08 exp_fig09 exp_fig16 exp_fig17 exp_fig18 \
-    exp_mapping exp_routing_opt exp_table1 exp_table2 exp_table3; do
-    run cargo run --release -q -p capsacc-bench --bin "$bin"
-done
+# The paper's tables and figures end to end: closed forms, the GPU and
+# power models, and ten batch-1 engine runs of one MNIST digit on the
+# functional backend (under a second in all). Asserts Fig. 17's step
+# alignment (closed form, GPU model and engine), skip-first-softmax
+# bit-equivalence and that the routing feedback path never adds Data
+# Memory reads; refreshes BENCH_paper.json, diffed below. The other six
+# binaries run below, each with its own note.
+run cargo run --release -q -p capsacc-bench --bin exp_paper
 # Batched-serving smoke run: validates run_batch bit-exactness at the
 # tiny scale and refreshes BENCH_batch.json so the perf trajectory of
 # the batch path is recorded with every CI run.
@@ -107,7 +107,8 @@ run cargo run --release -q -p capsacc-bench --bin exp_engine_speed
 run cargo run --release -q -p capsacc-bench --bin exp_profile
 # The deterministic BENCH files must regenerate byte-identically (and
 # exp_profile must not have touched them).
-run git diff --exit-code -- BENCH_batch.json BENCH_mem.json BENCH_serve.json BENCH_faults.json BENCH_engine.json LINT_report.json
+run git diff --exit-code -- BENCH_batch.json BENCH_mem.json BENCH_serve.json BENCH_faults.json BENCH_engine.json \
+    BENCH_paper.json LINT_report.json
 RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps
 
 echo

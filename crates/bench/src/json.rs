@@ -3,10 +3,10 @@
 //! Every experiment binary that commits a JSON artifact renders it
 //! through [`BenchJson`], so the on-disk convention is defined once:
 //! top-level fields at 2-space indent in insertion order, row arrays
-//! with one compact object per line at 4-space indent, and a trailing
+//! with one compact row per line at 4-space indent, and a trailing
 //! newline. CI byte-diffs these files across runs — the renderer
-//! having a single implementation is what keeps four binaries'
-//! hand-rolled writers from drifting apart.
+//! having a single implementation is what keeps the binaries' writers
+//! from drifting apart.
 //!
 //! Numeric formatting stays with the caller: each experiment owns its
 //! precision conventions (`{:.1}` cycles, `{:.4}` rates, `{:016x}`
@@ -53,14 +53,9 @@ impl BenchJson {
         self.raw(key, value.to_string());
     }
 
-    /// Appends a string-valued field (quoted; the value must not need
-    /// escaping — BENCH files only carry identifier-like strings).
+    /// Appends a string-valued field, quoted by [`json_str`].
     pub fn str_field(&mut self, key: &str, value: &str) {
-        debug_assert!(
-            !value.contains(['"', '\\']) && value.bytes().all(|b| b >= 0x20),
-            "BenchJson string values must not need escaping"
-        );
-        self.raw(key, format!("\"{value}\""));
+        self.raw(key, json_str(value));
     }
 
     /// Appends a field from a pre-rendered JSON fragment (an inline
@@ -69,9 +64,9 @@ impl BenchJson {
         self.fields.push((key.to_string(), value.into()));
     }
 
-    /// Appends an array field with one compact row object per line at
-    /// 4-space indent — the BENCH sweep-table convention. Build each
-    /// row with [`json_row`].
+    /// Appends an array field with one compact row per line at 4-space
+    /// indent — the BENCH sweep-table convention. Build object rows
+    /// with [`json_row`].
     pub fn rows(&mut self, key: &str, rows: Vec<String>) {
         let mut v = String::from("[\n");
         for (i, row) in rows.iter().enumerate() {
@@ -110,6 +105,21 @@ impl BenchJson {
     pub fn write(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
         fs::write(path, self.render())
     }
+}
+
+/// Quotes a string as a JSON string. The value must not need escaping:
+/// BENCH files only carry identifier-like strings and printed table
+/// cells.
+///
+/// ```
+/// assert_eq!(capsacc_bench::json_str("6.4x faster"), "\"6.4x faster\"");
+/// ```
+pub fn json_str(value: &str) -> String {
+    debug_assert!(
+        !value.contains(['"', '\\']) && value.bytes().all(|b| b >= 0x20),
+        "BenchJson string values must not need escaping"
+    );
+    format!("\"{value}\"")
 }
 
 /// One compact row object: `{"k": v, ...}` with values used verbatim

@@ -1,7 +1,9 @@
 //! # capsacc-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (run with
-//! `cargo run -p capsacc-bench --bin exp_<id>`).
+//! `exp_paper` regenerates every table and figure of the paper's
+//! evaluation in one run and commits them as `BENCH_paper.json`; the
+//! other `exp_*` binaries run the experiments beyond the paper (run
+//! each with `cargo run -p capsacc-bench --bin exp_<id>`).
 //!
 //! This library holds the shared harness utilities: fixed-width table
 //! printing, time formatting, the speedup labelling used by the
@@ -15,7 +17,7 @@ mod json;
 
 use capsacc_tensor::u64_from;
 
-pub use json::{json_row, BenchJson};
+pub use json::{json_row, json_str, BenchJson};
 
 /// MAC operations of one full inference: the two convolutions, the
 /// ClassCaps FC, and the routing Sum/Update sweeps (`Σ c·û` per

@@ -183,9 +183,9 @@ pub struct AcceleratorConfig {
     /// [`TraceLevel::Outputs`] skips the per-iteration routing
     /// snapshots on the serving hot path.
     pub trace_level: TraceLevel,
-    /// Host-execution knobs of the `Functional` backend (threads, SIMD
-    /// lane width, kernel selection). Never change simulated results —
-    /// only host wall-clock speed.
+    /// Host-execution knobs of the `Functional` backend (threads and
+    /// SIMD lane width). Never change simulated results — only host
+    /// wall-clock speed.
     pub functional: FunctionalOptions,
     /// Memory-hierarchy model (`capsacc-memory`). Defaults to
     /// [`MemoryConfig::ideal`] — "IdealMemory", which keeps every cycle

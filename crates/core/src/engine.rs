@@ -21,8 +21,8 @@
 //! the engine drains `M + 1` cycles per N-tile per image where the model
 //! charges ReLU 1 cycle, and the model applies Routing Buffer bandwidth
 //! ceilings to softmax and squash that the engine does not. The
-//! [`crate::timing`] module doc gives the MNIST figures; item 2 of
-//! `ROADMAP.md` (one cycle model) plans how the gaps close.
+//! [`crate::timing`] module doc gives the MNIST figures; the "One cycle
+//! model, executed" item of `ROADMAP.md` plans how the gaps close.
 //!
 //! Two execution backends produce this identical behavior
 //! ([`crate::EngineBackend`]): `Ticked` drives every PE register through

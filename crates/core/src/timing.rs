@@ -16,8 +16,8 @@
 //! cycles for each softmax after the first, and 40 against 18 for each
 //! squash. With pipelining enabled (the paper's "full throttle" design
 //! point) the model hides weight reloads behind data streaming, which
-//! neither engine backend executes. Item 2 of `ROADMAP.md` (one cycle
-//! model) plans how these gaps close.
+//! neither engine backend executes. The "One cycle model, executed"
+//! item of `ROADMAP.md` plans how these gaps close.
 //!
 //! Cycle anatomy of one weight-stationary tile on an `R × C` array
 //! (see [`SystolicArray`](crate::SystolicArray)):

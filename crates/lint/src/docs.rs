@@ -17,6 +17,10 @@
 //!   sources do not count: their docs and test fixtures name drifted
 //!   identifiers on purpose.
 //!
+//! Command lines are checked on every line, fenced blocks included:
+//! `--bin <name>` must name `crates/*/src/bin/<name>.rs` and
+//! `--example <name>` must name `examples/<name>.rs`.
+//!
 //! "As a whole identifier" means the characters either side of the
 //! match are not identifier characters, so a deleted name that
 //! survives only inside a longer one (`routing_steps` inside
@@ -64,17 +68,18 @@ pub fn lint_markdown(path: &str, text: &str, root: &Path, inv: &Inventory) -> Ve
                 });
             }
         }
-        for (col, span) in code_spans(raw) {
-            if let Some(message) = check_span(span, root, inv) {
-                diags.push(Diagnostic {
-                    rule: "doc-drift",
-                    path: path.to_string(),
-                    line,
-                    col,
-                    message,
-                    waived: None,
-                });
-            }
+        let spans = code_spans(raw)
+            .into_iter()
+            .filter_map(|(col, span)| Some((col, check_span(span, root, inv)?)));
+        for (col, message) in spans.chain(check_targets(raw, inv)) {
+            diags.push(Diagnostic {
+                rule: "doc-drift",
+                path: path.to_string(),
+                line,
+                col,
+                message,
+                waived: None,
+            });
         }
     }
     // Coverage for Markdown: the waiver's own line plus the next
@@ -101,6 +106,29 @@ fn code_spans(line: &str) -> Vec<(u32, &str)> {
         out.push((col, &after[..close]));
         base += open + 1 + close + 1;
         rest = &rest[open + 1 + close + 1..];
+    }
+    out
+}
+
+/// Checks every `--bin <name>` and `--example <name>` on one line,
+/// returning `(1-based col of the name, message)` for each target with
+/// no `crates/*/src/bin/<name>.rs` or `examples/<name>.rs` file.
+fn check_targets(line: &str, inv: &Inventory) -> Vec<(u32, String)> {
+    let is_name = |c: &char| *c == '_' || *c == '-' || c.is_ascii_alphanumeric();
+    let mut out = Vec::new();
+    for flag in ["--bin ", "--example "] {
+        for (at, _) in line.match_indices(flag) {
+            let start = at + flag.len();
+            let name: String = line[start..].chars().take_while(is_name).collect();
+            let found = inv.paths.iter().any(|p| match flag {
+                "--bin " => p.starts_with("crates/") && p.ends_with(&format!("/src/bin/{name}.rs")),
+                _ => *p == format!("examples/{name}.rs"),
+            });
+            if !name.is_empty() && !found {
+                let message = format!("runs `{flag}{name}`, which has no source file");
+                out.push((u32::try_from(start + 1).expect("col fits u32"), message));
+            }
+        }
     }
     out
 }
@@ -205,8 +233,10 @@ mod tests {
     fn inv() -> Inventory {
         let engine = "pub fn run_inference() {}\npub fn batch_routing_steps() {}\n".to_string();
         let paths = vec![
+            "crates/bench/src/bin/exp_paper.rs".to_string(),
             "crates/core/src/engine.rs".to_string(),
             "crates/fixed/src/lut/exp.rs".to_string(),
+            "examples/quickstart.rs".to_string(),
         ];
         let mut haystack = String::new();
         for p in &paths {
@@ -275,6 +305,20 @@ mod tests {
         let out = drift("See `engine.rs::routing_steps`.\n");
         assert_eq!(out.len(), 1);
         assert!(out[0].2.contains("does not define `routing_steps`"));
+    }
+
+    #[test]
+    fn command_lines_must_name_real_targets() {
+        let text = "```sh\ncargo run -p capsacc-bench --bin exp_paper\n\
+                    cargo run -p capsacc-bench --bin exp_fig16   # Fig. 16\n```\n";
+        let out = drift(text);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!((out[0].0, out[0].1), (3, 34));
+        assert!(out[0].2.contains("`--bin exp_fig16`"), "{out:?}");
+        // Examples resolve under `examples/` only, and bins never do.
+        assert_eq!(drift("Run `cargo run --example quickstart`.\n"), []);
+        assert_eq!(drift("cargo run --example exp_paper\n").len(), 1);
+        assert_eq!(drift("cargo run --bin quickstart\n").len(), 1);
     }
 
     #[test]

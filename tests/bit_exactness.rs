@@ -6,7 +6,7 @@
 use capsacc::capsnet::{
     infer_q8_traced, CapsNetConfig, CapsNetParams, QuantPipeline, RoutingVariant,
 };
-use capsacc::core::{Accelerator, AcceleratorConfig};
+use capsacc::core::{Accelerator, AcceleratorConfig, EngineBackend, MemoryConfig};
 use capsacc::mnist::SyntheticMnist;
 use capsacc::tensor::Tensor;
 
@@ -45,7 +45,7 @@ fn assert_bit_exact(net: &CapsNetConfig, cfg: AcceleratorConfig, seed: u64) {
 // via `tests/common/mod.rs`, where the regeneration instructions live)
 // fails loudly on any numeric change.
 
-use common::{trace_digests, GOLDEN_DIGESTS};
+use common::{routing_digests, trace_digests, GOLDEN_DIGESTS, GOLDEN_DIGESTS_MNIST};
 
 /// The canonical inference: `CapsNetConfig::tiny`, parameter seed 0, the
 /// seed-0 deterministic image, on the 4×4 test array.
@@ -116,10 +116,71 @@ fn golden_functional_backend_matches_same_digests() {
     assert_eq!(trace_digests(&run.traces[0]), got);
 }
 
+/// The MNIST-scale golden inference under `memory`: the digit and
+/// parameters `GOLDEN_DIGESTS_MNIST` documents.
+fn mnist_golden_trace(memory: MemoryConfig) -> capsacc::capsnet::QuantTrace {
+    let net = CapsNetConfig::mnist();
+    let cfg = AcceleratorConfig {
+        backend: EngineBackend::Functional,
+        memory,
+        ..AcceleratorConfig::paper()
+    };
+    let qparams = CapsNetParams::generate(&net, 1).quantize(cfg.numeric);
+    let image = SyntheticMnist::new(1).sample(0).image;
+    let mut acc = Accelerator::new(cfg);
+    acc.run_batch(&net, &qparams, std::slice::from_ref(&image))
+        .expect("valid image")
+        .traces
+        .remove(0)
+}
+
 #[test]
-#[ignore = "regeneration helper: prints the digest table for GOLDEN_DIGESTS"]
+fn mnist_golden_digests_pin_every_routing_step() {
+    for memory in [MemoryConfig::ideal(), MemoryConfig::paper()] {
+        let trace = mnist_golden_trace(memory);
+        let got = routing_digests(&trace);
+        assert_eq!(GOLDEN_DIGESTS_MNIST.len(), got.len());
+        for ((name, want), (got_name, got_hash)) in GOLDEN_DIGESTS_MNIST.iter().zip(&got) {
+            assert_eq!(name, got_name, "digest order changed");
+            assert_eq!(
+                want, got_hash,
+                "silent numeric drift in `{name}` under {:?} — if intentional, \
+                 regenerate GOLDEN_DIGESTS_MNIST (see tests/common/mod.rs)",
+                memory.mode
+            );
+        }
+        // Routing moves on this digit: both updates leave most of the
+        // 11,520 logits nonzero, and the couplings spread from the
+        // uniform start.
+        let nonzero_logits: Vec<usize> = trace
+            .iterations
+            .iter()
+            .filter_map(|it| it.logits_after_update.as_ref())
+            .map(|l| l.data().iter().filter(|&&v| v != 0).count())
+            .collect();
+        let coupling_codes: Vec<usize> = trace
+            .iterations
+            .iter()
+            .map(|it| {
+                let codes: std::collections::BTreeSet<i8> =
+                    it.couplings.data().iter().copied().collect();
+                codes.len()
+            })
+            .collect();
+        assert_eq!(nonzero_logits, [9_998, 10_449]);
+        assert_eq!(coupling_codes, [1, 22, 46]);
+    }
+}
+
+#[test]
+#[ignore = "regeneration helper: prints the digest tables for GOLDEN_DIGESTS and GOLDEN_DIGESTS_MNIST"]
 fn print_golden_digests() {
+    println!("GOLDEN_DIGESTS:");
     for (name, hash) in trace_digests(&golden_trace()) {
+        println!("    (\"{name}\", 0x{hash:016x}),");
+    }
+    println!("GOLDEN_DIGESTS_MNIST:");
+    for (name, hash) in routing_digests(&mnist_golden_trace(MemoryConfig::ideal())) {
         println!("    (\"{name}\", 0x{hash:016x}),");
     }
 }
