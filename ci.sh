@@ -109,6 +109,9 @@ run cargo run --release -q -p capsacc-bench --bin exp_profile
 # exp_profile must not have touched them).
 run git diff --exit-code -- BENCH_batch.json BENCH_mem.json BENCH_serve.json BENCH_faults.json BENCH_engine.json \
     BENCH_paper.json LINT_report.json
+# Rustdoc with warnings denied: a broken or private intra-doc link (say,
+# to an item a change deleted) fails here, where doc-drift, which reads
+# only README and ARCHITECTURE, cannot see it.
 RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps
 
 echo

@@ -84,11 +84,7 @@ fn engine_validation(batches: &[usize]) -> Vec<Vec<String>> {
     let cfg = AcceleratorConfig::test_4x4();
     let qparams = CapsNetParams::generate(&net, 0).quantize(cfg.numeric);
     let images: Vec<Tensor<f32>> = (0..*batches.iter().max().expect("non-empty"))
-        .map(|s| {
-            Tensor::from_fn(&[1, net.input_side, net.input_side], |i| {
-                ((i[1] * (s + 2) + i[2] * 7 + s) % 11) as f32 / 11.0
-            })
-        })
+        .map(|s| net.test_image(s))
         .collect();
 
     batches

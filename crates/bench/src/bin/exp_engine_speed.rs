@@ -64,12 +64,6 @@ struct Row {
     sim_ms_per_image: f64,
 }
 
-fn mnist_image(net: &CapsNetConfig) -> Tensor<f32> {
-    Tensor::from_fn(&[1, net.input_side, net.input_side], |i| {
-        ((i[1] * 2 + i[2] * 7) % 11) as f32 / 11.0
-    })
-}
-
 /// Runs one single-image inference (a batch of one), returning the run
 /// and its host time in seconds.
 fn run_once(
@@ -144,7 +138,7 @@ fn main() {
         simd: SimdMode::Scalar,
     };
     let qparams = CapsNetParams::generate(&net, 0).quantize(ticked_cfg.numeric);
-    let image = mnist_image(&net);
+    let image = net.test_image(0);
     let batch = 16usize;
     let images = vec![image.clone(); batch];
 

@@ -91,16 +91,7 @@ fn assert_ideal_equivalence() {
     let mut finite_cfg = ideal_cfg;
     finite_cfg.memory = MemoryConfig::paper();
     let qparams = CapsNetParams::generate(&net, 0).quantize(ideal_cfg.numeric);
-    // The canonical deterministic test image — keep in sync with
-    // `tests/common/mod.rs::image_for`, which the pinned golden-digest
-    // suites use (this binary is a separate crate and cannot import it).
-    let images: Vec<Tensor<f32>> = (0..4)
-        .map(|s| {
-            Tensor::from_fn(&[1, net.input_side, net.input_side], |i| {
-                ((i[1] * (s + 2) + i[2] * 7 + s) % 11) as f32 / 11.0
-            })
-        })
-        .collect();
+    let images: Vec<Tensor<f32>> = (0..4).map(|s| net.test_image(s)).collect();
 
     let mut ideal = BatchScheduler::new(ideal_cfg);
     let run_ideal = ideal.run(&net, &qparams, &images).expect("valid batch");

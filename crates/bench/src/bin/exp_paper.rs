@@ -105,7 +105,7 @@ fn ablation_configs(base: AcceleratorConfig) -> [(&'static str, AcceleratorConfi
     out[2].1.dataflow.routing_feedback = false;
     out[3].0 = "no tile pipelining";
     out[3].1.dataflow.pipelined_tiles = false;
-    out[4].0 = "no conv weight reuse";
+    out[4].0 = "no weight reuse";
     out[4].1.dataflow.weight_reuse = false;
     out
 }

@@ -74,13 +74,7 @@ fn profile_mnist_batch() -> Recorder {
     cfg.backend = EngineBackend::Functional;
     cfg.memory = MemoryConfig::paper();
     let qparams = CapsNetParams::generate(&net, 0).quantize(cfg.numeric);
-    let images: Vec<Tensor<f32>> = (0..4)
-        .map(|s| {
-            Tensor::from_fn(&[1, net.input_side, net.input_side], move |i| {
-                ((i[1] * (s + 2) + i[2] * 7 + s) % 11) as f32 / 11.0
-            })
-        })
-        .collect();
+    let images: Vec<Tensor<f32>> = (0..4).map(|s| net.test_image(s)).collect();
 
     // Recording-off baseline, then the instrumented run: byte-equal.
     let mut plain = BatchScheduler::new(cfg);

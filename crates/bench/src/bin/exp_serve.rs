@@ -54,7 +54,7 @@ use capsacc_serve::{
     BatcherConfig, ClassConfig, Request, ResilienceConfig, RuntimeConfig, RuntimeOutcome,
     ScalingEvent, TraceConfig, WorkloadConfig,
 };
-use capsacc_tensor::{u64_from, Tensor};
+use capsacc_tensor::u64_from;
 
 /// One measured point of the saturating sweep.
 struct Row {
@@ -365,13 +365,7 @@ fn engine_validation() {
     let net = CapsNetConfig::tiny();
     let cfg = AcceleratorConfig::test_4x4();
     let qparams = CapsNetParams::generate(&net, 0).quantize(cfg.numeric);
-    // The canonical deterministic test image — keep in sync with
-    // `tests/common/mod.rs::image_for` (separate crate, cannot import).
-    let image = |s: usize| {
-        Tensor::from_fn(&[1, net.input_side, net.input_side], move |i| {
-            ((i[1] * (s + 2) + i[2] * 7 + s) % 11) as f32 / 11.0
-        })
-    };
+    let image = |s: usize| net.test_image(s);
     let rt = RuntimeConfig::offline(
         3,
         BatcherConfig {

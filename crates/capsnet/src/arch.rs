@@ -1,6 +1,6 @@
 //! Architecture algebra and the Table I parameter accounting.
 
-use capsacc_tensor::{checked_product, ConvGeometry};
+use capsacc_tensor::{checked_product, ConvGeometry, Tensor};
 
 /// The CapsuleNet architecture parameters (Fig. 1 of the paper).
 ///
@@ -107,6 +107,25 @@ impl CapsNetConfig {
             class_caps_dim: 16,
             routing_iterations: 3,
         }
+    }
+
+    /// The deterministic test image for `seed`: pixel `(y, x)` is
+    /// `((y·(seed + 2) + x·7 + seed) mod 11) / 11`. The golden digests,
+    /// the experiment binaries and the serving tests all run on these
+    /// pixels.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use capsacc_capsnet::CapsNetConfig;
+    /// let image = CapsNetConfig::tiny().test_image(1);
+    /// assert_eq!(image.shape(), &[1, 12, 12]);
+    /// assert_eq!(image[[0, 0, 1]], 8.0 / 11.0);
+    /// ```
+    pub fn test_image(&self, seed: usize) -> Tensor<f32> {
+        Tensor::from_fn(&[1, self.input_side, self.input_side], |i| {
+            ((i[1] * (seed + 2) + i[2] * 7 + seed) % 11) as f32 / 11.0
+        })
     }
 
     /// Geometry of the Conv1 layer (single grayscale input channel).

@@ -116,12 +116,12 @@ pub struct BatchRun {
     /// ClassCaps step cycles summed over the batch (per-image routing
     /// steps are identical in sequence, so they aggregate elementwise).
     pub steps: Vec<(RoutingStep, u64)>,
-    /// Traffic across all memories and buffers for this batch alone
-    /// (deltas against the accelerator's counters at batch start, so
-    /// per-image metrics stay correct on a reused scheduler).
+    /// On-chip traffic across all memories and buffers for this batch
+    /// alone (deltas against the accelerator's counters at batch start,
+    /// so per-image metrics stay correct on a reused scheduler).
     pub traffic: TrafficReport,
-    /// Memory-hierarchy counters for this batch alone (same delta
-    /// scoping as [`BatchRun::traffic`]).
+    /// Memory-hierarchy counters for this batch alone, off-chip bytes
+    /// included (same delta scoping as [`BatchRun::traffic`]).
     pub memory: MemReport,
     /// Accumulator-unit saturation events during this batch alone.
     pub accumulator_saturations: u64,
@@ -287,7 +287,6 @@ impl Accelerator {
         // The batch's images arrive over the off-chip channel before the
         // on-chip Data Memory serves them.
         let input_bytes = u64_from(batch * g1.input_len());
-        self.traffic.read(MemoryKind::Dram, input_bytes);
         self.traffic.read(MemoryKind::DataMemory, input_bytes);
         self.rec.begin(SpanDetail::Layers, "Conv1");
         let c0 = self.array.cycles();
@@ -302,7 +301,6 @@ impl Accelerator {
         self.rec.advance(CycleKind::MemStall, stage_stall);
         self.rec.end(SpanDetail::Phases);
         // Biases ride along with the layer's off-chip weight stream.
-        self.traffic.read(MemoryKind::Dram, u64_from(g1.out_ch));
         self.memory.stage_bias(u64_from(g1.out_ch));
         // im2col addressing is affine: `input_index(mi, ki) =
         // patch_origin(mi) + tap_offset(ki)`, so the data view is the
@@ -356,7 +354,6 @@ impl Accelerator {
         let c0 = self.array.cycles();
         let a0 = self.activation_cycles;
         let m0 = self.memory_stall_cycles;
-        self.traffic.read(MemoryKind::Dram, u64_from(gp.out_ch));
         self.memory.stage_bias(u64_from(gp.out_ch));
         let conv1_src: Vec<&[i8]> = conv1_outs.iter().map(Tensor::data).collect();
         let (pc_mns, pc_sats) = self.matmul_group(

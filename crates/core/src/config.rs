@@ -7,9 +7,14 @@ use capsacc_memory::MemoryConfig;
 /// data-reuse mechanisms, and each can be disabled for ablation studies.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct DataflowOptions {
-    /// Hold filter weights in the PEs' second weight register and reuse
-    /// them across convolution windows (Sec. IV-A). Disabled, weights are
-    /// re-fetched from the Weight Buffer for every data row.
+    /// Hold the parameter layers' weight tiles (Conv1, PrimaryCaps and
+    /// the ClassCaps FC's `W_ij`) in the PEs' second weight register
+    /// and reuse them across data rows and images (Sec. IV-A).
+    /// Disabled, each tile reloads before every data row
+    /// ([`crate::TileSchedule::ReloadPerRow`]) and every image re-reads
+    /// the weights. Routing's operands (`û`, `v_j`) stay resident
+    /// either way. Only [`crate::timing`] models the ablation; the
+    /// engine always executes the design point.
     pub weight_reuse: bool,
     /// Stream consecutive K-tiles back-to-back, hiding weight reloads
     /// behind data streaming ("at full throttle, each PE produces one

@@ -138,13 +138,13 @@ pub struct Accelerator {
 pub(crate) struct MatmulCharge {
     /// The geometry charged.
     pub geometry: MatmulGeometry,
-    /// `R + 1` weight-load edges plus `batch·M + R + C` stream edges
-    /// per tile.
+    /// The geometry's serial [`MatmulGeometry::array_cycles`]: `R + 1`
+    /// weight-load edges plus `batch·M + R + C` stream edges per tile.
     pub array_cycles: u64,
     /// One `reduce_cycles(M)` drain per image per N-tile.
     pub activation_cycles: u64,
-    /// Weight Buffer (`kt·nt` per tile), Data Buffer (`batch·M·kt` per
-    /// tile) and, for off-chip weights, DRAM (every weight once) reads.
+    /// Weight Buffer (`kt·nt` per tile) and Data Buffer (`batch·M·kt`
+    /// per tile) reads. Off-chip bytes are the memory report's.
     pub traffic: TrafficReport,
     /// Memory-hierarchy stall cycles.
     pub stall: u64,
@@ -338,7 +338,7 @@ impl Accelerator {
     /// This always executes the real design point — the second weight
     /// register exists, so tiles *are* resident. The
     /// `DataflowOptions::weight_reuse` ablation is modelled analytically
-    /// only ([`crate::timing::batch_matmul_cycles`]).
+    /// only, by the closed form ([`crate::timing`]).
     ///
     /// # Panics
     ///
@@ -510,22 +510,19 @@ impl Accelerator {
     /// memory part is the subsystem's [`MemorySubsystem::price`], which
     /// remembers its replays; the rest is a few integer operations.
     pub(crate) fn charge(&mut self, g: &MatmulGeometry) -> MatmulCharge {
-        let (n_tiles, k_tiles) = (g.n.div_ceil(g.cols), g.k.div_ceil(g.rows));
-        let streamed = g.batch * g.m;
+        let n_tiles = g.n_tiles();
         // Per tile: `kt·nt` weights into the array and `batch·M·kt`
         // data bytes streamed; summed over the tile grid.
         let mut traffic = TrafficReport::default();
         traffic.read(MemoryKind::WeightBuffer, u64_from(g.k * g.n));
-        traffic.read(MemoryKind::DataBuffer, u64_from(n_tiles * streamed * g.k));
-        if g.weights_offchip {
-            // Each weight crosses the off-chip channel once per batch.
-            traffic.read(MemoryKind::Dram, u64_from(g.k * g.n));
-        }
+        traffic.read(
+            MemoryKind::DataBuffer,
+            u64_from(n_tiles * g.batch * g.m * g.k),
+        );
         let (stall, mem) = self.memory.price(g);
         MatmulCharge {
             geometry: *g,
-            array_cycles: u64_from(n_tiles * k_tiles)
-                * (self.array.load_edges() + self.array.stream_edges(streamed)),
+            array_cycles: g.array_cycles(),
             activation_cycles: u64_from(n_tiles * g.batch)
                 * ActivationUnit::reduce_cycles(u64_from(g.m)),
             traffic,
@@ -565,8 +562,8 @@ impl Accelerator {
         );
         let drain = ActivationUnit::reduce_cycles(u64_from(g.m));
         let mut tile_seq = 0u64;
-        for _ in 0..g.n.div_ceil(g.cols) {
-            for _ in 0..g.k.div_ceil(g.rows) {
+        for _ in 0..g.n_tiles() {
+            for _ in 0..g.k_tiles() {
                 self.rec
                     .begin_arg(SpanDetail::Tiles, "tile", "seq", tile_seq);
                 tile_seq += 1;
@@ -620,10 +617,6 @@ impl Accelerator {
         self.rec.begin(SpanDetail::Tiles, "mem-stall");
         self.rec.advance(CycleKind::MemStall, stall);
         self.rec.end(SpanDetail::Tiles);
-        if geometry.weights_offchip {
-            // Each weight crosses the off-chip channel once per batch.
-            self.traffic.read(MemoryKind::Dram, u64_from(k * n));
-        }
 
         let mut tile_seq = 0u64;
         for n0 in (0..n).step_by(cols) {
@@ -758,17 +751,17 @@ impl Accelerator {
     ///   sum either way), group by group into each image's count, as
     ///   consecutive single matmuls would attribute them.
     /// - **The charge.** Cycles, traffic and memory stalls never depend
-    ///   on operand values, so a matmul's [`MatmulCharge`] — per tile
-    ///   exactly the edges the ticked serial schedule executes, `R + 1`
-    ///   per weight load and `batch·M + R + C` per stream
-    ///   (`SystolicArray::load_edges` / `stream_edges`), plus the
-    ///   per-tile buffer reads, the per-image drains and the memory
-    ///   replay — is derived in one place and applied once per
-    ///   matmul: `array_cycles()` deltas, and everything built on
-    ///   them, are equal, not merely equivalent. Counter totals are the
-    ///   only observable, and they are pure sums. With recording on,
-    ///   each matmul's span sequence is replayed from the charge
-    ///   (`record_charge`).
+    ///   on operand values, so a matmul's [`MatmulCharge`] — the serial
+    ///   [`MatmulGeometry::array_cycles`], per tile exactly the edges
+    ///   the ticked array executes (`R + 1` per weight load and
+    ///   `batch·M + R + C` per stream, `SystolicArray::load_edges` /
+    ///   `stream_edges`), plus the per-tile buffer reads, the per-image
+    ///   drains and the memory replay — is derived in one place and
+    ///   applied once per matmul: `array_cycles()` deltas, and
+    ///   everything built on them, are equal, not merely equivalent.
+    ///   Counter totals are the only observable, and they are pure sums.
+    ///   With recording on, each matmul's span sequence is replayed from
+    ///   the charge (`record_charge`).
     /// - **Data staging.** Both operands are staged straight from their
     ///   views into buffers the accelerator keeps across matmuls: each
     ///   group's data panel is gathered once as a flat row-major
@@ -1232,7 +1225,7 @@ impl Accelerator {
 mod tests {
     use super::*;
     use crate::config::AcceleratorConfig;
-    use crate::timing::{batch_matmul_cycles, matmul_cycles, MatmulShape};
+    use crate::timing::{batch_matmul_cycles, MatmulShape};
     use capsacc_capsnet::{infer_q8_traced, CapsNetParams};
     use capsacc_memory::MemoryConfig;
     use capsacc_tensor::qops;
@@ -1316,12 +1309,13 @@ mod tests {
                 ActivationKind::Identity,
             );
             let got = acc.array_cycles() - before;
-            let expect = matmul_cycles(
+            let expect = batch_matmul_cycles(
                 MatmulShape {
                     m: m as u64,
                     k: k as u64,
                     n: n as u64,
                 },
+                1,
                 &cfg,
             );
             assert_eq!(got, expect, "cycles for ({m},{k},{n})");

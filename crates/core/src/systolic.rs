@@ -171,16 +171,19 @@ impl SystolicArray {
 
     /// Clock edges one [`load_weights`](Self::load_weights) call
     /// consumes: `rows` skewed weight rows plus the latch edge. The
-    /// single definition of the load cost — the ticked loader returns
-    /// it and the `Functional` backend charges it.
+    /// ticked loader executes it and telemetry's replayed tile spans
+    /// read it; the charge prices the same edges through
+    /// [`MatmulGeometry::array_cycles`](crate::MatmulGeometry::array_cycles).
     pub fn load_edges(&self) -> u64 {
         u64_from(self.rows) + 1
     }
 
     /// Clock edges one [`stream`](Self::stream) call consumes for `m`
-    /// data rows: skewed injection plus pipeline drain. The single
-    /// definition of the stream cost — the ticked streamer executes
-    /// exactly this many edges and the `Functional` backend charges it.
+    /// data rows: skewed injection plus pipeline drain. The ticked
+    /// streamer executes exactly this many edges and telemetry's
+    /// replayed tile spans read it; the charge prices the same edges
+    /// through
+    /// [`MatmulGeometry::array_cycles`](crate::MatmulGeometry::array_cycles).
     pub fn stream_edges(&self, m: usize) -> u64 {
         u64_from(m + self.rows + self.cols)
     }

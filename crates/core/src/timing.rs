@@ -4,13 +4,25 @@
 //! layer-major schedule that keeps each weight tile resident across the
 //! batch, and a single inference is a batch of one.
 //!
+//! Every tiled matmul is priced by [`MatmulGeometry::array_cycles`] (or,
+//! for the ClassCaps FC's cross-capsule run,
+//! [`MatmulGeometry::run_cycles`]) from `capsacc-memory`: the one
+//! statement of the Sec. IV-A tile schedule, which the engine's charge
+//! and the memory replay's per-tile windows also read. The dataflow
+//! switches pick the geometry's [`TileSchedule`]: the parameter layers
+//! (Conv1, PrimaryCaps, the FC) reload per data row without
+//! `weight_reuse`; every matmul pipelines its tiles when
+//! `pipelined_tiles` holds and the Weight Buffer fits two tiles, and
+//! runs them serially otherwise.
+//!
 //! With tile pipelining disabled, the model's systolic-array (compute)
 //! cycles are the cycles the [`crate::engine`] executes. That is pinned
-//! on tiny matmuls by `tests/timing_consistency.rs`, and for Conv1 and
-//! PrimaryCaps at MNIST scale by `examples/mnist_full_system.rs`. Layer
-//! and step totals do not agree. The engine drains `M + 1` cycles per
-//! N-tile per image, so its MNIST Conv1 takes 43,104 + 16 × 401 = 49,520
-//! cycles, while the model charges ReLU as 1 cycle and gives 43,105.
+//! on tiny matmuls and on the FC, Sum and Update steps by
+//! `tests/timing_consistency.rs`, and for Conv1 and PrimaryCaps at MNIST
+//! scale by `examples/mnist_full_system.rs`. Layer and step totals do
+//! not agree. The engine drains `M + 1` cycles per N-tile per image, so
+//! its MNIST Conv1 takes 43,104 + 16 × 401 = 49,520 cycles, while the
+//! model charges ReLU as 1 cycle and gives 43,105.
 //! The model's softmax and squash steps also apply Routing Buffer
 //! bandwidth ceilings that the engine does not: 5,760 against 1,440
 //! cycles for each softmax after the first, and 40 against 18 for each
@@ -18,12 +30,6 @@
 //! point) the model hides weight reloads behind data streaming, which
 //! neither engine backend executes. The "One cycle model, executed"
 //! item of `ROADMAP.md` plans how these gaps close.
-//!
-//! Cycle anatomy of one weight-stationary tile on an `R × C` array
-//! (see [`SystolicArray`](crate::SystolicArray)):
-//!
-//! - weight load: `R` edges (skewed rows) + 1 latch edge;
-//! - streaming `M` data rows: `M + R + C` edges including drain.
 //!
 //! Layers whose weight footprint exceeds the Weight Buffer stream
 //! weights from the on-chip Weight Memory at `weight_mem_bw` bytes per
@@ -84,9 +90,22 @@ fn tiles_pipeline(cfg: &AcceleratorConfig) -> bool {
     cfg.dataflow.pipelined_tiles && 2 * cfg.rows * cfg.cols <= cfg.weight_buffer_bytes
 }
 
-/// Asserts (in debug builds) that a single weight tile fits its buffer —
-/// no schedule can hide a tile that cannot be resident at all.
-fn debug_assert_tile_fits(cfg: &AcceleratorConfig) {
+/// The geometry of one `shape` matmul for `batch` images under the
+/// configured dataflow. A parameter layer's weights (`weights_offchip`)
+/// reload before every data row without `weight_reuse`
+/// ([`TileSchedule::ReloadPerRow`]); routing's on-chip operands stay
+/// resident either way. Tiles pipeline where [`tiles_pipeline`] allows
+/// and run serially otherwise.
+///
+/// A debug assertion rejects configurations whose single tile cannot fit
+/// the Weight Buffer: no schedule can hide a tile that cannot be
+/// resident at all.
+fn geometry(
+    shape: MatmulShape,
+    batch: u64,
+    cfg: &AcceleratorConfig,
+    weights_offchip: bool,
+) -> MatmulGeometry {
     debug_assert!(
         cfg.rows * cfg.cols <= cfg.weight_buffer_bytes,
         "a {}x{} weight tile exceeds the {} B Weight Buffer",
@@ -94,72 +113,41 @@ fn debug_assert_tile_fits(cfg: &AcceleratorConfig) {
         cfg.cols,
         cfg.weight_buffer_bytes
     );
-}
-
-/// Cycles to execute one `M × K × N` matmul with the configured dataflow.
-///
-/// With `pipelined_tiles`, consecutive K-tiles of one N-tile stream
-/// back-to-back and each reload (R + 1 edges) hides behind the previous
-/// tile's `M` data rows; the pipeline fills and drains once per N-tile.
-/// Without it, every tile pays its own load and drain — exactly the
-/// sequence the cycle-accurate engine executes.
-///
-/// With `weight_reuse` disabled (ablation), the resident weight register
-/// is not used and the tile weights are re-loaded before *every* data
-/// row.
-///
-/// Buffer capacity is threaded through the schedule: pipelining needs a
-/// double-buffered tile in the Weight Buffer, so when `2·R·C` bytes do
-/// not fit the formula falls back to the serial schedule (and a debug
-/// assertion rejects configurations whose single tile cannot fit at
-/// all).
-pub fn matmul_cycles(shape: MatmulShape, cfg: &AcceleratorConfig) -> u64 {
-    debug_assert_tile_fits(cfg);
-    let (r, c) = (u64_from(cfg.rows), u64_from(cfg.cols));
-    let kk = ceil_div(shape.k, r).max(1);
-    let nn = ceil_div(shape.n, c).max(1);
-    let m = shape.m;
-    let load = r + 1;
-    if !cfg.dataflow.weight_reuse {
-        // Reload the tile before every data row: the weight2 path is
-        // disabled, so each row pays a full load.
-        let per_tile = checked_product("matmul reload schedule", &[m, load]) + (m + r + c);
-        return checked_product("matmul cycle count", &[nn, kk, per_tile]);
-    }
-    if tiles_pipeline(cfg) {
-        // Initial load, then back-to-back K-tiles; each subsequent tile
-        // is gated by max(data streaming, weight reload); one drain.
-        let steady = checked_product("matmul pipelined tiles", &[kk - 1, m.max(load)]);
-        checked_product("matmul cycle count", &[nn, load + m + steady + (r + c)])
-    } else {
-        checked_product("matmul cycle count", &[nn, kk, load + m + r + c])
+    MatmulGeometry {
+        m: usize_from(shape.m),
+        k: usize_from(shape.k),
+        n: usize_from(shape.n),
+        batch: usize_from(batch),
+        rows: cfg.rows,
+        cols: cfg.cols,
+        weights_offchip,
+        schedule: if weights_offchip && !cfg.dataflow.weight_reuse {
+            TileSchedule::ReloadPerRow
+        } else if tiles_pipeline(cfg) {
+            TileSchedule::Pipelined
+        } else {
+            TileSchedule::Serial
+        },
     }
 }
 
-/// Cycles to execute the same matmul for `batch` data operands sharing
-/// one weight operand, with the tiles held resident across the batch
-/// (the engine's [`crate::Accelerator::matmul_batch`] schedule).
+/// Array cycles of a parameter layer's `M × K × N` matmul for `batch`
+/// data operands sharing one weight operand, with the tiles held
+/// resident across the batch (the engine's
+/// [`crate::Accelerator::matmul_batch`] schedule): the
+/// [`MatmulGeometry::array_cycles`] of its geometry.
 ///
 /// With weight reuse, all `batch · M` data rows stream against each
-/// resident tile, so the batched run is exactly a single matmul with
-/// `M' = batch · M` — every tile load (and, when pipelining, every
+/// resident tile, so every tile load (and, when pipelining, every
 /// fill/drain) is paid once per batch instead of once per image. With
-/// the reuse ablation there is no residency to exploit and the batch
-/// degenerates to `batch` independent runs — an analytical-only
-/// scenario: the engine always simulates the real design point with the
-/// second weight register present, so engine↔model agreement holds for
-/// reuse-enabled configurations (the ones the engine can execute).
+/// the reuse ablation each tile reloads before every data row and the
+/// batch costs `batch` independent runs — an analytical-only scenario:
+/// the engine always simulates the real design point with the second
+/// weight register present, so engine↔model agreement holds for
+/// reuse-enabled, serial-tile configurations (the ones the engine can
+/// execute).
 pub fn batch_matmul_cycles(shape: MatmulShape, batch: u64, cfg: &AcceleratorConfig) -> u64 {
-    if !cfg.dataflow.weight_reuse {
-        return checked_product("batched matmul cycles", &[batch, matmul_cycles(shape, cfg)]);
-    }
-    matmul_cycles(
-        MatmulShape {
-            m: checked_product("batched data rows", &[shape.m, batch]),
-            ..shape
-        },
-        cfg,
-    )
+    geometry(shape, batch, cfg, true).array_cycles()
 }
 
 /// Weight bytes a batched matmul reads from the weight store: each
@@ -280,6 +268,41 @@ fn fc_weight_bytes(net: &CapsNetConfig, batch: u64, cfg: &AcceleratorConfig) -> 
     }
 }
 
+/// The ClassCaps matmuls as the engine issues them, `[FC, Sum,
+/// Update]`: the FC is one `1 × in_dim × classes·out_dim` matmul per
+/// input capsule with every image's capsule vector streaming against
+/// the resident `W_ij` block; per image and per class, Sum streams the
+/// coupling row against resident `û` tiles and Update streams every `û`
+/// row against the resident `v_j` column.
+fn class_caps_geometries(
+    net: &CapsNetConfig,
+    batch: u64,
+    cfg: &AcceleratorConfig,
+) -> [MatmulGeometry; 3] {
+    let (caps, classes) = (u64_from(net.num_primary_caps()), u64_from(net.num_classes));
+    let (in_dim, out_dim) = (u64_from(net.pc_caps_dim), u64_from(net.class_caps_dim));
+    let fc = MatmulShape {
+        m: 1,
+        k: in_dim,
+        n: checked_product("ClassCaps FC width", &[classes, out_dim]),
+    };
+    let sum = MatmulShape {
+        m: 1,
+        k: caps,
+        n: out_dim,
+    };
+    let update = MatmulShape {
+        m: caps,
+        k: out_dim,
+        n: 1,
+    };
+    [
+        geometry(fc, batch, cfg, true),
+        geometry(sum, 1, cfg, false),
+        geometry(update, 1, cfg, false),
+    ]
+}
+
 /// The steps of the ClassCaps phase, named as on the x-axis of
 /// Figs. 9/17. Iterations are 1-based as in the paper.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -341,11 +364,12 @@ impl RoutingStepTiming {
 /// is replaced by the direct `c_ij = 1/J` initialization (Sec. V), whose
 /// cost is a single coupling broadcast into the Routing Buffer.
 ///
-/// Only the FC step amortizes: its `W_ij` blocks stay resident while
-/// every image's capsule vectors stream against them, so the 1.47 MB
-/// weight stream is paid once per batch. Everything else (Load, softmax,
-/// sums, squashes, updates) operates on per-image state and scales
-/// linearly with the batch.
+/// Only the FC step amortizes: with weight reuse its `W_ij` blocks stay
+/// resident while every image's capsule vectors stream against them, so
+/// the 1.47 MB weight stream is paid once per batch; without it every
+/// tile reloads per data row, as in the convolutions. Everything else
+/// (Load, softmax, sums, squashes, updates) operates on per-image state
+/// and scales linearly with the batch.
 pub fn batch_routing_steps(
     net: &CapsNetConfig,
     batch: u64,
@@ -361,8 +385,7 @@ pub fn batch_routing_steps(
     // `caps == 0` those products are 0 and would mask an overflow here.
     let cc_bytes = checked_product("class capsules", &[classes, out_dim]);
     let coupling_rw = checked_product("coupling read+write", &[2, coupling_bytes]);
-    let load = u64_from(cfg.rows) + 1;
-    let drain = u64_from(cfg.rows + cfg.cols);
+    let [fc, sum, update] = class_caps_geometries(net, batch, cfg);
     // A step on per-image state: `batch` times its single-image cost.
     let per_image = |step: RoutingStep, cycles: u64, data_mem_bytes: u64| RoutingStepTiming {
         step,
@@ -378,33 +401,18 @@ pub fn batch_routing_steps(
         u_hat_bytes,
     ));
 
-    // FC: û_{j|i} = W_ij · u_i — one (in_dim × classes·out_dim) matmul
-    // per input capsule with M data rows; tiles pipeline across capsules.
-    // With weight reuse every image streams against the resident W_ij
-    // tiles (M = batch); without it each image is its own M = 1 pass.
+    // FC: û_{j|i} = W_ij · u_i. The capsules' matmuls issue back to
+    // back as one run of all their tiles (a pipeline crosses capsule
+    // boundaries); the step takes the longer of that run and the W_ij
+    // stream from the Weight Memory.
     let fc_tiles = checked_product(
         "ClassCaps FC tiles",
-        &[caps, ceil_div(cc_bytes, u64_from(cfg.cols))],
+        &[caps, u64_from(fc.k_tiles()), u64_from(fc.n_tiles())],
     );
-    // Each pass streams every W_ij once.
-    let fc_stream = ceil_div(fc_weight_bytes(net, 1, cfg), cfg.weight_mem_bw);
-    let fc = |m: u64| {
-        let compute = if tiles_pipeline(cfg) {
-            load + m
-                + checked_product("ClassCaps FC pipeline", &[fc_tiles - 1, m.max(load)])
-                + drain
-        } else {
-            checked_product("ClassCaps FC cycles", &[fc_tiles, load + m + drain])
-        };
-        compute.max(fc_stream)
-    };
+    let fc_stream = ceil_div(fc_weight_bytes(net, batch, cfg), cfg.weight_mem_bw);
     steps.push(RoutingStepTiming {
         step: RoutingStep::Fc,
-        cycles: if cfg.dataflow.weight_reuse {
-            fc(batch)
-        } else {
-            checked_product("batched step cycles", &[fc(1), batch])
-        },
+        cycles: fc.run_cycles(fc_tiles).max(fc_stream),
         // û written back as produced.
         data_mem_bytes: checked_product("batched û stream", &[batch, u_hat_bytes]),
     });
@@ -423,17 +431,8 @@ pub fn batch_routing_steps(
         };
         steps.push(per_image(RoutingStep::Softmax(iter), softmax, 0));
 
-        // Sum: per class, û tiles (R capsules × out_dim) weight-stationary
-        // with the coupling row streamed (M = 1).
-        let chunks = ceil_div(caps, u64_from(cfg.rows));
-        let ntiles = ceil_div(out_dim, u64_from(cfg.cols));
-        let per_class = if tiles_pipeline(cfg) {
-            let steady = checked_product("routing Sum pipeline", &[chunks - 1, 1u64.max(load)]);
-            checked_product("routing Sum tiles", &[ntiles, load + 1 + steady + drain])
-        } else {
-            checked_product("routing Sum tiles", &[ntiles, chunks, load + 1 + drain])
-        };
-        let mut sum_cycles = checked_product("routing Sum cycles", &[classes, per_class]);
+        // Sum: one matmul per class.
+        let mut sum_cycles = checked_product("routing Sum cycles", &[classes, sum.array_cycles()]);
         let mut sum_mem = 0;
         if !cfg.dataflow.routing_feedback {
             // No feedback: re-read û from Data Memory for this pass.
@@ -451,12 +450,10 @@ pub fn batch_routing_steps(
             0,
         ));
 
-        // Update (all but the last iteration): per class, v_j is the
-        // weight tile (out_dim × 1) and all û rows stream (M = caps).
+        // Update (all but the last iteration): one matmul per class.
         if iter < net.routing_iterations {
-            let per_class_update = load + caps + drain;
             let mut upd_cycles =
-                checked_product("routing Update cycles", &[classes, per_class_update]);
+                checked_product("routing Update cycles", &[classes, update.array_cycles()]);
             let traffic = ceil_div(coupling_rw, cfg.routing_buf_bw); // b read+write
             upd_cycles = upd_cycles.max(traffic);
             let mut upd_mem = 0;
@@ -583,7 +580,8 @@ pub fn full_inference_batch(
 /// staged once per image (plus re-reads when the feedback path is
 /// disabled); routing-buffer traffic for couplings, logits and class
 /// capsules per iteration. Everything keyed to per-image state scales
-/// linearly with the batch.
+/// linearly with the batch. Off-chip bytes are the memory replay's
+/// ([`full_inference_batch_mem`]'s `report.offchip_bytes()`).
 ///
 /// # Panics
 ///
@@ -604,13 +602,6 @@ pub fn batch_traffic_estimate(
         let wbytes = conv_weight_bytes(g, batch, cfg);
         t.read(MemoryKind::WeightMemory, wbytes);
         t.read(MemoryKind::WeightBuffer, wbytes);
-        // Off chip, each weight and bias crosses the DRAM channel once
-        // per batch (the engine's prefetcher fetches every tile exactly
-        // once; biases ride along with the layer's stream).
-        t.read(
-            MemoryKind::Dram,
-            product("conv weights", &[shape.k, shape.n]) + u64_from(g.out_ch),
-        );
         // Every N-tile re-streams all data rows over each K-slice, for
         // every image.
         let nn = ceil_div(shape.n, c);
@@ -627,14 +618,6 @@ pub fn batch_traffic_estimate(
             product("conv outputs", &[batch, u64_from(g.output_len())]),
         );
     };
-    // Input images are staged from DRAM once per image.
-    t.read(
-        MemoryKind::Dram,
-        product(
-            "input staging",
-            &[batch, u64_from(net.conv1_geometry().input_len())],
-        ),
-    );
     conv(&mut t, &net.conv1_geometry());
     conv(&mut t, &net.primary_caps_geometry());
 
@@ -650,8 +633,6 @@ pub fn batch_traffic_estimate(
     let fc_weights = fc_weight_bytes(net, batch, cfg);
     t.read(MemoryKind::WeightMemory, fc_weights);
     t.read(MemoryKind::WeightBuffer, fc_weights);
-    // Off chip, each W_ij crosses the DRAM channel once per batch.
-    t.read(MemoryKind::Dram, fc_weight_bytes(net, 1, cfg));
     t.read(
         MemoryKind::DataBuffer,
         product(
@@ -727,43 +708,18 @@ pub fn batch_traffic_estimate(
 // *exactly* — asserted against the ticked engine on serial tiny configs
 // by `tests/memory_equivalence.rs`.
 
-fn geometry(
-    shape: MatmulShape,
-    batch: u64,
-    cfg: &AcceleratorConfig,
-    weights_offchip: bool,
-) -> MatmulGeometry {
-    MatmulGeometry {
-        m: usize_from(shape.m),
-        k: usize_from(shape.k),
-        n: usize_from(shape.n),
-        batch: usize_from(batch),
-        rows: cfg.rows,
-        cols: cfg.cols,
-        weights_offchip,
-        // The fill-hiding window per tile must match the base schedule
-        // this model adds stalls to (the engine always passes Serial).
-        schedule: if !cfg.dataflow.weight_reuse {
-            TileSchedule::ReloadPerRow
-        } else if tiles_pipeline(cfg) {
-            TileSchedule::Pipelined
-        } else {
-            TileSchedule::Serial
-        },
-    }
-}
-
 /// Memory-hierarchy stall cycles of one batched matmul under
-/// `cfg.memory`, with per-tile fill-hiding windows matching the
-/// configured tile schedule. On serial-tile, reuse-enabled
-/// configurations (`dataflow.pipelined_tiles == false`,
+/// `cfg.memory`, with per-tile fill-hiding windows from the same
+/// geometry whose schedule prices the model's cycles. On serial-tile,
+/// reuse-enabled configurations (`dataflow.pipelined_tiles == false`,
 /// `dataflow.weight_reuse == true`) this is exactly what the engine's
 /// [`crate::Accelerator::matmul_batch`] adds to its stall counter for
-/// the same shape — the ticked engine executes tiles serially and, like
+/// the same shape — the engine executes tiles serially and, like
 /// [`batch_matmul_cycles`], always simulates the real design point with
 /// the second weight register present, so the `weight_reuse` ablation's
-/// [`TileSchedule::ReloadPerRow`] windows are analytical-only. Zero
-/// under `IdealMemory` either way.
+/// [`TileSchedule::ReloadPerRow`] windows (parameter layers only,
+/// `weights_offchip`) are analytical-only. Zero under `IdealMemory`
+/// either way.
 pub fn matmul_mem_stalls(
     shape: MatmulShape,
     batch: u64,
@@ -819,7 +775,6 @@ fn replay_inference_memory(
     let g1 = net.conv1_geometry();
     let gp = net.primary_caps_geometry();
     let (caps, classes) = (u64_from(net.num_primary_caps()), u64_from(net.num_classes));
-    let (in_dim, out_dim) = (u64_from(net.pc_caps_dim), u64_from(net.class_caps_dim));
 
     // Many of run_batch's transactions are identical repeats (one FC
     // matmul per input capsule, one Sum/Update matmul per class per
@@ -843,35 +798,20 @@ fn replay_inference_memory(
     let primary = mem.matmul(&geometry(conv_shape(&gp), batch, cfg, true));
     mem.stage_bias(u64_from(gp.out_ch));
 
-    let fc_shape = MatmulShape {
-        m: 1,
-        k: in_dim,
-        n: checked_product("ClassCaps FC width", &[classes, out_dim]),
-    };
-    let mut class_caps = repeat(&mut mem, &geometry(fc_shape, batch, cfg, true), caps);
-    // Routing operates on per-image on-chip state through the exact
-    // sequential code path: per class, Sum streams the coupling row
-    // against resident û tiles; Update streams every û row against the
-    // resident v_j column.
-    let sum_shape = MatmulShape {
-        m: 1,
-        k: caps,
-        n: out_dim,
-    };
-    let update_shape = MatmulShape {
-        m: caps,
-        k: out_dim,
-        n: 1,
-    };
+    // The FC once per input capsule, and routing's Sum and Update once
+    // per class per iteration per image, from the geometries that price
+    // the model's cycles.
+    let [fc, sum, update] = class_caps_geometries(net, batch, cfg);
+    let mut class_caps = repeat(&mut mem, &fc, caps);
     let iters = u64_from(net.routing_iterations);
     class_caps += repeat(
         &mut mem,
-        &geometry(sum_shape, 1, cfg, false),
+        &sum,
         checked_product("routing Sum repeats", &[batch, iters, classes]),
     );
     class_caps += repeat(
         &mut mem,
-        &geometry(update_shape, 1, cfg, false),
+        &update,
         checked_product("routing Update repeats", &[batch, iters - 1, classes]),
     );
     (mem.report(), [conv1, primary, class_caps])
@@ -931,10 +871,10 @@ mod tests {
         // 4×4 array, one tile: load (5) + stream (3 + 4 + 4) = 16.
         c.rows = 4;
         c.cols = 4;
-        let got = matmul_cycles(MatmulShape { m: 3, k: 4, n: 4 }, &c);
+        let got = batch_matmul_cycles(MatmulShape { m: 3, k: 4, n: 4 }, 1, &c);
         assert_eq!(got, 16);
         // Two K-tiles, two N-tiles: 4 tiles.
-        let got = matmul_cycles(MatmulShape { m: 3, k: 8, n: 8 }, &c);
+        let got = batch_matmul_cycles(MatmulShape { m: 3, k: 8, n: 8 }, 1, &c);
         assert_eq!(got, 4 * 16);
     }
 
@@ -946,7 +886,7 @@ mod tests {
         for (m, k, n) in [(1, 8, 160), (400, 81, 256), (36, 2304, 256), (16, 1152, 16)] {
             let shape = MatmulShape { m, k, n };
             assert!(
-                matmul_cycles(shape, &pipelined) <= matmul_cycles(shape, &serial),
+                batch_matmul_cycles(shape, 1, &pipelined) <= batch_matmul_cycles(shape, 1, &serial),
                 "pipelining regressed {shape:?}"
             );
         }
@@ -960,7 +900,7 @@ mod tests {
         c.cols = 4;
         let shape = MatmulShape { m: 3, k: 4, n: 4 };
         // 3 rows × 5-cycle loads + stream 11.
-        assert_eq!(matmul_cycles(shape, &c), 3 * 5 + 11);
+        assert_eq!(batch_matmul_cycles(shape, 1, &c), 3 * 5 + 11);
         assert_eq!(batch_matmul_weight_bytes(shape, 1, &c), 16 * 3);
         c.dataflow.weight_reuse = true;
         assert_eq!(batch_matmul_weight_bytes(shape, 1, &c), 16);
@@ -1124,14 +1064,15 @@ mod tests {
         // runs, and exactly the M' = B·M schedule.
         for batch in [2u64, 4, 16] {
             let b = batch_matmul_cycles(shape, batch, &c);
-            assert!(b < batch * matmul_cycles(shape, &c));
+            assert!(b < batch * batch_matmul_cycles(shape, 1, &c));
             assert_eq!(
                 b,
-                matmul_cycles(
+                batch_matmul_cycles(
                     MatmulShape {
                         m: shape.m * batch,
                         ..shape
                     },
+                    1,
                     &c
                 )
             );
@@ -1147,7 +1088,7 @@ mod tests {
         no_reuse.dataflow.weight_reuse = false;
         assert_eq!(
             batch_matmul_cycles(shape, 8, &no_reuse),
-            8 * matmul_cycles(shape, &no_reuse)
+            8 * batch_matmul_cycles(shape, 1, &no_reuse)
         );
         assert_eq!(
             batch_matmul_weight_bytes(shape, 8, &no_reuse),
@@ -1236,10 +1177,13 @@ mod tests {
         let shape = MatmulShape { m: 5, k: 16, n: 8 };
         let mut serial = c;
         serial.dataflow.pipelined_tiles = false;
-        assert_eq!(matmul_cycles(shape, &c), matmul_cycles(shape, &serial));
+        assert_eq!(
+            batch_matmul_cycles(shape, 1, &c),
+            batch_matmul_cycles(shape, 1, &serial)
+        );
         // With room for the double buffer, pipelining resumes.
         c.weight_buffer_bytes = 32;
-        assert!(matmul_cycles(shape, &c) < matmul_cycles(shape, &serial));
+        assert!(batch_matmul_cycles(shape, 1, &c) < batch_matmul_cycles(shape, 1, &serial));
     }
 
     #[test]

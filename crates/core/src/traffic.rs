@@ -3,7 +3,8 @@
 //! The paper's data-reuse claims are memory-traffic claims ("avoids
 //! extensive load and store operations on the on-chip memory, by reusing
 //! the data when possible") — these counters make them measurable and
-//! ablatable.
+//! ablatable. They count the on-chip structures; the off-chip channel's
+//! bytes are the memory hierarchy's (`MemReport::offchip_bytes`).
 
 use std::fmt;
 
@@ -20,27 +21,17 @@ pub enum MemoryKind {
     RoutingBuffer,
     /// Weight Buffer between Weight Memory and the array.
     WeightBuffer,
-    /// Off-chip DRAM behind the on-chip hierarchy (weights fetched
-    /// through the prefetcher, input images staged per batch). The only
-    /// off-chip structure; everything above is on chip.
-    Dram,
 }
 
 impl MemoryKind {
-    /// All kinds, in display order (on-chip structures first).
-    pub const ALL: [MemoryKind; 6] = [
+    /// All kinds, in display order.
+    pub const ALL: [MemoryKind; 5] = [
         MemoryKind::DataMemory,
         MemoryKind::WeightMemory,
         MemoryKind::DataBuffer,
         MemoryKind::RoutingBuffer,
         MemoryKind::WeightBuffer,
-        MemoryKind::Dram,
     ];
-
-    /// Whether this structure is on chip.
-    pub fn is_onchip(&self) -> bool {
-        !matches!(self, MemoryKind::Dram)
-    }
 }
 
 impl fmt::Display for MemoryKind {
@@ -51,7 +42,6 @@ impl fmt::Display for MemoryKind {
             MemoryKind::DataBuffer => "Data Buffer",
             MemoryKind::RoutingBuffer => "Routing Buffer",
             MemoryKind::WeightBuffer => "Weight Buffer",
-            MemoryKind::Dram => "DRAM",
         };
         f.write_str(s)
     }
@@ -73,8 +63,7 @@ impl TrafficCounter {
     }
 }
 
-/// Traffic counters for all six storage structures (five on-chip plus
-/// DRAM).
+/// Traffic counters for the five on-chip storage structures.
 ///
 /// # Example
 ///
@@ -88,7 +77,7 @@ impl TrafficCounter {
 /// ```
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct TrafficReport {
-    counters: [TrafficCounter; 6],
+    counters: [TrafficCounter; 5],
 }
 
 impl TrafficReport {
@@ -114,34 +103,9 @@ impl TrafficReport {
         self.counters[Self::index(kind)]
     }
 
-    /// Total bytes moved across all structures (on-chip and off-chip).
+    /// Total bytes moved across all structures.
     pub fn total_bytes(&self) -> u64 {
         self.counters.iter().map(TrafficCounter::total).sum()
-    }
-
-    /// Bytes moved across the on-chip structures only.
-    pub fn onchip_bytes(&self) -> u64 {
-        MemoryKind::ALL
-            .iter()
-            .filter(|k| k.is_onchip())
-            .map(|&k| self.counter(k).total())
-            .sum()
-    }
-
-    /// Bytes moved across the off-chip (DRAM) channel.
-    pub fn offchip_bytes(&self) -> u64 {
-        self.counter(MemoryKind::Dram).total()
-    }
-
-    /// Amortized off-chip bytes per image for a report covering `batch`
-    /// images — the DRAM-side counterpart of
-    /// [`TrafficReport::bytes_per_image`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    pub fn offchip_bytes_per_image(&self, batch: u64) -> f64 {
-        self.bytes_per_image(MemoryKind::Dram, batch)
     }
 
     /// Returns the difference `self − earlier`, counter by counter: the
@@ -250,21 +214,6 @@ mod tests {
     #[test]
     fn display_names() {
         assert_eq!(MemoryKind::DataBuffer.to_string(), "Data Buffer");
-        assert_eq!(MemoryKind::Dram.to_string(), "DRAM");
-        assert_eq!(MemoryKind::ALL.len(), 6);
-    }
-
-    #[test]
-    fn onchip_offchip_split() {
-        let mut t = TrafficReport::default();
-        t.read(MemoryKind::DataMemory, 100);
-        t.read(MemoryKind::Dram, 30);
-        t.write(MemoryKind::Dram, 10);
-        assert_eq!(t.onchip_bytes(), 100);
-        assert_eq!(t.offchip_bytes(), 40);
-        assert_eq!(t.total_bytes(), 140);
-        assert_eq!(t.offchip_bytes_per_image(4), 10.0);
-        assert!(MemoryKind::WeightBuffer.is_onchip());
-        assert!(!MemoryKind::Dram.is_onchip());
+        assert_eq!(MemoryKind::ALL.len(), 5);
     }
 }

@@ -6,7 +6,7 @@ use crate::report::{MemReport, SpmKind};
 use crate::spm::SpmConfig;
 use capsacc_faults::FaultPlan;
 use capsacc_telemetry::Recorder;
-use capsacc_tensor::u64_from;
+use capsacc_tensor::{checked_product_u64, u64_from};
 
 /// Bytes one 25-bit accumulator entry occupies in the Accumulator SPM
 /// (padded to a 32-bit word).
@@ -155,27 +155,119 @@ pub struct MatmulGeometry {
     /// prefetcher (true for the network's parameter layers) or is
     /// already on chip (routing operands such as `û` and `v_j`).
     pub weights_offchip: bool,
-    /// The tile schedule the stalls are added on top of. This sizes the
-    /// per-tile window the prefetcher can hide DRAM fills behind: the
-    /// ticked engine executes tiles serially and passes
-    /// [`TileSchedule::Serial`]; the closed-form model passes its own
-    /// schedule so stalls stay consistent with its base cycle count.
+    /// The tile schedule that prices the array cycles
+    /// ([`MatmulGeometry::array_cycles`]) and sizes the per-tile window
+    /// the prefetcher can hide DRAM fills behind: the engine executes
+    /// tiles serially and passes [`TileSchedule::Serial`]; the
+    /// closed-form model passes the schedule its dataflow switches pick.
     pub schedule: TileSchedule,
 }
 
-/// The compute schedule whose per-tile windows DRAM fills hide behind —
-/// each variant's windows sum exactly to the matching closed-form cycle
-/// formula.
+/// How consecutive weight tiles share the array (Sec. IV-A). A tile
+/// loads in `R + 1` edges (skewed rows plus the latch) and streams its
+/// `batch · m` data rows in `batch · m + R + C` edges, drain included.
+/// [`MatmulGeometry::run_cycles`] prices a run of tiles under each
+/// variant, and the per-tile windows the memory replay hides DRAM
+/// fills behind sum over the tile grid to
+/// [`MatmulGeometry::array_cycles`].
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum TileSchedule {
-    /// Every tile pays its own load and drain (the ticked engine).
+    /// Every tile pays its own load and drain (the engine).
     Serial,
-    /// Consecutive K-tiles stream back-to-back; load/drain once per
-    /// N-tile (the paper's "full throttle" dataflow).
+    /// Consecutive tiles stream back-to-back, each reload hidden behind
+    /// the previous tile's stream: one fill and one drain per run (the
+    /// paper's "full throttle" dataflow).
     Pipelined,
     /// The weight-reuse ablation: the tile reloads before every data
-    /// row, so each tile occupies the array far longer.
+    /// row and drains once per image, so each tile occupies the array
+    /// far longer.
     ReloadPerRow,
+}
+
+impl MatmulGeometry {
+    /// Weight tiles along K: the tiles of one run.
+    pub fn k_tiles(&self) -> usize {
+        self.k.div_ceil(self.rows.max(1))
+    }
+
+    /// Weight tiles along N: the runs of the matmul.
+    pub fn n_tiles(&self) -> usize {
+        self.n.div_ceil(self.cols.max(1))
+    }
+
+    /// One tile's edge counts: `R + 1` to load, `batch · m` data rows
+    /// streamed, and `R + C` to drain them.
+    fn edges(&self) -> (u64, u64, u64) {
+        let (rows, cols) = (u64_from(self.rows), u64_from(self.cols));
+        let stream =
+            checked_product_u64("streamed rows", &[u64_from(self.batch), u64_from(self.m)]);
+        (rows + 1, stream, rows + cols)
+    }
+
+    /// Array cycles of `tiles` weight tiles of this geometry issued back
+    /// to back under [`MatmulGeometry::schedule`], each streaming every
+    /// data row. Linear in `tiles` for [`TileSchedule::Serial`] and
+    /// [`TileSchedule::ReloadPerRow`]; [`TileSchedule::Pipelined`] pays
+    /// one fill and one drain, and each later tile costs the longer of
+    /// its stream and its reload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cycle count overflows `u64`.
+    pub fn run_cycles(&self, tiles: u64) -> u64 {
+        if tiles == 0 {
+            return 0;
+        }
+        let (load, stream, drain) = self.edges();
+        match self.schedule {
+            TileSchedule::Serial => {
+                checked_product_u64("serial tile run", &[tiles, load + stream + drain])
+            }
+            TileSchedule::Pipelined => {
+                let steady =
+                    checked_product_u64("pipelined tile run", &[tiles - 1, stream.max(load)]);
+                load + stream + steady + drain
+            }
+            TileSchedule::ReloadPerRow => {
+                let per_tile = checked_product_u64("per-row reloads", &[stream, load])
+                    + stream
+                    + checked_product_u64("per-image drains", &[u64_from(self.batch), drain]);
+                checked_product_u64("reload-per-row tile run", &[tiles, per_tile])
+            }
+        }
+    }
+
+    /// Array cycles of the whole matmul: one run of
+    /// [`MatmulGeometry::k_tiles`] tiles per N-tile, K-major as the
+    /// engine issues them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cycle count overflows `u64`.
+    pub fn array_cycles(&self) -> u64 {
+        let run = self.run_cycles(u64_from(self.k_tiles()));
+        checked_product_u64("matmul array cycles", &[u64_from(self.n_tiles()), run])
+    }
+
+    /// The array cycles each K-tile of one run occupies, in issue
+    /// order: the windows the next tile's DRAM fill can hide behind. A
+    /// serial or reload-per-row tile is a run of one; a pipelined run
+    /// puts its fill on its first tile and its drain on its last.
+    fn tile_windows(&self) -> impl Iterator<Item = u64> {
+        let (kk, pipelined) = (self.k_tiles(), self.schedule == TileSchedule::Pipelined);
+        let ((load, stream, drain), single) = (self.edges(), self.run_cycles(1));
+        (0..kk).map(move |i| {
+            if !pipelined {
+                return single;
+            }
+            let fill = if i == 0 {
+                load + stream
+            } else {
+                stream.max(load)
+            };
+            fill + if i + 1 == kk { drain } else { 0 }
+        })
+    }
 }
 
 /// Outcome of a fault-injected weight staging: the exposed cycles plus
@@ -287,45 +379,16 @@ impl MemorySubsystem {
     /// Walks one matmul's whole tile schedule through the hierarchy.
     fn replay(&mut self, g: &MatmulGeometry) -> u64 {
         self.pipeline.begin_stream();
-        let kk = g.k.div_ceil(g.rows.max(1));
         let mut stalls = 0u64;
         for n0 in (0..g.n).step_by(g.cols.max(1)) {
             let nt = g.cols.min(g.n - n0);
-            for (kt_idx, k0) in (0..g.k).step_by(g.rows.max(1)).enumerate() {
+            let k0s = (0..g.k).step_by(g.rows.max(1));
+            for (kt_idx, (k0, compute)) in k0s.zip(g.tile_windows()).enumerate() {
                 let kt = g.rows.min(g.k - k0);
-                let compute = self.tile_compute_window(g, kt_idx, kk);
                 stalls += self.tile(kt, nt, kt_idx == 0, compute, g);
             }
         }
         stalls
-    }
-
-    /// Array cycles one tile occupies in the target compute schedule —
-    /// the window the next tile's DRAM fill can hide behind. Per
-    /// [`TileSchedule`], the per-tile windows sum exactly to the
-    /// matching closed-form cycle formula: serial tiles each pay their
-    /// own load and drain; pipelined K-tiles stream back-to-back,
-    /// paying load/drain once per N-tile; the reuse ablation reloads
-    /// the tile before every data row (and drains once per image).
-    fn tile_compute_window(&self, g: &MatmulGeometry, kt_idx: usize, kk: usize) -> u64 {
-        let stream = u64_from(g.batch * g.m);
-        let load = u64_from(g.rows) + 1;
-        let drain = u64_from(g.rows + g.cols);
-        match g.schedule {
-            TileSchedule::Serial => load + stream + drain,
-            TileSchedule::Pipelined => {
-                let mut window = if kt_idx == 0 {
-                    load + stream
-                } else {
-                    stream.max(load)
-                };
-                if kt_idx + 1 == kk {
-                    window += drain;
-                }
-                window
-            }
-            TileSchedule::ReloadPerRow => stream * load + stream + u64_from(g.batch) * drain,
-        }
     }
 
     /// One weight tile: `kt × nt` weights loaded (from DRAM when
@@ -744,15 +807,40 @@ mod tests {
         let pipelined = MemorySubsystem::new(MemoryConfig::paper()).matmul(&g);
         assert!(pipelined >= serial, "{pipelined} < {serial}");
 
-        let mem = MemorySubsystem::new(MemoryConfig::paper());
-        let kk = g.k.div_ceil(g.rows);
-        let windows: u64 = (0..kk).map(|i| mem.tile_compute_window(&g, i, kk)).sum();
+        let kk = g.k_tiles();
+        let windows: u64 = g.tile_windows().sum();
         // nn = 1: load + m + (kk-1)·max(m, load) + (rows + cols).
         let (m, load) = (g.m as u64, g.rows as u64 + 1);
         assert_eq!(
             windows,
             load + m + (kk as u64 - 1) * m.max(load) + (g.rows + g.cols) as u64
         );
+    }
+
+    #[test]
+    fn run_cycles_price_sec_iv_a_tiles() {
+        // 4×4 array, batch 2 × 3 rows: load 5, stream 6, drain 8.
+        let g = |schedule| MatmulGeometry {
+            schedule,
+            ..geometry(3, 12, 8, 2, true)
+        };
+        assert_eq!(g(TileSchedule::Serial).run_cycles(3), 3 * (5 + 6 + 8));
+        // One fill and one drain; the later tiles cost max(6, 5) each.
+        assert_eq!(g(TileSchedule::Pipelined).run_cycles(3), 5 + 6 + 2 * 6 + 8);
+        // Six reloads, six rows and two drains per tile.
+        assert_eq!(
+            g(TileSchedule::ReloadPerRow).run_cycles(3),
+            3 * (6 * 5 + 6 + 2 * 8)
+        );
+        // Two N-tiles, each a run of three K-tiles.
+        for schedule in [
+            TileSchedule::Serial,
+            TileSchedule::Pipelined,
+            TileSchedule::ReloadPerRow,
+        ] {
+            assert_eq!(g(schedule).array_cycles(), 2 * g(schedule).run_cycles(3));
+            assert_eq!(g(schedule).run_cycles(0), 0);
+        }
     }
 
     #[test]
@@ -881,6 +969,38 @@ mod tests {
             prop_assert!(stall(slower) >= s_base);
             prop_assert!(stall(naive) >= s_base);
             prop_assert!(stall(deep) <= s_base);
+        }
+
+        /// The windows the replay hides DRAM fills behind, summed over
+        /// the tile grid it walks, are the schedule's closed form: the
+        /// memory model and the cycle model price the same schedule.
+        #[test]
+        fn tile_windows_sum_to_array_cycles(
+            m in 1usize..40,
+            k in 0usize..70,
+            n in 0usize..40,
+            batch in 1usize..5,
+            rows in 1usize..9,
+            cols in 1usize..9,
+        ) {
+            for schedule in [
+                TileSchedule::Serial,
+                TileSchedule::Pipelined,
+                TileSchedule::ReloadPerRow,
+            ] {
+                let g = MatmulGeometry {
+                    m, k, n, batch, rows, cols,
+                    weights_offchip: true,
+                    schedule,
+                };
+                let mut windows = 0u64;
+                for _ in (0..n).step_by(cols) {
+                    let k0s = (0..k).step_by(rows);
+                    prop_assert_eq!(g.tile_windows().count(), k0s.len());
+                    windows += g.tile_windows().sum::<u64>();
+                }
+                prop_assert_eq!(windows, g.array_cycles(), "{:?}", schedule);
+            }
         }
     }
 }

@@ -369,11 +369,7 @@ mod tests {
             mean_burst: 2.0,
         });
         let requests: Vec<Request> = arrivals.iter().map(|&a| Request::best_effort(a)).collect();
-        let image = |s: usize| {
-            Tensor::from_fn(&[1, net.input_side, net.input_side], move |i| {
-                ((i[1] * (s + 2) + i[2] * 7 + s) % 11) as f32 / 11.0
-            })
-        };
+        let image = |s: usize| net.test_image(s);
         let (outcome, traces) =
             serve_with_engine(&cfg, &net, &qparams, &rt, &requests, &image).expect("valid serve");
         assert_eq!(traces.len(), 10);

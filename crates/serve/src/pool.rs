@@ -232,12 +232,6 @@ mod tests {
     use super::*;
     use capsacc_capsnet::CapsNetParams;
 
-    fn image(net: &CapsNetConfig, s: usize) -> Tensor<f32> {
-        Tensor::from_fn(&[1, net.input_side, net.input_side], move |i| {
-            ((i[1] * (s + 2) + i[2] * 7 + s) % 11) as f32 / 11.0
-        })
-    }
-
     #[test]
     fn pool_results_mirror_assignment_shape() {
         let net = CapsNetConfig::tiny();
@@ -245,9 +239,12 @@ mod tests {
         let qparams = CapsNetParams::generate(&net, 0).quantize(cfg.numeric);
         let pool = ShardPool::new(cfg, 3);
         let work = vec![
-            vec![vec![image(&net, 0)], vec![image(&net, 1), image(&net, 2)]],
+            vec![
+                vec![net.test_image(0)],
+                vec![net.test_image(1), net.test_image(2)],
+            ],
             vec![],
-            vec![vec![image(&net, 3)]],
+            vec![vec![net.test_image(3)]],
         ];
         let runs = pool.run_assignments(&net, &qparams, &work).expect("valid");
         assert_eq!(runs.len(), 3);
@@ -262,7 +259,7 @@ mod tests {
         let cfg = AcceleratorConfig::test_4x4();
         let qparams = CapsNetParams::generate(&net, 0).quantize(cfg.numeric);
         let pool = ShardPool::new(cfg, 2);
-        let work = vec![vec![vec![image(&net, 0)]], vec![vec![]]];
+        let work = vec![vec![vec![net.test_image(0)]], vec![vec![]]];
         assert_eq!(
             pool.run_assignments(&net, &qparams, &work).unwrap_err(),
             PoolError::Batch(BatchError::EmptyBatch)
@@ -298,9 +295,9 @@ mod tests {
         let plan = plan_poisoning((1, 1), &slots);
         let pool = ShardPool::new(cfg, 3).with_fault_plan(plan);
         let work = vec![
-            vec![vec![image(&net, 0)]],
-            vec![vec![image(&net, 1)], vec![image(&net, 2)]],
-            vec![vec![image(&net, 3)]],
+            vec![vec![net.test_image(0)]],
+            vec![vec![net.test_image(1)], vec![net.test_image(2)]],
+            vec![vec![net.test_image(3)]],
         ];
         // The worker thread's panic message is expected on stderr; the
         // call itself must return cleanly with the typed error, panic
@@ -320,7 +317,7 @@ mod tests {
         // must still join everything and report the crash.
         let crash_plan = plan_poisoning((0, 0), &[(0, 0), (1, 0)]);
         let crash_and_error = ShardPool::new(cfg, 2).with_fault_plan(crash_plan);
-        let bad = vec![vec![vec![image(&net, 0)]], vec![vec![]]];
+        let bad = vec![vec![vec![net.test_image(0)]], vec![vec![]]];
         match crash_and_error
             .run_assignments(&net, &qparams, &bad)
             .unwrap_err()

@@ -22,7 +22,7 @@ use capsacc::core::{
 use proptest::prelude::*;
 
 mod common;
-use common::{image_for, trace_digests};
+use common::trace_digests;
 
 fn functional(mut cfg: AcceleratorConfig) -> AcceleratorConfig {
     cfg.backend = EngineBackend::Functional;
@@ -169,7 +169,7 @@ proptest! {
         let mut cfg = AcceleratorConfig::test_4x4();
         cfg.dataflow.skip_first_softmax = skip_first_softmax;
         let qparams = CapsNetParams::generate(&net, seed).quantize(cfg.numeric);
-        let image = image_for(&net, seed as usize);
+        let image = net.test_image(seed as usize);
         let mut ticked = Accelerator::new(cfg);
         let want = ticked
             .run_batch(&net, &qparams, std::slice::from_ref(&image))
@@ -232,7 +232,7 @@ fn functional_batch_runs_agree_under_finite_memory() {
     let mut cfg = AcceleratorConfig::test_4x4();
     cfg.memory = MemoryConfig::paper();
     let qparams = CapsNetParams::generate(&net, 17).quantize(cfg.numeric);
-    let images: Vec<_> = (0..4).map(|s| image_for(&net, s)).collect();
+    let images: Vec<_> = (0..4).map(|s| net.test_image(s)).collect();
     let mut ticked = BatchScheduler::new(cfg);
     let want = ticked.run(&net, &qparams, &images).expect("valid batch");
     let mut fast = BatchScheduler::new(functional(cfg));
@@ -383,7 +383,7 @@ proptest! {
         let cfg = AcceleratorConfig::test_4x4();
         let qparams = CapsNetParams::generate(&net, seed).quantize(cfg.numeric);
         let images: Vec<_> = (0..batch)
-            .map(|s| image_for(&net, s + seed as usize))
+            .map(|s| net.test_image(s + seed as usize))
             .collect();
         let want = BatchScheduler::new(cfg)
             .run(&net, &qparams, &images)
@@ -411,7 +411,7 @@ fn functional_untraced_serving_config_keeps_outputs() {
     let net = CapsNetConfig::tiny();
     let cfg = AcceleratorConfig::test_4x4();
     let qparams = CapsNetParams::generate(&net, 31).quantize(cfg.numeric);
-    let image = image_for(&net, 31);
+    let image = net.test_image(31);
     let mut reference = Accelerator::new(cfg);
     let want = reference
         .run_batch(&net, &qparams, std::slice::from_ref(&image))

@@ -11,7 +11,6 @@ use capsacc::mnist::SyntheticMnist;
 use capsacc::tensor::Tensor;
 
 mod common;
-use common::image_for;
 
 fn variant_of(cfg: &AcceleratorConfig) -> RoutingVariant {
     if cfg.dataflow.skip_first_softmax {
@@ -24,7 +23,7 @@ fn variant_of(cfg: &AcceleratorConfig) -> RoutingVariant {
 fn assert_bit_exact(net: &CapsNetConfig, cfg: AcceleratorConfig, seed: u64) {
     let qparams = CapsNetParams::generate(net, seed).quantize(cfg.numeric);
     let pipeline = QuantPipeline::new(cfg.numeric);
-    let image = image_for(net, seed as usize);
+    let image = net.test_image(seed as usize);
     let reference = infer_q8_traced(net, &qparams, &pipeline, &image, variant_of(&cfg));
     let mut acc = Accelerator::new(cfg);
     let run = acc
@@ -53,7 +52,7 @@ fn golden_trace() -> capsacc::capsnet::QuantTrace {
     let net = CapsNetConfig::tiny();
     let cfg = AcceleratorConfig::test_4x4();
     let qparams = CapsNetParams::generate(&net, 0).quantize(cfg.numeric);
-    let image = image_for(&net, 0);
+    let image = net.test_image(0);
     let mut acc = Accelerator::new(cfg);
     acc.run_batch(&net, &qparams, std::slice::from_ref(&image))
         .expect("valid image")
@@ -81,7 +80,7 @@ fn golden_batched_trace_matches_same_digests() {
     let net = CapsNetConfig::tiny();
     let cfg = AcceleratorConfig::test_4x4();
     let qparams = CapsNetParams::generate(&net, 0).quantize(cfg.numeric);
-    let images = [image_for(&net, 0), image_for(&net, 1)];
+    let images = [net.test_image(0), net.test_image(1)];
     let mut sched = capsacc::core::BatchScheduler::new(cfg);
     let run = sched.run(&net, &qparams, &images).expect("valid batch");
     assert_eq!(
@@ -101,7 +100,7 @@ fn golden_functional_backend_matches_same_digests() {
     let qparams = CapsNetParams::generate(&net, 0).quantize(cfg.numeric);
     let mut acc = Accelerator::new(cfg);
     let run = acc
-        .run_batch(&net, &qparams, std::slice::from_ref(&image_for(&net, 0)))
+        .run_batch(&net, &qparams, std::slice::from_ref(&net.test_image(0)))
         .expect("valid image");
     let got = trace_digests(&run.traces[0]);
     for ((name, want), (_, got_hash)) in GOLDEN_DIGESTS.iter().zip(&got) {
@@ -110,7 +109,7 @@ fn golden_functional_backend_matches_same_digests() {
             "functional backend diverged from the pinned digest at `{name}`"
         );
     }
-    let images = [image_for(&net, 0), image_for(&net, 1)];
+    let images = [net.test_image(0), net.test_image(1)];
     let mut sched = capsacc::core::BatchScheduler::new(cfg);
     let run = sched.run(&net, &qparams, &images).expect("valid batch");
     assert_eq!(trace_digests(&run.traces[0]), got);
@@ -206,7 +205,7 @@ fn array_size_does_not_change_results() {
     // any array size must produce identical outputs (absent saturation).
     let net = CapsNetConfig::tiny();
     let qparams = CapsNetParams::generate(&net, 5).quantize(AcceleratorConfig::paper().numeric);
-    let image = image_for(&net, 5);
+    let image = net.test_image(5);
 
     let mut runs = Vec::new();
     for size in [2usize, 4, 8, 16] {
@@ -271,7 +270,7 @@ fn dataflow_ablations_preserve_functionality() {
     let net = CapsNetConfig::tiny();
     let base = AcceleratorConfig::test_4x4();
     let qparams = CapsNetParams::generate(&net, 21).quantize(base.numeric);
-    let image = image_for(&net, 21);
+    let image = net.test_image(21);
 
     let mut baseline = Accelerator::new(base);
     let want = baseline

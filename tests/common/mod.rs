@@ -18,19 +18,8 @@
 // uses only a subset of it, so per-crate dead-code analysis is noise.
 #![allow(dead_code)]
 
-use capsacc::capsnet::{CapsNetConfig, QuantTrace};
+use capsacc::capsnet::QuantTrace;
 use capsacc::tensor::Tensor;
-
-/// The canonical deterministic test image for `seed` — the one the
-/// pinned golden digests below were generated from (seed 0). Kept here
-/// so every suite (and the `exp_memdse` smoke test, which carries its
-/// own copy with a pointer back to this definition) exercises the same
-/// pixels.
-pub fn image_for(net: &CapsNetConfig, seed: usize) -> Tensor<f32> {
-    Tensor::from_fn(&[1, net.input_side, net.input_side], |i| {
-        ((i[1] * (seed + 2) + i[2] * 7 + seed) % 11) as f32 / 11.0
-    })
-}
 
 /// FNV-1a over a byte stream — stable, dependency-free fingerprint.
 pub struct Fnv(u64);
@@ -121,7 +110,7 @@ pub fn routing_digests(trace: &QuantTrace) -> Vec<(String, u64)> {
 }
 
 /// Pinned digests of the canonical inference (`CapsNetConfig::tiny`,
-/// parameter seed 0, the seed-0 deterministic image, the 4×4 test
+/// parameter seed 0, `CapsNetConfig::test_image(0)`, the 4×4 test
 /// array) — regenerate per the module comment above.
 pub const GOLDEN_DIGESTS: [(&str, u64); 7] = [
     ("input_q", 0x86cf0b23838ba95c),

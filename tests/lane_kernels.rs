@@ -19,7 +19,6 @@ use capsacc::core::{
 use capsacc::faults::FaultPlan;
 
 mod common;
-use common::image_for;
 
 /// Seeded operand stream (64-bit LCG, top byte).
 fn stream(seed: u64) -> impl FnMut() -> i8 {
@@ -209,7 +208,7 @@ fn aligned_capsnet_batch_runs_equal_ticked() {
     let net = aligned_net();
     let cfg = AcceleratorConfig::paper();
     let qparams = CapsNetParams::generate(&net, 5).quantize(cfg.numeric);
-    let images: Vec<_> = (0..2).map(|s| image_for(&net, s)).collect();
+    let images: Vec<_> = (0..2).map(|s| net.test_image(s)).collect();
     let want = BatchScheduler::new(cfg)
         .run(&net, &qparams, &images)
         .expect("valid batch");
@@ -231,7 +230,7 @@ fn aligned_capsnet_batch_runs_equal_ticked() {
 fn aligned_capsnet_fault_draws_equal_ticked() {
     let net = aligned_net();
     let qparams = CapsNetParams::generate(&net, 5).quantize(AcceleratorConfig::paper().numeric);
-    let images: Vec<_> = (0..3).map(|s| image_for(&net, s)).collect();
+    let images: Vec<_> = (0..3).map(|s| net.test_image(s)).collect();
     let run = |cfg: AcceleratorConfig, plan: FaultPlan| {
         let mut sched = BatchScheduler::new(cfg);
         sched.accelerator_mut().set_fault_plan(plan);

@@ -25,13 +25,13 @@ fn finite_cfg(base: AcceleratorConfig) -> AcceleratorConfig {
 // under IdealMemory *and* under finite memory.
 
 mod common;
-use common::{image_for, trace_digests, GOLDEN_DIGESTS};
+use common::{trace_digests, GOLDEN_DIGESTS};
 
 #[test]
 fn golden_digests_hold_under_ideal_and_finite_memory() {
     let net = CapsNetConfig::tiny();
     let qparams = CapsNetParams::generate(&net, 0).quantize(AcceleratorConfig::test_4x4().numeric);
-    let image = image_for(&net, 0);
+    let image = net.test_image(0);
     for cfg in [
         AcceleratorConfig::test_4x4(),
         finite_cfg(AcceleratorConfig::test_4x4()),
@@ -62,7 +62,7 @@ fn ideal_memory_reproduces_pre_memory_cycle_counts() {
     let qparams = CapsNetParams::generate(&net, 3).quantize(cfg.numeric);
     let mut acc = Accelerator::new(cfg);
     let run = acc
-        .run_batch(&net, &qparams, std::slice::from_ref(&image_for(&net, 3)))
+        .run_batch(&net, &qparams, std::slice::from_ref(&net.test_image(3)))
         .expect("valid image");
     assert_eq!(run.memory.stall_cycles, 0);
     for layer in &run.layers {
@@ -80,7 +80,7 @@ fn finite_memory_never_changes_results_and_only_adds_stalls() {
     let ideal = AcceleratorConfig::test_4x4();
     let finite = finite_cfg(ideal);
     let qparams = CapsNetParams::generate(&net, 17).quantize(ideal.numeric);
-    let images: Vec<Tensor<f32>> = (0..3).map(|s| image_for(&net, s + 17)).collect();
+    let images: Vec<Tensor<f32>> = (0..3).map(|s| net.test_image(s + 17)).collect();
 
     let mut a = BatchScheduler::new(ideal);
     let run_ideal = a.run(&net, &qparams, &images).expect("valid batch");
@@ -108,7 +108,7 @@ fn engine_memory_report_matches_closed_form_replay_exactly() {
     cfg.dataflow.pipelined_tiles = false;
     for batch in [1usize, 2, 5] {
         let qparams = CapsNetParams::generate(&net, batch as u64).quantize(cfg.numeric);
-        let images: Vec<Tensor<f32>> = (0..batch).map(|s| image_for(&net, s)).collect();
+        let images: Vec<Tensor<f32>> = (0..batch).map(|s| net.test_image(s)).collect();
         let mut sched = BatchScheduler::new(cfg);
         let run = sched.run(&net, &qparams, &images).expect("valid batch");
         let model = timing::full_inference_batch_mem(&cfg, &net, batch as u64);
@@ -128,21 +128,20 @@ fn engine_memory_report_matches_closed_form_replay_exactly() {
 
 #[test]
 fn engine_dram_traffic_matches_traffic_estimate() {
-    // The TrafficReport's off-chip counter agrees between engine and the
-    // closed-form batched estimate (weights once per batch, inputs once
-    // per image).
-    use capsacc::core::MemoryKind;
+    // Off-chip bytes agree between the engine and the closed-form
+    // memory replay on the default (pipelined) dataflow: weights once
+    // per batch, inputs once per image.
     let net = CapsNetConfig::tiny();
     let cfg = AcceleratorConfig::test_4x4();
     let qparams = CapsNetParams::generate(&net, 2).quantize(cfg.numeric);
     for batch in [1usize, 4] {
-        let images: Vec<Tensor<f32>> = (0..batch).map(|s| image_for(&net, s)).collect();
+        let images: Vec<Tensor<f32>> = (0..batch).map(|s| net.test_image(s)).collect();
         let mut sched = BatchScheduler::new(cfg);
         let run = sched.run(&net, &qparams, &images).expect("valid batch");
-        let estimate = timing::batch_traffic_estimate(&cfg, &net, batch as u64);
+        let model = timing::full_inference_batch_mem(&cfg, &net, batch as u64).report;
         assert_eq!(
-            run.traffic.counter(MemoryKind::Dram),
-            estimate.counter(MemoryKind::Dram),
+            (run.memory.dram_weight_bytes, run.memory.dram_data_bytes),
+            (model.dram_weight_bytes, model.dram_data_bytes),
             "batch {batch}"
         );
     }

@@ -17,7 +17,6 @@ use capsacc::tensor::Tensor;
 use proptest::prelude::*;
 
 mod common;
-use common::image_for;
 
 /// A bursty best-effort trace of `requests` arrivals. At the tiny
 /// scale a batch takes 5.7k-16k cycles, so a 2,000-cycle gap keeps a
@@ -53,7 +52,7 @@ fn shard_pool_traces_are_bit_exact_vs_sequential_runs() {
     let net = CapsNetConfig::tiny();
     let cfg = AcceleratorConfig::test_4x4();
     let qparams = CapsNetParams::generate(&net, 0).quantize(cfg.numeric);
-    let image = |r: usize| image_for(&net, r);
+    let image = |r: usize| net.test_image(r);
     let (outcome, traces) = serve_with_engine(
         &cfg,
         &net,
@@ -75,7 +74,7 @@ fn shard_pool_traces_are_bit_exact_vs_sequential_runs() {
     for (r, trace) in traces.iter().enumerate() {
         let mut acc = Accelerator::new(cfg);
         let single = acc
-            .run_batch(&net, &qparams, std::slice::from_ref(&image_for(&net, r)))
+            .run_batch(&net, &qparams, std::slice::from_ref(&net.test_image(r)))
             .expect("valid image");
         assert_eq!(
             &single.traces[0], trace,
@@ -105,10 +104,10 @@ fn engine_service_cycles_are_data_and_reuse_independent() {
     let pool = ShardPool::new(cfg, 2);
     let work: Vec<Vec<Vec<Tensor<f32>>>> = vec![
         vec![
-            (0..3).map(|s| image_for(&net, s)).collect(),
-            (0..1).map(|s| image_for(&net, s + 9)).collect(),
+            (0..3).map(|s| net.test_image(s)).collect(),
+            (0..1).map(|s| net.test_image(s + 9)).collect(),
         ],
-        vec![(0..4).map(|s| image_for(&net, s + 3)).collect()],
+        vec![(0..4).map(|s| net.test_image(s + 3)).collect()],
     ];
     let runs = pool.run_assignments(&net, &qparams, &work).expect("valid");
     for (worker, batches) in runs.iter().enumerate() {
@@ -148,7 +147,7 @@ fn engine_service_cycles_table_holds_at_mnist_scale() {
     // entry per batch — the invariant that makes one number per batch
     // size a sound service time for the dispatcher.
     let mut sched = BatchScheduler::new(cfg);
-    let images: Vec<Tensor<f32>> = (0..3).map(|r| image_for(&net, r)).collect();
+    let images: Vec<Tensor<f32>> = (0..3).map(|r| net.test_image(r)).collect();
     for batch in [&images[..2], &images[2..3], &images[1..3]] {
         let run = sched.run(&net, &qparams, batch).expect("valid batch");
         assert_eq!(
@@ -177,7 +176,7 @@ fn serving_outcome_is_deterministic_across_reruns() {
     let cfg = AcceleratorConfig::test_4x4();
     let qparams = CapsNetParams::generate(&net, 1).quantize(cfg.numeric);
     let (rt, requests) = (tiny_runtime(3, 4), tiny_requests(7, 11, 2_000.0));
-    let image = |r: usize| image_for(&net, r);
+    let image = |r: usize| net.test_image(r);
     let (out1, traces1) =
         serve_with_engine(&cfg, &net, &qparams, &rt, &requests, &image).expect("valid serve");
     let (out2, traces2) =
@@ -231,7 +230,7 @@ fn serve_checked(rt: &RuntimeConfig, requests: &[Request], seed: u64) -> Runtime
     let net = CapsNetConfig::tiny();
     let cfg = AcceleratorConfig::test_4x4();
     let qparams = CapsNetParams::generate(&net, seed).quantize(cfg.numeric);
-    let image = |r: usize| image_for(&net, r + seed as usize);
+    let image = |r: usize| net.test_image(r + seed as usize);
     let (outcome, traces) =
         serve_with_engine(&cfg, &net, &qparams, rt, requests, &image).expect("valid serve");
     assert_eq!(

@@ -33,7 +33,7 @@ use capsacc::tensor::Tensor;
 use proptest::prelude::*;
 
 mod common;
-use common::{image_for, trace_digests, GOLDEN_DIGESTS};
+use common::{trace_digests, GOLDEN_DIGESTS};
 
 const DETAIL_AXIS: [SpanDetail; 3] = [SpanDetail::Layers, SpanDetail::Phases, SpanDetail::Tiles];
 
@@ -70,7 +70,7 @@ proptest! {
         }
         let qparams = CapsNetParams::generate(&net, seed).quantize(cfg.numeric);
         let images: Vec<Tensor<f32>> = (0..batch)
-            .map(|s| image_for(&net, s + seed as usize))
+            .map(|s| net.test_image(s + seed as usize))
             .collect();
 
         let want = BatchScheduler::new(cfg)
@@ -99,7 +99,7 @@ proptest! {
     ) {
         let detail = DETAIL_AXIS[detail_idx];
         let net = CapsNetConfig::tiny();
-        let image = image_for(&net, seed as usize);
+        let image = net.test_image(seed as usize);
         let mut trees = Vec::new();
         for (functional, threads) in [(false, 1), (true, 1), (true, 4)] {
             let mut cfg = AcceleratorConfig::test_4x4();
@@ -134,7 +134,7 @@ fn golden_digests_hold_with_recording_on() {
         host_timing: true,
     });
     let run = acc
-        .run_batch(&net, &qparams, std::slice::from_ref(&image_for(&net, 0)))
+        .run_batch(&net, &qparams, std::slice::from_ref(&net.test_image(0)))
         .expect("valid image");
     assert_eq!(trace_digests(&run.traces[0]), GOLDEN_DIGESTS);
     assert!(

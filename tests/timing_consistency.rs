@@ -2,9 +2,10 @@
 //! the cycle-accurate engine must agree wherever their domains overlap,
 //! and every dataflow optimization must help (or at least not hurt).
 
-use capsacc::capsnet::CapsNetConfig;
+use capsacc::capsnet::{CapsNetConfig, CapsNetParams};
 use capsacc::core::{
-    timing, Accelerator, AcceleratorConfig, ActivationKind, MemoryKind, RoutingStep,
+    timing, Accelerator, AcceleratorConfig, ActivationKind, EngineBackend, MemoryConfig,
+    MemoryKind, RoutingStep,
 };
 
 #[test]
@@ -33,12 +34,13 @@ fn engine_matches_serial_formula_across_shapes() {
             ActivationKind::Identity,
         );
         let got = acc.array_cycles() - before;
-        let want = timing::matmul_cycles(
+        let want = timing::batch_matmul_cycles(
             timing::MatmulShape {
                 m: m as u64,
                 k: k as u64,
                 n: n as u64,
             },
+            1,
             &cfg,
         );
         assert_eq!(got, want, "cycle mismatch for ({m},{k},{n})");
@@ -80,6 +82,53 @@ fn batched_engine_matches_batched_serial_formula() {
             assert_eq!(
                 got, want,
                 "cycle mismatch for ({m},{k},{n}) × batch {batch}"
+            );
+        }
+    }
+}
+
+#[test]
+fn closed_form_matmul_steps_equal_engine_steps() {
+    // The FC, Sum and Update steps are tiled matmuls that both models
+    // price through one `MatmulGeometry`. With serial tiles they agree
+    // step by step, also where a capsule dimension spans several K-tiles
+    // (the tiny net's 4-wide capsules on the 2×2 and 3×3 arrays).
+    let net = CapsNetConfig::tiny();
+    for side in [2, 3, 4] {
+        let mut cfg = AcceleratorConfig {
+            rows: side,
+            cols: side,
+            backend: EngineBackend::Functional,
+            memory: MemoryConfig::ideal(),
+            ..AcceleratorConfig::test_4x4()
+        };
+        cfg.dataflow.pipelined_tiles = false;
+        let qparams = CapsNetParams::generate(&net, 1).quantize(cfg.numeric);
+        for batch in [1usize, 3] {
+            let images: Vec<_> = (0..batch).map(|s| net.test_image(s)).collect();
+            let run = Accelerator::new(cfg)
+                .run_batch(&net, &qparams, &images)
+                .expect("valid batch");
+            let model: Vec<_> = timing::batch_routing_steps(&net, batch as u64, &cfg)
+                .iter()
+                .map(|s| (s.step, s.cycles))
+                .collect();
+            let matmuls = |steps: &[(RoutingStep, u64)]| -> Vec<(RoutingStep, u64)> {
+                steps
+                    .iter()
+                    .copied()
+                    .filter(|(s, _)| {
+                        matches!(
+                            s,
+                            RoutingStep::Fc | RoutingStep::Sum(_) | RoutingStep::Update(_)
+                        )
+                    })
+                    .collect()
+            };
+            assert_eq!(
+                matmuls(&model),
+                matmuls(&run.steps),
+                "{side}x{side} array, batch {batch}"
             );
         }
     }
@@ -229,7 +278,7 @@ fn mnist_closed_form_golden_values() {
     // formulas cannot move a simulated number unnoticed. Layers:
     // (cycles, compute_cycles, weight_stream_cycles); steps: (cycles,
     // data_mem_bytes); traffic: (read, write) bytes per memory.
-    use MemoryKind::{DataBuffer, DataMemory, Dram, RoutingBuffer, WeightBuffer, WeightMemory};
+    use MemoryKind::{DataBuffer, DataMemory, RoutingBuffer, WeightBuffer, WeightMemory};
     use RoutingStep::{Fc, Load, Softmax, Squash, Sum, Update};
     let net = CapsNetConfig::mnist();
     let paper = AcceleratorConfig::paper();
@@ -276,9 +325,11 @@ fn mnist_closed_form_golden_values() {
             (DataBuffer, 13_107_456, 184_320),
             (RoutingBuffer, 34_880, 46_560),
             (WeightBuffer, 6_804_224, 0),
-            (Dram, 6_805_008, 0),
         ]
     );
+    // Off chip: every parameter byte once, and the input image.
+    let replay = timing::full_inference_batch_mem(&paper, &net, 1).report;
+    assert_eq!(replay.offchip_bytes(), 6_805_008);
 
     // One dataflow switch off at a time: (ClassCaps, total) cycles.
     let ablation = |f: fn(&mut capsacc::core::DataflowOptions)| {
@@ -300,11 +351,12 @@ fn mnist_closed_form_golden_values() {
         ablation(|d| d.pipelined_tiles = false),
         (745_580, 2_551_965)
     );
-    assert_eq!(ablation(|d| d.weight_reuse = false), (295_163, 25_220_620));
+    assert_eq!(ablation(|d| d.weight_reuse = false), (675_290, 25_600_747));
 
     // The FC at batch 16: with reuse all 16 images stream against each
-    // resident W_ij tile (M = 16); without it the batch costs 16 times
-    // the batch-1 FC. Both on the pipelined and the serial schedule.
+    // resident W_ij tile (M = 16); without it every tile reloads per
+    // row, and the batch costs 16 times the batch-1 FC on the pipelined
+    // and the serial schedule alike.
     let fc16 = |weight_reuse: bool, pipelined_tiles: bool| {
         let mut cfg = paper;
         cfg.dataflow.weight_reuse = weight_reuse;
@@ -316,7 +368,7 @@ fn mnist_closed_form_golden_values() {
             .expect("FC step")
     };
     assert_eq!(fc16(true, true), (195_888, 2_949_120));
-    assert_eq!(fc16(false, true), (16 * 195_873, 2_949_120));
+    assert_eq!(fc16(false, true), (16 * 576_000, 2_949_120));
     assert_eq!(fc16(true, false), (748_800, 2_949_120));
     assert_eq!(fc16(false, false), (16 * 576_000, 2_949_120));
 }
