@@ -54,7 +54,7 @@ use capsacc_capsnet::{CapsNetConfig, QuantOutput, QuantTrace, QuantizedParams};
 use capsacc_memory::MemReport;
 use capsacc_tensor::{qops::MacStats, u64_from, Tensor};
 
-use capsacc_telemetry::{CycleKind, SpanDetail};
+use capsacc_telemetry::SpanDetail;
 
 use crate::activation::ActivationKind;
 use crate::config::AcceleratorConfig;
@@ -115,6 +115,8 @@ pub struct BatchRun {
     pub layers: Vec<LayerRun>,
     /// ClassCaps step cycles summed over the batch (per-image routing
     /// steps are identical in sequence, so they aggregate elementwise).
+    /// The FC, Sum and Update steps include their matmuls' memory
+    /// stalls, so the steps sum to the ClassCaps layer.
     pub steps: Vec<(RoutingStep, u64)>,
     /// On-chip traffic across all memories and buffers for this batch
     /// alone (deltas against the accelerator's counters at batch start,
@@ -298,7 +300,7 @@ impl Accelerator {
             .counter_add("mem.stage_input_stall_cycles", stage_stall);
         self.memory_stall_cycles += stage_stall;
         self.rec.begin(SpanDetail::Phases, "stage-input");
-        self.rec.advance(CycleKind::MemStall, stage_stall);
+        self.rec.advance(stage_stall);
         self.rec.end(SpanDetail::Phases);
         // Biases ride along with the layer's off-chip weight stream.
         self.memory.stage_bias(u64_from(g1.out_ch));
@@ -410,11 +412,11 @@ impl Accelerator {
             .read(MemoryKind::DataMemory, u64_from(batch) * u_hat_bytes);
         self.traffic
             .write(MemoryKind::DataBuffer, u64_from(batch) * u_hat_bytes);
-        // The û upload exists only in the step table (no engine counter
-        // moves): an `Io` charge, like routing's first-softmax init.
+        // The û upload exists only in the step table and its span (no
+        // engine counter moves), like routing's first-softmax init.
         let load_cycles = u64_from(batch) * u_hat_bytes.div_ceil(self.cfg.data_mem_bw);
         self.rec.begin(SpanDetail::Phases, "load-uhat");
-        self.rec.advance(CycleKind::Io, load_cycles);
+        self.rec.advance(load_cycles);
         self.rec.end(SpanDetail::Phases);
         steps.push((RoutingStep::Load, load_cycles));
 
@@ -428,12 +430,10 @@ impl Accelerator {
         // image's capsules and its `[class][e][d]` block `cap·block`
         // into `w_class` (output column `class·out_dim + e`, unit
         // stride along `d`), and writes row `cap` of each image's û.
-        // Like routing's Sum/Update steps, FC counts array cycles only
-        // (+ memory stalls via the layer delta): mask the matmuls'
-        // activation-drain charges so the span equals the step.
+        // Like routing's Sum/Update steps, the FC step is its matmuls'
+        // array and memory-stall cycles, which its span holds.
         self.rec.begin(SpanDetail::Phases, "fc");
-        self.rec.suppress(CycleKind::Activation);
-        let c0 = self.array.cycles();
+        let c0 = self.matmul_clock();
         let caps_src: Vec<&[i8]> = capsules.iter().map(Tensor::data).collect();
         let dims: Vec<usize> = (0..in_dim).collect();
         let (fc, fc_sats) = self.matmul_group(
@@ -467,9 +467,8 @@ impl Accelerator {
             s.macs += u64_from(in_caps * classes * out_dim * in_dim);
             s.saturations += sat;
         }
-        self.rec.unsuppress(CycleKind::Activation);
         self.rec.end(SpanDetail::Phases);
-        steps.push((RoutingStep::Fc, self.array.cycles() - c0));
+        steps.push((RoutingStep::Fc, self.matmul_clock() - c0));
         // ------------------------------------------- Routing-by-agreement
         // The routing "weights" are the per-image predictions û — there
         // is nothing to share across the batch, so routing runs image by
@@ -509,12 +508,15 @@ impl Accelerator {
                 },
             });
         }
+        // The steps carry the layer's stalls; its array share is the
+        // rest.
         let class_caps_cycles: u64 = steps.iter().map(|(_, c)| *c).sum();
+        let class_caps_stall = self.memory_stall_cycles - m0;
         layers.push(LayerRun {
             name: "ClassCaps",
-            array_cycles: class_caps_cycles,
+            array_cycles: class_caps_cycles - class_caps_stall,
             activation_cycles: 0,
-            memory_stall_cycles: self.memory_stall_cycles - m0,
+            memory_stall_cycles: class_caps_stall,
         });
         self.rec.end(SpanDetail::Layers); // ClassCaps
         self.rec.end(SpanDetail::Layers); // inference

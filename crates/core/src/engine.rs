@@ -13,16 +13,17 @@
 //! formulas of Sec. IV-C; bandwidth ceilings (weight streaming, routing
 //! buffer ports) are the analytical model's domain
 //! ([`crate::timing`]). The engine executes tiles serially; the
-//! pipelined "full throttle" overlap exists only in that model. With
-//! pipelining disabled, the model's array cycles equal the engine's
-//! (pinned on tiny matmuls by `tests/timing_consistency.rs`, and for
-//! Conv1 and PrimaryCaps at MNIST scale by
-//! `examples/mnist_full_system.rs`), but layer and step totals differ:
-//! the engine drains `M + 1` cycles per N-tile per image where the model
-//! charges ReLU 1 cycle, and the model applies Routing Buffer bandwidth
-//! ceilings to softmax and squash that the engine does not. The
-//! [`crate::timing`] module doc gives the MNIST figures; the "One cycle
-//! model, executed" item of `ROADMAP.md` plans how the gaps close.
+//! pipelined "full throttle" overlap exists only in that model. The
+//! activation units reduce each drained value behind the array (Sec.
+//! IV-C), overlapped with the final K-tile's stream, so no matmul
+//! charges a drain. With pipelining disabled, the model's cycles equal
+//! the engine's, matmul by matmul and layer by layer, except for two
+//! gaps (pinned at MNIST scale by `tests/timing_consistency.rs`): the
+//! model charges Conv1's ReLU one cycle of latency, and it applies
+//! Routing Buffer bandwidth ceilings to the softmax and squash steps
+//! that the engine does not. The [`crate::timing`] module doc gives the
+//! MNIST figures; the "One cycle model, executed" item of `ROADMAP.md`
+//! plans how the gaps close.
 //!
 //! Two execution backends produce this identical behavior
 //! ([`crate::EngineBackend`]): `Ticked` drives every PE register through
@@ -30,18 +31,20 @@
 //! the per-column saturating fold the PE datapath performs
 //! ([`Pe::mac_step`](crate::Pe::mac_step) in fixed north→south order —
 //! in parallel across data rows and with explicit SIMD when the host
-//! supports it, see [`crate::FunctionalOptions`]) and charges each
-//! matmul the exact cycles, traffic and stalls the ticked schedule
-//! executes, priced once per matmul geometry (`MatmulCharge`) —
-//! bit-identical results and accounting at wall-clock speed
-//! (differentially pinned by `tests/backend_equivalence.rs`).
+//! supports it, see [`crate::FunctionalOptions`]). Both charge and
+//! record each matmul through one ledger, priced once per matmul
+//! geometry (`MatmulCharge`): the functional backend advances the array
+//! by the charged cycles, and the ticked backend asserts that the edges
+//! it executes equal them — bit-identical results and accounting, the
+//! functional backend at wall-clock speed (differentially pinned by
+//! `tests/backend_equivalence.rs`).
 
 use capsacc_capsnet::{
     primary_capsules, CapsNetConfig, QuantPipeline, RoutingIterationTrace, RoutingVariant,
 };
 use capsacc_faults::FaultPlan;
 use capsacc_memory::{MatmulGeometry, MemReport, MemorySubsystem, TileSchedule};
-use capsacc_telemetry::{CycleKind, Recorder, SpanDetail, TelemetryConfig};
+use capsacc_telemetry::{Recorder, SpanDetail, TelemetryConfig};
 use capsacc_tensor::{u64_from, Tensor};
 
 use crate::accumulator::AccumulatorUnit;
@@ -127,13 +130,15 @@ pub struct Accelerator {
     pub(crate) staging: kernel::Staging,
 }
 
-/// Everything one matmul charges to the simulated machine. Cycles,
-/// traffic and stalls never depend on operand values, so this is a
-/// pure function of the [`MatmulGeometry`] and the configuration:
-/// [`Accelerator::charge`] derives it in one place and the functional
-/// backend applies it once per matmul. Each field is the
-/// ticked schedule's total over the matmul's tiles (pinned by
-/// `charge_equals_ticked_matmul_deltas`).
+/// Everything one matmul charges to the simulated machine: the
+/// engine's one matmul ledger. Cycles, traffic and stalls never depend
+/// on operand values, so this is a pure function of the
+/// [`MatmulGeometry`] and the configuration: [`Accelerator::charge`]
+/// derives it in one place, and both backends apply and record it.
+/// The ticked backend only ticks the array, and asserts on every
+/// matmul that its edge count equals `array_cycles`. The activation
+/// units reduce each drained value behind the array, overlapped with
+/// the final K-tile's stream, so a matmul charges no drain cycles.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub(crate) struct MatmulCharge {
     /// The geometry charged.
@@ -141,8 +146,6 @@ pub(crate) struct MatmulCharge {
     /// The geometry's serial [`MatmulGeometry::array_cycles`]: `R + 1`
     /// weight-load edges plus `batch·M + R + C` stream edges per tile.
     pub array_cycles: u64,
-    /// One `reduce_cycles(M)` drain per image per N-tile.
-    pub activation_cycles: u64,
     /// Weight Buffer (`kt·nt` per tile) and Data Buffer (`batch·M·kt`
     /// per tile) reads. Off-chip bytes are the memory report's.
     pub traffic: TrafficReport,
@@ -311,6 +314,12 @@ impl Accelerator {
         self.memory.report()
     }
 
+    /// Array plus memory-stall cycles so far: what the matmuls between
+    /// two readings cost, the FC, Sum and Update step cycles.
+    pub(crate) fn matmul_clock(&self) -> u64 {
+        self.array.cycles() + self.memory_stall_cycles
+    }
+
     /// Executes a tiled `M × K × N` matmul for a batch of data operands
     /// sharing one weight operand — the paper's "reuse weights" scenario
     /// (Fig. 12) generalized across inferences; a single matmul is a
@@ -417,9 +426,12 @@ impl Accelerator {
     ///
     /// Every simulated effect — cycles, traffic, memory stalls, spans,
     /// fault draws — is that of `groups` consecutive single matmuls.
-    /// The ticked backend runs exactly that; the functional backend
-    /// applies the geometry's [`MatmulCharge`] `groups` times at once
-    /// and evaluates the groups in one host pass
+    /// The geometry's [`MatmulCharge`] is derived once and its traffic
+    /// and memory counters applied `groups` times at once. The ticked
+    /// backend then runs the groups one by one, each in a `matmul` span
+    /// that records the charge, and asserts that each ticks exactly the
+    /// charged array cycles; the functional backend advances the array
+    /// by them and evaluates the groups in one host pass
     /// ([`Accelerator::matmul_group_functional`]).
     ///
     /// # Panics
@@ -467,9 +479,11 @@ impl Accelerator {
             .map(|_| Tensor::zeros(&[groups * m, n]))
             .collect();
         let mut saturations = vec![0u64; batch];
+        let charge = self.charge(&geometry);
+        self.apply_charge(&charge, u64_from(groups));
         if self.cfg.backend == EngineBackend::Functional {
-            let charge = self.charge(&geometry);
-            self.apply_charge(&charge, u64_from(groups));
+            self.array
+                .advance_cycles(charge.array_cycles * u64_from(groups));
             self.matmul_group_functional(
                 data,
                 data_step,
@@ -486,6 +500,9 @@ impl Accelerator {
         } else {
             for g in 0..groups {
                 let src: Vec<&[i8]> = data.src.iter().map(|s| &s[g * data_step..]).collect();
+                self.rec.begin(SpanDetail::Phases, "matmul");
+                self.record_charge(&charge);
+                let c0 = self.array.cycles();
                 self.matmul_ticked(
                     DataView { src: &src, ..data },
                     WeightView {
@@ -495,11 +512,17 @@ impl Accelerator {
                     bias,
                     shift,
                     kind,
-                    &geometry,
+                    n,
                     g * m,
                     &mut outs,
                     &mut saturations,
                 );
+                assert_eq!(
+                    self.array.cycles() - c0,
+                    charge.array_cycles,
+                    "ticked matmul diverged from its charge"
+                );
+                self.rec.end(SpanDetail::Phases);
             }
         }
         (outs, saturations)
@@ -510,84 +533,77 @@ impl Accelerator {
     /// memory part is the subsystem's [`MemorySubsystem::price`], which
     /// remembers its replays; the rest is a few integer operations.
     pub(crate) fn charge(&mut self, g: &MatmulGeometry) -> MatmulCharge {
-        let n_tiles = g.n_tiles();
         // Per tile: `kt·nt` weights into the array and `batch·M·kt`
         // data bytes streamed; summed over the tile grid.
         let mut traffic = TrafficReport::default();
         traffic.read(MemoryKind::WeightBuffer, u64_from(g.k * g.n));
         traffic.read(
             MemoryKind::DataBuffer,
-            u64_from(n_tiles * g.batch * g.m * g.k),
+            u64_from(g.n_tiles() * g.batch * g.m * g.k),
         );
         let (stall, mem) = self.memory.price(g);
         MatmulCharge {
             geometry: *g,
             array_cycles: g.array_cycles(),
-            activation_cycles: u64_from(n_tiles * g.batch)
-                * ActivationUnit::reduce_cycles(u64_from(g.m)),
             traffic,
             stall,
             mem,
         }
     }
 
-    /// Applies `times` matmuls' worth of `c` to the simulated counters.
-    /// Every counter is a plain sum, so this equals `times` separate
-    /// applications.
+    /// Applies `times` matmuls' worth of `c`'s traffic and memory
+    /// counters. Every counter is a plain sum, so this equals `times`
+    /// separate applications. The array's cycles are the backend's:
+    /// the ticked array counts its own edges, the functional backend
+    /// advances it by `c.array_cycles`.
     fn apply_charge(&mut self, c: &MatmulCharge, times: u64) {
-        self.array.advance_cycles(c.array_cycles * times);
-        self.activation_cycles += c.activation_cycles * times;
         self.traffic.merge(&c.traffic.scaled(times));
         self.memory_stall_cycles += c.stall * times;
         self.memory.charge(&c.mem.scaled(times));
     }
 
-    /// Records one matmul of `c`'s geometry the way the ticked
-    /// schedule records it: the memory counters, the stall span, every
-    /// tile's load and stream spans and every N-tile's per-image drain
-    /// spans, from the edge counts `c` sums — so both backends produce
-    /// identical span trees. Nothing is walked with recording off.
+    /// Records one matmul of `c`'s geometry, for both backends: the
+    /// memory counters, then the clock advanced by the stall and the
+    /// array cycles. At [`SpanDetail::Tiles`] the advance is split into
+    /// the stall span and every tile's load and stream spans, from the
+    /// edge counts `c` sums; below it the recorder would keep none of
+    /// those spans, so the clock moves once. Nothing is recorded with
+    /// recording off.
     fn record_charge(&mut self, c: &MatmulCharge) {
         if !self.rec.is_enabled() {
             return;
         }
         MemorySubsystem::record_matmul(&c.mem, &mut self.rec);
+        if self.rec.detail() < SpanDetail::Tiles {
+            self.rec.advance(c.stall + c.array_cycles);
+            return;
+        }
         let g = &c.geometry;
         self.rec.begin(SpanDetail::Tiles, "mem-stall");
-        self.rec.advance(CycleKind::MemStall, c.stall);
+        self.rec.advance(c.stall);
         self.rec.end(SpanDetail::Tiles);
         let (load, stream) = (
             self.array.load_edges(),
             self.array.stream_edges(g.batch * g.m),
         );
-        let drain = ActivationUnit::reduce_cycles(u64_from(g.m));
-        let mut tile_seq = 0u64;
-        for _ in 0..g.n_tiles() {
-            for _ in 0..g.k_tiles() {
-                self.rec
-                    .begin_arg(SpanDetail::Tiles, "tile", "seq", tile_seq);
-                tile_seq += 1;
-                self.rec.begin(SpanDetail::Tiles, "load");
-                self.rec.advance(CycleKind::Array, load);
-                self.rec.end(SpanDetail::Tiles);
-                self.rec.begin(SpanDetail::Tiles, "stream");
-                self.rec.advance(CycleKind::Array, stream);
-                self.rec.end(SpanDetail::Tiles);
-                self.rec.end(SpanDetail::Tiles); // tile
-            }
-            for img in 0..g.batch {
-                self.rec
-                    .begin_arg(SpanDetail::Tiles, "drain", "img", u64_from(img));
-                self.rec.advance(CycleKind::Activation, drain);
-                self.rec.end(SpanDetail::Tiles);
-            }
+        for tile_seq in 0..u64_from(g.n_tiles() * g.k_tiles()) {
+            self.rec
+                .begin_arg(SpanDetail::Tiles, "tile", "seq", tile_seq);
+            self.rec.begin(SpanDetail::Tiles, "load");
+            self.rec.advance(load);
+            self.rec.end(SpanDetail::Tiles);
+            self.rec.begin(SpanDetail::Tiles, "stream");
+            self.rec.advance(stream);
+            self.rec.end(SpanDetail::Tiles);
+            self.rec.end(SpanDetail::Tiles); // tile
         }
     }
 
     /// The `Ticked` backend's matmul: every weight tile is loaded into
     /// the array's resident registers and every data row streams
-    /// through the PEs, edge by edge. Image `img`'s outputs land in
-    /// rows `row0 ..` of `outs[img]`.
+    /// through the PEs, edge by edge; the caller has applied and
+    /// recorded the matmul's [`MatmulCharge`]. Image `img`'s `n`-wide
+    /// outputs land in rows `row0 ..` of `outs[img]`.
     #[allow(clippy::too_many_arguments)]
     fn matmul_ticked(
         &mut self,
@@ -596,29 +612,13 @@ impl Accelerator {
         bias: Option<&[i32]>,
         shift: u32,
         kind: ActivationKind,
-        geometry: &MatmulGeometry,
+        n: usize,
         row0: usize,
         outs: &mut [Tensor<i8>],
         saturations: &mut [u64],
     ) {
-        let (batch, m, k, n) = (data.batch(), data.m(), data.k(), geometry.n);
+        let (batch, m, k) = (data.batch(), data.m(), data.k());
         let (rows, cols) = (self.cfg.rows, self.cfg.cols);
-        self.rec.begin(SpanDetail::Phases, "matmul");
-        // The whole matmul's tile schedule through the memory hierarchy
-        // — the same deterministic replay the closed-form model uses
-        // (`timing::matmul_mem_stalls`), so engine and model agree
-        // exactly by construction — priced, charged and recorded as the
-        // functional backend does it; stalls are charged as one lump at
-        // matmul start (exactly where the engine accounts them).
-        let (stall, delta) = self.memory.price(geometry);
-        self.memory.charge(&delta);
-        MemorySubsystem::record_matmul(&delta, &mut self.rec);
-        self.memory_stall_cycles += stall;
-        self.rec.begin(SpanDetail::Tiles, "mem-stall");
-        self.rec.advance(CycleKind::MemStall, stall);
-        self.rec.end(SpanDetail::Tiles);
-
-        let mut tile_seq = 0u64;
         for n0 in (0..n).step_by(cols) {
             let nt = cols.min(n - n0);
             // One accumulator set per image: keeps K-tile folding — and
@@ -636,16 +636,7 @@ impl Accelerator {
                     .map(|kr| (0..nt).map(|nc| weight.at(k0 + kr, n0 + nc)).collect())
                     .collect();
                 let tile_refs: Vec<&[i8]> = tile.iter().map(|r| r.as_slice()).collect();
-                self.rec
-                    .begin_arg(SpanDetail::Tiles, "tile", "seq", tile_seq);
-                tile_seq += 1;
-                self.rec.begin(SpanDetail::Tiles, "load");
-                let c0 = self.array.cycles();
                 self.array.load_weights(&tile_refs);
-                self.rec.advance(CycleKind::Array, self.array.cycles() - c0);
-                self.rec.end(SpanDetail::Tiles);
-                self.traffic
-                    .read(MemoryKind::WeightBuffer, u64_from(kt * nt));
 
                 // Stream every image's data rows for this K-slice
                 // against the resident tile, image-major.
@@ -655,14 +646,7 @@ impl Accelerator {
                         (0..kt).map(|ki| data.at(img, mi, k0 + ki)).collect()
                     })
                     .collect();
-                self.traffic
-                    .read(MemoryKind::DataBuffer, u64_from(batch * m * kt));
-                self.rec.begin(SpanDetail::Tiles, "stream");
-                let c0 = self.array.cycles();
                 let psums = self.array.stream(&rows_data);
-                self.rec.advance(CycleKind::Array, self.array.cycles() - c0);
-                self.rec.end(SpanDetail::Tiles);
-                self.rec.end(SpanDetail::Tiles); // tile
 
                 for (ri, prow) in psums.iter().enumerate() {
                     for (c, acc) in accs[ri / m.max(1)].iter_mut().enumerate() {
@@ -679,8 +663,6 @@ impl Accelerator {
             // numbering fault draws in walk order.
             let faults = self.fault_plan.has_engine_faults();
             for (img, (image_accs, out)) in accs.iter_mut().zip(outs.iter_mut()).enumerate() {
-                self.rec
-                    .begin_arg(SpanDetail::Tiles, "drain", "img", u64_from(img));
                 let out = &mut out.data_mut()[row0 * n..];
                 for (c, acc) in image_accs.iter_mut().enumerate() {
                     let events = acc.saturation_events();
@@ -698,13 +680,8 @@ impl Accelerator {
                         out[mi * n + n0 + c] = self.activation.reduce(raw + b, shift, kind);
                     }
                 }
-                let drain_cycles = ActivationUnit::reduce_cycles(u64_from(m));
-                self.activation_cycles += drain_cycles;
-                self.rec.advance(CycleKind::Activation, drain_cycles);
-                self.rec.end(SpanDetail::Tiles);
             }
         }
-        self.rec.end(SpanDetail::Phases);
     }
 
     /// The `Functional` backend's evaluation of a matmul group: one
@@ -755,13 +732,13 @@ impl Accelerator {
     ///   [`MatmulGeometry::array_cycles`], per tile exactly the edges
     ///   the ticked array executes (`R + 1` per weight load and
     ///   `batch·M + R + C` per stream, `SystolicArray::load_edges` /
-    ///   `stream_edges`), plus the per-tile buffer reads, the per-image
-    ///   drains and the memory replay — is derived in one place and
-    ///   applied once per matmul: `array_cycles()` deltas, and
-    ///   everything built on them, are equal, not merely equivalent.
-    ///   Counter totals are the only observable, and they are pure sums.
-    ///   With recording on, each matmul's span sequence is replayed from
-    ///   the charge (`record_charge`).
+    ///   `stream_edges`), plus the per-tile buffer reads and the memory
+    ///   replay — is derived in one place and applied by both backends:
+    ///   `array_cycles()` deltas, and everything built on them, are
+    ///   equal, not merely equivalent. Counter totals are the only
+    ///   observable, and they are pure sums. With recording on, both
+    ///   backends record each matmul from the charge
+    ///   (`record_charge`).
     /// - **Data staging.** Both operands are staged straight from their
     ///   views into buffers the accelerator keeps across matmuls: each
     ///   group's data panel is gathered once as a flat row-major
@@ -810,7 +787,7 @@ impl Accelerator {
         let tallest = rows.min(k);
         // With `k == 0` no K-tile ever ran, so like the ticked path's
         // empty accumulator FIFOs nothing is written (in particular,
-        // no bias-only outputs), but each drain is still charged.
+        // no bias-only outputs).
         let drained_rows = if k == 0 { 0 } else { m };
         let faults = self.fault_plan.has_engine_faults();
         let draws_per_matmul = u64_from(outs.len() * n * drained_rows);
@@ -973,7 +950,7 @@ impl Accelerator {
         let au = u64_from(self.cfg.activation_units);
         let cycles = caps_count.div_ceil(au) * ActivationUnit::squash_cycles(u64_from(dim));
         self.activation_cycles += cycles;
-        self.rec.advance(CycleKind::Activation, cycles);
+        self.rec.advance(cycles);
         self.rec.end(SpanDetail::Phases);
         capsules
     }
@@ -1029,12 +1006,11 @@ impl Accelerator {
                 self.traffic
                     .write(MemoryKind::RoutingBuffer, coupling_bytes);
                 // These initialization-transfer cycles exist only in
-                // the step table (no engine counter moves), so the
-                // recorder charges them as `Io`.
+                // the step table and its span (no engine counter moves).
                 let cycles = coupling_bytes.div_ceil(self.cfg.routing_buf_bw);
                 self.rec
                     .begin_arg(SpanDetail::Phases, "softmax", "i", u64_from(r + 1));
-                self.rec.advance(CycleKind::Io, cycles);
+                self.rec.advance(cycles);
                 self.rec.end(SpanDetail::Phases);
                 steps.push((RoutingStep::Softmax(r + 1), cycles));
             } else {
@@ -1051,22 +1027,17 @@ impl Accelerator {
                 self.activation_cycles += cycles;
                 self.rec
                     .begin_arg(SpanDetail::Phases, "softmax", "i", u64_from(r + 1));
-                self.rec.advance(CycleKind::Activation, cycles);
+                self.rec.advance(cycles);
                 self.rec.end(SpanDetail::Phases);
                 steps.push((RoutingStep::Softmax(r + 1), cycles));
             }
 
             // Weighted sums s_j (Fig. 12b on the first iteration, 12d —
             // feedback reuse — afterwards). The step's cycle count is
-            // the array delta only: the matmuls' activation-drain
-            // charges are excluded from ClassCaps accounting, so the
-            // recorder masks them to keep the span summing to the step
-            // (their memory stalls *do* land in the layer's stall
-            // delta, so `MemStall` stays live).
+            // its array and memory-stall deltas, which its span holds.
             self.rec
                 .begin_arg(SpanDetail::Phases, "sum", "i", u64_from(r + 1));
-            self.rec.suppress(CycleKind::Activation);
-            let c0 = self.array.cycles();
+            let c0 = self.matmul_clock();
             if r == 0 || !self.cfg.dataflow.routing_feedback {
                 // û read from the Data Buffer (or re-read from memory
                 // when the feedback ablation is off).
@@ -1103,9 +1074,8 @@ impl Accelerator {
             );
             let s_t = sums.remove(0);
             macs += u64_from(classes * out_dim * in_caps);
-            self.rec.unsuppress(CycleKind::Activation);
             self.rec.end(SpanDetail::Phases);
-            steps.push((RoutingStep::Sum(r + 1), self.array.cycles() - c0));
+            steps.push((RoutingStep::Sum(r + 1), self.matmul_clock() - c0));
 
             // Squash through the activation units.
             self.rec
@@ -1120,7 +1090,7 @@ impl Accelerator {
             let squash_cycles = u64_from(classes).div_ceil(u64_from(self.cfg.activation_units))
                 * ActivationUnit::squash_cycles(u64_from(out_dim));
             self.activation_cycles += squash_cycles;
-            self.rec.advance(CycleKind::Activation, squash_cycles);
+            self.rec.advance(squash_cycles);
             self.rec.end(SpanDetail::Phases);
             self.traffic
                 .write(MemoryKind::RoutingBuffer, u64_from(classes * out_dim));
@@ -1128,11 +1098,9 @@ impl Accelerator {
 
             // Logit update (Fig. 12c: û reused via the feedback path).
             let logits_after_update = if r + 1 < net.routing_iterations {
-                // Array-delta step like Sum: same activation mask.
                 self.rec
                     .begin_arg(SpanDetail::Phases, "update", "i", u64_from(r + 1));
-                self.rec.suppress(CycleKind::Activation);
-                let c0 = self.array.cycles();
+                let c0 = self.matmul_clock();
                 if !self.cfg.dataflow.routing_feedback {
                     self.traffic.read(MemoryKind::DataMemory, u_hat_bytes);
                 }
@@ -1172,9 +1140,8 @@ impl Accelerator {
                 self.traffic.read(MemoryKind::RoutingBuffer, coupling_bytes);
                 self.traffic
                     .write(MemoryKind::RoutingBuffer, coupling_bytes);
-                self.rec.unsuppress(CycleKind::Activation);
                 self.rec.end(SpanDetail::Phases);
-                steps.push((RoutingStep::Update(r + 1), self.array.cycles() - c0));
+                steps.push((RoutingStep::Update(r + 1), self.matmul_clock() - c0));
                 tracing.then(|| logits.clone())
             } else {
                 None
@@ -1198,11 +1165,6 @@ impl Accelerator {
                     .norm(&class_caps.data()[j * out_dim..(j + 1) * out_dim])
             })
             .collect();
-        // This norm charge appears in neither the step table nor any
-        // LayerRun total (ClassCaps reports activation_cycles: 0), so
-        // the recorder deliberately does not advance for it.
-        self.activation_cycles += u64_from(classes).div_ceil(u64_from(self.cfg.activation_units))
-            * ActivationUnit::norm_cycles(u64_from(out_dim));
         let predicted = final_norms
             .iter()
             .enumerate()
@@ -1288,38 +1250,6 @@ mod tests {
             ActivationKind::Identity,
         );
         assert_eq!(out[0].data(), &[-48, 0]);
-    }
-
-    #[test]
-    fn matmul_cycles_match_serial_formula() {
-        let mut cfg = AcceleratorConfig::test_4x4();
-        cfg.dataflow.pipelined_tiles = false;
-        for (m, k, n) in [(1, 4, 4), (3, 9, 6), (7, 2, 10), (5, 17, 3)] {
-            let mut acc = Accelerator::new(cfg);
-            let before = acc.array_cycles();
-            acc.matmul_batch(
-                1,
-                &|_, _, _| 1,
-                &|_, _| 1,
-                m,
-                k,
-                n,
-                None,
-                6,
-                ActivationKind::Identity,
-            );
-            let got = acc.array_cycles() - before;
-            let expect = batch_matmul_cycles(
-                MatmulShape {
-                    m: m as u64,
-                    k: k as u64,
-                    n: n as u64,
-                },
-                1,
-                &cfg,
-            );
-            assert_eq!(got, expect, "cycles for ({m},{k},{n})");
-        }
     }
 
     #[test]
@@ -1533,10 +1463,11 @@ mod tests {
         }
     }
 
-    /// The derived charge of every layer geometry equals what a ticked
-    /// matmul of that geometry moves: array and activation cycles,
-    /// every traffic counter, the memory stall and the `MemReport`.
-    /// The geometries are Conv1, PrimaryCaps, the FC and routing's Sum
+    /// The derived charge of every layer geometry prices the array
+    /// edges a ticked matmul of that geometry executes. The traffic,
+    /// stall and `MemReport` fields hold by construction, since both
+    /// backends apply the charge itself; the comparison covers them
+    /// anyway. The geometries are Conv1, PrimaryCaps, the FC and routing's Sum
     /// and Update of two networks: the 16-lane-aligned mini CapsNet of
     /// `tests/lane_kernels.rs` on the paper array, and
     /// `CapsNetConfig::tiny()` on the 4×4 test array, where the FC
@@ -1615,7 +1546,6 @@ mod tests {
                         let want = MatmulCharge {
                             geometry,
                             array_cycles: ticked.array_cycles(),
-                            activation_cycles: ticked.activation_cycles(),
                             traffic: *ticked.traffic(),
                             stall: ticked.memory_stall_cycles(),
                             mem: ticked.memory_report(),

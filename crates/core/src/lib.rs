@@ -79,7 +79,7 @@ pub use capsacc_memory::{
     SpmConfig, SpmKind, TileSchedule,
 };
 pub use capsacc_telemetry::{
-    validate_span_tree, CycleKind, Recorder, SpanDetail, TelemetryConfig, TRACK_ENGINE,
+    validate_span_tree, Recorder, SpanDetail, TelemetryConfig, TRACK_ENGINE,
 };
 pub use config::{
     AcceleratorConfig, DataflowOptions, EngineBackend, FunctionalOptions, SimdMode, TraceLevel,

@@ -15,21 +15,20 @@
 //! `pipelined_tiles` holds and the Weight Buffer fits two tiles, and
 //! runs them serially otherwise.
 //!
-//! With tile pipelining disabled, the model's systolic-array (compute)
-//! cycles are the cycles the [`crate::engine`] executes. That is pinned
-//! on tiny matmuls and on the FC, Sum and Update steps by
-//! `tests/timing_consistency.rs`, and for Conv1 and PrimaryCaps at MNIST
-//! scale by `examples/mnist_full_system.rs`. Layer and step totals do
-//! not agree. The engine drains `M + 1` cycles per N-tile per image, so
-//! its MNIST Conv1 takes 43,104 + 16 × 401 = 49,520 cycles, while the
-//! model charges ReLU as 1 cycle and gives 43,105.
-//! The model's softmax and squash steps also apply Routing Buffer
-//! bandwidth ceilings that the engine does not: 5,760 against 1,440
-//! cycles for each softmax after the first, and 40 against 18 for each
-//! squash. With pipelining enabled (the paper's "full throttle" design
-//! point) the model hides weight reloads behind data streaming, which
-//! neither engine backend executes. The "One cycle model, executed"
-//! item of `ROADMAP.md` plans how these gaps close.
+//! With tile pipelining disabled, the model's cycles are the cycles the
+//! [`crate::engine`] executes, matmul by matmul and layer by layer,
+//! except for two gaps. Both sides overlap each reduction with the
+//! array's stream, but the model charges Conv1's ReLU one cycle of
+//! latency: its MNIST Conv1 takes 43,105 cycles against the engine's
+//! 43,104. The remaining serial gaps are the Routing Buffer bandwidth
+//! ceilings the model's softmax and squash steps apply and the engine
+//! does not: 5,760 against 1,440 cycles for each softmax after the
+//! first, and 40 against 18 for each squash. `tests/timing_consistency.rs`
+//! pins both gaps at MNIST scale and the matmul steps on tiny arrays.
+//! With pipelining enabled (the paper's "full throttle" design point)
+//! the model hides weight reloads behind data streaming, which neither
+//! engine backend executes. The "One cycle model, executed" item of
+//! `ROADMAP.md` plans how these gaps close.
 //!
 //! Layers whose weight footprint exceeds the Weight Buffer stream
 //! weights from the on-chip Weight Memory at `weight_mem_bw` bytes per

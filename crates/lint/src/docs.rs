@@ -15,7 +15,10 @@
 //!   underscore, length ≥ 4) must appear somewhere in the workspace
 //!   sources or file paths as a whole identifier. The linter's own
 //!   sources do not count: their docs and test fixtures name drifted
-//!   identifiers on purpose.
+//!   identifiers on purpose;
+//! - `Type`, `Type::item` and `Type::item()` spans (an uppercase
+//!   start, identifiers joined by `::`) must have every segment
+//!   appear in those sources as a whole identifier.
 //!
 //! Command lines are checked on every line, fenced blocks included:
 //! `--bin <name>` must name `crates/*/src/bin/<name>.rs` and
@@ -178,19 +181,33 @@ fn check_span(span: &str, root: &Path, inv: &Inventory) -> Option<String> {
         }
         return None;
     }
-    // Bare snake_case identifier.
-    if span.len() >= 4
+    // A bare snake_case identifier, or `Type`, `Type::item` or
+    // `Type::item()`: every `::` segment must resolve.
+    let segments: Vec<&str> = span
+        .strip_suffix("()")
+        .unwrap_or(span)
+        .split("::")
+        .collect();
+    let is_ident = |s: &&str| {
+        !s.is_empty()
+            && !s.starts_with(|c: char| c.is_ascii_digit())
+            && s.chars().all(|c| c == '_' || c.is_ascii_alphanumeric())
+    };
+    let snake = span.len() >= 4
         && span.contains('_')
         && span
             .chars()
-            .all(|c| c == '_' || c.is_ascii_lowercase() || c.is_ascii_digit())
-        && !contains_ident(&inv.haystack, span)
-    {
-        return Some(format!(
-            "names `{span}`, which appears nowhere in the workspace sources"
-        ));
+            .all(|c| c == '_' || c.is_ascii_lowercase() || c.is_ascii_digit());
+    let typed = span.starts_with(|c: char| c.is_ascii_uppercase()) && segments.iter().all(is_ident);
+    if !snake && !typed {
+        return None;
     }
-    None
+    let missing = segments
+        .into_iter()
+        .find(|s| !contains_ident(&inv.haystack, s))?;
+    Some(format!(
+        "names `{missing}`, which appears nowhere in the workspace sources"
+    ))
 }
 
 /// Whether `needle` occurs in `hay` with no identifier character
@@ -231,7 +248,9 @@ mod tests {
     use super::*;
 
     fn inv() -> Inventory {
-        let engine = "pub fn run_inference() {}\npub fn batch_routing_steps() {}\n".to_string();
+        let engine = "pub fn run_inference() {}\npub fn batch_routing_steps() {}\n\
+                      pub struct BatchRun;\n"
+            .to_string();
         let paths = vec![
             "crates/bench/src/bin/exp_paper.rs".to_string(),
             "crates/core/src/engine.rs".to_string(),
@@ -305,6 +324,23 @@ mod tests {
         let out = drift("See `engine.rs::routing_steps`.\n");
         assert_eq!(out.len(), 1);
         assert!(out[0].2.contains("does not define `routing_steps`"));
+    }
+
+    #[test]
+    fn type_references_must_resolve_every_segment() {
+        let text = "See `BatchRun`, `BatchRun::run_inference` and `BatchRun::run_inference()`.\n";
+        assert_eq!(drift(text), []);
+        let out = drift("See `CycleKind` and `BatchRun::suppress()`.\n");
+        assert_eq!(out.len(), 2, "{out:?}");
+        assert!(out[0].2.contains("names `CycleKind`"), "{out:?}");
+        assert!(out[1].2.contains("names `suppress`"), "{out:?}");
+        // Whole segments only: the tail of a type names nothing.
+        assert_eq!(drift("See `Run`.\n").len(), 1);
+        // Brace lists, generics and lowercase paths stay unchecked.
+        assert_eq!(
+            drift("See `Gone::{a,b}`, `Vec<Gone>` and `gone::Item`.\n"),
+            []
+        );
     }
 
     #[test]

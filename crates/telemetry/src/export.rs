@@ -341,13 +341,13 @@ fn parse_literal(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{CycleKind, SpanDetail, TelemetryConfig};
+    use crate::recorder::{SpanDetail, TelemetryConfig};
 
     fn sample_recorder() -> Recorder {
         let mut r = Recorder::new(TelemetryConfig::default());
         r.begin(SpanDetail::Layers, "inference");
         r.begin_arg(SpanDetail::Phases, "matmul", "i", 1);
-        r.advance(CycleKind::Array, 12);
+        r.advance(12);
         r.annotate("host_ns", 340);
         r.end(SpanDetail::Phases);
         r.end(SpanDetail::Layers);

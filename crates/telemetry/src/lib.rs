@@ -37,7 +37,5 @@ mod stopwatch;
 
 pub use export::{chrome_trace_json, metrics_csv, metrics_json, validate_json};
 pub use metrics::{percentile, HistogramSummary, MetricsRegistry};
-pub use recorder::{
-    validate_span_tree, CycleKind, Recorder, Span, SpanDetail, TelemetryConfig, TRACK_ENGINE,
-};
+pub use recorder::{validate_span_tree, Recorder, Span, SpanDetail, TelemetryConfig, TRACK_ENGINE};
 pub use stopwatch::HostStopwatch;

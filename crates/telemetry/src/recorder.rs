@@ -17,11 +17,11 @@ pub const TRACK_ENGINE: u32 = 0;
 pub enum SpanDetail {
     /// One span per network layer under the inference root.
     Layers,
-    /// Plus per-phase spans: matmuls, squash, routing iterations,
-    /// staging and memory-stall windows.
+    /// Plus per-phase spans: matmuls, squash, routing iterations and
+    /// input staging.
     Phases,
-    /// Plus per-weight-tile spans with load/stream children and
-    /// per-image drain windows. At MNIST scale this is hundreds of
+    /// Plus per-matmul memory-stall windows and per-weight-tile spans
+    /// with load/stream children. At MNIST scale this is hundreds of
     /// thousands of spans; intended for small design points.
     Tiles,
 }
@@ -47,37 +47,6 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// What a batch of advanced cycles was spent on. The kind exists so
-/// call sites can temporarily *suppress* one class of charges — e.g.
-/// ClassCaps accounting excludes the activation-drain cycles of its
-/// routing matmuls, so the engine masks [`CycleKind::Activation`]
-/// around those calls to keep the span tree summing exactly to
-/// `LayerRun` totals.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub enum CycleKind {
-    /// Systolic-array busy cycles (weight loads + row streaming).
-    Array,
-    /// Activation/squash/softmax unit cycles.
-    Activation,
-    /// Cycles the array waited on the memory hierarchy.
-    MemStall,
-    /// Accounting-only transfer cycles that appear in step tables but
-    /// in no engine counter (e.g. the routing `Load` step). Never
-    /// suppressed.
-    Io,
-}
-
-impl CycleKind {
-    fn mask(self) -> u8 {
-        match self {
-            CycleKind::Array => 1,
-            CycleKind::Activation => 2,
-            CycleKind::MemStall => 4,
-            CycleKind::Io => 0, // unmaskable
-        }
-    }
-}
-
 /// One recorded span: a named `[start, end)` interval of virtual time
 /// on a track, with an optional parent (stack-built spans) and numeric
 /// args carried into the Chrome-trace export.
@@ -90,7 +59,8 @@ pub struct Span {
     /// Virtual cycle the span opened at.
     pub start: u64,
     /// Virtual cycle the span closed at (`>= start`; zero-length spans
-    /// are legal — e.g. a suppressed drain window).
+    /// are legal — e.g. the stall window of a matmul that never
+    /// stalls).
     pub end: u64,
     /// Index of the enclosing span in [`Recorder::spans`], if any.
     pub parent: Option<u32>,
@@ -120,10 +90,9 @@ fn span_index(idx: u32) -> usize {
 /// ([`Recorder::advance`]) at each point the simulation charges
 /// cycles, rather than being derived from engine counters — the
 /// engine's per-layer accounting is not a simple counter delta (some
-/// step cycles exist only in step tables, some activation charges are
-/// excluded from layer totals), and the explicit clock plus the
-/// [`CycleKind`] suppression mask is what makes span trees sum
-/// *exactly* to `LayerRun`/`BatchRun` totals.
+/// step cycles exist only in step tables), and the explicit clock is
+/// what makes span trees sum *exactly* to `LayerRun`/`BatchRun`
+/// totals.
 ///
 /// A disabled recorder (the default everywhere) turns every method
 /// into a cheap early-return: no allocation, no clock movement, no
@@ -133,7 +102,6 @@ pub struct Recorder {
     enabled: bool,
     cfg: TelemetryConfig,
     now: u64,
-    suppress: u8,
     stack: Vec<u32>,
     spans: Vec<Span>,
     track_names: Vec<(u32, String)>,
@@ -154,7 +122,6 @@ impl Recorder {
             enabled: false,
             cfg: TelemetryConfig::default(),
             now: 0,
-            suppress: 0,
             stack: Vec::new(),
             spans: Vec::new(),
             track_names: Vec::new(),
@@ -276,23 +243,11 @@ impl Recorder {
         }
     }
 
-    /// Advances the virtual clock by `cycles`, unless recording is off
-    /// or `kind` is currently suppressed.
-    pub fn advance(&mut self, kind: CycleKind, cycles: u64) {
-        if self.enabled && self.suppress & kind.mask() == 0 {
+    /// Advances the virtual clock by `cycles`, unless recording is off.
+    pub fn advance(&mut self, cycles: u64) {
+        if self.enabled {
             self.now += cycles;
         }
-    }
-
-    /// Masks a [`CycleKind`] so its [`Recorder::advance`] charges stop
-    /// moving the clock until [`Recorder::unsuppress`].
-    pub fn suppress(&mut self, kind: CycleKind) {
-        self.suppress |= kind.mask();
-    }
-
-    /// Clears a [`Recorder::suppress`] mask bit.
-    pub fn unsuppress(&mut self, kind: CycleKind) {
-        self.suppress &= !kind.mask();
     }
 
     /// Records an explicit `[start, end)` span on an arbitrary track —
@@ -374,8 +329,8 @@ impl Recorder {
 /// ends at the parent's end). Root spans must be non-overlapping and
 /// in order. Fails if any span is still open.
 ///
-/// Zero-length spans are legal at every level (e.g. drain windows
-/// whose activation charge is suppressed inside routing matmuls).
+/// Zero-length spans are legal at every level (e.g. the stall window
+/// of a matmul that never stalls).
 pub fn validate_span_tree(rec: &Recorder, track: u32) -> Result<u64, String> {
     if rec.open_spans() != 0 {
         return Err(format!("{} spans still open", rec.open_spans()));
@@ -460,7 +415,7 @@ mod tests {
     fn disabled_recorder_is_inert() {
         let mut r = Recorder::disabled();
         r.begin(SpanDetail::Layers, "a");
-        r.advance(CycleKind::Array, 100);
+        r.advance(100);
         r.end(SpanDetail::Layers);
         r.counter_add("c", 1);
         r.record_span(3, "x", 0, 5, Vec::new());
@@ -478,24 +433,12 @@ mod tests {
         r.begin(SpanDetail::Layers, "layer");
         r.begin(SpanDetail::Phases, "phase");
         r.begin(SpanDetail::Tiles, "tile"); // gated out
-        r.advance(CycleKind::Array, 7);
+        r.advance(7);
         r.end(SpanDetail::Tiles); // gated out
         r.end(SpanDetail::Phases);
         r.end(SpanDetail::Layers);
         assert_eq!(r.spans().len(), 2);
         assert_eq!(validate_span_tree(&r, TRACK_ENGINE), Ok(7));
-    }
-
-    #[test]
-    fn suppression_masks_one_kind_only() {
-        let mut r = Recorder::new(TelemetryConfig::default());
-        r.suppress(CycleKind::Activation);
-        r.advance(CycleKind::Activation, 10);
-        r.advance(CycleKind::Array, 3);
-        r.advance(CycleKind::Io, 2);
-        r.unsuppress(CycleKind::Activation);
-        r.advance(CycleKind::Activation, 1);
-        assert_eq!(r.now(), 6);
     }
 
     #[test]
@@ -506,9 +449,9 @@ mod tests {
         });
         r.begin(SpanDetail::Layers, "parent");
         r.begin(SpanDetail::Phases, "child");
-        r.advance(CycleKind::Array, 4);
+        r.advance(4);
         r.end(SpanDetail::Phases);
-        r.advance(CycleKind::Array, 1); // gap: advances outside any child
+        r.advance(1); // gap: advances outside any child
         r.end(SpanDetail::Layers);
         let err = validate_span_tree(&r, TRACK_ENGINE).unwrap_err();
         assert!(err.contains("end at 4"), "{err}");
@@ -522,9 +465,9 @@ mod tests {
         });
         r.begin(SpanDetail::Layers, "parent");
         r.begin(SpanDetail::Phases, "a");
-        r.advance(CycleKind::Array, 4);
+        r.advance(4);
         r.end(SpanDetail::Phases);
-        r.begin(SpanDetail::Phases, "suppressed");
+        r.begin(SpanDetail::Phases, "empty");
         r.end(SpanDetail::Phases);
         r.end(SpanDetail::Layers);
         assert_eq!(validate_span_tree(&r, TRACK_ENGINE), Ok(4));

@@ -88,7 +88,19 @@ fn finite_memory_never_changes_results_and_only_adds_stalls() {
     let run_finite = b.run(&net, &qparams, &images).expect("valid batch");
 
     assert_eq!(run_ideal.traces, run_finite.traces);
-    assert_eq!(run_ideal.steps, run_finite.steps);
+    let sequence = |run: &capsacc::core::BatchRun| -> Vec<_> {
+        run.steps.iter().map(|&(step, _)| step).collect()
+    };
+    assert_eq!(sequence(&run_ideal), sequence(&run_finite));
+    // The matmul steps carry their stalls: finite memory adds exactly
+    // the ClassCaps layer's stall to the steps.
+    let step_cycles = |run: &capsacc::core::BatchRun| -> u64 {
+        run.steps.iter().map(|&(_, cycles)| cycles).sum()
+    };
+    assert_eq!(
+        step_cycles(&run_finite) - step_cycles(&run_ideal),
+        run_finite.layers[2].memory_stall_cycles
+    );
     assert!(run_finite.memory.stall_cycles > 0);
     assert!(run_finite.total_cycles() > run_ideal.total_cycles());
     assert_eq!(

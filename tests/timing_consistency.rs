@@ -7,54 +7,29 @@ use capsacc::core::{
     timing, Accelerator, AcceleratorConfig, ActivationKind, EngineBackend, MemoryConfig,
     MemoryKind, RoutingStep,
 };
+use capsacc::mnist::SyntheticMnist;
 
 #[test]
-fn engine_matches_serial_formula_across_shapes() {
+fn batched_engine_matches_batched_serial_formula() {
+    // The batched closed-form model must agree with the ticked engine
+    // *exactly* wherever their domains overlap: serial tiles, resident
+    // weights, any shape × batch size, a single matmul included. The
+    // shapes cover one-element, single-tile, ragged and multi-tile
+    // matmuls on both axes.
     let mut cfg = AcceleratorConfig::test_4x4();
     cfg.dataflow.pipelined_tiles = false;
     for (m, k, n) in [
         (1usize, 1usize, 1usize),
         (1, 4, 4),
         (5, 4, 4),
+        (3, 9, 6),
         (3, 9, 7),
+        (7, 2, 10),
         (10, 5, 13),
         (2, 17, 2),
+        (5, 17, 3),
+        (2, 5, 13),
     ] {
-        let mut acc = Accelerator::new(cfg);
-        let before = acc.array_cycles();
-        acc.matmul_batch(
-            1,
-            &|_, mi, ki| ((mi * 3 + ki) % 50) as i8,
-            &|ki, ni| ((ki + ni * 5) % 60) as i8,
-            m,
-            k,
-            n,
-            None,
-            6,
-            ActivationKind::Identity,
-        );
-        let got = acc.array_cycles() - before;
-        let want = timing::batch_matmul_cycles(
-            timing::MatmulShape {
-                m: m as u64,
-                k: k as u64,
-                n: n as u64,
-            },
-            1,
-            &cfg,
-        );
-        assert_eq!(got, want, "cycle mismatch for ({m},{k},{n})");
-    }
-}
-
-#[test]
-fn batched_engine_matches_batched_serial_formula() {
-    // The batched closed-form model must agree with the ticked engine
-    // *exactly* wherever their domains overlap: serial tiles, resident
-    // weights, any shape × batch size.
-    let mut cfg = AcceleratorConfig::test_4x4();
-    cfg.dataflow.pipelined_tiles = false;
-    for (m, k, n) in [(1usize, 4usize, 4usize), (3, 9, 7), (5, 17, 3), (2, 5, 13)] {
         for batch in [1usize, 2, 3, 5, 8] {
             let mut acc = Accelerator::new(cfg);
             let before = acc.array_cycles();
@@ -130,6 +105,68 @@ fn closed_form_matmul_steps_equal_engine_steps() {
                 matmuls(&run.steps),
                 "{side}x{side} array, batch {batch}"
             );
+        }
+    }
+}
+
+#[test]
+fn engine_matches_serial_closed_form_at_mnist_scale() {
+    // With serial tiles the engine and the closed form price every
+    // matmul alike and overlap every reduction with the stream, so at
+    // MNIST scale they differ only where the closed form charges what
+    // the engine does not: Conv1's one-cycle ReLU latency, and the
+    // Routing Buffer ceilings of the softmax and squash steps.
+    let net = CapsNetConfig::mnist();
+    let digits = SyntheticMnist::new(1);
+    let params = CapsNetParams::generate(&net, 1);
+    for memory in [MemoryConfig::ideal(), MemoryConfig::paper()] {
+        let mut cfg = AcceleratorConfig {
+            backend: EngineBackend::Functional,
+            memory,
+            ..AcceleratorConfig::paper()
+        };
+        cfg.dataflow.pipelined_tiles = false;
+        let qparams = params.quantize(cfg.numeric);
+        for batch in [1u64, 2, 16] {
+            let at = format!("batch {batch}, {:?}", memory.mode);
+            let images: Vec<_> = (0..batch).map(|i| digits.sample(i).image).collect();
+            let run = Accelerator::new(cfg)
+                .run_batch(&net, &qparams, &images)
+                .expect("valid batch");
+            let model = timing::full_inference_batch_mem(&cfg, &net, batch);
+            let model_layers = [
+                (model.base.conv1.cycles, model.conv1_stall_cycles),
+                (
+                    model.base.primary_caps.cycles,
+                    model.primary_caps_stall_cycles,
+                ),
+                (
+                    model.base.class_caps_cycles(),
+                    model.class_caps_stall_cycles,
+                ),
+            ];
+            // Closed form minus engine, signed: the engine may be the
+            // slower side.
+            let mut gaps = Vec::new();
+            for ((base, stall), layer) in model_layers.into_iter().zip(&run.layers) {
+                let name = layer.name;
+                assert_eq!(stall, layer.memory_stall_cycles, "{name} stall, {at}");
+                gaps.push((base + stall) as i64 - layer.cycles() as i64);
+            }
+            let b = batch as i64;
+            assert_eq!(gaps, [1, 0, 8_706 * b], "{at}");
+            if !memory.is_ideal() {
+                continue;
+            }
+            for (s, &(step, cycles)) in model.base.class_caps_steps.iter().zip(&run.steps) {
+                assert_eq!(s.step, step, "{at}");
+                let gap = match step {
+                    RoutingStep::Softmax(2 | 3) => 4_320 * b,
+                    RoutingStep::Squash(_) => 22 * b,
+                    _ => 0,
+                };
+                assert_eq!(s.cycles as i64 - cycles as i64, gap, "{step}, {at}");
+            }
         }
     }
 }
