@@ -37,15 +37,25 @@ run cargo test --release -q --manifest-path perfbench/Cargo.toml
 # its own outputs (infer_q8 bit-exactness of the paper-scale SIMD path,
 # pool-b4 serving every request, serve-faults conservation) but always
 # exits 0, so the step reads the verdict from the last stdout line.
-for workload in mnist-b16 mnist-b1 pool-b4 serve-faults; do
+smoke() {
+    local workload=$1 trace=$2 verdict
     echo
-    echo "==> perfbench --workload $workload --seconds 1 --trace 0"
+    echo "==> perfbench --workload $workload --seconds 1 --trace $trace"
     verdict=$(cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seconds 1 --trace 0 | tail -n 1)
+        --workload "$workload" --seconds 1 --trace "$trace" | tail -n 1)
     if ! grep -Eq '^\{"correct": true, "attempted": [0-9]+, "failed": 0,' <<<"$verdict"; then
-        echo "perfbench $workload failed its output checks: ${verdict:0:200}" >&2
+        echo "perfbench $workload --trace $trace failed its output checks: ${verdict:0:200}" >&2
         exit 1
     fi
+}
+for workload in mnist-b16 mnist-b1 pool-b4 serve-faults; do
+    smoke "$workload" 0
+done
+# Traced runs take the per-layer ledger path (the simulated ledger, the
+# closed-form timing gaps and the host ledger), which reads `LayerRun`,
+# the routing steps and the engine's span tree.
+for workload in mnist-b1 pool-b4; do
+    smoke "$workload" 1
 done
 # The paper's tables and figures end to end: closed forms, the GPU and
 # power models, and ten batch-1 engine runs of one MNIST digit on the

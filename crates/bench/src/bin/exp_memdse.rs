@@ -53,9 +53,6 @@ fn config_for(point: &Point) -> AcceleratorConfig {
     mem.prefetch_buffers = point.prefetch_buffers;
     mem.power_gating = point.power_gating;
     cfg.memory = mem;
-    // Keep the architectural buffer capacity coherent with the SPM model
-    // (the closed-form schedule gates tile double-buffering on it).
-    cfg.weight_buffer_bytes = point.weight_spm_kib * 1024;
     cfg
 }
 

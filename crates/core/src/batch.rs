@@ -58,7 +58,7 @@ use capsacc_telemetry::SpanDetail;
 
 use crate::activation::ActivationKind;
 use crate::config::AcceleratorConfig;
-use crate::engine::{to_chw, Accelerator, LayerRun};
+use crate::engine::{to_chw, Accelerator, CycleLedger, LayerRun, Part};
 use crate::operand::{DataView, WeightView};
 use crate::timing::RoutingStep;
 use crate::traffic::{MemoryKind, TrafficReport};
@@ -115,8 +115,11 @@ pub struct BatchRun {
     pub layers: Vec<LayerRun>,
     /// ClassCaps step cycles summed over the batch (per-image routing
     /// steps are identical in sequence, so they aggregate elementwise).
-    /// The FC, Sum and Update steps include their matmuls' memory
-    /// stalls, so the steps sum to the ClassCaps layer.
+    /// Each step is the engine's [`CycleLedger`] delta over it, so the
+    /// steps partition the ClassCaps layer: the FC, Sum and Update steps
+    /// hold its array cycles and memory stalls, the softmaxes and
+    /// squashes its activation cycles, and the Load and the
+    /// skip-first-softmax `Softmax1` its transfer cycles.
     pub steps: Vec<(RoutingStep, u64)>,
     /// On-chip traffic across all memories and buffers for this batch
     /// alone (deltas against the accelerator's counters at batch start,
@@ -291,17 +294,12 @@ impl Accelerator {
         let input_bytes = u64_from(batch * g1.input_len());
         self.traffic.read(MemoryKind::DataMemory, input_bytes);
         self.rec.begin(SpanDetail::Layers, "Conv1");
-        let c0 = self.array.cycles();
-        let a0 = self.activation_cycles;
-        let m0 = self.memory_stall_cycles;
+        let at = self.ledger();
         let stage_stall = self.memory.stage_input(input_bytes);
         self.rec.counter_add("mem.stage_input_calls", 1);
         self.rec
             .counter_add("mem.stage_input_stall_cycles", stage_stall);
-        self.memory_stall_cycles += stage_stall;
-        self.rec.begin(SpanDetail::Phases, "stage-input");
-        self.rec.advance(stage_stall);
-        self.rec.end(SpanDetail::Phases);
+        self.spend(Part::Stall, stage_stall, "stage-input", None);
         // Biases ride along with the layer's off-chip weight stream.
         self.memory.stage_bias(u64_from(g1.out_ch));
         // im2col addressing is affine: `input_index(mi, ki) =
@@ -338,24 +336,11 @@ impl Accelerator {
             s.macs += g1.macs();
             s.saturations += sat;
         }
-        layers.push(LayerRun {
-            name: "Conv1",
-            array_cycles: self.array.cycles() - c0,
-            activation_cycles: self.activation_cycles - a0,
-            memory_stall_cycles: self.memory_stall_cycles - m0,
-        });
-        self.rec.end(SpanDetail::Layers);
-        // The functional backend's staging buffers are sized by the
-        // layer's own matmuls: release them at each layer boundary so
-        // the next layer's tensors can take the pages (PrimaryCaps'
-        // panels would otherwise stay resident through ClassCaps).
-        self.staging = Default::default();
+        layers.push(self.end_layer("Conv1", &at));
         // ------------------------------------------- PrimaryCaps + squash
         let gp = net.primary_caps_geometry();
         self.rec.begin(SpanDetail::Layers, "PrimaryCaps");
-        let c0 = self.array.cycles();
-        let a0 = self.activation_cycles;
-        let m0 = self.memory_stall_cycles;
+        let at = self.ledger();
         self.memory.stage_bias(u64_from(gp.out_ch));
         let conv1_src: Vec<&[i8]> = conv1_outs.iter().map(Tensor::data).collect();
         let (pc_mns, pc_sats) = self.matmul_group(
@@ -389,16 +374,10 @@ impl Accelerator {
             s.macs += gp.macs();
             s.saturations += sat;
         }
-        layers.push(LayerRun {
-            name: "PrimaryCaps",
-            array_cycles: self.array.cycles() - c0,
-            activation_cycles: self.activation_cycles - a0,
-            memory_stall_cycles: self.memory_stall_cycles - m0,
-        });
-        self.rec.end(SpanDetail::Layers);
-        self.staging = Default::default();
+        layers.push(self.end_layer("PrimaryCaps", &at));
         // ------------------------------------------------ ClassCaps: Load
         self.rec.begin(SpanDetail::Layers, "ClassCaps");
+        let class_caps_at = self.ledger();
         let (in_caps, classes, out_dim, in_dim) = (
             net.num_primary_caps(),
             net.num_classes,
@@ -407,18 +386,13 @@ impl Accelerator {
         );
         let u_hat_bytes = u64_from(in_caps * classes * out_dim);
         let mut steps = Vec::new();
-        let m0 = self.memory_stall_cycles;
         self.traffic
             .read(MemoryKind::DataMemory, u64_from(batch) * u_hat_bytes);
         self.traffic
             .write(MemoryKind::DataBuffer, u64_from(batch) * u_hat_bytes);
-        // The û upload exists only in the step table and its span (no
-        // engine counter moves), like routing's first-softmax init.
         let load_cycles = u64_from(batch) * u_hat_bytes.div_ceil(self.cfg.data_mem_bw);
-        self.rec.begin(SpanDetail::Phases, "load-uhat");
-        self.rec.advance(load_cycles);
-        self.rec.end(SpanDetail::Phases);
-        steps.push((RoutingStep::Load, load_cycles));
+        self.spend(Part::Transfer, load_cycles, "load-uhat", None);
+        steps.push((RoutingStep::Load, self.cycles_since(&class_caps_at)));
 
         // -------------------------------------------------- ClassCaps: FC
         // Per input capsule, its `W_ij` block is the resident operand and
@@ -430,10 +404,8 @@ impl Accelerator {
         // image's capsules and its `[class][e][d]` block `cap·block`
         // into `w_class` (output column `class·out_dim + e`, unit
         // stride along `d`), and writes row `cap` of each image's û.
-        // Like routing's Sum/Update steps, the FC step is its matmuls'
-        // array and memory-stall cycles, which its span holds.
+        let at = self.ledger();
         self.rec.begin(SpanDetail::Phases, "fc");
-        let c0 = self.matmul_clock();
         let caps_src: Vec<&[i8]> = capsules.iter().map(Tensor::data).collect();
         let dims: Vec<usize> = (0..in_dim).collect();
         let (fc, fc_sats) = self.matmul_group(
@@ -468,7 +440,7 @@ impl Accelerator {
             s.saturations += sat;
         }
         self.rec.end(SpanDetail::Phases);
-        steps.push((RoutingStep::Fc, self.matmul_clock() - c0));
+        steps.push((RoutingStep::Fc, self.cycles_since(&at)));
         // ------------------------------------------- Routing-by-agreement
         // The routing "weights" are the per-image predictions û — there
         // is nothing to share across the batch, so routing runs image by
@@ -508,19 +480,8 @@ impl Accelerator {
                 },
             });
         }
-        // The steps carry the layer's stalls; its array share is the
-        // rest.
-        let class_caps_cycles: u64 = steps.iter().map(|(_, c)| *c).sum();
-        let class_caps_stall = self.memory_stall_cycles - m0;
-        layers.push(LayerRun {
-            name: "ClassCaps",
-            array_cycles: class_caps_cycles - class_caps_stall,
-            activation_cycles: 0,
-            memory_stall_cycles: class_caps_stall,
-        });
-        self.rec.end(SpanDetail::Layers); // ClassCaps
+        layers.push(self.end_layer("ClassCaps", &class_caps_at));
         self.rec.end(SpanDetail::Layers); // inference
-        self.staging = Default::default();
 
         Ok(BatchRun {
             traces,
@@ -531,6 +492,24 @@ impl Accelerator {
             accumulator_saturations: self.accumulator_saturations - saturations_at_start,
             batch,
         })
+    }
+
+    /// Closes layer `name`'s span and returns its [`LayerRun`], the
+    /// ledger's delta since `at`. The functional backend's staging
+    /// buffers are sized by the layer's own matmuls: they are released
+    /// here so the next layer's tensors can take the pages (PrimaryCaps'
+    /// panels would otherwise stay resident through ClassCaps).
+    fn end_layer(&mut self, name: &'static str, at: &CycleLedger) -> LayerRun {
+        self.rec.end(SpanDetail::Layers);
+        self.staging = Default::default();
+        let d = self.ledger().since(at);
+        LayerRun {
+            name,
+            array_cycles: d.array,
+            activation_cycles: d.activation,
+            transfer_cycles: d.transfer,
+            memory_stall_cycles: d.stall,
+        }
     }
 }
 
@@ -555,7 +534,7 @@ mod tests {
         assert_eq!(err.to_string(), "batch contains no images");
         // A rejected batch leaves the scheduler serviceable and moves
         // none of its accelerator's counters.
-        assert_eq!(sched.accelerator().array_cycles(), 0);
+        assert_eq!(sched.accelerator().ledger().total(), 0);
         let image = Tensor::from_fn(&[1, 12, 12], |i| (i[1] + i[2]) as f32 / 24.0);
         let run = sched.run(&net, &qparams, &[image]).expect("valid batch");
         assert_eq!(run.batch, 1);
@@ -568,7 +547,7 @@ mod tests {
         let mut acc = Accelerator::new(cfg);
         let good = Tensor::from_fn(&[1, 12, 12], |i| (i[1] * i[2]) as f32 / 144.0);
         let bad = Tensor::from_fn(&[1, 8, 8], |i| (i[1] + i[2]) as f32 / 16.0);
-        let cycles_before = acc.array_cycles();
+        let cycles_before = acc.ledger();
         let err = acc.run_batch(&net, &qparams, &[good, bad]).unwrap_err();
         assert_eq!(
             err,
@@ -580,7 +559,7 @@ mod tests {
         );
         assert!(err.to_string().contains("image 1"));
         // Checked before any counter moves: the engine state is clean.
-        assert_eq!(acc.array_cycles(), cycles_before);
+        assert_eq!(acc.ledger(), cycles_before);
         assert_eq!(acc.traffic().total_bytes(), 0);
     }
 
@@ -619,8 +598,8 @@ mod tests {
             assert_eq!(got, want);
         }
         assert_eq!(
-            functional.accelerator().array_cycles(),
-            ticked.accelerator().array_cycles()
+            functional.accelerator().ledger(),
+            ticked.accelerator().ledger()
         );
     }
 
@@ -637,7 +616,7 @@ mod tests {
         // The accelerator carries the cumulative counters of both
         // batches, while each run reports its own.
         let acc = sched.accelerator();
-        assert!(acc.array_cycles() > 0);
+        assert!(acc.ledger().array > 0);
         assert_eq!(
             acc.traffic().total_bytes(),
             first.traffic.total_bytes() + second.traffic.total_bytes()

@@ -164,12 +164,9 @@ pub struct AcceleratorConfig {
     /// each); bounds the softmax/update steps that sweep all 11 520
     /// coupling coefficients.
     pub routing_buf_bw: u64,
-    /// Data Buffer capacity in bytes.
-    pub data_buffer_bytes: usize,
-    /// Routing Buffer capacity in bytes.
+    /// Routing Buffer capacity in bytes. The Data and Weight Buffers are
+    /// `memory.data_spm` and `memory.weight_spm`.
     pub routing_buffer_bytes: usize,
-    /// Weight Buffer capacity in bytes.
-    pub weight_buffer_bytes: usize,
     /// On-chip memory capacity in bytes (Table II: 8 MB).
     pub onchip_memory_bytes: usize,
     /// Number of parallel activation units (the paper has one per
@@ -210,9 +207,7 @@ impl AcceleratorConfig {
             weight_mem_bw: 8,
             data_mem_bw: 8,
             routing_buf_bw: 4,
-            data_buffer_bytes: 256 * 1024,
             routing_buffer_bytes: 64 * 1024,
-            weight_buffer_bytes: 24 * 1024,
             onchip_memory_bytes: 8 * 1024 * 1024,
             activation_units: 16,
             numeric: NumericConfig::default(),
@@ -226,15 +221,15 @@ impl AcceleratorConfig {
 
     /// A small 4×4 instance used by the cycle-accurate unit tests.
     pub fn test_4x4() -> Self {
-        Self {
+        let mut cfg = Self {
             rows: 4,
             cols: 4,
             activation_units: 4,
-            data_buffer_bytes: 16 * 1024,
             routing_buffer_bytes: 4 * 1024,
-            weight_buffer_bytes: 2 * 1024,
             ..Self::paper()
-        }
+        };
+        (cfg.memory.data_spm.bytes, cfg.memory.weight_spm.bytes) = (16 * 1024, 2 * 1024);
+        cfg
     }
 
     /// Cycle period in microseconds.
@@ -257,7 +252,8 @@ impl AcceleratorConfig {
     /// # Errors
     ///
     /// Returns a description of the first violated constraint (zero
-    /// dimensions, zero bandwidths, or numeric-format inconsistencies).
+    /// dimensions, zero bandwidths, memory or numeric-format
+    /// inconsistencies, or a weight tile larger than the Weight Buffer).
     pub fn validate(&self) -> Result<(), String> {
         if self.rows == 0 || self.cols == 0 {
             return Err("systolic array dimensions must be non-zero".into());
@@ -272,6 +268,14 @@ impl AcceleratorConfig {
             return Err("at least one activation unit required".into());
         }
         self.memory.validate()?;
+        let tile = self.rows.saturating_mul(self.cols);
+        let buffer = self.memory.weight_spm.bytes;
+        if tile > buffer {
+            return Err(format!(
+                "a {}x{} weight tile ({tile} B) exceeds the {buffer} B Weight Buffer",
+                self.rows, self.cols
+            ));
+        }
         self.numeric.validate()
     }
 }
@@ -333,6 +337,19 @@ mod tests {
         let mut c = AcceleratorConfig::paper();
         c.memory.weight_spm.banks = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_refuses_a_tile_larger_than_the_weight_buffer() {
+        // The Weight Buffer must hold one resident `rows × cols` tile:
+        // a 64×64 array's 4 KiB tile cannot sit in test_4x4's 2 KiB.
+        let mut c = AcceleratorConfig::test_4x4();
+        (c.rows, c.cols) = (64, 64);
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("4096 B") && err.contains("2048 B"), "{err}");
+        (c.rows, c.cols) = (16, 16);
+        c.validate()
+            .expect("a 256 B tile fits a 2 KiB Weight Buffer");
     }
 
     #[test]

@@ -8,22 +8,23 @@
 //! [`QuantTrace`](capsacc_capsnet::QuantTrace) type so integration
 //! tests can `assert_eq!` entire inference traces.
 //!
-//! Cycle accounting: the systolic-array cycles are exact (every PE
-//! register is ticked); activation-unit costs use the per-operation
-//! formulas of Sec. IV-C; bandwidth ceilings (weight streaming, routing
-//! buffer ports) are the analytical model's domain
-//! ([`crate::timing`]). The engine executes tiles serially; the
-//! pipelined "full throttle" overlap exists only in that model. The
-//! activation units reduce each drained value behind the array (Sec.
-//! IV-C), overlapped with the final K-tile's stream, so no matmul
-//! charges a drain. With pipelining disabled, the model's cycles equal
-//! the engine's, matmul by matmul and layer by layer, except for two
-//! gaps (pinned at MNIST scale by `tests/timing_consistency.rs`): the
-//! model charges Conv1's ReLU one cycle of latency, and it applies
-//! Routing Buffer bandwidth ceilings to the softmax and squash steps
-//! that the engine does not. The [`crate::timing`] module doc gives the
-//! MNIST figures; the "One cycle model, executed" item of `ROADMAP.md`
-//! plans how the gaps close.
+//! Cycle accounting: every cost site charges one [`CycleLedger`] once,
+//! and every [`LayerRun`] and routing step is a delta of it. The
+//! systolic-array cycles are exact (the ticked backend executes every
+//! edge); activation-unit costs use the per-operation formulas of Sec.
+//! IV-C; bandwidth ceilings (weight streaming, routing buffer ports)
+//! are the analytical model's domain ([`crate::timing`]). The engine
+//! executes tiles serially; the pipelined "full throttle" overlap
+//! exists only in that model. The activation units reduce each drained
+//! value behind the array (Sec. IV-C), overlapped with the final
+//! K-tile's stream, so no matmul charges a drain. With pipelining
+//! disabled, the model's cycles equal the engine's, matmul by matmul
+//! and layer by layer, except for two gaps (pinned at MNIST scale by
+//! `tests/timing_consistency.rs`): the model charges Conv1's ReLU one
+//! cycle of latency, and it applies Routing Buffer bandwidth ceilings
+//! to the softmax and squash steps that the engine does not. The
+//! [`crate::timing`] module doc gives the MNIST figures; the "One cycle
+//! model, executed" item of `ROADMAP.md` plans how the gaps close.
 //!
 //! Two execution backends produce this identical behavior
 //! ([`crate::EngineBackend`]): `Ticked` drives every PE register through
@@ -31,12 +32,12 @@
 //! the per-column saturating fold the PE datapath performs
 //! ([`Pe::mac_step`](crate::Pe::mac_step) in fixed north→south order —
 //! in parallel across data rows and with explicit SIMD when the host
-//! supports it, see [`crate::FunctionalOptions`]). Both charge and
-//! record each matmul through one ledger, priced once per matmul
-//! geometry (`MatmulCharge`): the functional backend advances the array
-//! by the charged cycles, and the ticked backend asserts that the edges
-//! it executes equal them — bit-identical results and accounting, the
-//! functional backend at wall-clock speed (differentially pinned by
+//! supports it, see [`crate::FunctionalOptions`]). Both charge the
+//! ledger and record each matmul from one charge, priced once per
+//! matmul geometry (`MatmulCharge`), and the ticked backend asserts
+//! that the edges it executes equal the charged array cycles —
+//! bit-identical results and accounting, the functional backend at
+//! wall-clock speed (differentially pinned by
 //! `tests/backend_equivalence.rs`).
 
 use capsacc_capsnet::{
@@ -56,7 +57,45 @@ use crate::systolic::SystolicArray;
 use crate::timing::RoutingStep;
 use crate::traffic::{MemoryKind, TrafficReport};
 
-/// Cycle count of one executed layer (Fig. 16 rows).
+/// The engine's simulated cycles by what spent them, read with
+/// [`Accelerator::ledger`].
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
+pub struct CycleLedger {
+    /// Systolic-array edges of the matmuls.
+    pub array: u64,
+    /// Activation-unit cycles: the squashes and softmaxes.
+    pub activation: u64,
+    /// The ClassCaps `û` Load and the skip-first-softmax coupling
+    /// broadcast.
+    pub transfer: u64,
+    /// Memory-hierarchy stalls, the [`MemReport::stall_cycles`].
+    pub stall: u64,
+}
+
+impl CycleLedger {
+    /// All four parts together.
+    pub fn total(&self) -> u64 {
+        self.array + self.activation + self.transfer + self.stall
+    }
+
+    /// The cycles counted after the reading `earlier`, part by part.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `earlier` is not a prior reading.
+    pub fn since(&self, earlier: &CycleLedger) -> CycleLedger {
+        let sub = |a: u64, b: u64| a.checked_sub(b).expect("reading is not a prior state");
+        CycleLedger {
+            array: sub(self.array, earlier.array),
+            activation: sub(self.activation, earlier.activation),
+            transfer: sub(self.transfer, earlier.transfer),
+            stall: sub(self.stall, earlier.stall),
+        }
+    }
+}
+
+/// Cycles of one executed layer (Fig. 16 rows): the [`CycleLedger`]'s
+/// delta over it.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct LayerRun {
     /// Layer name.
@@ -65,6 +104,8 @@ pub struct LayerRun {
     pub array_cycles: u64,
     /// Activation-unit cycles consumed.
     pub activation_cycles: u64,
+    /// Transfer cycles consumed (ClassCaps only).
+    pub transfer_cycles: u64,
     /// Cycles stalled on the memory hierarchy (bank conflicts + exposed
     /// DRAM fills). Always zero under the `IdealMemory` configuration.
     pub memory_stall_cycles: u64,
@@ -73,8 +114,16 @@ pub struct LayerRun {
 impl LayerRun {
     /// Total cycles of this layer.
     pub fn cycles(&self) -> u64 {
-        self.array_cycles + self.activation_cycles + self.memory_stall_cycles
+        self.array_cycles + self.activation_cycles + self.transfer_cycles + self.memory_stall_cycles
     }
+}
+
+/// The ledger part a cost site other than a matmul charges.
+pub(crate) enum Part {
+    Activation,
+    Transfer,
+    /// Already counted in the memory report, the ledger's stall part.
+    Stall,
 }
 
 /// The CapsAcc accelerator: systolic array, accumulators, activation
@@ -106,8 +155,9 @@ pub struct Accelerator {
     pub(crate) activation: ActivationUnit,
     pub(crate) traffic: TrafficReport,
     pub(crate) memory: MemorySubsystem,
-    pub(crate) activation_cycles: u64,
-    pub(crate) memory_stall_cycles: u64,
+    // The ledger's parts but the stall, which `memory` holds; its
+    // `stall` stays zero.
+    pub(crate) busy: CycleLedger,
     pub(crate) accumulator_saturations: u64,
     // Seeded transient-fault injection at the accumulator drain. Drain
     // ops are numbered in (n_tile, image, column, row) order: the
@@ -130,15 +180,15 @@ pub struct Accelerator {
     pub(crate) staging: kernel::Staging,
 }
 
-/// Everything one matmul charges to the simulated machine: the
-/// engine's one matmul ledger. Cycles, traffic and stalls never depend
-/// on operand values, so this is a pure function of the
-/// [`MatmulGeometry`] and the configuration: [`Accelerator::charge`]
-/// derives it in one place, and both backends apply and record it.
-/// The ticked backend only ticks the array, and asserts on every
-/// matmul that its edge count equals `array_cycles`. The activation
-/// units reduce each drained value behind the array, overlapped with
-/// the final K-tile's stream, so a matmul charges no drain cycles.
+/// Everything one matmul charges to the simulated machine. Cycles,
+/// traffic and stalls never depend on operand values, so this is a pure
+/// function of the [`MatmulGeometry`] and the configuration:
+/// [`Accelerator::charge`] derives it in one place, and both backends
+/// apply it (to the [`CycleLedger`] among others) and record it. The
+/// ticked backend only ticks the array, and asserts on every matmul
+/// that its edge count equals `array_cycles`. The activation units
+/// reduce each drained value behind the array, overlapped with the
+/// final K-tile's stream, so a matmul charges no drain cycles.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub(crate) struct MatmulCharge {
     /// The geometry charged.
@@ -149,9 +199,7 @@ pub(crate) struct MatmulCharge {
     /// Weight Buffer (`kt·nt` per tile) and Data Buffer (`batch·M·kt`
     /// per tile) reads. Off-chip bytes are the memory report's.
     pub traffic: TrafficReport,
-    /// Memory-hierarchy stall cycles.
-    pub stall: u64,
-    /// The memory hierarchy's counter delta.
+    /// The memory hierarchy's counter delta, its stall cycles included.
     pub mem: MemReport,
 }
 
@@ -193,8 +241,7 @@ impl Accelerator {
             activation: ActivationUnit::new(QuantPipeline::new(cfg.numeric)),
             traffic: TrafficReport::default(),
             memory: MemorySubsystem::new(cfg.memory),
-            activation_cycles: 0,
-            memory_stall_cycles: 0,
+            busy: CycleLedger::default(),
             accumulator_saturations: 0,
             fault_plan: FaultPlan::none(),
             fault_op_seq: 0,
@@ -288,14 +335,11 @@ impl Accelerator {
         &self.cfg
     }
 
-    /// Systolic-array cycles executed so far.
-    pub fn array_cycles(&self) -> u64 {
-        self.array.cycles()
-    }
-
-    /// Activation-unit cycles accounted so far.
-    pub fn activation_cycles(&self) -> u64 {
-        self.activation_cycles
+    /// Every simulated cycle charged so far, by part.
+    pub fn ledger(&self) -> CycleLedger {
+        let mut ledger = self.busy;
+        ledger.stall = self.memory.report().stall_cycles;
+        ledger
     }
 
     /// Traffic counters.
@@ -303,21 +347,31 @@ impl Accelerator {
         &self.traffic
     }
 
-    /// Memory-hierarchy stall cycles accounted so far (zero under
-    /// `IdealMemory`).
-    pub fn memory_stall_cycles(&self) -> u64 {
-        self.memory_stall_cycles
-    }
-
     /// Cumulative memory-hierarchy counters.
     pub fn memory_report(&self) -> MemReport {
         self.memory.report()
     }
 
-    /// Array plus memory-stall cycles so far: what the matmuls between
-    /// two readings cost, the FC, Sum and Update step cycles.
-    pub(crate) fn matmul_clock(&self) -> u64 {
-        self.array.cycles() + self.memory_stall_cycles
+    /// Charges `cycles` of `part` at a cost site other than a matmul and
+    /// spends them in the phase span `name` (with argument `i`, if any).
+    pub(crate) fn spend(&mut self, part: Part, cycles: u64, name: &'static str, i: Option<usize>) {
+        match part {
+            Part::Activation => self.busy.activation += cycles,
+            Part::Transfer => self.busy.transfer += cycles,
+            Part::Stall => {}
+        }
+        let rec = &mut self.rec;
+        match i {
+            Some(i) => rec.begin_arg(SpanDetail::Phases, name, "i", u64_from(i)),
+            None => rec.begin(SpanDetail::Phases, name),
+        }
+        rec.advance(cycles);
+        rec.end(SpanDetail::Phases);
+    }
+
+    /// All cycles the ledger counted after the reading `at`.
+    pub(crate) fn cycles_since(&self, at: &CycleLedger) -> u64 {
+        self.ledger().since(at).total()
     }
 
     /// Executes a tiled `M × K × N` matmul for a batch of data operands
@@ -420,18 +474,17 @@ impl Accelerator {
     /// and every weight through the public
     /// [`Accelerator::matmul_batch`]) touch only the scratchpads. The
     /// memory hierarchy never changes functional results and never
-    /// touches the ticked array: its stalls accumulate separately in
-    /// `memory_stall_cycles`, and are identically zero under
+    /// touches the ticked array: its stalls accumulate in its own
+    /// report, the ledger's stall part, and are identically zero under
     /// `IdealMemory`.
     ///
     /// Every simulated effect — cycles, traffic, memory stalls, spans,
     /// fault draws — is that of `groups` consecutive single matmuls.
-    /// The geometry's [`MatmulCharge`] is derived once and its traffic
-    /// and memory counters applied `groups` times at once. The ticked
-    /// backend then runs the groups one by one, each in a `matmul` span
-    /// that records the charge, and asserts that each ticks exactly the
-    /// charged array cycles; the functional backend advances the array
-    /// by them and evaluates the groups in one host pass
+    /// The geometry's [`MatmulCharge`] is derived once and applied
+    /// `groups` times at once. The ticked backend then runs the groups
+    /// one by one, each in a `matmul` span that records the charge, and
+    /// asserts that each ticks exactly the charged array cycles; the
+    /// functional backend evaluates the groups in one host pass
     /// ([`Accelerator::matmul_group_functional`]).
     ///
     /// # Panics
@@ -457,19 +510,13 @@ impl Accelerator {
         if let Some(b) = bias {
             assert!(b.len() >= n, "bias shorter than output width");
         }
-        let (rows, cols) = (self.cfg.rows, self.cfg.cols);
-        debug_assert!(
-            rows * cols <= self.cfg.weight_buffer_bytes,
-            "a {rows}x{cols} weight tile exceeds the {} B Weight Buffer",
-            self.cfg.weight_buffer_bytes
-        );
         let geometry = MatmulGeometry {
             m,
             k,
             n,
             batch,
-            rows,
-            cols,
+            rows: self.cfg.rows,
+            cols: self.cfg.cols,
             weights_offchip,
             // The ticked engine executes tiles serially; its windows
             // are the serial schedule regardless of the dataflow flag.
@@ -482,8 +529,6 @@ impl Accelerator {
         let charge = self.charge(&geometry);
         self.apply_charge(&charge, u64_from(groups));
         if self.cfg.backend == EngineBackend::Functional {
-            self.array
-                .advance_cycles(charge.array_cycles * u64_from(groups));
             self.matmul_group_functional(
                 data,
                 data_step,
@@ -541,24 +586,21 @@ impl Accelerator {
             MemoryKind::DataBuffer,
             u64_from(g.n_tiles() * g.batch * g.m * g.k),
         );
-        let (stall, mem) = self.memory.price(g);
         MatmulCharge {
             geometry: *g,
             array_cycles: g.array_cycles(),
             traffic,
-            stall,
-            mem,
+            mem: self.memory.price(g),
         }
     }
 
-    /// Applies `times` matmuls' worth of `c`'s traffic and memory
-    /// counters. Every counter is a plain sum, so this equals `times`
-    /// separate applications. The array's cycles are the backend's:
-    /// the ticked array counts its own edges, the functional backend
-    /// advances it by `c.array_cycles`.
+    /// Applies `times` matmuls' worth of `c` on both backends: its array
+    /// cycles to the ledger, its traffic, and its memory counters, whose
+    /// stall is the ledger's stall part. Every counter is a plain sum,
+    /// so this equals `times` separate applications.
     fn apply_charge(&mut self, c: &MatmulCharge, times: u64) {
+        self.busy.array += c.array_cycles * times;
         self.traffic.merge(&c.traffic.scaled(times));
-        self.memory_stall_cycles += c.stall * times;
         self.memory.charge(&c.mem.scaled(times));
     }
 
@@ -575,12 +617,12 @@ impl Accelerator {
         }
         MemorySubsystem::record_matmul(&c.mem, &mut self.rec);
         if self.rec.detail() < SpanDetail::Tiles {
-            self.rec.advance(c.stall + c.array_cycles);
+            self.rec.advance(c.mem.stall_cycles + c.array_cycles);
             return;
         }
         let g = &c.geometry;
         self.rec.begin(SpanDetail::Tiles, "mem-stall");
-        self.rec.advance(c.stall);
+        self.rec.advance(c.mem.stall_cycles);
         self.rec.end(SpanDetail::Tiles);
         let (load, stream) = (
             self.array.load_edges(),
@@ -734,8 +776,8 @@ impl Accelerator {
     ///   `batch·M + R + C` per stream, `SystolicArray::load_edges` /
     ///   `stream_edges`), plus the per-tile buffer reads and the memory
     ///   replay — is derived in one place and applied by both backends:
-    ///   `array_cycles()` deltas, and everything built on them, are
-    ///   equal, not merely equivalent. Counter totals are the only
+    ///   the ledger, and everything built on it, is equal, not merely
+    ///   equivalent. Counter totals are the only
     ///   observable, and they are pure sums. With recording on, both
     ///   backends record each matmul from the charge
     ///   (`record_charge`).
@@ -934,7 +976,6 @@ impl Accelerator {
         net: &CapsNetConfig,
         pc_out: &Tensor<i8>,
     ) -> Tensor<i8> {
-        self.rec.begin(SpanDetail::Phases, "squash");
         let raw_caps = primary_capsules(pc_out, net.pc_channels, net.pc_caps_dim);
         let dim = net.pc_caps_dim;
         let mut capsules: Tensor<i8> = Tensor::zeros(raw_caps.shape());
@@ -949,14 +990,13 @@ impl Accelerator {
         let caps_count = u64_from(net.num_primary_caps());
         let au = u64_from(self.cfg.activation_units);
         let cycles = caps_count.div_ceil(au) * ActivationUnit::squash_cycles(u64_from(dim));
-        self.activation_cycles += cycles;
-        self.rec.advance(cycles);
-        self.rec.end(SpanDetail::Phases);
+        self.spend(Part::Activation, cycles, "squash", None);
         capsules
     }
 
     /// Runs the routing-by-agreement phase for one image's predictions,
-    /// appending the per-step cycle counts to `steps`.
+    /// appending each step's cycles, the ledger's delta over it, to
+    /// `steps`.
     /// [`Accelerator::run_batch`] calls it once per image of the batch.
     /// Each Sum and each Update step is one matmul group over the
     /// classes ([`Accelerator::matmul_group`]), with the simulated
@@ -998,21 +1038,16 @@ impl Accelerator {
         let u_data = u_hat.data();
 
         for r in 0..net.routing_iterations {
-            // Softmax (or the direct initialization on iteration 1).
+            // Softmax (or the coupling broadcast on iteration 1).
+            let at = self.ledger();
             if r == 0 && variant == RoutingVariant::SkipFirstSoftmax {
                 couplings
                     .data_mut()
                     .fill(self.activation.pipeline().uniform_coupling(classes));
                 self.traffic
                     .write(MemoryKind::RoutingBuffer, coupling_bytes);
-                // These initialization-transfer cycles exist only in
-                // the step table and its span (no engine counter moves).
                 let cycles = coupling_bytes.div_ceil(self.cfg.routing_buf_bw);
-                self.rec
-                    .begin_arg(SpanDetail::Phases, "softmax", "i", u64_from(r + 1));
-                self.rec.advance(cycles);
-                self.rec.end(SpanDetail::Phases);
-                steps.push((RoutingStep::Softmax(r + 1), cycles));
+                self.spend(Part::Transfer, cycles, "softmax", Some(r + 1));
             } else {
                 for i in 0..in_caps {
                     let row = &logits.data()[i * classes..(i + 1) * classes];
@@ -1024,20 +1059,15 @@ impl Accelerator {
                     .write(MemoryKind::RoutingBuffer, coupling_bytes);
                 let cycles = u64_from(in_caps).div_ceil(u64_from(self.cfg.activation_units))
                     * ActivationUnit::softmax_cycles(u64_from(classes));
-                self.activation_cycles += cycles;
-                self.rec
-                    .begin_arg(SpanDetail::Phases, "softmax", "i", u64_from(r + 1));
-                self.rec.advance(cycles);
-                self.rec.end(SpanDetail::Phases);
-                steps.push((RoutingStep::Softmax(r + 1), cycles));
+                self.spend(Part::Activation, cycles, "softmax", Some(r + 1));
             }
+            steps.push((RoutingStep::Softmax(r + 1), self.cycles_since(&at)));
 
             // Weighted sums s_j (Fig. 12b on the first iteration, 12d —
-            // feedback reuse — afterwards). The step's cycle count is
-            // its array and memory-stall deltas, which its span holds.
+            // feedback reuse — afterwards).
+            let at = self.ledger();
             self.rec
                 .begin_arg(SpanDetail::Phases, "sum", "i", u64_from(r + 1));
-            let c0 = self.matmul_clock();
             if r == 0 || !self.cfg.dataflow.routing_feedback {
                 // û read from the Data Buffer (or re-read from memory
                 // when the feedback ablation is off).
@@ -1075,11 +1105,10 @@ impl Accelerator {
             let s_t = sums.remove(0);
             macs += u64_from(classes * out_dim * in_caps);
             self.rec.end(SpanDetail::Phases);
-            steps.push((RoutingStep::Sum(r + 1), self.matmul_clock() - c0));
+            steps.push((RoutingStep::Sum(r + 1), self.cycles_since(&at)));
 
             // Squash through the activation units.
-            self.rec
-                .begin_arg(SpanDetail::Phases, "squash", "i", u64_from(r + 1));
+            let at = self.ledger();
             for (j, s_norm) in s_norms.iter_mut().enumerate() {
                 let (v, norm) = self
                     .activation
@@ -1089,18 +1118,16 @@ impl Accelerator {
             }
             let squash_cycles = u64_from(classes).div_ceil(u64_from(self.cfg.activation_units))
                 * ActivationUnit::squash_cycles(u64_from(out_dim));
-            self.activation_cycles += squash_cycles;
-            self.rec.advance(squash_cycles);
-            self.rec.end(SpanDetail::Phases);
+            self.spend(Part::Activation, squash_cycles, "squash", Some(r + 1));
             self.traffic
                 .write(MemoryKind::RoutingBuffer, u64_from(classes * out_dim));
-            steps.push((RoutingStep::Squash(r + 1), squash_cycles));
+            steps.push((RoutingStep::Squash(r + 1), self.cycles_since(&at)));
 
             // Logit update (Fig. 12c: û reused via the feedback path).
             let logits_after_update = if r + 1 < net.routing_iterations {
+                let at = self.ledger();
                 self.rec
                     .begin_arg(SpanDetail::Phases, "update", "i", u64_from(r + 1));
-                let c0 = self.matmul_clock();
                 if !self.cfg.dataflow.routing_feedback {
                     self.traffic.read(MemoryKind::DataMemory, u_hat_bytes);
                 }
@@ -1141,7 +1168,7 @@ impl Accelerator {
                 self.traffic
                     .write(MemoryKind::RoutingBuffer, coupling_bytes);
                 self.rec.end(SpanDetail::Phases);
-                steps.push((RoutingStep::Update(r + 1), self.matmul_clock() - c0));
+                steps.push((RoutingStep::Update(r + 1), self.cycles_since(&at)));
                 tracing.then(|| logits.clone())
             } else {
                 None
@@ -1377,7 +1404,7 @@ mod tests {
             let mut cfg = AcceleratorConfig::test_4x4();
             cfg.dataflow.pipelined_tiles = false;
             let mut acc = Accelerator::new(cfg);
-            let before = acc.array_cycles();
+            let before = acc.ledger().array;
             acc.matmul_batch(
                 batch,
                 &|img, mi, ki| ((img + mi + ki) % 5) as i8,
@@ -1389,7 +1416,7 @@ mod tests {
                 6,
                 ActivationKind::Identity,
             );
-            let got = acc.array_cycles() - before;
+            let got = acc.ledger().array - before;
             let expect = batch_matmul_cycles(
                 MatmulShape { m: m as u64, k: k as u64, n: n as u64 },
                 batch as u64,
@@ -1419,14 +1446,14 @@ mod tests {
             .run_batch(&net, &qparams, std::slice::from_ref(&image))
             .expect("valid image");
         assert_eq!(got, want);
-        assert_eq!(functional.array_cycles(), ticked.array_cycles());
+        assert_eq!(functional.ledger(), ticked.ledger());
     }
 
     #[test]
     fn functional_matmul_charges_ticked_cycles() {
-        // Tile-by-tile cycle charging equals the ticked serial schedule
-        // (and therefore the closed-form serial formula) on shapes with
-        // ragged tiles.
+        // Tile-by-tile cycle charging equals the edges the ticked array
+        // executes (and therefore the closed-form serial formula) on
+        // shapes with ragged tiles.
         for (m, k, n) in [(1, 4, 4), (3, 9, 6), (7, 2, 10), (5, 17, 3)] {
             let mut cfg = AcceleratorConfig::test_4x4();
             cfg.backend = crate::EngineBackend::Functional;
@@ -1455,8 +1482,8 @@ mod tests {
                 ActivationKind::Identity,
             );
             assert_eq!(
-                acc.array_cycles(),
-                reference.array_cycles(),
+                acc.ledger().array,
+                reference.array.cycles(),
                 "({m},{k},{n})"
             );
             assert_eq!(out_fun, out_ref, "({m},{k},{n})");
@@ -1464,10 +1491,10 @@ mod tests {
     }
 
     /// The derived charge of every layer geometry prices the array
-    /// edges a ticked matmul of that geometry executes. The traffic,
-    /// stall and `MemReport` fields hold by construction, since both
-    /// backends apply the charge itself; the comparison covers them
-    /// anyway. The geometries are Conv1, PrimaryCaps, the FC and routing's Sum
+    /// edges a ticked matmul of that geometry executes, read from the
+    /// ticked array's own edge counter. The traffic and `MemReport`
+    /// fields hold by construction, since both backends apply the
+    /// charge itself; the comparison covers them anyway. The geometries are Conv1, PrimaryCaps, the FC and routing's Sum
     /// and Update of two networks: the 16-lane-aligned mini CapsNet of
     /// `tests/lane_kernels.rs` on the paper array, and
     /// `CapsNetConfig::tiny()` on the 4×4 test array, where the FC
@@ -1545,9 +1572,8 @@ mod tests {
                         };
                         let want = MatmulCharge {
                             geometry,
-                            array_cycles: ticked.array_cycles(),
+                            array_cycles: ticked.array.cycles(),
                             traffic: *ticked.traffic(),
-                            stall: ticked.memory_stall_cycles(),
                             mem: ticked.memory_report(),
                         };
                         // Pricing charges nothing.
@@ -1555,7 +1581,7 @@ mod tests {
                         let derived = fresh.charge(&geometry);
                         let at = format!("({m},{k},{n}) batch {batch}, {:?}", memory.mode);
                         assert_eq!(derived, want, "{at}");
-                        assert_eq!(fresh.array_cycles(), 0, "{at}");
+                        assert_eq!(fresh.ledger(), CycleLedger::default(), "{at}");
                         assert_eq!(fresh.memory_report(), MemReport::default(), "{at}");
                     }
                 }
@@ -1577,7 +1603,7 @@ mod tests {
             let mut acc = Accelerator::new(cfg);
             let (mut outs, _) =
                 acc.matmul_batch(1, &|_, _, _| 7, &|_, _| 7, 3, 0, 4, Some(&bias), 6, kind);
-            (outs.remove(0), acc.array_cycles(), acc.activation_cycles())
+            (outs.remove(0), acc.ledger())
         };
         for kind in [
             ActivationKind::Identity,

@@ -84,7 +84,7 @@ pub use capsacc_telemetry::{
 pub use config::{
     AcceleratorConfig, DataflowOptions, EngineBackend, FunctionalOptions, SimdMode, TraceLevel,
 };
-pub use engine::{Accelerator, LayerRun};
+pub use engine::{Accelerator, CycleLedger, LayerRun};
 pub use pe::{Pe, PeControl, PeInput, PeOutput, WeightSelect};
 pub use systolic::SystolicArray;
 pub use timing::{

@@ -188,15 +188,6 @@ impl SystolicArray {
         u64_from(m + self.rows + self.cols)
     }
 
-    /// Charges `n` clock edges to the cycle counter without ticking a
-    /// single PE — the `Functional` engine backend computes tile
-    /// results directly and accounts the edges it provably would have
-    /// spent ([`load_edges`](Self::load_edges) /
-    /// [`stream_edges`](Self::stream_edges) per tile).
-    pub(crate) fn advance_cycles(&mut self, n: u64) {
-        self.cycles += n;
-    }
-
     /// Advances the whole array one clock edge.
     ///
     /// `data_west[r]` enters row `r` from the west; `weight_north[c]`

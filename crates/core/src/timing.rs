@@ -86,7 +86,7 @@ use capsacc_tensor::checked_product_u64 as checked_product;
 /// degrade to the serial schedule instead of assuming free overlap —
 /// tile-load cycles are *not* independent of buffer capacity.
 fn tiles_pipeline(cfg: &AcceleratorConfig) -> bool {
-    cfg.dataflow.pipelined_tiles && 2 * cfg.rows * cfg.cols <= cfg.weight_buffer_bytes
+    cfg.dataflow.pipelined_tiles && 2 * cfg.rows * cfg.cols <= cfg.memory.weight_spm.bytes
 }
 
 /// The geometry of one `shape` matmul for `batch` images under the
@@ -97,8 +97,9 @@ fn tiles_pipeline(cfg: &AcceleratorConfig) -> bool {
 /// and run serially otherwise.
 ///
 /// A debug assertion rejects configurations whose single tile cannot fit
-/// the Weight Buffer: no schedule can hide a tile that cannot be
-/// resident at all.
+/// the Weight Buffer (no schedule can hide a tile that cannot be
+/// resident at all), since the closed form's entry points do not
+/// [`AcceleratorConfig::validate`].
 fn geometry(
     shape: MatmulShape,
     batch: u64,
@@ -106,11 +107,11 @@ fn geometry(
     weights_offchip: bool,
 ) -> MatmulGeometry {
     debug_assert!(
-        cfg.rows * cfg.cols <= cfg.weight_buffer_bytes,
+        cfg.rows * cfg.cols <= cfg.memory.weight_spm.bytes,
         "a {}x{} weight tile exceeds the {} B Weight Buffer",
         cfg.rows,
         cfg.cols,
-        cfg.weight_buffer_bytes
+        cfg.memory.weight_spm.bytes
     );
     MatmulGeometry {
         m: usize_from(shape.m),
@@ -784,9 +785,9 @@ fn replay_inference_memory(
         if count == 0 {
             return 0;
         }
-        let (stall, d) = mem.price(g);
+        let d = mem.price(g);
         mem.charge(&d.scaled(count));
-        stall * count
+        d.stall_cycles * count
     };
 
     let conv1 = mem.stage_input(checked_product(
@@ -1172,7 +1173,7 @@ mod tests {
         let mut c = cfg();
         c.rows = 4;
         c.cols = 4;
-        c.weight_buffer_bytes = 24; // 16 B tile fits, 32 B double buffer does not
+        c.memory.weight_spm.bytes = 24; // 16 B tile fits, 32 B double buffer does not
         let shape = MatmulShape { m: 5, k: 16, n: 8 };
         let mut serial = c;
         serial.dataflow.pipelined_tiles = false;
@@ -1181,7 +1182,7 @@ mod tests {
             batch_matmul_cycles(shape, 1, &serial)
         );
         // With room for the double buffer, pipelining resumes.
-        c.weight_buffer_bytes = 32;
+        c.memory.weight_spm.bytes = 32;
         assert!(batch_matmul_cycles(shape, 1, &c) < batch_matmul_cycles(shape, 1, &serial));
     }
 

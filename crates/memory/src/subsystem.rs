@@ -298,9 +298,9 @@ pub struct MemorySubsystem {
     cfg: MemoryConfig,
     pipeline: PrefetchPipeline,
     report: MemReport,
-    /// The last replayed geometries with the stall and counter delta
-    /// each replay produced, oldest first.
-    replays: Vec<(MatmulGeometry, u64, MemReport)>,
+    /// The last replayed geometries with the counter delta each replay
+    /// produced, oldest first.
+    replays: Vec<(MatmulGeometry, MemReport)>,
 }
 
 impl MemorySubsystem {
@@ -349,46 +349,44 @@ impl MemorySubsystem {
     /// counter exactly where a fresh replay would (the ClassCaps FC
     /// issues ~1.2k identical calls per batch).
     pub fn matmul(&mut self, g: &MatmulGeometry) -> u64 {
-        let (stall, delta) = self.price(g);
+        let delta = self.price(g);
         self.report.merge(&delta);
-        stall
+        delta.stall_cycles
     }
 
-    /// What [`MemorySubsystem::matmul`] would charge for `g` — its stall
-    /// and counter delta — without charging it: the remembered outcome
-    /// when `g` is among the last `REPLAY_MEMO` geometries, otherwise a
-    /// fresh replay whose counters are rolled back (and remembered).
-    /// Charging `k` identical matmuls is then one
+    /// What [`MemorySubsystem::matmul`] would charge for `g` — its
+    /// counter delta, stall included — without charging it: the
+    /// remembered outcome when `g` is among the last `REPLAY_MEMO`
+    /// geometries, otherwise a fresh replay whose counters are rolled
+    /// back (and remembered). Charging `k` identical matmuls is then one
     /// [`MemorySubsystem::charge`] of the delta [`MemReport::scaled`]
-    /// by `k`, plus `k` times the stall.
-    pub fn price(&mut self, g: &MatmulGeometry) -> (u64, MemReport) {
-        if let Some((_, stall, delta)) = self.replays.iter().find(|(seen, ..)| seen == g) {
-            return (*stall, *delta);
+    /// by `k`.
+    pub fn price(&mut self, g: &MatmulGeometry) -> MemReport {
+        if let Some((_, delta)) = self.replays.iter().find(|(seen, _)| seen == g) {
+            return *delta;
         }
         let before = self.report;
-        let stall = self.replay(g);
+        self.replay(g);
         let delta = self.report.since(&before);
         self.report = before;
         if self.replays.len() == REPLAY_MEMO {
             self.replays.remove(0);
         }
-        self.replays.push((*g, stall, delta));
-        (stall, delta)
+        self.replays.push((*g, delta));
+        delta
     }
 
     /// Walks one matmul's whole tile schedule through the hierarchy.
-    fn replay(&mut self, g: &MatmulGeometry) -> u64 {
+    fn replay(&mut self, g: &MatmulGeometry) {
         self.pipeline.begin_stream();
-        let mut stalls = 0u64;
         for n0 in (0..g.n).step_by(g.cols.max(1)) {
             let nt = g.cols.min(g.n - n0);
             let k0s = (0..g.k).step_by(g.rows.max(1));
             for (kt_idx, (k0, compute)) in k0s.zip(g.tile_windows()).enumerate() {
                 let kt = g.rows.min(g.k - k0);
-                stalls += self.tile(kt, nt, kt_idx == 0, compute, g);
+                self.tile(kt, nt, kt_idx == 0, compute, g);
             }
         }
-        stalls
     }
 
     /// One weight tile: `kt × nt` weights loaded (from DRAM when
@@ -402,7 +400,7 @@ impl MemorySubsystem {
         first_fold: bool,
         compute_window: u64,
         g: &MatmulGeometry,
-    ) -> u64 {
+    ) {
         let weight_bytes = u64_from(kt * nt);
         let data_bytes = u64_from(g.batch * g.m * kt);
         let acc_write_bytes = u64_from(g.batch * g.m * nt) * ACC_ENTRY_BYTES;
@@ -438,7 +436,7 @@ impl MemorySubsystem {
             self.report.dram_weight_bytes += weight_bytes;
         }
         if self.cfg.is_ideal() {
-            return 0;
+            return;
         }
 
         // Bank/port shortfalls: the array wants one nt-byte weight row
@@ -463,9 +461,7 @@ impl MemorySubsystem {
         self.report.bank_stall_cycles += bank_stall;
         self.report.prefetch_stall_cycles += outcome.stall_cycles;
         self.report.hidden_fill_cycles += outcome.hidden_cycles;
-        let total = bank_stall + outcome.stall_cycles;
-        self.report.stall_cycles += total;
-        total
+        self.report.stall_cycles += bank_stall + outcome.stall_cycles;
     }
 
     /// Stages `bytes` of input data from DRAM into the on-chip Data
@@ -900,10 +896,10 @@ mod tests {
                 let mut fresh = MemorySubsystem::new(cfg);
                 let want = fresh.matmul(g);
                 assert_eq!(mem.matmul(g), want, "{g:?}");
-                let (stall, delta) = recorded.price(g);
+                let delta = recorded.price(g);
                 recorded.charge(&delta);
                 MemorySubsystem::record_matmul(&delta, &mut rec);
-                assert_eq!(stall, want);
+                assert_eq!(delta.stall_cycles, want);
                 MemorySubsystem::record_matmul(&fresh.report(), &mut fresh_rec);
                 fresh_total.merge(&fresh.report());
             }

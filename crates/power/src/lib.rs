@@ -199,6 +199,8 @@ impl PowerModel {
         let pes = cfg.pe_count() as f64;
         let cols = cfg.cols as f64;
         let au = cfg.activation_units as f64;
+        let data_bytes = cfg.memory.data_spm.bytes as f64;
+        let weight_bytes = cfg.memory.weight_spm.bytes as f64;
         let components = vec![
             ComponentEstimate {
                 name: "Accumulator",
@@ -212,8 +214,8 @@ impl PowerModel {
             },
             ComponentEstimate {
                 name: "Data Buffer",
-                area_um2: self.data_buffer_area_per_byte * cfg.data_buffer_bytes as f64,
-                power_mw: self.data_buffer_power_per_byte * cfg.data_buffer_bytes as f64 * scale,
+                area_um2: self.data_buffer_area_per_byte * data_bytes,
+                power_mw: self.data_buffer_power_per_byte * data_bytes * scale,
             },
             ComponentEstimate {
                 name: "Routing Buffer",
@@ -224,10 +226,8 @@ impl PowerModel {
             },
             ComponentEstimate {
                 name: "Weight Buffer",
-                area_um2: self.weight_buffer_area_per_byte * cfg.weight_buffer_bytes as f64,
-                power_mw: self.weight_buffer_power_per_byte
-                    * cfg.weight_buffer_bytes as f64
-                    * scale,
+                area_um2: self.weight_buffer_area_per_byte * weight_bytes,
+                power_mw: self.weight_buffer_power_per_byte * weight_bytes * scale,
             },
             ComponentEstimate {
                 name: "Systolic Array",

@@ -88,11 +88,10 @@ fn span_index(idx: u32) -> usize {
 ///
 /// The clock is advanced *explicitly* by instrumentation
 /// ([`Recorder::advance`]) at each point the simulation charges
-/// cycles, rather than being derived from engine counters — the
-/// engine's per-layer accounting is not a simple counter delta (some
-/// step cycles exist only in step tables), and the explicit clock is
-/// what makes span trees sum *exactly* to `LayerRun`/`BatchRun`
-/// totals.
+/// cycles, rather than being derived from engine counters: this crate
+/// depends on none of them, and the engine advances it wherever it
+/// charges its cycle ledger, which is what makes span trees sum
+/// *exactly* to `LayerRun`/`BatchRun` totals.
 ///
 /// A disabled recorder (the default everywhere) turns every method
 /// into a cheap early-return: no allocation, no clock movement, no

@@ -42,7 +42,7 @@ fn main() {
     println!("\nBuffer sizing at the 16×16 point (Data Buffer share of area):");
     for kb in [64usize, 128, 256, 512] {
         let mut cfg = AcceleratorConfig::paper();
-        cfg.data_buffer_bytes = kb * 1024;
+        cfg.memory.data_spm.bytes = kb * 1024;
         let report = model.estimate(&cfg);
         let share = report
             .area_breakdown()

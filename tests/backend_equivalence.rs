@@ -30,8 +30,9 @@ fn functional(mut cfg: AcceleratorConfig) -> AcceleratorConfig {
 }
 
 /// Runs one batched matmul on both backends and asserts every
-/// observable is equal: outputs, per-image saturations, array cycles,
-/// activation cycles, traffic counters and memory stalls.
+/// observable is equal: outputs, per-image saturations, the cycle
+/// ledger (array, activation, transfer and stall cycles) and traffic
+/// counters.
 #[allow(clippy::too_many_arguments)]
 fn assert_matmul_backends_agree(
     cfg: AcceleratorConfig,
@@ -69,18 +70,8 @@ fn assert_matmul_backends_agree(
     );
     assert_eq!(got_outs, want_outs, "outputs diverged at ({m},{k},{n})");
     assert_eq!(got_sats, want_sats, "saturation attribution diverged");
-    assert_eq!(fast.array_cycles(), ticked.array_cycles(), "cycle charge");
-    assert_eq!(
-        fast.activation_cycles(),
-        ticked.activation_cycles(),
-        "activation cycles"
-    );
+    assert_eq!(fast.ledger(), ticked.ledger(), "cycle ledger");
     assert_eq!(fast.traffic(), ticked.traffic(), "traffic counters");
-    assert_eq!(
-        fast.memory_stall_cycles(),
-        ticked.memory_stall_cycles(),
-        "memory stalls"
-    );
     want_sats.iter().sum()
 }
 
@@ -196,7 +187,7 @@ fn in_array_saturation_pins_the_north_south_fold() {
     let mut cfg = AcceleratorConfig::test_4x4();
     cfg.rows = k; // single K-tile: all the folding happens in-array
     cfg.cols = 2;
-    cfg.weight_buffer_bytes = 2 * k * 2; // keep the tile-fits invariant
+    cfg.memory.weight_spm.bytes = 2 * k * 2; // keep the tile-fits invariant
     let data = |_img: usize, _mi: usize, ki: usize| -> i8 {
         if ki < 1060 {
             127

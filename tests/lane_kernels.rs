@@ -37,8 +37,7 @@ fn stream(seed: u64) -> impl FnMut() -> i8 {
 type Observed = (
     Vec<capsacc::tensor::Tensor<i8>>,
     Vec<u64>,
-    u64,
-    u64,
+    capsacc::core::CycleLedger,
     capsacc::core::TrafficReport,
     [u64; 3],
 );
@@ -76,8 +75,7 @@ fn run_matmul(
     (
         outs,
         sats,
-        acc.array_cycles(),
-        acc.activation_cycles(),
+        acc.ledger(),
         *acc.traffic(),
         fault_counters(&acc),
     )
@@ -170,7 +168,7 @@ fn batched_fault_draws_equal_ticked() {
             n,
             8,
         );
-        let [ops, flips, _] = ticked.5;
+        let [ops, flips, _] = ticked.4;
         assert_eq!(ops, (batch * m * n) as u64, "one draw per drained value");
         assert!(flips > 0, "5% of {ops} draws must flip something");
         for simd in [SimdMode::Auto, SimdMode::Scalar] {

@@ -56,7 +56,8 @@ fn golden_digests_hold_under_ideal_and_finite_memory() {
 #[test]
 fn ideal_memory_reproduces_pre_memory_cycle_counts() {
     // Under IdealMemory every stall counter is zero, so layer cycles are
-    // exactly array + activation cycles — the pre-memory accounting.
+    // exactly array + activation + transfer cycles — the pre-memory
+    // accounting.
     let net = CapsNetConfig::tiny();
     let cfg = AcceleratorConfig::test_4x4();
     let qparams = CapsNetParams::generate(&net, 3).quantize(cfg.numeric);
@@ -67,7 +68,10 @@ fn ideal_memory_reproduces_pre_memory_cycle_counts() {
     assert_eq!(run.memory.stall_cycles, 0);
     for layer in &run.layers {
         assert_eq!(layer.memory_stall_cycles, 0, "layer {}", layer.name);
-        assert_eq!(layer.cycles(), layer.array_cycles + layer.activation_cycles);
+        assert_eq!(
+            layer.cycles(),
+            layer.array_cycles + layer.activation_cycles + layer.transfer_cycles
+        );
     }
     // The off-chip split is still measurable on the ideal design point.
     assert!(run.memory.dram_weight_bytes > 0);
@@ -186,12 +190,12 @@ proptest! {
         let weight = |ki: usize, ni: usize| ((ki + ni * 5) % 60) as i8;
 
         let mut acc = Accelerator::new(cfg);
-        let stalls_before = acc.memory_stall_cycles();
-        let cycles_before = acc.array_cycles();
+        let before = acc.ledger();
         let (outs, _) = acc.matmul_batch(
             batch, &data, &weight, m, k, n, None, 6, ActivationKind::Identity,
         );
-        let engine_stalls = acc.memory_stall_cycles() - stalls_before;
+        let engine = acc.ledger().since(&before);
+        let engine_stalls = engine.stall;
 
         let shape = timing::MatmulShape { m: m as u64, k: k as u64, n: n as u64 };
         // The public matmul path treats weights as on-chip operands.
@@ -209,8 +213,8 @@ proptest! {
             batch, &data, &weight, m, k, n, None, 6, ActivationKind::Identity,
         );
         prop_assert_eq!(&outs, &ideal_outs, "memory model changed outputs");
-        prop_assert_eq!(acc.array_cycles() - cycles_before, ideal_acc.array_cycles());
-        prop_assert_eq!(ideal_acc.memory_stall_cycles(), 0);
+        prop_assert_eq!(engine.array, ideal_acc.ledger().array);
+        prop_assert_eq!(ideal_acc.ledger().stall, 0);
 
         // Monotone in DRAM latency (off-chip path exercised separately).
         let mut slower = cfg;

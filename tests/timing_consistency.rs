@@ -4,8 +4,8 @@
 
 use capsacc::capsnet::{CapsNetConfig, CapsNetParams};
 use capsacc::core::{
-    timing, Accelerator, AcceleratorConfig, ActivationKind, EngineBackend, MemoryConfig,
-    MemoryKind, RoutingStep,
+    timing, Accelerator, AcceleratorConfig, ActivationKind, CycleLedger, EngineBackend,
+    MemoryConfig, MemoryKind, RoutingStep,
 };
 use capsacc::mnist::SyntheticMnist;
 
@@ -32,7 +32,7 @@ fn batched_engine_matches_batched_serial_formula() {
     ] {
         for batch in [1usize, 2, 3, 5, 8] {
             let mut acc = Accelerator::new(cfg);
-            let before = acc.array_cycles();
+            let before = acc.ledger().array;
             acc.matmul_batch(
                 batch,
                 &|img, mi, ki| ((img * 11 + mi * 3 + ki) % 50) as i8,
@@ -44,7 +44,7 @@ fn batched_engine_matches_batched_serial_formula() {
                 6,
                 ActivationKind::Identity,
             );
-            let got = acc.array_cycles() - before;
+            let got = acc.ledger().array - before;
             let want = timing::batch_matmul_cycles(
                 timing::MatmulShape {
                     m: m as u64,
@@ -166,6 +166,75 @@ fn engine_matches_serial_closed_form_at_mnist_scale() {
                     _ => 0,
                 };
                 assert_eq!(s.cycles as i64 - cycles as i64, gap, "{step}, {at}");
+            }
+        }
+    }
+}
+
+#[test]
+fn engine_ledger_partitions_layers_and_steps_at_mnist_scale() {
+    // The `GOLDEN_DIGESTS_MNIST` digit and parameters. Every `LayerRun`
+    // and routing step is a delta of the engine's one cycle ledger, so
+    // the layers' parts add up to the ledger's delta over the run and
+    // the ClassCaps steps partition the ClassCaps layer: its matmuls'
+    // array cycles, the softmaxes' and squashes' activation cycles, and
+    // the `û` Load and the coupling broadcast (`Softmax1`) as transfer.
+    let net = CapsNetConfig::mnist();
+    let digits = SyntheticMnist::new(1);
+    let params = CapsNetParams::generate(&net, 1);
+    for (memory, class_caps_stall) in [(MemoryConfig::ideal(), 0), (MemoryConfig::paper(), 956_160)]
+    {
+        let cfg = AcceleratorConfig {
+            backend: EngineBackend::Functional,
+            memory,
+            ..AcceleratorConfig::paper()
+        };
+        let qparams = params.quantize(cfg.numeric);
+        for batch in [1u64, 2] {
+            let at = format!("batch {batch}, {:?}", memory.mode);
+            let images: Vec<_> = (0..batch).map(|i| digits.sample(i).image).collect();
+            let mut acc = Accelerator::new(cfg);
+            let before = acc.ledger();
+            let run = acc.run_batch(&net, &qparams, &images).expect("valid batch");
+            let mut parts = CycleLedger::default();
+            for l in &run.layers {
+                let sum = l.array_cycles
+                    + l.activation_cycles
+                    + l.transfer_cycles
+                    + l.memory_stall_cycles;
+                assert_eq!(sum, l.cycles(), "{} parts, {at}", l.name);
+                parts.array += l.array_cycles;
+                parts.activation += l.activation_cycles;
+                parts.transfer += l.transfer_cycles;
+                parts.stall += l.memory_stall_cycles;
+            }
+            assert_eq!(parts, acc.ledger().since(&before), "{at}");
+
+            let class_caps = &run.layers[2];
+            let steps = |want: fn(&RoutingStep) -> bool| -> u64 {
+                run.steps
+                    .iter()
+                    .filter(|(s, _)| want(s))
+                    .map(|&(_, c)| c)
+                    .sum()
+            };
+            assert_eq!(steps(|_| true), class_caps.cycles(), "{at}");
+            assert_eq!(
+                steps(|s| matches!(s, RoutingStep::Load | RoutingStep::Softmax(1))),
+                class_caps.transfer_cycles,
+                "{at}"
+            );
+            if batch == 1 {
+                assert_eq!(
+                    (
+                        class_caps.array_cycles,
+                        class_caps.activation_cycles,
+                        class_caps.transfer_cycles,
+                        class_caps.memory_stall_cycles
+                    ),
+                    (708_020, 2_934, 25_920, class_caps_stall),
+                    "{at}"
+                );
             }
         }
     }
