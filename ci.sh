@@ -23,6 +23,10 @@ run cargo clippy --manifest-path perfbench/Cargo.toml --all-targets -- -D warnin
 run cargo run --release -q -p capsacc-lint -- --deny --json LINT_report.json
 run cargo build --release
 run cargo test --workspace -q
+# The same suite with debug assertions and overflow checks off, as the
+# release builds that perfbench and the exp_* binaries run: a check that
+# exists only as a debug_assert! guards nothing there.
+run cargo test --workspace --release -q
 # Run every example end to end (README advertises all five;
 # cycle_accurate_validation and mnist_full_system assert bit-exactness).
 for example in quickstart cycle_accurate_validation mnist_full_system design_space synthetic_digits; do

@@ -20,7 +20,7 @@ use capsacc_core::{
     mapping, timing, Accelerator, AcceleratorConfig, BatchRun, EngineBackend, LayerRun,
     MemoryConfig, MemoryKind, RoutingStep,
 };
-use capsacc_fixed::{squash_derivative_1d, squash_scalar_1d, NumericConfig, SquashLut};
+use capsacc_fixed::{squash_derivative_1d, squash_scalar_1d, SquashLut};
 use capsacc_gpu_model::GpuModel;
 use capsacc_mnist::SyntheticMnist;
 use capsacc_power::{EnergyModel, PowerModel};
@@ -256,7 +256,7 @@ fn fig03(paper: &mut Paper) {
         best.0, best.1
     );
     // Hardware LUT fidelity (6-bit data × 5-bit norm → 8-bit out).
-    let lut = SquashLut::new(NumericConfig::default());
+    let lut = SquashLut::default();
     println!(
         "Squash LUT: {} entries, max |error| = {:.4} (one Q2.5 LSB = {:.4})",
         SquashLut::ENTRIES,

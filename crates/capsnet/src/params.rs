@@ -1,6 +1,6 @@
 //! Network parameters: float generation and 8-bit quantization.
 
-use capsacc_fixed::{Data8, Fx8, NumericConfig, Weight8};
+use capsacc_fixed::{Data8, NumericConfig, Weight8};
 use capsacc_tensor::Tensor;
 
 use crate::arch::CapsNetConfig;
@@ -98,9 +98,9 @@ impl CapsNetParams {
             + self.w_class.len()
     }
 
-    /// Quantizes to the 8-bit formats of `ncfg`: weights to `Weight8`
-    /// codes, biases staged at the product fraction width (as the
-    /// accumulator receives them).
+    /// Quantizes to the 8-bit formats of [`NumericConfig`] (`ncfg` is
+    /// its fieldless value): weights to `Weight8` codes, biases staged
+    /// at the product fraction width (as the accumulator receives them).
     pub fn quantize(&self, ncfg: NumericConfig) -> QuantizedParams {
         let quant_w = |t: &Tensor<f32>| t.map(|&v| Weight8::from_f32(v).raw());
         let quant_b = |b: &[f32]| {
@@ -117,14 +117,12 @@ impl CapsNetParams {
             pc_w: quant_w(&self.pc_w),
             pc_b: quant_b(&self.pc_b),
             w_class: quant_w(&self.w_class),
-            ncfg,
         }
     }
 }
 
-/// 8-bit quantized parameters (raw `i8` weight codes, `i32` biases at the
-/// product fraction width) plus the [`NumericConfig`] they were quantized
-/// under.
+/// 8-bit quantized parameters: raw `i8` weight codes and `i32` biases at
+/// the product fraction width of [`NumericConfig`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct QuantizedParams {
     /// Conv1 weight codes.
@@ -137,17 +135,12 @@ pub struct QuantizedParams {
     pub pc_b: Vec<i32>,
     /// ClassCaps transform codes.
     pub w_class: Tensor<i8>,
-    /// The quantization configuration.
-    pub ncfg: NumericConfig,
 }
 
 impl QuantizedParams {
     /// Quantizes a float image into `Data8` codes.
     pub fn quantize_image(&self, image: &Tensor<f32>) -> Tensor<i8> {
-        image.map(|&v| {
-            debug_assert_eq!(self.ncfg.data_frac, Data8::FRAC_BITS);
-            Fx8::<5>::from_f32(v).raw()
-        })
+        image.map(|&v| Data8::from_f32(v).raw())
     }
 
     /// Total byte count of the stored weights and biases (biases counted

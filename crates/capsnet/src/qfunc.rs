@@ -5,8 +5,9 @@
 use capsacc_fixed::{norm_code, ExpLut, NumericConfig, SquareLut, SquashLut};
 use capsacc_tensor::u64_from;
 
-/// All hardware LUTs plus the numeric configuration, bundled so the
-/// reference model and the simulator construct *identical* tables.
+/// All hardware LUTs, bundled so the reference model and the simulator
+/// construct *identical* tables in the one numeric format
+/// ([`NumericConfig`]).
 ///
 /// # Example
 ///
@@ -21,31 +22,25 @@ use capsacc_tensor::u64_from;
 /// ```
 #[derive(Clone, Debug)]
 pub struct QuantPipeline {
-    cfg: NumericConfig,
     squash: SquashLut,
     exp: ExpLut,
     square: SquareLut,
 }
 
 impl QuantPipeline {
-    /// Builds the three LUTs for a numeric configuration.
-    pub fn new(cfg: NumericConfig) -> Self {
+    /// Builds the three LUTs in the one numeric format, whose fieldless
+    /// [`NumericConfig`] value is the argument.
+    pub fn new(_: NumericConfig) -> Self {
         Self {
-            cfg,
-            squash: SquashLut::new(cfg),
-            exp: ExpLut::new(cfg),
-            square: SquareLut::new(cfg),
+            squash: SquashLut::default(),
+            exp: ExpLut::default(),
+            square: SquareLut::default(),
         }
-    }
-
-    /// The numeric configuration.
-    pub fn config(&self) -> NumericConfig {
-        self.cfg
     }
 
     /// The Norm unit: squares each element through the 12-bit LUT,
     /// accumulates, and takes the integer square root — producing the
-    /// 8-bit norm code (`norm_frac` fraction bits).
+    /// 8-bit norm code ([`NumericConfig::NORM_FRAC`] fraction bits).
     ///
     /// In hardware this takes `n + 1` cycles for an `n`-element vector
     /// (Sec. IV-C); the cycle cost lives in the simulator, the arithmetic
@@ -55,7 +50,7 @@ impl QuantPipeline {
             .iter()
             .map(|&x| u64::from(self.square.lookup(i16::from(x))))
             .sum();
-        norm_code(sum, self.cfg.square_frac, self.cfg.norm_frac)
+        norm_code(sum, NumericConfig::SQUARE_FRAC, NumericConfig::NORM_FRAC)
     }
 
     /// The Squash unit applied to a capsule vector: computes the norm,
@@ -71,7 +66,7 @@ impl QuantPipeline {
     }
 
     /// The Softmax unit over a logit vector, producing coupling
-    /// coefficients in the `coupling_frac` format.
+    /// coefficients in the [`NumericConfig::COUPLING_FRAC`] format.
     ///
     /// # Panics
     ///
@@ -92,7 +87,7 @@ impl QuantPipeline {
     /// Panics if `n` is zero.
     pub fn uniform_coupling(&self, n: usize) -> i8 {
         assert!(n > 0, "cannot distribute coupling over zero classes");
-        let one = 1u64 << self.cfg.coupling_frac;
+        let one = 1u64 << NumericConfig::COUPLING_FRAC;
         let n = u64_from(n);
         ((one + n / 2) / n).min(u64::from(i8::MAX as u8)) as i8
     }

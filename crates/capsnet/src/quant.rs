@@ -7,7 +7,7 @@
 //! produced here — the Rust analogue of the paper's gate-level-vs-PyTorch
 //! validation (Fig. 15).
 
-use capsacc_fixed::{requantize, Acc25};
+use capsacc_fixed::{requantize, Acc25, NumericConfig};
 use capsacc_tensor::{qops, qops::MacStats, u64_from, Tensor};
 
 use crate::arch::CapsNetConfig;
@@ -117,7 +117,7 @@ pub fn infer_q8_traced(
     image: &Tensor<f32>,
     variant: RoutingVariant,
 ) -> QuantTrace {
-    let ncfg = pipeline.config();
+    let ncfg = NumericConfig::default();
     let g1 = cfg.conv1_geometry();
     let gp = cfg.primary_caps_geometry();
     let mut stats = MacStats::default();
@@ -347,12 +347,11 @@ mod tests {
         // within a couple of LSBs of the float ones.
         let cfg = CapsNetConfig::tiny();
         let params = CapsNetParams::generate(&cfg, 3);
-        let ncfg = NumericConfig::default();
         let (qp, pipe, image) = setup(&cfg, 3);
         let qf = crate::float::infer_f32(&cfg, &params, &image, RoutingVariant::SkipFirstSoftmax);
         let qq = infer_q8(&cfg, &qp, &pipe, &image, RoutingVariant::SkipFirstSoftmax);
         for (fnorm, &qnorm) in qf.class_norms().iter().zip(&qq.class_norms) {
-            let q = qnorm as f32 / (1u32 << ncfg.norm_frac) as f32;
+            let q = qnorm as f32 / (1u32 << NumericConfig::NORM_FRAC) as f32;
             assert!((fnorm - q).abs() < 0.25, "float norm {fnorm} vs quant {q}");
         }
     }

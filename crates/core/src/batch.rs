@@ -578,6 +578,25 @@ mod tests {
     }
 
     #[test]
+    fn activation_units_follow_the_array_width() {
+        // One activation unit per array column: a 4×2 array squashes
+        // the primary capsules two at a time.
+        let (net, mut cfg, qparams) = setup();
+        cfg.cols = 2;
+        cfg.backend = crate::EngineBackend::Functional;
+        let image = Tensor::from_fn(&[1, 12, 12], |i| ((i[1] + i[2]) % 7) as f32 / 7.0);
+        let run = Accelerator::new(cfg)
+            .run_batch(&net, &qparams, &[image])
+            .expect("valid image");
+        assert_eq!(run.layers[1].name, "PrimaryCaps");
+        assert_eq!(
+            run.layers[1].activation_cycles,
+            u64_from(net.num_primary_caps().div_ceil(2))
+                * crate::ActivationUnit::squash_cycles(u64_from(net.pc_caps_dim))
+        );
+    }
+
+    #[test]
     fn functional_backend_batch_run_is_identical() {
         // The layer-major batched pass is backend-agnostic: the whole
         // BatchRun — traces, layer cycles, steps, traffic, memory,

@@ -134,7 +134,7 @@ pub enum TraceLevel {
 ///
 /// [`AcceleratorConfig::paper`] is the synthesized design point of
 /// Table II: a 16×16 systolic array at 250 MHz with 8-bit operands and
-/// 8 MB of on-chip memory.
+/// 8 MB of on-chip memory ([`AcceleratorConfig::ONCHIP_MEMORY_BYTES`]).
 ///
 /// # Example
 ///
@@ -150,7 +150,8 @@ pub struct AcceleratorConfig {
     /// Systolic array rows (the reduction dimension).
     pub rows: usize,
     /// Systolic array columns (the output dimension); also the number of
-    /// accumulator and activation units.
+    /// accumulator units and of activation units, one of each per column
+    /// (Sec. IV-C).
     pub cols: usize,
     /// Clock frequency in MHz (Table II: 250).
     pub clock_mhz: u64,
@@ -167,12 +168,8 @@ pub struct AcceleratorConfig {
     /// Routing Buffer capacity in bytes. The Data and Weight Buffers are
     /// `memory.data_spm` and `memory.weight_spm`.
     pub routing_buffer_bytes: usize,
-    /// On-chip memory capacity in bytes (Table II: 8 MB).
-    pub onchip_memory_bytes: usize,
-    /// Number of parallel activation units (the paper has one per
-    /// column).
-    pub activation_units: usize,
-    /// Numeric formats of the datapath.
+    /// Numeric format of the datapath: the fieldless [`NumericConfig`],
+    /// whose fraction widths are constants.
     pub numeric: NumericConfig,
     /// Dataflow policy switches.
     pub dataflow: DataflowOptions,
@@ -198,6 +195,10 @@ pub struct AcceleratorConfig {
 }
 
 impl AcceleratorConfig {
+    /// Table II's on-chip memory capacity, 8 MB (as 8 MiB). Reported by
+    /// `capsacc-power`'s Table II summary; nothing simulated reads it.
+    pub const ONCHIP_MEMORY_BYTES: usize = 8 * 1024 * 1024;
+
     /// The synthesized 16×16 design point of Table II.
     pub fn paper() -> Self {
         Self {
@@ -208,8 +209,6 @@ impl AcceleratorConfig {
             data_mem_bw: 8,
             routing_buf_bw: 4,
             routing_buffer_bytes: 64 * 1024,
-            onchip_memory_bytes: 8 * 1024 * 1024,
-            activation_units: 16,
             numeric: NumericConfig::default(),
             dataflow: DataflowOptions::default(),
             backend: EngineBackend::default(),
@@ -224,7 +223,6 @@ impl AcceleratorConfig {
         let mut cfg = Self {
             rows: 4,
             cols: 4,
-            activation_units: 4,
             routing_buffer_bytes: 4 * 1024,
             ..Self::paper()
         };
@@ -252,8 +250,8 @@ impl AcceleratorConfig {
     /// # Errors
     ///
     /// Returns a description of the first violated constraint (zero
-    /// dimensions, zero bandwidths, memory or numeric-format
-    /// inconsistencies, or a weight tile larger than the Weight Buffer).
+    /// dimensions, zero bandwidths, memory inconsistencies, or a weight
+    /// tile larger than the Weight Buffer).
     pub fn validate(&self) -> Result<(), String> {
         if self.rows == 0 || self.cols == 0 {
             return Err("systolic array dimensions must be non-zero".into());
@@ -264,9 +262,6 @@ impl AcceleratorConfig {
         if self.weight_mem_bw == 0 || self.data_mem_bw == 0 || self.routing_buf_bw == 0 {
             return Err("memory bandwidths must be non-zero".into());
         }
-        if self.activation_units == 0 {
-            return Err("at least one activation unit required".into());
-        }
         self.memory.validate()?;
         let tile = self.rows.saturating_mul(self.cols);
         let buffer = self.memory.weight_spm.bytes;
@@ -276,7 +271,7 @@ impl AcceleratorConfig {
                 self.rows, self.cols
             ));
         }
-        self.numeric.validate()
+        Ok(())
     }
 }
 
@@ -295,7 +290,7 @@ mod tests {
         let c = AcceleratorConfig::paper();
         assert_eq!(c.pe_count(), 256);
         assert_eq!(c.clock_mhz, 250);
-        assert_eq!(c.onchip_memory_bytes, 8 * 1024 * 1024);
+        assert_eq!(AcceleratorConfig::ONCHIP_MEMORY_BYTES, 8 * 1024 * 1024);
         assert_eq!(c.cycle_us(), 0.004);
     }
 
@@ -313,9 +308,6 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = AcceleratorConfig::paper();
         c.weight_mem_bw = 0;
-        assert!(c.validate().is_err());
-        let mut c = AcceleratorConfig::paper();
-        c.activation_units = 0;
         assert!(c.validate().is_err());
     }
 

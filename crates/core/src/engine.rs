@@ -44,7 +44,7 @@ use capsacc_capsnet::{
     primary_capsules, CapsNetConfig, QuantPipeline, RoutingIterationTrace, RoutingVariant,
 };
 use capsacc_faults::FaultPlan;
-use capsacc_memory::{MatmulGeometry, MemReport, MemorySubsystem, TileSchedule};
+use capsacc_memory::{MatmulGeometry, MemReport, MemorySubsystem, SpmKind, TileSchedule};
 use capsacc_telemetry::{Recorder, SpanDetail, TelemetryConfig};
 use capsacc_tensor::{u64_from, Tensor};
 
@@ -196,10 +196,9 @@ pub(crate) struct MatmulCharge {
     /// The geometry's serial [`MatmulGeometry::array_cycles`]: `R + 1`
     /// weight-load edges plus `batch·M + R + C` stream edges per tile.
     pub array_cycles: u64,
-    /// Weight Buffer (`kt·nt` per tile) and Data Buffer (`batch·M·kt`
-    /// per tile) reads. Off-chip bytes are the memory report's.
-    pub traffic: TrafficReport,
     /// The memory hierarchy's counter delta, its stall cycles included.
+    /// Its Weight and Data SPM reads (`kt·nt` and `batch·M·kt` per tile)
+    /// are the matmul's Weight and Data Buffer reads.
     pub mem: MemReport,
 }
 
@@ -578,30 +577,28 @@ impl Accelerator {
     /// memory part is the subsystem's [`MemorySubsystem::price`], which
     /// remembers its replays; the rest is a few integer operations.
     pub(crate) fn charge(&mut self, g: &MatmulGeometry) -> MatmulCharge {
-        // Per tile: `kt·nt` weights into the array and `batch·M·kt`
-        // data bytes streamed; summed over the tile grid.
-        let mut traffic = TrafficReport::default();
-        traffic.read(MemoryKind::WeightBuffer, u64_from(g.k * g.n));
-        traffic.read(
-            MemoryKind::DataBuffer,
-            u64_from(g.n_tiles() * g.batch * g.m * g.k),
-        );
         MatmulCharge {
             geometry: *g,
             array_cycles: g.array_cycles(),
-            traffic,
             mem: self.memory.price(g),
         }
     }
 
     /// Applies `times` matmuls' worth of `c` on both backends: its array
-    /// cycles to the ledger, its traffic, and its memory counters, whose
-    /// stall is the ledger's stall part. Every counter is a plain sum,
-    /// so this equals `times` separate applications.
+    /// cycles to the ledger, its memory counters, whose stall is the
+    /// ledger's stall part, and the Weight and Data SPM reads of those
+    /// counters as Weight and Data Buffer reads. Every counter is a
+    /// plain sum, so this equals `times` separate applications.
     fn apply_charge(&mut self, c: &MatmulCharge, times: u64) {
+        let mem = c.mem.scaled(times);
         self.busy.array += c.array_cycles * times;
-        self.traffic.merge(&c.traffic.scaled(times));
-        self.memory.charge(&c.mem.scaled(times));
+        self.traffic.read(
+            MemoryKind::WeightBuffer,
+            mem.spm(SpmKind::Weight).read_bytes,
+        );
+        self.traffic
+            .read(MemoryKind::DataBuffer, mem.spm(SpmKind::Data).read_bytes);
+        self.memory.charge(&mem);
     }
 
     /// Records one matmul of `c`'s geometry, for both backends: the
@@ -774,8 +771,9 @@ impl Accelerator {
     ///   [`MatmulGeometry::array_cycles`], per tile exactly the edges
     ///   the ticked array executes (`R + 1` per weight load and
     ///   `batch·M + R + C` per stream, `SystolicArray::load_edges` /
-    ///   `stream_edges`), plus the per-tile buffer reads and the memory
-    ///   replay — is derived in one place and applied by both backends:
+    ///   `stream_edges`), plus the memory replay, whose per-tile SPM
+    ///   reads are the buffer reads — is derived in one place and
+    ///   applied by both backends:
     ///   the ledger, and everything built on it, is equal, not merely
     ///   equivalent. Counter totals are the only
     ///   observable, and they are pure sums. With recording on, both
@@ -970,7 +968,8 @@ impl Accelerator {
     }
 
     /// Squashes every primary capsule of one image through the
-    /// activation units, charging the Sec. IV-C cycle cost.
+    /// activation units, one per array column, charging the Sec. IV-C
+    /// cycle cost.
     pub(crate) fn squash_primary(
         &mut self,
         net: &CapsNetConfig,
@@ -988,8 +987,8 @@ impl Accelerator {
             dst.copy_from_slice(&v);
         }
         let caps_count = u64_from(net.num_primary_caps());
-        let au = u64_from(self.cfg.activation_units);
-        let cycles = caps_count.div_ceil(au) * ActivationUnit::squash_cycles(u64_from(dim));
+        let units = u64_from(self.cfg.cols);
+        let cycles = caps_count.div_ceil(units) * ActivationUnit::squash_cycles(u64_from(dim));
         self.spend(Part::Activation, cycles, "squash", None);
         capsules
     }
@@ -1057,7 +1056,7 @@ impl Accelerator {
                 self.traffic.read(MemoryKind::RoutingBuffer, coupling_bytes);
                 self.traffic
                     .write(MemoryKind::RoutingBuffer, coupling_bytes);
-                let cycles = u64_from(in_caps).div_ceil(u64_from(self.cfg.activation_units))
+                let cycles = u64_from(in_caps).div_ceil(u64_from(self.cfg.cols))
                     * ActivationUnit::softmax_cycles(u64_from(classes));
                 self.spend(Part::Activation, cycles, "softmax", Some(r + 1));
             }
@@ -1116,7 +1115,7 @@ impl Accelerator {
                 class_caps.data_mut()[j * out_dim..(j + 1) * out_dim].copy_from_slice(&v);
                 *s_norm = norm;
             }
-            let squash_cycles = u64_from(classes).div_ceil(u64_from(self.cfg.activation_units))
+            let squash_cycles = u64_from(classes).div_ceil(u64_from(self.cfg.cols))
                 * ActivationUnit::squash_cycles(u64_from(out_dim));
             self.spend(Part::Activation, squash_cycles, "squash", Some(r + 1));
             self.traffic
@@ -1492,11 +1491,15 @@ mod tests {
 
     /// The derived charge of every layer geometry prices the array
     /// edges a ticked matmul of that geometry executes, read from the
-    /// ticked array's own edge counter. The traffic and `MemReport`
-    /// fields hold by construction, since both backends apply the
-    /// charge itself; the comparison covers them anyway. The geometries are Conv1, PrimaryCaps, the FC and routing's Sum
-    /// and Update of two networks: the 16-lane-aligned mini CapsNet of
-    /// `tests/lane_kernels.rs` on the paper array, and
+    /// ticked array's own edge counter. The `MemReport` field holds by
+    /// construction, since both backends apply the charge itself; the
+    /// comparison covers it anyway. Its Weight and Data SPM reads, which
+    /// the engine counts as Weight and Data Buffer reads, are checked
+    /// against the tile grid's closed form: `k·n` weights and
+    /// `n_tiles·batch·m·k` data bytes. The geometries are Conv1,
+    /// PrimaryCaps, the FC and routing's Sum and Update of two networks:
+    /// the 16-lane-aligned mini CapsNet of `tests/lane_kernels.rs` on
+    /// the paper array, and
     /// `CapsNetConfig::tiny()` on the 4×4 test array, where the FC
     /// spans two K-tiles. Each runs at batch 1 and 3, under the paper
     /// memory hierarchy and under ideal memory.
@@ -1573,7 +1576,6 @@ mod tests {
                         let want = MatmulCharge {
                             geometry,
                             array_cycles: ticked.array.cycles(),
-                            traffic: *ticked.traffic(),
                             mem: ticked.memory_report(),
                         };
                         // Pricing charges nothing.
@@ -1581,6 +1583,21 @@ mod tests {
                         let derived = fresh.charge(&geometry);
                         let at = format!("({m},{k},{n}) batch {batch}, {:?}", memory.mode);
                         assert_eq!(derived, want, "{at}");
+                        let reads = (
+                            u64_from(k * n),
+                            u64_from(geometry.n_tiles() * batch * m * k),
+                        );
+                        let spm = |kind| derived.mem.spm(kind).read_bytes;
+                        assert_eq!((spm(SpmKind::Weight), spm(SpmKind::Data)), reads, "{at}");
+                        let buffer = |kind| ticked.traffic().counter(kind).read_bytes;
+                        assert_eq!(
+                            (
+                                buffer(MemoryKind::WeightBuffer),
+                                buffer(MemoryKind::DataBuffer)
+                            ),
+                            reads,
+                            "{at}"
+                        );
                         assert_eq!(fresh.ledger(), CycleLedger::default(), "{at}");
                         assert_eq!(fresh.memory_report(), MemReport::default(), "{at}");
                     }

@@ -13,7 +13,15 @@
 //! (Conv1, PrimaryCaps, the FC) reload per data row without
 //! `weight_reuse`; every matmul pipelines its tiles when
 //! `pipelined_tiles` holds and the Weight Buffer fits two tiles, and
-//! runs them serially otherwise.
+//! runs them serially otherwise. The softmaxes and squashes run on one
+//! activation unit per array column, as in the engine.
+//!
+//! Every entry point panics on a configuration that
+//! [`AcceleratorConfig::validate`] refuses, as [`crate::Accelerator::new`]
+//! does: a zero-sized array, a zero bandwidth or a tile that cannot be
+//! resident in the Weight Buffer has no schedule to price. The check
+//! sits in the one function every matmul is priced through, so it holds
+//! in release builds too.
 //!
 //! With tile pipelining disabled, the model's cycles are the cycles the
 //! [`crate::engine`] executes, matmul by matmul and layer by layer,
@@ -96,23 +104,19 @@ fn tiles_pipeline(cfg: &AcceleratorConfig) -> bool {
 /// resident either way. Tiles pipeline where [`tiles_pipeline`] allows
 /// and run serially otherwise.
 ///
-/// A debug assertion rejects configurations whose single tile cannot fit
-/// the Weight Buffer (no schedule can hide a tile that cannot be
-/// resident at all), since the closed form's entry points do not
-/// [`AcceleratorConfig::validate`].
+/// Every public entry point of the model prices through here, so the
+/// model refuses an invalid configuration here.
+///
+/// # Panics
+///
+/// Panics if `cfg` fails [`AcceleratorConfig::validate`].
 fn geometry(
     shape: MatmulShape,
     batch: u64,
     cfg: &AcceleratorConfig,
     weights_offchip: bool,
 ) -> MatmulGeometry {
-    debug_assert!(
-        cfg.rows * cfg.cols <= cfg.memory.weight_spm.bytes,
-        "a {}x{} weight tile exceeds the {} B Weight Buffer",
-        cfg.rows,
-        cfg.cols,
-        cfg.memory.weight_spm.bytes
-    );
+    cfg.validate().expect("invalid accelerator configuration");
     MatmulGeometry {
         m: usize_from(shape.m),
         k: usize_from(shape.k),
@@ -146,6 +150,10 @@ fn geometry(
 /// weight register present, so engine↔model agreement holds for
 /// reuse-enabled, serial-tile configurations (the ones the engine can
 /// execute).
+///
+/// # Panics
+///
+/// Panics if `cfg` fails [`AcceleratorConfig::validate`].
 pub fn batch_matmul_cycles(shape: MatmulShape, batch: u64, cfg: &AcceleratorConfig) -> u64 {
     geometry(shape, batch, cfg, true).array_cycles()
 }
@@ -369,7 +377,12 @@ impl RoutingStepTiming {
 /// the 1.47 MB weight stream is paid once per batch; without it every
 /// tile reloads per data row, as in the convolutions. Everything else
 /// (Load, softmax, sums, squashes, updates) operates on per-image state
-/// and scales linearly with the batch.
+/// and scales linearly with the batch. The softmaxes and squashes run on
+/// one activation unit per array column.
+///
+/// # Panics
+///
+/// Panics if `cfg` fails [`AcceleratorConfig::validate`].
 pub fn batch_routing_steps(
     net: &CapsNetConfig,
     batch: u64,
@@ -378,7 +391,7 @@ pub fn batch_routing_steps(
     let caps = u64_from(net.num_primary_caps());
     let classes = u64_from(net.num_classes);
     let out_dim = u64_from(net.class_caps_dim);
-    let au = u64_from(cfg.activation_units);
+    let units = u64_from(cfg.cols);
     let u_hat_bytes = checked_product("û working set", &[caps, classes, out_dim]);
     let coupling_bytes = checked_product("coupling set", &[caps, classes]);
     // Checked independently of `u_hat_bytes`/`coupling_bytes`: with
@@ -425,7 +438,7 @@ pub fn batch_routing_steps(
             // Write c_ij = 1/J into the Routing Buffer.
             ceil_div(coupling_bytes, cfg.routing_buf_bw)
         } else {
-            let compute = ceil_div(caps, au) * ActivationUnit::softmax_cycles(classes);
+            let compute = ceil_div(caps, units) * ActivationUnit::softmax_cycles(classes);
             let traffic = ceil_div(coupling_rw, cfg.routing_buf_bw);
             compute.max(traffic)
         };
@@ -442,7 +455,7 @@ pub fn batch_routing_steps(
         steps.push(per_image(RoutingStep::Sum(iter), sum_cycles, sum_mem));
 
         // Squash: one class capsule per activation unit.
-        let squash_compute = ceil_div(classes, au) * ActivationUnit::squash_cycles(out_dim);
+        let squash_compute = ceil_div(classes, units) * ActivationUnit::squash_cycles(out_dim);
         let squash_traffic = ceil_div(cc_bytes, cfg.routing_buf_bw); // write v_j
         steps.push(per_image(
             RoutingStep::Squash(iter),
@@ -534,30 +547,30 @@ impl BatchInferenceTiming {
 ///
 /// # Panics
 ///
-/// Panics if `batch` is zero.
+/// Panics if `batch` is zero or `cfg` fails
+/// [`AcceleratorConfig::validate`].
 pub fn full_inference_batch(
     cfg: &AcceleratorConfig,
     net: &CapsNetConfig,
     batch: u64,
 ) -> BatchInferenceTiming {
     assert!(batch > 0, "batch must be non-zero");
-    // ReLU is pipelined behind Conv1's output stream: latency only. The
-    // PrimaryCaps squash is per-capsule work and scales with the batch.
+    // ReLU is pipelined behind Conv1's output stream: latency only.
     let relu = ActivationUnit::reduce_cycles(0);
+    let conv1 = conv_layer_batch("Conv1", &net.conv1_geometry(), relu, batch, cfg);
+    // The PrimaryCaps squash is per-capsule work and scales with the
+    // batch.
     let squash = checked_product(
         "batched squash cycles",
         &[
             batch,
-            ceil_div(
-                u64_from(net.num_primary_caps()),
-                u64_from(cfg.activation_units),
-            ),
+            ceil_div(u64_from(net.num_primary_caps()), u64_from(cfg.cols)),
             ActivationUnit::squash_cycles(u64_from(net.pc_caps_dim)),
         ],
     );
     BatchInferenceTiming {
         batch,
-        conv1: conv_layer_batch("Conv1", &net.conv1_geometry(), relu, batch, cfg),
+        conv1,
         primary_caps: conv_layer_batch(
             "PrimaryCaps",
             &net.primary_caps_geometry(),
@@ -585,7 +598,8 @@ pub fn full_inference_batch(
 ///
 /// # Panics
 ///
-/// Panics if `batch` is zero.
+/// Panics if `batch` is zero or `cfg` fails
+/// [`AcceleratorConfig::validate`].
 pub fn batch_traffic_estimate(
     cfg: &AcceleratorConfig,
     net: &CapsNetConfig,
@@ -604,7 +618,7 @@ pub fn batch_traffic_estimate(
         t.read(MemoryKind::WeightBuffer, wbytes);
         // Every N-tile re-streams all data rows over each K-slice, for
         // every image.
-        let nn = ceil_div(shape.n, c);
+        let nn = u64_from(geometry(shape, batch, cfg, true).n_tiles());
         t.read(
             MemoryKind::DataBuffer,
             product("conv data stream", &[batch, nn, shape.m, shape.k]),
@@ -627,6 +641,7 @@ pub fn batch_traffic_estimate(
     let out_dim = u64_from(net.class_caps_dim);
     let u_hat_bytes = product("û working set", &[caps, classes, out_dim]);
     let coupling_bytes = product("coupling set", &[caps, classes]);
+    let [fc, sum, _] = class_caps_geometries(net, batch, cfg);
 
     // FC: each W_ij read once per batch (its block stays resident while
     // every image streams); capsule inputs streamed per N-tile per image.
@@ -637,12 +652,7 @@ pub fn batch_traffic_estimate(
         MemoryKind::DataBuffer,
         product(
             "FC capsule stream",
-            &[
-                batch,
-                caps,
-                ceil_div(product("class capsules", &[classes, out_dim]), c),
-                in_dim,
-            ],
+            &[batch, caps, u64_from(fc.n_tiles()), in_dim],
         ),
     );
     t.write(
@@ -665,7 +675,7 @@ pub fn batch_traffic_estimate(
     // All routing state is per-image, so the batch scales it linearly.
     let sum_tile_reads = product(
         "routing Sum tile reads",
-        &[classes, ceil_div(caps, r), r, out_dim.min(c)],
+        &[classes, u64_from(sum.k_tiles()), r, out_dim.min(c)],
     );
     t.read(
         MemoryKind::DataBuffer,
@@ -720,13 +730,18 @@ pub fn batch_traffic_estimate(
 /// [`TileSchedule::ReloadPerRow`] windows (parameter layers only,
 /// `weights_offchip`) are analytical-only. Zero under `IdealMemory`
 /// either way.
+///
+/// # Panics
+///
+/// Panics if `cfg` fails [`AcceleratorConfig::validate`].
 pub fn matmul_mem_stalls(
     shape: MatmulShape,
     batch: u64,
     cfg: &AcceleratorConfig,
     weights_offchip: bool,
 ) -> u64 {
-    MemorySubsystem::new(cfg.memory).matmul(&geometry(shape, batch, cfg, weights_offchip))
+    let g = geometry(shape, batch, cfg, weights_offchip);
+    MemorySubsystem::new(cfg.memory).matmul(&g)
 }
 
 /// Memory-aware batched inference timing: the ideal-memory closed-form
@@ -839,7 +854,8 @@ fn replay_inference_memory(
 ///
 /// # Panics
 ///
-/// Panics if `batch` is zero.
+/// Panics if `batch` is zero or `cfg` fails
+/// [`AcceleratorConfig::validate`].
 pub fn full_inference_batch_mem(
     cfg: &AcceleratorConfig,
     net: &CapsNetConfig,
@@ -1273,12 +1289,35 @@ mod tests {
     }
 
     #[test]
+    fn activation_units_follow_the_array_width() {
+        // One activation unit per array column: an 8-column array
+        // squashes MNIST's 1,152 primary capsules eight at a time.
+        let mut c = cfg();
+        c.cols = 8;
+        let t = full_inference_batch(&c, &CapsNetConfig::mnist(), 1);
+        assert_eq!(
+            t.primary_caps.activation_cycles,
+            1152u64.div_ceil(8) * ActivationUnit::squash_cycles(8)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid accelerator configuration")]
+    fn closed_form_refuses_what_validate_refuses() {
+        // A 256×256 array's 64 KiB tile cannot be resident in the
+        // paper's 24 KiB Weight Buffer: `validate` refuses it, and the
+        // model refuses to price it, in every build.
+        let mut c = cfg();
+        (c.rows, c.cols) = (256, 256);
+        let _ = full_inference_batch(&c, &CapsNetConfig::mnist(), 1);
+    }
+
+    #[test]
     fn bigger_arrays_do_not_slow_compute_bound_layers() {
         let base = full_inference_batch(&cfg(), &CapsNetConfig::mnist(), 1).conv1;
         let mut big = cfg();
         big.rows = 32;
         big.cols = 32;
-        big.activation_units = 32;
         let t = full_inference_batch(&big, &CapsNetConfig::mnist(), 1).conv1;
         assert!(t.compute_cycles < base.compute_cycles);
     }

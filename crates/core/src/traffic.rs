@@ -144,17 +144,6 @@ impl TrafficReport {
         }
     }
 
-    /// This report with every counter multiplied by `k`: the traffic
-    /// of `k` repetitions.
-    pub(crate) fn scaled(&self, k: u64) -> TrafficReport {
-        let mut out = *self;
-        for c in &mut out.counters {
-            c.read_bytes *= k;
-            c.write_bytes *= k;
-        }
-        out
-    }
-
     /// Amortized bytes (read + write) per image for one storage
     /// structure, for a report that covers a batch of `batch` images.
     ///

@@ -1,173 +1,153 @@
 //! The numeric configuration shared by the reference model and simulator.
 
-/// Fraction widths and derived shift amounts for every fixed-point signal
-/// in the CapsAcc datapath.
+use crate::q::{Coupling8, Data8, Weight8};
+
+/// The fixed-point format of every signal in the CapsAcc datapath: its
+/// fraction widths and the shift amounts derived from them.
 ///
 /// The paper fixes the *bit widths* (8-bit data/weights, 25-bit sums,
 /// 6-/5-/12-bit LUT inputs) but leaves the binary-point placement to the
 /// implementation; the activation unit realizes it with programmable
-/// shifts. This struct is the single source of truth for those
-/// placements, used identically by the software reference
-/// (`capsacc-capsnet`) and the cycle-accurate simulator (`capsacc-core`),
-/// which is what makes their outputs bit-exact against each other.
+/// shifts. This reproduction uses one placement, stated once: the three
+/// 8-bit operand widths are the fraction widths of [`Data8`],
+/// [`Weight8`] and [`Coupling8`], and the others are the associated
+/// constants below. The software reference (`capsacc-capsnet`) and the
+/// cycle-accurate simulator (`capsacc-core`) read the same constants,
+/// which is what makes their outputs bit-exact against each other. The
+/// type carries no data: its value stands for this one format wherever
+/// an API takes the numeric configuration.
 ///
 /// # Example
 ///
 /// ```
-/// use capsacc_fixed::NumericConfig;
+/// use capsacc_fixed::{Data8, NumericConfig};
 /// let cfg = NumericConfig::default();
+/// assert_eq!(NumericConfig::DATA_FRAC, Data8::FRAC_BITS);
 /// // MAC products of Q2.5 data and Q1.6 weights carry 11 fraction bits;
 /// // requantizing back to Q2.5 data shifts right by 6.
 /// assert_eq!(cfg.product_frac(), 11);
 /// assert_eq!(cfg.mac_shift(), 6);
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub struct NumericConfig {
-    /// Fraction bits of 8-bit activations/data (`Data8`, default Q2.5).
-    pub data_frac: u32,
-    /// Fraction bits of 8-bit weights (`Weight8`, default Q1.6).
-    pub weight_frac: u32,
-    /// Fraction bits of 8-bit coupling coefficients `c_ij` (default Q0.7).
-    pub coupling_frac: u32,
-    /// Fraction bits of 8-bit routing logits `b_ij` (default Q3.4).
-    pub logit_frac: u32,
-    /// Fraction bits of the 8-bit norm-unit output (default Q4.4).
-    pub norm_frac: u32,
-    /// Fraction bits of the 5-bit norm index into the squash LUT
-    /// (default Q3.2).
-    pub norm5_frac: u32,
-    /// Fraction bits of the 6-bit data index into the squash LUT
-    /// (default Q3.3, i.e. the top 6 bits of a Q2.5 value).
-    pub data6_frac: u32,
-    /// Fraction bits of the 8-bit square-LUT output (default Q4.4).
-    pub square_frac: u32,
-    /// Fraction bits of the 16-bit exponential-LUT output (default Q4.12).
-    pub exp_frac: u32,
-}
-
-impl Default for NumericConfig {
-    fn default() -> Self {
-        Self {
-            data_frac: 5,
-            weight_frac: 6,
-            coupling_frac: 7,
-            logit_frac: 4,
-            norm_frac: 4,
-            norm5_frac: 2,
-            data6_frac: 3,
-            square_frac: 4,
-            exp_frac: 12,
-        }
-    }
-}
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
+pub struct NumericConfig(());
 
 impl NumericConfig {
-    /// Creates the default configuration (same as [`Default`]).
-    pub fn new() -> Self {
-        Self::default()
+    /// Fraction bits of 8-bit activations/data: [`Data8`], Q2.5.
+    pub const DATA_FRAC: u32 = Data8::FRAC_BITS;
+    /// Fraction bits of 8-bit weights: [`Weight8`], Q1.6.
+    pub const WEIGHT_FRAC: u32 = Weight8::FRAC_BITS;
+    /// Fraction bits of 8-bit coupling coefficients `c_ij`:
+    /// [`Coupling8`], Q0.7.
+    pub const COUPLING_FRAC: u32 = Coupling8::FRAC_BITS;
+    /// Fraction bits of 8-bit routing logits `b_ij` (Q3.4).
+    pub const LOGIT_FRAC: u32 = 4;
+    /// Fraction bits of the 8-bit norm-unit output (Q4.4).
+    pub const NORM_FRAC: u32 = 4;
+    /// Fraction bits of the 5-bit norm index into the squash LUT (Q3.2).
+    pub const NORM5_FRAC: u32 = 2;
+    /// Fraction bits of the 6-bit data index into the squash LUT (Q3.3,
+    /// i.e. the top 6 bits of a Q2.5 value).
+    pub const DATA6_FRAC: u32 = 3;
+    /// Fraction bits of the 8-bit square-LUT output (Q4.4).
+    pub const SQUARE_FRAC: u32 = 4;
+    /// Fraction bits of the 16-bit exponential-LUT output (Q4.12).
+    pub const EXP_FRAC: u32 = 12;
+
+    /// Creates the configuration (same as [`Default`]).
+    pub const fn new() -> Self {
+        Self(())
     }
 
     /// Fraction width of a data × weight product (the PE multiplier
     /// output feeding the 25-bit accumulator).
     #[inline]
-    pub fn product_frac(&self) -> u32 {
-        self.data_frac + self.weight_frac
+    pub const fn product_frac(&self) -> u32 {
+        Self::DATA_FRAC + Self::WEIGHT_FRAC
     }
 
     /// Fraction width of a data × coupling-coefficient product (the
     /// routing weighted-sum path, Fig. 12b/d).
     #[inline]
-    pub fn coupling_product_frac(&self) -> u32 {
-        self.data_frac + self.coupling_frac
+    pub const fn coupling_product_frac(&self) -> u32 {
+        Self::DATA_FRAC + Self::COUPLING_FRAC
     }
 
     /// Fraction width of a data × data product (the logit-update path
     /// `b_ij += û·v`, Fig. 12c).
     #[inline]
-    pub fn update_product_frac(&self) -> u32 {
-        self.data_frac + self.data_frac
+    pub const fn update_product_frac(&self) -> u32 {
+        Self::DATA_FRAC + Self::DATA_FRAC
     }
 
     /// Right-shift applied when requantizing a weight-MAC accumulator back
     /// to the data format (conv and FC layers).
     #[inline]
-    pub fn mac_shift(&self) -> u32 {
-        self.product_frac() - self.data_frac
+    pub const fn mac_shift(&self) -> u32 {
+        self.product_frac() - Self::DATA_FRAC
     }
 
     /// Right-shift applied when requantizing a coupling-MAC accumulator to
     /// the data format (the routing sums `s_j`).
     #[inline]
-    pub fn coupling_mac_shift(&self) -> u32 {
-        self.coupling_product_frac() - self.data_frac
+    pub const fn coupling_mac_shift(&self) -> u32 {
+        self.coupling_product_frac() - Self::DATA_FRAC
     }
 
     /// Right-shift applied when requantizing an update-MAC accumulator to
     /// the logit format (the routing updates `b_ij`).
     #[inline]
-    pub fn update_shift(&self) -> u32 {
-        self.update_product_frac() - self.logit_frac
+    pub const fn update_shift(&self) -> u32 {
+        self.update_product_frac() - Self::LOGIT_FRAC
     }
 
     /// Right-shift from an 8-bit data code to its 6-bit squash-LUT index.
     #[inline]
-    pub fn data6_shift(&self) -> u32 {
-        self.data_frac - self.data6_frac
+    pub const fn data6_shift(&self) -> u32 {
+        Self::DATA_FRAC - Self::DATA6_FRAC
     }
 
     /// Right-shift from the 8-bit norm output to its 5-bit squash-LUT
     /// index.
     #[inline]
-    pub fn norm5_shift(&self) -> u32 {
-        self.norm_frac - self.norm5_frac
-    }
-
-    /// Validates internal consistency (every derived shift non-negative,
-    /// all 8-bit formats within 0..=7 fraction bits).
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first violated
-    /// constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        let fields = [
-            ("data_frac", self.data_frac),
-            ("weight_frac", self.weight_frac),
-            ("coupling_frac", self.coupling_frac),
-            ("logit_frac", self.logit_frac),
-            ("norm_frac", self.norm_frac),
-        ];
-        for (name, v) in fields {
-            if v > 7 {
-                return Err(format!(
-                    "{name} = {v} exceeds 7 fraction bits for an 8-bit field"
-                ));
-            }
-        }
-        if self.data6_frac > self.data_frac {
-            return Err("data6_frac must not exceed data_frac".to_owned());
-        }
-        if self.norm5_frac > self.norm_frac {
-            return Err("norm5_frac must not exceed norm_frac".to_owned());
-        }
-        if self.update_product_frac() < self.logit_frac {
-            return Err("update product narrower than logit format".to_owned());
-        }
-        if self.exp_frac > 15 {
-            return Err("exp_frac must fit a 16-bit unsigned output".to_owned());
-        }
-        Ok(())
+    pub const fn norm5_shift(&self) -> u32 {
+        Self::NORM_FRAC - Self::NORM5_FRAC
     }
 }
+
+// The format's internal consistency, checked when the crate compiles:
+// every derived shift is non-negative and every 8-bit format keeps a
+// sign bit.
+const _: () = {
+    type N = NumericConfig;
+    assert!(
+        N::DATA_FRAC <= 7
+            && N::WEIGHT_FRAC <= 7
+            && N::COUPLING_FRAC <= 7
+            && N::LOGIT_FRAC <= 7
+            && N::NORM_FRAC <= 7,
+        "an 8-bit field has at most 7 fraction bits"
+    );
+    assert!(
+        N::DATA6_FRAC <= N::DATA_FRAC,
+        "DATA6_FRAC exceeds DATA_FRAC"
+    );
+    assert!(
+        N::NORM5_FRAC <= N::NORM_FRAC,
+        "NORM5_FRAC exceeds NORM_FRAC"
+    );
+    assert!(
+        N::new().update_product_frac() >= N::LOGIT_FRAC,
+        "update product narrower than the logit format"
+    );
+    assert!(
+        N::EXP_FRAC <= 15,
+        "EXP_FRAC must fit a 16-bit unsigned output"
+    );
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_is_valid() {
-        NumericConfig::default().validate().unwrap();
-    }
 
     #[test]
     fn derived_shifts() {
@@ -180,29 +160,6 @@ mod tests {
         assert_eq!(cfg.update_shift(), 6);
         assert_eq!(cfg.data6_shift(), 2);
         assert_eq!(cfg.norm5_shift(), 2);
-    }
-
-    #[test]
-    fn validation_catches_wide_fields() {
-        let cfg = NumericConfig {
-            data_frac: 9,
-            ..NumericConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn validation_catches_inconsistent_lut_indices() {
-        let cfg = NumericConfig {
-            data6_frac: 6,
-            ..NumericConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-        let cfg = NumericConfig {
-            norm5_frac: 5,
-            ..NumericConfig::default()
-        };
-        assert!(cfg.validate().is_err());
     }
 
     #[test]

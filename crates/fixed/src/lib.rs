@@ -26,15 +26,15 @@
 //! # Example
 //!
 //! ```
-//! use capsacc_fixed::{Fx8, NumericConfig};
+//! use capsacc_fixed::{Data8, NumericConfig};
 //!
-//! // Quantize an activation into the default Q2.5 data format.
-//! let x: Fx8<5> = Fx8::from_f32(0.75);
+//! // Quantize an activation into the Q2.5 data format.
+//! let x = Data8::from_f32(0.75);
 //! assert_eq!(x.to_f32(), 0.75);
 //!
-//! // The numeric configuration shared by reference model and simulator.
+//! // The one numeric format shared by reference model and simulator.
 //! let cfg = NumericConfig::default();
-//! assert_eq!(cfg.data_frac + cfg.weight_frac, cfg.product_frac());
+//! assert_eq!(cfg.product_frac(), NumericConfig::DATA_FRAC + NumericConfig::WEIGHT_FRAC);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -11,21 +11,20 @@ use crate::config::NumericConfig;
 /// only the `x ≤ 0` half of the table is exercised in normal operation;
 /// positive inputs saturate.
 ///
-/// Input codes are interpreted in the logit format (default Q3.4); output
-/// codes are unsigned with `exp_frac` fraction bits (default Q4.12, so
-/// `exp(0) = 4096`).
+/// Input codes are interpreted in the logit format
+/// ([`NumericConfig::LOGIT_FRAC`], Q3.4); output codes are unsigned with
+/// [`NumericConfig::EXP_FRAC`] fraction bits (Q4.12, so `exp(0) = 4096`).
 ///
 /// # Example
 ///
 /// ```
-/// use capsacc_fixed::{ExpLut, NumericConfig};
-/// let lut = ExpLut::new(NumericConfig::default());
+/// use capsacc_fixed::ExpLut;
+/// let lut = ExpLut::default();
 /// assert_eq!(lut.lookup(0), 4096); // e^0 = 1.0 in Q4.12
 /// assert!(lut.lookup(-16) < 4096); // e^-1 < 1
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct ExpLut {
-    cfg: NumericConfig,
     table: [u16; 256],
 }
 
@@ -33,23 +32,24 @@ impl std::fmt::Debug for ExpLut {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExpLut")
             .field("entries", &self.table.len())
-            .field("cfg", &self.cfg)
             .finish()
     }
 }
 
-impl ExpLut {
-    /// Builds the 256-entry table for a numeric configuration.
-    pub fn new(cfg: NumericConfig) -> Self {
+impl Default for ExpLut {
+    /// Builds the 256-entry table.
+    fn default() -> Self {
         let mut table = [0u16; 256];
         for raw in i8::MIN..=i8::MAX {
-            let x = raw as f32 / (1u32 << cfg.logit_frac) as f32;
-            let y = x.exp() * (1u32 << cfg.exp_frac) as f32;
+            let x = raw as f32 / (1u32 << NumericConfig::LOGIT_FRAC) as f32;
+            let y = x.exp() * (1u32 << NumericConfig::EXP_FRAC) as f32;
             table[usize::from(raw as u8)] = y.round().min(u16::MAX as f32) as u16;
         }
-        Self { cfg, table }
+        Self { table }
     }
+}
 
+impl ExpLut {
     /// Looks up `exp(x)` for an 8-bit logit code.
     #[inline]
     pub fn lookup(&self, raw: i8) -> u16 {
@@ -57,9 +57,9 @@ impl ExpLut {
     }
 
     /// Computes a fixed-point softmax over a slice of logit codes,
-    /// returning coupling-coefficient codes (unsigned, `coupling_frac`
-    /// fraction bits, saturated to the `i8` range so they can ride the
-    /// 8-bit datapath).
+    /// returning coupling-coefficient codes (unsigned,
+    /// [`NumericConfig::COUPLING_FRAC`] fraction bits, saturated to the
+    /// `i8` range so they can ride the 8-bit datapath).
     ///
     /// This is the complete softmax-unit behaviour: max-subtraction, LUT
     /// exponentials, sum register, divider. The cycle cost (2n for an
@@ -72,8 +72,8 @@ impl ExpLut {
     /// # Example
     ///
     /// ```
-    /// use capsacc_fixed::{ExpLut, NumericConfig};
-    /// let lut = ExpLut::new(NumericConfig::default());
+    /// use capsacc_fixed::ExpLut;
+    /// let lut = ExpLut::default();
     /// let c = lut.softmax(&[0, 0, 0, 0]);
     /// // Uniform logits → uniform coefficients of 1/4 = 32 in Q0.7.
     /// assert_eq!(c, vec![32, 32, 32, 32]);
@@ -88,18 +88,12 @@ impl ExpLut {
         let sum: u64 = exps.iter().map(|&e| u64::from(e)).sum();
         exps.iter()
             .map(|&e| {
-                // Divider: round-to-nearest c = e / sum in Q0.<coupling_frac>.
-                let num = u64::from(e) << self.cfg.coupling_frac;
+                // Divider: round-to-nearest c = e / sum in Q0.7.
+                let num = u64::from(e) << NumericConfig::COUPLING_FRAC;
                 let c = (num + sum / 2) / sum;
                 c.min(u64::from(i8::MAX as u8)) as i8
             })
             .collect()
-    }
-
-    /// The numeric configuration the table was built for.
-    #[inline]
-    pub fn config(&self) -> NumericConfig {
-        self.cfg
     }
 
     /// Maximum relative error of the LUT on the non-positive half of its
@@ -107,9 +101,9 @@ impl ExpLut {
     pub fn max_relative_error(&self) -> f32 {
         let mut worst = 0f32;
         for raw in i8::MIN..=0 {
-            let x = raw as f32 / (1u32 << self.cfg.logit_frac) as f32;
+            let x = raw as f32 / (1u32 << NumericConfig::LOGIT_FRAC) as f32;
             let exact = x.exp();
-            let got = self.lookup(raw) as f32 / (1u32 << self.cfg.exp_frac) as f32;
+            let got = self.lookup(raw) as f32 / (1u32 << NumericConfig::EXP_FRAC) as f32;
             if exact > 1e-3 {
                 worst = worst.max((exact - got).abs() / exact);
             }
@@ -124,7 +118,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn lut() -> ExpLut {
-        ExpLut::new(NumericConfig::default())
+        ExpLut::default()
     }
 
     #[test]

@@ -49,13 +49,10 @@ pub fn isqrt(x: u64) -> u64 {
 /// # Example
 ///
 /// ```
-/// use capsacc_fixed::isqrt;
-/// use capsacc_fixed::NumericConfig;
-/// let cfg = NumericConfig::default();
+/// use capsacc_fixed::{norm_code, NumericConfig};
 /// // sum = 1.0 (Q4.4 code 16) → norm 1.0 (Q4.4 code 16).
-/// let code = capsacc_fixed::SquareLut::new(cfg); // table unused here
-/// let _ = code;
-/// assert_eq!(capsacc_fixed::isqrt(16u64 << 4), 16);
+/// let (square, norm) = (NumericConfig::SQUARE_FRAC, NumericConfig::NORM_FRAC);
+/// assert_eq!(norm_code(16, square, norm), 16);
 /// ```
 pub fn norm_code(sum_raw: u64, square_frac: u32, norm_frac: u32) -> u8 {
     assert!(

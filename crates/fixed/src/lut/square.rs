@@ -10,21 +10,21 @@ use crate::convert::saturate_to_bits;
 /// the capsule vector through this LUT and accumulates the squares in a
 /// register before the square root.
 ///
-/// Input codes are interpreted in the data format (default Q2.5,
-/// sign-extended into the 12-bit field); output codes are unsigned with
-/// `square_frac` fraction bits (default Q4.4, saturating at 15.9375).
+/// Input codes are interpreted in the data format
+/// ([`NumericConfig::DATA_FRAC`], Q2.5, sign-extended into the 12-bit
+/// field); output codes are unsigned with [`NumericConfig::SQUARE_FRAC`]
+/// fraction bits (Q4.4, saturating at 15.9375).
 ///
 /// # Example
 ///
 /// ```
-/// use capsacc_fixed::{NumericConfig, SquareLut};
-/// let lut = SquareLut::new(NumericConfig::default());
+/// use capsacc_fixed::SquareLut;
+/// let lut = SquareLut::default();
 /// // 1.0² = 1.0: Q2.5 code 32 → Q4.4 code 16.
 /// assert_eq!(lut.lookup(32), 16);
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct SquareLut {
-    cfg: NumericConfig,
     table: Vec<u8>,
 }
 
@@ -32,25 +32,26 @@ impl std::fmt::Debug for SquareLut {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SquareLut")
             .field("entries", &self.table.len())
-            .field("cfg", &self.cfg)
             .finish()
+    }
+}
+
+impl Default for SquareLut {
+    /// Builds the 4096-entry table.
+    fn default() -> Self {
+        let mut table = vec![0u8; Self::ENTRIES];
+        for raw in -2048i64..2048 {
+            let x = raw as f32 / (1u32 << NumericConfig::DATA_FRAC) as f32;
+            let y = x * x * (1u32 << NumericConfig::SQUARE_FRAC) as f32;
+            table[Self::index(raw as i16)] = y.round().min(u8::MAX as f32) as u8;
+        }
+        Self { table }
     }
 }
 
 impl SquareLut {
     /// Number of entries: 2^12.
     pub const ENTRIES: usize = 1 << 12;
-
-    /// Builds the 4096-entry table for a numeric configuration.
-    pub fn new(cfg: NumericConfig) -> Self {
-        let mut table = vec![0u8; Self::ENTRIES];
-        for raw in -2048i64..2048 {
-            let x = raw as f32 / (1u32 << cfg.data_frac) as f32;
-            let y = x * x * (1u32 << cfg.square_frac) as f32;
-            table[Self::index(raw as i16)] = y.round().min(u8::MAX as f32) as u8;
-        }
-        Self { cfg, table }
-    }
 
     #[inline]
     fn index(raw12: i16) -> usize {
@@ -66,12 +67,6 @@ impl SquareLut {
     pub fn lookup(&self, raw: i16) -> u8 {
         self.table[Self::index(saturate_to_bits(i64::from(raw), 12) as i16)]
     }
-
-    /// The numeric configuration the table was built for.
-    #[inline]
-    pub fn config(&self) -> NumericConfig {
-        self.cfg
-    }
 }
 
 #[cfg(test)]
@@ -80,7 +75,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn lut() -> SquareLut {
-        SquareLut::new(NumericConfig::default())
+        SquareLut::default()
     }
 
     #[test]

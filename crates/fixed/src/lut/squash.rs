@@ -59,14 +59,13 @@ pub fn squash_derivative_1d(x: f32) -> f32 {
 /// # Example
 ///
 /// ```
-/// use capsacc_fixed::{NumericConfig, SquashLut};
-/// let lut = SquashLut::new(NumericConfig::default());
+/// use capsacc_fixed::SquashLut;
+/// let lut = SquashLut::default();
 /// // Squashing a zero vector yields zero.
 /// assert_eq!(lut.lookup_raw(0, 0), 0);
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct SquashLut {
-    cfg: NumericConfig,
     /// Indexed by `(data6 & 0x3f) << 5 | norm5`.
     table: Vec<i8>,
 }
@@ -75,30 +74,31 @@ impl std::fmt::Debug for SquashLut {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SquashLut")
             .field("entries", &self.table.len())
-            .field("cfg", &self.cfg)
             .finish()
+    }
+}
+
+impl Default for SquashLut {
+    /// Builds the 2048-entry table.
+    fn default() -> Self {
+        let mut table = vec![0i8; Self::ENTRIES];
+        for data6 in -32i64..32 {
+            for norm5 in 0i64..32 {
+                let d = data6 as f32 / (1u32 << NumericConfig::DATA6_FRAC) as f32;
+                let n = norm5 as f32 / (1u32 << NumericConfig::NORM5_FRAC) as f32;
+                let out = d * squash_gain(n);
+                let code = (out * (1u32 << NumericConfig::DATA_FRAC) as f32).round();
+                let code = code.clamp(i8::MIN as f32, i8::MAX as f32) as i8;
+                table[Self::index(data6 as i8, norm5 as u8)] = code;
+            }
+        }
+        Self { table }
     }
 }
 
 impl SquashLut {
     /// Number of entries: 2^(6+5).
     pub const ENTRIES: usize = 1 << 11;
-
-    /// Builds the table for a numeric configuration.
-    pub fn new(cfg: NumericConfig) -> Self {
-        let mut table = vec![0i8; Self::ENTRIES];
-        for data6 in -32i64..32 {
-            for norm5 in 0i64..32 {
-                let d = data6 as f32 / (1u32 << cfg.data6_frac) as f32;
-                let n = norm5 as f32 / (1u32 << cfg.norm5_frac) as f32;
-                let out = d * squash_gain(n);
-                let code = (out * (1u32 << cfg.data_frac) as f32).round();
-                let code = code.clamp(i8::MIN as f32, i8::MAX as f32) as i8;
-                table[Self::index(data6 as i8, norm5 as u8)] = code;
-            }
-        }
-        Self { cfg, table }
-    }
 
     #[inline]
     fn index(data6: i8, norm5: u8) -> usize {
@@ -122,9 +122,8 @@ impl SquashLut {
     /// and looks up the squashed 8-bit output.
     ///
     /// ```
-    /// use capsacc_fixed::{NumericConfig, SquashLut};
-    /// let cfg = NumericConfig::default();
-    /// let lut = SquashLut::new(cfg);
+    /// use capsacc_fixed::SquashLut;
+    /// let lut = SquashLut::default();
     /// // A unit-norm vector element 1.0 (Q2.5 code 32), norm 1.0
     /// // (Q4.4 code 16) squashes to ≈ 0.5.
     /// let out = lut.squash_element(32, 16);
@@ -132,15 +131,10 @@ impl SquashLut {
     /// ```
     #[inline]
     pub fn squash_element(&self, data_raw: i8, norm_raw: u8) -> i8 {
-        let data6 = saturate_to_bits(i64::from(data_raw >> self.cfg.data6_shift()), 6) as i8;
-        let norm5 = ((norm_raw as u32) >> self.cfg.norm5_shift()).min(31) as u8;
+        let cfg = NumericConfig::new();
+        let data6 = saturate_to_bits(i64::from(data_raw >> cfg.data6_shift()), 6) as i8;
+        let norm5 = ((norm_raw as u32) >> cfg.norm5_shift()).min(31) as u8;
         self.lookup_raw(data6, norm5)
-    }
-
-    /// The numeric configuration the table was built for.
-    #[inline]
-    pub fn config(&self) -> NumericConfig {
-        self.cfg
     }
 
     /// Maximum absolute error (in real-value terms) of the LUT against the
@@ -150,11 +144,11 @@ impl SquashLut {
         let mut worst = 0f32;
         for data6 in -32i8..32 {
             for norm5 in 0u8..32 {
-                let d = data6 as f32 / (1u32 << self.cfg.data6_frac) as f32;
-                let n = norm5 as f32 / (1u32 << self.cfg.norm5_frac) as f32;
+                let d = data6 as f32 / (1u32 << NumericConfig::DATA6_FRAC) as f32;
+                let n = norm5 as f32 / (1u32 << NumericConfig::NORM5_FRAC) as f32;
                 let exact = d * squash_gain(n);
-                let got =
-                    self.lookup_raw(data6, norm5) as f32 / (1u32 << self.cfg.data_frac) as f32;
+                let got = self.lookup_raw(data6, norm5) as f32
+                    / (1u32 << NumericConfig::DATA_FRAC) as f32;
                 worst = worst.max((exact - got).abs());
             }
         }
@@ -168,7 +162,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn lut() -> SquashLut {
-        SquashLut::new(NumericConfig::default())
+        SquashLut::default()
     }
 
     #[test]

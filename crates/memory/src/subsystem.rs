@@ -346,8 +346,9 @@ impl MemorySubsystem {
     /// of the last 16 distinct geometries it replayed (`REPLAY_MEMO`,
     /// oldest evicted first); a repeat charges the remembered delta
     /// with [`MemReport::merge`], which leaves the stall and every
-    /// counter exactly where a fresh replay would (the ClassCaps FC
-    /// issues ~1.2k identical calls per batch).
+    /// counter exactly where a fresh replay would. The memo pays off on
+    /// the routing Sum and Update groups, which repeat per iteration
+    /// and per image, and on every layer of a repeated batch size.
     pub fn matmul(&mut self, g: &MatmulGeometry) -> u64 {
         let delta = self.price(g);
         self.report.merge(&delta);

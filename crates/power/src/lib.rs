@@ -102,8 +102,9 @@ pub struct SynthesisSummary {
     pub clock_mhz: u64,
     /// Datapath operand width in bits.
     pub bit_width: u32,
-    /// On-chip memory in MB (a design parameter, not part of the core
-    /// area — Table III does not include it).
+    /// On-chip memory in MB: Table II's 8 MB
+    /// ([`AcceleratorConfig::ONCHIP_MEMORY_BYTES`]), not part of the core
+    /// area — Table III does not include it.
     pub onchip_memory_mb: f64,
 }
 
@@ -197,8 +198,8 @@ impl PowerModel {
     pub fn estimate(&self, cfg: &AcceleratorConfig) -> PowerReport {
         let scale = self.power_scale(cfg);
         let pes = cfg.pe_count() as f64;
+        // One accumulator unit and one activation unit per column.
         let cols = cfg.cols as f64;
-        let au = cfg.activation_units as f64;
         let data_bytes = cfg.memory.data_spm.bytes as f64;
         let weight_bytes = cfg.memory.weight_spm.bytes as f64;
         let components = vec![
@@ -209,8 +210,8 @@ impl PowerModel {
             },
             ComponentEstimate {
                 name: "Activation",
-                area_um2: self.activation_area_um2 * au,
-                power_mw: self.activation_power_mw * au * scale,
+                area_um2: self.activation_area_um2 * cols,
+                power_mw: self.activation_power_mw * cols * scale,
             },
             ComponentEstimate {
                 name: "Data Buffer",
@@ -253,7 +254,7 @@ impl PowerModel {
             power_mw: report.total_power_mw(),
             clock_mhz: cfg.clock_mhz,
             bit_width: 8,
-            onchip_memory_mb: cfg.onchip_memory_bytes as f64 / (1024.0 * 1024.0),
+            onchip_memory_mb: AcceleratorConfig::ONCHIP_MEMORY_BYTES as f64 / (1024.0 * 1024.0),
         }
     }
 }
@@ -357,11 +358,9 @@ mod tests {
         let mut small = AcceleratorConfig::paper();
         small.rows = 8;
         small.cols = 8;
-        small.activation_units = 8;
         let mut big = AcceleratorConfig::paper();
         big.rows = 32;
         big.cols = 32;
-        big.activation_units = 32;
         let base = paper_report()
             .component("Systolic Array")
             .expect("sa")

@@ -371,24 +371,25 @@ impl RetryConfig {
     }
 }
 
-/// Straggler-hedging policy: when an attempt outlives a p99-derived
-/// deadline, duplicate it onto a free worker; first completion wins.
+/// Straggler hedging: when an attempt outlives a p99-derived deadline,
+/// duplicate it onto a free worker; first completion wins.
+///
+/// The detector is fixed: the p99 of observed service durations once 32
+/// attempts have completed, and three times the expected service
+/// before that. [`ResilienceConfig::hedge`] switches it on and off.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub struct HedgeConfig {
-    /// Observed completions needed before the p99 estimate is trusted.
-    pub min_samples: usize,
-    /// Until then, hedge after `expected_service * cold_factor_pct /
-    /// 100` cycles (must be >= 100).
-    pub cold_factor_pct: u64,
-}
+pub struct HedgeConfig;
 
 impl HedgeConfig {
-    /// The default detector: 32 samples, 3× cold deadline.
+    /// Observed completions needed before the p99 estimate is trusted.
+    const MIN_SAMPLES: usize = 32;
+    /// Until then, hedge after `expected_service * COLD_FACTOR_PCT /
+    /// 100` cycles.
+    const COLD_FACTOR_PCT: u64 = 300;
+
+    /// The hedge detector, the type's one value.
     pub fn standard() -> Self {
-        HedgeConfig {
-            min_samples: 32,
-            cold_factor_pct: 300,
-        }
+        HedgeConfig
     }
 }
 
@@ -583,18 +584,6 @@ impl RuntimeConfig {
             return Err(ConfigError::InvalidResilience(
                 "retry.backoff_base_cycles must be at least 1",
             ));
-        }
-        if let Some(h) = &res.hedge {
-            if h.min_samples == 0 {
-                return Err(ConfigError::InvalidResilience(
-                    "hedge.min_samples must be at least 1",
-                ));
-            }
-            if h.cold_factor_pct < 100 {
-                return Err(ConfigError::InvalidResilience(
-                    "hedge.cold_factor_pct must be at least 100",
-                ));
-            }
         }
         if let Some(d) = &res.degrade {
             if d.max_level == 0 {
@@ -1406,17 +1395,16 @@ impl<'a> Runtime<'a> {
 
     /// Cycles after dispatch at which an attempt is declared a
     /// straggler: the p99 of observed service durations once enough
-    /// completions exist, else `cold_factor_pct` of the expected
+    /// completions exist, else `COLD_FACTOR_PCT` of the expected
     /// service — never earlier than the expected completion itself.
     fn hedge_deadline(&self, expected: u64) -> u64 {
-        let h = self.cfg.resilience.hedge.expect("hedging configured");
         let floor = expected.saturating_add(1);
-        if self.svc_hist.len() >= h.min_samples {
+        if self.svc_hist.len() >= HedgeConfig::MIN_SAMPLES {
             let mut sorted = self.svc_hist.clone();
             sorted.sort_unstable();
             percentile(&sorted, 0.99).max(floor)
         } else {
-            (expected.saturating_mul(h.cold_factor_pct) / 100).max(floor)
+            (expected.saturating_mul(HedgeConfig::COLD_FACTOR_PCT) / 100).max(floor)
         }
     }
 

@@ -21,7 +21,6 @@ fn main() {
         let mut cfg = AcceleratorConfig::paper();
         cfg.rows = size;
         cfg.cols = size;
-        cfg.activation_units = size;
         let t = timing::full_inference_batch(&cfg, &net, 1);
         let report = model.estimate(&cfg);
         let time_s = t.time_per_image_us(&cfg) / 1e6;

@@ -93,7 +93,6 @@ proptest! {
         let mut cfg = AcceleratorConfig::test_4x4();
         cfg.rows = rows;
         cfg.cols = cols;
-        cfg.activation_units = rows;
         let mut s = seed | 1;
         let mut next = move || {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -265,7 +264,6 @@ proptest! {
     ) {
         let mut cfg = AcceleratorConfig::test_4x4();
         cfg.rows = rows;
-        cfg.activation_units = rows;
         let mut s = seed | 1;
         let mut next = move || {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -336,7 +334,6 @@ proptest! {
     ) {
         let mut cfg = AcceleratorConfig::test_4x4();
         cfg.rows = rows;
-        cfg.activation_units = rows;
         let mut s = seed | 1;
         let mut next = move || {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1);

@@ -79,7 +79,6 @@ proptest! {
         let mut cfg = AcceleratorConfig::test_4x4();
         cfg.rows = size;
         cfg.cols = size;
-        cfg.activation_units = size;
         let (batched_wb, sequential_wb) = assert_batch_equivalent(&net, cfg, seed, batch);
         if batch > 1 {
             prop_assert!(

@@ -212,7 +212,6 @@ fn array_size_does_not_change_results() {
         let mut cfg = AcceleratorConfig::paper();
         cfg.rows = size;
         cfg.cols = size;
-        cfg.activation_units = size;
         let mut acc = Accelerator::new(cfg);
         runs.push(
             acc.run_batch(&net, &qparams, std::slice::from_ref(&image))

@@ -182,7 +182,6 @@ proptest! {
         let mut cfg = AcceleratorConfig::test_4x4();
         cfg.rows = size;
         cfg.cols = size;
-        cfg.activation_units = size;
         cfg.memory = MemoryConfig::paper();
         cfg.memory.dram.latency_cycles = latency;
 

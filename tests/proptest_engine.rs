@@ -37,7 +37,6 @@ proptest! {
         let mut cfg = AcceleratorConfig::test_4x4();
         cfg.rows = rows;
         cfg.cols = cols;
-        cfg.activation_units = cols;
         let mut acc = Accelerator::new(cfg);
         let (got, _) = acc.matmul_batch(
             1,

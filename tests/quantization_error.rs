@@ -29,7 +29,7 @@ proptest! {
 
         prop_assert_eq!(q.stats.saturations, 0);
         for (fnorm, &qnorm) in f.class_norms().iter().zip(&q.class_norms) {
-            let qn = qnorm as f32 / (1u32 << ncfg.norm_frac) as f32;
+            let qn = qnorm as f32 / (1u32 << NumericConfig::NORM_FRAC) as f32;
             // Class norms live in [0, 1). The dominant error source is
             // the 12b→8b square LUT (Q4.4 output): element codes |x| ≤ 8
             // square to zero, so a capsule whose elements all sit below

@@ -136,7 +136,6 @@ fn one_by_one_array_still_bit_exact() {
     let mut cfg = AcceleratorConfig::test_4x4();
     cfg.rows = 1;
     cfg.cols = 1;
-    cfg.activation_units = 1;
     let q = CapsNetParams::generate(&net, 5).quantize(cfg.numeric);
     let image = Tensor::from_fn(&[1, 12, 12], |i| (i[1] * i[2] % 5) as f32 / 5.0);
     let reference = infer_q8_traced(
