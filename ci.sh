@@ -64,18 +64,20 @@ done
 # The paper's tables and figures end to end: closed forms, the GPU and
 # power models, and ten batch-1 engine runs of one MNIST digit on the
 # functional backend (under a second in all). Asserts Fig. 17's step
-# alignment (closed form, GPU model and engine), skip-first-softmax
-# bit-equivalence and that the routing feedback path never adds Data
-# Memory reads; refreshes BENCH_paper.json, diffed below. The other six
-# binaries run below, each with its own note.
+# alignment (closed form, GPU model and engine), that the engine without
+# tile pipelining is slower than the paper point under both memories,
+# skip-first-softmax bit-equivalence and that the routing feedback path
+# never adds Data Memory reads; refreshes BENCH_paper.json, diffed
+# below. The other six binaries run below, each with its own note.
 run cargo run --release -q -p capsacc-bench --bin exp_paper
 # Batched-serving smoke run: validates run_batch bit-exactness at the
 # tiny scale and refreshes BENCH_batch.json so the perf trajectory of
 # the batch path is recorded with every CI run.
 run cargo run --release -q -p capsacc-bench --bin exp_batch
 # Memory design-space smoke run: asserts the IdealMemory equivalence
-# (engine ≡ closed-form memory replay, zero ideal stalls) and the
-# prefetch-recovery bound, and refreshes BENCH_mem.json.
+# (zero ideal stalls; engine ≡ closed-form memory replay on serial
+# tiles, where both walk the same windows) and the prefetch-recovery
+# bound, and refreshes BENCH_mem.json.
 run cargo run --release -q -p capsacc-bench --bin exp_memdse
 # Serving smoke run: asserts the ≥3x worker-scaling bound (4 workers vs
 # 1 at fixed max_batch) on BOTH service tables (closed-form model and
@@ -103,7 +105,8 @@ run cargo run --release -q -p capsacc-bench --bin exp_serve
 run cargo run --release -q -p capsacc-bench --bin exp_faults
 # Engine wall-clock smoke run: asserts ticked, functional-scalar and
 # functional-SIMD (the parallel backend) are bit-identical on a full
-# MNIST inference at the paper 16x16 design point, that explicit
+# MNIST inference at the paper 16x16 design point (the ticked RTL
+# executing the pipelined tile schedule), that explicit
 # thread counts 1/2/4 produce byte-identical batch-16 BatchRuns, that
 # the functional backend clears the 10x wall-clock bound over ticked
 # and the parallel+SIMD batch path clears 5x over the PR 5 functional

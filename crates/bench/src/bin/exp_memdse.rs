@@ -82,8 +82,9 @@ fn measure(net: &CapsNetConfig, point: Point) -> Row {
 fn assert_ideal_equivalence() {
     let net = CapsNetConfig::tiny();
     let mut ideal_cfg = AcceleratorConfig::test_4x4();
-    // Engine ≡ model exactness holds on serial-tile schedules (the
-    // ticked engine always executes tiles serially).
+    // Engine ≡ model exactness holds on serial-tile schedules: with
+    // pipelining the engine runs each call's matmuls as one run of
+    // tiles, where the closed form runs one per N-tile.
     ideal_cfg.dataflow.pipelined_tiles = false;
     let mut finite_cfg = ideal_cfg;
     finite_cfg.memory = MemoryConfig::paper();

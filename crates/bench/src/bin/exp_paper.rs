@@ -7,10 +7,11 @@
 //! beside the closed form's: one batch-1 `run_batch` of
 //! `SyntheticMnist::new(1).sample(0)` (`CapsNetParams` seed 1) on the
 //! functional backend, under ideal memory and `MemoryConfig::paper()`.
-//! The ablation runs also check the Sec. V claims on that digit:
-//! skipping the first softmax leaves the class capsules and couplings
-//! bit-identical, and the routing feedback path never adds Data Memory
-//! reads.
+//! The engine executes the paper's pipelined tile schedule. The
+//! ablation runs also check the Sec. V claims on that digit: the engine
+//! without tile pipelining is slower under both memories, skipping the
+//! first softmax leaves the class capsules and couplings bit-identical,
+//! and the routing feedback path never adds Data Memory reads.
 
 use capsacc_bench::{
     fmt_us, inference_macs, json_str, log_bar, print_table, speedup_label, BenchJson,
@@ -554,6 +555,21 @@ fn routing_ablations(
          Engine total cyc|Engine ClassCaps cyc (paper mem)|Engine total cyc (paper mem)",
         rows,
     );
+
+    // Sec. IV-A's tile pipelining, executed: the engine without it is
+    // slower under either memory model.
+    for (i, memory) in ["ideal", "paper"].into_iter().enumerate() {
+        let [paper_point, serial] = [0, 3].map(|a| engine[a][i].total_cycles());
+        assert!(
+            serial > paper_point,
+            "the engine without tile pipelining is not slower under {memory} memory \
+             ({serial} vs {paper_point} cycles)"
+        );
+        println!(
+            "Tile pipelining on the engine ({memory} memory): {paper_point} cycles, \
+             {serial} without"
+        );
+    }
 
     // Both checks hold under either memory model; the ideal-memory runs
     // carry them.

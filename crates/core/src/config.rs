@@ -13,12 +13,15 @@ pub struct DataflowOptions {
     /// Disabled, each tile reloads before every data row
     /// ([`crate::TileSchedule::ReloadPerRow`]) and every image re-reads
     /// the weights. Routing's operands (`û`, `v_j`) stay resident
-    /// either way. Only [`crate::timing`] models the ablation; the
-    /// engine always executes the design point.
+    /// either way. Only [`crate::timing`] models the reloads; disabled,
+    /// the engine runs its tiles serially.
     pub weight_reuse: bool,
-    /// Stream consecutive K-tiles back-to-back, hiding weight reloads
-    /// behind data streaming ("at full throttle, each PE produces one
-    /// output-per-clock cycle", Sec. IV-A).
+    /// Load each next weight tile while the current one streams, hiding
+    /// weight reloads behind data streaming ("at full throttle, each PE
+    /// produces one output-per-clock cycle", Sec. IV-A). Both models
+    /// honour it where the Weight Buffer holds two tiles
+    /// ([`AcceleratorConfig::tiles_pipeline`]); the engine executes it
+    /// ([`crate::TileRun`]).
     pub pipelined_tiles: bool,
     /// Reuse the predictions `û_{j|i}` through the horizontal feedback
     /// path during routing instead of re-reading the Data Memory
@@ -51,7 +54,7 @@ impl Default for DataflowOptions {
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub enum EngineBackend {
     /// Register-transfer-level execution: every PE register is ticked
-    /// every clock edge ([`crate::SystolicArray::tick`]). Authoritative
+    /// every clock edge ([`crate::TileRun`]). Authoritative
     /// for microarchitectural questions (wavefront timing, register
     /// contents, edge-by-edge observability) and the reference the
     /// `Functional` backend is differentially tested against.
@@ -61,9 +64,10 @@ pub enum EngineBackend {
     /// per-column saturating fold the PE datapath performs
     /// ([`crate::Pe::mac_step`] applied in fixed north→south order)
     /// over flat row-major tile buffers, with zero per-edge work.
-    /// Cycles are charged per tile from the exact serial-schedule
-    /// counts the ticked array would execute (`R + 1` per weight load,
-    /// `M + R + C` per stream), so all accounting is identical. Use
+    /// Cycles are charged per tile run from the exact edge counts the
+    /// ticked array executes under the same schedule
+    /// ([`crate::MatmulGeometry::run_cycles`]), so all accounting is
+    /// identical. Use
     /// this to run MNIST-scale engine workloads at wall-clock speed
     /// (see `exp_engine_speed`).
     Functional,
@@ -243,6 +247,17 @@ impl AcceleratorConfig {
     /// Total number of processing elements.
     pub fn pe_count(&self) -> usize {
         self.rows * self.cols
+    }
+
+    /// Whether consecutive tiles can actually pipeline: the dataflow
+    /// switch must be on **and** the Weight Buffer must hold two tiles
+    /// (the double buffer the overlap physically needs). Undersized
+    /// buffers degrade to the serial schedule instead of assuming free
+    /// overlap. Both cycle models pick their tile schedule here: the
+    /// closed form ([`crate::timing`]) and the engine, which pipelines
+    /// when this holds and `weight_reuse` is on.
+    pub fn tiles_pipeline(&self) -> bool {
+        self.dataflow.pipelined_tiles && 2 * self.rows * self.cols <= self.memory.weight_spm.bytes
     }
 
     /// Validates the configuration.

@@ -14,21 +14,27 @@
 //! edge); activation-unit costs use the per-operation formulas of Sec.
 //! IV-C; bandwidth ceilings (weight streaming, routing buffer ports)
 //! are the analytical model's domain ([`crate::timing`]). The engine
-//! executes tiles serially; the pipelined "full throttle" overlap
-//! exists only in that model. The activation units reduce each drained
-//! value behind the array (Sec. IV-C), overlapped with the final
-//! K-tile's stream, so no matmul charges a drain. With pipelining
+//! executes the paper's pipelined "full throttle" tile schedule
+//! whenever [`AcceleratorConfig::tiles_pipeline`] holds and weight reuse
+//! is on, and serial tiles otherwise: each call of the one internal
+//! matmul path issues all its tiles back to back as one run, which
+//! pays one fill and one drain ([`TileRun`]). The activation units reduce each
+//! drained value behind the array (Sec. IV-C), overlapped with the
+//! final K-tile's stream, so no matmul charges a drain. With pipelining
 //! disabled, the model's cycles equal the engine's, matmul by matmul
 //! and layer by layer, except for two gaps (pinned at MNIST scale by
 //! `tests/timing_consistency.rs`): the model charges Conv1's ReLU one
 //! cycle of latency, and it applies Routing Buffer bandwidth ceilings
-//! to the softmax and squash steps that the engine does not. The
-//! [`crate::timing`] module doc gives the MNIST figures; the "One cycle
-//! model, executed" item of `ROADMAP.md` plans how the gaps close.
+//! to the softmax and squash steps that the engine does not. With
+//! pipelining the two also differ in where a run ends: the closed form
+//! runs one per N-tile (one per matmul for the FC's capsules), the
+//! engine one per call. The [`crate::timing`] module doc gives the
+//! MNIST figures; the "One cycle model, executed" item of `ROADMAP.md`
+//! plans how the gaps close.
 //!
 //! Two execution backends produce this identical behavior
 //! ([`crate::EngineBackend`]): `Ticked` drives every PE register through
-//! [`SystolicArray::tick`], while `Functional` evaluates each tile as
+//! [`TileRun`], while `Functional` evaluates each tile as
 //! the per-column saturating fold the PE datapath performs
 //! ([`Pe::mac_step`](crate::Pe::mac_step) in fixed north→south order —
 //! in parallel across data rows and with explicit SIMD when the host
@@ -44,16 +50,16 @@ use capsacc_capsnet::{
     primary_capsules, CapsNetConfig, QuantPipeline, RoutingIterationTrace, RoutingVariant,
 };
 use capsacc_faults::FaultPlan;
-use capsacc_memory::{MatmulGeometry, MemReport, MemorySubsystem, SpmKind, TileSchedule};
+use capsacc_memory::{MatmulGeometry, MemReport, MemorySubsystem, RunPrice, SpmKind, TileSchedule};
 use capsacc_telemetry::{Recorder, SpanDetail, TelemetryConfig};
-use capsacc_tensor::{u64_from, Tensor};
+use capsacc_tensor::{u64_from, usize_from, Tensor};
 
 use crate::accumulator::AccumulatorUnit;
 use crate::activation::{ActivationKind, ActivationUnit};
 use crate::config::{AcceleratorConfig, EngineBackend, TraceLevel};
 use crate::kernel;
 use crate::operand::{DataView, WeightView};
-use crate::systolic::SystolicArray;
+use crate::systolic::{SystolicArray, TileRun};
 use crate::timing::RoutingStep;
 use crate::traffic::{MemoryKind, TrafficReport};
 
@@ -180,26 +186,33 @@ pub struct Accelerator {
     pub(crate) staging: kernel::Staging,
 }
 
-/// Everything one matmul charges to the simulated machine. Cycles,
-/// traffic and stalls never depend on operand values, so this is a pure
-/// function of the [`MatmulGeometry`] and the configuration:
+/// Everything one call of [`Accelerator::matmul_group`] charges to the
+/// simulated machine. Cycles, traffic and stalls never depend on
+/// operand values, so this is a pure function of the
+/// [`MatmulGeometry`], the group count and the configuration:
 /// [`Accelerator::charge`] derives it in one place, and both backends
-/// apply it (to the [`CycleLedger`] among others) and record it. The
-/// ticked backend only ticks the array, and asserts on every matmul
-/// that its edge count equals `array_cycles`. The activation units
-/// reduce each drained value behind the array, overlapped with the
-/// final K-tile's stream, so a matmul charges no drain cycles.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+/// apply it once per call (to the [`CycleLedger`] among others) and
+/// record it per group. The ticked backend only ticks the array, and
+/// asserts on every call that its edge count equals `array_cycles`.
+/// The activation units reduce each drained value behind the array,
+/// overlapped with the final K-tile's stream, so a matmul charges no
+/// drain cycles.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub(crate) struct MatmulCharge {
     /// The geometry charged.
     pub geometry: MatmulGeometry,
-    /// The geometry's serial [`MatmulGeometry::array_cycles`]: `R + 1`
-    /// weight-load edges plus `batch·M + R + C` stream edges per tile.
+    /// Matmuls of the geometry issued back to back as one run.
+    pub groups: usize,
+    /// The run's [`MatmulGeometry::run_cycles`] over its
+    /// `groups · n_tiles · k_tiles` tiles: one fill and one drain when
+    /// pipelined, `R + 1` weight-load edges plus `batch·M + R + C`
+    /// stream edges per tile when serial.
     pub array_cycles: u64,
-    /// The memory hierarchy's counter delta, its stall cycles included.
-    /// Its Weight and Data SPM reads (`kt·nt` and `batch·M·kt` per tile)
-    /// are the matmul's Weight and Data Buffer reads.
-    pub mem: MemReport,
+    /// The memory hierarchy's price of the run: its counter delta,
+    /// stall included, and each group's stall. Its Weight and Data SPM
+    /// reads (`kt·nt` and `batch·M·kt` per tile) are the run's Weight
+    /// and Data Buffer reads.
+    pub mem: RunPrice,
 }
 
 /// Reshapes a `[patches, out_ch]` matmul result into the `[out_ch, oh,
@@ -397,10 +410,12 @@ impl Accelerator {
     /// run). Per-row arithmetic does not depend on the batch, so outputs
     /// are bit-exact against `batch` independent batch-of-one calls.
     ///
-    /// This always executes the real design point — the second weight
-    /// register exists, so tiles *are* resident. The
-    /// `DataflowOptions::weight_reuse` ablation is modelled analytically
-    /// only, by the closed form ([`crate::timing`]).
+    /// The tiles run as one pipelined run where
+    /// [`AcceleratorConfig::tiles_pipeline`] holds and weight reuse is
+    /// on, and serially otherwise; the second weight register exists, so
+    /// tiles *are* resident either way. The
+    /// `DataflowOptions::weight_reuse` ablation's per-row reloads are
+    /// modelled analytically only, by the closed form ([`crate::timing`]).
     ///
     /// # Panics
     ///
@@ -477,13 +492,19 @@ impl Accelerator {
     /// report, the ledger's stall part, and are identically zero under
     /// `IdealMemory`.
     ///
-    /// Every simulated effect — cycles, traffic, memory stalls, spans,
-    /// fault draws — is that of `groups` consecutive single matmuls.
-    /// The geometry's [`MatmulCharge`] is derived once and applied
-    /// `groups` times at once. The ticked backend then runs the groups
-    /// one by one, each in a `matmul` span that records the charge, and
-    /// asserts that each ticks exactly the charged array cycles; the
-    /// functional backend evaluates the groups in one host pass
+    /// The groups' tiles issue back to back as one run, group by group,
+    /// N-tile by N-tile, K-tile by K-tile: under
+    /// [`TileSchedule::Pipelined`] (when
+    /// [`AcceleratorConfig::tiles_pipeline`] holds and weight reuse is
+    /// on) the run pays one fill and one drain, and under
+    /// [`TileSchedule::Serial`] every tile pays its own. Outputs,
+    /// traffic and fault draws are those of `groups` consecutive single
+    /// matmuls. The call's [`MatmulCharge`] is derived and applied once.
+    /// Each group records a `matmul` span: its tiles' windows plus the
+    /// stalls within them. The ticked backend then executes the run
+    /// ([`Accelerator::matmul_ticked`]) and asserts that it ticks
+    /// exactly the charged array cycles; the functional backend
+    /// evaluates the groups in one host pass
     /// ([`Accelerator::matmul_group_functional`]).
     ///
     /// # Panics
@@ -509,6 +530,14 @@ impl Accelerator {
         if let Some(b) = bias {
             assert!(b.len() >= n, "bias shorter than output width");
         }
+        // The paper's pipelined schedule where the dataflow switches and
+        // the Weight Buffer allow it; the weight-reuse ablation's
+        // per-row reloads exist only in the closed form.
+        let schedule = if self.cfg.tiles_pipeline() && self.cfg.dataflow.weight_reuse {
+            TileSchedule::Pipelined
+        } else {
+            TileSchedule::Serial
+        };
         let geometry = MatmulGeometry {
             m,
             k,
@@ -517,23 +546,21 @@ impl Accelerator {
             rows: self.cfg.rows,
             cols: self.cfg.cols,
             weights_offchip,
-            // The ticked engine executes tiles serially; its windows
-            // are the serial schedule regardless of the dataflow flag.
-            schedule: TileSchedule::Serial,
+            schedule,
         };
         let mut outs: Vec<Tensor<i8>> = (0..batch)
             .map(|_| Tensor::zeros(&[groups * m, n]))
             .collect();
         let mut saturations = vec![0u64; batch];
-        let charge = self.charge(&geometry);
-        self.apply_charge(&charge, u64_from(groups));
+        let charge = self.charge(&geometry, groups);
+        self.apply_charge(&charge);
+        MemorySubsystem::record_matmul(&charge.mem.total, &mut self.rec);
         if self.cfg.backend == EngineBackend::Functional {
             self.matmul_group_functional(
                 data,
                 data_step,
                 weight,
                 weight_step,
-                groups,
                 bias,
                 shift,
                 kind,
@@ -543,166 +570,174 @@ impl Accelerator {
             );
         } else {
             for g in 0..groups {
-                let src: Vec<&[i8]> = data.src.iter().map(|s| &s[g * data_step..]).collect();
                 self.rec.begin(SpanDetail::Phases, "matmul");
-                self.record_charge(&charge);
-                let c0 = self.array.cycles();
-                self.matmul_ticked(
-                    DataView { src: &src, ..data },
-                    WeightView {
-                        src: &weight.src[g * weight_step..],
-                        ..weight
-                    },
-                    bias,
-                    shift,
-                    kind,
-                    n,
-                    g * m,
-                    &mut outs,
-                    &mut saturations,
-                );
-                assert_eq!(
-                    self.array.cycles() - c0,
-                    charge.array_cycles,
-                    "ticked matmul diverged from its charge"
-                );
+                self.record_group(&charge, g);
                 self.rec.end(SpanDetail::Phases);
             }
+            let c0 = self.array.cycles();
+            self.matmul_ticked(
+                data,
+                data_step,
+                weight,
+                weight_step,
+                &charge,
+                bias,
+                shift,
+                kind,
+                &mut outs,
+                &mut saturations,
+            );
+            assert_eq!(
+                self.array.cycles() - c0,
+                charge.array_cycles,
+                "ticked matmul diverged from its charge"
+            );
         }
         (outs, saturations)
     }
 
-    /// What one matmul of geometry `g` charges to the simulated
-    /// machine ([`MatmulCharge`]), derived here and nowhere else. The
-    /// memory part is the subsystem's [`MemorySubsystem::price`], which
-    /// remembers its replays; the rest is a few integer operations.
-    pub(crate) fn charge(&mut self, g: &MatmulGeometry) -> MatmulCharge {
+    /// What `groups` matmuls of geometry `g`, issued as one run, charge
+    /// to the simulated machine ([`MatmulCharge`]), derived here and
+    /// nowhere else. The memory part is the subsystem's
+    /// [`MemorySubsystem::price_run`], which remembers its replays; the
+    /// rest is a few integer operations.
+    pub(crate) fn charge(&mut self, g: &MatmulGeometry, groups: usize) -> MatmulCharge {
         MatmulCharge {
             geometry: *g,
-            array_cycles: g.array_cycles(),
-            mem: self.memory.price(g),
+            groups,
+            array_cycles: g.run_cycles(g.tiles(groups)),
+            mem: self.memory.price_run(g, groups),
         }
     }
 
-    /// Applies `times` matmuls' worth of `c` on both backends: its array
-    /// cycles to the ledger, its memory counters, whose stall is the
-    /// ledger's stall part, and the Weight and Data SPM reads of those
-    /// counters as Weight and Data Buffer reads. Every counter is a
-    /// plain sum, so this equals `times` separate applications.
-    fn apply_charge(&mut self, c: &MatmulCharge, times: u64) {
-        let mem = c.mem.scaled(times);
-        self.busy.array += c.array_cycles * times;
+    /// Applies `c` on both backends: its array cycles to the ledger,
+    /// its memory counters, whose stall is the ledger's stall part, and
+    /// the Weight and Data SPM reads of those counters as Weight and
+    /// Data Buffer reads.
+    fn apply_charge(&mut self, c: &MatmulCharge) {
+        let mem = &c.mem.total;
+        self.busy.array += c.array_cycles;
         self.traffic.read(
             MemoryKind::WeightBuffer,
             mem.spm(SpmKind::Weight).read_bytes,
         );
         self.traffic
             .read(MemoryKind::DataBuffer, mem.spm(SpmKind::Data).read_bytes);
-        self.memory.charge(&mem);
+        self.memory.charge(mem);
     }
 
-    /// Records one matmul of `c`'s geometry, for both backends: the
-    /// memory counters, then the clock advanced by the stall and the
-    /// array cycles. At [`SpanDetail::Tiles`] the advance is split into
-    /// the stall span and every tile's load and stream spans, from the
-    /// edge counts `c` sums; below it the recorder would keep none of
-    /// those spans, so the clock moves once. Nothing is recorded with
-    /// recording off.
-    fn record_charge(&mut self, c: &MatmulCharge) {
+    /// Records group `group` of `c`'s run, for both backends: the clock
+    /// advanced by the stall within the group's tiles and by the tiles'
+    /// windows ([`MatmulGeometry::run_windows`]). At
+    /// [`SpanDetail::Tiles`] the advance is split into the stall span
+    /// and one span per tile window; below it the recorder would keep
+    /// none of those spans, so the clock moves once. Nothing is
+    /// recorded with recording off.
+    fn record_group(&mut self, c: &MatmulCharge, group: usize) {
         if !self.rec.is_enabled() {
             return;
         }
-        MemorySubsystem::record_matmul(&c.mem, &mut self.rec);
+        let g = &c.geometry;
+        let (per_group, tiles) = (g.tiles(1), g.tiles(c.groups));
+        let first = u64_from(group) * per_group;
+        let stall = c.mem.group_stalls[group];
         if self.rec.detail() < SpanDetail::Tiles {
-            self.rec.advance(c.mem.stall_cycles + c.array_cycles);
+            let windows = g.run_windows(first..first + per_group, tiles);
+            self.rec.advance(stall + windows);
             return;
         }
-        let g = &c.geometry;
         self.rec.begin(SpanDetail::Tiles, "mem-stall");
-        self.rec.advance(c.mem.stall_cycles);
+        self.rec.advance(stall);
         self.rec.end(SpanDetail::Tiles);
-        let (load, stream) = (
-            self.array.load_edges(),
-            self.array.stream_edges(g.batch * g.m),
-        );
-        for tile_seq in 0..u64_from(g.n_tiles() * g.k_tiles()) {
-            self.rec
-                .begin_arg(SpanDetail::Tiles, "tile", "seq", tile_seq);
-            self.rec.begin(SpanDetail::Tiles, "load");
-            self.rec.advance(load);
+        for seq in 0..per_group {
+            let t = first + seq;
+            self.rec.begin_arg(SpanDetail::Tiles, "tile", "seq", seq);
+            self.rec.advance(g.run_windows(t..t + 1, tiles));
             self.rec.end(SpanDetail::Tiles);
-            self.rec.begin(SpanDetail::Tiles, "stream");
-            self.rec.advance(stream);
-            self.rec.end(SpanDetail::Tiles);
-            self.rec.end(SpanDetail::Tiles); // tile
         }
     }
 
-    /// The `Ticked` backend's matmul: every weight tile is loaded into
-    /// the array's resident registers and every data row streams
-    /// through the PEs, edge by edge; the caller has applied and
-    /// recorded the matmul's [`MatmulCharge`]. Image `img`'s `n`-wide
-    /// outputs land in rows `row0 ..` of `outs[img]`.
+    /// The `Ticked` backend's matmul group: every group's weight tiles
+    /// run through the array as one [`TileRun`], group by group, N-tile
+    /// by N-tile, K-tile by K-tile, under the charge's schedule, and
+    /// every data row streams through the PEs, edge by edge. The
+    /// caller has applied and recorded `charge`. Image `img`'s outputs
+    /// of group `g` land in rows `g·M ..` of `outs[img]`.
     #[allow(clippy::too_many_arguments)]
     fn matmul_ticked(
         &mut self,
         data: DataView<'_>,
+        data_step: usize,
         weight: WeightView<'_>,
+        weight_step: usize,
+        charge: &MatmulCharge,
         bias: Option<&[i32]>,
         shift: u32,
         kind: ActivationKind,
-        n: usize,
-        row0: usize,
         outs: &mut [Tensor<i8>],
         saturations: &mut [u64],
     ) {
-        let (batch, m, k) = (data.batch(), data.m(), data.k());
+        let (batch, m, k, n) = (data.batch(), data.m(), data.k(), charge.geometry.n);
         let (rows, cols) = (self.cfg.rows, self.cfg.cols);
-        for n0 in (0..n).step_by(cols) {
+        let (kk, nn) = (charge.geometry.k_tiles(), charge.geometry.n_tiles());
+        // Tile t of the run: its group, N-tile origin and K-tile origin.
+        let place = |t: usize| (t / (nn * kk), t / kk % nn * cols, t % kk * rows);
+        // Both operands zero-padded to the array.
+        let weight_at = |t: usize, r: usize, c: usize| {
+            let (g, n0, k0) = place(t);
+            let w = WeightView {
+                src: &weight.src[g * weight_step..],
+                ..weight
+            };
+            if k0 + r < k && n0 + c < n {
+                w.at(k0 + r, n0 + c)
+            } else {
+                0
+            }
+        };
+        // Data row i of a tile is image i / M's row i % M.
+        let data_at = |t: usize, i: usize, r: usize| {
+            let (g, _, k0) = place(t);
+            if k0 + r < k {
+                data.at(g * data_step, i / m, i % m, k0 + r)
+            } else {
+                0
+            }
+        };
+        let pipelined = charge.geometry.schedule == TileSchedule::Pipelined;
+        let tiles = usize_from(charge.geometry.tiles(charge.groups));
+        let mut run = TileRun::new(&self.array, tiles, batch * m, pipelined);
+        // One accumulator set per image: keeps K-tile folding — and
+        // therefore saturation attribution — identical to a sequential
+        // per-image run.
+        let mut accs: Vec<Vec<AccumulatorUnit>> = Vec::new();
+        let faults = self.fault_plan.has_engine_faults();
+        let mut t = 0;
+        while let Some(psums) = run.next_tile(&mut self.array, weight_at, data_at) {
+            let (g, n0, k0) = place(t);
+            t += 1;
             let nt = cols.min(n - n0);
-            // One accumulator set per image: keeps K-tile folding — and
-            // therefore saturation attribution — identical to a
-            // sequential per-image run.
-            let mut accs: Vec<Vec<AccumulatorUnit>> = (0..batch)
-                .map(|_| (0..nt).map(|_| AccumulatorUnit::new(m.max(1))).collect())
-                .collect();
-
-            for (kt_idx, k0) in (0..k).step_by(rows).enumerate() {
-                let kt = rows.min(k - k0);
-                // Weight tile rows (zero-padded to the array width by the
-                // array itself), loaded once for the whole batch.
-                let tile: Vec<Vec<i8>> = (0..kt)
-                    .map(|kr| (0..nt).map(|nc| weight.at(k0 + kr, n0 + nc)).collect())
+            if k0 == 0 {
+                accs = (0..batch)
+                    .map(|_| (0..nt).map(|_| AccumulatorUnit::new(m.max(1))).collect())
                     .collect();
-                let tile_refs: Vec<&[i8]> = tile.iter().map(|r| r.as_slice()).collect();
-                self.array.load_weights(&tile_refs);
-
-                // Stream every image's data rows for this K-slice
-                // against the resident tile, image-major.
-                let rows_data: Vec<Vec<i8>> = (0..batch * m)
-                    .map(|ri| {
-                        let (img, mi) = (ri / m.max(1), ri % m.max(1));
-                        (0..kt).map(|ki| data.at(img, mi, k0 + ki)).collect()
-                    })
-                    .collect();
-                let psums = self.array.stream(&rows_data);
-
-                for (ri, prow) in psums.iter().enumerate() {
-                    for (c, acc) in accs[ri / m.max(1)].iter_mut().enumerate() {
-                        if kt_idx == 0 {
-                            acc.push_new(prow[c]);
-                        } else {
-                            acc.fold(prow[c]);
-                        }
+            }
+            for (ri, prow) in psums.chunks_exact(cols).enumerate() {
+                for (c, acc) in accs[ri / m].iter_mut().enumerate() {
+                    if k0 == 0 {
+                        acc.push_new(prow[c]);
+                    } else {
+                        acc.fold(prow[c]);
                     }
                 }
             }
-
-            // Drain through the activation units, image by image,
-            // numbering fault draws in walk order.
-            let faults = self.fault_plan.has_engine_faults();
+            if k0 + rows < k {
+                continue;
+            }
+            // The N-tile's last K-tile: drain through the activation
+            // units, image by image, numbering fault draws in walk order.
             for (img, (image_accs, out)) in accs.iter_mut().zip(outs.iter_mut()).enumerate() {
-                let out = &mut out.data_mut()[row0 * n..];
+                let out = &mut out.data_mut()[g * m * n..];
                 for (c, acc) in image_accs.iter_mut().enumerate() {
                     let events = acc.saturation_events();
                     saturations[img] += events;
@@ -767,18 +802,15 @@ impl Accelerator {
     ///   sum either way), group by group into each image's count, as
     ///   consecutive single matmuls would attribute them.
     /// - **The charge.** Cycles, traffic and memory stalls never depend
-    ///   on operand values, so a matmul's [`MatmulCharge`] — the serial
-    ///   [`MatmulGeometry::array_cycles`], per tile exactly the edges
-    ///   the ticked array executes (`R + 1` per weight load and
-    ///   `batch·M + R + C` per stream, `SystolicArray::load_edges` /
-    ///   `stream_edges`), plus the memory replay, whose per-tile SPM
-    ///   reads are the buffer reads — is derived in one place and
-    ///   applied by both backends:
-    ///   the ledger, and everything built on it, is equal, not merely
-    ///   equivalent. Counter totals are the only
-    ///   observable, and they are pure sums. With recording on, both
-    ///   backends record each matmul from the charge
-    ///   (`record_charge`).
+    ///   on operand values, so a call's [`MatmulCharge`] — the run's
+    ///   [`MatmulGeometry::run_cycles`], exactly the edges the ticked
+    ///   [`TileRun`] executes, plus the memory replay of the run, whose
+    ///   per-tile SPM reads are the buffer reads — is derived in one
+    ///   place and applied by both backends: the ledger, and
+    ///   everything built on it, is equal, not merely equivalent.
+    ///   Counter totals are the only observable, and they are pure
+    ///   sums. With recording on, both backends record each group from
+    ///   the charge (`record_group`).
     /// - **Data staging.** Both operands are staged straight from their
     ///   views into buffers the accelerator keeps across matmuls: each
     ///   group's data panel is gathered once as a flat row-major
@@ -811,7 +843,6 @@ impl Accelerator {
         data_step: usize,
         weight: WeightView<'_>,
         weight_step: usize,
-        groups: usize,
         bias: Option<&[i32]>,
         shift: u32,
         kind: ActivationKind,
@@ -820,7 +851,7 @@ impl Accelerator {
         saturations: &mut [u64],
     ) {
         let (rows, cols) = (self.cfg.rows, self.cfg.cols);
-        let (m, k, n) = (data.m(), data.k(), charge.geometry.n);
+        let (m, k, n, groups) = (data.m(), data.k(), charge.geometry.n, charge.groups);
         let total_rows = data.batch() * m;
         let opts = self.cfg.functional;
         let simd_ok = kernel::simd_enabled(opts);
@@ -846,7 +877,7 @@ impl Accelerator {
             // time covers the matmul's accounting (recording its
             // charge) and its weight packing.
             let watch = self.rec.host_stopwatch();
-            self.record_charge(charge);
+            self.record_group(charge, g);
             let (mut stage_ns, mut sweep_ns) = (watch.elapsed_ns(), 0u64);
             let weight = WeightView {
                 src: &weight.src[g * weight_step..],
@@ -1491,10 +1522,11 @@ mod tests {
 
     /// The derived charge of every layer geometry prices the array
     /// edges a ticked matmul of that geometry executes, read from the
-    /// ticked array's own edge counter. The `MemReport` field holds by
-    /// construction, since both backends apply the charge itself; the
-    /// comparison covers it anyway. Its Weight and Data SPM reads, which
-    /// the engine counts as Weight and Data Buffer reads, are checked
+    /// ticked array's own edge counter, under the pipelined and the
+    /// serial schedule. The `MemReport` field holds by construction,
+    /// since both backends apply the charge itself; the comparison
+    /// covers it anyway. Its Weight and Data SPM reads, which the
+    /// engine counts as Weight and Data Buffer reads, are checked
     /// against the tile grid's closed form: `k·n` weights and
     /// `n_tiles·batch·m·k` data bytes. The geometries are Conv1,
     /// PrimaryCaps, the FC and routing's Sum and Update of two networks:
@@ -1533,8 +1565,12 @@ mod tests {
                 (1, in_caps, out_dim, false),
                 (in_caps, out_dim, 1, false),
             ];
-            for memory in [MemoryConfig::paper(), MemoryConfig::ideal()] {
-                let cfg = AcceleratorConfig { memory, ..base };
+            for (memory, schedule) in [MemoryConfig::paper(), MemoryConfig::ideal()]
+                .into_iter()
+                .flat_map(|mem| [TileSchedule::Pipelined, TileSchedule::Serial].map(|s| (mem, s)))
+            {
+                let mut cfg = AcceleratorConfig { memory, ..base };
+                cfg.dataflow.pipelined_tiles = schedule == TileSchedule::Pipelined;
                 for (m, k, n, offchip) in shapes {
                     for batch in [1, 3] {
                         let data: Vec<i8> = (0..batch * m * k).map(|i| (i % 7) as i8 - 3).collect();
@@ -1571,23 +1607,30 @@ mod tests {
                             rows: cfg.rows,
                             cols: cfg.cols,
                             weights_offchip: offchip,
-                            schedule: TileSchedule::Serial,
-                        };
-                        let want = MatmulCharge {
-                            geometry,
-                            array_cycles: ticked.array.cycles(),
-                            mem: ticked.memory_report(),
+                            schedule,
                         };
                         // Pricing charges nothing.
                         let mut fresh = Accelerator::new(cfg);
-                        let derived = fresh.charge(&geometry);
-                        let at = format!("({m},{k},{n}) batch {batch}, {:?}", memory.mode);
-                        assert_eq!(derived, want, "{at}");
+                        let derived = fresh.charge(&geometry, 1);
+                        let at = format!(
+                            "({m},{k},{n}) batch {batch}, {:?} {schedule:?}",
+                            memory.mode
+                        );
+                        assert_eq!(
+                            (derived.array_cycles, derived.mem.total),
+                            (ticked.array.cycles(), ticked.memory_report()),
+                            "{at}"
+                        );
+                        assert_eq!(derived.array_cycles, geometry.run_cycles(geometry.tiles(1)));
+                        assert_eq!(
+                            &derived.mem.group_stalls[..],
+                            [derived.mem.total.stall_cycles]
+                        );
                         let reads = (
                             u64_from(k * n),
                             u64_from(geometry.n_tiles() * batch * m * k),
                         );
-                        let spm = |kind| derived.mem.spm(kind).read_bytes;
+                        let spm = |kind| derived.mem.total.spm(kind).read_bytes;
                         assert_eq!((spm(SpmKind::Weight), spm(SpmKind::Data)), reads, "{at}");
                         let buffer = |kind| ticked.traffic().counter(kind).read_bytes;
                         assert_eq!(
@@ -1601,6 +1644,119 @@ mod tests {
                         assert_eq!(fresh.ledger(), CycleLedger::default(), "{at}");
                         assert_eq!(fresh.memory_report(), MemReport::default(), "{at}");
                     }
+                }
+            }
+        }
+    }
+
+    /// Matmul groups run as one tile run: the ticked array executes the
+    /// run the charge prices (asserted inside `matmul_group`), both
+    /// backends produce the outputs and the ledger of `groups`
+    /// separate exact matmuls, and the run's array cycles are
+    /// `run_cycles` of all its tiles. The shapes span several K-tiles,
+    /// N-tiles and groups with one data row (as the FC), with `1 < M ≤
+    /// R` and `M = R` rows, and with `M > R`; a Weight Buffer that holds
+    /// one tile but not two falls back to the serial schedule, whose
+    /// run is `groups` serial matmuls.
+    #[test]
+    fn matmul_groups_run_as_one_tile_run() {
+        // (m, k, n, batch, groups) on the 4×4 array.
+        let shapes = [
+            (1, 9, 10, 1, 3),
+            (3, 5, 5, 1, 2),
+            (2, 9, 6, 2, 2),
+            (3, 9, 7, 3, 2),
+        ];
+        for buffer in [2 * 1024, 24] {
+            let mut cfg = AcceleratorConfig::test_4x4();
+            cfg.memory = MemoryConfig::paper();
+            cfg.memory.weight_spm.bytes = buffer;
+            let schedule = if buffer >= 32 {
+                TileSchedule::Pipelined
+            } else {
+                TileSchedule::Serial
+            };
+            for (m, k, n, batch, groups) in shapes {
+                let at = format!("({m},{k},{n}) batch {batch} × {groups}, {schedule:?}");
+                let data: Vec<i8> = (0..batch * groups * m * k)
+                    .map(|i| (i * 7 % 23) as i8 - 11)
+                    .collect();
+                let w: Vec<i8> = (0..groups * k * n)
+                    .map(|i| (i * 5 % 17) as i8 - 8)
+                    .collect();
+                let src: Vec<&[i8]> = data.chunks(groups * m * k).collect();
+                let rows: Vec<usize> = (0..m).map(|mi| mi * k).collect();
+                let cols: Vec<usize> = (0..k).collect();
+                let run = |backend| {
+                    let mut acc = Accelerator::new(AcceleratorConfig { backend, ..cfg });
+                    let (outs, _) = acc.matmul_group(
+                        DataView {
+                            src: &src,
+                            rows: &rows,
+                            cols: &cols,
+                        },
+                        m * k,
+                        WeightView {
+                            src: &w,
+                            ks: n,
+                            ns: 1,
+                        },
+                        k * n,
+                        groups,
+                        n,
+                        None,
+                        6,
+                        ActivationKind::Identity,
+                        true,
+                    );
+                    (outs, acc.ledger(), acc.memory_report())
+                };
+                let ticked = run(crate::EngineBackend::Ticked);
+                assert_eq!(run(crate::EngineBackend::Functional), ticked, "{at}");
+                for (img, out) in ticked.0.iter().enumerate() {
+                    for g in 0..groups {
+                        let a = Tensor::from_fn(&[m, k], |i| {
+                            data[((img * groups + g) * m + i[0]) * k + i[1]]
+                        });
+                        let b = Tensor::from_fn(&[k, n], |i| w[(g * k + i[0]) * n + i[1]]);
+                        let (exact, _) = qops::matmul_q8(&a, &b, 6);
+                        assert_eq!(
+                            &out.data()[g * m * n..(g + 1) * m * n],
+                            exact.data(),
+                            "{at}"
+                        );
+                    }
+                }
+                let geometry = MatmulGeometry {
+                    m,
+                    k,
+                    n,
+                    batch,
+                    rows: 4,
+                    cols: 4,
+                    weights_offchip: true,
+                    schedule,
+                };
+                assert_eq!(
+                    ticked.1.array,
+                    geometry.run_cycles(geometry.tiles(groups)),
+                    "{at}"
+                );
+                if schedule == TileSchedule::Serial {
+                    assert_eq!(
+                        ticked.1.array,
+                        groups as u64 * geometry.array_cycles(),
+                        "{at}"
+                    );
+                } else if groups * geometry.n_tiles() * geometry.k_tiles() > 1 {
+                    let serial = MatmulGeometry {
+                        schedule: TileSchedule::Serial,
+                        ..geometry
+                    };
+                    assert!(
+                        ticked.1.array < groups as u64 * serial.array_cycles(),
+                        "{at}"
+                    );
                 }
             }
         }

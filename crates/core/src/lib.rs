@@ -86,7 +86,7 @@ pub use config::{
 };
 pub use engine::{Accelerator, CycleLedger, LayerRun};
 pub use pe::{Pe, PeControl, PeInput, PeOutput, WeightSelect};
-pub use systolic::SystolicArray;
+pub use systolic::{SystolicArray, TileRun};
 pub use timing::{
     BatchInferenceTiming, LayerTiming, MemInferenceTiming, RoutingStep, RoutingStepTiming,
 };

@@ -48,10 +48,11 @@ impl DataView<'_> {
         self.cols.len()
     }
 
-    /// Image `img`'s element `(m, k)`.
+    /// Image `img`'s element `(m, k)`, reading its source `off`
+    /// elements further in.
     #[inline]
-    pub fn at(&self, img: usize, m: usize, k: usize) -> i8 {
-        self.src[img][self.rows[m] + self.cols[k]]
+    pub fn at(&self, off: usize, img: usize, m: usize, k: usize) -> i8 {
+        self.src[img][off + self.rows[m] + self.cols[k]]
     }
 
     /// Gathers the whole batch into `panel` as a row-major
@@ -107,8 +108,9 @@ mod tests {
             cols: &[0, 2, 4],
         };
         assert_eq!((data.batch(), data.m(), data.k()), (2, 2, 3));
-        assert_eq!(data.at(0, 1, 2), 9);
-        assert_eq!(data.at(1, 0, 1), 23);
+        assert_eq!(data.at(0, 0, 1, 2), 9);
+        assert_eq!(data.at(0, 1, 0, 1), 23);
+        assert_eq!(data.at(2, 1, 0, 1), 25);
         let mut panel = vec![7; 3];
         data.gather(0, &mut panel);
         assert_eq!(panel, [1, 3, 5, 5, 7, 9, 21, 23, 25, 25, 27, 29]);

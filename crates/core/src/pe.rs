@@ -13,14 +13,21 @@ pub enum WeightSelect {
     Held,
 }
 
-/// Per-cycle control signals for a PE.
+/// Per-cycle control signals for one PE. The array's control unit
+/// drives each PE's lines separately: tile loads and latches follow
+/// the data wavefront, so neighbouring PEs see different controls on
+/// the same edge.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct PeControl {
     /// Multiplier weight source.
     pub select: WeightSelect,
     /// Latch `Weight1` into `Weight2` at the end of this cycle (asserted
-    /// once per tile when establishing a resident filter).
+    /// once per tile when establishing a resident filter). The latch
+    /// copies `Weight1` as it was before the edge.
     pub latch_weight2: bool,
+    /// Keep `Weight1` instead of shifting in the weight from above: the
+    /// next tile's weight waits in place until this PE latches it.
+    pub hold_weight1: bool,
 }
 
 /// Combinational inputs of a PE for one cycle.
@@ -119,7 +126,9 @@ impl Pe {
         if ctrl.latch_weight2 {
             self.weight2_reg = self.weight1_reg;
         }
-        self.weight1_reg = input.weight;
+        if !ctrl.hold_weight1 {
+            self.weight1_reg = input.weight;
+        }
         out
     }
 
@@ -138,7 +147,7 @@ impl Pe {
         self.psum_reg
     }
 
-    /// Clears all registers (between tiles when not pipelining).
+    /// Clears all registers.
     pub fn reset(&mut self) {
         *self = Self::new();
     }
@@ -214,8 +223,8 @@ mod tests {
                 psum: 0,
             },
             PeControl {
-                select: WeightSelect::Stream,
                 latch_weight2: true,
+                ..PeControl::default()
             },
         );
         assert_eq!(pe.held_weight(), 11);
@@ -229,12 +238,63 @@ mod tests {
             },
             PeControl {
                 select: WeightSelect::Held,
-                latch_weight2: false,
+                ..PeControl::default()
             },
         );
         let o = pe.tick(PeInput::default(), PeControl::default());
         assert_eq!(o.psum, 44);
         assert_eq!(pe.held_weight(), 11);
+    }
+
+    #[test]
+    fn held_weight1_waits_for_its_latch() {
+        // The next tile's weight parks in Weight1 while the resident
+        // Weight2 keeps multiplying, then one edge latches it and
+        // multiplies with the old Weight2 on that same edge.
+        let mut pe = Pe::new();
+        let held = |latch_weight2| PeControl {
+            select: WeightSelect::Held,
+            latch_weight2,
+            hold_weight1: !latch_weight2,
+        };
+        pe.tick(
+            PeInput {
+                data: 0,
+                weight: 3,
+                psum: 0,
+            },
+            PeControl::default(),
+        );
+        pe.tick(PeInput::default(), held(true)); // Weight2 = 3
+        pe.tick(
+            PeInput {
+                data: 0,
+                weight: 7,
+                psum: 0,
+            },
+            PeControl::default(),
+        );
+        pe.tick(
+            PeInput {
+                data: 2,
+                weight: 99,
+                psum: 0,
+            },
+            held(false),
+        );
+        assert_eq!(
+            (pe.streaming_weight(), pe.held_weight(), pe.psum()),
+            (7, 3, 6)
+        );
+        pe.tick(
+            PeInput {
+                data: 5,
+                weight: 0,
+                psum: 0,
+            },
+            held(true),
+        );
+        assert_eq!((pe.held_weight(), pe.psum()), (7, 15));
     }
 
     #[test]
@@ -282,8 +342,8 @@ mod tests {
                 psum: 3,
             },
             PeControl {
-                select: WeightSelect::Stream,
                 latch_weight2: true,
+                ..PeControl::default()
             },
         );
         pe.reset();

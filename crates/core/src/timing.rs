@@ -34,9 +34,14 @@
 //! first, and 40 against 18 for each squash. `tests/timing_consistency.rs`
 //! pins both gaps at MNIST scale and the matmul steps on tiny arrays.
 //! With pipelining enabled (the paper's "full throttle" design point)
-//! the model hides weight reloads behind data streaming, which neither
-//! engine backend executes. The "One cycle model, executed" item of
-//! `ROADMAP.md` plans how these gaps close.
+//! both models hide weight reloads behind data streaming, and the
+//! engine executes it. They price each run of tiles alike but end runs
+//! in different places: this model runs one per N-tile of each matmul
+//! (and the FC's capsules as one run), the engine one per call of its
+//! matmul path, across N-tiles and groups. At MNIST batch 1 the engine
+//! reads 38,449 (Conv1), 747,265 (PrimaryCaps) and 271,008 (ClassCaps)
+//! cycles. The "One cycle model, executed" item of `ROADMAP.md` plans
+//! how these gaps close.
 //!
 //! Layers whose weight footprint exceeds the Weight Buffer stream
 //! weights from the on-chip Weight Memory at `weight_mem_bw` bytes per
@@ -88,21 +93,13 @@ use capsacc_tensor::{u64_from, usize_from};
 /// next to the geometry products it also guards.)
 use capsacc_tensor::checked_product_u64 as checked_product;
 
-/// Whether consecutive tiles can actually pipeline: the dataflow switch
-/// must be on **and** the Weight Buffer must hold two tiles (the double
-/// buffer the overlap physically needs). Undersized buffers silently
-/// degrade to the serial schedule instead of assuming free overlap —
-/// tile-load cycles are *not* independent of buffer capacity.
-fn tiles_pipeline(cfg: &AcceleratorConfig) -> bool {
-    cfg.dataflow.pipelined_tiles && 2 * cfg.rows * cfg.cols <= cfg.memory.weight_spm.bytes
-}
-
 /// The geometry of one `shape` matmul for `batch` images under the
 /// configured dataflow. A parameter layer's weights (`weights_offchip`)
 /// reload before every data row without `weight_reuse`
 /// ([`TileSchedule::ReloadPerRow`]); routing's on-chip operands stay
-/// resident either way. Tiles pipeline where [`tiles_pipeline`] allows
-/// and run serially otherwise.
+/// resident either way. Tiles pipeline where
+/// [`AcceleratorConfig::tiles_pipeline`] allows and run serially
+/// otherwise.
 ///
 /// Every public entry point of the model prices through here, so the
 /// model refuses an invalid configuration here.
@@ -127,7 +124,7 @@ fn geometry(
         weights_offchip,
         schedule: if weights_offchip && !cfg.dataflow.weight_reuse {
             TileSchedule::ReloadPerRow
-        } else if tiles_pipeline(cfg) {
+        } else if cfg.tiles_pipeline() {
             TileSchedule::Pipelined
         } else {
             TileSchedule::Serial
@@ -146,10 +143,8 @@ fn geometry(
 /// fill/drain) is paid once per batch instead of once per image. With
 /// the reuse ablation each tile reloads before every data row and the
 /// batch costs `batch` independent runs — an analytical-only scenario:
-/// the engine always simulates the real design point with the second
-/// weight register present, so engine↔model agreement holds for
-/// reuse-enabled, serial-tile configurations (the ones the engine can
-/// execute).
+/// the engine runs such configurations serially, so engine↔model
+/// agreement holds for reuse-enabled, serial-tile configurations.
 ///
 /// # Panics
 ///
@@ -720,16 +715,16 @@ pub fn batch_traffic_estimate(
 
 /// Memory-hierarchy stall cycles of one batched matmul under
 /// `cfg.memory`, with per-tile fill-hiding windows from the same
-/// geometry whose schedule prices the model's cycles. On serial-tile,
-/// reuse-enabled configurations (`dataflow.pipelined_tiles == false`,
-/// `dataflow.weight_reuse == true`) this is exactly what the engine's
-/// [`crate::Accelerator::matmul_batch`] adds to its stall counter for
-/// the same shape — the engine executes tiles serially and, like
-/// [`batch_matmul_cycles`], always simulates the real design point with
-/// the second weight register present, so the `weight_reuse` ablation's
-/// [`TileSchedule::ReloadPerRow`] windows (parameter layers only,
-/// `weights_offchip`) are analytical-only. Zero under `IdealMemory`
-/// either way.
+/// geometry whose schedule prices the model's cycles. This is exactly
+/// what the engine's [`crate::Accelerator::matmul_batch`] adds to its
+/// stall counter for the same shape whenever no fill waits on a window
+/// the two walk differently: for on-chip operands, on serial tiles, and
+/// on pipelined matmuls of one N-tile, which are one run in both
+/// models. A pipelined matmul of several N-tiles is one run in the
+/// engine and one run per N-tile here; the
+/// `weight_reuse` ablation's [`TileSchedule::ReloadPerRow`] windows
+/// (parameter layers only, `weights_offchip`) are analytical-only.
+/// Zero under `IdealMemory` either way.
 ///
 /// # Panics
 ///

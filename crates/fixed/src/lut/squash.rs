@@ -100,18 +100,17 @@ impl SquashLut {
     /// Number of entries: 2^(6+5).
     pub const ENTRIES: usize = 1 << 11;
 
+    /// The table entry of a 6-bit data and a 5-bit norm code; codes
+    /// beyond their widths saturate, as the truncating path does.
     #[inline]
     fn index(data6: i8, norm5: u8) -> usize {
-        debug_assert!((-32..32).contains(&data6));
-        debug_assert!(norm5 < 32);
-        usize::from((data6 as u8) & 0x3f) << 5 | usize::from(norm5)
+        let data6 = data6.clamp(-32, 31);
+        usize::from((data6 as u8) & 0x3f) << 5 | usize::from(norm5.min(31))
     }
 
     /// Raw LUT access with pre-truncated 6-bit data and 5-bit norm codes.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if the codes exceed their bit widths.
+    /// A code beyond its width saturates: data to `-32..=31`, norm to
+    /// 31, as in [`SquashLut::squash_element`].
     #[inline]
     pub fn lookup_raw(&self, data6: i8, norm5: u8) -> i8 {
         self.table[Self::index(data6, norm5)]
@@ -244,6 +243,18 @@ mod tests {
         let via_full = l.squash_element(33, 16);
         let via_raw = l.lookup_raw(8, 4);
         assert_eq!(via_full, via_raw);
+    }
+
+    #[test]
+    fn lookup_raw_saturates_out_of_range_codes() {
+        // A norm code past 5 bits must not alias another entry: zero
+        // data squashes to zero at any norm, and the saturated codes
+        // read the boundary entries.
+        let l = lut();
+        assert_eq!(l.lookup_raw(0, 40), 0);
+        assert_eq!(l.lookup_raw(8, 200), l.lookup_raw(8, 31));
+        assert_eq!(l.lookup_raw(100, 16), l.lookup_raw(31, 16));
+        assert_eq!(l.lookup_raw(-100, 16), l.lookup_raw(-32, 16));
     }
 
     #[test]

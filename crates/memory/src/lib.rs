@@ -68,6 +68,6 @@ pub use prefetch::{PrefetchPipeline, TileOutcome};
 pub use report::{MemReport, SpmActivity, SpmKind};
 pub use spm::SpmConfig;
 pub use subsystem::{
-    MatmulGeometry, MemoryConfig, MemoryMode, MemorySubsystem, StageOutcome, TileSchedule,
-    ACC_ENTRY_BYTES,
+    MatmulGeometry, MemoryConfig, MemoryMode, MemorySubsystem, RunPrice, StageOutcome,
+    TileSchedule, ACC_ENTRY_BYTES,
 };

@@ -7,6 +7,8 @@ use crate::spm::SpmConfig;
 use capsacc_faults::FaultPlan;
 use capsacc_telemetry::Recorder;
 use capsacc_tensor::{checked_product_u64, u64_from};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Bytes one 25-bit accumulator entry occupies in the Accumulator SPM
 /// (padded to a 32-bit word).
@@ -156,10 +158,14 @@ pub struct MatmulGeometry {
     /// already on chip (routing operands such as `û` and `v_j`).
     pub weights_offchip: bool,
     /// The tile schedule that prices the array cycles
-    /// ([`MatmulGeometry::array_cycles`]) and sizes the per-tile window
-    /// the prefetcher can hide DRAM fills behind: the engine executes
-    /// tiles serially and passes [`TileSchedule::Serial`]; the
-    /// closed-form model passes the schedule its dataflow switches pick.
+    /// ([`MatmulGeometry::run_cycles`]) and sizes the per-tile window
+    /// the prefetcher can hide DRAM fills behind. Both models pick it
+    /// from the dataflow switches. The engine executes
+    /// [`TileSchedule::Serial`] or [`TileSchedule::Pipelined`], and
+    /// issues each call's matmuls as one run of tiles
+    /// ([`MemorySubsystem::price_run`]); the closed form also prices
+    /// [`TileSchedule::ReloadPerRow`], with one run per N-tile
+    /// ([`MemorySubsystem::price`]).
     pub schedule: TileSchedule,
 }
 
@@ -167,32 +173,52 @@ pub struct MatmulGeometry {
 /// loads in `R + 1` edges (skewed rows plus the latch) and streams its
 /// `batch · m` data rows in `batch · m + R + C` edges, drain included.
 /// [`MatmulGeometry::run_cycles`] prices a run of tiles under each
-/// variant, and the per-tile windows the memory replay hides DRAM
-/// fills behind sum over the tile grid to
-/// [`MatmulGeometry::array_cycles`].
+/// variant, and [`MatmulGeometry::run_windows`] splits it into the
+/// per-tile windows the memory replay hides DRAM fills behind.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum TileSchedule {
-    /// Every tile pays its own load and drain (the engine).
+    /// Every tile pays its own load and drain: the next tile loads once
+    /// the previous one has drained. The engine runs it when the
+    /// dataflow switches or the Weight Buffer rule out pipelining.
     Serial,
-    /// Consecutive tiles stream back-to-back, each reload hidden behind
-    /// the previous tile's stream: one fill and one drain per run (the
-    /// paper's "full throttle" dataflow).
+    /// The paper's "full throttle" dataflow, which the engine executes:
+    /// the next tile loads into `Weight1` while the current one streams
+    /// against `Weight2`, and each PE latches it as the current tile's
+    /// last data row passes. A run pays one fill and one drain, and
+    /// each later tile costs the longer of its stream and its `R`-edge
+    /// reload (the latch rides on the previous tile's last multiply).
     Pipelined,
     /// The weight-reuse ablation: the tile reloads before every data
     /// row and drains once per image, so each tile occupies the array
-    /// far longer.
+    /// far longer. Only the closed form prices it.
     ReloadPerRow,
 }
 
 impl MatmulGeometry {
-    /// Weight tiles along K: the tiles of one run.
+    /// Weight tiles along K: the tiles of one N-tile.
     pub fn k_tiles(&self) -> usize {
         self.k.div_ceil(self.rows.max(1))
     }
 
-    /// Weight tiles along N: the runs of the matmul.
+    /// Weight tiles along N.
     pub fn n_tiles(&self) -> usize {
         self.n.div_ceil(self.cols.max(1))
+    }
+
+    /// Weight tiles of `groups` matmuls of this geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count overflows `u64`.
+    pub fn tiles(&self, groups: usize) -> u64 {
+        checked_product_u64(
+            "matmul tiles",
+            &[
+                u64_from(groups),
+                u64_from(self.n_tiles()),
+                u64_from(self.k_tiles()),
+            ],
+        )
     }
 
     /// One tile's edge counts: `R + 1` to load, `batch · m` data rows
@@ -204,12 +230,19 @@ impl MatmulGeometry {
         (rows + 1, stream, rows + cols)
     }
 
+    /// The edges between consecutive pipelined tiles: the longer of a
+    /// stream and an `R`-edge reload.
+    fn period(&self) -> u64 {
+        let (_, stream, _) = self.edges();
+        stream.max(u64_from(self.rows))
+    }
+
     /// Array cycles of `tiles` weight tiles of this geometry issued back
     /// to back under [`MatmulGeometry::schedule`], each streaming every
     /// data row. Linear in `tiles` for [`TileSchedule::Serial`] and
     /// [`TileSchedule::ReloadPerRow`]; [`TileSchedule::Pipelined`] pays
     /// one fill and one drain, and each later tile costs the longer of
-    /// its stream and its reload.
+    /// its stream and its `R`-edge reload.
     ///
     /// # Panics
     ///
@@ -224,8 +257,7 @@ impl MatmulGeometry {
                 checked_product_u64("serial tile run", &[tiles, load + stream + drain])
             }
             TileSchedule::Pipelined => {
-                let steady =
-                    checked_product_u64("pipelined tile run", &[tiles - 1, stream.max(load)]);
+                let steady = checked_product_u64("pipelined tile run", &[tiles - 1, self.period()]);
                 load + stream + steady + drain
             }
             TileSchedule::ReloadPerRow => {
@@ -237,9 +269,8 @@ impl MatmulGeometry {
         }
     }
 
-    /// Array cycles of the whole matmul: one run of
-    /// [`MatmulGeometry::k_tiles`] tiles per N-tile, K-major as the
-    /// engine issues them.
+    /// Array cycles of the whole matmul as the closed form runs it: one
+    /// run of [`MatmulGeometry::k_tiles`] tiles per N-tile.
     ///
     /// # Panics
     ///
@@ -249,25 +280,55 @@ impl MatmulGeometry {
         checked_product_u64("matmul array cycles", &[u64_from(self.n_tiles()), run])
     }
 
-    /// The array cycles each K-tile of one run occupies, in issue
-    /// order: the windows the next tile's DRAM fill can hide behind. A
-    /// serial or reload-per-row tile is a run of one; a pipelined run
-    /// puts its fill on its first tile and its drain on its last.
-    fn tile_windows(&self) -> impl Iterator<Item = u64> {
-        let (kk, pipelined) = (self.k_tiles(), self.schedule == TileSchedule::Pipelined);
-        let ((load, stream, drain), single) = (self.edges(), self.run_cycles(1));
-        (0..kk).map(move |i| {
-            if !pipelined {
-                return single;
-            }
-            let fill = if i == 0 {
-                load + stream
-            } else {
-                stream.max(load)
-            };
-            fill + if i + 1 == kk { drain } else { 0 }
-        })
+    /// The array cycles tiles `span` of a run of `tiles` occupy. Each
+    /// tile's share is the window the next tile's DRAM fill can hide
+    /// behind: a serial or reload-per-row tile is a run of its own, and
+    /// a pipelined run puts its fill on its first tile and its drain on
+    /// its last. So the windows of a whole run are its
+    /// [`MatmulGeometry::run_cycles`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cycle count overflows `u64`.
+    pub fn run_windows(&self, span: Range<u64>, tiles: u64) -> u64 {
+        let count = span.end.saturating_sub(span.start);
+        if count == 0 {
+            return 0;
+        }
+        if self.schedule != TileSchedule::Pipelined {
+            return checked_product_u64("tile windows", &[count, self.run_cycles(1)]);
+        }
+        let (load, stream, drain) = self.edges();
+        let period = self.period();
+        let fill = if span.start == 0 {
+            load + stream - period
+        } else {
+            0
+        };
+        let tail = if span.end == tiles { drain } else { 0 };
+        checked_product_u64("tile windows", &[count, period]) + fill + tail
     }
+}
+
+/// What a run of matmuls charges the memory hierarchy
+/// ([`MemorySubsystem::price_run`]).
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct RunPrice {
+    /// The counter delta of the whole run, its stall included.
+    pub total: MemReport,
+    /// The stall cycles within each matmul's tiles, in issue order;
+    /// they sum to `total.stall_cycles`.
+    pub group_stalls: Arc<[u64]>,
+}
+
+/// One replay the subsystem remembers: `groups` matmuls of a geometry
+/// whose tiles pay one fill and one drain per `run` tiles. Each matmul
+/// restarts the prefetch timeline unless the schedule pipelines.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+struct Replay {
+    geometry: MatmulGeometry,
+    groups: usize,
+    run: u64,
 }
 
 /// Outcome of a fault-injected weight staging: the exposed cycles plus
@@ -282,8 +343,8 @@ pub struct StageOutcome {
     pub spm_restages: u64,
 }
 
-/// Distinct matmul geometries whose replay outcome
-/// [`MemorySubsystem::matmul`] remembers. A network issues three per
+/// Distinct replays whose outcome [`MemorySubsystem::price`] and
+/// [`MemorySubsystem::price_run`] remember. A network issues three per
 /// batch size (Conv1, PrimaryCaps, the ClassCaps FC) plus two shared
 /// ones (routing's Sum and Update run per image, at batch 1), so a
 /// serving worker that sees a few batch sizes keeps every one of them.
@@ -291,16 +352,15 @@ const REPLAY_MEMO: usize = 16;
 
 /// The three scratchpads, the DRAM channel and the prefetcher, driven
 /// through the same tile schedule by both the cycle-accurate engine and
-/// the closed-form timing model — which is what makes the two agree
-/// exactly.
+/// the closed-form timing model.
 #[derive(Clone, PartialEq, Debug)]
 pub struct MemorySubsystem {
     cfg: MemoryConfig,
     pipeline: PrefetchPipeline,
     report: MemReport,
-    /// The last replayed geometries with the counter delta each replay
-    /// produced, oldest first.
-    replays: Vec<(MatmulGeometry, MemReport)>,
+    /// The last replays with the counter delta and the per-matmul
+    /// stalls each produced, oldest first.
+    replays: Vec<(Replay, RunPrice)>,
 }
 
 impl MemorySubsystem {
@@ -329,65 +389,135 @@ impl MemorySubsystem {
         self.report
     }
 
-    /// Replays one matmul's tile schedule through the hierarchy and
-    /// returns the stall cycles it adds on top of the compute schedule.
-    /// Counters (traffic, busy cycles, off-chip bytes) accumulate in
+    /// Replays one matmul's tile schedule through the hierarchy as the
+    /// closed form runs it ([`MemorySubsystem::price`]) and returns the
+    /// stall cycles it adds on top of the compute schedule. Counters
+    /// (traffic, busy cycles, off-chip bytes) accumulate in
     /// [`MemorySubsystem::report`]; under [`MemoryMode::Ideal`] the
     /// returned stall is always zero.
-    ///
-    /// The prefetcher timeline restarts per matmul: the first tile of
-    /// every stream pays its DRAM fill cold, subsequent fills overlap
-    /// the previous tiles' compute.
-    ///
-    /// So a replay's stall and counter delta are a function of the
-    /// geometry (and the configuration) alone: nothing else touches the
-    /// prefetcher, and every counter is a plain sum. The subsystem
-    /// therefore replays each geometry once and remembers the outcome
-    /// of the last 16 distinct geometries it replayed (`REPLAY_MEMO`,
-    /// oldest evicted first); a repeat charges the remembered delta
-    /// with [`MemReport::merge`], which leaves the stall and every
-    /// counter exactly where a fresh replay would. The memo pays off on
-    /// the routing Sum and Update groups, which repeat per iteration
-    /// and per image, and on every layer of a repeated batch size.
     pub fn matmul(&mut self, g: &MatmulGeometry) -> u64 {
         let delta = self.price(g);
         self.report.merge(&delta);
         delta.stall_cycles
     }
 
-    /// What [`MemorySubsystem::matmul`] would charge for `g` — its
-    /// counter delta, stall included — without charging it: the
-    /// remembered outcome when `g` is among the last `REPLAY_MEMO`
-    /// geometries, otherwise a fresh replay whose counters are rolled
-    /// back (and remembered). Charging `k` identical matmuls is then one
-    /// [`MemorySubsystem::charge`] of the delta [`MemReport::scaled`]
-    /// by `k`.
+    /// What one matmul of `g` charges as the closed form runs it — its
+    /// counter delta, stall included — without charging it. The
+    /// prefetcher timeline restarts per matmul: the first tile pays its
+    /// DRAM fill cold, and later fills overlap the previous tiles'
+    /// compute. A pipelined matmul is one run of tiles per N-tile.
+    ///
+    /// So the delta is a function of the geometry (and the
+    /// configuration) alone. The subsystem replays each one once and
+    /// remembers the last 16 distinct replays (`REPLAY_MEMO`, oldest
+    /// evicted first); a repeat returns the remembered delta, exactly
+    /// what a fresh replay would. Charging `k` identical matmuls is
+    /// then one [`MemorySubsystem::charge`] of the delta
+    /// [`MemReport::scaled`] by `k`.
     pub fn price(&mut self, g: &MatmulGeometry) -> MemReport {
-        if let Some((_, delta)) = self.replays.iter().find(|(seen, _)| seen == g) {
-            return *delta;
+        let run = match g.schedule {
+            TileSchedule::Pipelined => u64_from(g.k_tiles()),
+            TileSchedule::Serial | TileSchedule::ReloadPerRow => 1,
+        };
+        self.remembered(Replay {
+            geometry: *g,
+            groups: 1,
+            run,
+        })
+        .total
+    }
+
+    /// What `groups` matmuls of `g` issued back to back charge as the
+    /// engine runs them, without charging it. Under
+    /// [`TileSchedule::Pipelined`] the call is one prefetch stream and
+    /// one run of all its tiles, whose windows are
+    /// [`MatmulGeometry::run_windows`]'s. Otherwise each matmul restarts
+    /// the prefetch timeline, so the run charges `groups` times
+    /// [`MemorySubsystem::price`]'s delta. Remembered like `price`,
+    /// per geometry and group count; the replay allocates nothing per
+    /// tile.
+    pub fn price_run(&mut self, g: &MatmulGeometry, groups: usize) -> RunPrice {
+        let run = match g.schedule {
+            TileSchedule::Pipelined => g.tiles(groups),
+            TileSchedule::Serial | TileSchedule::ReloadPerRow => 1,
+        };
+        self.remembered(Replay {
+            geometry: *g,
+            groups,
+            run,
+        })
+    }
+
+    /// The remembered outcome of `r`, or a fresh replay whose counters
+    /// are rolled back (and remembered).
+    fn remembered(&mut self, r: Replay) -> RunPrice {
+        if let Some((_, price)) = self.replays.iter().find(|(seen, _)| *seen == r) {
+            return price.clone();
         }
         let before = self.report;
-        self.replay(g);
-        let delta = self.report.since(&before);
+        let group_stalls = self.replay(&r);
+        let price = RunPrice {
+            total: self.report.since(&before),
+            group_stalls,
+        };
         self.report = before;
         if self.replays.len() == REPLAY_MEMO {
             self.replays.remove(0);
         }
-        self.replays.push((*g, delta));
-        delta
+        self.replays.push((r, price.clone()));
+        price
     }
 
-    /// Walks one matmul's whole tile schedule through the hierarchy.
-    fn replay(&mut self, g: &MatmulGeometry) {
-        self.pipeline.begin_stream();
-        for n0 in (0..g.n).step_by(g.cols.max(1)) {
-            let nt = g.cols.min(g.n - n0);
-            let k0s = (0..g.k).step_by(g.rows.max(1));
-            for (kt_idx, (k0, compute)) in k0s.zip(g.tile_windows()).enumerate() {
-                let kt = g.rows.min(g.k - k0);
-                self.tile(kt, nt, kt_idx == 0, compute, g);
+    /// Walks a replay's tiles through the hierarchy, group by group,
+    /// and returns each group's stall cycles.
+    fn replay(&mut self, r: &Replay) -> Arc<[u64]> {
+        let g = &r.geometry;
+        let kk = u64_from(g.k_tiles());
+        // A run is one tile, or whole N-tiles: `blocks` of them. A
+        // tile's window depends only on whether it opens and whether it
+        // closes its run, so the four cases are priced once, outside the
+        // tile loop.
+        let single = r.run <= 1;
+        let blocks = (r.run / kk.max(1)).max(1);
+        let (alone, first, last, middle) = (
+            g.run_windows(0..1, 1),
+            g.run_windows(0..1, 2),
+            g.run_windows(1..2, 2),
+            g.run_windows(1..2, 3),
+        );
+        let mut stalls = Vec::with_capacity(r.groups);
+        let mut block = 0u64;
+        for group in 0..r.groups {
+            if group == 0 || g.schedule != TileSchedule::Pipelined {
+                self.pipeline.begin_stream();
             }
+            let before = self.report.stall_cycles;
+            for n0 in (0..g.n).step_by(g.cols.max(1)) {
+                let nt = g.cols.min(g.n - n0);
+                let (opens, closes) = (
+                    block.is_multiple_of(blocks),
+                    (block + 1).is_multiple_of(blocks),
+                );
+                block += 1;
+                for (kt_idx, k0) in (0..g.k).step_by(g.rows.max(1)).enumerate() {
+                    let kt = g.rows.min(g.k - k0);
+                    let at = u64_from(kt_idx);
+                    let compute = if single {
+                        alone
+                    } else {
+                        match (at == 0 && opens, at + 1 == kk && closes) {
+                            (true, true) => alone,
+                            (true, false) => first,
+                            (false, true) => last,
+                            (false, false) => middle,
+                        }
+                    };
+                    self.tile(kt, nt, kt_idx == 0, compute, g);
+                }
+            }
+            stalls.push(self.report.stall_cycles - before);
         }
+        stalls.into()
     }
 
     /// One weight tile: `kt × nt` weights loaded (from DRAM when
@@ -586,7 +716,8 @@ impl MemorySubsystem {
     }
 
     /// Merges a previously measured [`MemReport`] delta into this
-    /// subsystem's counters — used by the closed-form model to scale one
+    /// subsystem's counters: the engine charges each call's
+    /// [`RunPrice::total`], and the closed-form model scales one
     /// replayed matmul across many identical calls (each call restarts
     /// the prefetch timeline, so `n` identical calls are exactly one
     /// call's delta `n` times).
@@ -804,14 +935,56 @@ mod tests {
         let pipelined = MemorySubsystem::new(MemoryConfig::paper()).matmul(&g);
         assert!(pipelined >= serial, "{pipelined} < {serial}");
 
-        let kk = g.k_tiles();
-        let windows: u64 = g.tile_windows().sum();
-        // nn = 1: load + m + (kk-1)·max(m, load) + (rows + cols).
-        let (m, load) = (g.m as u64, g.rows as u64 + 1);
+        let kk = g.k_tiles() as u64;
+        let windows: u64 = (0..kk).map(|i| g.run_windows(i..i + 1, kk)).sum();
+        // nn = 1: load + m + (kk-1)·max(m, rows) + (rows + cols).
+        let (m, rows) = (g.m as u64, g.rows as u64);
         assert_eq!(
             windows,
-            load + m + (kk as u64 - 1) * m.max(load) + (g.rows + g.cols) as u64
+            rows + 1 + m + (kk - 1) * m.max(rows) + (g.rows + g.cols) as u64
         );
+    }
+
+    #[test]
+    fn a_pipelined_run_is_one_prefetch_stream() {
+        // Four matmuls of two N-tiles each, issued as one run: the
+        // prefetcher pays one cold fill for the whole call, where four
+        // per-matmul replays pay one each. Each group's stall is the
+        // stall within its tiles, and the groups' stalls sum to the
+        // run's.
+        let g = MatmulGeometry {
+            m: 400,
+            k: 16,
+            n: 32,
+            batch: 1,
+            rows: 16,
+            cols: 16,
+            weights_offchip: true,
+            schedule: TileSchedule::Pipelined,
+        };
+        let cfg = MemoryConfig::paper();
+        let run = MemorySubsystem::new(cfg).price_run(&g, 4);
+        let one = MemorySubsystem::new(cfg).price(&g);
+        let cold = cfg.dram.transfer_cycles(256);
+        assert_eq!(one.stall_cycles, cold);
+        assert_eq!(&run.group_stalls[..], [cold, 0, 0, 0]);
+        assert_eq!(run.total.stall_cycles, cold);
+        // Every counter but the stalls is the four matmuls' sum.
+        let four = one.scaled(4);
+        assert_eq!(
+            (run.total.spm, run.total.dram_weight_bytes),
+            (four.spm, four.dram_weight_bytes)
+        );
+        // A serial run restarts per matmul: exactly four replays.
+        let serial = MatmulGeometry {
+            schedule: TileSchedule::Serial,
+            ..g
+        };
+        let mut mem = MemorySubsystem::new(cfg);
+        let run = mem.price_run(&serial, 4);
+        let one = mem.price(&serial);
+        assert_eq!(run.total, one.scaled(4));
+        assert_eq!(&run.group_stalls[..], [one.stall_cycles; 4]);
     }
 
     #[test]
@@ -969,16 +1142,18 @@ mod tests {
         }
 
         /// The windows the replay hides DRAM fills behind, summed over
-        /// the tile grid it walks, are the schedule's closed form: the
-        /// memory model and the cycle model price the same schedule.
+        /// a run, are the run's closed form, and over the closed form's
+        /// per-N-tile runs they are the matmul's: the memory model and
+        /// the cycle model price the same schedule.
         #[test]
         fn tile_windows_sum_to_array_cycles(
-            m in 1usize..40,
+            m in 0usize..40,
             k in 0usize..70,
             n in 0usize..40,
             batch in 1usize..5,
             rows in 1usize..9,
             cols in 1usize..9,
+            groups in 1usize..4,
         ) {
             for schedule in [
                 TileSchedule::Serial,
@@ -990,13 +1165,53 @@ mod tests {
                     weights_offchip: true,
                     schedule,
                 };
-                let mut windows = 0u64;
-                for _ in (0..n).step_by(cols) {
-                    let k0s = (0..k).step_by(rows);
-                    prop_assert_eq!(g.tile_windows().count(), k0s.len());
-                    windows += g.tile_windows().sum::<u64>();
+                let tiles = g.tiles(groups);
+                let run: u64 = (0..tiles).map(|i| g.run_windows(i..i + 1, tiles)).sum();
+                prop_assert_eq!(run, g.run_cycles(tiles), "{:?}", schedule);
+                // Any split of the run into spans sums to the same.
+                let cut = tiles / 2;
+                prop_assert_eq!(
+                    g.run_windows(0..cut, tiles) + g.run_windows(cut..tiles, tiles),
+                    run,
+                    "{:?}", schedule
+                );
+                let kk = g.k_tiles() as u64;
+                let per_n_tile: u64 = (0..kk).map(|i| g.run_windows(i..i + 1, kk)).sum();
+                prop_assert_eq!(
+                    g.n_tiles() as u64 * per_n_tile,
+                    g.array_cycles(),
+                    "{:?}", schedule
+                );
+            }
+        }
+
+        /// The engine's run replay: a serial run is `groups` per-matmul
+        /// replays, and any run's per-group stalls sum to its stall.
+        #[test]
+        fn run_replays_decompose_into_matmuls(
+            m in 1usize..8,
+            k in 1usize..40,
+            n in 1usize..24,
+            batch in 1usize..4,
+            groups in 1usize..5,
+            offchip in any::<bool>(),
+        ) {
+            for schedule in [TileSchedule::Serial, TileSchedule::Pipelined] {
+                let g = MatmulGeometry {
+                    m, k, n, batch,
+                    rows: 4,
+                    cols: 4,
+                    weights_offchip: offchip,
+                    schedule,
+                };
+                let mut mem = MemorySubsystem::new(MemoryConfig::paper());
+                let run = mem.price_run(&g, groups);
+                prop_assert_eq!(run.group_stalls.len(), groups);
+                prop_assert_eq!(run.group_stalls.iter().sum::<u64>(), run.total.stall_cycles);
+                if schedule == TileSchedule::Serial {
+                    prop_assert_eq!(run.total, mem.price(&g).scaled(groups as u64));
                 }
-                prop_assert_eq!(windows, g.array_cycles(), "{:?}", schedule);
+                prop_assert_eq!(mem.report(), MemReport::default(), "pricing charges nothing");
             }
         }
     }

@@ -1,9 +1,7 @@
 //! # capsacc-serve — deterministic multi-worker request serving
 //!
-//! The ROADMAP's north star is an accelerator that *serves traffic*,
-//! not one that runs a benchmark loop. This crate builds that serving
-//! layer over the engine in `capsacc-core`, as a simulator with one
-//! hard invariant: **everything is virtual time** — no wall clock, no
+//! This crate builds a request-serving layer over the engine in
+//! `capsacc-core`, as a simulator with one hard invariant: **everything is virtual time** — no wall clock, no
 //! nondeterminism — so every run is byte-for-byte reproducible, even
 //! though real OS threads do the engine work.
 //!

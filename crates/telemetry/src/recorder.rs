@@ -12,7 +12,7 @@ pub const TRACK_ENGINE: u32 = 0;
 /// How deep the engine's span tree goes. Levels are ordered: a span
 /// tagged at a given level is recorded only when the configured detail
 /// is at least that deep, so `Layers` sees three spans per inference
-/// while `Tiles` sees every weight-tile load and stream window.
+/// while `Tiles` sees every weight tile's window.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum SpanDetail {
     /// One span per network layer under the inference root.
@@ -20,9 +20,9 @@ pub enum SpanDetail {
     /// Plus per-phase spans: matmuls, squash, routing iterations and
     /// input staging.
     Phases,
-    /// Plus per-matmul memory-stall windows and per-weight-tile spans
-    /// with load/stream children. At MNIST scale this is hundreds of
-    /// thousands of spans; intended for small design points.
+    /// Plus per-matmul memory-stall windows and one span per weight
+    /// tile's window. At MNIST scale this is tens of thousands of
+    /// spans; intended for small design points.
     Tiles,
 }
 

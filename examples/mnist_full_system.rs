@@ -22,7 +22,8 @@ use capsacc::mnist::SyntheticMnist;
 fn main() {
     let net = CapsNetConfig::mnist();
     let mut cfg = AcceleratorConfig::paper();
-    // The engine executes tiles serially; use the matching timing mode.
+    // Serial tiles: the closed form's per-N-tile runs and the engine's
+    // one run per call price them alike, so the layers compare exactly.
     cfg.dataflow.pipelined_tiles = false;
 
     println!(

@@ -5,7 +5,7 @@
 use capsacc::capsnet::{CapsNetConfig, CapsNetParams};
 use capsacc::core::{
     timing, Accelerator, AcceleratorConfig, ActivationKind, CycleLedger, EngineBackend,
-    MemoryConfig, MemoryKind, RoutingStep,
+    MatmulGeometry, MemoryConfig, MemoryKind, RoutingStep, TileSchedule,
 };
 use capsacc::mnist::SyntheticMnist;
 
@@ -172,6 +172,67 @@ fn engine_matches_serial_closed_form_at_mnist_scale() {
 }
 
 #[test]
+fn engine_runs_the_pipelined_schedule_at_mnist_scale() {
+    // The pipelined twin of the serial check above: on the paper's
+    // design point every `matmul_group` call is one run of all its
+    // tiles, so each layer's array cycles are `run_cycles` of its
+    // calls' runs. Conv1 and PrimaryCaps are one call each; ClassCaps
+    // is the FC over every input capsule, then per image a Sum over the
+    // classes per iteration and an Update over them per iteration but
+    // the last. Memory never moves an array cycle.
+    let net = CapsNetConfig::mnist();
+    let digits = SyntheticMnist::new(1);
+    let params = CapsNetParams::generate(&net, 1);
+    let (g1, gp) = (net.conv1_geometry(), net.primary_caps_geometry());
+    let (caps, classes) = (net.num_primary_caps(), net.num_classes);
+    let (in_dim, out_dim, iters) = (net.pc_caps_dim, net.class_caps_dim, net.routing_iterations);
+    for memory in [MemoryConfig::ideal(), MemoryConfig::paper()] {
+        let cfg = AcceleratorConfig {
+            backend: EngineBackend::Functional,
+            memory,
+            ..AcceleratorConfig::paper()
+        };
+        let qparams = params.quantize(cfg.numeric);
+        for batch in [1usize, 2, 16] {
+            let at = format!("batch {batch}, {:?}", memory.mode);
+            // The cycles of `groups` matmuls of `m × k × n` per image,
+            // issued as one run.
+            let run = |m, k, n, batch, groups| {
+                let g = MatmulGeometry {
+                    m,
+                    k,
+                    n,
+                    batch,
+                    rows: cfg.rows,
+                    cols: cfg.cols,
+                    weights_offchip: false,
+                    schedule: TileSchedule::Pipelined,
+                };
+                g.run_cycles(g.tiles(groups))
+            };
+            let conv = |g: &capsacc::tensor::ConvGeometry| {
+                run(g.out_h() * g.out_w(), g.patch_len(), g.out_ch, batch, 1)
+            };
+            let b = batch as u64;
+            let class_caps = run(1, in_dim, classes * out_dim, batch, caps)
+                + b * iters as u64 * run(1, caps, out_dim, 1, classes)
+                + b * (iters - 1) as u64 * run(caps, out_dim, 1, 1, classes);
+            let images: Vec<_> = (0..batch as u64).map(|i| digits.sample(i).image).collect();
+            let layers = Accelerator::new(cfg)
+                .run_batch(&net, &qparams, &images)
+                .expect("valid batch")
+                .layers;
+            let arrays: Vec<u64> = layers.iter().map(|l| l.array_cycles).collect();
+            assert_eq!(arrays, [conv(&g1), conv(&gp), class_caps], "{at}");
+            if batch == 1 && memory.is_ideal() {
+                let cycles: Vec<u64> = layers.iter().map(|l| l.cycles()).collect();
+                assert_eq!(cycles, [38_449, 747_265, 271_008], "{at}");
+            }
+        }
+    }
+}
+
+#[test]
 fn engine_ledger_partitions_layers_and_steps_at_mnist_scale() {
     // The `GOLDEN_DIGESTS_MNIST` digit and parameters. Every `LayerRun`
     // and routing step is a delta of the engine's one cycle ledger, so
@@ -182,8 +243,10 @@ fn engine_ledger_partitions_layers_and_steps_at_mnist_scale() {
     let net = CapsNetConfig::mnist();
     let digits = SyntheticMnist::new(1);
     let params = CapsNetParams::generate(&net, 1);
-    for (memory, class_caps_stall) in [(MemoryConfig::ideal(), 0), (MemoryConfig::paper(), 956_160)]
-    {
+    for (memory, class_caps_stall) in [
+        (MemoryConfig::ideal(), 0),
+        (MemoryConfig::paper(), 1_290_254),
+    ] {
         let cfg = AcceleratorConfig {
             backend: EngineBackend::Functional,
             memory,
@@ -232,7 +295,7 @@ fn engine_ledger_partitions_layers_and_steps_at_mnist_scale() {
                         class_caps.transfer_cycles,
                         class_caps.memory_stall_cycles
                     ),
-                    (708_020, 2_934, 25_920, class_caps_stall),
+                    (242_154, 2_934, 25_920, class_caps_stall),
                     "{at}"
                 );
             }
@@ -401,17 +464,17 @@ fn mnist_closed_form_golden_values() {
         steps,
         [
             (Load, 23_040, 184_320),
-            (Fc, 195_873, 184_320),
+            (Fc, 184_354, 184_320),
             (Softmax(1), 2_880, 0),
-            (Sum(1), 12_570, 0),
+            (Sum(1), 11_860, 0),
             (Squash(1), 40, 0),
             (Update(1), 12_010, 0),
             (Softmax(2), 5_760, 0),
-            (Sum(2), 12_570, 0),
+            (Sum(2), 11_860, 0),
             (Squash(2), 40, 0),
             (Update(2), 12_010, 0),
             (Softmax(3), 5_760, 0),
-            (Sum(3), 12_570, 0),
+            (Sum(3), 11_860, 0),
             (Squash(3), 40, 0),
         ]
     );
@@ -444,20 +507,20 @@ fn mnist_closed_form_golden_values() {
         let t = timing::full_inference_batch(&cfg, &net, 1);
         (t.class_caps_cycles(), t.total_cycles())
     };
-    assert_eq!(ablation(|_| {}), (295_163, 1_082_348));
+    assert_eq!(ablation(|_| {}), (281_514, 1_068_699));
     assert_eq!(
         ablation(|d| d.skip_first_softmax = false),
-        (298_043, 1_085_228)
+        (284_394, 1_071_579)
     );
     assert_eq!(
         ablation(|d| d.routing_feedback = false),
-        (348_633, 1_135_818)
+        (337_114, 1_124_299)
     );
     assert_eq!(
         ablation(|d| d.pipelined_tiles = false),
         (745_580, 2_551_965)
     );
-    assert_eq!(ablation(|d| d.weight_reuse = false), (675_290, 25_600_747));
+    assert_eq!(ablation(|d| d.weight_reuse = false), (673_160, 25_598_617));
 
     // The FC at batch 16: with reuse all 16 images stream against each
     // resident W_ij tile (M = 16); without it every tile reloads per
@@ -473,7 +536,7 @@ fn mnist_closed_form_golden_values() {
             .map(|s| (s.cycles, s.data_mem_bytes))
             .expect("FC step")
     };
-    assert_eq!(fc16(true, true), (195_888, 2_949_120));
+    assert_eq!(fc16(true, true), (184_369, 2_949_120));
     assert_eq!(fc16(false, true), (16 * 576_000, 2_949_120));
     assert_eq!(fc16(true, false), (748_800, 2_949_120));
     assert_eq!(fc16(false, false), (16 * 576_000, 2_949_120));
