@@ -110,9 +110,12 @@ run cargo run --release -q -p capsacc-bench --bin exp_faults
 # thread counts 1/2/4 produce byte-identical batch-16 BatchRuns, that
 # the functional backend clears the 10x wall-clock bound over ticked
 # and the parallel+SIMD batch path clears 5x over the PR 5 functional
-# baseline (98.20 ms/image) — both asserted on median host times;
-# refreshes BENCH_engine.json, which keeps only the deterministic
-# fields (configuration, reps, simulated cycles and ms per row) and is
+# baseline (98.20 ms/image) — both asserted on median host times. It
+# prints which SIMD body (AVX-512 VNNI, AVX2 or scalar) produced the
+# functional-SIMD times, read from capsacc_core::simd_body, the
+# function the kernel dispatch itself calls, and refreshes
+# BENCH_engine.json, which keeps only the deterministic fields
+# (configuration, reps, simulated cycles and ms per row) and is
 # diffed below.
 run cargo run --release -q -p capsacc-bench --bin exp_engine_speed
 # Telemetry smoke run: asserts recording is invisible (instrumented

@@ -25,7 +25,8 @@
 //! time over `reps`. The minimum is the classic "least-noise" estimator
 //! but is biased optimistic and unstable under CI neighbor load; the
 //! asserts therefore use the median, which a single lucky rep cannot
-//! move.
+//! move. Before the asserts, a line names the SIMD body
+//! (`capsacc_core::simd_body`) the functional-SIMD rows ran.
 //!
 //! Emits `BENCH_engine.json` into the current directory with the
 //! deterministic fields only — configuration, network, rep count and
@@ -40,8 +41,8 @@ use std::time::Instant;
 use capsacc_bench::{json_row, print_table, BenchJson};
 use capsacc_capsnet::{CapsNetConfig, CapsNetParams, QuantizedParams};
 use capsacc_core::{
-    Accelerator, AcceleratorConfig, BatchRun, BatchScheduler, EngineBackend, FunctionalOptions,
-    SimdMode,
+    simd_body, Accelerator, AcceleratorConfig, BatchRun, BatchScheduler, EngineBackend,
+    FunctionalOptions, SimdMode,
 };
 use capsacc_tensor::Tensor;
 
@@ -216,6 +217,13 @@ fn main() {
     );
     let simd_b16_ms = stats[4].1 * 1e3 / batch as f64;
     let speedup_pr5 = PR5_FUNCTIONAL_B16_MS_PER_IMAGE / simd_b16_ms;
+    // Name the body the kernel dispatch runs on this host before the
+    // bounds are checked, so a log's host times say which SIMD code
+    // produced them, also when a bound fails.
+    println!(
+        "functional-simd rows ran the {} SIMD body.",
+        simd_body().label()
+    );
     assert!(
         speedup_pr5 >= 5.0,
         "parallel+SIMD batched path below the 5x bound over the PR 5 functional baseline \

@@ -776,6 +776,16 @@ impl Accelerator {
     ///   the one kernel each tile shape gets (the row-blocked SIMD
     ///   sweep on full 16-lane N-tiles, the general scalar fold
     ///   elsewhere) is bit-identical to any other evaluation order.
+    ///   The SIMD sweep multiplies biased data bytes `d + 128` by the
+    ///   signed weights, four taps per `vpdpbusd` lane, into a psum
+    ///   seeded with `−128·Σw`. Each u8·s8 product fits `i16`, and the
+    ///   wrapping `_mm512_dpbusd_epi32` adds the products into `i32`
+    ///   lanes. The seed is at most `1023·128·128 < 2^24` in magnitude,
+    ///   and the biased products add at most `1023·255·128 < 2^25`, so
+    ///   no lane leaves ±2^26 and each ends at exactly
+    ///   `−128·Σw + Σ (d + 128)·w = Σ d·w`, the tile psum. Padded taps
+    ///   of a `kt % 4` tail quad carry zero weights, so whatever data
+    ///   bytes the sweep reads beside them add 0.
     ///   Taller tiles (arrays over 1023 rows) take the literal per-step
     ///   `mac_step` fold (`kernel::RowKernel::MacSerial`). Zero
     ///   operands contribute +0 to an in-range psum, so the zero-data
@@ -814,13 +824,14 @@ impl Accelerator {
     /// - **Data staging.** Both operands are staged straight from their
     ///   views into buffers the accelerator keeps across matmuls: each
     ///   group's data panel is gathered once as a flat row-major
-    ///   `batch·M × K` matrix of sign-extended `i16` (the ticked path
-    ///   re-reads the view per N-tile revisit), the one copy the SIMD
-    ///   sweep and the scalar folds all read — sign extension is exact,
-    ///   and the tall-tile fold narrows each element back to the `i8`
-    ///   it was with a checked conversion — and each N-tile's K-tiles
-    ///   are packed directly into the layout their kernel reads
-    ///   (`kernel::TileBuf`).
+    ///   `batch·M × K` matrix of biased bytes, `d + 128`, plus 3 zero
+    ///   pad bytes (`kernel::Staging::gather`; the ticked path re-reads
+    ///   the view per N-tile revisit). It is the one copy the SIMD
+    ///   sweep and the scalar folds all read: the scalar folds and the
+    ///   tall-tile fold read each byte back as exactly the `i8` it was.
+    ///   Each N-tile's K-tiles are packed directly into the layout
+    ///   their kernel reads (`kernel::TileBuf`). The gather is timed as
+    ///   staging.
     /// - **Drain and fault draws.** The drain writes each (image, row)'s
     ///   `nt` outputs as one contiguous run, not in the ticked walk's
     ///   (image, column, row) order. Fault draws still line up: the
@@ -875,17 +886,17 @@ impl Accelerator {
             // clock only when host timing was requested, and only into
             // span args — never into any simulated quantity. Staging
             // time covers the matmul's accounting (recording its
-            // charge) and its weight packing.
+            // charge), its data gather and its weight packing.
             let watch = self.rec.host_stopwatch();
             self.record_group(charge, g);
+            // Gather this matmul's whole data panel once, row-major:
+            // tile slices below are plain subslices.
+            st.gather(&data, g * data_step);
             let (mut stage_ns, mut sweep_ns) = (watch.elapsed_ns(), 0u64);
             let weight = WeightView {
                 src: &weight.src[g * weight_step..],
                 ..weight
             };
-            // Gather this matmul's whole data panel once, row-major and
-            // sign-extended: tile slices below are plain subslices.
-            data.gather(g * data_step, &mut st.panel);
             let group_base = self.fault_op_seq + u64_from(g) * draws_per_matmul;
 
             for n0 in (0..n).step_by(cols) {

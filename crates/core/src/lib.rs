@@ -85,6 +85,7 @@ pub use config::{
     AcceleratorConfig, DataflowOptions, EngineBackend, FunctionalOptions, SimdMode, TraceLevel,
 };
 pub use engine::{Accelerator, CycleLedger, LayerRun};
+pub use kernel::{simd_body, SimdBody};
 pub use pe::{Pe, PeControl, PeInput, PeOutput, WeightSelect};
 pub use systolic::{SystolicArray, TileRun};
 pub use timing::{

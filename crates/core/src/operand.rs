@@ -32,7 +32,7 @@ pub(crate) struct DataView<'a> {
     pub cols: &'a [usize],
 }
 
-impl DataView<'_> {
+impl<'a> DataView<'a> {
     /// Images in the batch.
     pub fn batch(&self) -> usize {
         self.src.len()
@@ -55,20 +55,22 @@ impl DataView<'_> {
         self.src[img][off + self.rows[m] + self.cols[k]]
     }
 
-    /// Gathers the whole batch into `panel` as a row-major
-    /// `batch·M × K` matrix, image-major (row `img·M + m`), reading
-    /// every source `off` elements further in. Elements are
-    /// sign-extended on the way (exact), into the one layout every
-    /// functional kernel reads.
-    pub fn gather(&self, off: usize, panel: &mut Vec<i16>) {
-        panel.clear();
-        panel.reserve(self.batch() * self.m() * self.k());
-        for src in self.src {
-            for &base in self.rows {
+    /// The whole batch's rows in panel order, image-major (row
+    /// `img·M + m`), each as its `K` elements, reading every source
+    /// `off` elements further in: what the functional backend gathers
+    /// into its data panel (`kernel::Staging::gather`, which encodes
+    /// them).
+    pub fn panel_rows(
+        &self,
+        off: usize,
+    ) -> impl Iterator<Item = impl Iterator<Item = i8> + 'a> + 'a {
+        let (rows, cols) = (self.rows, self.cols);
+        self.src.iter().flat_map(move |&src| {
+            rows.iter().map(move |&base| {
                 let row = &src[off + base..];
-                panel.extend(self.cols.iter().map(|&c| i16::from(row[c])));
-            }
-        }
+                cols.iter().map(move |&c| row[c])
+            })
+        })
     }
 }
 
@@ -111,11 +113,9 @@ mod tests {
         assert_eq!(data.at(0, 0, 1, 2), 9);
         assert_eq!(data.at(0, 1, 0, 1), 23);
         assert_eq!(data.at(2, 1, 0, 1), 25);
-        let mut panel = vec![7; 3];
-        data.gather(0, &mut panel);
-        assert_eq!(panel, [1, 3, 5, 5, 7, 9, 21, 23, 25, 25, 27, 29]);
-        data.gather(2, &mut panel);
-        assert_eq!(panel, [3, 5, 7, 7, 9, 11, 23, 25, 27, 27, 29, 31]);
+        let panel = |off| -> Vec<i8> { data.panel_rows(off).flatten().collect() };
+        assert_eq!(panel(0), [1, 3, 5, 5, 7, 9, 21, 23, 25, 25, 27, 29]);
+        assert_eq!(panel(2), [3, 5, 7, 7, 9, 11, 23, 25, 27, 27, 29, 31]);
 
         let w = WeightView {
             src: &a,

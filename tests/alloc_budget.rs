@@ -158,14 +158,15 @@ fn matmul_stages_one_data_panel() {
     });
     assert_eq!(outs.len(), batch);
     // `matmul_batch`'s dense copies of both operands and their index
-    // tables, then one sign-extended `i16` data panel, the packed
-    // weights (16 widened columns per K row, at most doubled by vector
-    // growth) and a fixed slack for the accumulator set, the outputs
-    // and the bookkeeping. A second copy of the panel (`batch·M·K`
-    // bytes as `i8`) does not fit.
+    // tables, then one data panel of one byte per element plus 3 pad
+    // bytes, the packed weights (one byte per weight and one 64-byte
+    // psum seed per 16-row K-tile, at most doubled by vector growth)
+    // and a fixed slack for the accumulator set, the outputs and the
+    // bookkeeping. A second copy of the panel (`batch·M·K` bytes) does
+    // not fit.
     let dense = batch * m * k + k * n + (m + k) * size_of::<usize>();
-    let panel = batch * m * k * size_of::<i16>();
-    let packed = 2 * k * n * size_of::<i16>();
+    let panel = batch * m * k + 3;
+    let packed = 2 * (k * n + k / 16 * 64);
     let slack = 128 << 10;
     let budget = dense + panel + packed + slack;
     assert!(
