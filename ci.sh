@@ -57,8 +57,9 @@ for workload in mnist-b16 mnist-b1 pool-b4 serve-faults; do
 done
 # Traced runs take the per-layer ledger path (the simulated ledger, the
 # closed-form timing gaps and the host ledger), which reads `LayerRun`,
-# the routing steps and the engine's span tree.
-for workload in mnist-b1 pool-b4; do
+# the routing steps and the engine's span tree. mnist-b16 runs the
+# batched layers and the staged routing under the recorder.
+for workload in mnist-b16 mnist-b1 pool-b4; do
     smoke "$workload" 1
 done
 # The paper's tables and figures end to end: closed forms, the GPU and

@@ -326,6 +326,7 @@ impl Accelerator {
             ncfg.mac_shift(),
             ActivationKind::Relu,
             true,
+            None,
         );
         let conv1_outs: Vec<Tensor<i8>> = conv1_mns.iter().map(|mn| to_chw(mn, &g1)).collect();
         self.traffic.write(
@@ -362,6 +363,7 @@ impl Accelerator {
             ncfg.mac_shift(),
             ActivationKind::Identity,
             true,
+            None,
         );
         let pc_outs: Vec<Tensor<i8>> = pc_mns.iter().map(|mn| to_chw(mn, &gp)).collect();
         let capsules: Vec<Tensor<i8>> = pc_outs
@@ -427,6 +429,7 @@ impl Accelerator {
             ncfg.mac_shift(),
             ActivationKind::Identity,
             true,
+            None,
         );
         let u_hats: Vec<Tensor<i8>> = fc
             .into_iter()
@@ -459,8 +462,14 @@ impl Accelerator {
                 steps.extend(image_steps);
             } else {
                 // Same network ⇒ same step sequence for every image.
-                for ((step, cycles), (s2, c2)) in steps[2..].iter_mut().zip(&image_steps) {
-                    debug_assert_eq!(*step, *s2, "routing step sequences diverged");
+                let routing_steps = &mut steps[2..];
+                assert_eq!(
+                    routing_steps.len(),
+                    image_steps.len(),
+                    "routing step counts diverged"
+                );
+                for ((step, cycles), (s2, c2)) in routing_steps.iter_mut().zip(&image_steps) {
+                    assert_eq!(*step, *s2, "routing step sequences diverged");
                     *cycles += c2;
                 }
             }

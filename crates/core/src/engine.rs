@@ -57,7 +57,7 @@ use capsacc_tensor::{u64_from, usize_from, Tensor};
 use crate::accumulator::AccumulatorUnit;
 use crate::activation::{ActivationKind, ActivationUnit};
 use crate::config::{AcceleratorConfig, EngineBackend, TraceLevel};
-use crate::kernel;
+use crate::kernel::{self, UHatPacking};
 use crate::operand::{DataView, WeightView};
 use crate::systolic::{SystolicArray, TileRun};
 use crate::timing::RoutingStep;
@@ -213,6 +213,27 @@ pub(crate) struct MatmulCharge {
     /// reads (`kt·nt` and `batch·M·kt` per tile) are the run's Weight
     /// and Data Buffer reads.
     pub mem: RunPrice,
+}
+
+/// A routing step's product on the functional backend, evaluated
+/// against `û` staged once per image ([`Accelerator::route_class_caps`])
+/// in place of the call's own views: a bias-free batch of one whose
+/// weight tiles live in `kernel::Staging::u_hat`. Its output, read
+/// row-major, is the call's.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct Staged<'a> {
+    /// The packing the product's weight tiles live in.
+    pub packing: UHatPacking,
+    /// Whether this call makes the packing (the image's first Sum or
+    /// Update); every later call streams against it as made.
+    pub pack: bool,
+    /// The product's data rows, read at the call's `data_step`.
+    pub data: DataView<'a>,
+    /// The weights the packing is made from, read at the call's
+    /// `weight_step`.
+    pub weight: WeightView<'a>,
+    /// The product's output width.
+    pub n: usize,
 }
 
 /// Reshapes a `[patches, out_ch]` matmul result into the `[out_ch, oh,
@@ -465,6 +486,7 @@ impl Accelerator {
             shift,
             kind,
             false,
+            None,
         )
     }
 
@@ -507,10 +529,17 @@ impl Accelerator {
     /// evaluates the groups in one host pass
     /// ([`Accelerator::matmul_group_functional`]).
     ///
+    /// Routing's Sum and Update also pass their `staged` product: the
+    /// functional backend evaluates it against `û` staged once per
+    /// image instead of packing `weight` on every call ([`Staged`]).
+    /// The charge, the recorded spans and the ticked backend read the
+    /// call's own views either way.
+    ///
     /// # Panics
     ///
-    /// Panics if the batch is empty or a bias slice shorter than `n` is
-    /// supplied.
+    /// Panics if the batch is empty, a bias slice shorter than `n` is
+    /// supplied, or a `staged` product comes with a bias or a batch
+    /// of more than one.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn matmul_group(
         &mut self,
@@ -524,12 +553,17 @@ impl Accelerator {
         shift: u32,
         kind: ActivationKind,
         weights_offchip: bool,
+        staged: Option<Staged<'_>>,
     ) -> (Vec<Tensor<i8>>, Vec<u64>) {
         let (batch, m, k) = (data.batch(), data.m(), data.k());
         assert!(batch > 0, "batch must be non-empty");
         if let Some(b) = bias {
             assert!(b.len() >= n, "bias shorter than output width");
         }
+        assert!(
+            staged.is_none_or(|s| batch == 1 && s.data.batch() == 1 && bias.is_none()),
+            "a staged product is a bias-free batch of one"
+        );
         // The paper's pipelined schedule where the dataflow switches and
         // the Weight Buffer allow it; the weight-reuse ablation's
         // per-row reloads exist only in the closed form.
@@ -561,6 +595,7 @@ impl Accelerator {
                 data_step,
                 weight,
                 weight_step,
+                staged,
                 bias,
                 shift,
                 kind,
@@ -830,8 +865,12 @@ impl Accelerator {
     ///   sweep and the scalar folds all read: the scalar folds and the
     ///   tall-tile fold read each byte back as exactly the `i8` it was.
     ///   Each N-tile's K-tiles are packed directly into the layout
-    ///   their kernel reads (`kernel::TileBuf`). The gather is timed as
-    ///   staging.
+    ///   their kernel reads (`kernel::TileBuf::pack`). The gather is
+    ///   timed as staging. A [`Staged`] product packs its N-tiles into
+    ///   `kernel::Staging::u_hat` only on the call that makes the
+    ///   packing, timed as that call's staging, and every later call
+    ///   sweeps those tiles: `û` does not change within an image, so
+    ///   they are the tiles a per-call packing would make.
     /// - **Drain and fault draws.** The drain writes each (image, row)'s
     ///   `nt` outputs as one contiguous run, not in the ticked walk's
     ///   (image, column, row) order. Fault draws still line up: the
@@ -847,6 +886,24 @@ impl Accelerator {
     ///   of the number, so the draws are the ticked path's. Each
     ///   element's reduction is unchanged, so output order cannot
     ///   change any output.
+    /// - **The transposed Update.** The ticked Update of class `j` is a
+    ///   one-column product: `in_caps` data rows, the rows of `û_j`,
+    ///   against the weight column `v_j`. Its functional evaluation is
+    ///   the transposed product `û_jᵀ·v_j`: `v_j` is the one data row,
+    ///   streamed against N-tiles over the capsules, whose column `c`
+    ///   of N-tile `t` holds capsule `i = t·C + c`'s dims. Both orders
+    ///   tile K, the `out_dim` dims, into the same tiles of `R` taps, so
+    ///   capsule `i`'s psum per K-tile is the same exact dot product
+    ///   (the in-tile note above; the tall-tile fold walks the same
+    ///   taps in the same order, and `mac_step` is symmetric in its
+    ///   operands). The psums fold in the same tile order with the
+    ///   same clip counting. The call's `[classes·in_caps, 1]` output
+    ///   and the transposed `[classes, in_caps]` share one row-major
+    ///   layout, so the drain writes column `c` of N-tile `t` to output
+    ///   row `t·C + c`. At batch 1 with one drained row, the drain
+    ///   numbers that element's fault draw `group_base + t·C + c`, the
+    ///   untransposed drain's `group_base + i` at `N = 1`, and each
+    ///   class draws `in_caps` times either way.
     #[allow(clippy::too_many_arguments)]
     fn matmul_group_functional(
         &mut self,
@@ -854,6 +911,7 @@ impl Accelerator {
         data_step: usize,
         weight: WeightView<'_>,
         weight_step: usize,
+        staged: Option<Staged<'_>>,
         bias: Option<&[i32]>,
         shift: u32,
         kind: ActivationKind,
@@ -861,12 +919,16 @@ impl Accelerator {
         outs: &mut [Tensor<i8>],
         saturations: &mut [u64],
     ) {
+        let (data, weight, n) = match staged {
+            Some(s) => (s.data, s.weight, s.n),
+            None => (data, weight, charge.geometry.n),
+        };
         let (rows, cols) = (self.cfg.rows, self.cfg.cols);
-        let (m, k, n, groups) = (data.m(), data.k(), charge.geometry.n, charge.groups);
+        let (m, k, groups) = (data.m(), data.k(), charge.groups);
         let total_rows = data.batch() * m;
         let opts = self.cfg.functional;
         let simd_ok = kernel::simd_enabled(opts);
-        let tallest = rows.min(k);
+        let n_tiles = n.div_ceil(cols);
         // With `k == 0` no K-tile ever ran, so like the ticked path's
         // empty accumulator FIFOs nothing is written (in particular,
         // no bias-only outputs).
@@ -880,6 +942,9 @@ impl Accelerator {
         st.bias.clear();
         st.bias
             .extend((0..n).map(|c| bias.map_or(0, |b| i64::from(b[c]))));
+        if let Some(s) = staged.filter(|s| s.pack) {
+            st.u_hat[s.packing.index()].resize_with(groups * n_tiles, Default::default);
+        }
         for g in 0..groups {
             self.rec.begin(SpanDetail::Phases, "matmul");
             // Host wall-clock annotation: the stopwatches read the host
@@ -899,20 +964,29 @@ impl Accelerator {
             };
             let group_base = self.fault_op_seq + u64_from(g) * draws_per_matmul;
 
-            for n0 in (0..n).step_by(cols) {
+            for (t, n0) in (0..n).step_by(cols).enumerate() {
                 let nt = cols.min(n - n0);
                 for buf in [&mut st.acc, &mut st.events] {
                     buf.clear();
                     buf.resize(total_rows * nt, 0);
                 }
 
+                // The N-tile's K-tiles: packed here, or staged `û`,
+                // packed here only on the image's first step.
                 let watch = self.rec.host_stopwatch();
-                st.tiles.begin(nt);
-                for k0 in (0..k).step_by(rows) {
-                    let kt = rows.min(k - k0);
-                    let kernel = kernel::select_kernel(kt, nt, tallest, simd_ok);
-                    st.tiles.stage(&weight, k0, kt, n0, kernel);
-                }
+                let tiles = match staged {
+                    None => {
+                        st.tiles.pack(&weight, k, rows, n0, nt, simd_ok);
+                        &st.tiles
+                    }
+                    Some(s) => {
+                        let tiles = &mut st.u_hat[s.packing.index()][g * n_tiles + t];
+                        if s.pack {
+                            tiles.pack(&weight, k, rows, n0, nt, simd_ok);
+                        }
+                        &*tiles
+                    }
+                };
                 stage_ns += watch.elapsed_ns();
 
                 // The row sweep: serial, or partitioned into contiguous
@@ -922,7 +996,7 @@ impl Accelerator {
                 // partition is byte-identical to the serial sweep.
                 let watch = self.rec.host_stopwatch();
                 let threads = kernel::effective_threads(opts.threads, total_rows, k, nt);
-                let (tiles, panel) = (&st.tiles, st.panel.as_slice());
+                let panel = st.panel.as_slice();
                 if threads <= 1 {
                     kernel::process_rows(
                         k,
@@ -1042,6 +1116,16 @@ impl Accelerator {
     /// Each Sum and each Update step is one matmul group over the
     /// classes ([`Accelerator::matmul_group`]), with the simulated
     /// effects of the per-class matmuls it stands for.
+    ///
+    /// `û` stays resident and is fed back to every step (Fig. 12c/d),
+    /// and the functional backend stages it once per image to match:
+    /// each step passes a [`Staged`] product. The first Sum packs Sum's
+    /// layout of `û` and the first Update the Update's transposed one,
+    /// so none is made with a single iteration. Every step streams one
+    /// data row against them: the couplings column for a Sum, `v_j`
+    /// for an Update. The ticked backend and every charge, span,
+    /// traffic count, fault draw and cycle are those of the per-class
+    /// matmuls.
     pub(crate) fn route_class_caps(
         &mut self,
         net: &CapsNetConfig,
@@ -1122,19 +1206,23 @@ impl Accelerator {
             // data row (the couplings' column j, offset j) against the
             // `in_caps × out_dim` slice of û for class j (offset
             // `j·out_dim`). Row j of the `[classes, out_dim]` output is
-            // s_j.
+            // s_j. The functional backend streams the same row against
+            // Sum's packing of û, made at the first Sum.
+            let src = [couplings.data()];
+            let couplings_col = DataView {
+                src: &src,
+                rows: &[0],
+                cols: &caps_stride,
+            };
+            let u_sum = WeightView {
+                src: u_data,
+                ks: classes * out_dim,
+                ns: 1,
+            };
             let (mut sums, _) = self.matmul_group(
-                DataView {
-                    src: &[couplings.data()],
-                    rows: &[0],
-                    cols: &caps_stride,
-                },
+                couplings_col,
                 1,
-                WeightView {
-                    src: u_data,
-                    ks: classes * out_dim,
-                    ns: 1,
-                },
+                u_sum,
                 out_dim,
                 classes,
                 out_dim,
@@ -1142,6 +1230,13 @@ impl Accelerator {
                 ncfg.coupling_mac_shift(),
                 ActivationKind::Identity,
                 false,
+                Some(Staged {
+                    packing: UHatPacking::Sum,
+                    pack: r == 0,
+                    data: couplings_col,
+                    weight: u_sum,
+                    n: out_dim,
+                }),
             );
             let s_t = sums.remove(0);
             macs += u64_from(classes * out_dim * in_caps);
@@ -1178,7 +1273,12 @@ impl Accelerator {
                 // class-j rows of û (offset `j·out_dim`) against v_j
                 // (offset `j·out_dim`) broadcast as a one-column weight.
                 // Row `j·in_caps + i` of the `[classes·in_caps, 1]`
-                // output is b_ij's delta.
+                // output is b_ij's delta. The functional backend
+                // evaluates the transposed product `û_jᵀ·v_j` instead:
+                // v_j is its one data row, streamed against Update's
+                // packing of û, made at the first Update, whose column
+                // `i` is capsule i's dims (offset `j·out_dim`).
+                let src = [class_caps.data()];
                 let (deltas, _) = self.matmul_group(
                     DataView {
                         src: &[u_data],
@@ -1198,6 +1298,21 @@ impl Accelerator {
                     ncfg.update_shift(),
                     ActivationKind::Identity,
                     false,
+                    Some(Staged {
+                        packing: UHatPacking::Update,
+                        pack: r == 0,
+                        data: DataView {
+                            src: &src,
+                            rows: &[0],
+                            cols: &dims,
+                        },
+                        weight: WeightView {
+                            src: u_data,
+                            ks: 1,
+                            ns: classes * out_dim,
+                        },
+                        n: in_caps,
+                    }),
                 );
                 for (row, &d) in deltas[0].data().iter().enumerate() {
                     let (j, i) = (row / in_caps, row % in_caps);
@@ -1609,6 +1724,7 @@ mod tests {
                             6,
                             ActivationKind::Identity,
                             offchip,
+                            None,
                         );
                         let geometry = MatmulGeometry {
                             m,
@@ -1719,6 +1835,7 @@ mod tests {
                         6,
                         ActivationKind::Identity,
                         true,
+                        None,
                     );
                     (outs, acc.ledger(), acc.memory_report())
                 };

@@ -46,6 +46,11 @@
 //! kernel reads: byte quads with a psum seed for the SIMD sweep, the
 //! row-major `i8` tile for the scalar folds. The accelerator reuses
 //! both from matmul to matmul, so a serial sweep allocates nothing.
+//! Routing's `û` is packed by the same [`TileBuf`]s, but once per image
+//! and in two layouts ([`UHatPacking`]): Sum's, and Update's transposed
+//! one, which puts the capsules on the lanes so the Update's
+//! one-column product runs on the SIMD sweep. Every Sum and Update
+//! streams its one data row against them.
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
@@ -169,7 +174,7 @@ pub fn simd_body() -> SimdBody {
 /// any tile tall enough to clip in-tile runs all its tiles on the
 /// general path, so SIMD tiles never share a row sweep with
 /// [`RowKernel::MacSerial`].
-pub(crate) fn select_kernel(kt: usize, nt: usize, tallest: usize, simd_ok: bool) -> RowKernel {
+fn select_kernel(kt: usize, nt: usize, tallest: usize, simd_ok: bool) -> RowKernel {
     if kt > EXACT_FOLD_MAX_KT {
         RowKernel::MacSerial
     } else if simd_ok && nt == LANES && tallest <= EXACT_FOLD_MAX_KT {
@@ -224,7 +229,7 @@ pub(crate) struct TileBuf {
 
 impl TileBuf {
     /// Empties the buffer for an N-tile of width `nt`.
-    pub(crate) fn begin(&mut self, nt: usize) {
+    fn begin(&mut self, nt: usize) {
         self.nt = nt;
         self.tiles.clear();
         self.w.clear();
@@ -262,7 +267,7 @@ impl TileBuf {
     /// Stages K-tile `k0 .. k0 + kt` of the N-tile starting at column
     /// `n0`, reading the weights straight from `weight` into the layout
     /// `kernel` consumes.
-    pub(crate) fn stage(
+    fn stage(
         &mut self,
         weight: &WeightView<'_>,
         k0: usize,
@@ -321,6 +326,26 @@ impl TileBuf {
             seed,
         });
     }
+
+    /// Stages the whole N-tile of width `nt` at column `n0`: every
+    /// K-tile of up to `rows` taps over `0..k`, in K order, each in the
+    /// layout of the kernel [`select_kernel`] gives it.
+    pub(crate) fn pack(
+        &mut self,
+        weight: &WeightView<'_>,
+        k: usize,
+        rows: usize,
+        n0: usize,
+        nt: usize,
+        simd_ok: bool,
+    ) {
+        self.begin(nt);
+        let tallest = rows.min(k);
+        for k0 in (0..k).step_by(rows) {
+            let kt = rows.min(k - k0);
+            self.stage(weight, k0, kt, n0, select_kernel(kt, nt, tallest, simd_ok));
+        }
+    }
 }
 
 /// Each column's weight sum over a SIMD tile's quads.
@@ -340,9 +365,9 @@ fn quad_sums(quads: &[Quad]) -> [i32; LANES] {
 
 /// The functional backend's reusable host buffers: the data panel,
 /// the current N-tile's staged weights and accumulator set, the
-/// matmul's bias row, and the serial sweep's scalar scratch. The
-/// accelerator owns one, lends it to every matmul call, and drops it at
-/// each layer boundary of a batch run.
+/// matmul's bias row, the serial sweep's scalar scratch, and routing's
+/// staged `û`. The accelerator owns one, lends it to every matmul call,
+/// and drops it at each layer boundary of a batch run.
 #[derive(Default)]
 pub(crate) struct Staging {
     /// Row-major `batch·M × K` data panel of biased bytes, then
@@ -362,6 +387,31 @@ pub(crate) struct Staging {
     pub bias: Vec<i64>,
     /// Per-tile psums of the serial sweep's scalar fold.
     pub psums: Vec<i32>,
+    /// Routing's `û` of the current image, staged once in each of the
+    /// two layouts its steps read, indexed by [`UHatPacking::index`]:
+    /// one staged N-tile per (class, N-tile), class-major.
+    pub u_hat: [Vec<TileBuf>; 2],
+}
+
+/// The two packings of routing's `û` ([`Staging::u_hat`]).
+#[derive(Copy, Clone, Debug)]
+pub(crate) enum UHatPacking {
+    /// Sum's: per class, lanes are the output dims and taps the
+    /// capsules.
+    Sum,
+    /// Update's transposed one: per class, N-tiles over the capsules,
+    /// whose lanes are capsules and whose taps are the dims.
+    Update,
+}
+
+impl UHatPacking {
+    /// The packing's index into [`Staging::u_hat`].
+    pub(crate) fn index(self) -> usize {
+        match self {
+            UHatPacking::Sum => 0,
+            UHatPacking::Update => 1,
+        }
+    }
 }
 
 impl Staging {

@@ -245,3 +245,54 @@ fn aligned_capsnet_fault_draws_equal_ticked() {
         }
     }
 }
+
+/// Routing on a network whose capsule count is no multiple of 16: at
+/// `input_side` 13 the aligned net has 50 primary capsules. Routing's
+/// functional backend stages û once per image, so each class's Sum
+/// packing ends in a 2-tap K-tile and its transposed Update packing
+/// holds three full 16-lane N-tiles and a 2-lane tail. Every BatchRun
+/// and every fault draw, flip and mask must still equal ticked, under
+/// both first-iteration variants and with the feedback path off.
+#[test]
+fn staged_routing_tiles_and_fault_draws_equal_ticked() {
+    let net = CapsNetConfig {
+        input_side: 13,
+        ..aligned_net()
+    };
+    net.validate().expect("valid network");
+    assert_eq!(net.num_primary_caps(), 50);
+    let qparams = CapsNetParams::generate(&net, 5).quantize(AcceleratorConfig::paper().numeric);
+    let images: Vec<_> = (0..2).map(|s| net.test_image(s)).collect();
+    let run = |cfg: AcceleratorConfig, plan: FaultPlan| {
+        let mut sched = BatchScheduler::new(cfg);
+        sched.accelerator_mut().set_fault_plan(plan);
+        let out = sched.run(&net, &qparams, &images).expect("valid batch");
+        (out, fault_counters(sched.accelerator()))
+    };
+    // (skip_first_softmax, routing_feedback)
+    for (skip, feedback) in [(true, true), (false, true), (true, false)] {
+        let mut ticked = AcceleratorConfig::paper();
+        ticked.dataflow.skip_first_softmax = skip;
+        ticked.dataflow.routing_feedback = feedback;
+        for plan in [FaultPlan::none(), flip_plan(false), flip_plan(true)] {
+            let want = run(ticked, plan);
+            let updated = want.0.traces.iter().flat_map(|t| &t.iterations);
+            let moved = updated
+                .filter_map(|it| it.logits_after_update.as_ref())
+                .any(|l| l.data().iter().any(|&b| b != 0));
+            assert!(moved, "the updates must move some logit");
+            let faulted = plan.has_engine_faults();
+            assert_eq!(want.1[1] > 0, faulted, "flips exactly when faults are on");
+            for simd in [SimdMode::Auto, SimdMode::Scalar] {
+                let mut cfg = ticked;
+                cfg.backend = EngineBackend::Functional;
+                cfg.functional = FunctionalOptions { threads: 1, simd };
+                let got = run(cfg, plan);
+                assert_eq!(
+                    got, want,
+                    "skip {skip}, feedback {feedback}, faults {faulted}, {simd:?}"
+                );
+            }
+        }
+    }
+}
