@@ -68,17 +68,24 @@ done
 # alignment (closed form, GPU model and engine), that the engine without
 # tile pipelining is slower than the paper point under both memories,
 # skip-first-softmax bit-equivalence and that the routing feedback path
-# never adds Data Memory reads; refreshes BENCH_paper.json, diffed
-# below. The other six binaries run below, each with its own note.
+# never adds Data Memory reads; its energy tables price the same runs.
+# Refreshes BENCH_paper.json, diffed below. The other six binaries run
+# below, each with its own note.
 run cargo run --release -q -p capsacc-bench --bin exp_paper
-# Batched-serving smoke run: validates run_batch bit-exactness at the
-# tiny scale and refreshes BENCH_batch.json so the perf trajectory of
-# the batch path is recorded with every CI run.
+# Batched-serving sweep: one engine run_batch per batch size 1..64 at
+# MNIST scale (functional backend, ideal memory; about 0.6 s in release
+# on a 2-vCPU x86-64 VM), each row read off its run. Asserts run_batch
+# bit-exactness against sequential runs at the tiny scale, and
+# refreshes BENCH_batch.json, diffed below.
 run cargo run --release -q -p capsacc-bench --bin exp_batch
-# Memory design-space smoke run: asserts the IdealMemory equivalence
-# (zero ideal stalls; engine ≡ closed-form memory replay on serial
-# tiles, where both walk the same windows) and the prefetch-recovery
-# bound, and refreshes BENCH_mem.json.
+# Memory design-space sweep: one batch-16 engine run per design point,
+# 54 points at MNIST scale (functional backend; about 3 s in release on
+# a 2-vCPU x86-64 VM). Asserts the IdealMemory equivalence at the tiny
+# scale (zero ideal stalls, traces unchanged by finite memory, and the
+# engine's MemReport equal to the closed-form memory replay on serial
+# tiles, where both walk the same windows) and, on the sweep's own
+# paper-point runs, that double buffering recovers at least half of the
+# one-buffer stalls. Refreshes BENCH_mem.json, diffed below.
 run cargo run --release -q -p capsacc-bench --bin exp_memdse
 # Serving smoke run: asserts the ≥3x worker-scaling bound (4 workers vs
 # 1 at fixed max_batch) on BOTH service tables (closed-form model and

@@ -11,11 +11,11 @@
 //! ablation runs also check the Sec. V claims on that digit: the engine
 //! without tile pipelining is slower under both memories, skipping the
 //! first softmax leaves the class capsules and couplings bit-identical,
-//! and the routing feedback path never adds Data Memory reads.
+//! and the routing feedback path never adds Data Memory reads. The
+//! energy tables price the same runs, so they too have an ideal-memory
+//! and a paper-memory column.
 
-use capsacc_bench::{
-    fmt_us, inference_macs, json_str, log_bar, print_table, speedup_label, BenchJson,
-};
+use capsacc_bench::{fmt_us, json_str, log_bar, print_table, run_energy, speedup_label, BenchJson};
 use capsacc_capsnet::{CapsNetConfig, CapsNetParams};
 use capsacc_core::{
     mapping, timing, Accelerator, AcceleratorConfig, BatchRun, EngineBackend, LayerRun,
@@ -24,7 +24,7 @@ use capsacc_core::{
 use capsacc_fixed::{squash_derivative_1d, squash_scalar_1d, SquashLut};
 use capsacc_gpu_model::GpuModel;
 use capsacc_mnist::SyntheticMnist;
-use capsacc_power::{EnergyModel, PowerModel};
+use capsacc_power::{EnergyReport, PowerModel};
 
 /// Prints each table and records its rows for `BENCH_paper.json`.
 struct Paper(BenchJson);
@@ -45,9 +45,15 @@ impl Paper {
     }
 }
 
-/// One engine configuration run at batch 1 under ideal memory and
-/// under the paper's memory hierarchy, in that order.
-type EngineRuns = [BatchRun; 2];
+/// One batch-1 engine run and its energy.
+struct EngineRun {
+    run: BatchRun,
+    energy: EnergyReport,
+}
+
+/// One engine configuration run under ideal memory and under the
+/// paper's memory hierarchy, in that order.
+type EngineRuns = [EngineRun; 2];
 
 fn main() {
     let net = CapsNetConfig::mnist();
@@ -73,9 +79,11 @@ fn main() {
                         memory,
                         ..c
                     };
-                    Accelerator::new(c)
+                    let run = Accelerator::new(c)
                         .run_batch(&net, &qparams, std::slice::from_ref(&image))
-                        .expect("valid image")
+                        .expect("valid image");
+                    let energy = run_energy(&c, &run);
+                    EngineRun { run, energy }
                 })
             })
             .collect()
@@ -90,7 +98,7 @@ fn main() {
     fig18(&mut paper, &cfg);
     mapping_orders(&mut paper, &cfg, &net);
     routing_ablations(&mut paper, &net, &ablations, &engine);
-    energy(&mut paper, &cfg, &net);
+    energy(&mut paper, &ablations, &engine);
 
     if let Err(e) = paper.0.write("BENCH_paper.json") {
         println!("\nWARNING: could not write BENCH_paper.json: {e}");
@@ -327,7 +335,7 @@ fn fig16(paper: &mut Paper, cfg: &AcceleratorConfig, net: &CapsNetConfig, engine
         acc.total_cycles(),
     ];
     let claims = ["6x faster", "46% slower", "12x faster", "6x faster"];
-    let engine_cycles = engine.each_ref().map(|run| {
+    let engine_cycles = engine.each_ref().map(|EngineRun { run, .. }| {
         let layers = run.layers.iter().map(LayerRun::cycles);
         layers.chain([run.total_cycles()]).collect::<Vec<_>>()
     });
@@ -385,7 +393,7 @@ fn fig17(paper: &mut Paper, cfg: &AcceleratorConfig, net: &CapsNetConfig, engine
     let acc_steps = timing::batch_routing_steps(net, 1, cfg);
     let gpu_steps = GpuModel::gtx1070().routing_steps_us(net);
     assert_eq!(acc_steps.len(), gpu_steps.len(), "steps must align");
-    for run in engine {
+    for EngineRun { run, .. } in engine {
         assert_eq!(acc_steps.len(), run.steps.len(), "steps must align");
     }
     let rows = acc_steps
@@ -404,7 +412,7 @@ fn fig17(paper: &mut Paper, cfg: &AcceleratorConfig, net: &CapsNetConfig, engine
                 speedup_label(g.time_us, acc_us),
                 fig17_claim(a.step).to_owned(),
             ];
-            for run in engine {
+            for EngineRun { run, .. } in engine {
                 let (step, cycles) = run.steps[i];
                 assert_eq!(step, a.step, "engine step order mismatch");
                 row.push(cycles.to_string());
@@ -541,7 +549,7 @@ fn routing_ablations(
                 total.to_string(),
                 fmt_us(c.cycles_to_us(total)),
             ];
-            for run in runs {
+            for EngineRun { run, .. } in runs {
                 row.push(run.layers[2].cycles().to_string());
                 row.push(run.total_cycles().to_string());
             }
@@ -559,7 +567,7 @@ fn routing_ablations(
     // Sec. IV-A's tile pipelining, executed: the engine without it is
     // slower under either memory model.
     for (i, memory) in ["ideal", "paper"].into_iter().enumerate() {
-        let [paper_point, serial] = [0, 3].map(|a| engine[a][i].total_cycles());
+        let [paper_point, serial] = [0, 3].map(|a| engine[a][i].run.total_cycles());
         assert!(
             serial > paper_point,
             "the engine without tile pipelining is not slower under {memory} memory \
@@ -573,7 +581,7 @@ fn routing_ablations(
 
     // Both checks hold under either memory model; the ideal-memory runs
     // carry them.
-    let [base, no_skip] = [0, 1].map(|i| &engine[i][0].traces[0].output);
+    let [base, no_skip] = [0, 1].map(|i| &engine[i][0].run.traces[0].output);
     assert!(
         base.class_caps == no_skip.class_caps && base.couplings == no_skip.couplings,
         "skip-first-softmax changed the fixed-point class capsules or couplings"
@@ -583,7 +591,7 @@ fn routing_ablations(
          PASS — identical class capsules and couplings"
     );
     let [dm_on, dm_off] = [0, 2].map(|i| {
-        let traffic = &engine[i][0].traffic;
+        let traffic = &engine[i][0].run.traffic;
         traffic.counter(MemoryKind::DataMemory).read_bytes
     });
     assert!(
@@ -599,59 +607,63 @@ fn routing_ablations(
 }
 
 /// Energy per inference at the paper's design point (a derived
-/// metric): its decomposition, the average power it implies against
-/// Table II, and what the data reuse saves.
-fn energy(paper: &mut Paper, cfg: &AcceleratorConfig, net: &CapsNetConfig) {
-    let model = EnergyModel::cmos_32nm();
-    let estimate = |c: &AcceleratorConfig| {
-        let t = timing::full_inference_batch(c, net, 1);
-        let traffic = timing::batch_traffic_estimate(c, net, 1);
-        let latency_us = t.time_per_image_us(c);
-        let report = model.inference_energy(c, inference_macs(net), &traffic, latency_us);
-        (report, latency_us)
-    };
-
-    let (report, _) = estimate(cfg);
-    let rows = report
+/// metric), priced from the engine runs above under each memory model:
+/// its decomposition, the on-chip power it implies against Table II,
+/// and what the data reuse saves.
+fn energy(paper: &mut Paper, ablations: &[(&str, AcceleratorConfig)], engine: &[EngineRuns]) {
+    let [ideal, finite] = [&engine[0][0].energy, &engine[0][1].energy];
+    let uj = |uj: f64| format!("{uj:.1} µJ");
+    let share = |frac: f64| format!("{:.0}%", frac * 100.0);
+    let rows = ideal
         .components
         .iter()
-        .zip(report.breakdown())
-        .map(|(c, (_, frac))| {
+        .zip(ideal.breakdown())
+        .zip(finite.components.iter().zip(finite.breakdown()))
+        .map(|((c, (_, frac)), (f, (_, f_frac)))| {
+            assert_eq!(c.name, f.name, "component order");
             vec![
                 c.name.to_owned(),
-                format!("{:.1} µJ", c.energy_uj),
-                format!("{:.0}%", frac * 100.0),
+                uj(c.energy_uj),
+                share(frac),
+                uj(f.energy_uj),
+                share(f_frac),
             ]
         })
         .collect();
     paper.table(
         "energy",
         "Energy per MNIST inference (16×16 @ 250 MHz)",
-        "Component|Energy|Share",
+        "Component|Energy|Share|Energy (paper mem)|Share (paper mem)",
         rows,
     );
     println!(
-        "\nTotal: {:.1} µJ over {:.2} ms → implied average power {:.0} mW\n\
-         (Table II reports 202 mW — the models reconcile within calibration\n\
-         tolerance).",
-        report.total_uj(),
-        report.latency_us / 1000.0,
-        report.average_power_mw()
+        "\nTotal: {} over {:.2} ms (ideal memory), {} over {:.2} ms (paper memory).\n\
+         On chip (every component but DRAM), ideal memory: {} → {:.1} mW average\n\
+         power, against Table II's 202 mW, the chip's own power. The weights\n\
+         sit in DRAM behind the Weight SPM under both memory models.",
+        uj(ideal.total_uj()),
+        ideal.latency_us / 1000.0,
+        uj(finite.total_uj()),
+        finite.latency_us / 1000.0,
+        uj(ideal.onchip_uj()),
+        ideal.onchip_power_mw()
     );
 
-    let [paper_point, _, no_feedback, _, no_weight_reuse] = ablation_configs(*cfg);
-    let rows = [paper_point, no_feedback, no_weight_reuse].map(|(name, c)| {
-        let (e, latency_us) = estimate(&c);
+    let ms = |e: &EnergyReport| format!("{:.2} ms", e.latency_us / 1000.0);
+    let rows = [0, 2, 4].map(|i| {
+        let [ideal, finite] = [&engine[i][0].energy, &engine[i][1].energy];
         vec![
-            name.to_owned(),
-            format!("{:.1} µJ", e.total_uj()),
-            format!("{:.2} ms", latency_us / 1000.0),
+            ablations[i].0.to_owned(),
+            uj(ideal.total_uj()),
+            ms(ideal),
+            uj(finite.total_uj()),
+            ms(finite),
         ]
     });
     paper.table(
         "energy_ablations",
         "Energy ablations — what the data reuse saves",
-        "Configuration|Energy/inference|Latency",
+        "Configuration|Energy/inference|Latency|Energy/inference (paper mem)|Latency (paper mem)",
         rows.to_vec(),
     );
 }

@@ -7,7 +7,8 @@
 //!
 //! This library holds the shared harness utilities: fixed-width table
 //! printing, time formatting, the speedup labelling used by the
-//! Fig. 16/17 comparisons, and the [`BenchJson`] renderer behind every
+//! Fig. 16/17 comparisons, the energy of one engine run
+//! ([`run_energy`]), and the [`BenchJson`] renderer behind every
 //! committed BENCH_*.json artifact.
 
 #![forbid(unsafe_code)]
@@ -15,28 +16,40 @@
 
 mod json;
 
-use capsacc_tensor::u64_from;
+use capsacc_core::{AcceleratorConfig, BatchRun};
+use capsacc_power::{EnergyModel, EnergyReport};
 
 pub use json::{json_row, json_str, BenchJson};
 
-/// MAC operations of one full inference: the two convolutions, the
-/// ClassCaps FC, and the routing Sum/Update sweeps (`Σ c·û` per
-/// iteration, `û·v` per non-final iteration). Shared by the
-/// energy-reporting experiment binaries so their accounting cannot
-/// drift apart.
+/// Energy of one engine run executed under `cfg`, priced by
+/// [`EnergyModel::inference_energy_mem`] from the run's own counters:
+/// the MACs its traces' `MacStats` count, its traffic, its memory
+/// report and its cycles. Every energy figure of the experiment
+/// binaries comes through here, so none can price an estimate instead.
 ///
 /// # Example
 ///
 /// ```
-/// use capsacc_capsnet::CapsNetConfig;
-/// let macs = capsacc_bench::inference_macs(&CapsNetConfig::mnist());
-/// assert!(macs > 100_000_000);
+/// use capsacc_capsnet::{CapsNetConfig, CapsNetParams};
+/// use capsacc_core::{Accelerator, AcceleratorConfig};
+/// let net = CapsNetConfig::tiny();
+/// let cfg = AcceleratorConfig::test_4x4();
+/// let qparams = CapsNetParams::generate(&net, 0).quantize(cfg.numeric);
+/// let run = Accelerator::new(cfg)
+///     .run_batch(&net, &qparams, &[net.test_image(0)])
+///     .expect("valid image");
+/// let energy = capsacc_bench::run_energy(&cfg, &run);
+/// assert!(energy.onchip_uj() > 0.0 && energy.total_uj() > energy.onchip_uj());
 /// ```
-pub fn inference_macs(net: &capsacc_capsnet::CapsNetConfig) -> u64 {
-    let routing = u64_from(net.num_primary_caps() * net.num_classes * net.class_caps_dim);
-    net.conv1_geometry().macs()
-        + net.primary_caps_geometry().macs()
-        + routing * (u64_from(net.pc_caps_dim) + 2 * u64_from(net.routing_iterations) - 1)
+pub fn run_energy(cfg: &AcceleratorConfig, run: &BatchRun) -> EnergyReport {
+    let macs = run.traces.iter().map(|t| t.output.stats.macs).sum();
+    EnergyModel::cmos_32nm().inference_energy_mem(
+        cfg,
+        macs,
+        &run.traffic,
+        &run.memory,
+        run.total_cycles(),
+    )
 }
 
 /// Prints a fixed-width ASCII table with a title line.

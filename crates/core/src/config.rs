@@ -159,9 +159,11 @@ pub struct AcceleratorConfig {
     pub cols: usize,
     /// Clock frequency in MHz (Table II: 250).
     pub clock_mhz: u64,
-    /// Weight Memory → Weight Buffer bandwidth in bytes per cycle.
-    /// Layers whose weight footprint exceeds the Weight Buffer stream at
-    /// this rate, which is what makes PrimaryCaps memory-bound.
+    /// Weight stream bandwidth into the Weight Buffer in bytes per cycle.
+    /// In the closed form, layers whose weight footprint exceeds the
+    /// Weight Buffer stream at this rate, which is what makes PrimaryCaps
+    /// memory-bound. The engine fetches the weights from DRAM through the
+    /// Weight SPM instead (`MemoryConfig`).
     pub weight_mem_bw: u64,
     /// Data Memory → Data Buffer bandwidth in bytes per cycle.
     pub data_mem_bw: u64,

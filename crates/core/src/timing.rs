@@ -44,10 +44,12 @@
 //! how these gaps close.
 //!
 //! Layers whose weight footprint exceeds the Weight Buffer stream
-//! weights from the on-chip Weight Memory at `weight_mem_bw` bytes per
-//! cycle; the layer time is the max of compute and that stream (this is
-//! what makes PrimaryCaps — 5.3 MB of weights for only 36 output pixels —
-//! the one layer where the GPU keeps an edge, Fig. 16).
+//! weights at `weight_mem_bw` bytes per cycle; the layer time is the max
+//! of compute and that stream (this is what makes PrimaryCaps — 5.3 MB
+//! of weights for only 36 output pixels — the one layer where the GPU
+//! keeps an edge, Fig. 16). The weights themselves sit in DRAM behind
+//! the Weight SPM, as in the engine: the memory replay below counts
+//! their fetches as off-chip bytes.
 //!
 //! # Example
 //!
@@ -175,7 +177,7 @@ pub struct LayerTiming {
     pub name: &'static str,
     /// Systolic-array compute cycles.
     pub compute_cycles: u64,
-    /// Weight-streaming cycles (on-chip Weight Memory → array).
+    /// Weight-streaming cycles (the layer's weights at `weight_mem_bw`).
     pub weight_stream_cycles: u64,
     /// Activation-unit cycles appended after the array.
     pub activation_cycles: u64,
@@ -183,8 +185,6 @@ pub struct LayerTiming {
     pub cycles: u64,
     /// MAC operations.
     pub macs: u64,
-    /// Weight bytes read.
-    pub weight_bytes: u64,
 }
 
 impl LayerTiming {
@@ -204,7 +204,6 @@ impl LayerTiming {
             activation_cycles: activation,
             cycles: compute.max(weight_stream_cycles) + activation,
             macs,
-            weight_bytes,
         }
     }
 
@@ -412,7 +411,7 @@ pub fn batch_routing_steps(
     // FC: û_{j|i} = W_ij · u_i. The capsules' matmuls issue back to
     // back as one run of all their tiles (a pipeline crosses capsule
     // boundaries); the step takes the longer of that run and the W_ij
-    // stream from the Weight Memory.
+    // stream at `weight_mem_bw`.
     let fc_tiles = checked_product(
         "ClassCaps FC tiles",
         &[caps, u64_from(fc.k_tiles()), u64_from(fc.n_tiles())],
@@ -490,9 +489,6 @@ pub struct BatchInferenceTiming {
     pub primary_caps: LayerTiming,
     /// ClassCaps step-by-step timing for the whole batch.
     pub class_caps_steps: Vec<RoutingStepTiming>,
-    /// ClassCaps FC weight bytes for the whole batch (not part of a
-    /// [`LayerTiming`], tracked here for the per-image accounting).
-    pub fc_weight_bytes: u64,
 }
 
 impl BatchInferenceTiming {
@@ -514,12 +510,6 @@ impl BatchInferenceTiming {
     /// Amortized wall-clock time per image in microseconds.
     pub fn time_per_image_us(&self, cfg: &AcceleratorConfig) -> f64 {
         cfg.cycles_to_us(self.total_cycles()) / self.batch as f64
-    }
-
-    /// Amortized weight bytes read per image (conv layers + FC).
-    pub fn weight_bytes_per_image(&self) -> f64 {
-        (self.conv1.weight_bytes + self.primary_caps.weight_bytes + self.fc_weight_bytes) as f64
-            / self.batch as f64
     }
 }
 
@@ -574,136 +564,7 @@ pub fn full_inference_batch(
             cfg,
         ),
         class_caps_steps: batch_routing_steps(net, batch, cfg),
-        fc_weight_bytes: fc_weight_bytes(net, batch, cfg),
     }
-}
-
-/// Analytical estimate of the memory/buffer traffic of a layer-major
-/// batched pass — the closed-form counterpart of the engine's counters,
-/// usable at MNIST scale where the cycle-accurate engine is slow.
-///
-/// Accounting: weight reads once per (K, N) tile visit per *batch* (the
-/// residency amortization; per data row of every image without reuse);
-/// data-buffer reads once per tile's data stream; the û working set
-/// staged once per image (plus re-reads when the feedback path is
-/// disabled); routing-buffer traffic for couplings, logits and class
-/// capsules per iteration. Everything keyed to per-image state scales
-/// linearly with the batch. Off-chip bytes are the memory replay's
-/// ([`full_inference_batch_mem`]'s `report.offchip_bytes()`).
-///
-/// # Panics
-///
-/// Panics if `batch` is zero or `cfg` fails
-/// [`AcceleratorConfig::validate`].
-pub fn batch_traffic_estimate(
-    cfg: &AcceleratorConfig,
-    net: &CapsNetConfig,
-    batch: u64,
-) -> crate::TrafficReport {
-    use crate::{MemoryKind, TrafficReport};
-    assert!(batch > 0, "batch must be non-zero");
-    let mut t = TrafficReport::default();
-    let (r, c) = (u64_from(cfg.rows), u64_from(cfg.cols));
-    let product = checked_product;
-
-    let conv = |t: &mut TrafficReport, g: &ConvGeometry| {
-        let shape = conv_shape(g);
-        let wbytes = conv_weight_bytes(g, batch, cfg);
-        t.read(MemoryKind::WeightMemory, wbytes);
-        t.read(MemoryKind::WeightBuffer, wbytes);
-        // Every N-tile re-streams all data rows over each K-slice, for
-        // every image.
-        let nn = u64_from(geometry(shape, batch, cfg, true).n_tiles());
-        t.read(
-            MemoryKind::DataBuffer,
-            product("conv data stream", &[batch, nn, shape.m, shape.k]),
-        );
-        t.read(
-            MemoryKind::DataMemory,
-            product("conv inputs", &[batch, u64_from(g.input_len())]),
-        );
-        t.write(
-            MemoryKind::DataMemory,
-            product("conv outputs", &[batch, u64_from(g.output_len())]),
-        );
-    };
-    conv(&mut t, &net.conv1_geometry());
-    conv(&mut t, &net.primary_caps_geometry());
-
-    let caps = u64_from(net.num_primary_caps());
-    let classes = u64_from(net.num_classes);
-    let in_dim = u64_from(net.pc_caps_dim);
-    let out_dim = u64_from(net.class_caps_dim);
-    let u_hat_bytes = product("û working set", &[caps, classes, out_dim]);
-    let coupling_bytes = product("coupling set", &[caps, classes]);
-    let [fc, sum, _] = class_caps_geometries(net, batch, cfg);
-
-    // FC: each W_ij read once per batch (its block stays resident while
-    // every image streams); capsule inputs streamed per N-tile per image.
-    let fc_weights = fc_weight_bytes(net, batch, cfg);
-    t.read(MemoryKind::WeightMemory, fc_weights);
-    t.read(MemoryKind::WeightBuffer, fc_weights);
-    t.read(
-        MemoryKind::DataBuffer,
-        product(
-            "FC capsule stream",
-            &[batch, caps, u64_from(fc.n_tiles()), in_dim],
-        ),
-    );
-    t.write(
-        MemoryKind::DataMemory,
-        product("û writeback", &[batch, u_hat_bytes]),
-    );
-    // û staged into the Data Buffer once per image (the Load step).
-    t.read(
-        MemoryKind::DataMemory,
-        product("û staging", &[batch, u_hat_bytes]),
-    );
-    t.write(
-        MemoryKind::DataBuffer,
-        product("û staging", &[batch, u_hat_bytes]),
-    );
-
-    let iters = u64_from(net.routing_iterations);
-    // Sums: û tiles read from the Data Buffer each iteration; couplings
-    // read per iteration. Ceil the capsule chunking like the mapping.
-    // All routing state is per-image, so the batch scales it linearly.
-    let sum_tile_reads = product(
-        "routing Sum tile reads",
-        &[classes, u64_from(sum.k_tiles()), r, out_dim.min(c)],
-    );
-    t.read(
-        MemoryKind::DataBuffer,
-        product("routing Sum stream", &[batch, sum_tile_reads, iters]),
-    );
-    t.read(
-        MemoryKind::RoutingBuffer,
-        product("coupling reads", &[batch, coupling_bytes, iters]),
-    );
-    t.write(
-        MemoryKind::RoutingBuffer,
-        product("capsule writes", &[batch, classes, out_dim, iters]),
-    );
-    // Updates: v read, logits updated, couplings rewritten.
-    t.read(
-        MemoryKind::RoutingBuffer,
-        product("update v reads", &[batch, classes, out_dim, iters - 1]),
-    );
-    t.write(
-        MemoryKind::RoutingBuffer,
-        product(
-            "update logit writes",
-            &[batch, 2, coupling_bytes, iters - 1],
-        ),
-    );
-    if !cfg.dataflow.routing_feedback {
-        // Re-read û from Data Memory for every later sum and update.
-        t.read(
-            MemoryKind::DataMemory,
-            product("û re-reads", &[batch, u_hat_bytes, 2 * (iters - 1)]),
-        );
-    }
-    t
 }
 
 // ---------------------------------------------------------------------
@@ -1036,34 +897,6 @@ mod tests {
     }
 
     #[test]
-    fn traffic_estimate_has_paper_scale_footprints() {
-        let t = batch_traffic_estimate(&cfg(), &CapsNetConfig::mnist(), 1);
-        use crate::MemoryKind;
-        // All trainable weights read exactly once (full reuse).
-        assert_eq!(t.counter(MemoryKind::WeightMemory).read_bytes, 6_804_224);
-        // Feedback reuse: Data Memory reads = inputs + û staging only.
-        let dm = t.counter(MemoryKind::DataMemory).read_bytes;
-        let mut no_fb = cfg();
-        no_fb.dataflow.routing_feedback = false;
-        let t2 = batch_traffic_estimate(&no_fb, &CapsNetConfig::mnist(), 1);
-        let dm2 = t2.counter(MemoryKind::DataMemory).read_bytes;
-        assert_eq!(dm2 - dm, 4 * 184_320);
-    }
-
-    #[test]
-    fn traffic_estimate_no_reuse_multiplies_weight_reads() {
-        let mut c = cfg();
-        c.dataflow.weight_reuse = false;
-        let with = batch_traffic_estimate(&cfg(), &CapsNetConfig::mnist(), 1);
-        let without = batch_traffic_estimate(&c, &CapsNetConfig::mnist(), 1);
-        use crate::MemoryKind;
-        assert!(
-            without.counter(MemoryKind::WeightMemory).read_bytes
-                > 10 * with.counter(MemoryKind::WeightMemory).read_bytes
-        );
-    }
-
-    #[test]
     fn batched_matmul_amortizes_tile_loads() {
         let c = cfg();
         let shape = MatmulShape {
@@ -1118,7 +951,6 @@ mod tests {
         let b1 = full_inference_batch(&c, &net, 1).primary_caps;
         let b16 = full_inference_batch(&c, &net, 16).primary_caps;
         assert_eq!(b16.weight_stream_cycles, b1.weight_stream_cycles);
-        assert_eq!(b16.weight_bytes, b1.weight_bytes);
         assert!(b16.compute_cycles > 10 * b16.weight_stream_cycles);
         assert!((b16.cycles as f64 / 16.0) < b1.cycles as f64);
     }
@@ -1150,31 +982,6 @@ mod tests {
             .map(|s| s.cycles)
             .sum();
         assert_eq!(sum16, 16 * sum1);
-    }
-
-    #[test]
-    fn batch_traffic_amortizes_weight_memory_only() {
-        let c = cfg();
-        let net = CapsNetConfig::mnist();
-        use crate::MemoryKind;
-        let b1 = batch_traffic_estimate(&c, &net, 1);
-        let b16 = batch_traffic_estimate(&c, &net, 16);
-        // All trainable weights still read exactly once for the batch.
-        assert_eq!(
-            b16.counter(MemoryKind::WeightMemory).read_bytes,
-            b1.counter(MemoryKind::WeightMemory).read_bytes
-        );
-        // Data-side traffic scales with the batch.
-        assert_eq!(
-            b16.counter(MemoryKind::DataMemory).read_bytes,
-            16 * b1.counter(MemoryKind::DataMemory).read_bytes
-        );
-        assert_eq!(
-            b16.counter(MemoryKind::RoutingBuffer).total(),
-            16 * b1.counter(MemoryKind::RoutingBuffer).total()
-        );
-        // Per-image totals therefore fall.
-        assert!(b16.total_bytes_per_image(16) < b1.total_bytes_per_image(1));
     }
 
     #[test]

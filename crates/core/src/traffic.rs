@@ -3,31 +3,32 @@
 //! The paper's data-reuse claims are memory-traffic claims ("avoids
 //! extensive load and store operations on the on-chip memory, by reusing
 //! the data when possible") — these counters make them measurable and
-//! ablatable. They count the on-chip structures; the off-chip channel's
-//! bytes are the memory hierarchy's (`MemReport::offchip_bytes`).
+//! ablatable. They count the four on-chip structures the engine moves
+//! bytes through. The weights have no on-chip home here: they sit in
+//! DRAM behind the Weight SPM, under either memory mode, so their
+//! fetches are the memory hierarchy's off-chip bytes
+//! (`MemReport::dram_weight_bytes`), and the Weight Buffer counts what
+//! the array reads from that SPM.
 
 use std::fmt;
 
-/// The storage structures of Fig. 10.
+/// The on-chip storage structures of Fig. 10 that the engine counts.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum MemoryKind {
     /// On-chip Data Memory.
     DataMemory,
-    /// On-chip Weight Memory.
-    WeightMemory,
     /// Data Buffer between Data Memory and the array.
     DataBuffer,
     /// Routing Buffer holding `c_ij`, `b_ij` and `v_j` during routing.
     RoutingBuffer,
-    /// Weight Buffer between Weight Memory and the array.
+    /// Weight Buffer between the Weight SPM and the array.
     WeightBuffer,
 }
 
 impl MemoryKind {
     /// All kinds, in display order.
-    pub const ALL: [MemoryKind; 5] = [
+    pub const ALL: [MemoryKind; 4] = [
         MemoryKind::DataMemory,
-        MemoryKind::WeightMemory,
         MemoryKind::DataBuffer,
         MemoryKind::RoutingBuffer,
         MemoryKind::WeightBuffer,
@@ -38,7 +39,6 @@ impl fmt::Display for MemoryKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             MemoryKind::DataMemory => "Data Memory",
-            MemoryKind::WeightMemory => "Weight Memory",
             MemoryKind::DataBuffer => "Data Buffer",
             MemoryKind::RoutingBuffer => "Routing Buffer",
             MemoryKind::WeightBuffer => "Weight Buffer",
@@ -63,7 +63,7 @@ impl TrafficCounter {
     }
 }
 
-/// Traffic counters for the five on-chip storage structures.
+/// Traffic counters for the four on-chip storage structures.
 ///
 /// # Example
 ///
@@ -77,7 +77,7 @@ impl TrafficCounter {
 /// ```
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct TrafficReport {
-    counters: [TrafficCounter; 5],
+    counters: [TrafficCounter; 4],
 }
 
 impl TrafficReport {
@@ -143,32 +143,6 @@ impl TrafficReport {
             a.write_bytes += b.write_bytes;
         }
     }
-
-    /// Amortized bytes (read + write) per image for one storage
-    /// structure, for a report that covers a batch of `batch` images.
-    ///
-    /// This is the metric the batched schedule improves: weight-side
-    /// counters shrink per image as the batch grows, data-side counters
-    /// stay flat.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    pub fn bytes_per_image(&self, kind: MemoryKind, batch: u64) -> f64 {
-        assert!(batch > 0, "batch must be non-zero");
-        self.counter(kind).total() as f64 / batch as f64
-    }
-
-    /// Amortized total bytes per image across all structures for a
-    /// report covering `batch` images.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    pub fn total_bytes_per_image(&self, batch: u64) -> f64 {
-        assert!(batch > 0, "batch must be non-zero");
-        self.total_bytes() as f64 / batch as f64
-    }
 }
 
 #[cfg(test)]
@@ -179,10 +153,10 @@ mod tests {
     fn counters_are_independent() {
         let mut t = TrafficReport::default();
         t.read(MemoryKind::DataMemory, 10);
-        t.read(MemoryKind::WeightMemory, 20);
+        t.read(MemoryKind::WeightBuffer, 20);
         t.write(MemoryKind::DataBuffer, 5);
         assert_eq!(t.counter(MemoryKind::DataMemory).read_bytes, 10);
-        assert_eq!(t.counter(MemoryKind::WeightMemory).read_bytes, 20);
+        assert_eq!(t.counter(MemoryKind::WeightBuffer).read_bytes, 20);
         assert_eq!(t.counter(MemoryKind::DataBuffer).write_bytes, 5);
         assert_eq!(t.counter(MemoryKind::RoutingBuffer).total(), 0);
     }
@@ -203,6 +177,6 @@ mod tests {
     #[test]
     fn display_names() {
         assert_eq!(MemoryKind::DataBuffer.to_string(), "Data Buffer");
-        assert_eq!(MemoryKind::ALL.len(), 5);
+        assert_eq!(MemoryKind::ALL.len(), 4);
     }
 }

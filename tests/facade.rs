@@ -57,8 +57,6 @@ fn reexport_paths_resolve_and_interoperate() {
     let batched =
         timing::full_inference_batch(&AcceleratorConfig::paper(), &CapsNetConfig::mnist(), 16);
     assert!(batched.cycles_per_image() < report.total_cycles() as f64);
-    let _ =
-        timing::batch_traffic_estimate(&AcceleratorConfig::paper(), &CapsNetConfig::mnist(), 16);
 
     // memory ← (standalone), and core ← memory
     assert_eq!(MemoryConfig::ideal().mode, MemoryMode::Ideal);

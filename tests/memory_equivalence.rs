@@ -143,7 +143,7 @@ fn engine_memory_report_matches_closed_form_replay_exactly() {
 }
 
 #[test]
-fn engine_dram_traffic_matches_traffic_estimate() {
+fn engine_dram_traffic_matches_closed_form_replay() {
     // Off-chip bytes agree between the engine and the closed-form
     // memory replay on the default (pipelined) dataflow: weights once
     // per batch, inputs once per image.
