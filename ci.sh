@@ -56,16 +56,16 @@ for workload in mnist-b16 mnist-b1 pool-b4 serve-faults; do
     smoke "$workload" 0
 done
 # Traced runs take the per-layer ledger path (the simulated ledger, the
-# closed-form timing gaps and the host ledger), which reads `LayerRun`,
+# timing gaps against a dry run and the host ledger), which reads `LayerRun`,
 # the routing steps and the engine's span tree. mnist-b16 runs the
 # batched layers and the staged routing under the recorder.
 for workload in mnist-b16 mnist-b1 pool-b4; do
     smoke "$workload" 1
 done
-# The paper's tables and figures end to end: closed forms, the GPU and
-# power models, and ten batch-1 engine runs of one MNIST digit on the
-# functional backend (under a second in all). Asserts Fig. 17's step
-# alignment (closed form, GPU model and engine), that the engine without
+# The paper's tables and figures end to end: the GPU and power models,
+# and ten batch-1 engine runs of one MNIST digit on the functional
+# backend (under a second in all). Asserts Fig. 17's step alignment (GPU
+# model and engine, under both memories), that the engine without
 # tile pipelining is slower than the paper point under both memories,
 # skip-first-softmax bit-equivalence and that the routing feedback path
 # never adds Data Memory reads; its energy tables price the same runs.
@@ -78,28 +78,28 @@ run cargo run --release -q -p capsacc-bench --bin exp_paper
 # bit-exactness against sequential runs at the tiny scale, and
 # refreshes BENCH_batch.json, diffed below.
 run cargo run --release -q -p capsacc-bench --bin exp_batch
-# Memory design-space sweep: one batch-16 engine run per design point,
-# 54 points at MNIST scale (functional backend; about 3 s in release on
-# a 2-vCPU x86-64 VM). Asserts the IdealMemory equivalence at the tiny
-# scale (zero ideal stalls, traces unchanged by finite memory, and the
-# engine's MemReport equal to the closed-form memory replay on serial
-# tiles, where both walk the same windows) and, on the sweep's own
-# paper-point runs, that double buffering recovers at least half of the
-# one-buffer stalls. Refreshes BENCH_mem.json, diffed below.
+# Memory design-space sweep: one executed batch of 16 MNIST digits
+# (functional backend, paper memory), then a dry run of the batch per
+# design point, 54 points (about 0.2 s in release on a 2-vCPU x86-64
+# VM). Asserts that the executed batch equals its dry run and that the
+# dry run stalls nothing under ideal memory, that the sweep's paper-point
+# row is MemoryConfig::paper() (perfbench mnist-b16's cycles and energy
+# per image), and that double buffering recovers at least half of the
+# one-buffer stalls there. Refreshes BENCH_mem.json, diffed below.
 run cargo run --release -q -p capsacc-bench --bin exp_memdse
-# Serving smoke run: asserts the ≥3x worker-scaling bound (4 workers vs
-# 1 at fixed max_batch) on BOTH service tables (closed-form model and
-# the engine table measured from parallel+SIMD functional BatchRuns at
-# MNIST scale), the offline anchor (online runtime ≡ offline pipeline
+# Serving smoke run, on the engine's service table (one dry run per
+# batch size at MNIST scale): asserts monotonicity + batch amortization
+# of the table, the ≥3x worker-scaling bound (4 workers vs 1 at fixed
+# max_batch), the offline anchor (online runtime ≡ offline pipeline
 # with overload features disabled), the overload invariants (flash
-# crowd sheds on the bounded queue — closed-form and engine-table —
-# and the post-spike served fraction recovers to ≥95% of the pre-spike
-# level), monotonicity + batch amortization of the engine service
-# table, byte-identical determinism of every sweep (event digests
-# included), and shard-pool trace bit-exactness at the tiny scale;
-# refreshes BENCH_serve.json — saturating + overload sweeps on both
-# tables, engine_service_cycles, million-request diurnal scale point —
-# so the serving-perf trajectory is recorded.
+# crowd sheds on the bounded queue, and the post-spike served fraction
+# recovers to ≥95% of the pre-spike level), byte-identical determinism
+# of every sweep, the table included (event digests included), and
+# shard-pool trace bit-exactness at the tiny scale, where every served
+# batch costs its table entry; refreshes BENCH_serve.json — the table
+# (engine_service_cycles), the saturating + overload sweeps and the
+# million-request diurnal scale point — so the serving-perf trajectory
+# is recorded.
 run cargo run --release -q -p capsacc-bench --bin exp_serve
 # Fault-tolerance smoke run: asserts conservation under faults (no run
 # loses a request while batches crash and requeue), the recovery

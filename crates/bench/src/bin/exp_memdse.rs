@@ -1,40 +1,50 @@
-//! Memory design-space exploration: sweep SPM bank counts × Weight-SPM
-//! sizes × prefetch depth × sector power gating over the paper's 16×16
-//! MNIST config. Each design point runs one batch-16 engine batch
-//! (functional backend, `SyntheticMnist::new(1)` digits, `CapsNetParams`
-//! seed 1), and its stall, cycle and energy columns read that run. The
-//! energy is priced from the run's own counters
-//! (`capsacc_bench::run_energy`), so each weight byte counts once, as a
-//! DRAM fetch into the Weight SPM.
+//! Memory design-space exploration: sweep Data-SPM bank counts ×
+//! Weight-SPM sizes × prefetch depth × sector power gating around
+//! `MemoryConfig::paper()` (the Weight SPM keeps its 4 banks) over the
+//! paper's 16×16 MNIST config at batch 16. The batch of `SyntheticMnist::new(1)`
+//! digits (`CapsNetParams` seed 1) runs once, on the functional backend
+//! under `MemoryConfig::paper()`, for its outputs and MAC count. Each
+//! design point is then a dry run of the batch
+//! ([`Accelerator::price_batch`]), which reads no operand: its stall and
+//! cycle columns read the dry run, and its energy prices the dry run's
+//! counters with the executed batch's MACs
+//! ([`EnergyModel::inference_energy_mem`]), so each weight byte counts
+//! once, as a DRAM fetch into the Weight SPM.
 //!
 //! Two invariants are asserted on every run (this is the CI smoke
 //! test for the memory subsystem):
 //!
-//! 1. **IdealMemory equivalence** — at the tiny test scale, the
-//!    cycle-accurate engine under `MemoryConfig::ideal()` reports zero
-//!    stalls (so all pre-hierarchy cycle counts are intact), and under
-//!    the finite paper memory its `MemReport` equals the closed-form
-//!    replay *exactly*, with the trace still bit-identical to ideal.
-//! 2. **Prefetch recovery** — at the paper point of the sweep (8 banks,
-//!    24 KiB Weight SPM, gating on), the double-buffered run recovers at
-//!    least half of the naive (one-buffer) run's stall cycles.
+//! 1. **The dry run is the engine** — the executed batch reports
+//!    exactly the layers, steps, traffic and memory counters of its dry
+//!    run, and under `MemoryConfig::ideal()` the dry run stalls no
+//!    cycle.
+//! 2. **Prefetch recovery** — at the paper point of the sweep (8 Data-SPM
+//!    banks, 24 KiB Weight SPM, gating on), the double-buffered run
+//!    recovers at least half of the naive (one-buffer) run's stall
+//!    cycles.
+//!
+//! The sweep's paper point with two prefetch buffers is
+//! `MemoryConfig::paper()` itself: the binary asserts that its row reads
+//! the executed batch's cycles and energy per image, perfbench
+//! `mnist-b16`'s `sim_*` figures.
 //!
 //! Emits `BENCH_mem.json` into the current directory so CI records the
 //! memory-hierarchy perf trajectory (see `ci.sh`).
 
 use capsacc_bench::{json_row, print_table, run_energy, BenchJson};
-use capsacc_capsnet::{CapsNetConfig, CapsNetParams, QuantizedParams};
+use capsacc_capsnet::{CapsNetConfig, CapsNetParams};
 use capsacc_core::{
-    timing, Accelerator, AcceleratorConfig, BatchScheduler, EngineBackend, MemoryConfig, SpmConfig,
+    Accelerator, AcceleratorConfig, BatchRun, EngineBackend, MemoryConfig, SpmConfig,
 };
 use capsacc_mnist::SyntheticMnist;
+use capsacc_power::EnergyModel;
 use capsacc_tensor::{u64_from, Tensor};
 
-const BATCH: u64 = 16;
+const BATCH: usize = 16;
 
 /// One swept design point.
 struct Point {
-    banks: u64,
+    data_banks: u64,
     weight_spm_kib: usize,
     prefetch_buffers: usize,
     power_gating: bool,
@@ -51,10 +61,8 @@ struct Row {
 
 fn config_for(point: &Point) -> AcceleratorConfig {
     let mut cfg = AcceleratorConfig::paper();
-    cfg.backend = EngineBackend::Functional;
     let mut mem = MemoryConfig::paper();
-    mem.data_spm.banks = point.banks;
-    mem.weight_spm.banks = point.banks;
+    mem.data_spm.banks = point.data_banks;
     mem.weight_spm.bytes = point.weight_spm_kib * 1024;
     mem.prefetch_buffers = point.prefetch_buffers;
     mem.power_gating = point.power_gating;
@@ -62,79 +70,70 @@ fn config_for(point: &Point) -> AcceleratorConfig {
     cfg
 }
 
-/// Runs the batch of `images` at one design point and reads its row
-/// off the run.
-fn measure(
-    net: &CapsNetConfig,
-    qparams: &QuantizedParams,
-    images: &[Tensor<f32>],
-    point: Point,
-) -> Row {
+/// Prices the batch at one design point with a dry run and reads its
+/// row off it. A dry run has no traces, so `macs` is the executed
+/// batch's: the MAC count depends on the network alone.
+fn measure(net: &CapsNetConfig, macs: u64, point: Point) -> Row {
     let cfg = config_for(&point);
     let run = Accelerator::new(cfg)
-        .run_batch(net, qparams, images)
-        .expect("valid batch");
+        .price_batch(net, BATCH)
+        .expect("non-empty batch");
+    let energy = EnergyModel::cmos_32nm().inference_energy_mem(
+        &cfg,
+        macs,
+        &run.traffic,
+        &run.memory,
+        run.total_cycles(),
+    );
     Row {
         point,
         stall_cycles: run.memory.stall_cycles,
         stall_pct: run.memory.stall_cycles as f64 / run.total_cycles() as f64 * 100.0,
         cycles_per_image: run.cycles_per_image(),
-        energy_uj_per_image: run_energy(&cfg, &run).per_inference_uj(BATCH),
+        energy_uj_per_image: energy.per_inference_uj(u64_from(BATCH)),
     }
 }
 
-/// Invariant 1: ideal-memory equivalence and engine ≡ closed-form on the
-/// tiny scale.
-fn assert_ideal_equivalence() {
-    let net = CapsNetConfig::tiny();
-    let mut ideal_cfg = AcceleratorConfig::test_4x4();
-    // Engine ≡ model exactness holds on serial-tile schedules: with
-    // pipelining the engine runs each call's matmuls as one run of
-    // tiles, where the closed form runs one per N-tile.
-    ideal_cfg.dataflow.pipelined_tiles = false;
-    let mut finite_cfg = ideal_cfg;
-    finite_cfg.memory = MemoryConfig::paper();
-    let qparams = CapsNetParams::generate(&net, 0).quantize(ideal_cfg.numeric);
-    let images: Vec<Tensor<f32>> = (0..4).map(|s| net.test_image(s)).collect();
+/// Invariant 1: the executed batch `run`, under `cfg`, is its dry run,
+/// and the dry run under ideal memory never stalls.
+fn assert_dry_run_is_the_engine(cfg: AcceleratorConfig, net: &CapsNetConfig, run: &BatchRun) {
+    let dry = Accelerator::new(cfg)
+        .price_batch(net, run.batch)
+        .expect("non-empty batch");
+    assert_eq!(
+        (&dry.layers, &dry.steps, &dry.traffic, &dry.memory),
+        (&run.layers, &run.steps, &run.traffic, &run.memory),
+        "the dry run diverged from the executed batch"
+    );
+    let ideal = AcceleratorConfig {
+        memory: MemoryConfig::ideal(),
+        ..cfg
+    };
+    let ideal = Accelerator::new(ideal)
+        .price_batch(net, run.batch)
+        .expect("non-empty batch");
+    assert_eq!(ideal.memory.stall_cycles, 0, "IdealMemory must not stall");
+}
 
-    let mut ideal = BatchScheduler::new(ideal_cfg);
-    let run_ideal = ideal.run(&net, &qparams, &images).expect("valid batch");
-    assert_eq!(
-        run_ideal.memory.stall_cycles, 0,
-        "IdealMemory must not stall"
-    );
-
-    let mut finite = BatchScheduler::new(finite_cfg);
-    let run_finite = finite.run(&net, &qparams, &images).expect("valid batch");
-    assert_eq!(
-        run_ideal.traces, run_finite.traces,
-        "the memory model must never change functional results"
-    );
-    let model = timing::full_inference_batch_mem(&finite_cfg, &net, u64_from(images.len()));
-    assert_eq!(
-        run_finite.memory, model.report,
-        "engine and closed-form memory replay diverged"
-    );
+/// The sweep's row at the paper point (8 Data-SPM banks, 24 KiB Weight
+/// SPM, gating on) with `buffers` prefetch buffers.
+fn paper_point(rows: &[Row], buffers: usize) -> &Row {
+    let row = rows.iter().find(|r| {
+        let p = &r.point;
+        (p.data_banks, p.weight_spm_kib, p.power_gating) == (8, 24, true)
+            && p.prefetch_buffers == buffers
+    });
+    row.expect("paper point swept")
 }
 
 /// Invariant 2: at the sweep's paper point, double buffering recovers
 /// ≥ half of the naive (one-buffer) stalls at batch 16. Returns (naive,
 /// prefetched) stall cycles for the report.
-///
-/// The paper point is `MemoryConfig::paper()` with 8 banks in both SPMs,
-/// where the preset gives the Weight SPM 4: the sweep sets both counts.
-/// That halves the Weight SPM's busy cycles, which lowers its gated
-/// leakage, and moves no cycle.
 fn assert_prefetch_recovery(rows: &[Row]) -> (u64, u64) {
-    let stalls = |buffers: usize| {
-        let row = rows.iter().find(|r| {
-            let p = &r.point;
-            (p.banks, p.weight_spm_kib, p.power_gating) == (8, 24, true)
-                && p.prefetch_buffers == buffers
-        });
-        row.expect("paper point swept").stall_cycles
-    };
-    let (naive, prefetched) = (stalls(1), stalls(2));
+    let (naive, prefetched) = (
+        paper_point(rows, 1).stall_cycles,
+        paper_point(rows, 2).stall_cycles,
+    );
     assert!(
         2 * prefetched <= naive,
         "double buffering must recover at least half of the naive stalls \
@@ -155,7 +154,7 @@ fn write_json(rows: &[Row], naive: u64, prefetched: u64) -> std::io::Result<()> 
         rows.iter()
             .map(|r| {
                 json_row(&[
-                    ("banks", r.point.banks.to_string()),
+                    ("data_spm_banks", r.point.data_banks.to_string()),
                     ("weight_spm_kib", r.point.weight_spm_kib.to_string()),
                     ("prefetch_buffers", r.point.prefetch_buffers.to_string()),
                     ("power_gating", r.point.power_gating.to_string()),
@@ -174,24 +173,34 @@ fn write_json(rows: &[Row], naive: u64, prefetched: u64) -> std::io::Result<()> 
 }
 
 fn main() {
-    assert_ideal_equivalence();
-    println!("IdealMemory equivalence: engine ≡ closed-form replay, zero ideal stalls ✓");
-
     let net = CapsNetConfig::mnist();
-    let qparams = CapsNetParams::generate(&net, 1).quantize(AcceleratorConfig::paper().numeric);
+    let cfg = AcceleratorConfig {
+        backend: EngineBackend::Functional,
+        memory: MemoryConfig::paper(),
+        ..AcceleratorConfig::paper()
+    };
+    let qparams = CapsNetParams::generate(&net, 1).quantize(cfg.numeric);
     let digits = SyntheticMnist::new(1);
-    let images: Vec<Tensor<f32>> = (0..BATCH).map(|i| digits.sample(i).image).collect();
+    let images: Vec<Tensor<f32>> = (0..u64_from(BATCH))
+        .map(|i| digits.sample(i).image)
+        .collect();
+    let run = Accelerator::new(cfg)
+        .run_batch(&net, &qparams, &images)
+        .expect("valid batch");
+    let macs = run.traces.iter().map(|t| t.output.stats.macs).sum();
+    assert_dry_run_is_the_engine(cfg, &net, &run);
+    println!("Dry run ≡ executed engine under paper memory, zero ideal stalls ✓");
+
     let mut rows = Vec::new();
-    for &banks in &[2u64, 4, 8] {
+    for &data_banks in &[2u64, 4, 8] {
         for &weight_spm_kib in &[8usize, 24, 64] {
             for &prefetch_buffers in &[1usize, 2, 4] {
                 for &power_gating in &[false, true] {
                     rows.push(measure(
                         &net,
-                        &qparams,
-                        &images,
+                        macs,
                         Point {
-                            banks,
+                            data_banks,
                             weight_spm_kib,
                             prefetch_buffers,
                             power_gating,
@@ -206,7 +215,7 @@ fn main() {
         .iter()
         .map(|r| {
             vec![
-                r.point.banks.to_string(),
+                r.point.data_banks.to_string(),
                 format!("{} KiB", r.point.weight_spm_kib),
                 r.point.prefetch_buffers.to_string(),
                 if r.point.power_gating { "on" } else { "off" }.to_string(),
@@ -218,6 +227,20 @@ fn main() {
         })
         .collect();
     let (naive, prefetched) = assert_prefetch_recovery(&rows);
+    let paper = paper_point(&rows, 2);
+    let executed = (
+        run.cycles_per_image(),
+        run_energy(&cfg, &run).per_inference_uj(u64_from(BATCH)),
+    );
+    assert_eq!(
+        (paper.cycles_per_image, paper.energy_uj_per_image),
+        executed,
+        "the sweep's paper point is not MemoryConfig::paper()"
+    );
+    println!(
+        "Paper point ≡ MemoryConfig::paper(): {:.3} cycles, {:.3} µJ per image ✓",
+        executed.0, executed.1
+    );
     println!(
         "Prefetch recovery at batch 16: naive {naive} → double-buffered {prefetched} \
          stall cycles ({:.0}% recovered) ✓",
@@ -226,7 +249,7 @@ fn main() {
     print_table(
         "Memory design space — MNIST, batch 16, 16×16 paper config (engine)",
         &[
-            "Banks",
+            "Data banks",
             "Wt SPM",
             "Prefetch",
             "Gating",
@@ -276,9 +299,9 @@ fn main() {
         })
         .expect("non-empty sweep");
     println!(
-        "\nBest energy point: {} banks, {} KiB weight SPM, {} prefetch buffers, gating {} \
-         → {:.1} µJ/img at {:.0} cycles/img",
-        best.point.banks,
+        "\nBest energy point: {} Data-SPM banks, {} KiB weight SPM, {} prefetch buffers, \
+         gating {} → {:.1} µJ/img at {:.0} cycles/img",
+        best.point.data_banks,
         best.point.weight_spm_kib,
         best.point.prefetch_buffers,
         if best.point.power_gating { "on" } else { "off" },

@@ -3,10 +3,10 @@
 //! directory through the same call ([`Paper::table`]). The file has no
 //! host figures, so it regenerates byte-identically and `ci.sh` diffs it.
 //!
-//! Figs. 16 and 17 and the Sec. V ablations put the engine's cycles
-//! beside the closed form's: one batch-1 `run_batch` of
-//! `SyntheticMnist::new(1).sample(0)` (`CapsNetParams` seed 1) on the
-//! functional backend, under ideal memory and `MemoryConfig::paper()`.
+//! Figs. 16 and 17 and the Sec. V ablations read the engine's cycles:
+//! one batch-1 `run_batch` of `SyntheticMnist::new(1).sample(0)`
+//! (`CapsNetParams` seed 1) on the functional backend, under ideal
+//! memory and `MemoryConfig::paper()`.
 //! The engine executes the paper's pipelined tile schedule. The
 //! ablation runs also check the Sec. V claims on that digit: the engine
 //! without tile pipelining is slower under both memories, skipping the
@@ -18,8 +18,8 @@
 use capsacc_bench::{fmt_us, json_str, log_bar, print_table, run_energy, speedup_label, BenchJson};
 use capsacc_capsnet::{CapsNetConfig, CapsNetParams};
 use capsacc_core::{
-    mapping, timing, Accelerator, AcceleratorConfig, BatchRun, EngineBackend, LayerRun,
-    MemoryConfig, MemoryKind, RoutingStep,
+    mapping, Accelerator, AcceleratorConfig, BatchRun, EngineBackend, LayerRun, MemoryConfig,
+    MemoryKind, RoutingStep,
 };
 use capsacc_fixed::{squash_derivative_1d, squash_scalar_1d, SquashLut};
 use capsacc_gpu_model::GpuModel;
@@ -97,7 +97,7 @@ fn main() {
     fig17(&mut paper, &cfg, &net, &engine[0]);
     fig18(&mut paper, &cfg);
     mapping_orders(&mut paper, &cfg, &net);
-    routing_ablations(&mut paper, &net, &ablations, &engine);
+    routing_ablations(&mut paper, &ablations, &engine);
     energy(&mut paper, &ablations, &engine);
 
     if let Err(e) = paper.0.write("BENCH_paper.json") {
@@ -327,13 +327,6 @@ fn fig16(paper: &mut Paper, cfg: &AcceleratorConfig, net: &CapsNetConfig, engine
     let gpu = GpuModel::gtx1070().layer_times_us(net);
     let mut layers = gpu.rows();
     layers.push(("Total", gpu.total()));
-    let acc = timing::full_inference_batch(cfg, net, 1);
-    let model = [
-        acc.conv1.cycles,
-        acc.primary_caps.cycles,
-        acc.class_caps_cycles(),
-        acc.total_cycles(),
-    ];
     let claims = ["6x faster", "46% slower", "12x faster", "6x faster"];
     let engine_cycles = engine.each_ref().map(|EngineRun { run, .. }| {
         let layers = run.layers.iter().map(LayerRun::cycles);
@@ -341,18 +334,10 @@ fn fig16(paper: &mut Paper, cfg: &AcceleratorConfig, net: &CapsNetConfig, engine
     });
     let rows = layers
         .iter()
-        .zip(model.into_iter().zip(claims))
+        .zip(claims)
         .enumerate()
-        .map(|(i, (&(name, gpu_us), (cycles, claim)))| {
-            let acc_us = cfg.cycles_to_us(cycles);
-            let mut row = vec![
-                name.to_owned(),
-                cycles.to_string(),
-                fmt_us(acc_us),
-                fmt_us(gpu_us),
-                speedup_label(gpu_us, acc_us),
-                claim.to_owned(),
-            ];
+        .map(|(i, (&(name, gpu_us), claim))| {
+            let mut row = vec![name.to_owned(), fmt_us(gpu_us), claim.to_owned()];
             for run in &engine_cycles {
                 row.push(run[i].to_string());
                 row.push(speedup_label(gpu_us, cfg.cycles_to_us(run[i])));
@@ -363,15 +348,17 @@ fn fig16(paper: &mut Paper, cfg: &AcceleratorConfig, net: &CapsNetConfig, engine
     paper.table(
         "fig16",
         "Fig. 16 — CapsAcc vs GPU, layer-wise (16×16 array @ 250 MHz)",
-        "Layer|CapsAcc cycles|CapsAcc|GPU|Measured|Paper|\
-         Engine cycles|Engine|Engine cycles (paper mem)|Engine (paper mem)",
+        "Layer|GPU|Paper|Engine cycles|Engine|Engine cycles (paper mem)|Engine (paper mem)",
         rows,
     );
+    let [ideal, finite] = engine
+        .each_ref()
+        .map(|EngineRun { run, .. }| &run.layers[1]);
     println!(
-        "\nPrimaryCaps detail: compute {} cycles vs weight-stream {} cycles\n\
-         (5.3 MB of weights for 36 output pixels — the layer where the GPU\n\
-         keeps an edge, as in the paper).",
-        acc.primary_caps.compute_cycles, acc.primary_caps.weight_stream_cycles
+        "\nPrimaryCaps detail: {} array cycles; under paper memory its 5.3 MB of\n\
+         weights for 36 output pixels stall it {} more cycles — the layer where\n\
+         the GPU keeps an edge, as in the paper.",
+        ideal.array_cycles, finite.memory_stall_cycles
     );
 }
 
@@ -390,44 +377,37 @@ fn fig17_claim(step: RoutingStep) -> &'static str {
 /// annotations (Load 9% faster, FC 14% slower, Softmax 3×, Sum 3×,
 /// Squash 172×, Update 6×).
 fn fig17(paper: &mut Paper, cfg: &AcceleratorConfig, net: &CapsNetConfig, engine: &EngineRuns) {
-    let acc_steps = timing::batch_routing_steps(net, 1, cfg);
+    let [ideal, finite] = engine.each_ref().map(|EngineRun { run, .. }| &run.steps);
     let gpu_steps = GpuModel::gtx1070().routing_steps_us(net);
-    assert_eq!(acc_steps.len(), gpu_steps.len(), "steps must align");
-    for EngineRun { run, .. } in engine {
-        assert_eq!(acc_steps.len(), run.steps.len(), "steps must align");
-    }
-    let rows = acc_steps
+    assert_eq!(ideal.len(), gpu_steps.len(), "steps must align");
+    let rows = ideal
         .iter()
+        .zip(finite)
         .zip(&gpu_steps)
-        .enumerate()
-        .map(|(i, (a, g))| {
-            let label = a.step.to_string();
+        .map(|((&(step, cycles), &(finite_step, finite_cycles)), g)| {
+            let label = step.to_string();
             assert_eq!(label, g.label, "step order mismatch");
-            let acc_us = a.time_us(cfg);
-            let mut row = vec![
-                label.clone(),
-                a.cycles.to_string(),
+            assert_eq!(step, finite_step, "engine step order mismatch");
+            let acc_us = cfg.cycles_to_us(cycles);
+            vec![
+                label,
+                cycles.to_string(),
                 fmt_us(acc_us),
                 fmt_us(g.time_us),
                 speedup_label(g.time_us, acc_us),
-                fig17_claim(a.step).to_owned(),
-            ];
-            for EngineRun { run, .. } in engine {
-                let (step, cycles) = run.steps[i];
-                assert_eq!(step, a.step, "engine step order mismatch");
-                row.push(cycles.to_string());
-            }
-            row
+                fig17_claim(step).to_owned(),
+                finite_cycles.to_string(),
+            ]
         })
         .collect();
     paper.table(
         "fig17",
         "Fig. 17 — CapsAcc vs GPU per routing step",
-        "Step|CapsAcc cycles|CapsAcc|GPU|Measured|Paper|Engine cycles|Engine cycles (paper mem)",
+        "Step|Engine cycles|Engine|GPU|Measured|Paper|Engine cycles (paper mem)",
         rows,
     );
 
-    let acc_total: f64 = acc_steps.iter().map(|s| s.time_us(cfg)).sum();
+    let acc_total = cfg.cycles_to_us(ideal.iter().map(|&(_, c)| c).sum());
     let gpu_total: f64 = gpu_steps.iter().map(|s| s.time_us).sum();
     println!(
         "\nClassCaps phase total: CapsAcc {} vs GPU {} → {}",
@@ -436,7 +416,7 @@ fn fig17(paper: &mut Paper, cfg: &AcceleratorConfig, net: &CapsNetConfig, engine
         speedup_label(gpu_total, acc_total)
     );
     println!(
-        "Note: our squash speedup exceeds the paper's 172× because the model\n\
+        "Note: our squash speedup exceeds the paper's 172× because the engine\n\
          squashes the 10 class capsules on parallel per-column activation\n\
          units; the paper's measured squash implies extra serialization it\n\
          does not specify. The qualitative claim — squash goes from GPU\n\
@@ -529,26 +509,17 @@ fn mapping_orders(paper: &mut Paper, cfg: &AcceleratorConfig, net: &CapsNetConfi
 /// The Sec. V ablations: the routing optimizations (skip the first
 /// softmax, reuse `û` through the feedback path) and the convolutional
 /// weight reuse and tile pipelining of Sec. IV-A, one switch off at a
-/// time, in the closed form and in the engine.
+/// time, on the engine.
 fn routing_ablations(
     paper: &mut Paper,
-    net: &CapsNetConfig,
     ablations: &[(&str, AcceleratorConfig)],
     engine: &[EngineRuns],
 ) {
     let rows = ablations
         .iter()
         .zip(engine)
-        .map(|((name, c), runs)| {
-            let t = timing::full_inference_batch(c, net, 1);
-            let (class_caps, total) = (t.class_caps_cycles(), t.total_cycles());
-            let mut row = vec![
-                (*name).to_owned(),
-                class_caps.to_string(),
-                fmt_us(c.cycles_to_us(class_caps)),
-                total.to_string(),
-                fmt_us(c.cycles_to_us(total)),
-            ];
+        .map(|((name, _), runs)| {
+            let mut row = vec![(*name).to_owned()];
             for EngineRun { run, .. } in runs {
                 row.push(run.layers[2].cycles().to_string());
                 row.push(run.total_cycles().to_string());
@@ -559,8 +530,8 @@ fn routing_ablations(
     paper.table(
         "sec5_ablations",
         "Sec. V ablations — ClassCaps and total inference cycles",
-        "Configuration|ClassCaps cyc|ClassCaps|Total cyc|Total|Engine ClassCaps cyc|\
-         Engine total cyc|Engine ClassCaps cyc (paper mem)|Engine total cyc (paper mem)",
+        "Configuration|Engine ClassCaps cyc|Engine total cyc|\
+         Engine ClassCaps cyc (paper mem)|Engine total cyc (paper mem)",
         rows,
     );
 

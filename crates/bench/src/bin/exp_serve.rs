@@ -1,12 +1,10 @@
 //! Multi-worker serving sweeps (beyond the paper) at the paper 16×16
-//! configuration, with batch service times supplied two ways: the
-//! closed-form cycle model, and the **measured engine**
-//! ([`engine_service_cycles_table`] over the parallel+SIMD functional
-//! backend — real `BatchRun` cycles per batch size, practical at MNIST
-//! scale only because the functional backend runs at wall-clock
-//! speed).
+//! configuration. Batch service times come from the engine:
+//! [`service_cycles_table`] prices each batch size with a dry run
+//! (`Accelerator::price_batch`), whose cycles are those of every
+//! executed batch of that size.
 //!
-//! Two sweeps, each run on both service tables:
+//! Two sweeps:
 //!
 //! 1. **saturating** — the runtime under the offline preset
 //!    (`RuntimeConfig::offline`) and saturating load:
@@ -16,11 +14,6 @@
 //!    crowd (Spike regime): admission queue bounds × autoscaling, with
 //!    goodput, shed rate and per-class SLO attainment columns, plus a
 //!    million-request diurnal scale point.
-//!
-//! The engine table is *not* the closed-form table: the ticked array
-//! charges scheduling overheads the analytical model folds away, so
-//! the engine-backed sections record the serving behavior of the
-//! machine as built, not as modeled. Both are emitted side by side.
 //!
 //! Asserts serving invariants on every run:
 //!
@@ -38,7 +31,8 @@
 //!
 //! Plus a cycle-accurate validation at the tiny scale: requests served
 //! through real OS-thread `BatchScheduler` workers produce traces
-//! bit-exact against fresh sequential runs.
+//! bit-exact against fresh sequential runs, and every batch costs its
+//! service-table entry.
 //!
 //! Emits `BENCH_serve.json` into the current directory so CI records
 //! the serving-perf trajectory (see `ci.sh`).
@@ -47,12 +41,12 @@ use std::fs;
 
 use capsacc_bench::{json_row, print_table, BenchJson};
 use capsacc_capsnet::{CapsNetConfig, CapsNetParams};
-use capsacc_core::{Accelerator, AcceleratorConfig, EngineBackend, TraceLevel};
+use capsacc_core::{Accelerator, AcceleratorConfig};
 use capsacc_serve::{
-    arrival_trace, dispatch_batches, engine_service_cycles_table, form_batches, run_runtime,
-    serve_with_engine, service_cycles_table, workload_trace, ArrivalRegime, AutoscalerConfig,
-    BatcherConfig, ClassConfig, Request, ResilienceConfig, RuntimeConfig, RuntimeOutcome,
-    ScalingEvent, TraceConfig, WorkloadConfig,
+    arrival_trace, dispatch_batches, form_batches, run_runtime, serve_with_engine,
+    service_cycles_table, workload_trace, ArrivalRegime, AutoscalerConfig, BatcherConfig,
+    ClassConfig, Request, ResilienceConfig, RuntimeConfig, RuntimeOutcome, ScalingEvent,
+    TraceConfig, WorkloadConfig,
 };
 use capsacc_tensor::u64_from;
 
@@ -94,19 +88,12 @@ fn trace() -> TraceConfig {
     }
 }
 
-/// The largest `max_batch` any sweep point uses — both service tables
-/// are built once up to this size and shared across the whole sweep.
+/// The largest `max_batch` any sweep point uses — the service table is
+/// built once up to this size and shared across every sweep.
 const SWEEP_MAX_BATCH: usize = 32;
 
-fn sweep(cfg: &AcceleratorConfig, net: &CapsNetConfig) -> Vec<Row> {
-    let table = service_cycles_table(cfg, net, SWEEP_MAX_BATCH);
-    sweep_with(&table, cfg.clock_mhz as f64 * 1e6)
-}
-
-/// The saturating sweep against an arbitrary `service(n)` table —
-/// closed-form or engine-measured; the runtime does not care where
-/// the cycle numbers came from.
-fn sweep_with(table: &[u64], clock_hz: f64) -> Vec<Row> {
+/// The saturating sweep against the `service(n)` table.
+fn sweep(table: &[u64], clock_hz: f64) -> Vec<Row> {
     let requests: Vec<Request> = arrival_trace(&trace())
         .into_iter()
         .map(Request::best_effort)
@@ -308,13 +295,10 @@ fn overload_rows(rows: &[OverloadRow]) -> Vec<String> {
         .collect()
 }
 
-#[allow(clippy::too_many_arguments)]
 fn render_json(
+    table: &[u64],
     rows: &[Row],
     overload: &[OverloadRow],
-    engine_table: &[u64],
-    engine_rows: &[Row],
-    engine_overload: &[OverloadRow],
     recovery: (f64, f64),
     million: &RuntimeOutcome,
 ) -> String {
@@ -329,14 +313,10 @@ fn render_json(
             t.seed, t.requests, t.mean_gap_cycles, t.mean_burst,
         ),
     );
+    let cycles: Vec<String> = table.iter().map(u64::to_string).collect();
+    j.raw("engine_service_cycles", format!("[{}]", cycles.join(", ")));
     j.rows("saturating_sweep", sweep_rows(rows));
     j.rows("overload_sweep", overload_rows(overload));
-    // Engine-backed sections: same pipelines, service(n) measured from
-    // real functional-backend BatchRuns instead of the closed form.
-    let cycles: Vec<String> = engine_table.iter().map(u64::to_string).collect();
-    j.raw("engine_service_cycles", format!("[{}]", cycles.join(", ")));
-    j.rows("engine_saturating_sweep", sweep_rows(engine_rows));
-    j.rows("engine_overload_sweep", overload_rows(engine_overload));
     j.raw(
         "recovery",
         format!(
@@ -360,7 +340,9 @@ fn render_json(
 }
 
 /// Cycle-accurate validation: tiny-scale requests served through real
-/// OS-thread workers must be bit-exact against sequential runs.
+/// OS-thread workers must be bit-exact against sequential runs, and
+/// `serve_with_engine` asserts that each batch costs its service-table
+/// entry.
 fn engine_validation() {
     let net = CapsNetConfig::tiny();
     let cfg = AcceleratorConfig::test_4x4();
@@ -402,9 +384,8 @@ fn engine_validation() {
     );
 }
 
-/// Invariant 1: ≥ 3× throughput at 4 workers vs 1, per (batch, wait) —
-/// must hold whichever service table supplied the cycle numbers.
-fn assert_worker_scaling(rows: &[Row], label: &str) {
+/// Invariant 1: ≥ 3× throughput at 4 workers vs 1, per (batch, wait).
+fn assert_worker_scaling(rows: &[Row]) {
     for &max_batch in &[4usize, 16, 32] {
         for &max_wait in &[10_000u64, 1_000_000] {
             let at = |workers: usize| {
@@ -420,7 +401,7 @@ fn assert_worker_scaling(rows: &[Row], label: &str) {
             let (t1, t4) = (at(1), at(4));
             assert!(
                 t4 >= 3.0 * t1,
-                "worker scaling regressed ({label}) at max_batch {max_batch}, wait {max_wait}: \
+                "worker scaling regressed at max_batch {max_batch}, wait {max_wait}: \
                  {t4:.0} img/s at 4 workers vs {t1:.0} at 1"
             );
         }
@@ -466,52 +447,31 @@ fn main() {
     let net = CapsNetConfig::mnist();
     let clock_hz = cfg.clock_mhz as f64 * 1e6;
 
-    let rows = sweep(&cfg, &net);
+    // The service table: the engine's cycles per batch size, each
+    // priced by a dry run of the batch.
+    let table = service_cycles_table(&cfg, &net, SWEEP_MAX_BATCH);
+    for n in 1..table.len() {
+        assert!(
+            table[n] > table[n - 1],
+            "service cycles must grow with batch size"
+        );
+    }
+    for n in 2..table.len() {
+        assert!(
+            table[n] < u64_from(n) * table[1],
+            "batched service must amortize: {} vs {n}x{}",
+            table[n],
+            table[1]
+        );
+    }
+    let rows = sweep(&table, clock_hz);
     print_sweep(
         &cfg,
         &rows,
         "Serving sweep — MNIST requests on the 16×16 paper config (virtual time)",
     );
-    assert_worker_scaling(&rows, "closed-form");
+    assert_worker_scaling(&rows);
     println!("\nWorker scaling: ≥ 3x aggregate throughput at 4 workers vs 1 (all points)");
-
-    // The engine-backed service table: real BatchRun cycles per batch
-    // size, measured through the parallel+SIMD functional backend —
-    // 528 MNIST inferences, practical only at wall-clock speed. The
-    // ticked array charges scheduling overheads the closed form folds
-    // away, so these cycles are strictly the machine's own.
-    let mut engine_cfg = cfg;
-    engine_cfg.backend = EngineBackend::Functional;
-    engine_cfg.trace_level = TraceLevel::Outputs;
-    let qparams = CapsNetParams::generate(&net, 0).quantize(cfg.numeric);
-    let etable = engine_service_cycles_table(&engine_cfg, &net, &qparams, SWEEP_MAX_BATCH);
-    for n in 1..etable.len() {
-        assert!(
-            etable[n] > etable[n - 1],
-            "service cycles must grow with batch size"
-        );
-    }
-    for n in 2..etable.len() {
-        assert!(
-            etable[n] < u64_from(n) * etable[1],
-            "batched service must amortize: {} vs {n}x{}",
-            etable[n],
-            etable[1]
-        );
-    }
-    let erows = sweep_with(&etable, clock_hz);
-    print_sweep(
-        &cfg,
-        &erows,
-        "Serving sweep — engine service table (measured functional-backend BatchRuns)",
-    );
-    assert_worker_scaling(&erows, "engine-table");
-    println!(
-        "\nEngine table: b1 {} cycles vs closed-form {} — sweep re-run on measured engine \
-         cycles; worker scaling ≥ 3x holds there too",
-        etable[1],
-        service_cycles_table(&cfg, &net, 1)[1],
-    );
 
     // Invariant 2: offline anchor — the runtime under the offline
     // preset reproduces the reference pipeline bit-exactly on
@@ -520,14 +480,12 @@ fn main() {
         max_batch: 16,
         max_wait_cycles: 10_000,
     };
-    let table16 = service_cycles_table(&cfg, &net, batcher.max_batch);
+    let service = |n: usize| table[n];
     let arrivals = arrival_trace(&trace());
     let anchor_requests: Vec<Request> = arrivals.iter().map(|&a| Request::best_effort(a)).collect();
     let anchored = RuntimeConfig::offline(4, batcher);
-    let online = run_runtime(&anchored, &anchor_requests, &|n| table16[n], 0);
-    let offline = dispatch_batches(&arrivals, &form_batches(&arrivals, &batcher), 4, &|n| {
-        table16[n]
-    });
+    let online = run_runtime(&anchored, &anchor_requests, &service, 0);
+    let offline = dispatch_batches(&arrivals, &form_batches(&arrivals, &batcher), 4, &service);
     assert_eq!(
         online.sim, offline,
         "online runtime diverged from the offline pipeline under anchor settings"
@@ -536,11 +494,10 @@ fn main() {
 
     // The overload-and-recovery sweep: flash crowd sized off the
     // service table, bounded queues, priorities, optional autoscaling.
-    let per_request = table16[16] / 16;
+    let per_request = table[16] / 16;
     let warmup = capsacc_serve::worker_warmup_cycles(&cfg, &net);
-    let (workload, spike_start, spike_end) = overload_workload(per_request, table16[1]);
+    let (workload, spike_start, spike_end) = overload_workload(per_request, table[1]);
     let requests = workload_trace(&workload);
-    let service = |n: usize| table16[n];
     let orows = overload_sweep(&requests, &service, warmup, clock_hz);
     let otable: Vec<Vec<String>> = orows
         .iter()
@@ -610,39 +567,6 @@ fn main() {
         post * 100.0
     );
 
-    // The same overload experiment on the engine service table: the
-    // flash crowd is re-sized off the *measured* per-request cost so
-    // the spike still overloads the pool by the same ratio, then the
-    // online runtime runs against engine cycles end to end.
-    let eper_request = etable[16] / 16;
-    let (eworkload, _, _) = overload_workload(eper_request, etable[1]);
-    let erequests = workload_trace(&eworkload);
-    let eservice = |n: usize| etable[n];
-    let eorows = overload_sweep(&erequests, &eservice, warmup, clock_hz);
-    let etight = eorows
-        .iter()
-        .find(|r| r.queue_capacity == 16 && !r.autoscale)
-        .expect("swept point");
-    let etight_scaled = eorows
-        .iter()
-        .find(|r| r.queue_capacity == 16 && r.autoscale)
-        .expect("swept point");
-    assert!(
-        etight.shed_rate > 0.0,
-        "flash crowd failed to overload the bounded queue on engine cycles"
-    );
-    assert!(
-        etight_scaled.served >= etight.served,
-        "autoscaling must not serve less than the fixed pool on engine cycles"
-    );
-    println!(
-        "Engine-table overload: shed rate {:.1}% under the spike (queue 16, fixed pool), \
-         autoscaling serves {} vs {}",
-        etight.shed_rate * 100.0,
-        etight_scaled.served,
-        etight.served
-    );
-
     // Scale point: a million-request diurnal day through the online
     // runtime with autoscaling — the "millions of users" regime.
     let million_cfg = WorkloadConfig {
@@ -660,7 +584,7 @@ fn main() {
             },
             ClassConfig {
                 weight: 1,
-                slo_cycles: Some(30 * table16[1]),
+                slo_cycles: Some(30 * table[1]),
             },
         ],
     };
@@ -696,29 +620,17 @@ fn main() {
         million.sim.makespan_cycles
     );
 
-    // Invariant 4: every sweep is deterministic — a rerun serializes
-    // to the identical byte string, event digests included. The engine
-    // *table* is reused across reruns (its own determinism — identical
-    // cycles for identical batch sizes — is pinned by
-    // tests/serve_equivalence.rs); everything downstream of it reruns.
-    let json = render_json(
-        &rows,
-        &orows,
-        &etable,
-        &erows,
-        &eorows,
-        (pre, post),
-        &million,
-    );
+    // Invariant 4: every sweep is deterministic — a rerun, service
+    // table included, serializes to the identical byte string, event
+    // digests included.
+    let json = render_json(&table, &rows, &orows, (pre, post), &million);
+    let rerun_table = service_cycles_table(&cfg, &net, SWEEP_MAX_BATCH);
     let rerun_orows = overload_sweep(&requests, &service, warmup, clock_hz);
-    let rerun_eorows = overload_sweep(&erequests, &eservice, warmup, clock_hz);
     let rerun_million = run_runtime(&million_rt, &million_reqs, &service, warmup);
     let rerun = render_json(
-        &sweep(&cfg, &net),
+        &rerun_table,
+        &sweep(&rerun_table, clock_hz),
         &rerun_orows,
-        &etable,
-        &sweep_with(&etable, clock_hz),
-        &rerun_eorows,
         (pre, post),
         &rerun_million,
     );

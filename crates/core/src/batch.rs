@@ -23,9 +23,11 @@
 //! The schedule is backend-agnostic: under
 //! [`crate::EngineBackend::Functional`] the same layer-major pass runs
 //! at wall-clock speed with identical results and identical cycle,
-//! traffic and stall accounting (`tests/backend_equivalence.rs`), which
-//! is what makes MNIST-scale engine-backed serving tables practical
-//! (`capsacc-serve`).
+//! traffic and stall accounting (`tests/backend_equivalence.rs`).
+//! [`Accelerator::price_batch`] is the pass without operands: it issues
+//! the same cost sites in the same order and reports the same cycles,
+//! traffic and memory counters, which is what serving tables and
+//! design-space sweeps read (`capsacc-serve`, `exp_memdse`).
 //!
 //! # Example
 //!
@@ -52,16 +54,48 @@ use std::fmt;
 
 use capsacc_capsnet::{CapsNetConfig, QuantOutput, QuantTrace, QuantizedParams};
 use capsacc_memory::MemReport;
-use capsacc_tensor::{qops::MacStats, u64_from, Tensor};
+use capsacc_tensor::{
+    checked_product, checked_product_u64, qops::MacStats, u64_from, ConvGeometry, Tensor,
+};
 
 use capsacc_telemetry::SpanDetail;
 
 use crate::activation::ActivationKind;
 use crate::config::AcceleratorConfig;
-use crate::engine::{to_chw, Accelerator, CycleLedger, LayerRun, Part};
+use crate::engine::{to_chw, Accelerator, CycleLedger, LayerRun, Part, RoutingSizes};
 use crate::operand::{DataView, WeightView};
-use crate::timing::RoutingStep;
 use crate::traffic::{MemoryKind, TrafficReport};
+
+/// The steps of the ClassCaps phase, named as on the x-axis of
+/// Figs. 9/17. Iterations are 1-based as in the paper.
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+pub enum RoutingStep {
+    /// Staging the prediction working set into the Data Buffer.
+    Load,
+    /// The ClassCaps matrix multiplications producing `û_{j|i}`.
+    Fc,
+    /// Softmax over the routing logits (iteration k).
+    Softmax(usize),
+    /// Weighted sums `s_j` (iteration k).
+    Sum(usize),
+    /// Squash of the class capsules (iteration k).
+    Squash(usize),
+    /// Logit update `b_ij += û·v` (iteration k).
+    Update(usize),
+}
+
+impl fmt::Display for RoutingStep {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RoutingStep::Load => write!(f, "Load"),
+            RoutingStep::Fc => write!(f, "FC"),
+            RoutingStep::Softmax(i) => write!(f, "Softmax{i}"),
+            RoutingStep::Sum(i) => write!(f, "Sum{i}"),
+            RoutingStep::Squash(i) => write!(f, "Squash{i}"),
+            RoutingStep::Update(i) => write!(f, "Update{i}"),
+        }
+    }
+}
 
 /// Error rejected at the batched-inference API boundary.
 ///
@@ -243,7 +277,9 @@ impl Accelerator {
     /// saturation counts, and against
     /// [`capsacc_capsnet::infer_q8_traced`] with the same parameters,
     /// pipeline and routing variant (derived from
-    /// `dataflow.skip_first_softmax`).
+    /// `dataflow.skip_first_softmax`). Everything else the run returns
+    /// is [`Accelerator::price_batch`]'s: the two issue the same cost
+    /// sites in the same order.
     ///
     /// # Errors
     ///
@@ -275,33 +311,17 @@ impl Accelerator {
         let ncfg = self.cfg.numeric;
         // Validation is done: from here on the batch runs to completion,
         // so the inference root span always closes.
-        self.rec
-            .begin_arg(SpanDetail::Layers, "inference", "batch", u64_from(batch));
-        // Snapshot the accelerator counters so the returned report
-        // covers this batch alone even on a reused scheduler.
-        let traffic_at_start = self.traffic;
-        let memory_at_start = self.memory.report();
-        let saturations_at_start = self.accumulator_saturations;
+        let start = self.open_batch(batch);
         let mut layers = Vec::new();
         let mut stats = vec![MacStats::default(); batch];
 
         // ------------------------------------------------- Conv1 + ReLU
         let g1 = net.conv1_geometry();
+        let at = self.open_layer("Conv1");
+        self.stage_inputs(net, batch);
+        self.memory.stage_bias(u64_from(g1.out_ch));
         let inputs_q: Vec<Tensor<i8>> =
             images.iter().map(|im| qparams.quantize_image(im)).collect();
-        // The batch's images arrive over the off-chip channel before the
-        // on-chip Data Memory serves them.
-        let input_bytes = u64_from(batch * g1.input_len());
-        self.traffic.read(MemoryKind::DataMemory, input_bytes);
-        self.rec.begin(SpanDetail::Layers, "Conv1");
-        let at = self.ledger();
-        let stage_stall = self.memory.stage_input(input_bytes);
-        self.rec.counter_add("mem.stage_input_calls", 1);
-        self.rec
-            .counter_add("mem.stage_input_stall_cycles", stage_stall);
-        self.spend(Part::Stall, stage_stall, "stage-input", None);
-        // Biases ride along with the layer's off-chip weight stream.
-        self.memory.stage_bias(u64_from(g1.out_ch));
         // im2col addressing is affine: `input_index(mi, ki) =
         // patch_origin(mi) + tap_offset(ki)`, so the data view is the
         // two tables over each image; the `[out_ch][patch]` weights
@@ -329,19 +349,14 @@ impl Accelerator {
             None,
         );
         let conv1_outs: Vec<Tensor<i8>> = conv1_mns.iter().map(|mn| to_chw(mn, &g1)).collect();
-        self.traffic.write(
-            MemoryKind::DataMemory,
-            u64_from(batch * conv1_outs[0].len()),
-        );
         for (s, sat) in stats.iter_mut().zip(&conv1_sats) {
             s.macs += g1.macs();
             s.saturations += sat;
         }
-        layers.push(self.end_layer("Conv1", &at));
+        layers.push(self.end_layer("Conv1", &at, batch, g1.output_len()));
         // ------------------------------------------- PrimaryCaps + squash
         let gp = net.primary_caps_geometry();
-        self.rec.begin(SpanDetail::Layers, "PrimaryCaps");
-        let at = self.ledger();
+        let at = self.open_layer("PrimaryCaps");
         self.memory.stage_bias(u64_from(gp.out_ch));
         let conv1_src: Vec<&[i8]> = conv1_outs.iter().map(Tensor::data).collect();
         let (pc_mns, pc_sats) = self.matmul_group(
@@ -370,30 +385,21 @@ impl Accelerator {
             .iter()
             .map(|pc| self.squash_primary(net, pc))
             .collect();
-        self.traffic
-            .write(MemoryKind::DataMemory, u64_from(batch * capsules[0].len()));
         for (s, sat) in stats.iter_mut().zip(&pc_sats) {
             s.macs += gp.macs();
             s.saturations += sat;
         }
-        layers.push(self.end_layer("PrimaryCaps", &at));
+        layers.push(self.end_layer("PrimaryCaps", &at, batch, capsule_bytes(net)));
         // ------------------------------------------------ ClassCaps: Load
-        self.rec.begin(SpanDetail::Layers, "ClassCaps");
-        let class_caps_at = self.ledger();
+        let class_caps_at = self.open_layer("ClassCaps");
         let (in_caps, classes, out_dim, in_dim) = (
             net.num_primary_caps(),
             net.num_classes,
             net.class_caps_dim,
             net.pc_caps_dim,
         );
-        let u_hat_bytes = u64_from(in_caps * classes * out_dim);
         let mut steps = Vec::new();
-        self.traffic
-            .read(MemoryKind::DataMemory, u64_from(batch) * u_hat_bytes);
-        self.traffic
-            .write(MemoryKind::DataBuffer, u64_from(batch) * u_hat_bytes);
-        let load_cycles = u64_from(batch) * u_hat_bytes.div_ceil(self.cfg.data_mem_bw);
-        self.spend(Part::Transfer, load_cycles, "load-uhat", None);
+        self.load_u_hat(net, batch);
         steps.push((RoutingStep::Load, self.cycles_since(&class_caps_at)));
 
         // -------------------------------------------------- ClassCaps: FC
@@ -456,23 +462,9 @@ impl Accelerator {
                 .begin_arg(SpanDetail::Phases, "routing", "img", u64_from(img));
             let routing = self.route_class_caps(net, &u_hat, &mut image_steps);
             self.rec.end(SpanDetail::Phases);
+            add_image_steps(&mut steps, image_steps, img);
             stats[img].saturations += self.accumulator_saturations - sat_before;
             stats[img].macs += routing.macs;
-            if img == 0 {
-                steps.extend(image_steps);
-            } else {
-                // Same network ⇒ same step sequence for every image.
-                let routing_steps = &mut steps[2..];
-                assert_eq!(
-                    routing_steps.len(),
-                    image_steps.len(),
-                    "routing step counts diverged"
-                );
-                for ((step, cycles), (s2, c2)) in routing_steps.iter_mut().zip(&image_steps) {
-                    assert_eq!(*step, *s2, "routing step sequences diverged");
-                    *cycles += c2;
-                }
-            }
             traces.push(QuantTrace {
                 input_q: inputs_q[img].clone(),
                 conv1_out: conv1_outs[img].clone(),
@@ -489,26 +481,143 @@ impl Accelerator {
                 },
             });
         }
-        layers.push(self.end_layer("ClassCaps", &class_caps_at));
-        self.rec.end(SpanDetail::Layers); // inference
+        layers.push(self.end_layer("ClassCaps", &class_caps_at, batch, 0));
+        Ok(self.close_batch(start, layers, steps, traces))
+    }
 
-        Ok(BatchRun {
+    /// Prices a batch of `batch` inferences without running it: a dry
+    /// run of [`Accelerator::run_batch`] that issues its cost sites in
+    /// its order — the input and bias staging, every matmul's charge,
+    /// every activation and transfer cost, every traffic count — and
+    /// reads no operand. Each site's cost comes from the one helper both
+    /// walks call, and `tests/timing_consistency.rs` pins the two walks
+    /// equal.
+    ///
+    /// The returned [`BatchRun`] has the `layers`, `steps`, `traffic`
+    /// and `memory` that `run_batch` of any `batch` valid images
+    /// returns on this accelerator, no traces and no saturations. Cycle
+    /// costs never depend on operand values, so this is what serving
+    /// tables and design-space sweeps price. The accelerator's counters
+    /// move as a run's would, and telemetry records the ticked
+    /// backend's spans.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BatchError::EmptyBatch`] if `batch` is zero, before any
+    /// counter moves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a byte or cycle count of `net` overflows `u64`.
+    pub fn price_batch(
+        &mut self,
+        net: &CapsNetConfig,
+        batch: usize,
+    ) -> Result<BatchRun, BatchError> {
+        if batch == 0 {
+            return Err(BatchError::EmptyBatch);
+        }
+        let start = self.open_batch(batch);
+        let mut layers = Vec::new();
+
+        let g1 = net.conv1_geometry();
+        let at = self.open_layer("Conv1");
+        self.stage_inputs(net, batch);
+        self.memory.stage_bias(u64_from(g1.out_ch));
+        let conv1 = self.issue_matmul(batch, conv_matmul(&g1), 1, true);
+        self.record_groups(&conv1);
+        layers.push(self.end_layer("Conv1", &at, batch, g1.output_len()));
+
+        let gp = net.primary_caps_geometry();
+        let at = self.open_layer("PrimaryCaps");
+        self.memory.stage_bias(u64_from(gp.out_ch));
+        let pc = self.issue_matmul(batch, conv_matmul(&gp), 1, true);
+        self.record_groups(&pc);
+        for _ in 0..batch {
+            self.charge_squashes(net.num_primary_caps(), net.pc_caps_dim, None);
+        }
+        layers.push(self.end_layer("PrimaryCaps", &at, batch, capsule_bytes(net)));
+
+        let class_caps_at = self.open_layer("ClassCaps");
+        let mut steps = Vec::new();
+        self.load_u_hat(net, batch);
+        steps.push((RoutingStep::Load, self.cycles_since(&class_caps_at)));
+        let at = self.ledger();
+        self.rec.begin(SpanDetail::Phases, "fc");
+        let shape = [1, net.pc_caps_dim, net.num_classes * net.class_caps_dim];
+        let fc = self.issue_matmul(batch, shape, net.num_primary_caps(), true);
+        self.record_groups(&fc);
+        self.rec.end(SpanDetail::Phases);
+        steps.push((RoutingStep::Fc, self.cycles_since(&at)));
+        for img in 0..batch {
+            let mut image_steps = Vec::new();
+            self.rec
+                .begin_arg(SpanDetail::Phases, "routing", "img", u64_from(img));
+            self.price_routing(net, &mut image_steps);
+            self.rec.end(SpanDetail::Phases);
+            add_image_steps(&mut steps, image_steps, img);
+        }
+        layers.push(self.end_layer("ClassCaps", &class_caps_at, batch, 0));
+        Ok(self.close_batch(start, layers, steps, Vec::new()))
+    }
+
+    /// Opens a batch's root span and snapshots the counters its
+    /// [`BatchRun`] reports deltas of, so the report covers this batch
+    /// alone even on a reused accelerator.
+    fn open_batch(&mut self, batch: usize) -> BatchStart {
+        self.rec
+            .begin_arg(SpanDetail::Layers, "inference", "batch", u64_from(batch));
+        BatchStart {
+            traffic: self.traffic,
+            memory: self.memory.report(),
+            saturations: self.accumulator_saturations,
+            batch,
+        }
+    }
+
+    /// Closes the batch opened at `start` and reports it.
+    fn close_batch(
+        &mut self,
+        start: BatchStart,
+        layers: Vec<LayerRun>,
+        steps: Vec<(RoutingStep, u64)>,
+        traces: Vec<QuantTrace>,
+    ) -> BatchRun {
+        self.rec.end(SpanDetail::Layers); // inference
+        BatchRun {
             traces,
             layers,
             steps,
-            traffic: self.traffic.since(&traffic_at_start),
-            memory: self.memory.report().since(&memory_at_start),
-            accumulator_saturations: self.accumulator_saturations - saturations_at_start,
-            batch,
-        })
+            traffic: self.traffic.since(&start.traffic),
+            memory: self.memory.report().since(&start.memory),
+            accumulator_saturations: self.accumulator_saturations - start.saturations,
+            batch: start.batch,
+        }
     }
 
-    /// Closes layer `name`'s span and returns its [`LayerRun`], the
-    /// ledger's delta since `at`. The functional backend's staging
-    /// buffers are sized by the layer's own matmuls: they are released
-    /// here so the next layer's tensors can take the pages (PrimaryCaps'
-    /// panels would otherwise stay resident through ClassCaps).
-    fn end_layer(&mut self, name: &'static str, at: &CycleLedger) -> LayerRun {
+    /// Opens layer `name`'s span and returns the ledger reading its
+    /// [`LayerRun`] is the delta of.
+    fn open_layer(&mut self, name: &'static str) -> CycleLedger {
+        self.rec.begin(SpanDetail::Layers, name);
+        self.ledger()
+    }
+
+    /// Writes the `batch` images' outputs of `output_bytes` each to the
+    /// Data Memory, closes layer `name`'s span and returns its
+    /// [`LayerRun`], the ledger's delta since `at`. The functional
+    /// backend's staging buffers are sized by the layer's own matmuls:
+    /// they are released here so the next layer's tensors can take the
+    /// pages (PrimaryCaps' panels would otherwise stay resident through
+    /// ClassCaps).
+    fn end_layer(
+        &mut self,
+        name: &'static str,
+        at: &CycleLedger,
+        batch: usize,
+        output_bytes: usize,
+    ) -> LayerRun {
+        let bytes = checked_product("layer outputs", &[batch, output_bytes]);
+        self.traffic.write(MemoryKind::DataMemory, u64_from(bytes));
         self.rec.end(SpanDetail::Layers);
         self.staging = Default::default();
         let d = self.ledger().since(at);
@@ -519,6 +628,77 @@ impl Accelerator {
             transfer_cycles: d.transfer,
             memory_stall_cycles: d.stall,
         }
+    }
+
+    /// Conv1's input staging: the batch's images arrive over the
+    /// off-chip channel before the on-chip Data Memory serves them.
+    fn stage_inputs(&mut self, net: &CapsNetConfig, batch: usize) {
+        let bytes = checked_product("input staging", &[batch, net.conv1_geometry().input_len()]);
+        let bytes = u64_from(bytes);
+        self.traffic.read(MemoryKind::DataMemory, bytes);
+        let stall = self.memory.stage_input(bytes);
+        self.rec.counter_add("mem.stage_input_calls", 1);
+        self.rec.counter_add("mem.stage_input_stall_cycles", stall);
+        self.spend(Part::Stall, stall, "stage-input", None);
+    }
+
+    /// ClassCaps' Load: each image's `û` working set moves from the
+    /// Data Memory into the Data Buffer at `data_mem_bw`.
+    fn load_u_hat(&mut self, net: &CapsNetConfig, batch: usize) {
+        let (batch, per_image) = (u64_from(batch), RoutingSizes::of(net).u_hat_bytes);
+        let bytes = checked_product_u64("batched û working set", &[batch, per_image]);
+        self.traffic.read(MemoryKind::DataMemory, bytes);
+        self.traffic.write(MemoryKind::DataBuffer, bytes);
+        let cycles = batch * per_image.div_ceil(self.cfg.data_mem_bw);
+        self.spend(Part::Transfer, cycles, "load-uhat", None);
+    }
+}
+
+/// The counters a batch reports deltas of, read as it opens.
+struct BatchStart {
+    traffic: TrafficReport,
+    memory: MemReport,
+    saturations: u64,
+    batch: usize,
+}
+
+/// A convolution as the Fig. 13/14 mapping runs it, `[m, k, n]`: one
+/// im2col data row per output pixel against weight-stationary filter
+/// tiles.
+fn conv_matmul(g: &ConvGeometry) -> [usize; 3] {
+    [g.patches(), g.patch_len(), g.out_ch]
+}
+
+/// Bytes of one image's squashed primary capsules, PrimaryCaps' output.
+fn capsule_bytes(net: &CapsNetConfig) -> usize {
+    checked_product(
+        "primary capsules",
+        &[net.num_primary_caps(), net.pc_caps_dim],
+    )
+}
+
+/// Adds image `img`'s routing steps into the batch's: the first image's
+/// extend them, and every later image's, the same sequence for the same
+/// network, add elementwise.
+fn add_image_steps(
+    steps: &mut Vec<(RoutingStep, u64)>,
+    image_steps: Vec<(RoutingStep, u64)>,
+    img: usize,
+) {
+    if img == 0 {
+        steps.extend(image_steps);
+        return;
+    }
+    // Past the Load and the FC.
+    let routing_steps = &mut steps[2..];
+    assert_eq!(
+        routing_steps.len(),
+        image_steps.len(),
+        "routing step counts diverged"
+    );
+    for ((step, cycles), (s2, c2)) in routing_steps.iter_mut().zip(&image_steps) {
+        assert_eq!(*step, *s2, "routing step sequences diverged");
+        *cycles += c2;
     }
 }
 

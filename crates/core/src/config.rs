@@ -10,18 +10,18 @@ pub struct DataflowOptions {
     /// Hold the parameter layers' weight tiles (Conv1, PrimaryCaps and
     /// the ClassCaps FC's `W_ij`) in the PEs' second weight register
     /// and reuse them across data rows and images (Sec. IV-A).
-    /// Disabled, each tile reloads before every data row
-    /// ([`crate::TileSchedule::ReloadPerRow`]) and every image re-reads
-    /// the weights. Routing's operands (`û`, `v_j`) stay resident
-    /// either way. Only [`crate::timing`] models the reloads; disabled,
-    /// the engine runs its tiles serially.
+    /// Disabled, the engine runs every tile serially
+    /// ([`crate::TileSchedule::Serial`]), as with `pipelined_tiles`
+    /// off; the per-row weight reloads of the paper's ablation are not
+    /// executed. Routing's operands (`û`, `v_j`) stay resident either
+    /// way.
     pub weight_reuse: bool,
     /// Load each next weight tile while the current one streams, hiding
     /// weight reloads behind data streaming ("at full throttle, each PE
-    /// produces one output-per-clock cycle", Sec. IV-A). Both models
-    /// honour it where the Weight Buffer holds two tiles
-    /// ([`AcceleratorConfig::tiles_pipeline`]); the engine executes it
-    /// ([`crate::TileRun`]).
+    /// produces one output-per-clock cycle", Sec. IV-A). The engine
+    /// executes it ([`crate::TileRun`]) where the Weight Buffer holds
+    /// two tiles ([`AcceleratorConfig::tiles_pipeline`]) and
+    /// `weight_reuse` is on.
     pub pipelined_tiles: bool,
     /// Reuse the predictions `û_{j|i}` through the horizontal feedback
     /// path during routing instead of re-reading the Data Memory
@@ -159,17 +159,11 @@ pub struct AcceleratorConfig {
     pub cols: usize,
     /// Clock frequency in MHz (Table II: 250).
     pub clock_mhz: u64,
-    /// Weight stream bandwidth into the Weight Buffer in bytes per cycle.
-    /// In the closed form, layers whose weight footprint exceeds the
-    /// Weight Buffer stream at this rate, which is what makes PrimaryCaps
-    /// memory-bound. The engine fetches the weights from DRAM through the
-    /// Weight SPM instead (`MemoryConfig`).
-    pub weight_mem_bw: u64,
-    /// Data Memory → Data Buffer bandwidth in bytes per cycle.
+    /// Data Memory → Data Buffer bandwidth in bytes per cycle: the rate
+    /// of ClassCaps' `û` Load.
     pub data_mem_bw: u64,
-    /// Routing Buffer port bandwidth in bytes per cycle (read + write
-    /// each); bounds the softmax/update steps that sweep all 11 520
-    /// coupling coefficients.
+    /// Routing Buffer port bandwidth in bytes per cycle: the rate of the
+    /// skip-first-softmax coupling broadcast.
     pub routing_buf_bw: u64,
     /// Routing Buffer capacity in bytes. The Data and Weight Buffers are
     /// `memory.data_spm` and `memory.weight_spm`.
@@ -211,7 +205,6 @@ impl AcceleratorConfig {
             rows: 16,
             cols: 16,
             clock_mhz: 250,
-            weight_mem_bw: 8,
             data_mem_bw: 8,
             routing_buf_bw: 4,
             routing_buffer_bytes: 64 * 1024,
@@ -255,9 +248,8 @@ impl AcceleratorConfig {
     /// switch must be on **and** the Weight Buffer must hold two tiles
     /// (the double buffer the overlap physically needs). Undersized
     /// buffers degrade to the serial schedule instead of assuming free
-    /// overlap. Both cycle models pick their tile schedule here: the
-    /// closed form ([`crate::timing`]) and the engine, which pipelines
-    /// when this holds and `weight_reuse` is on.
+    /// overlap. The engine pipelines when this holds and `weight_reuse`
+    /// is on.
     pub fn tiles_pipeline(&self) -> bool {
         self.dataflow.pipelined_tiles && 2 * self.rows * self.cols <= self.memory.weight_spm.bytes
     }
@@ -276,7 +268,7 @@ impl AcceleratorConfig {
         if self.clock_mhz == 0 {
             return Err("clock frequency must be non-zero".into());
         }
-        if self.weight_mem_bw == 0 || self.data_mem_bw == 0 || self.routing_buf_bw == 0 {
+        if self.data_mem_bw == 0 || self.routing_buf_bw == 0 {
             return Err("memory bandwidths must be non-zero".into());
         }
         self.memory.validate()?;
@@ -324,7 +316,7 @@ mod tests {
         c.rows = 0;
         assert!(c.validate().is_err());
         let mut c = AcceleratorConfig::paper();
-        c.weight_mem_bw = 0;
+        c.data_mem_bw = 0;
         assert!(c.validate().is_err());
     }
 

@@ -12,25 +12,20 @@
 //! and every [`LayerRun`] and routing step is a delta of it. The
 //! systolic-array cycles are exact (the ticked backend executes every
 //! edge); activation-unit costs use the per-operation formulas of Sec.
-//! IV-C; bandwidth ceilings (weight streaming, routing buffer ports)
-//! are the analytical model's domain ([`crate::timing`]). The engine
-//! executes the paper's pipelined "full throttle" tile schedule
-//! whenever [`AcceleratorConfig::tiles_pipeline`] holds and weight reuse
-//! is on, and serial tiles otherwise: each call of the one internal
-//! matmul path issues all its tiles back to back as one run, which
-//! pays one fill and one drain ([`TileRun`]). The activation units reduce each
-//! drained value behind the array (Sec. IV-C), overlapped with the
-//! final K-tile's stream, so no matmul charges a drain. With pipelining
-//! disabled, the model's cycles equal the engine's, matmul by matmul
-//! and layer by layer, except for two gaps (pinned at MNIST scale by
-//! `tests/timing_consistency.rs`): the model charges Conv1's ReLU one
-//! cycle of latency, and it applies Routing Buffer bandwidth ceilings
-//! to the softmax and squash steps that the engine does not. With
-//! pipelining the two also differ in where a run ends: the closed form
-//! runs one per N-tile (one per matmul for the FC's capsules), the
-//! engine one per call. The [`crate::timing`] module doc gives the
-//! MNIST figures; the "One cycle model, executed" item of `ROADMAP.md`
-//! plans how the gaps close.
+//! IV-C; two transfers (the ClassCaps `û` Load and the skip-first-softmax
+//! coupling broadcast) are priced at their buffer's bandwidth. No other
+//! bandwidth ceiling is charged. The engine executes the paper's
+//! pipelined "full throttle" tile schedule whenever
+//! [`AcceleratorConfig::tiles_pipeline`] holds and weight reuse is on,
+//! and serial tiles otherwise: each call of the one internal matmul path
+//! issues all its tiles back to back as one run, which pays one fill and
+//! one drain ([`TileRun`]). The activation units reduce each drained
+//! value behind the array (Sec. IV-C), overlapped with the final
+//! K-tile's stream, so no matmul charges a drain.
+//!
+//! No cost depends on an operand value, so every cost site is one
+//! helper that [`Accelerator::run_batch`] and its dry run
+//! [`Accelerator::price_batch`] both call, in the same order.
 //!
 //! Two execution backends produce this identical behavior
 //! ([`crate::EngineBackend`]): `Ticked` drives every PE register through
@@ -52,15 +47,15 @@ use capsacc_capsnet::{
 use capsacc_faults::FaultPlan;
 use capsacc_memory::{MatmulGeometry, MemReport, MemorySubsystem, RunPrice, SpmKind, TileSchedule};
 use capsacc_telemetry::{Recorder, SpanDetail, TelemetryConfig};
-use capsacc_tensor::{u64_from, usize_from, Tensor};
+use capsacc_tensor::{checked_product_u64, u64_from, usize_from, Tensor};
 
 use crate::accumulator::AccumulatorUnit;
 use crate::activation::{ActivationKind, ActivationUnit};
+use crate::batch::RoutingStep;
 use crate::config::{AcceleratorConfig, EngineBackend, TraceLevel};
 use crate::kernel::{self, UHatPacking};
 use crate::operand::{DataView, WeightView};
 use crate::systolic::{SystolicArray, TileRun};
-use crate::timing::RoutingStep;
 use crate::traffic::{MemoryKind, TrafficReport};
 
 /// The engine's simulated cycles by what spent them, read with
@@ -434,9 +429,7 @@ impl Accelerator {
     /// The tiles run as one pipelined run where
     /// [`AcceleratorConfig::tiles_pipeline`] holds and weight reuse is
     /// on, and serially otherwise; the second weight register exists, so
-    /// tiles *are* resident either way. The
-    /// `DataflowOptions::weight_reuse` ablation's per-row reloads are
-    /// modelled analytically only, by the closed form ([`crate::timing`]).
+    /// tiles *are* resident either way.
     ///
     /// # Panics
     ///
@@ -564,31 +557,11 @@ impl Accelerator {
             staged.is_none_or(|s| batch == 1 && s.data.batch() == 1 && bias.is_none()),
             "a staged product is a bias-free batch of one"
         );
-        // The paper's pipelined schedule where the dataflow switches and
-        // the Weight Buffer allow it; the weight-reuse ablation's
-        // per-row reloads exist only in the closed form.
-        let schedule = if self.cfg.tiles_pipeline() && self.cfg.dataflow.weight_reuse {
-            TileSchedule::Pipelined
-        } else {
-            TileSchedule::Serial
-        };
-        let geometry = MatmulGeometry {
-            m,
-            k,
-            n,
-            batch,
-            rows: self.cfg.rows,
-            cols: self.cfg.cols,
-            weights_offchip,
-            schedule,
-        };
+        let charge = self.issue_matmul(batch, [m, k, n], groups, weights_offchip);
         let mut outs: Vec<Tensor<i8>> = (0..batch)
             .map(|_| Tensor::zeros(&[groups * m, n]))
             .collect();
         let mut saturations = vec![0u64; batch];
-        let charge = self.charge(&geometry, groups);
-        self.apply_charge(&charge);
-        MemorySubsystem::record_matmul(&charge.mem.total, &mut self.rec);
         if self.cfg.backend == EngineBackend::Functional {
             self.matmul_group_functional(
                 data,
@@ -604,11 +577,7 @@ impl Accelerator {
                 &mut saturations,
             );
         } else {
-            for g in 0..groups {
-                self.rec.begin(SpanDetail::Phases, "matmul");
-                self.record_group(&charge, g);
-                self.rec.end(SpanDetail::Phases);
-            }
+            self.record_groups(&charge);
             let c0 = self.array.cycles();
             self.matmul_ticked(
                 data,
@@ -629,6 +598,42 @@ impl Accelerator {
             );
         }
         (outs, saturations)
+    }
+
+    /// The cost site of every matmul call: derives the [`MatmulCharge`]
+    /// of `groups` matmuls of `batch · m × k × n`, issued as one run,
+    /// applies it and records its memory counters. The tiles pipeline
+    /// where [`AcceleratorConfig::tiles_pipeline`] holds and weight
+    /// reuse is on, and run serially otherwise: the engine executes no
+    /// per-row weight reloads. Both backends
+    /// ([`Accelerator::matmul_group`]) and the dry run
+    /// ([`Accelerator::price_batch`]) charge through here.
+    pub(crate) fn issue_matmul(
+        &mut self,
+        batch: usize,
+        [m, k, n]: [usize; 3],
+        groups: usize,
+        weights_offchip: bool,
+    ) -> MatmulCharge {
+        let schedule = if self.cfg.tiles_pipeline() && self.cfg.dataflow.weight_reuse {
+            TileSchedule::Pipelined
+        } else {
+            TileSchedule::Serial
+        };
+        let geometry = MatmulGeometry {
+            m,
+            k,
+            n,
+            batch,
+            rows: self.cfg.rows,
+            cols: self.cfg.cols,
+            weights_offchip,
+            schedule,
+        };
+        let charge = self.charge(&geometry, groups);
+        self.apply_charge(&charge);
+        MemorySubsystem::record_matmul(&charge.mem.total, &mut self.rec);
+        charge
     }
 
     /// What `groups` matmuls of geometry `g`, issued as one run, charge
@@ -659,6 +664,18 @@ impl Accelerator {
         self.traffic
             .read(MemoryKind::DataBuffer, mem.spm(SpmKind::Data).read_bytes);
         self.memory.charge(mem);
+    }
+
+    /// Records every group of `c`'s run, each as a `matmul` span
+    /// ([`Accelerator::record_group`]): the ticked backend's and the dry
+    /// run's recording. The functional backend records each group
+    /// inside its host pass instead, beside the host-time annotations.
+    pub(crate) fn record_groups(&mut self, c: &MatmulCharge) {
+        for g in 0..c.groups {
+            self.rec.begin(SpanDetail::Phases, "matmul");
+            self.record_group(c, g);
+            self.rec.end(SpanDetail::Phases);
+        }
     }
 
     /// Records group `group` of `c`'s run, for both backends: the clock
@@ -972,8 +989,10 @@ impl Accelerator {
                 }
 
                 // The N-tile's K-tiles: packed here, or staged `û`,
-                // packed here only on the image's first step.
-                let watch = self.rec.host_stopwatch();
+                // packed here only on the image's first step. One
+                // stopwatch times the staging and then the sweep: the
+                // staging's end is the sweep's start.
+                let mut watch = self.rec.host_stopwatch();
                 let tiles = match staged {
                     None => {
                         st.tiles.pack(&weight, k, rows, n0, nt, simd_ok);
@@ -987,14 +1006,13 @@ impl Accelerator {
                         &*tiles
                     }
                 };
-                stage_ns += watch.elapsed_ns();
+                stage_ns += watch.lap_ns();
 
                 // The row sweep: serial, or partitioned into contiguous
                 // row chunks across scoped OS threads (the `pool.rs`
                 // pattern). Rows are independent and each row's whole
                 // fold chain runs on one thread in tile order, so any
                 // partition is byte-identical to the serial sweep.
-                let watch = self.rec.host_stopwatch();
                 let threads = kernel::effective_threads(opts.threads, total_rows, k, nt);
                 let panel = st.panel.as_slice();
                 if threads <= 1 {
@@ -1036,7 +1054,7 @@ impl Accelerator {
                         }
                     });
                 }
-                sweep_ns += watch.elapsed_ns();
+                sweep_ns += watch.lap_ns();
 
                 // Drain through the activation units: each row's `nt`
                 // outputs as one contiguous run into the group's rows,
@@ -1084,8 +1102,8 @@ impl Accelerator {
     }
 
     /// Squashes every primary capsule of one image through the
-    /// activation units, one per array column, charging the Sec. IV-C
-    /// cycle cost.
+    /// activation units, charging the Sec. IV-C cycle cost
+    /// ([`Accelerator::charge_squashes`]).
     pub(crate) fn squash_primary(
         &mut self,
         net: &CapsNetConfig,
@@ -1102,11 +1120,80 @@ impl Accelerator {
             let (v, _) = self.activation.squash(src);
             dst.copy_from_slice(&v);
         }
-        let caps_count = u64_from(net.num_primary_caps());
-        let units = u64_from(self.cfg.cols);
-        let cycles = caps_count.div_ceil(units) * ActivationUnit::squash_cycles(u64_from(dim));
-        self.spend(Part::Activation, cycles, "squash", None);
+        self.charge_squashes(net.num_primary_caps(), dim, None);
         capsules
+    }
+
+    /// The cost of squashing `capsules` capsules of `dim` elements on
+    /// the activation units, one per array column (Sec. IV-C), spent in
+    /// a `squash` span.
+    pub(crate) fn charge_squashes(&mut self, capsules: usize, dim: usize, i: Option<usize>) {
+        let rounds = u64_from(capsules).div_ceil(u64_from(self.cfg.cols));
+        let cycles = rounds * ActivationUnit::squash_cycles(u64_from(dim));
+        self.spend(Part::Activation, cycles, "squash", i);
+    }
+
+    /// The cost sites of routing iteration `r` (0-based) other than its
+    /// two matmuls, each charged by one helper that
+    /// [`Accelerator::route_class_caps`] and [`Accelerator::price_routing`]
+    /// both call. The softmax: on the first iteration with
+    /// skip-first-softmax, the broadcast of the uniform couplings into
+    /// the Routing Buffer; otherwise a softmax of every capsule's
+    /// logits on the activation units, reading and writing them.
+    fn charge_softmax(&mut self, s: &RoutingSizes, r: usize) {
+        if r == 0 && self.cfg.dataflow.skip_first_softmax {
+            self.traffic
+                .write(MemoryKind::RoutingBuffer, s.coupling_bytes);
+            let cycles = s.coupling_bytes.div_ceil(self.cfg.routing_buf_bw);
+            self.spend(Part::Transfer, cycles, "softmax", Some(r + 1));
+        } else {
+            self.traffic
+                .read(MemoryKind::RoutingBuffer, s.coupling_bytes);
+            self.traffic
+                .write(MemoryKind::RoutingBuffer, s.coupling_bytes);
+            let cycles = u64_from(s.in_caps).div_ceil(u64_from(self.cfg.cols))
+                * ActivationUnit::softmax_cycles(u64_from(s.classes));
+            self.spend(Part::Activation, cycles, "softmax", Some(r + 1));
+        }
+    }
+
+    /// The reads of iteration `r`'s Sum besides its matmul: `û` from
+    /// the Data Buffer on the first iteration (Fig. 12b), and again —
+    /// re-read from the Data Memory — on every later one without the
+    /// feedback path (Fig. 12d); the couplings from the Routing Buffer.
+    fn charge_sum_reads(&mut self, s: &RoutingSizes, r: usize) {
+        if r == 0 || !self.cfg.dataflow.routing_feedback {
+            if r > 0 {
+                self.traffic.read(MemoryKind::DataMemory, s.u_hat_bytes);
+            }
+            self.traffic.read(MemoryKind::DataBuffer, s.u_hat_bytes);
+        }
+        self.traffic
+            .read(MemoryKind::RoutingBuffer, s.coupling_bytes);
+    }
+
+    /// Iteration `r`'s squash of the class capsules, written to the
+    /// Routing Buffer.
+    fn charge_class_squash(&mut self, s: &RoutingSizes, r: usize) {
+        self.charge_squashes(s.classes, s.out_dim, Some(r + 1));
+        self.traffic
+            .write(MemoryKind::RoutingBuffer, s.class_caps_bytes);
+    }
+
+    /// The traffic of a logit update besides its matmul: `û` re-read
+    /// from the Data Memory without the feedback path (Fig. 12c), `v_j`
+    /// read from the Routing Buffer, and the logits read and written
+    /// back.
+    fn charge_update_traffic(&mut self, s: &RoutingSizes) {
+        if !self.cfg.dataflow.routing_feedback {
+            self.traffic.read(MemoryKind::DataMemory, s.u_hat_bytes);
+        }
+        self.traffic
+            .read(MemoryKind::RoutingBuffer, s.class_caps_bytes);
+        self.traffic
+            .read(MemoryKind::RoutingBuffer, s.coupling_bytes);
+        self.traffic
+            .write(MemoryKind::RoutingBuffer, s.coupling_bytes);
     }
 
     /// Runs the routing-by-agreement phase for one image's predictions,
@@ -1115,7 +1202,8 @@ impl Accelerator {
     /// [`Accelerator::run_batch`] calls it once per image of the batch.
     /// Each Sum and each Update step is one matmul group over the
     /// classes ([`Accelerator::matmul_group`]), with the simulated
-    /// effects of the per-class matmuls it stands for.
+    /// effects of the per-class matmuls it stands for. Its cost sites
+    /// are [`Accelerator::price_routing`]'s, in the same order.
     ///
     /// `û` stays resident and is fed back to every step (Fig. 12c/d),
     /// and the functional backend stages it once per image to match:
@@ -1133,9 +1221,8 @@ impl Accelerator {
         steps: &mut Vec<(RoutingStep, u64)>,
     ) -> RoutingOutcome {
         let ncfg = self.cfg.numeric;
-        let (in_caps, classes, out_dim) =
-            (net.num_primary_caps(), net.num_classes, net.class_caps_dim);
-        let u_hat_bytes = u64_from(in_caps * classes * out_dim);
+        let sizes = RoutingSizes::of(net);
+        let (in_caps, classes, out_dim) = (sizes.in_caps, sizes.classes, sizes.out_dim);
         let mut macs = 0u64;
         let variant = if self.cfg.dataflow.skip_first_softmax {
             RoutingVariant::SkipFirstSoftmax
@@ -1153,7 +1240,6 @@ impl Accelerator {
         // `untraced_run_matches_traced_outputs`).
         let tracing = self.cfg.trace_level == TraceLevel::Full;
         let mut iterations = Vec::with_capacity(if tracing { net.routing_iterations } else { 0 });
-        let coupling_bytes = u64_from(in_caps * classes);
         // Operand tables of the Sum and Update groups (see the views
         // below): `û` is `[in_caps][classes][out_dim]`, the couplings
         // `[in_caps][classes]`.
@@ -1169,23 +1255,14 @@ impl Accelerator {
                 couplings
                     .data_mut()
                     .fill(self.activation.pipeline().uniform_coupling(classes));
-                self.traffic
-                    .write(MemoryKind::RoutingBuffer, coupling_bytes);
-                let cycles = coupling_bytes.div_ceil(self.cfg.routing_buf_bw);
-                self.spend(Part::Transfer, cycles, "softmax", Some(r + 1));
             } else {
                 for i in 0..in_caps {
                     let row = &logits.data()[i * classes..(i + 1) * classes];
                     let sm = self.activation.softmax(row);
                     couplings.data_mut()[i * classes..(i + 1) * classes].copy_from_slice(&sm);
                 }
-                self.traffic.read(MemoryKind::RoutingBuffer, coupling_bytes);
-                self.traffic
-                    .write(MemoryKind::RoutingBuffer, coupling_bytes);
-                let cycles = u64_from(in_caps).div_ceil(u64_from(self.cfg.cols))
-                    * ActivationUnit::softmax_cycles(u64_from(classes));
-                self.spend(Part::Activation, cycles, "softmax", Some(r + 1));
             }
+            self.charge_softmax(&sizes, r);
             steps.push((RoutingStep::Softmax(r + 1), self.cycles_since(&at)));
 
             // Weighted sums s_j (Fig. 12b on the first iteration, 12d —
@@ -1193,15 +1270,7 @@ impl Accelerator {
             let at = self.ledger();
             self.rec
                 .begin_arg(SpanDetail::Phases, "sum", "i", u64_from(r + 1));
-            if r == 0 || !self.cfg.dataflow.routing_feedback {
-                // û read from the Data Buffer (or re-read from memory
-                // when the feedback ablation is off).
-                if r > 0 {
-                    self.traffic.read(MemoryKind::DataMemory, u_hat_bytes);
-                }
-                self.traffic.read(MemoryKind::DataBuffer, u_hat_bytes);
-            }
-            self.traffic.read(MemoryKind::RoutingBuffer, coupling_bytes);
+            self.charge_sum_reads(&sizes, r);
             // s_j = Σ_i c_ij · û_j|i, one group member per class j: one
             // data row (the couplings' column j, offset j) against the
             // `in_caps × out_dim` slice of û for class j (offset
@@ -1252,11 +1321,7 @@ impl Accelerator {
                 class_caps.data_mut()[j * out_dim..(j + 1) * out_dim].copy_from_slice(&v);
                 *s_norm = norm;
             }
-            let squash_cycles = u64_from(classes).div_ceil(u64_from(self.cfg.cols))
-                * ActivationUnit::squash_cycles(u64_from(out_dim));
-            self.spend(Part::Activation, squash_cycles, "squash", Some(r + 1));
-            self.traffic
-                .write(MemoryKind::RoutingBuffer, u64_from(classes * out_dim));
+            self.charge_class_squash(&sizes, r);
             steps.push((RoutingStep::Squash(r + 1), self.cycles_since(&at)));
 
             // Logit update (Fig. 12c: û reused via the feedback path).
@@ -1264,11 +1329,7 @@ impl Accelerator {
                 let at = self.ledger();
                 self.rec
                     .begin_arg(SpanDetail::Phases, "update", "i", u64_from(r + 1));
-                if !self.cfg.dataflow.routing_feedback {
-                    self.traffic.read(MemoryKind::DataMemory, u_hat_bytes);
-                }
-                self.traffic
-                    .read(MemoryKind::RoutingBuffer, u64_from(classes * out_dim));
+                self.charge_update_traffic(&sizes);
                 // b_ij += û_j|i · v_j, one group member per class j: the
                 // class-j rows of û (offset `j·out_dim`) against v_j
                 // (offset `j·out_dim`) broadcast as a one-column weight.
@@ -1320,9 +1381,6 @@ impl Accelerator {
                     *logit = logit.saturating_add(d);
                 }
                 macs += u64_from(classes * in_caps * out_dim);
-                self.traffic.read(MemoryKind::RoutingBuffer, coupling_bytes);
-                self.traffic
-                    .write(MemoryKind::RoutingBuffer, coupling_bytes);
                 self.rec.end(SpanDetail::Phases);
                 steps.push((RoutingStep::Update(r + 1), self.cycles_since(&at)));
                 tracing.then(|| logits.clone())
@@ -1364,13 +1422,93 @@ impl Accelerator {
             macs,
         }
     }
+
+    /// [`Accelerator::route_class_caps`] without its operands: the same
+    /// cost sites in the same order, each matmul group charged
+    /// ([`Accelerator::issue_matmul`]) and recorded as the ticked
+    /// backend records it, appending each step's cycles to `steps`.
+    pub(crate) fn price_routing(
+        &mut self,
+        net: &CapsNetConfig,
+        steps: &mut Vec<(RoutingStep, u64)>,
+    ) {
+        let s = RoutingSizes::of(net);
+        for r in 0..net.routing_iterations {
+            let at = self.ledger();
+            self.charge_softmax(&s, r);
+            steps.push((RoutingStep::Softmax(r + 1), self.cycles_since(&at)));
+
+            let at = self.ledger();
+            self.rec
+                .begin_arg(SpanDetail::Phases, "sum", "i", u64_from(r + 1));
+            self.charge_sum_reads(&s, r);
+            let sum = self.issue_matmul(1, [1, s.in_caps, s.out_dim], s.classes, false);
+            self.record_groups(&sum);
+            self.rec.end(SpanDetail::Phases);
+            steps.push((RoutingStep::Sum(r + 1), self.cycles_since(&at)));
+
+            let at = self.ledger();
+            self.charge_class_squash(&s, r);
+            steps.push((RoutingStep::Squash(r + 1), self.cycles_since(&at)));
+
+            if r + 1 < net.routing_iterations {
+                let at = self.ledger();
+                self.rec
+                    .begin_arg(SpanDetail::Phases, "update", "i", u64_from(r + 1));
+                self.charge_update_traffic(&s);
+                let update = self.issue_matmul(1, [s.in_caps, s.out_dim, 1], s.classes, false);
+                self.record_groups(&update);
+                self.rec.end(SpanDetail::Phases);
+                steps.push((RoutingStep::Update(r + 1), self.cycles_since(&at)));
+            }
+        }
+    }
+}
+
+/// The sizes routing's cost sites charge, for one image: products a
+/// network too large for the `u64` byte counters fails on, loudly,
+/// before any of them is charged.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct RoutingSizes {
+    /// Primary capsules, the `i` of `û_{j|i}`.
+    pub in_caps: usize,
+    /// Classes, the `j`.
+    pub classes: usize,
+    /// Class-capsule dimensions.
+    pub out_dim: usize,
+    /// Bytes of `û`: `in_caps · classes · out_dim`.
+    pub u_hat_bytes: u64,
+    /// Bytes of the couplings, and of the logits: `in_caps · classes`.
+    pub coupling_bytes: u64,
+    /// Bytes of the class capsules `v_j`: `classes · out_dim`.
+    pub class_caps_bytes: u64,
+}
+
+impl RoutingSizes {
+    /// The sizes of `net`'s routing phase.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a byte count overflows `u64`.
+    pub(crate) fn of(net: &CapsNetConfig) -> Self {
+        let (in_caps, classes, out_dim) =
+            (net.num_primary_caps(), net.num_classes, net.class_caps_dim);
+        let [i, j, d] = [in_caps, classes, out_dim].map(u64_from);
+        Self {
+            in_caps,
+            classes,
+            out_dim,
+            u_hat_bytes: checked_product_u64("û working set", &[i, j, d]),
+            coupling_bytes: checked_product_u64("coupling set", &[i, j]),
+            class_caps_bytes: checked_product_u64("class capsules", &[j, d]),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::AcceleratorConfig;
-    use crate::timing::{batch_matmul_cycles, MatmulShape};
     use capsacc_capsnet::{infer_q8_traced, CapsNetParams};
     use capsacc_memory::MemoryConfig;
     use capsacc_tensor::qops;
@@ -1546,10 +1684,11 @@ mod tests {
 
         /// Extreme-but-valid shapes after the checked-cast audit
         /// (deep-K reductions hundreds of tiles long, wider than any
-        /// layer in the paper's network): the closed-form model and the
-        /// ticked engine must still agree cycle-exactly on serial
-        /// tiles — the conversion to checked/`try_from` arithmetic
-        /// changed no in-range value.
+        /// layer in the paper's network): the ticked engine must still
+        /// tick the Sec. IV-A serial formula exactly — every tile an
+        /// `R + 1`-edge load plus a `batch·M + R + C`-edge stream — so
+        /// the conversion to checked/`try_from` arithmetic changed no
+        /// in-range value.
         #[test]
         fn extreme_shapes_model_and_engine_agree(
             m in 1usize..4,
@@ -1573,12 +1712,9 @@ mod tests {
                 ActivationKind::Identity,
             );
             let got = acc.ledger().array - before;
-            let expect = batch_matmul_cycles(
-                MatmulShape { m: m as u64, k: k as u64, n: n as u64 },
-                batch as u64,
-                &cfg,
-            );
-            prop_assert_eq!(got, expect, "engine/model divergence at m={} k={} n={} b={}", m, k, n, batch);
+            let tiles = k.div_ceil(4) * n.div_ceil(4);
+            let expect = (tiles * (4 + 1 + batch * m + 4 + 4)) as u64;
+            prop_assert_eq!(got, expect, "engine/formula divergence at m={} k={} n={} b={}", m, k, n, batch);
         }
     }
 
@@ -1608,8 +1744,7 @@ mod tests {
     #[test]
     fn functional_matmul_charges_ticked_cycles() {
         // Tile-by-tile cycle charging equals the edges the ticked array
-        // executes (and therefore the closed-form serial formula) on
-        // shapes with ragged tiles.
+        // executes on shapes with ragged tiles.
         for (m, k, n) in [(1, 4, 4), (3, 9, 6), (7, 2, 10), (5, 17, 3)] {
             let mut cfg = AcceleratorConfig::test_4x4();
             cfg.backend = crate::EngineBackend::Functional;
@@ -1870,21 +2005,15 @@ mod tests {
                     geometry.run_cycles(geometry.tiles(groups)),
                     "{at}"
                 );
+                let serial = MatmulGeometry {
+                    schedule: TileSchedule::Serial,
+                    ..geometry
+                };
+                let serial_matmuls = groups as u64 * serial.run_cycles(serial.tiles(1));
                 if schedule == TileSchedule::Serial {
-                    assert_eq!(
-                        ticked.1.array,
-                        groups as u64 * geometry.array_cycles(),
-                        "{at}"
-                    );
+                    assert_eq!(ticked.1.array, serial_matmuls, "{at}");
                 } else if groups * geometry.n_tiles() * geometry.k_tiles() > 1 {
-                    let serial = MatmulGeometry {
-                        schedule: TileSchedule::Serial,
-                        ..geometry
-                    };
-                    assert!(
-                        ticked.1.array < groups as u64 * serial.array_cycles(),
-                        "{at}"
-                    );
+                    assert!(ticked.1.array < serial_matmuls, "{at}");
                 }
             }
         }

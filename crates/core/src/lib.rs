@@ -8,46 +8,42 @@
 //! control sequencing that maps every CapsuleNet layer and every
 //! routing-by-agreement dataflow scenario (Fig. 12) onto the array.
 //!
-//! Two models, cross-validated against each other:
+//! One cycle model: [`engine::Accelerator`], the cycle-accurate engine.
+//! Every PE register can be ticked every cycle, and its outputs are
+//! **bit-exact** against the quantized reference model in
+//! `capsacc-capsnet` (the analogue of the paper's gate-level functional
+//! validation, Fig. 15). Its costs never depend on operand values, so
+//! [`engine::Accelerator::price_batch`] prices a batch without running
+//! it: a dry run of the same cost sites, which serving tables and
+//! design-space sweeps read. [`timing`] is a per-layer view of one dry
+//! run.
 //!
-//! - [`engine::Accelerator`] — the cycle-accurate engine: every PE
-//!   register is ticked every cycle; outputs are **bit-exact** against
-//!   the quantized reference model in `capsacc-capsnet` (the analogue of
-//!   the paper's gate-level functional validation, Fig. 15).
-//! - [`timing`] — the closed-form analytical cycle model used by the
-//!   benchmark harness at MNIST scale; tests pin its systolic-array
-//!   cycles to the engine's (see the module doc for where the two still
-//!   differ).
-//!
-//! Behind both sits the **memory hierarchy** of `capsacc-memory`:
+//! Behind the engine sits the **memory hierarchy** of `capsacc-memory`:
 //! banked Data/Weight/Accumulator scratchpads, an off-chip DRAM channel
 //! and a double-buffered tile prefetcher. Tile loads are
-//! contention-accurate memory transactions; the engine and the
-//! closed-form model drive the same [`MemorySubsystem`] replay, so their
-//! stall accounting agrees exactly. The default
-//! [`MemoryConfig::ideal`] ("IdealMemory") keeps every pre-hierarchy
-//! cycle count and trace bit-exact.
+//! contention-accurate memory transactions ([`MemorySubsystem`]). The
+//! default [`MemoryConfig::ideal`] ("IdealMemory") keeps every
+//! pre-hierarchy cycle count and trace bit-exact.
 //!
-//! Both models run **batches**: the [`batch`] subsystem
-//! ([`BatchScheduler`] / [`engine::Accelerator::run_batch`]) and the
-//! closed form ([`timing::full_inference_batch`]) order a batch of
-//! inferences layer-major so weights loaded into the second weight
-//! register stay resident across all images — the paper's "reuse
-//! weights" scenario generalized across inferences — while every
+//! The engine runs **batches**: the [`batch`] subsystem
+//! ([`BatchScheduler`] / [`engine::Accelerator::run_batch`]) orders a
+//! batch of inferences layer-major so weights loaded into the second
+//! weight register stay resident across all images — the paper's
+//! "reuse weights" scenario generalized across inferences — while every
 //! per-image trace stays bit-identical to a sequential run. A single
 //! inference is a batch of one.
 //!
 //! # Example
 //!
 //! ```
-//! use capsacc_core::{AcceleratorConfig, timing};
+//! use capsacc_core::{Accelerator, AcceleratorConfig};
 //! use capsacc_capsnet::CapsNetConfig;
 //!
-//! let acc = AcceleratorConfig::paper();
+//! let cfg = AcceleratorConfig::paper();
 //! let net = CapsNetConfig::mnist();
-//! let report = timing::full_inference_batch(&acc, &net, 1);
+//! let run = Accelerator::new(cfg).price_batch(&net, 1).expect("one image");
 //! // The whole inference completes in a few milliseconds at 250 MHz.
-//! let ms = report.time_per_image_us(&acc) / 1000.0;
+//! let ms = cfg.cycles_to_us(run.total_cycles()) / 1000.0;
 //! assert!(ms > 0.1 && ms < 100.0);
 //! ```
 
@@ -73,7 +69,7 @@ mod traffic;
 
 pub use accumulator::AccumulatorUnit;
 pub use activation::{ActivationKind, ActivationUnit};
-pub use batch::{BatchError, BatchRun, BatchScheduler};
+pub use batch::{BatchError, BatchRun, BatchScheduler, RoutingStep};
 pub use capsacc_memory::{
     DramConfig, MatmulGeometry, MemReport, MemoryConfig, MemoryMode, MemorySubsystem, SpmActivity,
     SpmConfig, SpmKind, TileSchedule,
@@ -88,7 +84,5 @@ pub use engine::{Accelerator, CycleLedger, LayerRun};
 pub use kernel::{simd_body, SimdBody};
 pub use pe::{Pe, PeControl, PeInput, PeOutput, WeightSelect};
 pub use systolic::{SystolicArray, TileRun};
-pub use timing::{
-    BatchInferenceTiming, LayerTiming, MemInferenceTiming, RoutingStep, RoutingStepTiming,
-};
+pub use timing::{BatchInferenceTiming, LayerTiming, MemInferenceTiming};
 pub use traffic::{MemoryKind, TrafficCounter, TrafficReport};

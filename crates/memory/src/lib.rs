@@ -28,12 +28,13 @@
 //!   engine's matmul tile schedule, producing stall cycles and a
 //!   [`MemReport`].
 //!
-//! Everything is deterministic and closed-form per tile, so the
-//! cycle-accurate engine and the analytical timing model in
-//! `capsacc-core` drive the *same* [`MemorySubsystem`] code and agree
-//! exactly by construction. [`MemoryMode::Ideal`] ("IdealMemory") keeps
-//! every counter but returns zero stalls everywhere, reproducing the
-//! pre-memory engine's cycle counts bit-for-bit.
+//! Everything is deterministic and closed-form per tile: a run's price
+//! ([`MemorySubsystem::price_run`]) is a function of its geometry and
+//! the configuration alone, so the engine in `capsacc-core` charges it
+//! whether or not it evaluates the operands. [`MemoryMode::Ideal`]
+//! ("IdealMemory") keeps every counter but returns zero stalls
+//! everywhere, reproducing the pre-memory engine's cycle counts
+//! bit-for-bit.
 //!
 //! # Example
 //!
@@ -44,14 +45,13 @@
 //!     m: 36, k: 2304, n: 256, batch: 1, rows: 16, cols: 16,
 //!     weights_offchip: true, schedule: capsacc_memory::TileSchedule::Serial,
 //! };
-//! let mut ideal = MemorySubsystem::new(MemoryConfig::ideal());
-//! assert_eq!(ideal.matmul(&g), 0);
-//! let mut real = MemorySubsystem::new(MemoryConfig::paper());
-//! let stalls = real.matmul(&g);
+//! let ideal = MemorySubsystem::new(MemoryConfig::ideal()).price_run(&g, 1);
+//! assert_eq!(ideal.total.stall_cycles, 0);
+//! let real = MemorySubsystem::new(MemoryConfig::paper()).price_run(&g, 1).total;
 //! // The double-buffered prefetcher hides most fills behind compute...
-//! assert!(real.report().hidden_fill_cycles > stalls);
+//! assert!(real.hidden_fill_cycles > real.stall_cycles);
 //! // ...and every weight byte crossed the off-chip channel exactly once.
-//! assert_eq!(real.report().dram_weight_bytes, 2304 * 256);
+//! assert_eq!(real.dram_weight_bytes, 2304 * 256);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -124,28 +124,6 @@ impl MemReport {
         out
     }
 
-    /// Returns this report with every counter multiplied by `k` — the
-    /// exact aggregate of `k` identical transaction sequences (each
-    /// matmul replay restarts the prefetch timeline, so repeats are
-    /// bit-identical).
-    pub fn scaled(&self, k: u64) -> MemReport {
-        let mut out = MemReport {
-            stall_cycles: self.stall_cycles * k,
-            bank_stall_cycles: self.bank_stall_cycles * k,
-            prefetch_stall_cycles: self.prefetch_stall_cycles * k,
-            hidden_fill_cycles: self.hidden_fill_cycles * k,
-            dram_weight_bytes: self.dram_weight_bytes * k,
-            dram_data_bytes: self.dram_data_bytes * k,
-            spm: self.spm,
-        };
-        for a in out.spm.iter_mut() {
-            a.read_bytes *= k;
-            a.write_bytes *= k;
-            a.busy_cycles *= k;
-        }
-        out
-    }
-
     /// Merges another report into this one.
     pub fn merge(&mut self, other: &MemReport) {
         self.stall_cycles += other.stall_cycles;
@@ -184,12 +162,6 @@ mod tests {
         assert_eq!(delta, snapshot);
         assert_eq!(delta.spm(SpmKind::Weight).read_bytes, 30);
         assert_eq!(delta.offchip_bytes(), 150);
-        // scaled(k) == k merges.
-        let mut thrice = snapshot;
-        thrice.merge(&snapshot);
-        thrice.merge(&snapshot);
-        assert_eq!(snapshot.scaled(3), thrice);
-        assert_eq!(snapshot.scaled(1), snapshot);
     }
 
     #[test]

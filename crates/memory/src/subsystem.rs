@@ -159,20 +159,16 @@ pub struct MatmulGeometry {
     pub weights_offchip: bool,
     /// The tile schedule that prices the array cycles
     /// ([`MatmulGeometry::run_cycles`]) and sizes the per-tile window
-    /// the prefetcher can hide DRAM fills behind. Both models pick it
-    /// from the dataflow switches. The engine executes
-    /// [`TileSchedule::Serial`] or [`TileSchedule::Pipelined`], and
-    /// issues each call's matmuls as one run of tiles
-    /// ([`MemorySubsystem::price_run`]); the closed form also prices
-    /// [`TileSchedule::ReloadPerRow`], with one run per N-tile
-    /// ([`MemorySubsystem::price`]).
+    /// the prefetcher can hide DRAM fills behind. The engine picks it
+    /// from the dataflow switches and issues each call's matmuls as one
+    /// run of tiles ([`MemorySubsystem::price_run`]).
     pub schedule: TileSchedule,
 }
 
 /// How consecutive weight tiles share the array (Sec. IV-A). A tile
 /// loads in `R + 1` edges (skewed rows plus the latch) and streams its
 /// `batch · m` data rows in `batch · m + R + C` edges, drain included.
-/// [`MatmulGeometry::run_cycles`] prices a run of tiles under each
+/// [`MatmulGeometry::run_cycles`] prices a run of tiles under either
 /// variant, and [`MatmulGeometry::run_windows`] splits it into the
 /// per-tile windows the memory replay hides DRAM fills behind.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -188,10 +184,6 @@ pub enum TileSchedule {
     /// each later tile costs the longer of its stream and its `R`-edge
     /// reload (the latch rides on the previous tile's last multiply).
     Pipelined,
-    /// The weight-reuse ablation: the tile reloads before every data
-    /// row and drains once per image, so each tile occupies the array
-    /// far longer. Only the closed form prices it.
-    ReloadPerRow,
 }
 
 impl MatmulGeometry {
@@ -239,10 +231,10 @@ impl MatmulGeometry {
 
     /// Array cycles of `tiles` weight tiles of this geometry issued back
     /// to back under [`MatmulGeometry::schedule`], each streaming every
-    /// data row. Linear in `tiles` for [`TileSchedule::Serial`] and
-    /// [`TileSchedule::ReloadPerRow`]; [`TileSchedule::Pipelined`] pays
-    /// one fill and one drain, and each later tile costs the longer of
-    /// its stream and its `R`-edge reload.
+    /// data row. Linear in `tiles` for [`TileSchedule::Serial`];
+    /// [`TileSchedule::Pipelined`] pays one fill and one drain, and each
+    /// later tile costs the longer of its stream and its `R`-edge
+    /// reload.
     ///
     /// # Panics
     ///
@@ -260,32 +252,14 @@ impl MatmulGeometry {
                 let steady = checked_product_u64("pipelined tile run", &[tiles - 1, self.period()]);
                 load + stream + steady + drain
             }
-            TileSchedule::ReloadPerRow => {
-                let per_tile = checked_product_u64("per-row reloads", &[stream, load])
-                    + stream
-                    + checked_product_u64("per-image drains", &[u64_from(self.batch), drain]);
-                checked_product_u64("reload-per-row tile run", &[tiles, per_tile])
-            }
         }
-    }
-
-    /// Array cycles of the whole matmul as the closed form runs it: one
-    /// run of [`MatmulGeometry::k_tiles`] tiles per N-tile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cycle count overflows `u64`.
-    pub fn array_cycles(&self) -> u64 {
-        let run = self.run_cycles(u64_from(self.k_tiles()));
-        checked_product_u64("matmul array cycles", &[u64_from(self.n_tiles()), run])
     }
 
     /// The array cycles tiles `span` of a run of `tiles` occupy. Each
     /// tile's share is the window the next tile's DRAM fill can hide
-    /// behind: a serial or reload-per-row tile is a run of its own, and
-    /// a pipelined run puts its fill on its first tile and its drain on
-    /// its last. So the windows of a whole run are its
-    /// [`MatmulGeometry::run_cycles`].
+    /// behind: a serial tile is a run of its own, and a pipelined run
+    /// puts its fill on its first tile and its drain on its last. So the
+    /// windows of a whole run are its [`MatmulGeometry::run_cycles`].
     ///
     /// # Panics
     ///
@@ -295,7 +269,7 @@ impl MatmulGeometry {
         if count == 0 {
             return 0;
         }
-        if self.schedule != TileSchedule::Pipelined {
+        if self.schedule == TileSchedule::Serial {
             return checked_product_u64("tile windows", &[count, self.run_cycles(1)]);
         }
         let (load, stream, drain) = self.edges();
@@ -322,13 +296,11 @@ pub struct RunPrice {
 }
 
 /// One replay the subsystem remembers: `groups` matmuls of a geometry
-/// whose tiles pay one fill and one drain per `run` tiles. Each matmul
-/// restarts the prefetch timeline unless the schedule pipelines.
+/// issued back to back.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 struct Replay {
     geometry: MatmulGeometry,
     groups: usize,
-    run: u64,
 }
 
 /// Outcome of a fault-injected weight staging: the exposed cycles plus
@@ -343,16 +315,15 @@ pub struct StageOutcome {
     pub spm_restages: u64,
 }
 
-/// Distinct replays whose outcome [`MemorySubsystem::price`] and
-/// [`MemorySubsystem::price_run`] remember. A network issues three per
-/// batch size (Conv1, PrimaryCaps, the ClassCaps FC) plus two shared
-/// ones (routing's Sum and Update run per image, at batch 1), so a
-/// serving worker that sees a few batch sizes keeps every one of them.
+/// Distinct replays whose outcome [`MemorySubsystem::price_run`]
+/// remembers. A network issues three per batch size (Conv1,
+/// PrimaryCaps, the ClassCaps FC) plus two shared ones (routing's Sum
+/// and Update run per image, at batch 1), so a serving worker that sees
+/// a few batch sizes keeps every one of them.
 const REPLAY_MEMO: usize = 16;
 
-/// The three scratchpads, the DRAM channel and the prefetcher, driven
-/// through the same tile schedule by both the cycle-accurate engine and
-/// the closed-form timing model.
+/// The three scratchpads, the DRAM channel and the prefetcher behind
+/// the engine's tile schedule.
 #[derive(Clone, PartialEq, Debug)]
 pub struct MemorySubsystem {
     cfg: MemoryConfig,
@@ -389,62 +360,25 @@ impl MemorySubsystem {
         self.report
     }
 
-    /// Replays one matmul's tile schedule through the hierarchy as the
-    /// closed form runs it ([`MemorySubsystem::price`]) and returns the
-    /// stall cycles it adds on top of the compute schedule. Counters
-    /// (traffic, busy cycles, off-chip bytes) accumulate in
-    /// [`MemorySubsystem::report`]; under [`MemoryMode::Ideal`] the
-    /// returned stall is always zero.
-    pub fn matmul(&mut self, g: &MatmulGeometry) -> u64 {
-        let delta = self.price(g);
-        self.report.merge(&delta);
-        delta.stall_cycles
-    }
-
-    /// What one matmul of `g` charges as the closed form runs it — its
-    /// counter delta, stall included — without charging it. The
-    /// prefetcher timeline restarts per matmul: the first tile pays its
-    /// DRAM fill cold, and later fills overlap the previous tiles'
-    /// compute. A pipelined matmul is one run of tiles per N-tile.
-    ///
-    /// So the delta is a function of the geometry (and the
-    /// configuration) alone. The subsystem replays each one once and
-    /// remembers the last 16 distinct replays (`REPLAY_MEMO`, oldest
-    /// evicted first); a repeat returns the remembered delta, exactly
-    /// what a fresh replay would. Charging `k` identical matmuls is
-    /// then one [`MemorySubsystem::charge`] of the delta
-    /// [`MemReport::scaled`] by `k`.
-    pub fn price(&mut self, g: &MatmulGeometry) -> MemReport {
-        let run = match g.schedule {
-            TileSchedule::Pipelined => u64_from(g.k_tiles()),
-            TileSchedule::Serial | TileSchedule::ReloadPerRow => 1,
-        };
-        self.remembered(Replay {
-            geometry: *g,
-            groups: 1,
-            run,
-        })
-        .total
-    }
-
     /// What `groups` matmuls of `g` issued back to back charge as the
-    /// engine runs them, without charging it. Under
+    /// engine runs them — their counter delta, stall included, and each
+    /// matmul's stall — without charging it. Under
     /// [`TileSchedule::Pipelined`] the call is one prefetch stream and
     /// one run of all its tiles, whose windows are
-    /// [`MatmulGeometry::run_windows`]'s. Otherwise each matmul restarts
-    /// the prefetch timeline, so the run charges `groups` times
-    /// [`MemorySubsystem::price`]'s delta. Remembered like `price`,
-    /// per geometry and group count; the replay allocates nothing per
-    /// tile.
+    /// [`MatmulGeometry::run_windows`]'s. Under [`TileSchedule::Serial`]
+    /// each matmul restarts the prefetch timeline: its first tile pays
+    /// its DRAM fill cold, and later fills overlap the previous tiles'
+    /// compute.
+    ///
+    /// So the price is a function of the geometry, the group count and
+    /// the configuration alone. The subsystem replays each one once and
+    /// remembers the last 16 distinct replays (`REPLAY_MEMO`, oldest
+    /// evicted first); a repeat returns the remembered price, exactly
+    /// what a fresh replay would. The replay allocates nothing per tile.
     pub fn price_run(&mut self, g: &MatmulGeometry, groups: usize) -> RunPrice {
-        let run = match g.schedule {
-            TileSchedule::Pipelined => g.tiles(groups),
-            TileSchedule::Serial | TileSchedule::ReloadPerRow => 1,
-        };
         self.remembered(Replay {
             geometry: *g,
             groups,
-            run,
         })
     }
 
@@ -472,13 +406,12 @@ impl MemorySubsystem {
     /// and returns each group's stall cycles.
     fn replay(&mut self, r: &Replay) -> Arc<[u64]> {
         let g = &r.geometry;
-        let kk = u64_from(g.k_tiles());
-        // A run is one tile, or whole N-tiles: `blocks` of them. A
-        // tile's window depends only on whether it opens and whether it
-        // closes its run, so the four cases are priced once, outside the
-        // tile loop.
-        let single = r.run <= 1;
-        let blocks = (r.run / kk.max(1)).max(1);
+        let pipelined = g.schedule == TileSchedule::Pipelined;
+        // A serial tile is a run of its own; a pipelined tile's window
+        // depends only on whether it opens and whether it closes the
+        // call's one run, so the four cases are priced once, outside
+        // the tile loop.
+        let tiles = g.tiles(r.groups);
         let (alone, first, last, middle) = (
             g.run_windows(0..1, 1),
             g.run_windows(0..1, 2),
@@ -486,32 +419,27 @@ impl MemorySubsystem {
             g.run_windows(1..2, 3),
         );
         let mut stalls = Vec::with_capacity(r.groups);
-        let mut block = 0u64;
+        let mut t = 0u64;
         for group in 0..r.groups {
-            if group == 0 || g.schedule != TileSchedule::Pipelined {
+            if group == 0 || !pipelined {
                 self.pipeline.begin_stream();
             }
             let before = self.report.stall_cycles;
             for n0 in (0..g.n).step_by(g.cols.max(1)) {
                 let nt = g.cols.min(g.n - n0);
-                let (opens, closes) = (
-                    block.is_multiple_of(blocks),
-                    (block + 1).is_multiple_of(blocks),
-                );
-                block += 1;
                 for (kt_idx, k0) in (0..g.k).step_by(g.rows.max(1)).enumerate() {
                     let kt = g.rows.min(g.k - k0);
-                    let at = u64_from(kt_idx);
-                    let compute = if single {
+                    let compute = if !pipelined {
                         alone
                     } else {
-                        match (at == 0 && opens, at + 1 == kk && closes) {
+                        match (t == 0, t + 1 == tiles) {
                             (true, true) => alone,
                             (true, false) => first,
                             (false, true) => last,
                             (false, false) => middle,
                         }
                     };
+                    t += 1;
                     self.tile(kt, nt, kt_idx == 0, compute, g);
                 }
             }
@@ -700,8 +628,8 @@ impl MemorySubsystem {
         w.busy_cycles += busy;
     }
 
-    /// Records one matmul's counter delta (as [`MemorySubsystem::price`]
-    /// returns it) into a telemetry [`Recorder`]: the call and stall
+    /// Records one run's counter delta ([`RunPrice::total`]) into a
+    /// telemetry [`Recorder`]: the call and stall
     /// counters (total, bank, prefetch, hidden fill) and the per-matmul
     /// stall histograms. The recorder only observes, and a disabled one
     /// ignores the call.
@@ -715,12 +643,9 @@ impl MemorySubsystem {
         rec.hist_record("mem.matmul_hidden_fill_cycles", d.hidden_fill_cycles);
     }
 
-    /// Merges a previously measured [`MemReport`] delta into this
+    /// Merges a previously priced [`MemReport`] delta into this
     /// subsystem's counters: the engine charges each call's
-    /// [`RunPrice::total`], and the closed-form model scales one
-    /// replayed matmul across many identical calls (each call restarts
-    /// the prefetch timeline, so `n` identical calls are exactly one
-    /// call's delta `n` times).
+    /// [`RunPrice::total`].
     pub fn charge(&mut self, delta: &MemReport) {
         self.report.merge(delta);
     }
@@ -730,6 +655,20 @@ impl MemorySubsystem {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// `k` merges of `r`: the counters of `k` identical replays.
+    fn times(r: &MemReport, k: u64) -> MemReport {
+        let mut out = MemReport::default();
+        (0..k).for_each(|_| out.merge(r));
+        out
+    }
+
+    /// Prices one matmul of `g` and charges it, returning its stall.
+    fn matmul(mem: &mut MemorySubsystem, g: &MatmulGeometry) -> u64 {
+        let price = mem.price_run(g, 1);
+        mem.charge(&price.total);
+        price.total.stall_cycles
+    }
 
     fn geometry(m: usize, k: usize, n: usize, batch: usize, offchip: bool) -> MatmulGeometry {
         MatmulGeometry {
@@ -795,7 +734,7 @@ mod tests {
     #[test]
     fn ideal_memory_never_stalls_but_still_counts() {
         let mut mem = MemorySubsystem::new(MemoryConfig::ideal());
-        let stalls = mem.matmul(&geometry(5, 8, 8, 2, true)) + mem.stage_input(1000);
+        let stalls = matmul(&mut mem, &geometry(5, 8, 8, 2, true)) + mem.stage_input(1000);
         assert_eq!(stalls, 0);
         let r = mem.report();
         assert_eq!(r.stall_cycles, 0);
@@ -897,7 +836,7 @@ mod tests {
     #[test]
     fn onchip_operands_never_touch_dram() {
         let mut mem = MemorySubsystem::new(MemoryConfig::paper());
-        mem.matmul(&geometry(1, 32, 4, 1, false));
+        matmul(&mut mem, &geometry(1, 32, 4, 1, false));
         let r = mem.report();
         assert_eq!(r.dram_weight_bytes, 0);
         assert_eq!(r.prefetch_stall_cycles, 0);
@@ -908,7 +847,7 @@ mod tests {
     fn accumulator_folds_read_back_partials() {
         let mut mem = MemorySubsystem::new(MemoryConfig::ideal());
         // Two K-tiles: the second folds, reading the partials back.
-        mem.matmul(&geometry(3, 8, 4, 1, false));
+        matmul(&mut mem, &geometry(3, 8, 4, 1, false));
         let a = mem.report().spm(SpmKind::Accumulator);
         assert_eq!(a.write_bytes, 2 * 3 * 4 * ACC_ENTRY_BYTES);
         assert_eq!(a.read_bytes, 3 * 4 * ACC_ENTRY_BYTES);
@@ -930,9 +869,9 @@ mod tests {
             weights_offchip: true,
             schedule: TileSchedule::Serial,
         };
-        let serial = MemorySubsystem::new(MemoryConfig::paper()).matmul(&g);
+        let serial = matmul(&mut MemorySubsystem::new(MemoryConfig::paper()), &g);
         g.schedule = TileSchedule::Pipelined;
-        let pipelined = MemorySubsystem::new(MemoryConfig::paper()).matmul(&g);
+        let pipelined = matmul(&mut MemorySubsystem::new(MemoryConfig::paper()), &g);
         assert!(pipelined >= serial, "{pipelined} < {serial}");
 
         let kk = g.k_tiles() as u64;
@@ -949,7 +888,7 @@ mod tests {
     fn a_pipelined_run_is_one_prefetch_stream() {
         // Four matmuls of two N-tiles each, issued as one run: the
         // prefetcher pays one cold fill for the whole call, where four
-        // per-matmul replays pay one each. Each group's stall is the
+        // single-matmul runs pay one each. Each group's stall is the
         // stall within its tiles, and the groups' stalls sum to the
         // run's.
         let g = MatmulGeometry {
@@ -964,13 +903,13 @@ mod tests {
         };
         let cfg = MemoryConfig::paper();
         let run = MemorySubsystem::new(cfg).price_run(&g, 4);
-        let one = MemorySubsystem::new(cfg).price(&g);
+        let one = MemorySubsystem::new(cfg).price_run(&g, 1).total;
         let cold = cfg.dram.transfer_cycles(256);
         assert_eq!(one.stall_cycles, cold);
         assert_eq!(&run.group_stalls[..], [cold, 0, 0, 0]);
         assert_eq!(run.total.stall_cycles, cold);
         // Every counter but the stalls is the four matmuls' sum.
-        let four = one.scaled(4);
+        let four = times(&one, 4);
         assert_eq!(
             (run.total.spm, run.total.dram_weight_bytes),
             (four.spm, four.dram_weight_bytes)
@@ -982,8 +921,8 @@ mod tests {
         };
         let mut mem = MemorySubsystem::new(cfg);
         let run = mem.price_run(&serial, 4);
-        let one = mem.price(&serial);
-        assert_eq!(run.total, one.scaled(4));
+        let one = mem.price_run(&serial, 1).total;
+        assert_eq!(run.total, times(&one, 4));
         assert_eq!(&run.group_stalls[..], [one.stall_cycles; 4]);
     }
 
@@ -997,18 +936,9 @@ mod tests {
         assert_eq!(g(TileSchedule::Serial).run_cycles(3), 3 * (5 + 6 + 8));
         // One fill and one drain; the later tiles cost max(6, 5) each.
         assert_eq!(g(TileSchedule::Pipelined).run_cycles(3), 5 + 6 + 2 * 6 + 8);
-        // Six reloads, six rows and two drains per tile.
-        assert_eq!(
-            g(TileSchedule::ReloadPerRow).run_cycles(3),
-            3 * (6 * 5 + 6 + 2 * 8)
-        );
-        // Two N-tiles, each a run of three K-tiles.
-        for schedule in [
-            TileSchedule::Serial,
-            TileSchedule::Pipelined,
-            TileSchedule::ReloadPerRow,
-        ] {
-            assert_eq!(g(schedule).array_cycles(), 2 * g(schedule).run_cycles(3));
+        // Two N-tiles of three K-tiles each.
+        for schedule in [TileSchedule::Serial, TileSchedule::Pipelined] {
+            assert_eq!(g(schedule).tiles(1), 6);
             assert_eq!(g(schedule).run_cycles(0), 0);
         }
     }
@@ -1019,16 +949,19 @@ mod tests {
         cfg.weight_spm.banks = 1;
         cfg.weight_spm.word_bytes = 1;
         let mut mem = MemorySubsystem::new(cfg);
-        mem.matmul(&MatmulGeometry {
-            m: 2,
-            k: 32,
-            n: 32,
-            batch: 1,
-            rows: 16,
-            cols: 16,
-            weights_offchip: true,
-            schedule: TileSchedule::Serial,
-        });
+        matmul(
+            &mut mem,
+            &MatmulGeometry {
+                m: 2,
+                k: 32,
+                n: 32,
+                batch: 1,
+                rows: 16,
+                cols: 16,
+                weights_offchip: true,
+                schedule: TileSchedule::Serial,
+            },
+        );
         let r = mem.report();
         assert!(
             r.bank_stall_cycles > 0,
@@ -1068,9 +1001,9 @@ mod tests {
             let mut fresh_total = MemReport::default();
             for g in &calls {
                 let mut fresh = MemorySubsystem::new(cfg);
-                let want = fresh.matmul(g);
-                assert_eq!(mem.matmul(g), want, "{g:?}");
-                let delta = recorded.price(g);
+                let want = matmul(&mut fresh, g);
+                assert_eq!(matmul(&mut mem, g), want, "{g:?}");
+                let delta = recorded.price_run(g, 1).total;
                 recorded.charge(&delta);
                 MemorySubsystem::record_matmul(&delta, &mut rec);
                 assert_eq!(delta.stall_cycles, want);
@@ -1097,7 +1030,7 @@ mod tests {
         for n in (1..=REPLAY_MEMO + 2).chain([1, 2, REPLAY_MEMO + 2]) {
             let g = geometry(2, 9, n, 1, true);
             let mut fresh = MemorySubsystem::new(cfg);
-            assert_eq!(mem.matmul(&g), fresh.matmul(&g), "n = {n}");
+            assert_eq!(matmul(&mut mem, &g), matmul(&mut fresh, &g), "n = {n}");
             want.merge(&fresh.report());
             assert!(mem.replays.len() <= REPLAY_MEMO);
         }
@@ -1133,7 +1066,7 @@ mod tests {
             let mut deep = base;
             deep.prefetch_buffers = 4;
 
-            let stall = |cfg: MemoryConfig| MemorySubsystem::new(cfg).matmul(&g);
+            let stall = |cfg: MemoryConfig| matmul(&mut MemorySubsystem::new(cfg), &g);
             let s_base = stall(base);
             prop_assert_eq!(stall(MemoryConfig::ideal()), 0);
             prop_assert!(stall(slower) >= s_base);
@@ -1142,9 +1075,8 @@ mod tests {
         }
 
         /// The windows the replay hides DRAM fills behind, summed over
-        /// a run, are the run's closed form, and over the closed form's
-        /// per-N-tile runs they are the matmul's: the memory model and
-        /// the cycle model price the same schedule.
+        /// a run, are the run's array cycles: the memory model and the
+        /// cycle charge price the same schedule.
         #[test]
         fn tile_windows_sum_to_array_cycles(
             m in 0usize..40,
@@ -1155,11 +1087,7 @@ mod tests {
             cols in 1usize..9,
             groups in 1usize..4,
         ) {
-            for schedule in [
-                TileSchedule::Serial,
-                TileSchedule::Pipelined,
-                TileSchedule::ReloadPerRow,
-            ] {
+            for schedule in [TileSchedule::Serial, TileSchedule::Pipelined] {
                 let g = MatmulGeometry {
                     m, k, n, batch, rows, cols,
                     weights_offchip: true,
@@ -1175,18 +1103,11 @@ mod tests {
                     run,
                     "{:?}", schedule
                 );
-                let kk = g.k_tiles() as u64;
-                let per_n_tile: u64 = (0..kk).map(|i| g.run_windows(i..i + 1, kk)).sum();
-                prop_assert_eq!(
-                    g.n_tiles() as u64 * per_n_tile,
-                    g.array_cycles(),
-                    "{:?}", schedule
-                );
             }
         }
 
-        /// The engine's run replay: a serial run is `groups` per-matmul
-        /// replays, and any run's per-group stalls sum to its stall.
+        /// A serial run is `groups` single-matmul runs, and any run's
+        /// per-group stalls sum to its stall.
         #[test]
         fn run_replays_decompose_into_matmuls(
             m in 1usize..8,
@@ -1209,7 +1130,7 @@ mod tests {
                 prop_assert_eq!(run.group_stalls.len(), groups);
                 prop_assert_eq!(run.group_stalls.iter().sum::<u64>(), run.total.stall_cycles);
                 if schedule == TileSchedule::Serial {
-                    prop_assert_eq!(run.total, mem.price(&g).scaled(groups as u64));
+                    prop_assert_eq!(run.total, times(&mem.price_run(&g, 1).total, groups as u64));
                 }
                 prop_assert_eq!(mem.report(), MemReport::default(), "pricing charges nothing");
             }

@@ -15,14 +15,17 @@
 //!
 //! - [`run_runtime`] — a flat `service(n)` table and warmup
 //!   ([`ServiceModel::flat`]), no observer;
-//! - [`simulate_runtime_resilient`] — closed-form service tables per
-//!   degradation level ([`degraded_service_tables`]) and respawn
-//!   warmups staged through the memory-fault path, at an accelerator
-//!   design point;
-//! - [`serve_with_engine`] — measured engine cycles
-//!   ([`engine_service_cycles_table`]), with the runtime's dispatch
-//!   decisions executed on a [`ShardPool`] of engine replicas on OS
-//!   threads, so every served request also gets its functional trace.
+//! - [`simulate_runtime_resilient`] — service tables per degradation
+//!   level ([`degraded_service_tables`]) and respawn warmups staged
+//!   through the memory-fault path, at an accelerator design point;
+//! - [`serve_with_engine`] — the same service table
+//!   ([`service_cycles_table`]), with the runtime's dispatch decisions
+//!   executed on a [`ShardPool`] of engine replicas on OS threads, so
+//!   every served request also gets its functional trace.
+//!
+//! Every service table is the engine's own: each entry is a dry run of
+//! a batch ([`capsacc_core::Accelerator::price_batch`]), whose cycles
+//! are those of any executed batch of that size.
 //!
 //! Latency is reported per request (queue wait + batch position +
 //! batch cycles → [`RequestStat`]) and aggregated into p50/p95/p99 and
@@ -85,60 +88,27 @@ pub use trace::{
 };
 
 use capsacc_capsnet::{CapsNetConfig, QuantTrace, QuantizedParams};
-use capsacc_core::{timing, AcceleratorConfig, BatchScheduler};
+use capsacc_core::{Accelerator, AcceleratorConfig};
 use capsacc_memory::MemorySubsystem;
 use capsacc_tensor::{u64_from, Tensor};
 
-/// Precomputes the closed-form cycle model for every batch size up to
-/// `max_batch`, including memory-hierarchy stalls under `cfg.memory` —
-/// the `service(n)` the dispatcher charges at MNIST scale, where
-/// ticking the engine per batch would be prohibitive.
+/// The engine's cycle cost of a batch of every size up to `max_batch`,
+/// memory-hierarchy stalls under `cfg.memory` included: the
+/// `service(n)` the dispatcher charges. Each entry is a dry run
+/// ([`Accelerator::price_batch`]), so no operand is evaluated, and
+/// batch cycles are data-independent, so every executed batch of `n`
+/// images costs exactly `table[n]` — [`serve_with_engine`] asserts it
+/// for each batch its shard pool serves. `table[0]` is 0.
+///
+/// # Panics
+///
+/// Panics if `cfg` fails [`AcceleratorConfig::validate`].
 pub fn service_cycles_table(
     cfg: &AcceleratorConfig,
     net: &CapsNetConfig,
     max_batch: usize,
 ) -> Vec<u64> {
-    let mut table = vec![0u64; max_batch + 1];
-    for (n, slot) in table.iter_mut().enumerate().skip(1) {
-        *slot = timing::full_inference_batch_mem(cfg, net, u64_from(n)).total_cycles();
-    }
-    table
-}
-
-/// Measures the *engine's* [`capsacc_core::BatchRun`] cycle cost for
-/// every batch size up to `max_batch`, by running scratch batches of
-/// deterministic dummy images through a fresh scheduler per size.
-///
-/// Batch cycle counts are data-independent (the array ticks by shape,
-/// not value) and independent of scheduler reuse, so this table is
-/// exact for every real batch of the same size —
-/// [`serve_with_engine`] asserts exactly that against each batch the
-/// shard pool actually serves.
-///
-/// At MNIST scale, build the table with
-/// `cfg.backend = EngineBackend::Functional` (and typically
-/// `cfg.trace_level = TraceLevel::Outputs`): the functional backend
-/// charges the identical cycles at wall-clock speed, so paper-scale
-/// engine service tables are practical where ticking every PE was not
-/// (pinned by `tests/serve_equivalence.rs::
-/// engine_service_cycles_table_holds_at_mnist_scale`).
-pub fn engine_service_cycles_table(
-    cfg: &AcceleratorConfig,
-    net: &CapsNetConfig,
-    qparams: &QuantizedParams,
-    max_batch: usize,
-) -> Vec<u64> {
-    let dummy = Tensor::from_fn(&[1, net.input_side, net.input_side], |i| {
-        ((i[1] * 3 + i[2]) % 11) as f32 / 11.0
-    });
-    let mut table = vec![0u64; max_batch + 1];
-    for (n, slot) in table.iter_mut().enumerate().skip(1) {
-        *slot = BatchScheduler::new(*cfg)
-            .run(net, qparams, &vec![dummy.clone(); n])
-            .expect("dummy batch is valid")
-            .total_cycles();
-    }
-    table
+    degraded_service_tables(cfg, net, max_batch, 0).swap_remove(0)
 }
 
 /// Cycles an autoscaled worker spin-up spends filling its weight
@@ -153,22 +123,43 @@ pub fn worker_warmup_cycles(cfg: &AcceleratorConfig, net: &CapsNetConfig) -> u64
 
 /// Per-degradation-level service tables: level `l` sheds routing
 /// iterations (3 → 2 → 1 under the paper network), never below one, and
-/// prices each level with the closed-form cycle model. `tables[l][n]`
-/// is a batch-of-`n`'s cycle cost at degradation level `l`; level 0 is
+/// prices each level with the engine's dry runs. `tables[l][n]` is a
+/// batch-of-`n`'s cycle cost at degradation level `l`; level 0 is
 /// exactly [`service_cycles_table`].
+///
+/// One accelerator prices every entry, batch size by batch size with
+/// the levels inner: shedding iterations leaves Conv1, PrimaryCaps and
+/// the FC alone, so its memory subsystem replays their tiles once per
+/// batch size and every other level reads its remembered price.
+///
+/// # Panics
+///
+/// Panics if `cfg` fails [`AcceleratorConfig::validate`].
 pub fn degraded_service_tables(
     cfg: &AcceleratorConfig,
     net: &CapsNetConfig,
     max_batch: usize,
     max_level: u32,
 ) -> Vec<Vec<u64>> {
-    (0..=usize::try_from(max_level).expect("degradation level fits usize"))
+    let levels: Vec<CapsNetConfig> = (0..=max_level)
         .map(|l| {
+            let l = usize::try_from(l).expect("degradation level fits usize");
             let mut shed = *net;
             shed.routing_iterations = shed.routing_iterations.saturating_sub(l).max(1);
-            service_cycles_table(cfg, &shed, max_batch)
+            shed
         })
-        .collect()
+        .collect();
+    let mut tables = vec![vec![0u64; max_batch + 1]; levels.len()];
+    let mut acc = Accelerator::new(*cfg);
+    for n in 1..=max_batch {
+        for (table, shed) in tables.iter_mut().zip(&levels) {
+            table[n] = acc
+                .price_batch(shed, n)
+                .expect("non-empty batch")
+                .total_cycles();
+        }
+    }
+    tables
 }
 
 /// The runtime at an accelerator design point, with fault injection
@@ -218,7 +209,7 @@ pub fn simulate_runtime_resilient(
 }
 
 /// Serves `requests` through the runtime on the **engine's own**
-/// `BatchRun` cycle costs ([`engine_service_cycles_table`], autoscaled
+/// `BatchRun` cycle costs ([`service_cycles_table`], autoscaled
 /// spin-ups charged [`worker_warmup_cycles`]), then executes the
 /// runtime's dispatch decisions on a [`ShardPool`] of engine replicas
 /// on OS threads — one replica per worker that was ever active, each
@@ -260,7 +251,7 @@ pub fn serve_with_engine(
 ) -> Result<(RuntimeOutcome, Vec<QuantTrace>), PoolError> {
     // The runtime checks `service(n) > 0` for every batch size before
     // it starts, so it needs the whole table.
-    let table = engine_service_cycles_table(cfg, net, qparams, rt.batcher.max_batch);
+    let table = service_cycles_table(cfg, net, rt.batcher.max_batch);
     let outcome = run_runtime(rt, requests, &|n| table[n], worker_warmup_cycles(cfg, net));
 
     // Each batch's request ids in slot order, then each worker's batch
@@ -346,10 +337,10 @@ mod tests {
 
     #[test]
     fn engine_backed_serve_reproduces_its_own_dispatch() {
-        // The pool-backed path charges the engine's measured batch
-        // costs: its outcome must equal a bare runtime run over the
-        // engine service table — and, under the offline preset, the
-        // offline dispatch — and be rerun-identical.
+        // The pool-backed path charges the engine's batch costs: its
+        // outcome must equal a bare runtime run over the service table —
+        // and, under the offline preset, the offline dispatch — and be
+        // rerun-identical.
         let net = CapsNetConfig::tiny();
         let cfg = AcceleratorConfig::test_4x4();
         let qparams = CapsNetParams::generate(&net, 1).quantize(cfg.numeric);
@@ -371,7 +362,7 @@ mod tests {
         let (outcome, traces) =
             serve_with_engine(&cfg, &net, &qparams, &rt, &requests, &image).expect("valid serve");
         assert_eq!(traces.len(), 10);
-        let table = engine_service_cycles_table(&cfg, &net, &qparams, rt.batcher.max_batch);
+        let table = service_cycles_table(&cfg, &net, rt.batcher.max_batch);
         let bare = run_runtime(
             &rt,
             &requests,

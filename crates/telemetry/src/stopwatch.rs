@@ -26,6 +26,18 @@ impl HostStopwatch {
             u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX)
         })
     }
+
+    /// Host nanoseconds since the stopwatch started or last lapped, and
+    /// a restart at that same clock reading, so back-to-back intervals
+    /// cost one read per boundary; zero when inert.
+    pub fn lap_ns(&mut self) -> u64 {
+        let Some(start) = self.0 else {
+            return 0;
+        };
+        let now = HostInstant::now();
+        self.0 = Some(now);
+        u64::try_from(now.duration_since(start).as_nanos()).unwrap_or(u64::MAX)
+    }
 }
 
 #[cfg(test)]
@@ -39,5 +51,17 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(1));
         assert_eq!(inert.elapsed_ns(), 0);
         assert!(running.elapsed_ns() >= 1_000_000);
+    }
+
+    #[test]
+    fn laps_restart_at_their_own_reading() {
+        let mut inert = HostStopwatch::start(false);
+        let mut running = HostStopwatch::start(true);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        assert_eq!(inert.lap_ns(), 0);
+        let first = running.lap_ns();
+        assert!(first >= 2_000_000);
+        // The lap restarted the stopwatch: the sleep is not counted twice.
+        assert!(running.elapsed_ns() < first);
     }
 }

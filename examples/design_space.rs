@@ -1,12 +1,13 @@
 //! Design-space exploration: sweep the systolic-array size and buffer
 //! capacities around the paper's 16×16 design point and report
-//! performance (analytical cycle model), area, power, and energy
-//! efficiency — the scaling study the paper's component models enable.
+//! performance (the engine's cycles, priced by a dry run of one
+//! inference), area, power, and energy efficiency — the scaling study
+//! the paper's component models enable.
 //!
 //! Run with: `cargo run --example design_space`
 
 use capsacc::capsnet::CapsNetConfig;
-use capsacc::core::{timing, AcceleratorConfig};
+use capsacc::core::{Accelerator, AcceleratorConfig};
 use capsacc::power::PowerModel;
 
 fn main() {
@@ -21,16 +22,19 @@ fn main() {
         let mut cfg = AcceleratorConfig::paper();
         cfg.rows = size;
         cfg.cols = size;
-        let t = timing::full_inference_batch(&cfg, &net, 1);
+        let cycles = Accelerator::new(cfg)
+            .price_batch(&net, 1)
+            .expect("one image")
+            .total_cycles();
         let report = model.estimate(&cfg);
-        let time_s = t.time_per_image_us(&cfg) / 1e6;
+        let time_s = cfg.cycles_to_us(cycles) / 1e6;
         let inf_per_s = 1.0 / time_s;
         let watts = report.total_power_mw() / 1000.0;
         println!(
             "{:<10} {:>12} {:>9.2}ms {:>8.2}mm² {:>8.0}mW {:>12.0} {:>14.0}",
             format!("{size}x{size}"),
-            t.total_cycles(),
-            t.time_per_image_us(&cfg) / 1000.0,
+            cycles,
+            time_s * 1000.0,
             report.total_area_mm2(),
             report.total_power_mw(),
             inf_per_s,
@@ -58,7 +62,9 @@ fn main() {
 
     println!(
         "\nThe paper's 16×16 / 256 KiB point balances the array (~1/4 of area)\n\
-         against the buffers (Fig. 18); larger arrays help the compute-bound\n\
-         layers but PrimaryCaps stays pinned by its 5.3 MB weight stream."
+         against the buffers (Fig. 18). Larger arrays cut cycles with\n\
+         diminishing returns: past 32×32 the small layers (PrimaryCaps' 36\n\
+         output pixels, the FC's 8-tap capsules) fill the array poorly, and\n\
+         inferences per watt fall."
     );
 }

@@ -1,8 +1,9 @@
 //! Full-system run at MNIST scale: executes the complete CapsuleNet on
 //! the **cycle-accurate** engine (every PE register ticked — several
 //! hundred million PE updates), validates bit-exactness against the
-//! reference model, and cross-checks the engine's cycle counts against
-//! the analytical model with tile pipelining disabled.
+//! reference model, and checks the executed cycles, traffic and memory
+//! counters against a dry run of the same batch, which prices the
+//! engine's charges without evaluating an operand.
 //!
 //! This is the heavyweight counterpart of `cycle_accurate_validation`
 //! (which uses the tiny network). Build in release mode:
@@ -16,15 +17,12 @@ use std::time::Instant;
 use capsacc::capsnet::{
     infer_q8_traced, CapsNetConfig, CapsNetParams, QuantPipeline, RoutingVariant,
 };
-use capsacc::core::{timing, Accelerator, AcceleratorConfig, MemoryKind};
+use capsacc::core::{Accelerator, AcceleratorConfig, MemoryKind};
 use capsacc::mnist::SyntheticMnist;
 
 fn main() {
     let net = CapsNetConfig::mnist();
-    let mut cfg = AcceleratorConfig::paper();
-    // Serial tiles: the closed form's per-N-tile runs and the engine's
-    // one run per call price them alike, so the layers compare exactly.
-    cfg.dataflow.pipelined_tiles = false;
+    let cfg = AcceleratorConfig::paper();
 
     println!(
         "Generating pseudo-trained parameters ({} weights)…",
@@ -68,28 +66,26 @@ fn main() {
         run.traces[0].output.predicted
     );
 
-    // Engine cycles vs the serial analytical model, layer by layer.
-    let analytic = timing::full_inference_batch(&cfg, &net, 1);
-    println!("\nLayer cycle counts (engine array cycles vs serial analytical compute):");
-    for layer in &run.layers {
-        let model = match layer.name {
-            "Conv1" => analytic.conv1.compute_cycles,
-            "PrimaryCaps" => analytic.primary_caps.compute_cycles,
-            _ => continue,
-        };
+    // Executed cycles vs the dry run, layer by layer.
+    let priced = Accelerator::new(cfg)
+        .price_batch(&net, 1)
+        .expect("one image");
+    println!("\nLayer cycle counts (executed vs dry run):");
+    for (layer, dry) in run.layers.iter().zip(&priced.layers) {
         println!(
-            "  {:<12} engine {:>9}  model {:>9}  ({})",
+            "  {:<12} engine {:>9}  dry run {:>9}",
             layer.name,
-            layer.array_cycles,
-            model,
-            if layer.array_cycles == model {
-                "exact"
-            } else {
-                "≠"
-            }
+            layer.cycles(),
+            dry.cycles()
         );
-        assert_eq!(layer.array_cycles, model, "{} cycle mismatch", layer.name);
     }
+    assert_eq!(run.layers, priced.layers, "layer cycles diverged");
+    assert_eq!(run.steps, priced.steps, "routing step cycles diverged");
+    assert_eq!(
+        (run.traffic, run.memory),
+        (priced.traffic, priced.memory),
+        "traffic or memory counters diverged"
+    );
 
     println!("\nRouting step cycles (engine):");
     for (step, cycles) in &run.steps {

@@ -10,7 +10,7 @@
 use capsacc::capsnet::{
     infer_f32, infer_q8, CapsNetConfig, CapsNetParams, QuantPipeline, RoutingVariant,
 };
-use capsacc::core::{timing, AcceleratorConfig};
+use capsacc::core::{Accelerator, AcceleratorConfig};
 use capsacc::fixed::NumericConfig;
 use capsacc::gpu::GpuModel;
 use capsacc::mnist::SyntheticMnist;
@@ -70,16 +70,20 @@ fn main() {
         quant_out.stats.saturations
     );
 
-    // ---- 3. The accelerator at the paper's design point.
+    // ---- 3. The accelerator at the paper's design point, priced by a
+    // dry run of the engine (its cycles, without evaluating operands).
     let acc = AcceleratorConfig::paper();
-    let t = timing::full_inference_batch(&acc, &mnist_net, 1);
+    let run = Accelerator::new(acc)
+        .price_batch(&mnist_net, 1)
+        .expect("one image");
+    let us = acc.cycles_to_us(run.total_cycles());
     let gpu = GpuModel::gtx1070().layer_times_us(&mnist_net);
     println!("\nCapsAcc (16×16 @ 250 MHz) on the MNIST CapsuleNet:");
     println!(
         "  total inference: {:.3} ms  (GPU baseline: {:.3} ms → {:.1}× faster)",
-        t.time_per_image_us(&acc) / 1000.0,
+        us / 1000.0,
         gpu.total() / 1000.0,
-        gpu.total() / t.time_per_image_us(&acc)
+        gpu.total() / us
     );
 
     let t2 = PowerModel::cmos_32nm().table2(&acc);

@@ -39,8 +39,10 @@ fn reexport_paths_resolve_and_interoperate() {
     // core ← capsnet
     let acc_cfg = AcceleratorConfig::test_4x4();
     let _ = Accelerator::new(acc_cfg);
-    let report =
-        timing::full_inference_batch(&AcceleratorConfig::paper(), &CapsNetConfig::mnist(), 1);
+    let mut paper = Accelerator::new(AcceleratorConfig::paper());
+    let report = paper
+        .price_batch(&CapsNetConfig::mnist(), 1)
+        .expect("one image");
     assert!(report.total_cycles() > 0);
 
     // core batch subsystem ← capsnet + tensor
@@ -54,8 +56,9 @@ fn reexport_paths_resolve_and_interoperate() {
     assert_eq!(run.traces.len(), 2);
     assert_eq!(run.traces[0], run.traces[1]);
     assert!(run.cycles_per_image() > 0.0);
-    let batched =
-        timing::full_inference_batch(&AcceleratorConfig::paper(), &CapsNetConfig::mnist(), 16);
+    let batched = paper
+        .price_batch(&CapsNetConfig::mnist(), 16)
+        .expect("non-empty batch");
     assert!(batched.cycles_per_image() < report.total_cycles() as f64);
 
     // memory ← (standalone), and core ← memory
@@ -66,12 +69,11 @@ fn reexport_paths_resolve_and_interoperate() {
     let mut mem_cfg = AcceleratorConfig::paper();
     mem_cfg.memory = MemoryConfig::paper();
     let mem_t = timing::full_inference_batch_mem(&mem_cfg, &CapsNetConfig::mnist(), 16);
-    assert!(mem_t.report.stall_cycles > 0);
-    assert!(mem_t.total_cycles() > mem_t.base.total_cycles());
+    assert!(mem_t.primary_caps_stall_cycles > 0);
+    assert!(mem_t.base.primary_caps.cycles > mem_t.base.conv1.cycles);
     assert_eq!(
         timing::full_inference_batch_mem(&AcceleratorConfig::paper(), &CapsNetConfig::mnist(), 1)
-            .report
-            .stall_cycles,
+            .class_caps_stall_cycles,
         0
     );
 

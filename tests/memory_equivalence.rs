@@ -2,13 +2,17 @@
 //! engine must reproduce the pre-memory engine bit-for-bit (traces *and*
 //! cycle counts — pinned to the same golden digests as
 //! `tests/bit_exactness.rs`), and under a finite memory configuration
-//! the engine's stall/traffic accounting must agree **exactly** with the
-//! closed-form replay (`timing::full_inference_batch_mem`,
-//! `timing::matmul_mem_stalls`) while never changing functional results.
+//! each matmul's stalls must be exactly the memory subsystem's price of
+//! its run (`MemorySubsystem::price_run`), and a scheduled batch's
+//! memory counters exactly its dry run's (`Accelerator::price_batch`,
+//! which replays the batch's memory traffic without operands), while
+//! never changing functional results. Whole runs against their dry
+//! runs on every dataflow are `tests/timing_consistency.rs`'s.
 
 use capsacc::capsnet::{CapsNetConfig, CapsNetParams};
 use capsacc::core::{
-    timing, Accelerator, AcceleratorConfig, ActivationKind, BatchScheduler, MemoryConfig,
+    timing, Accelerator, AcceleratorConfig, ActivationKind, BatchScheduler, MatmulGeometry,
+    MemoryConfig, MemorySubsystem, TileSchedule,
 };
 use capsacc::tensor::Tensor;
 use proptest::prelude::*;
@@ -115,10 +119,11 @@ fn finite_memory_never_changes_results_and_only_adds_stalls() {
 
 #[test]
 fn engine_memory_report_matches_closed_form_replay_exactly() {
-    // The acceptance anchor: on serial tiny configs the ticked engine
-    // and the memory-aware closed-form model agree exactly — the whole
-    // MemReport (stall decomposition, off-chip bytes, per-SPM activity),
-    // and the per-layer stall attribution.
+    // On serial tiny configs under the paper's memory, a scheduled batch
+    // and the replay of its memory traffic without operands agree
+    // exactly: the whole MemReport of the dry run (stall decomposition,
+    // off-chip bytes, per-SPM activity), and the per-layer stall
+    // attribution of `timing::full_inference_batch_mem`'s view of it.
     let net = CapsNetConfig::tiny();
     let mut cfg = finite_cfg(AcceleratorConfig::test_4x4());
     cfg.dataflow.pipelined_tiles = false;
@@ -127,8 +132,11 @@ fn engine_memory_report_matches_closed_form_replay_exactly() {
         let images: Vec<Tensor<f32>> = (0..batch).map(|s| net.test_image(s)).collect();
         let mut sched = BatchScheduler::new(cfg);
         let run = sched.run(&net, &qparams, &images).expect("valid batch");
+        let dry = Accelerator::new(cfg)
+            .price_batch(&net, batch)
+            .expect("non-empty batch");
+        assert_eq!(run.memory, dry.memory, "batch {batch}");
         let model = timing::full_inference_batch_mem(&cfg, &net, batch as u64);
-        assert_eq!(run.memory, model.report, "batch {batch}");
         let stalls: Vec<u64> = run.layers.iter().map(|l| l.memory_stall_cycles).collect();
         assert_eq!(
             stalls,
@@ -144,32 +152,39 @@ fn engine_memory_report_matches_closed_form_replay_exactly() {
 
 #[test]
 fn engine_dram_traffic_matches_closed_form_replay() {
-    // Off-chip bytes agree between the engine and the closed-form
-    // memory replay on the default (pipelined) dataflow: weights once
-    // per batch, inputs once per image.
+    // Off-chip bytes agree between the engine and the dry run's memory
+    // replay on the default (pipelined) dataflow: weights once per
+    // batch, inputs once per image.
     let net = CapsNetConfig::tiny();
     let cfg = AcceleratorConfig::test_4x4();
     let qparams = CapsNetParams::generate(&net, 2).quantize(cfg.numeric);
-    for batch in [1usize, 4] {
+    let dram = |batch: usize| {
         let images: Vec<Tensor<f32>> = (0..batch).map(|s| net.test_image(s)).collect();
         let mut sched = BatchScheduler::new(cfg);
         let run = sched.run(&net, &qparams, &images).expect("valid batch");
-        let model = timing::full_inference_batch_mem(&cfg, &net, batch as u64).report;
+        let dry = Accelerator::new(cfg)
+            .price_batch(&net, batch)
+            .expect("non-empty batch");
+        let bytes = (run.memory.dram_weight_bytes, run.memory.dram_data_bytes);
         assert_eq!(
-            (run.memory.dram_weight_bytes, run.memory.dram_data_bytes),
-            (model.dram_weight_bytes, model.dram_data_bytes),
+            bytes,
+            (dry.memory.dram_weight_bytes, dry.memory.dram_data_bytes),
             "batch {batch}"
         );
-    }
+        bytes
+    };
+    let (one, four) = (dram(1), dram(4));
+    assert_eq!(four.0, one.0, "weights once per batch");
+    assert_eq!(four.1, 4 * one.1, "inputs once per image");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Matmul-level exactness: across random shapes, array geometries
-    /// and batch sizes, the engine's stall delta equals the closed-form
-    /// `matmul_mem_stalls`, stalls never touch the ticked array, and the
-    /// ideal/finite outputs stay bit-identical.
+    /// and batch sizes, the engine's stall delta equals the memory
+    /// subsystem's price of the matmul's run, stalls never touch the
+    /// ticked array, and the ideal/finite outputs stay bit-identical.
     #[test]
     fn engine_matmul_stalls_match_model(
         m in 1usize..10,
@@ -196,10 +211,20 @@ proptest! {
         let engine = acc.ledger().since(&before);
         let engine_stalls = engine.stall;
 
-        let shape = timing::MatmulShape { m: m as u64, k: k as u64, n: n as u64 };
-        // The public matmul path treats weights as on-chip operands.
-        let model_stalls = timing::matmul_mem_stalls(shape, batch as u64, &cfg, false);
-        prop_assert_eq!(engine_stalls, model_stalls);
+        // The public matmul path treats weights as on-chip operands, and
+        // pipelines its tiles on the default dataflow.
+        let geometry = |weights_offchip| MatmulGeometry {
+            m, k, n, batch,
+            rows: size,
+            cols: size,
+            weights_offchip,
+            schedule: if cfg.tiles_pipeline() { TileSchedule::Pipelined } else { TileSchedule::Serial },
+        };
+        let stalls = |cfg: &AcceleratorConfig, weights_offchip| {
+            let run = MemorySubsystem::new(cfg.memory).price_run(&geometry(weights_offchip), 1);
+            run.total.stall_cycles
+        };
+        prop_assert_eq!(engine_stalls, stalls(&cfg, false));
 
         // Stalls are accounted beside the array, never inside it, and
         // the memory model never changes outputs: an IdealMemory run of
@@ -218,16 +243,10 @@ proptest! {
         // Monotone in DRAM latency (off-chip path exercised separately).
         let mut slower = cfg;
         slower.memory.dram.latency_cycles += 100;
-        prop_assert!(
-            timing::matmul_mem_stalls(shape, batch as u64, &slower, true)
-                >= timing::matmul_mem_stalls(shape, batch as u64, &cfg, true)
-        );
+        prop_assert!(stalls(&slower, true) >= stalls(&cfg, true));
         // Deeper prefetch never hurts.
         let mut naive = cfg;
         naive.memory.prefetch_buffers = 1;
-        prop_assert!(
-            timing::matmul_mem_stalls(shape, batch as u64, &naive, true)
-                >= timing::matmul_mem_stalls(shape, batch as u64, &cfg, true)
-        );
+        prop_assert!(stalls(&naive, true) >= stalls(&cfg, true));
     }
 }

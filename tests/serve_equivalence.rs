@@ -7,9 +7,9 @@
 //! the OS schedules the worker threads.
 
 use capsacc::capsnet::{CapsNetConfig, CapsNetParams};
-use capsacc::core::{timing, Accelerator, AcceleratorConfig, BatchScheduler, EngineBackend};
+use capsacc::core::{Accelerator, AcceleratorConfig, BatchScheduler, EngineBackend, MemoryConfig};
 use capsacc::serve::{
-    arrival_trace, dispatch_batches, engine_service_cycles_table, form_batches, run_runtime,
+    arrival_trace, degraded_service_tables, dispatch_batches, form_batches, run_runtime,
     serve_with_engine, service_cycles_table, simulate_runtime_resilient, AutoscalerConfig,
     BatcherConfig, Request, RuntimeConfig, RuntimeOutcome, ScalingEvent, ShardPool, TraceConfig,
 };
@@ -85,15 +85,16 @@ fn shard_pool_traces_are_bit_exact_vs_sequential_runs() {
 
 #[test]
 fn engine_service_cycles_are_data_and_reuse_independent() {
-    // The dispatcher charges one cycle cost per batch *size*
-    // (`engine_service_cycles_table`); that is only sound if real
-    // batches — different images, long-lived reused schedulers, any
-    // worker — cost exactly the table entry. Run disjoint image sets
-    // through a pool and check every measured batch against the table.
+    // The dispatcher charges one cycle cost per batch *size*, priced by
+    // a dry run that reads no image (`service_cycles_table`); that is
+    // only sound if real batches — different images, long-lived reused
+    // schedulers, any worker — cost exactly the table entry. Run
+    // disjoint image sets through a pool and check every measured batch
+    // against the table.
     let net = CapsNetConfig::tiny();
     let cfg = AcceleratorConfig::test_4x4();
     let qparams = CapsNetParams::generate(&net, 3).quantize(cfg.numeric);
-    let table = engine_service_cycles_table(&cfg, &net, &qparams, 4);
+    let table = service_cycles_table(&cfg, &net, 4);
     assert!(table[1] > 0);
     assert!(
         table[4] < 4 * table[1],
@@ -124,16 +125,14 @@ fn engine_service_cycles_are_data_and_reuse_independent() {
 
 #[test]
 fn engine_service_cycles_table_holds_at_mnist_scale() {
-    // Previously the engine-backed service table only existed at the
-    // tiny test scale — ticking a 16×16 MNIST inference per batch size
-    // was prohibitive. The functional backend removes that wall: build
-    // the table at the paper design point and prove the serve layer's
-    // charging discipline against real engine batches at full scale.
+    // The service table at the paper design point, priced by dry runs,
+    // against real engine batches at full scale on the functional
+    // backend: the serve layer's charging discipline.
     let net = CapsNetConfig::mnist();
     let mut cfg = AcceleratorConfig::paper();
     cfg.backend = EngineBackend::Functional;
     let qparams = CapsNetParams::generate(&net, 0).quantize(cfg.numeric);
-    let table = engine_service_cycles_table(&cfg, &net, &qparams, 2);
+    let table = service_cycles_table(&cfg, &net, 2);
     assert_eq!(table[0], 0);
     assert!(table[1] > 0);
     assert!(
@@ -183,7 +182,7 @@ fn serving_outcome_is_deterministic_across_reruns() {
         serve_with_engine(&cfg, &net, &qparams, &rt, &requests, &image).expect("valid serve");
     assert_eq!(out1, out2, "virtual-time outcome must be rerun-identical");
     assert_eq!(traces1, traces2, "traces must be rerun-identical");
-    // The closed-form-only simulation is deterministic too.
+    // The simulation without engine work is deterministic too.
     assert_eq!(
         simulate_runtime_resilient(&cfg, &net, &rt, &requests),
         simulate_runtime_resilient(&cfg, &net, &rt, &requests)
@@ -339,7 +338,7 @@ fn online_runtime_reproduces_offline_pipeline_exactly() {
         assert!(online.rejections.is_empty());
         assert!(online.scaling.is_empty());
     }
-    // And the closed-form preset at the accelerator design point.
+    // And the dry-run-priced preset at the accelerator design point.
     let cfg = AcceleratorConfig::paper();
     let net = CapsNetConfig::mnist();
     let table = service_cycles_table(&cfg, &net, batcher.max_batch);
@@ -387,8 +386,9 @@ proptest! {
 fn dispatch_composes_with_engine_latency_model() {
     // End-to-end sanity on the latency decomposition: queue wait +
     // service = latency for every request, and the service term is the
-    // closed-form batch cost (which `engine_service_cycles_match...`
-    // ties to the engine).
+    // dry run's batch cost (which
+    // `engine_service_cycles_are_data_and_reuse_independent` ties to
+    // executed batches).
     let net = CapsNetConfig::tiny();
     let cfg = AcceleratorConfig::test_4x4();
     let trace = TraceConfig {
@@ -412,9 +412,36 @@ fn dispatch_composes_with_engine_latency_model() {
         );
         let b = &out.batches[r.batch];
         assert_eq!(r.service_cycles(), table[b.len]);
-        assert_eq!(
-            timing::full_inference_batch_mem(&cfg, &net, b.len as u64).total_cycles(),
-            table[b.len]
-        );
+        let priced = Accelerator::new(cfg)
+            .price_batch(&net, b.len)
+            .expect("non-empty batch");
+        assert_eq!(priced.total_cycles(), table[b.len]);
+    }
+}
+
+#[test]
+fn service_tables_on_one_accelerator_equal_fresh_dry_runs() {
+    // `degraded_service_tables` prices every (level, batch size) on one
+    // accelerator, levels inner, so its memory subsystem remembers the
+    // replays the levels share. Each entry equals a dry run of that
+    // batch on a fresh accelerator, under the paper memory hierarchy
+    // where the replays stall.
+    let net = CapsNetConfig::mnist();
+    let cfg = AcceleratorConfig {
+        memory: MemoryConfig::paper(),
+        ..AcceleratorConfig::paper()
+    };
+    let tables = degraded_service_tables(&cfg, &net, 4, 2);
+    assert_eq!(tables[0], service_cycles_table(&cfg, &net, 4));
+    for (level, table) in tables.iter().enumerate() {
+        let mut shed = net;
+        shed.routing_iterations -= level;
+        assert_eq!(table[0], 0);
+        for (n, &cycles) in table.iter().enumerate().skip(1) {
+            let fresh = Accelerator::new(cfg)
+                .price_batch(&shed, n)
+                .expect("non-empty batch");
+            assert_eq!(cycles, fresh.total_cycles(), "level {level}, batch {n}");
+        }
     }
 }
